@@ -47,8 +47,8 @@ fn print_fig2() {
         "  off-chain (Whisper) messages: honest {}, dispute {}",
         honest.report.offchain_messages, dispute.report.offchain_messages
     );
-    let honest_cache = honest.game.net.analysis_cache().stats();
-    let dispute_cache = dispute.game.net.analysis_cache().stats();
+    let honest_cache = honest.game.net().analysis_cache().stats();
+    let dispute_cache = dispute.game.net().analysis_cache().stats();
     println!("  EVM analysis cache (jumpdest bitmaps memoised across frames):");
     println!(
         "    honest path : {:>4} hits / {:>3} misses ({:.0}% hit ratio)",

@@ -21,7 +21,8 @@ fn run_with_plan(plan: &FaultPlan) -> (u64, usize, usize) {
         plan,
     );
     let (game, report) = game.run().expect("game terminates");
-    let injected = game.net.injected_faults().len() + game.whisper.injected_faults().len();
+    let injected =
+        game.chain_faults().injected_faults().len() + game.whisper_faults().injected_faults().len();
     (report.total_gas(), report.txs.len(), injected)
 }
 

@@ -34,7 +34,7 @@ fn print_table2() {
     let bytecode_len = light.game.offchain_bytecode.len() as u64;
     let runtime_len = light
         .game
-        .net
+        .net()
         .code_at(sc_evm::contract_address(
             light.game.onchain_addr.unwrap(),
             1,

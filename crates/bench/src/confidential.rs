@@ -9,17 +9,19 @@
 //!   This is the price of hiding the amounts: every commitment check
 //!   runs through the verifier precompiles instead of plain arithmetic.
 //! * **Session throughput** — N settle-later sessions multiplexed by
-//!   the [`SessionScheduler`] at N ∈ {1, 16, 256}, the same curve the
-//!   `sessions` bench draws for the public protocols.
+//!   the [`NetworkScheduler`](sc_core::NetworkScheduler) over one node
+//!   at N ∈ {1, 16, 256}, the same curve the `sessions` bench draws for
+//!   the public protocols.
 //!
 //! The numbers land in `BENCH_confidential.json` at the repository
 //! root; the gas figures are deterministic and gated by `bench_check`.
 
 use crate::run_monolithic;
+use crate::sessions::SessionsPoint;
 use sc_chain::Testnet;
 use sc_confidential::{CommitmentBackend, PedersenBackend, SettlementVoucher};
 use sc_contracts::confidential::{ConfidentialContracts, ConfidentialParams};
-use sc_core::{SessionScheduler, SessionSpec, SettleLaterCrash, SettleLaterSpec};
+use sc_core::{SessionSpec, SettleLaterCrash, SettleLaterSpec};
 use sc_crypto::secp256k1::{n as curve_order, scalar};
 use sc_primitives::{ether, U256};
 use std::time::Instant;
@@ -87,33 +89,6 @@ impl LifecycleGas {
     }
 }
 
-/// One point of the settle-later session throughput curve.
-#[derive(Debug, Clone)]
-pub struct SettlePoint {
-    /// Concurrent settle-later sessions.
-    pub sessions: usize,
-    /// Wall-clock nanoseconds for the full scheduler run.
-    pub elapsed_ns: u128,
-    /// Mean gas charged per session.
-    pub mean_gas_per_session: u64,
-    /// Shared blocks mined.
-    pub blocks_mined: u64,
-    /// Transactions admitted into those blocks.
-    pub txs_mined: u64,
-}
-
-impl SettlePoint {
-    /// Completed sessions per wall-clock second.
-    pub fn sessions_per_sec(&self) -> f64 {
-        self.sessions as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
-    }
-
-    /// Mean admitted transactions per shared block.
-    pub fn mean_txs_per_block(&self) -> f64 {
-        self.txs_mined as f64 / self.blocks_mined.max(1) as f64
-    }
-}
-
 /// Full results of the confidential measurement.
 #[derive(Debug, Clone)]
 pub struct ConfidentialReport {
@@ -122,7 +97,7 @@ pub struct ConfidentialReport {
     /// Per-transaction gas ledger plus the public baseline.
     pub lifecycle: LifecycleGas,
     /// Session throughput at N ∈ {1, 16, 256}.
-    pub points: Vec<SettlePoint>,
+    pub points: Vec<SessionsPoint>,
 }
 
 impl ConfidentialReport {
@@ -173,28 +148,7 @@ impl ConfidentialReport {
         let points = self
             .points
             .iter()
-            .map(|p| {
-                format!(
-                    concat!(
-                        "    {{\n",
-                        "      \"sessions\": {},\n",
-                        "      \"elapsed_ns\": {},\n",
-                        "      \"sessions_per_sec\": {:.3},\n",
-                        "      \"mean_gas_per_session\": {},\n",
-                        "      \"blocks_mined\": {},\n",
-                        "      \"txs_mined\": {},\n",
-                        "      \"mean_txs_per_block\": {:.3}\n",
-                        "    }}"
-                    ),
-                    p.sessions,
-                    p.elapsed_ns,
-                    p.sessions_per_sec(),
-                    p.mean_gas_per_session,
-                    p.blocks_mined,
-                    p.txs_mined,
-                    p.mean_txs_per_block(),
-                )
-            })
+            .map(SessionsPoint::to_json)
             .collect::<Vec<_>>()
             .join(",\n");
         format!(
@@ -387,32 +341,9 @@ pub fn settle_specs(n: usize) -> Vec<SessionSpec> {
         .collect()
 }
 
-/// Runs one scheduler over `n` settle-later sessions and measures it,
-/// asserting every session terminates in a valid outcome first.
-pub fn measure_point(n: usize) -> SettlePoint {
-    let mut sched = SessionScheduler::new(settle_specs(n));
-    let start = Instant::now();
-    let reports = sched.run();
-    let elapsed_ns = start.elapsed().as_nanos();
-
-    let mut total_gas = 0u64;
-    for r in &reports {
-        assert!(
-            r.error.is_none() && r.outcome.is_some(),
-            "session {} did not settle: {:?}",
-            r.id,
-            r.error
-        );
-        total_gas += r.total_gas;
-    }
-    let stats = sched.stats();
-    SettlePoint {
-        sessions: n,
-        elapsed_ns,
-        mean_gas_per_session: total_gas / n.max(1) as u64,
-        blocks_mined: stats.blocks_mined,
-        txs_mined: stats.txs_mined,
-    }
+/// Runs one scheduler over `n` settle-later sessions and measures it.
+pub fn measure_point(n: usize) -> SessionsPoint {
+    SessionsPoint::measure(settle_specs(n))
 }
 
 /// Measures all three axes (session curve at N ∈ {1, 16, 256}).
@@ -483,7 +414,7 @@ mod tests {
                 withdraw_gas: 40_000,
                 monolithic_total_gas: 1_000_000,
             },
-            points: vec![SettlePoint {
+            points: vec![SessionsPoint {
                 sessions: 2,
                 elapsed_ns: 1_000_000_000,
                 mean_gas_per_session: 50_000,

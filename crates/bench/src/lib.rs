@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod confidential;
-pub mod mempool;
 pub mod network;
 pub mod parallel_evm;
 pub mod pipeline;

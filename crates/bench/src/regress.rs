@@ -276,17 +276,6 @@ fn pipeline_admission_speedup(doc: &Json) -> Option<f64> {
     doc.get("admission_speedup")?.as_f64()
 }
 
-fn mempool_pooled_txs_per_block_256(doc: &Json) -> Option<f64> {
-    doc.find_in("points", |p| {
-        p.get("sessions").and_then(Json::as_f64) == Some(256.0)
-    })?
-    .find_in("modes", |m| {
-        m.get("mode").and_then(Json::as_str) == Some("pooled")
-    })?
-    .get("mean_txs_per_block")?
-    .as_f64()
-}
-
 fn trie_overhead_pct_256(doc: &Json) -> Option<f64> {
     doc.find_in("points", |p| {
         p.get("n").and_then(Json::as_f64) == Some(256.0)
@@ -378,12 +367,6 @@ pub fn registry() -> Vec<Metric> {
             name: "pipeline admission_speedup",
             extract: pipeline_admission_speedup,
             tolerance: Tolerance::MaxDropPct(25.0),
-        },
-        Metric {
-            file: "BENCH_mempool.json",
-            name: "mempool pooled txs/block @256",
-            extract: mempool_pooled_txs_per_block_256,
-            tolerance: Tolerance::MaxDropPct(5.0),
         },
         Metric {
             file: "BENCH_trie.json",

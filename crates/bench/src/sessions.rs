@@ -1,6 +1,6 @@
 //! Measures the session engine's multiplexing throughput: N mixed
-//! honest/Byzantine sessions driven by one [`SessionScheduler`] over a
-//! single shared chain.
+//! honest/Byzantine sessions driven by one
+//! [`NetworkScheduler`](sc_core::NetworkScheduler) over a single node.
 //!
 //! For each N the workload is the same behavioural mix the session test
 //! suite uses (all six betting strategy pairs plus four challenge
@@ -10,8 +10,9 @@
 //! shared block — above 1 means batching is real). The numbers land in
 //! `BENCH_sessions.json` at the repository root.
 
+use sc_chain::PoolConfig;
 use sc_core::{
-    BettingSpec, ChallengeSpec, CrashPoint, SessionScheduler, SessionSpec, Strategy,
+    BettingSpec, ChallengeSpec, CrashPoint, NetworkScheduler, SessionSpec, Strategy,
     SubmitStrategy, WatchStrategy,
 };
 use std::time::Instant;
@@ -88,7 +89,7 @@ pub fn mixed_specs(n: usize) -> Vec<SessionSpec> {
         .collect()
 }
 
-/// One measured point of the throughput curve.
+/// One measured point of a session throughput curve.
 #[derive(Debug, Clone)]
 pub struct SessionsPoint {
     /// Concurrent sessions multiplexed over the shared chain.
@@ -97,13 +98,52 @@ pub struct SessionsPoint {
     pub elapsed_ns: u128,
     /// Mean gas charged per session (all transactions it sent).
     pub mean_gas_per_session: u64,
-    /// Shared blocks mined.
+    /// Non-empty blocks on the node's canonical chain.
     pub blocks_mined: u64,
-    /// Transactions admitted into those blocks.
+    /// Transactions in those blocks.
     pub txs_mined: u64,
 }
 
 impl SessionsPoint {
+    /// Runs `specs` to completion on a quiet 1-node network and
+    /// measures the run, asserting every session terminates in a valid
+    /// outcome first; block counts are read off the node's canonical
+    /// chain.
+    pub fn measure(specs: Vec<SessionSpec>) -> SessionsPoint {
+        let sessions = specs.len();
+        let mut sched = NetworkScheduler::new(specs, 1, PoolConfig::default(), None);
+        let start = Instant::now();
+        let reports = sched.run();
+        let elapsed_ns = start.elapsed().as_nanos();
+
+        let mut total_gas = 0u64;
+        for r in &reports {
+            assert!(
+                r.error.is_none() && r.outcome.is_some(),
+                "session {} ({}) did not settle: {:?}",
+                r.id,
+                r.kind,
+                r.error
+            );
+            total_gas += r.total_gas;
+        }
+        let node = sched.network().node(0);
+        let (mut blocks_mined, mut txs_mined) = (0u64, 0u64);
+        for block in (1..=node.head().number).filter_map(|n| node.block(n)) {
+            if !block.transactions.is_empty() {
+                blocks_mined += 1;
+                txs_mined += block.transactions.len() as u64;
+            }
+        }
+        SessionsPoint {
+            sessions,
+            elapsed_ns,
+            mean_gas_per_session: total_gas / sessions.max(1) as u64,
+            blocks_mined,
+            txs_mined,
+        }
+    }
+
     /// Completed sessions per wall-clock second.
     pub fn sessions_per_sec(&self) -> f64 {
         self.sessions as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
@@ -112,6 +152,30 @@ impl SessionsPoint {
     /// Mean admitted transactions per shared block (the batching ratio).
     pub fn mean_txs_per_block(&self) -> f64 {
         self.txs_mined as f64 / self.blocks_mined.max(1) as f64
+    }
+
+    /// The point as one JSON object of a `"points"` array.
+    pub(crate) fn to_json(&self) -> String {
+        format!(
+            concat!(
+                "    {{\n",
+                "      \"sessions\": {},\n",
+                "      \"elapsed_ns\": {},\n",
+                "      \"sessions_per_sec\": {:.3},\n",
+                "      \"mean_gas_per_session\": {},\n",
+                "      \"blocks_mined\": {},\n",
+                "      \"txs_mined\": {},\n",
+                "      \"mean_txs_per_block\": {:.3}\n",
+                "    }}"
+            ),
+            self.sessions,
+            self.elapsed_ns,
+            self.sessions_per_sec(),
+            self.mean_gas_per_session,
+            self.blocks_mined,
+            self.txs_mined,
+            self.mean_txs_per_block(),
+        )
     }
 }
 
@@ -129,61 +193,16 @@ impl SessionsReport {
         let points = self
             .points
             .iter()
-            .map(|p| {
-                format!(
-                    concat!(
-                        "    {{\n",
-                        "      \"sessions\": {},\n",
-                        "      \"elapsed_ns\": {},\n",
-                        "      \"sessions_per_sec\": {:.3},\n",
-                        "      \"mean_gas_per_session\": {},\n",
-                        "      \"blocks_mined\": {},\n",
-                        "      \"txs_mined\": {},\n",
-                        "      \"mean_txs_per_block\": {:.3}\n",
-                        "    }}"
-                    ),
-                    p.sessions,
-                    p.elapsed_ns,
-                    p.sessions_per_sec(),
-                    p.mean_gas_per_session,
-                    p.blocks_mined,
-                    p.txs_mined,
-                    p.mean_txs_per_block(),
-                )
-            })
+            .map(SessionsPoint::to_json)
             .collect::<Vec<_>>()
             .join(",\n");
         format!("{{\n  \"bench\": \"sessions\",\n  \"points\": [\n{points}\n  ]\n}}\n")
     }
 }
 
-/// Runs one scheduler over `n` mixed sessions and measures it,
-/// asserting every session terminates in a valid outcome first.
+/// Runs one scheduler over `n` mixed sessions and measures it.
 pub fn measure_point(n: usize) -> SessionsPoint {
-    let mut sched = SessionScheduler::new(mixed_specs(n));
-    let start = Instant::now();
-    let reports = sched.run();
-    let elapsed_ns = start.elapsed().as_nanos();
-
-    let mut total_gas = 0u64;
-    for r in &reports {
-        assert!(
-            r.error.is_none() && r.outcome.is_some(),
-            "session {} ({}) did not settle: {:?}",
-            r.id,
-            r.kind,
-            r.error
-        );
-        total_gas += r.total_gas;
-    }
-    let stats = sched.stats();
-    SessionsPoint {
-        sessions: n,
-        elapsed_ns,
-        mean_gas_per_session: total_gas / n.max(1) as u64,
-        blocks_mined: stats.blocks_mined,
-        txs_mined: stats.txs_mined,
-    }
+    SessionsPoint::measure(mixed_specs(n))
 }
 
 /// Measures the full throughput curve at N ∈ {1, 16, 256}.

@@ -569,13 +569,6 @@ impl Testnet {
         self.pool.is_some()
     }
 
-    /// Earliest admission timestamp among pooled transactions — the
-    /// anchor of a pooled miner's hold window. `None` when the pool is
-    /// disabled or empty.
-    pub fn pool_earliest_entry(&self) -> Option<u64> {
-        self.pool.as_ref().and_then(Mempool::earliest_entry)
-    }
-
     /// Hashes displaced from the pool (replacement, capacity eviction)
     /// since the last drain. Empty in outbox mode.
     pub fn drain_evicted(&mut self) -> Vec<H256> {

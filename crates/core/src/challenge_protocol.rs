@@ -16,22 +16,22 @@
 //! `challenge()`, a sleeping one at least reclaims their own funds via
 //! `reclaimNoSubmission()`.
 //!
-//! Since the session-engine refactor the event loop lives in
+//! The event loop is
 //! [`ChallengeSession`](crate::session::ChallengeSession);
-//! [`ChallengeGame`] is the preserved legacy entry point, driving that
-//! machine in immediate mode against a session-private chain. The
-//! two-call shape survives: `with_faults()` drives setup to the
-//! machine's post-T2 hold point, `run_with_crash()` binds the
-//! behaviours and drives it to its terminal outcome.
+//! [`ChallengeGame`] is the typed single-game front-end: one such
+//! machine alone on a 1-node
+//! [`NetworkScheduler`](crate::net::NetworkScheduler). `with_faults()`
+//! builds it, `run_with_crash()` binds the behaviours and drives it to
+//! its terminal outcome.
 
-use crate::faults::{FaultPlan, FaultyWhisper, FlakyNet};
+use crate::faults::{ChainFaults, FaultPlan};
+use crate::net::NetworkScheduler;
 use crate::participant::Participant;
-use crate::session::{
-    BusPort, ChainPort, ChallengeSession, ChallengeSessionParams, SessionCtx, StepOutcome,
-};
+use crate::session::{ChallengeSession, ChallengeSessionParams};
+use sc_chain::Testnet;
 use sc_contracts::challenge::ChallengeContracts;
-use sc_contracts::{BetSecrets, Timeline};
-use sc_primitives::{ether, Address};
+use sc_contracts::BetSecrets;
+use sc_primitives::Address;
 
 /// What the representative does at submission time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,107 +131,59 @@ impl ChallengeReport {
     }
 }
 
-/// The challenge-variant game driver.
-///
-/// A thin wrapper since the session-engine refactor: the event loop is
-/// a [`ChallengeSession`] state machine, and this type owns the
-/// session-private (possibly flaky) chain it runs against. Session
-/// state — participants, the deployed address, the signed bytecode, the
-/// timeline — is reachable directly through [`std::ops::Deref`].
+/// The challenge-variant game driver: a [`ChallengeSession`] alone on
+/// a 1-node network, both participants funded with 1000 ether at
+/// genesis. Session state — participants, the deployed address, the
+/// signed bytecode, the timeline — is reachable directly through
+/// [`std::ops::Deref`].
 pub struct ChallengeGame {
-    /// The chain (perfect under [`FaultPlan::none`]).
-    pub net: FlakyNet,
-    /// Unused by this variant (it exchanges no off-chain messages), but
-    /// the session context requires a bus.
-    bus: FaultyWhisper,
-    session: ChallengeSession,
+    sched: NetworkScheduler,
 }
 
 impl std::ops::Deref for ChallengeGame {
     type Target = ChallengeSession;
     fn deref(&self) -> &ChallengeSession {
-        &self.session
+        self.sched.machine()
     }
 }
 
 impl std::ops::DerefMut for ChallengeGame {
     fn deref_mut(&mut self) -> &mut ChallengeSession {
-        &mut self.session
+        self.sched.machine_mut()
     }
 }
 
 impl ChallengeGame {
-    /// Sets up a perfect chain, deploys the contract, and makes both
-    /// deposits (stake + security deposit).
+    /// A game on a perfect chain. Alice is the representative; Bob
+    /// watches.
     pub fn new(secrets: BetSecrets, window: u64) -> ChallengeGame {
         ChallengeGame::with_faults(secrets, window, &FaultPlan::none())
     }
 
-    /// Same setup under a seeded fault schedule. Setup sends retry
-    /// transient failures; the fault budgets guarantee deposits land
-    /// before T1.
+    /// Same game under a seeded fault schedule. Sends retry transient
+    /// failures; the fault budgets guarantee deposits land before T1.
     pub fn with_faults(secrets: BetSecrets, window: u64, plan: &FaultPlan) -> ChallengeGame {
-        let mut net = FlakyNet::new(sc_chain::Testnet::new(), plan);
         let alice = Participant::honest("alice");
         let bob = Participant::honest("bob");
-        net.faucet(alice.wallet.address, ether(1000));
-        net.faucet(bob.wallet.address, ether(1000));
-        let tl = Timeline::starting_at(net.now(), 3600);
+        let wallets = [alice.wallet.address, bob.wallet.address];
         let session = ChallengeSession::new(ChallengeSessionParams {
             alice,
             bob,
             secrets,
             window,
             contracts: ChallengeContracts::new(),
-            timeline: Some(tl),
             start_delay: 0,
-            funding: None,
             submit: SubmitStrategy::Truthful,
             watch: WatchStrategy::Vigilant,
             crash: CrashPoint::None,
         });
-        let mut game = ChallengeGame {
-            net,
-            bus: FaultyWhisper::new(&FaultPlan::none()),
-            session,
-        };
-        // Deploy, deposit twice, wait out T2 — then hold at `Ready` so
-        // the caller can bind behaviours before the submission phase.
-        game.drive(ChallengeSession::is_ready);
-        game
-    }
-
-    /// Drives the machine in immediate mode until `until` holds or the
-    /// game ends. Every send on these paths is mandatory, so a protocol
-    /// failure panics — exactly as the legacy driver's `.expect()`s did
-    /// (unreachable under any seeded fault plan's finite budgets).
-    fn drive(&mut self, until: impl Fn(&ChallengeSession) -> bool) {
-        while !until(&self.session) && self.session.outcome().is_none() {
-            let outcome = {
-                let mut port = ChainPort::Immediate(&mut self.net);
-                let mut ctx = SessionCtx {
-                    chain: &mut port,
-                    bus: BusPort::Owned(&mut self.bus),
-                };
-                self.session.step(&mut ctx)
-            }
-            .expect("mandatory challenge-protocol send lands within the fault budget");
-            match outcome {
-                StepOutcome::Progress => {}
-                StepOutcome::WaitUntil(t) => {
-                    let now = self.net.now();
-                    if t > now {
-                        self.net.advance_time(t - now);
-                    }
-                }
-                StepOutcome::Pending => unreachable!("immediate mode never queues"),
-                StepOutcome::Done => break,
-            }
+        ChallengeGame {
+            sched: NetworkScheduler::solo(Box::new(session), "challenge", plan, wallets),
         }
     }
 
     /// Runs the submit/challenge flow with the given behaviours and no
-    /// crash. Alice is the representative; Bob watches.
+    /// crash.
     pub fn run(
         self,
         submit: SubmitStrategy,
@@ -240,18 +192,40 @@ impl ChallengeGame {
         self.run_with_crash(submit, watch, CrashPoint::None)
     }
 
-    /// Runs the flow with the representative possibly crashing at the
-    /// given point. Always terminates in a valid [`ChallengeOutcome`].
+    /// Runs the flow (deploy, both deposits, then submission and window)
+    /// with the representative possibly crashing at the given point.
+    /// Always terminates in a valid [`ChallengeOutcome`]: every send on
+    /// these paths is mandatory, so a protocol failure panics
+    /// (unreachable under any seeded fault plan's finite budgets).
     pub fn run_with_crash(
         mut self,
         submit: SubmitStrategy,
         watch: WatchStrategy,
         crash: CrashPoint,
     ) -> (ChallengeGame, ChallengeReport) {
-        self.session.set_behaviour(submit, watch, crash);
-        self.drive(|_| false);
-        let report = self.session.report();
+        self.set_behaviour(submit, watch, crash);
+        self.sched.run();
+        if let Some(e) = self.sched.failure() {
+            panic!("mandatory challenge-protocol send must land within the fault budget: {e}");
+        }
+        let report = self.report();
         (self, report)
+    }
+
+    /// The game's chain.
+    pub fn net(&self) -> &Testnet {
+        self.sched.network().node(0)
+    }
+
+    /// Mutable access to the game's chain (post-run probing: proofs,
+    /// extra transactions).
+    pub fn net_mut(&mut self) -> &mut Testnet {
+        self.sched.network_mut().node_mut(0)
+    }
+
+    /// The chain fault schedule's state (injected-fault log, budgets).
+    pub fn chain_faults(&self) -> &ChainFaults {
+        self.sched.faults().0
     }
 }
 
@@ -279,7 +253,7 @@ mod tests {
         let (game, report) = game.run(SubmitStrategy::Truthful, WatchStrategy::Vigilant);
         assert_eq!(report.outcome, ChallengeOutcome::FinalizedUnchallenged);
         assert_eq!(report.offchain_bytes_revealed, 0, "privacy preserved");
-        assert!(game.net.balance_of(bob_addr) > ether(1000));
+        assert!(game.net().balance_of(bob_addr) > ether(1000));
     }
 
     #[test]
@@ -294,8 +268,8 @@ mod tests {
             "dispute published the code"
         );
         // Bob got pot + both security deposits; the liar lost both.
-        assert!(game.net.balance_of(bob_addr) > ether(1001));
-        assert!(game.net.balance_of(alice_addr) < ether(999));
+        assert!(game.net().balance_of(bob_addr) > ether(1001));
+        assert!(game.net().balance_of(alice_addr) < ether(999));
     }
 
     #[test]
@@ -306,7 +280,7 @@ mod tests {
         let (game, report) = game.run(SubmitStrategy::False, WatchStrategy::Asleep);
         assert_eq!(report.outcome, ChallengeOutcome::LieStood);
         assert!(
-            game.net.balance_of(alice_addr) > ether(1000),
+            game.net().balance_of(alice_addr) > ether(1000),
             "the unwatched lie profits — participants must stay online"
         );
     }
@@ -319,7 +293,7 @@ mod tests {
         assert_eq!(report.outcome, ChallengeOutcome::ResolvedByChallenge);
         // Truth still wins: Bob is the true winner even though his
         // challenge was pointless (he burned gas for nothing).
-        assert!(game.net.balance_of(bob_addr) > ether(1000));
+        assert!(game.net().balance_of(bob_addr) > ether(1000));
     }
 
     #[test]
@@ -347,7 +321,7 @@ mod tests {
         );
         assert_eq!(report.outcome, ChallengeOutcome::ResolvedByChallenge);
         // The true winner collected the pot despite the crash.
-        assert!(game.net.balance_of(bob_addr) > ether(1000));
+        assert!(game.net().balance_of(bob_addr) > ether(1000));
     }
 
     #[test]
@@ -364,11 +338,11 @@ mod tests {
         // Both took back exactly their stake + security deposit (gas
         // aside): nobody won, nobody is stuck.
         for a in [alice_addr, bob_addr] {
-            let bal = game.net.balance_of(a);
+            let bal = game.net().balance_of(a);
             assert!(bal > ether(1000).wrapping_sub(ether(1) / U256::from_u64(100)));
             assert!(bal <= ether(1000));
         }
-        assert_eq!(game.net.balance_of(game.onchain), U256::ZERO);
+        assert_eq!(game.net().balance_of(game.onchain), U256::ZERO);
     }
 
     #[test]
@@ -382,7 +356,7 @@ mod tests {
         );
         assert_eq!(report.outcome, ChallengeOutcome::FinalizedUnchallenged);
         // Bob (the finalizer and true winner) collected.
-        assert!(game.net.balance_of(bob_addr) > ether(1000));
+        assert!(game.net().balance_of(bob_addr) > ether(1000));
         let finalize = report.txs.iter().find(|t| t.label == "finalize").unwrap();
         assert_eq!(finalize.sender, bob_addr, "the watcher finalized");
     }

@@ -11,7 +11,7 @@
 //!
 //! * **Finite budgets.** Every injected fault consumes from a per-site
 //!   budget drawn from the seed (whisper ≤ 24, chain ≤ 12). Once a
-//!   budget is spent the wrapper behaves perfectly, so any retry loop
+//!   budget is spent the site behaves perfectly, so any retry loop
 //!   with more attempts than the budget is guaranteed to terminate.
 //! * **Bounded time.** Injected mining delays and the drivers' retry
 //!   backoffs are capped (≤ [`MAX_INJECTED_SECS`] per fault) so the
@@ -21,10 +21,7 @@
 //!   wedge a stage.
 
 use crate::whisper::{Envelope, Whisper};
-use sc_chain::{Receipt, Testnet, TxError, Wallet};
-use sc_primitives::{Address, U256};
-use std::fmt;
-use std::ops::{Deref, DerefMut};
+use sc_primitives::Address;
 
 /// Upper bound on the seconds any single injected fault (mining delay)
 /// or driver backoff may add to the clock.
@@ -104,11 +101,10 @@ pub struct FaultPlan {
     pub whisper_fault_budget: u32,
     /// Total chain faults allowed before the node turns perfect.
     pub chain_fault_budget: u32,
-    /// Per-submission chance (‰) a pooled transaction's gossip is
-    /// dropped before it reaches the pool (pooled mode only).
+    /// Per-submission chance (‰) a transaction's gossip is dropped
+    /// before it reaches the pool.
     pub gossip_drop_permille: u32,
-    /// Per-submission chance (‰) pool admission is delayed (pooled
-    /// mode only).
+    /// Per-submission chance (‰) pool admission is delayed.
     pub admission_delay_permille: u32,
     /// Size of an injected admission delay in seconds
     /// (≤ [`MAX_INJECTED_SECS`]).
@@ -143,8 +139,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The fault-free plan: wrappers behave exactly like the wrapped
-    /// components.
+    /// The fault-free plan: every site behaves perfectly.
     pub fn none() -> FaultPlan {
         FaultPlan {
             seed: 0,
@@ -238,9 +233,7 @@ struct DelayedMsg {
 /// The per-session whisper fault state: PRNG stream, budget, held-back
 /// messages and the injected-fault log — everything except the bus
 /// itself. Operates on a *borrowed* [`Whisper`], so N sessions can each
-/// run their own fault schedule against one shared bus (the session
-/// scheduler) while [`FaultyWhisper`] keeps the owned single-session
-/// wrapper behaviour bit-for-bit.
+/// run their own fault schedule against one shared bus.
 pub struct WhisperFaults {
     rng: XorShift64,
     plan: FaultPlan,
@@ -361,97 +354,9 @@ impl WhisperFaults {
     }
 }
 
-/// A [`Whisper`] bus that drops, duplicates, corrupts, delays and
-/// reorders messages per the plan. Derefs to the inner bus for the
-/// read-only API (`history`, `message_count`, …); `post`/`poll` are
-/// shadowed with the faulty versions.
-pub struct FaultyWhisper {
-    inner: Whisper,
-    faults: WhisperFaults,
-}
-
-impl FaultyWhisper {
-    /// Wraps a fresh bus under the plan.
-    pub fn new(plan: &FaultPlan) -> FaultyWhisper {
-        FaultyWhisper {
-            inner: Whisper::new(),
-            faults: WhisperFaults::new(plan),
-        }
-    }
-
-    /// A perfect bus (no faults) — what [`FaultyWhisper::new`] with
-    /// [`FaultPlan::none`] gives you.
-    pub fn perfect() -> FaultyWhisper {
-        FaultyWhisper::new(&FaultPlan::none())
-    }
-
-    /// Publishes a message, possibly injecting one fault.
-    pub fn post(&mut self, from: Address, topic: &str, payload: Vec<u8>) {
-        self.faults.post(&mut self.inner, from, topic, payload);
-    }
-
-    /// Polls for unseen messages, releasing due delayed messages first
-    /// and possibly shuffling the fresh batch.
-    pub fn poll(&mut self, reader: Address, topic: &str) -> Vec<Envelope> {
-        self.faults.poll(&mut self.inner, reader, topic)
-    }
-
-    /// Messages currently held back by delay faults.
-    pub fn pending_delayed(&self) -> usize {
-        self.faults.pending_delayed()
-    }
-
-    /// Human-readable log of every fault injected so far.
-    pub fn injected_faults(&self) -> &[String] {
-        self.faults.injected_faults()
-    }
-
-    /// Whisper fault budget still unspent.
-    pub fn remaining_budget(&self) -> u32 {
-        self.faults.remaining_budget()
-    }
-}
-
-impl Deref for FaultyWhisper {
-    type Target = Whisper;
-    fn deref(&self) -> &Whisper {
-        &self.inner
-    }
-}
-
-impl DerefMut for FaultyWhisper {
-    fn deref_mut(&mut self) -> &mut Whisper {
-        &mut self.inner
-    }
-}
-
-/// Errors surfaced by [`FlakyNet`]: either the injected transient kind
-/// (retry and it may succeed) or a real typed rejection from the node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetError {
-    /// Injected infrastructure failure — the transaction was never
-    /// admitted; retrying is sound.
-    Transient(&'static str),
-    /// The node rejected the transaction for a deterministic reason.
-    Rejected(TxError),
-}
-
-impl fmt::Display for NetError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetError::Transient(what) => write!(f, "transient network failure: {what}"),
-            NetError::Rejected(e) => write!(f, "rejected: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for NetError {}
-
 /// One pre-submission fault decision drawn from a [`ChainFaults`]
-/// schedule. How a delay manifests is the caller's choice: the owned
-/// [`FlakyNet`] jumps its private chain's clock, while the session
-/// scheduler turns it into a session-local wait so one session's bad
-/// luck cannot move a shared chain's time.
+/// schedule. The chain ports turn a delay into a session-local wait so
+/// one session's bad luck cannot move a shared chain's time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitFault {
     /// No fault: submit normally.
@@ -463,9 +368,8 @@ pub enum SubmitFault {
     MiningDelay(u64),
 }
 
-/// One pool-level fault decision drawn from a [`ChainFaults`] schedule,
-/// consulted only when the chain runs in pooled mode. Both variants
-/// manifest through machinery the drivers already survive: a dropped
+/// One pool-level fault decision drawn from a [`ChainFaults`] schedule.
+/// Both variants manifest through machinery the drivers already survive: a dropped
 /// gossip looks like a transient submission failure, a delayed
 /// admission like an injected hold.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -480,13 +384,12 @@ pub enum PoolFault {
 }
 
 /// The per-session chain fault state: PRNG stream, budget and the
-/// injected-fault log — separable from any particular [`Testnet`] so N
-/// sessions can each run their own schedule against one shared chain.
+/// injected-fault log — separate from any particular chain so N
+/// sessions can each run their own schedule against one shared node.
 pub struct ChainFaults {
     rng: XorShift64,
-    /// Pool faults draw from their own stream so enabling pooled mode
-    /// never perturbs the submit-fault schedule existing chaos pins
-    /// depend on.
+    /// Pool faults draw from their own stream so they never perturb
+    /// the submit-fault schedule existing chaos pins depend on.
     pool_rng: XorShift64,
     plan: FaultPlan,
     budget: u32,
@@ -532,10 +435,10 @@ impl ChainFaults {
         SubmitFault::None
     }
 
-    /// Draws one pool-level fault decision (pooled mode only),
-    /// consuming pool budget when a fault fires. Separate stream and
-    /// budget from [`ChainFaults::pre_submit`], so the classic chain
-    /// schedule replays identically whether or not a pool is enabled.
+    /// Draws one pool-level fault decision, consuming pool budget when
+    /// a fault fires. Separate stream and budget from
+    /// [`ChainFaults::pre_submit`], so the submit schedule replays
+    /// identically whether or not pool faults are drawn.
     pub fn pre_pool(&mut self) -> PoolFault {
         if self.pool_budget == 0 {
             return PoolFault::None;
@@ -731,101 +634,9 @@ impl LightFaults {
     }
 }
 
-/// A [`Testnet`] whose convenience senders fail transiently and whose
-/// mining sometimes happens late, per the plan. Derefs to the inner
-/// chain so the full read API (`balance_of`, `storage_at`, `now`, …)
-/// and manual `advance_time` stay available; `execute`/`deploy` are
-/// shadowed with the flaky versions.
-pub struct FlakyNet {
-    inner: Testnet,
-    faults: ChainFaults,
-}
-
-impl FlakyNet {
-    /// Wraps an existing chain under the plan.
-    pub fn new(inner: Testnet, plan: &FaultPlan) -> FlakyNet {
-        FlakyNet {
-            inner,
-            faults: ChainFaults::new(plan),
-        }
-    }
-
-    /// A fault-free wrapper around a fresh chain.
-    pub fn perfect() -> FlakyNet {
-        FlakyNet::new(Testnet::new(), &FaultPlan::none())
-    }
-
-    /// One pre-submission fault decision: `Err` = the submission is
-    /// eaten by a transient failure; `Ok` = proceed (possibly after an
-    /// injected mining delay already applied to the clock).
-    fn pre_submit(&mut self) -> Result<(), NetError> {
-        match self.faults.pre_submit() {
-            SubmitFault::None => Ok(()),
-            SubmitFault::Transient(what) => Err(NetError::Transient(what)),
-            SubmitFault::MiningDelay(secs) => {
-                self.inner.advance_time(secs);
-                Ok(())
-            }
-        }
-    }
-
-    /// Like [`Testnet::execute`] but subject to injected faults.
-    pub fn execute(
-        &mut self,
-        wallet: &Wallet,
-        to: Address,
-        value: U256,
-        data: Vec<u8>,
-        gas_limit: u64,
-    ) -> Result<Receipt, NetError> {
-        self.pre_submit()?;
-        self.inner
-            .execute(wallet, to, value, data, gas_limit)
-            .map_err(NetError::Rejected)
-    }
-
-    /// Like [`Testnet::deploy`] but subject to injected faults.
-    pub fn deploy(
-        &mut self,
-        wallet: &Wallet,
-        initcode: Vec<u8>,
-        value: U256,
-        gas_limit: u64,
-    ) -> Result<Receipt, NetError> {
-        self.pre_submit()?;
-        self.inner
-            .deploy(wallet, initcode, value, gas_limit)
-            .map_err(NetError::Rejected)
-    }
-
-    /// Human-readable log of every fault injected so far.
-    pub fn injected_faults(&self) -> &[String] {
-        self.faults.injected_faults()
-    }
-
-    /// Chain fault budget still unspent.
-    pub fn remaining_budget(&self) -> u32 {
-        self.faults.remaining_budget()
-    }
-}
-
-impl Deref for FlakyNet {
-    type Target = Testnet;
-    fn deref(&self) -> &Testnet {
-        &self.inner
-    }
-}
-
-impl DerefMut for FlakyNet {
-    fn deref_mut(&mut self) -> &mut Testnet {
-        &mut self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sc_primitives::ether;
 
     fn addr(b: u8) -> Address {
         Address([b; 20])
@@ -865,32 +676,32 @@ mod tests {
 
     #[test]
     fn faultless_plan_is_transparent() {
-        let mut w = FaultyWhisper::perfect();
-        w.post(addr(1), "t", vec![1, 2, 3]);
-        w.post(addr(2), "t", vec![4]);
-        let got = w.poll(addr(3), "t");
+        let (mut bus, mut w) = (Whisper::new(), WhisperFaults::new(&FaultPlan::none()));
+        w.post(&mut bus, addr(1), "t", vec![1, 2, 3]);
+        w.post(&mut bus, addr(2), "t", vec![4]);
+        let got = w.poll(&mut bus, addr(3), "t");
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].payload, vec![1, 2, 3]);
         assert_eq!(got[1].payload, vec![4]);
         assert!(w.injected_faults().is_empty());
-        assert_eq!(w.message_count(), 2, "Deref read API works");
+        assert_eq!(bus.message_count(), 2);
     }
 
     #[test]
     fn whisper_faults_are_deterministic_and_budgeted() {
         let plan = FaultPlan::from_seed(0x5eed);
         let run = |plan: &FaultPlan| {
-            let mut w = FaultyWhisper::new(plan);
+            let (mut bus, mut w) = (Whisper::new(), WhisperFaults::new(plan));
             let mut seen = Vec::new();
             for i in 0..200u8 {
-                w.post(addr(1), "t", vec![i]);
-                for e in w.poll(addr(2), "t") {
+                w.post(&mut bus, addr(1), "t", vec![i]);
+                for e in w.poll(&mut bus, addr(2), "t") {
                     seen.push(e.payload);
                 }
             }
             // Drain any remaining delayed messages.
             for _ in 0..8 {
-                for e in w.poll(addr(2), "t") {
+                for e in w.poll(&mut bus, addr(2), "t") {
                     seen.push(e.payload);
                 }
             }
@@ -906,14 +717,14 @@ mod tests {
         );
         // After the budget is spent the bus is perfect again: a fresh
         // message round-trips untouched.
-        let mut w = FaultyWhisper::new(&plan);
+        let (mut bus, mut w) = (Whisper::new(), WhisperFaults::new(&plan));
         for i in 0..200u8 {
-            w.post(addr(1), "t", vec![i]);
-            w.poll(addr(2), "t");
+            w.post(&mut bus, addr(1), "t", vec![i]);
+            w.poll(&mut bus, addr(2), "t");
         }
         assert_eq!(w.remaining_budget(), 0, "aggressive plan spends it all");
-        w.post(addr(1), "t", vec![0xaa]);
-        let got = w.poll(addr(2), "t");
+        w.post(&mut bus, addr(1), "t", vec![0xaa]);
+        let got = w.poll(&mut bus, addr(2), "t");
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].payload, vec![0xaa]);
     }
@@ -927,13 +738,13 @@ mod tests {
             whisper_fault_budget: 1,
             ..FaultPlan::none()
         };
-        let mut w = FaultyWhisper::new(&plan);
-        w.post(addr(1), "t", vec![9]);
+        let (mut bus, mut w) = (Whisper::new(), WhisperFaults::new(&plan));
+        w.post(&mut bus, addr(1), "t", vec![9]);
         assert_eq!(w.pending_delayed(), 1);
         let mut polls = 0;
         loop {
             polls += 1;
-            if !w.poll(addr(2), "t").is_empty() {
+            if !w.poll(&mut bus, addr(2), "t").is_empty() {
                 break;
             }
             assert!(polls <= 4, "must release within max_delay_polls");
@@ -942,36 +753,25 @@ mod tests {
     }
 
     #[test]
-    fn flaky_net_injects_then_recovers() {
+    fn submit_faults_inject_then_recover() {
         let plan = FaultPlan {
             seed: 11,
             submit_fail_permille: 1000,
             chain_fault_budget: 2,
             ..FaultPlan::none()
         };
-        let mut net = FlakyNet::new(Testnet::new(), &plan);
-        let w = net.funded_wallet("w", ether(10));
-        // First two sends are eaten; the third lands (budget spent).
-        let mut transients = 0;
-        let mut landed = false;
-        for _ in 0..4 {
-            match net.execute(&w, addr(9), ether(1), Vec::new(), 21_000) {
-                Err(NetError::Transient(_)) => transients += 1,
-                Ok(r) => {
-                    assert!(r.success);
-                    landed = true;
-                    break;
-                }
-                Err(NetError::Rejected(e)) => panic!("unexpected rejection: {e}"),
-            }
-        }
-        assert_eq!(transients, 2, "budget bounds the transient failures");
-        assert!(landed, "a perfect node remains after the budget");
-        assert_eq!(net.balance_of(addr(9)), ether(1), "Deref read API works");
+        let mut faults = ChainFaults::new(&plan);
+        // First two submissions are eaten; every later one goes through
+        // (budget spent).
+        let draws: Vec<SubmitFault> = (0..4).map(|_| faults.pre_submit()).collect();
+        assert!(matches!(draws[0], SubmitFault::Transient(_)));
+        assert!(matches!(draws[1], SubmitFault::Transient(_)));
+        assert_eq!(draws[2..], [SubmitFault::None, SubmitFault::None]);
+        assert_eq!(faults.remaining_budget(), 0);
     }
 
     #[test]
-    fn mining_delay_moves_the_clock_but_lands_the_tx() {
+    fn mining_delay_is_bounded_and_logged() {
         let plan = FaultPlan {
             seed: 13,
             mining_delay_permille: 1000,
@@ -979,19 +779,13 @@ mod tests {
             chain_fault_budget: 1,
             ..FaultPlan::none()
         };
-        let mut net = FlakyNet::new(Testnet::new(), &plan);
-        let w = net.funded_wallet("w", ether(10));
-        let before = net.now();
-        let r = net
-            .execute(&w, addr(9), ether(1), Vec::new(), 21_000)
-            .unwrap();
-        assert!(r.success);
-        let jump = net.now() - before;
-        assert!(
-            jump > 4 && jump <= 50 + 4,
-            "clock jumped by the injected delay: {jump}"
-        );
-        assert_eq!(net.injected_faults().len(), 1);
+        let mut faults = ChainFaults::new(&plan);
+        match faults.pre_submit() {
+            SubmitFault::MiningDelay(secs) => assert!((1..=50).contains(&secs), "{secs}"),
+            other => panic!("expected a mining delay, drew {other:?}"),
+        }
+        assert_eq!(faults.pre_submit(), SubmitFault::None);
+        assert_eq!(faults.injected_faults().len(), 1);
     }
 
     #[test]
@@ -1010,8 +804,7 @@ mod tests {
                 xs.iter().filter(|f| **f != PoolFault::None).count() as u32
                     <= plan.pool_fault_budget
             );
-            // Drawing pool faults must not shift the classic submit
-            // schedule: enabling pooled mode keeps chaos pins intact.
+            // Drawing pool faults must not shift the submit schedule.
             let mut with_pool = ChainFaults::new(&plan);
             let mut without = ChainFaults::new(&plan);
             for _ in 0..16 {
@@ -1180,17 +973,5 @@ mod tests {
                 assert_eq!(lf.link_delay(), 0);
             }
         }
-    }
-
-    #[test]
-    fn typed_rejection_passes_through() {
-        let mut net = FlakyNet::perfect();
-        let poor = Wallet::from_seed("poor");
-        let got = net.execute(&poor, addr(9), ether(1), Vec::new(), 21_000);
-        assert_eq!(
-            got,
-            Err(NetError::Rejected(TxError::InsufficientFunds)),
-            "real node errors stay typed, never panic"
-        );
     }
 }

@@ -9,21 +9,24 @@
 //!   and the off-chain mirror of Algorithm 5's checks).
 //! * [`whisper`] — the off-chain message bus used in deploy/sign.
 //! * [`participant`] — participants with honest and Byzantine strategies.
-//! * [`protocol`] — the four-stage engine driving a full betting game on
-//!   the chain simulator, with per-stage gas and privacy accounting.
+//! * [`protocol`] — the four-stage betting game's vocabulary (stages,
+//!   outcomes, the per-transaction report with gas and privacy
+//!   accounting) and [`BettingGame`], the typed single-game front-end.
 //! * [`challenge_protocol`] — extension: the paper's submit/challenge
 //!   stage implemented literally (representative submission, challenge
 //!   window, security-deposit penalties), with crash-resilient
-//!   escalation past the stale deadline.
+//!   escalation past the stale deadline; [`ChallengeGame`] is its
+//!   single-game front-end.
 //! * [`faults`] — deterministic fault injection: a seeded PRNG schedule
-//!   of message drops/duplicates/reorders/corruption/delays and
-//!   transient chain failures, wrapped around the bus and the testnet.
-//! * [`session`] — the session engine: both protocols as resumable
-//!   state machines, plus a [`SessionScheduler`] multiplexing N
-//!   heterogeneous sessions over one shared chain with shared blocks.
-//! * [`net`] — the multi-node network: N gossiping chain nodes under
-//!   seeded partitions and link delays, longest-chain fork choice with
-//!   reorgs, and a [`NetworkScheduler`] running sessions on top.
+//!   of message drops/duplicates/reorders/corruption/delays, transient
+//!   chain and pool failures, link cuts and dropped witnesses.
+//! * [`session`] — the session engine: every protocol as a resumable
+//!   state machine over one chain-access boundary (a full-node
+//!   [`NodePort`] or a stateless [`LightPort`]).
+//! * [`net`] — the network: N ≥ 1 gossiping chain nodes under seeded
+//!   partitions and link delays, longest-chain fork choice with
+//!   reorgs, and the [`NetworkScheduler`] that multiplexes sessions
+//!   over it with shared blocks — the one way a session runs.
 //! * [`invariants`] — post-run checks (ether conservation, the honest
 //!   participant floor, header Merkle-root commitments) used by the
 //!   chaos suite.
@@ -47,8 +50,8 @@ pub use challenge_protocol::{
     WatchStrategy,
 };
 pub use faults::{
-    ChainFaults, FaultPlan, FaultyWhisper, FlakyNet, LightFaults, LinkFaults, NetError, Partition,
-    SubmitFault, WhisperFaults, XorShift64, MAX_INJECTED_SECS,
+    ChainFaults, FaultPlan, LightFaults, LinkFaults, Partition, SubmitFault, WhisperFaults,
+    XorShift64, MAX_INJECTED_SECS,
 };
 pub use generate::{generate_pair, GenerateError, GeneratedPair};
 pub use invariants::{
@@ -62,10 +65,10 @@ pub use protocol::{
 };
 pub use session::{
     stage_bucket, BettingSession, BettingSessionParams, BettingSpec, BusPort, ChainAccess,
-    ChainPort, ChainReader, ChallengeSession, ChallengeSessionParams, ChallengeSpec, LightPort,
-    LightStats, SchedulerStats, Session, SessionCtx, SessionReport, SessionScheduler, SessionSpec,
-    SettleLaterCrash, SettleLaterOutcome, SettleLaterSession, SettleLaterSessionParams,
-    SettleLaterSpec, StepOutcome, TxSubmitter, STAGE_NAMES,
+    ChainReader, ChallengeSession, ChallengeSessionParams, ChallengeSpec, LightPort, LightStats,
+    NodePort, Session, SessionCtx, SessionReport, SessionSpec, SettleLaterCrash,
+    SettleLaterOutcome, SettleLaterSession, SettleLaterSessionParams, SettleLaterSpec, StepOutcome,
+    TxSubmitter, STAGE_NAMES,
 };
 pub use signedcopy::{bytecode_hash, sign_bytecode, SignedCopy, SignedCopyError};
 pub use splitter::{classify_function, split, Classification, FunctionClass, SplitPlan};

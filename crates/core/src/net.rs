@@ -22,11 +22,14 @@
 //! undo layers.
 //!
 //! [`NetworkScheduler`] runs protocol sessions *on top of* that chaos:
-//! each session is homed on one node, talks to it through
-//! [`ChainPort::Node`], and survives reorgs because verified reads
-//! re-prove against the current head and orphaned transactions are
-//! detected ([`ChainPort::tx_known`]) and resubmitted — graceful
-//! degradation, still bounded by the protocol's own deadlines.
+//! each session is homed on one node, talks to it through a
+//! [`NodePort`] (or, stateless, a [`LightPort`]), and survives reorgs
+//! because verified reads re-prove against the current head and
+//! orphaned transactions are detected
+//! ([`ChainReader::tx_known`](crate::session::ChainReader::tx_known))
+//! and resubmitted — graceful degradation, still bounded by the
+//! protocol's own deadlines. A 1-node network is the single-chain case:
+//! no links, no forks, the same scheduler.
 //!
 //! Determinism: node stepping, frame delivery (sorted by `(deliver_at,
 //! seq)`), miner election (`round % n`), fault draws and clock sync are
@@ -34,16 +37,18 @@
 //! bit-identical chains on every node.
 
 use crate::faults::{ChainFaults, FaultPlan, LightFaults, LinkFaults, Partition, WhisperFaults};
-use crate::session::scheduler::{build_session, session_wallets, ContractCache};
+use crate::protocol::ProtocolError;
+use crate::session::spec::{build_session, session_wallets, ContractCache};
 use crate::session::{
-    BusPort, ChainPort, LightPort, LightStats, Session, SessionCtx, SessionReport, SessionSpec,
-    StepOutcome,
+    BusPort, ChainAccess, LightPort, LightStats, NodePort, Session, SessionCtx, SessionReport,
+    SessionSpec, StepOutcome,
 };
 use crate::whisper::{Topic, Whisper};
 use sc_chain::{
     Block, Header, HeaderClient, ImportOutcome, PoolConfig, SignedTransaction, Testnet, TxError,
 };
-use sc_primitives::{ether, Address, H256};
+use sc_primitives::{ether, Address, H256, U256};
+use std::any::Any;
 use std::collections::HashMap;
 
 /// Rounds before a network run declares itself stalled and panics with
@@ -152,7 +157,7 @@ impl Network {
         n: usize,
         plan: &FaultPlan,
         pool: PoolConfig,
-        genesis_funding: &[(Address, sc_primitives::U256)],
+        genesis_funding: &[(Address, U256)],
     ) -> Network {
         assert!(n >= 1, "a network needs at least one node");
         let nodes = (0..n)
@@ -203,6 +208,12 @@ impl Network {
         &mut self.nodes[i]
     }
 
+    /// The shared bus: gossip inboxes and every session's whisper
+    /// topics.
+    pub(crate) fn bus(&self) -> &Whisper {
+        &self.bus
+    }
+
     /// Current round number.
     pub fn round_number(&self) -> u64 {
         self.round
@@ -246,11 +257,24 @@ impl Network {
     /// Forces a partition for `rounds` rounds, regardless of the fault
     /// schedule: `side_a` on one side, everyone else on the other.
     /// Deterministic-by-construction hook for reorg regression tests and
-    /// convergence benchmarks; panics on a degenerate cut.
+    /// convergence benchmarks; panics on a degenerate cut (an empty
+    /// side, an index that names no node, or a node listed twice).
     pub fn force_partition(&mut self, side_a: Vec<usize>, rounds: u64) {
+        let n = self.nodes.len();
         assert!(
-            !side_a.is_empty() && side_a.len() < self.nodes.len(),
+            !side_a.is_empty() && side_a.len() < n,
             "a partition needs two non-empty sides"
+        );
+        assert!(
+            side_a.iter().all(|&i| i < n),
+            "partition side {side_a:?} names a node outside 0..{n}"
+        );
+        assert!(
+            side_a
+                .iter()
+                .enumerate()
+                .all(|(k, i)| !side_a[..k].contains(i)),
+            "partition side {side_a:?} lists a node twice"
         );
         self.stats.partitions += 1;
         self.partition = Some(Partition {
@@ -548,18 +572,43 @@ struct NetSlot {
     light_faults: LightFaults,
     light_stats: LightStats,
     state: NetSlotState,
-    error: Option<String>,
+    error: Option<ProtocolError>,
 }
 
-/// Drives N protocol sessions over an N-node gossiping [`Network`].
+impl NetSlot {
+    /// A runnable slot homed on node `home`, its fault schedules seeded
+    /// from `plan`.
+    fn new(
+        session: Box<dyn Session>,
+        kind: &'static str,
+        home: usize,
+        plan: &FaultPlan,
+        client: Option<HeaderClient>,
+    ) -> NetSlot {
+        NetSlot {
+            session,
+            kind,
+            home,
+            chain_faults: ChainFaults::new(plan),
+            whisper_faults: WhisperFaults::new(plan),
+            client,
+            light_faults: LightFaults::new(plan),
+            light_stats: LightStats::default(),
+            state: NetSlotState::Runnable,
+            error: None,
+        }
+    }
+}
+
+/// Drives protocol sessions over a gossiping [`Network`] of one or more
+/// nodes.
 ///
 /// Each session is homed on node `id % nodes` and reaches the chain
-/// through [`ChainPort::Node`] — mechanically the shared-scheduler path
-/// (self-sign, queue, flush into `submit_batch`), but against a head
-/// that can move backwards under reorgs. Wallets are pre-funded at
-/// genesis on every node (1000 ether per participant) so no session
-/// ever mints out-of-band; whisper traffic is namespaced per node *and*
-/// per session via [`Topic::node_session`].
+/// through a [`NodePort`] (self-sign, queue, flush into `submit_batch`)
+/// against a head that can move backwards under reorgs. Wallets are
+/// pre-funded at genesis on every node (1000 ether per participant) so
+/// no session ever mints out-of-band; whisper traffic is namespaced per
+/// node *and* per session via [`Topic::node_session`].
 pub struct NetworkScheduler {
     network: Network,
     slots: Vec<NetSlot>,
@@ -571,8 +620,7 @@ impl NetworkScheduler {
     /// Builds `nodes` chain nodes and homes one session per spec on
     /// them round-robin. `net_fault_seed` seeds the link-fault schedule
     /// (`None` = a quiet network); per-session chain/whisper faults come
-    /// from each spec's own `fault_seed`, exactly as in the single-chain
-    /// scheduler.
+    /// from each spec's own `fault_seed`.
     pub fn new(
         specs: Vec<SessionSpec>,
         nodes: usize,
@@ -611,7 +659,7 @@ impl NetworkScheduler {
             Some(seed) => FaultPlan::from_seed(seed),
             None => FaultPlan::none(),
         };
-        let funding: Vec<(Address, sc_primitives::U256)> = (0..specs.len())
+        let funding: Vec<(Address, U256)> = (0..specs.len())
             .flat_map(|id| session_wallets(id).map(|w| (w.address, ether(1000))))
             .collect();
         let network = Network::new(nodes, &link_plan, pool, &funding);
@@ -625,9 +673,6 @@ impl NetworkScheduler {
                     id,
                     spec,
                     Topic::node_session(home, id as u64, "signed-copy"),
-                    // Pre-funded at genesis; a faucet mint here would
-                    // desync block replay on every other node.
-                    None,
                     &mut contracts,
                 );
                 let plan = match seed {
@@ -639,18 +684,7 @@ impl NetworkScheduler {
                 let client = light.then(|| {
                     HeaderClient::new(network.nodes[home].block(0).expect("genesis").header())
                 });
-                NetSlot {
-                    session,
-                    kind,
-                    home,
-                    chain_faults: ChainFaults::new(&plan),
-                    whisper_faults: WhisperFaults::new(&plan),
-                    client,
-                    light_faults: LightFaults::new(&plan),
-                    light_stats: LightStats::default(),
-                    state: NetSlotState::Runnable,
-                    error: None,
-                }
+                NetSlot::new(session, kind, home, &plan, client)
             })
             .collect();
         NetworkScheduler {
@@ -659,6 +693,51 @@ impl NetworkScheduler {
             rejections: HashMap::new(),
             pool_evicted: 0,
         }
+    }
+
+    /// One pre-built machine alone on a quiet 1-node network: what the
+    /// typed single-session front-ends
+    /// ([`BettingGame`](crate::protocol::BettingGame),
+    /// [`ChallengeGame`](crate::challenge_protocol::ChallengeGame)) run
+    /// on. `plan` seeds the slot's fault schedules; each of `wallets`
+    /// holds 1000 ether at genesis, like every scheduled participant.
+    pub(crate) fn solo(
+        session: Box<dyn Session>,
+        kind: &'static str,
+        plan: &FaultPlan,
+        wallets: [Address; 2],
+    ) -> NetworkScheduler {
+        let funding = wallets.map(|a| (a, ether(1000)));
+        NetworkScheduler {
+            network: Network::new(1, &FaultPlan::none(), PoolConfig::default(), &funding),
+            slots: vec![NetSlot::new(session, kind, 0, plan, None)],
+            rejections: HashMap::new(),
+            pool_evicted: 0,
+        }
+    }
+
+    /// Slot 0's machine, typed. Panics if it is not an `S` — the caller
+    /// is the front-end that boxed it.
+    pub(crate) fn machine<S: Session>(&self) -> &S {
+        let session: &dyn Any = &*self.slots[0].session;
+        session.downcast_ref().expect("slot 0 holds this machine")
+    }
+
+    /// Mutable [`NetworkScheduler::machine`].
+    pub(crate) fn machine_mut<S: Session>(&mut self) -> &mut S {
+        let session: &mut dyn Any = &mut *self.slots[0].session;
+        session.downcast_mut().expect("slot 0 holds this machine")
+    }
+
+    /// The protocol error that failed slot 0, if any.
+    pub(crate) fn failure(&self) -> Option<&ProtocolError> {
+        self.slots[0].error.as_ref()
+    }
+
+    /// Slot 0's chain and whisper fault state (injected-fault logs,
+    /// remaining budgets).
+    pub(crate) fn faults(&self) -> (&ChainFaults, &WhisperFaults) {
+        (&self.slots[0].chain_faults, &self.slots[0].whisper_faults)
     }
 
     /// The underlying network (invariant checks, stats, head
@@ -799,15 +878,16 @@ impl NetworkScheduler {
             let rejections = &mut self.rejections;
             for slot in self.slots.iter_mut() {
                 while slot.state == NetSlotState::Runnable {
-                    // Full-node slots step through `ChainPort::Node`
-                    // against their home chain; light slots step through
-                    // a `LightPort` wrapping their own header client,
-                    // with that same home chain demoted to an untrusted
+                    // Full-node slots step through a `NodePort` against
+                    // their home chain; light slots step through a
+                    // `LightPort` wrapping their own header client, with
+                    // that same home chain demoted to an untrusted
                     // witness relay. Both are `dyn ChainAccess`, so the
                     // session cannot tell which it got.
-                    let step = match slot.client.as_mut() {
+                    let (mut light, mut full);
+                    let chain: &mut dyn ChainAccess = match slot.client.as_mut() {
                         Some(client) => {
-                            let mut port = LightPort {
+                            light = LightPort {
                                 client,
                                 relay: &mut nodes[slot.home],
                                 faults: &mut slot.chain_faults,
@@ -816,32 +896,25 @@ impl NetworkScheduler {
                                 rejections,
                                 stats: &mut slot.light_stats,
                             };
-                            let mut ctx = SessionCtx {
-                                chain: &mut port,
-                                bus: BusPort::Shared {
-                                    bus,
-                                    faults: &mut slot.whisper_faults,
-                                },
-                            };
-                            slot.session.step(&mut ctx)
+                            &mut light
                         }
                         None => {
-                            let mut port = ChainPort::Node {
+                            full = NodePort {
                                 net: &mut nodes[slot.home],
                                 faults: &mut slot.chain_faults,
                                 outbox: &mut outboxes[slot.home],
                                 rejections,
                             };
-                            let mut ctx = SessionCtx {
-                                chain: &mut port,
-                                bus: BusPort::Shared {
-                                    bus,
-                                    faults: &mut slot.whisper_faults,
-                                },
-                            };
-                            slot.session.step(&mut ctx)
+                            &mut full
                         }
                     };
+                    let step = slot.session.step(&mut SessionCtx {
+                        chain,
+                        bus: BusPort {
+                            bus,
+                            faults: &mut slot.whisper_faults,
+                        },
+                    });
                     match step {
                         Ok(StepOutcome::Progress) => {}
                         Ok(StepOutcome::Pending) => slot.state = NetSlotState::Pending,
@@ -849,7 +922,7 @@ impl NetworkScheduler {
                         Ok(StepOutcome::Done) => slot.state = NetSlotState::Done,
                         Err(e) => {
                             slot.state = NetSlotState::Failed;
-                            slot.error = Some(e.to_string());
+                            slot.error = Some(e);
                         }
                     }
                 }
@@ -942,7 +1015,7 @@ impl NetworkScheduler {
                 id,
                 kind: slot.kind,
                 outcome: slot.session.outcome_label(),
-                error: slot.error.clone(),
+                error: slot.error.as_ref().map(ProtocolError::to_string),
                 total_gas: slot.session.total_gas(),
                 stage_gas: slot.session.gas_by_stage(),
                 txs: slot.session.tx_trace(),
@@ -1010,6 +1083,20 @@ mod tests {
         // Both sides mined during the cut, so healing must have forced
         // at least one node through a reorg.
         assert!(net.stats().reorgs > 0, "partition healed without a reorg");
+    }
+
+    #[test]
+    #[should_panic(expected = "names a node outside")]
+    fn forced_partition_rejects_an_index_that_names_no_node() {
+        let mut net = Network::new(4, &FaultPlan::none(), PoolConfig::default(), &[]);
+        net.force_partition(vec![5], 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "lists a node twice")]
+    fn forced_partition_rejects_a_repeated_index() {
+        let mut net = Network::new(4, &FaultPlan::none(), PoolConfig::default(), &[]);
+        net.force_partition(vec![1, 1, 1], 40);
     }
 
     #[test]

@@ -16,25 +16,25 @@
 //!    instance is CREATEd on-chain, and `returnDisputeResolution` makes
 //!    miners recompute `reveal()` and enforce the transfer.
 //!
-//! Since the session-engine refactor the event loop itself lives in
+//! The event loop itself is
 //! [`BettingSession`](crate::session::BettingSession): a resumable
 //! state machine over the T1–T3 deadlines whose every wait — signature
-//! rounds, retry backoff, contract windows — is yielded to the caller.
-//! [`BettingGame`] is the preserved legacy entry point: it owns a
-//! session-private chain and bus and drives the machine in *immediate*
-//! mode (one block per transaction, waits applied to the private
-//! clock), which reproduces the blocking `run()` behaviour exactly.
-//! The same machine, driven by a
-//! [`SessionScheduler`](crate::session::SessionScheduler), shares one
-//! chain with N other sessions instead.
+//! rounds, retry backoff, contract windows — is yielded to the
+//! scheduler. [`BettingGame`] is the typed single-game front-end: one
+//! such machine alone on a 1-node
+//! [`NetworkScheduler`](crate::net::NetworkScheduler), with the full
+//! [`ProtocolReport`] (per-transaction sender and gas) handed back. The
+//! same machine shares a network with N other sessions when built from
+//! a [`SessionSpec`](crate::session::SessionSpec) instead.
 
-use crate::faults::{FaultPlan, FaultyWhisper, FlakyNet};
+use crate::faults::{ChainFaults, FaultPlan, WhisperFaults};
+use crate::net::NetworkScheduler;
 use crate::participant::Participant;
-use crate::session::{
-    BettingSession, BettingSessionParams, BusPort, ChainPort, SessionCtx, StepOutcome,
-};
-use sc_contracts::{BetSecrets, OffChainContract, OnChainContract, Timeline};
-use sc_primitives::{ether, Address, U256};
+use crate::session::{BettingSession, BettingSessionParams};
+use crate::whisper::Whisper;
+use sc_chain::Testnet;
+use sc_contracts::{BetSecrets, OffChainContract, OnChainContract};
+use sc_primitives::{Address, U256};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
@@ -195,31 +195,25 @@ impl Default for GameConfig {
     }
 }
 
-/// The protocol engine for one two-party betting game.
-///
-/// A thin wrapper since the session-engine refactor: the event loop is
-/// a [`BettingSession`] state machine, and this type owns the
-/// session-private (possibly flaky) chain and bus it runs against.
-/// Session state — participants, timeline, the deployed address, the
-/// agreed bytecode — is reachable directly through [`Deref`].
+/// The protocol engine for one two-party betting game: a
+/// [`BettingSession`] alone on a 1-node network, both participants
+/// funded with 1000 ether at genesis. Session state — participants,
+/// timeline, the deployed address, the agreed bytecode — is reachable
+/// directly through [`Deref`].
 pub struct BettingGame {
-    /// The chain (possibly flaky — [`FaultPlan::none`] makes it perfect).
-    pub net: FlakyNet,
-    /// The off-chain message bus (possibly faulty).
-    pub whisper: FaultyWhisper,
-    session: BettingSession,
+    sched: NetworkScheduler,
 }
 
 impl Deref for BettingGame {
     type Target = BettingSession;
     fn deref(&self) -> &BettingSession {
-        &self.session
+        self.sched.machine()
     }
 }
 
 impl DerefMut for BettingGame {
     fn deref_mut(&mut self) -> &mut BettingSession {
-        &mut self.session
+        self.sched.machine_mut()
     }
 }
 
@@ -239,55 +233,53 @@ impl BettingGame {
         config: GameConfig,
         plan: &FaultPlan,
     ) -> BettingGame {
-        let mut net = FlakyNet::new(sc_chain::Testnet::new(), plan);
-        net.faucet(alice.wallet.address, ether(1000));
-        net.faucet(bob.wallet.address, ether(1000));
-        let timeline = Timeline::starting_at(net.now(), config.phase_seconds);
+        let wallets = [alice.wallet.address, bob.wallet.address];
         let session = BettingSession::new(BettingSessionParams {
             alice,
             bob,
             config,
             topic: SIGNATURE_TOPIC.into(),
             contracts: (OnChainContract::new(), OffChainContract::new()),
-            timeline: Some(timeline),
             start_delay: 0,
-            funding: None,
         });
         BettingGame {
-            net,
-            whisper: FaultyWhisper::new(plan),
-            session,
+            sched: NetworkScheduler::solo(Box::new(session), "betting", plan, wallets),
         }
     }
 
     /// Runs the complete game and produces the report.
-    ///
-    /// Drives the state machine in immediate mode: every yielded wait
-    /// advances the private chain clock (exactly what the old blocking
-    /// loop did in place), every transaction mines its own block.
     pub fn run(mut self) -> Result<(BettingGame, ProtocolReport), ProtocolError> {
-        loop {
-            let outcome = {
-                let mut port = ChainPort::Immediate(&mut self.net);
-                let mut ctx = SessionCtx {
-                    chain: &mut port,
-                    bus: BusPort::Owned(&mut self.whisper),
-                };
-                self.session.step(&mut ctx)?
-            };
-            match outcome {
-                StepOutcome::Progress => {}
-                StepOutcome::WaitUntil(t) => {
-                    let now = self.net.now();
-                    if t > now {
-                        self.net.advance_time(t - now);
-                    }
-                }
-                StepOutcome::Pending => unreachable!("immediate mode never queues"),
-                StepOutcome::Done => break,
-            }
+        self.sched.run();
+        if let Some(e) = self.sched.failure() {
+            return Err(e.clone());
         }
-        let report = self.session.report(self.whisper.message_count());
+        let report = self.report(self.whisper().history(SIGNATURE_TOPIC).len());
         Ok((self, report))
+    }
+
+    /// The game's chain.
+    pub fn net(&self) -> &Testnet {
+        self.sched.network().node(0)
+    }
+
+    /// Mutable access to the game's chain (post-run probing: extra
+    /// wallets, hostile calls).
+    pub fn net_mut(&mut self) -> &mut Testnet {
+        self.sched.network_mut().node_mut(0)
+    }
+
+    /// The off-chain message bus.
+    pub fn whisper(&self) -> &Whisper {
+        self.sched.network().bus()
+    }
+
+    /// The chain fault schedule's state (injected-fault log, budgets).
+    pub fn chain_faults(&self) -> &ChainFaults {
+        self.sched.faults().0
+    }
+
+    /// The whisper fault schedule's state (injected-fault log, budgets).
+    pub fn whisper_faults(&self) -> &WhisperFaults {
+        self.sched.faults().1
     }
 }

@@ -1,9 +1,7 @@
 //! The four-stage betting protocol as a resumable state machine.
 //!
-//! One [`BettingSession`] is the event loop of
-//! [`crate::protocol::BettingGame`] with the blocking removed: each
-//! phase of Fig. 2 is a state, each `step` makes one bounded unit of
-//! progress, and every wait — signature rounds, retry backoff, the
+//! Each phase of Fig. 2 is a state, each `step` makes one bounded unit
+//! of progress, and every wait — signature rounds, retry backoff, the
 //! T1–T3 windows — is surfaced as [`StepOutcome::WaitUntil`] instead of
 //! advancing a privately-owned clock. The degradation lattice is
 //! unchanged: missed signatures abort before any deposit, missed
@@ -23,7 +21,7 @@ use sc_primitives::{ether, Address, U256};
 /// Where the machine is in Fig. 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Fund wallets, wait out the staggered start, fix the timeline.
+    /// Wait out the staggered start, fix the timeline.
     Start,
     /// Alice deploys the on-chain contract (deadline T1).
     Deploy,
@@ -51,12 +49,9 @@ enum Phase {
     Done,
 }
 
-/// Construction parameters for a [`BettingSession`].
-///
-/// The legacy wrapper passes a pre-computed timeline and pre-funded
-/// wallets; the scheduler passes `timeline: None` (fixed at the
-/// session's first step, after its staggered start) and a funding
-/// amount minted through the port.
+/// Construction parameters for a [`BettingSession`]. Both wallets must
+/// be funded at genesis; the timeline is fixed from the chain clock at
+/// the session's first step after `start_delay`.
 pub struct BettingSessionParams {
     /// Participant 0 (deployer).
     pub alice: Participant,
@@ -69,13 +64,8 @@ pub struct BettingSessionParams {
     pub topic: String,
     /// Compiled contract pair (compile once, clone per session).
     pub contracts: (OnChainContract, OffChainContract),
-    /// `Some` = use as-is (legacy); `None` = derive from the chain clock
-    /// when the session starts.
-    pub timeline: Option<Timeline>,
     /// Seconds after creation before the session begins deploying.
     pub start_delay: u64,
-    /// Wei to mint per wallet at the first step (`None` = pre-funded).
-    pub funding: Option<U256>,
 }
 
 /// One betting game as a pollable state machine.
@@ -88,8 +78,7 @@ pub struct BettingSession {
     pub alice: Participant,
     /// Participant 1.
     pub bob: Participant,
-    /// The game's windows (placeholder until the session starts, when
-    /// constructed with `timeline: None`).
+    /// The game's windows (placeholder until the session starts).
     pub timeline: Timeline,
     /// Address of the deployed on-chain contract (after deploy/sign).
     pub onchain_addr: Option<Address>,
@@ -97,10 +86,8 @@ pub struct BettingSession {
     pub offchain_bytecode: Vec<u8>,
     pub(crate) config: GameConfig,
     topic: String,
-    dynamic_timeline: bool,
     start_delay: u64,
     start_at: Option<u64>,
-    funding: Option<U256>,
     phase: Phase,
     task: Option<TxTask>,
     sign: Option<SignExchange>,
@@ -121,10 +108,7 @@ impl BettingSession {
             params.bob.wallet.address,
             params.config.secrets,
         );
-        let (timeline, dynamic_timeline) = match params.timeline {
-            Some(t) => (t, false),
-            None => (Timeline::starting_at(0, params.config.phase_seconds), true),
-        };
+        let timeline = Timeline::starting_at(0, params.config.phase_seconds);
         BettingSession {
             onchain_abi,
             offchain_abi,
@@ -135,10 +119,8 @@ impl BettingSession {
             offchain_bytecode,
             config: params.config,
             topic: params.topic,
-            dynamic_timeline,
             start_delay: params.start_delay,
             start_at: None,
-            funding: params.funding,
             phase: Phase::Start,
             task: None,
             sign: None,
@@ -164,8 +146,8 @@ impl BettingSession {
     }
 
     /// Builds the run report. `offchain_messages` is supplied by the
-    /// owner of the bus (the legacy wrapper counts its private bus; the
-    /// scheduler counts this session's posts).
+    /// owner of the bus (what the session's topic actually carried,
+    /// after faults).
     pub fn report(&self, offchain_messages: usize) -> crate::protocol::ProtocolReport {
         let outcome = self.outcome.expect("session not finished");
         crate::protocol::ProtocolReport {
@@ -256,18 +238,12 @@ impl BettingSession {
     pub fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
         match self.phase {
             Phase::Start => {
-                if let Some(amount) = self.funding.take() {
-                    ctx.chain.faucet(self.alice.wallet.address, amount);
-                    ctx.chain.faucet(self.bob.wallet.address, amount);
-                }
                 let now = ctx.chain.now();
                 let start = *self.start_at.get_or_insert(now + self.start_delay);
                 if now < start {
                     return Ok(StepOutcome::WaitUntil(start));
                 }
-                if self.dynamic_timeline {
-                    self.timeline = Timeline::starting_at(now, self.config.phase_seconds);
-                }
+                self.timeline = Timeline::starting_at(now, self.config.phase_seconds);
                 self.phase = Phase::Deploy;
                 Ok(StepOutcome::Progress)
             }

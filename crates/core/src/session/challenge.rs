@@ -1,13 +1,13 @@
 //! The submit/challenge protocol variant as a resumable state machine.
 //!
-//! Mirrors [`crate::challenge_protocol::ChallengeGame`] phase for
-//! phase: setup (deploy, stake + security deposits, wait out T2), then
-//! the representative's submission, the challenge window, and the
+//! Setup (deploy, stake + security deposits, wait out T2), then the
+//! representative's submission, the challenge window, and the
 //! escalation paths for a crashed representative (forced resolution for
 //! a watching counterparty, stake reclamation for a sleeping one). The
 //! behaviours — submit/watch strategies and the crash point — can be
-//! bound after setup, which is how the legacy wrapper reproduces its
-//! two-call `with_faults()` + `run_with_crash()` API on top of one
+//! rebound before the machine is first stepped, which is how
+//! [`ChallengeGame`](crate::challenge_protocol::ChallengeGame) offers
+//! its two-call `with_faults()` + `run_with_crash()` API on top of one
 //! machine.
 
 use super::{Session, SessionCtx, StepOutcome, TaskPoll, TxTask};
@@ -27,16 +27,15 @@ use sc_primitives::{Address, U256};
 /// Where the machine is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Fund wallets, wait out the staggered start, fix the timeline.
+    /// Wait out the staggered start, fix the timeline.
     Start,
     /// Alice deploys the on-chain challenge contract.
     Deploy,
     /// Deposit (stake + security deposit) of participant `0`/`1`.
     Deposit(usize),
-    /// Wait out T2 so results can be submitted.
+    /// Wait out T2 so results can be submitted, then route on the
+    /// behaviours.
     AwaitT2,
-    /// Setup complete; route on the bound behaviours.
-    Ready,
     /// Crashed representative: wait out the stale deadline.
     StaleWait,
     /// The watcher forces resolution with the signed copy.
@@ -68,7 +67,9 @@ enum Mandatory {
     Hold(StepOutcome),
 }
 
-/// Construction parameters for a [`ChallengeSession`].
+/// Construction parameters for a [`ChallengeSession`]. Both wallets
+/// must be funded at genesis; the timeline is fixed from the chain clock
+/// at the session's first step after `start_delay`.
 pub struct ChallengeSessionParams {
     /// Participant 0 — the representative who submits.
     pub alice: Participant,
@@ -80,12 +81,8 @@ pub struct ChallengeSessionParams {
     pub window: u64,
     /// Compiled contract pair (compile once, clone per session).
     pub contracts: ChallengeContracts,
-    /// `Some` = use as-is (legacy); `None` = derive at session start.
-    pub timeline: Option<Timeline>,
     /// Seconds after creation before the session begins deploying.
     pub start_delay: u64,
-    /// Wei to mint per wallet at the first step (`None` = pre-funded).
-    pub funding: Option<U256>,
     /// What the representative submits.
     pub submit: SubmitStrategy,
     /// What the watcher does during the window.
@@ -113,10 +110,8 @@ pub struct ChallengeSession {
     submit: SubmitStrategy,
     watch: WatchStrategy,
     crash: CrashPoint,
-    dynamic_timeline: bool,
     start_delay: u64,
     start_at: Option<u64>,
-    funding: Option<U256>,
     phase: Phase,
     task: Option<TxTask>,
     proposed_at: u64,
@@ -134,26 +129,20 @@ impl ChallengeSession {
             params.bob.wallet.address,
             params.secrets,
         );
-        let (timeline, dynamic_timeline) = match params.timeline {
-            Some(t) => (t, false),
-            None => (Timeline::starting_at(0, 3600), true),
-        };
         ChallengeSession {
             contracts: params.contracts,
             alice: params.alice,
             bob: params.bob,
             onchain: Address::ZERO,
             bytecode,
-            timeline,
+            timeline: Timeline::starting_at(0, 3600),
             secrets: params.secrets,
             window: params.window,
             submit: params.submit,
             watch: params.watch,
             crash: params.crash,
-            dynamic_timeline,
             start_delay: params.start_delay,
             start_at: None,
-            funding: params.funding,
             phase: Phase::Start,
             task: None,
             proposed_at: 0,
@@ -163,9 +152,8 @@ impl ChallengeSession {
         }
     }
 
-    /// Rebinds the behaviours. Only meaningful while the machine sits at
-    /// `Ready` — the legacy wrapper finishes setup first, then binds the
-    /// strategies its `run_with_crash()` caller chose.
+    /// Rebinds the behaviours. Only meaningful before the machine routes
+    /// on them (after T2).
     pub fn set_behaviour(
         &mut self,
         submit: SubmitStrategy,
@@ -175,11 +163,6 @@ impl ChallengeSession {
         self.submit = submit;
         self.watch = watch;
         self.crash = crash;
-    }
-
-    /// True while the machine sits at the post-setup hold point.
-    pub fn is_ready(&self) -> bool {
-        self.phase == Phase::Ready
     }
 
     /// The fully signed copy of the off-chain contract.
@@ -245,7 +228,7 @@ impl ChallengeSession {
     /// Polls the current task; a landed receipt is recorded and must be
     /// successful, anything else (deadline, rejection, revert) is a
     /// protocol failure. This is the common shape of every mandatory
-    /// send in this variant — the legacy driver `.expect()`ed them all.
+    /// send in this variant.
     fn poll_mandatory(
         &mut self,
         ctx: &mut SessionCtx<'_>,
@@ -273,18 +256,12 @@ impl ChallengeSession {
     pub fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
         match self.phase {
             Phase::Start => {
-                if let Some(amount) = self.funding.take() {
-                    ctx.chain.faucet(self.alice.wallet.address, amount);
-                    ctx.chain.faucet(self.bob.wallet.address, amount);
-                }
                 let now = ctx.chain.now();
                 let start = *self.start_at.get_or_insert(now + self.start_delay);
                 if now < start {
                     return Ok(StepOutcome::WaitUntil(start));
                 }
-                if self.dynamic_timeline {
-                    self.timeline = Timeline::starting_at(now, 3600);
-                }
+                self.timeline = Timeline::starting_at(now, 3600);
                 self.phase = Phase::Deploy;
                 Ok(StepOutcome::Progress)
             }
@@ -354,13 +331,8 @@ impl ChallengeSession {
                 if now <= self.timeline.t2 {
                     return Ok(StepOutcome::WaitUntil(self.timeline.t2 + 60));
                 }
-                self.phase = Phase::Ready;
-                Ok(StepOutcome::Progress)
-            }
-
-            Phase::Ready => {
-                // Route on the (possibly re-bound) behaviours. A crashed
-                // representative never submits; everyone else does.
+                // A crashed representative never submits; everyone else
+                // does.
                 self.phase = if self.crash == CrashPoint::BeforeSubmit {
                     Phase::StaleWait
                 } else {

@@ -1,11 +1,11 @@
 //! Stateless chain access: sessions driven from a light client.
 //!
-//! A [`LightPort`] is the third way a session reaches the chain, after
-//! [`ChainPort::Immediate`](super::ChainPort) and the shared/node
-//! modes: the session holds **no chain state at all**. Its view of the
-//! chain is a [`HeaderClient`] — verified headers only — and every
-//! answer it accepts is checked against a commitment in a tracked
-//! header before it reaches the session:
+//! A [`LightPort`] is the other way a session reaches the chain, beside
+//! the full-node [`NodePort`](super::NodePort): the session holds **no
+//! chain state at all**. Its view of the chain is a [`HeaderClient`] —
+//! verified headers only — and every answer it accepts is checked
+//! against a commitment in a tracked header before it reaches the
+//! session:
 //!
 //! * storage reads verify a [`StorageProof`] against the head's
 //!   `state_root` ([`HeaderClient::verified_storage`]);
@@ -31,7 +31,7 @@
 //! against the new canonical head; a queued transaction orphaned by the
 //! reorg loses its receipt witness, [`ChainReader::tx_known`] turns
 //! false, and the retry task resubmits — exactly the
-//! [`ChainPort::Node`](super::ChainPort) contract.
+//! [`NodePort`](super::NodePort) contract.
 //!
 //! ## Fault model keeps traces bit-identical
 //!
@@ -46,11 +46,10 @@
 //! while the retry/re-prove machinery still gets exercised and counted
 //! in [`LightStats`].
 
-use super::{ChainReader, SendOutcome, TxSubmitter};
-use crate::faults::{ChainFaults, LightFaults, PoolFault, SubmitFault};
+use super::{roll_submit_faults, sign_and_queue, ChainReader, SendOutcome, TxSubmitter};
+use crate::faults::{ChainFaults, LightFaults};
 use sc_chain::{
-    HeaderClient, ProofVerifyError, Receipt, SignedTransaction, Testnet, Transaction, TxError,
-    Wallet,
+    HeaderClient, ProofVerifyError, Receipt, SignedTransaction, Testnet, TxError, Wallet,
 };
 use sc_primitives::{Address, H256, U256};
 use std::collections::HashMap;
@@ -88,10 +87,9 @@ impl LightStats {
 /// Chain access for a stateless session: a [`HeaderClient`] view plus
 /// an untrusted relay node that serves witnesses and forwards
 /// transactions. Implements [`ChainReader`] + [`TxSubmitter`], so a
-/// `&mut LightPort` is a `dyn ChainAccess` like any [`ChainPort`]
-/// variant — the session machines cannot tell the difference.
-///
-/// [`ChainPort`]: super::ChainPort
+/// `&mut LightPort` is a `dyn ChainAccess` like a
+/// [`NodePort`](super::NodePort) — the session machines cannot tell the
+/// difference.
 pub struct LightPort<'a> {
     /// The session's own verified-header view of the chain.
     pub client: &'a mut HeaderClient,
@@ -237,9 +235,8 @@ impl ChainReader for LightPort<'_> {
 }
 
 impl TxSubmitter for LightPort<'_> {
-    /// Rolls the *same* fault streams in the same order as the
-    /// shared/node port, then self-signs and queues into the relay's
-    /// outbox. The nonce is the relay's mempool-aware advice, floored
+    /// Rolls the *same* fault streams in the same order as the node
+    /// port, then self-signs and queues into the relay's outbox. The nonce is the relay's mempool-aware advice, floored
     /// by the client-verified account witness — on an honest relay the
     /// advice already covers the proven nonce (it includes pooled
     /// transactions), so the choice is invisible; a relay advising a
@@ -255,17 +252,8 @@ impl TxSubmitter for LightPort<'_> {
         roll_fault: bool,
     ) -> SendOutcome {
         if roll_fault {
-            match self.faults.pre_submit() {
-                SubmitFault::None => {}
-                SubmitFault::Transient(_) => return SendOutcome::Transient,
-                SubmitFault::MiningDelay(secs) => return SendOutcome::HeldFor(secs),
-            }
-            if self.relay.pool_enabled() {
-                match self.faults.pre_pool() {
-                    PoolFault::None => {}
-                    PoolFault::DroppedGossip => return SendOutcome::Transient,
-                    PoolFault::DelayedAdmission(secs) => return SendOutcome::HeldFor(secs),
-                }
+            if let Some(held) = roll_submit_faults(self.faults) {
+                return held;
             }
         }
         self.sync();
@@ -283,23 +271,16 @@ impl TxSubmitter for LightPort<'_> {
             // guess deterministically, so this is liveness, not safety).
             Err(_) => 0,
         };
-        let queued = self
-            .outbox
-            .iter()
-            .filter(|(from, _)| *from == wallet.address)
-            .count() as u64;
-        let tx = Transaction {
-            nonce: advised.max(floor) + queued,
-            gas_price: gas_price.unwrap_or(self.relay.config().default_gas_price),
+        sign_and_queue(
+            self.outbox,
+            wallet,
+            advised.max(floor),
+            gas_price.unwrap_or(self.relay.config().default_gas_price),
             gas_limit,
             to,
             value,
             data,
-        };
-        let signed = tx.sign(&wallet.key);
-        let hash = signed.hash();
-        self.outbox.push((wallet.address, signed));
-        SendOutcome::Queued(hash)
+        )
     }
 
     fn take_rejection(&mut self, hash: H256) -> Option<TxError> {
@@ -309,19 +290,13 @@ impl TxSubmitter for LightPort<'_> {
     fn default_gas_price(&self) -> U256 {
         self.relay.config().default_gas_price
     }
-
-    /// Light sessions are funded at genesis (see the trait docs); the
-    /// delegation exists so standalone light harnesses can still mint.
-    fn faucet(&mut self, a: Address, amount: U256) {
-        self.relay.faucet(a, amount);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::session::{ChainAccess, ChainPort};
+    use crate::session::{ChainAccess, NodePort};
     use sc_primitives::ether;
 
     /// A funded chain, a synced client, and the session wallet.
@@ -432,7 +407,7 @@ mod tests {
     #[test]
     fn light_port_is_a_chain_access_object() {
         // The coercion the scheduler relies on: &mut LightPort is a
-        // &mut dyn ChainAccess exactly like &mut ChainPort.
+        // &mut dyn ChainAccess exactly like &mut NodePort.
         let (mut net, mut client, _alice) = rig();
         let plan = FaultPlan::none();
         let mut faults = ChainFaults::new(&plan);
@@ -453,8 +428,12 @@ mod tests {
             let access: &mut dyn ChainAccess = &mut port;
             assert_eq!(access.head_timestamp(), access.block_timestamp(0));
         }
-        let mut flaky = crate::faults::FlakyNet::new(net, &plan);
-        let mut port = ChainPort::Immediate(&mut flaky);
+        let mut port = NodePort {
+            net: &mut net,
+            faults: &mut faults,
+            outbox: &mut outbox,
+            rejections: &mut rejections,
+        };
         let access: &mut dyn ChainAccess = &mut port;
         let _ = access.now();
     }

@@ -1,55 +1,50 @@
 //! The session engine: protocol drivers as resumable state machines.
 //!
-//! PR 2 left the repo with two near-duplicate *blocking* drivers
-//! ([`crate::protocol`] and [`crate::challenge_protocol`]), each owning
-//! a private chain that mines one block per transaction. This module
-//! extracts the shared machinery — deadline-driven retry with capped
-//! backoff ([`retry`]), the signature re-post/verify exchange
-//! ([`sign`]), transaction submission with receipt tracking and report
-//! accumulation — and rewrites each protocol as a state machine that
-//! makes *one bounded unit of progress per [`Session::step`] call* and
-//! yields whenever it must wait for the clock or for a block.
+//! Each protocol variant ([`betting`], [`challenge`], [`settle_later`])
+//! is a state machine that makes *one bounded unit of progress per
+//! [`Session::step`] call* and yields whenever it must wait for the
+//! clock or for a block. The machinery they share lives here:
+//! deadline-driven retry with capped backoff ([`retry`]), the signature
+//! re-post/verify exchange ([`sign`]), and the chain-access boundary —
+//! [`ChainReader`] + [`TxSubmitter`], implemented by the full-node
+//! [`NodePort`] and the stateless [`light::LightPort`].
 //!
 //! Yielding is what makes multi-tenancy possible: a
-//! [`scheduler::SessionScheduler`] interleaves N heterogeneous sessions
-//! (betting and challenge, honest and Byzantine, each under its own
+//! [`NetworkScheduler`](crate::net::NetworkScheduler) interleaves N
+//! heterogeneous sessions (each under its own
 //! [`FaultPlan`](crate::faults::FaultPlan) and whisper topic namespace)
-//! over **one shared [`Testnet`]**, batching every session's pending
-//! transactions into shared blocks via `submit_batch`. The legacy
-//! single-session `run()` entry points survive as thin wrappers that
-//! drive the same state machines in [`ChainPort::Immediate`] mode,
-//! reproducing the old one-block-per-transaction behaviour exactly.
+//! over a [`Network`](crate::net::Network) of one or more nodes,
+//! batching every session's pending transactions into shared blocks.
+//! [`spec`] holds the session specifications the scheduler is built
+//! from and the report it hands back.
 
 pub mod betting;
 pub mod challenge;
 pub mod light;
 pub mod retry;
-pub mod scheduler;
 pub mod settle_later;
 pub mod sign;
+pub mod spec;
 
 pub use betting::{BettingSession, BettingSessionParams};
 pub use challenge::{ChallengeSession, ChallengeSessionParams};
 pub use light::{LightPort, LightStats};
 pub use retry::{TaskPoll, TxTask, BACKOFF_BASE_SECS, MAX_ATTEMPTS};
-pub use scheduler::{
-    BettingSpec, ChallengeSpec, SchedulerStats, SessionReport, SessionScheduler, SessionSpec,
-};
 pub use settle_later::{
     SettleLaterCrash, SettleLaterOutcome, SettleLaterSession, SettleLaterSessionParams,
     SettleLaterSpec,
 };
 pub use sign::{SignExchange, MAX_SIGN_ROUNDS, SIGN_ROUND_SECS};
+pub use spec::{BettingSpec, ChallengeSpec, SessionReport, SessionSpec};
 
-use crate::faults::{
-    ChainFaults, FaultyWhisper, FlakyNet, NetError, PoolFault, SubmitFault, WhisperFaults,
-};
+use crate::faults::{ChainFaults, PoolFault, SubmitFault, WhisperFaults};
 use crate::protocol::ProtocolError;
 use crate::whisper::{Envelope, Whisper};
 use sc_chain::{
     ProofVerifyError, Receipt, SignedTransaction, Testnet, Transaction, TxError, Wallet,
 };
 use sc_primitives::{Address, H256, U256};
+use std::any::Any;
 use std::collections::HashMap;
 
 /// What one [`Session::step`] call achieved.
@@ -57,8 +52,8 @@ use std::collections::HashMap;
 pub enum StepOutcome {
     /// The machine advanced and can be stepped again immediately.
     Progress,
-    /// A transaction was queued for the next shared block; step again
-    /// after the block is mined. Never returned in immediate mode.
+    /// A transaction was queued for the next block; step again after
+    /// the block is mined.
     Pending,
     /// Nothing to do until the chain clock reaches this timestamp.
     WaitUntil(u64),
@@ -66,70 +61,18 @@ pub enum StepOutcome {
     Done,
 }
 
-/// How a session reaches the chain.
-///
-/// The two variants are the whole difference between the legacy
-/// single-tenant drivers and the scheduler: `Immediate` signs, submits
-/// and mines one block per transaction on a session-private [`FlakyNet`]
-/// (receipts are synchronous, injected mining delays move that chain's
-/// clock); `Shared` self-signs against the mempool-aware nonce and
-/// queues into the tick's shared outbox — the scheduler flushes all
-/// sessions' queues into one `submit_batch` call and mines one shared
-/// block, and injected mining delays become session-local waits so one
-/// session's bad luck never moves the shared clock.
-pub enum ChainPort<'a> {
-    /// Legacy mode: a session-private chain; submissions mine instantly.
-    Immediate(&'a mut FlakyNet),
-    /// Scheduler mode: one shared chain, per-session fault schedule,
-    /// shared outbox and admission-error routing.
-    Shared {
-        /// The shared chain.
-        net: &'a mut Testnet,
-        /// This session's chain fault schedule.
-        faults: &'a mut ChainFaults,
-        /// The tick's shared transaction queue, tagged with the sender so
-        /// nonce assignment for a wallet's next tx in the same tick does
-        /// not need to re-recover signers.
-        outbox: &'a mut Vec<(Address, SignedTransaction)>,
-        /// Admission errors from the last flush, routed back by tx hash.
-        rejections: &'a mut HashMap<H256, TxError>,
-    },
-    /// Multi-node mode: the session is homed on one node of a gossiping
-    /// network. Mechanically identical to `Shared` — self-sign, queue,
-    /// flush — but reorg-aware: the home chain's head can *move
-    /// backwards* when a heavier fork arrives, so verified reads
-    /// re-prove against whatever the current head commits, and
-    /// [`ChainPort::tx_known`] lets a task detect that its queued
-    /// transaction was orphaned by a reorg (no receipt, no longer
-    /// pooled) and resubmit instead of waiting forever.
-    Node {
-        /// The home node's chain.
-        net: &'a mut Testnet,
-        /// This session's chain fault schedule.
-        faults: &'a mut ChainFaults,
-        /// The round's per-node transaction queue.
-        outbox: &'a mut Vec<(Address, SignedTransaction)>,
-        /// Admission errors from the last flush, routed back by tx hash.
-        rejections: &'a mut HashMap<H256, TxError>,
-    },
-}
-
 /// Result of one [`TxSubmitter::submit`] attempt.
 pub enum SendOutcome {
-    /// The transaction was mined (immediate mode only).
-    Landed(Receipt),
-    /// The transaction joined the shared outbox (shared mode only);
-    /// poll [`ChainPort::receipt`] after the next block.
+    /// The transaction joined the round's outbox; poll
+    /// [`ChainReader::receipt`] after the next block.
     Queued(H256),
     /// An injected transient failure ate the submission; back off and
     /// retry.
     Transient,
-    /// An injected mining delay: retry after this many seconds
-    /// *without* a new fault roll (shared mode only — immediate mode
-    /// applies the delay to its private clock internally).
+    /// An injected mining or admission delay: retry after this many
+    /// seconds *without* a new fault roll. The delay is a session-local
+    /// wait, so one session's bad luck never moves the shared clock.
     HeldFor(u64),
-    /// The node rejected the transaction for a deterministic reason.
-    Rejected(TxError),
 }
 
 /// The read half of the chain-access boundary: everything a session
@@ -173,7 +116,10 @@ pub trait ChainReader {
 }
 
 /// The write half of the chain-access boundary: submitting transactions
-/// and observing their admission fate.
+/// and observing their admission fate. Sessions never mint: every
+/// participant is funded at genesis, because an out-of-band mint on one
+/// node would desynchronize replay verification of its blocks on every
+/// other node.
 pub trait TxSubmitter {
     /// Submits one transaction through the session's fault schedule.
     /// `gas_price: None` bids the chain's default; tasks re-pricing
@@ -199,78 +145,122 @@ pub trait TxSubmitter {
     /// The gas price the chain's convenience senders assume — the
     /// starting bid for fee-market re-pricing.
     fn default_gas_price(&self) -> U256;
-
-    /// Mints balance for a session wallet (scheduler-funded sessions).
-    /// Multi-node and light sessions are funded at genesis instead — an
-    /// out-of-band mint on one node would desynchronize replay
-    /// verification of its blocks on every other node.
-    fn faucet(&mut self, a: Address, amount: U256);
 }
 
 /// The full capability set a session steps against: reads + submission.
-/// Blanket-implemented, so any `ChainReader + TxSubmitter` — the
-/// [`ChainPort`] variants or a [`light::LightPort`] — is a
-/// `dyn ChainAccess` without further ceremony.
+/// Blanket-implemented, so any `ChainReader + TxSubmitter` — a
+/// [`NodePort`] or a [`light::LightPort`] — is a `dyn ChainAccess`
+/// without further ceremony.
 pub trait ChainAccess: ChainReader + TxSubmitter {}
 
 impl<T: ChainReader + TxSubmitter + ?Sized> ChainAccess for T {}
 
-impl ChainReader for ChainPort<'_> {
+/// Draws one submission's chain fault, then its pool fault (separate
+/// streams and budgets). `Some` is the outcome that ends the attempt
+/// before anything is signed.
+pub(crate) fn roll_submit_faults(faults: &mut ChainFaults) -> Option<SendOutcome> {
+    match faults.pre_submit() {
+        SubmitFault::None => {}
+        SubmitFault::Transient(_) => return Some(SendOutcome::Transient),
+        SubmitFault::MiningDelay(secs) => return Some(SendOutcome::HeldFor(secs)),
+    }
+    match faults.pre_pool() {
+        PoolFault::None => None,
+        PoolFault::DroppedGossip => Some(SendOutcome::Transient),
+        PoolFault::DelayedAdmission(secs) => Some(SendOutcome::HeldFor(secs)),
+    }
+}
+
+/// Self-signs one transaction and queues it into the round's outbox.
+/// `nonce` is the sender's next nonce as the chain sees it; this
+/// wallet's queued-but-unflushed transactions are counted on top.
+#[allow(clippy::too_many_arguments)] // mirrors the Transaction fields
+pub(crate) fn sign_and_queue(
+    outbox: &mut Vec<(Address, SignedTransaction)>,
+    wallet: &Wallet,
+    nonce: u64,
+    gas_price: U256,
+    gas_limit: u64,
+    to: Option<Address>,
+    value: U256,
+    data: Vec<u8>,
+) -> SendOutcome {
+    let queued = outbox
+        .iter()
+        .filter(|(from, _)| *from == wallet.address)
+        .count() as u64;
+    let tx = Transaction {
+        nonce: nonce + queued,
+        gas_price,
+        gas_limit,
+        to,
+        value,
+        data,
+    };
+    let signed = tx.sign(&wallet.key);
+    let hash = signed.hash();
+    outbox.push((wallet.address, signed));
+    SendOutcome::Queued(hash)
+}
+
+/// Full-node chain access: the session is homed on one node of a
+/// [`Network`](crate::net::Network) and trusts that node's state.
+/// Submissions are self-signed against the mempool-aware nonce and
+/// queued into the node's round outbox; the scheduler flushes every
+/// session's queue into one `submit_batch` call. The home chain's head
+/// can *move backwards* when a heavier fork arrives, so verified reads
+/// re-prove against whatever the current head commits, and
+/// [`ChainReader::tx_known`] lets a task detect that its queued
+/// transaction was orphaned by a reorg (no receipt, no longer pooled)
+/// and resubmit instead of waiting forever.
+pub struct NodePort<'a> {
+    /// The home node's chain.
+    pub net: &'a mut Testnet,
+    /// This session's chain fault schedule.
+    pub faults: &'a mut ChainFaults,
+    /// The round's per-node transaction queue, tagged with the sender
+    /// so nonce assignment for a wallet's next transaction in the same
+    /// round does not need to re-recover signers.
+    pub outbox: &'a mut Vec<(Address, SignedTransaction)>,
+    /// Admission errors from the last flush, routed back by tx hash.
+    pub rejections: &'a mut HashMap<H256, TxError>,
+}
+
+impl ChainReader for NodePort<'_> {
     fn now(&self) -> u64 {
-        match self {
-            ChainPort::Immediate(net) => net.now(),
-            ChainPort::Shared { net, .. } | ChainPort::Node { net, .. } => net.now(),
-        }
+        self.net.now()
     }
 
     fn head_timestamp(&self) -> u64 {
-        match self {
-            ChainPort::Immediate(net) => net.head().timestamp,
-            ChainPort::Shared { net, .. } | ChainPort::Node { net, .. } => net.head().timestamp,
-        }
+        self.net.head().timestamp
     }
 
     fn block_timestamp(&self, number: u64) -> u64 {
-        let lookup = |net: &Testnet| {
-            net.block(number)
-                .map_or_else(|| net.head().timestamp, |b| b.timestamp)
-        };
-        match self {
-            ChainPort::Immediate(net) => lookup(net),
-            ChainPort::Shared { net, .. } | ChainPort::Node { net, .. } => lookup(net),
-        }
+        self.net
+            .block(number)
+            .map_or_else(|| self.net.head().timestamp, |b| b.timestamp)
     }
 
     fn storage_at(&mut self, a: Address, key: U256) -> U256 {
-        match self {
-            ChainPort::Immediate(net) => net.storage_at(a, key),
-            ChainPort::Shared { net, .. } | ChainPort::Node { net, .. } => net.storage_at(a, key),
-        }
+        self.net.storage_at(a, key)
     }
 
-    /// Light-verified storage read: fetches a Merkle proof for the slot
-    /// and checks it against the chain's `state_root` commitment before
-    /// returning the value, instead of trusting the node's storage map.
+    /// Fetches a Merkle proof for the slot and checks it against the
+    /// chain's `state_root` commitment before returning the value,
+    /// instead of trusting the node's storage map.
     ///
     /// When the live state still matches the sealed head (always true
     /// immediately after a block, which is when sessions read results),
     /// the proof is checked against the **head header's** `state_root` —
-    /// exactly what a stateless light client would do. If other
-    /// sessions' faucet funding has already moved the live state past
-    /// the last seal, the proof necessarily anchors to the root the
-    /// *next* header will commit; it still binds the value to the trie.
-    /// In `Node` mode the anchoring is what makes reads reorg-safe: a
-    /// proof generated before a reorg would anchor to the orphaned
-    /// fork's root, but this method fetches a *fresh* proof from the
-    /// live trie on every call, so after a rollback-and-replay it
-    /// re-proves against exactly what the current head commits.
+    /// exactly what a stateless light client would do; otherwise it
+    /// anchors to the root the *next* header will commit, which still
+    /// binds the value to the trie. The proof is fetched *fresh* from
+    /// the live trie on every call, which is what makes reads
+    /// reorg-safe: after a rollback-and-replay it re-proves against
+    /// exactly what the current head commits.
     fn verified_storage_at(&mut self, a: Address, key: U256) -> Result<U256, ProofVerifyError> {
-        let net: &mut Testnet = match self {
-            ChainPort::Immediate(net) => net,
-            ChainPort::Shared { net, .. } | ChainPort::Node { net, .. } => net,
-        };
-        let proof = net.prove_storage(a, key);
-        let sealed = net.head().state_root;
+        let proof = self.net.prove_storage(a, key);
+        let sealed = self.net.head().state_root;
         let anchor = if proof.root == sealed {
             sealed
         } else {
@@ -280,63 +270,18 @@ impl ChainReader for ChainPort<'_> {
         Ok(proof.value)
     }
 
-    /// Receipt of a previously queued transaction, once mined. In
-    /// `Node` mode this reflects the *canonical* chain only: a reorg
-    /// that orphans the transaction makes the receipt disappear again.
     fn receipt(&mut self, hash: H256) -> Option<Receipt> {
-        match self {
-            ChainPort::Immediate(net) => net.receipt(hash).cloned(),
-            ChainPort::Shared { net, .. } | ChainPort::Node { net, .. } => {
-                net.receipt(hash).cloned()
-            }
-        }
+        self.net.receipt(hash).cloned()
     }
 
-    /// Single-chain modes can never lose a transaction, so `Immediate`
-    /// and `Shared` are always `true` (which keeps pinned single-node
-    /// chaos schedules untouched); only `Node` mode can answer `false`,
-    /// after a reorg orphaned the transaction.
     fn tx_known(&self, hash: H256) -> bool {
-        match self {
-            ChainPort::Immediate(_) | ChainPort::Shared { .. } => true,
-            ChainPort::Node { net, outbox, .. } => {
-                net.receipt(hash).is_some()
-                    || net.tx_is_pending(hash)
-                    || outbox.iter().any(|(_, tx)| tx.hash() == hash)
-            }
-        }
+        self.net.receipt(hash).is_some()
+            || self.net.tx_is_pending(hash)
+            || self.outbox.iter().any(|(_, tx)| tx.hash() == hash)
     }
 }
 
-impl TxSubmitter for ChainPort<'_> {
-    fn faucet(&mut self, a: Address, amount: U256) {
-        match self {
-            ChainPort::Immediate(net) => net.faucet(a, amount),
-            ChainPort::Shared { net, .. } | ChainPort::Node { net, .. } => net.faucet(a, amount),
-        }
-    }
-
-    fn take_rejection(&mut self, hash: H256) -> Option<TxError> {
-        match self {
-            ChainPort::Immediate(_) => None,
-            ChainPort::Shared { rejections, .. } | ChainPort::Node { rejections, .. } => {
-                rejections.remove(&hash)
-            }
-        }
-    }
-
-    fn default_gas_price(&self) -> U256 {
-        match self {
-            ChainPort::Immediate(net) => net.config().default_gas_price,
-            ChainPort::Shared { net, .. } | ChainPort::Node { net, .. } => {
-                net.config().default_gas_price
-            }
-        }
-    }
-
-    /// Immediate mode has no fee market and always pays the default
-    /// price; shared and node modes self-sign against the mempool-aware
-    /// nonce and queue into the tick's shared outbox.
+impl TxSubmitter for NodePort<'_> {
     fn submit(
         &mut self,
         wallet: &Wallet,
@@ -347,115 +292,70 @@ impl TxSubmitter for ChainPort<'_> {
         gas_price: Option<U256>,
         roll_fault: bool,
     ) -> SendOutcome {
-        match self {
-            ChainPort::Immediate(net) => {
-                let sent = match to {
-                    Some(to) => net.execute(wallet, to, value, data, gas_limit),
-                    None => net.deploy(wallet, data, value, gas_limit),
-                };
-                match sent {
-                    Ok(r) => SendOutcome::Landed(r),
-                    Err(NetError::Transient(_)) => SendOutcome::Transient,
-                    Err(NetError::Rejected(e)) => SendOutcome::Rejected(e),
-                }
-            }
-            ChainPort::Shared {
-                net,
-                faults,
-                outbox,
-                ..
-            }
-            | ChainPort::Node {
-                net,
-                faults,
-                outbox,
-                ..
-            } => {
-                if roll_fault {
-                    match faults.pre_submit() {
-                        SubmitFault::None => {}
-                        SubmitFault::Transient(_) => return SendOutcome::Transient,
-                        SubmitFault::MiningDelay(secs) => return SendOutcome::HeldFor(secs),
-                    }
-                    // Pool-level faults (separate stream and budget) fire
-                    // only when the shared chain actually runs a pool.
-                    if net.pool_enabled() {
-                        match faults.pre_pool() {
-                            PoolFault::None => {}
-                            PoolFault::DroppedGossip => return SendOutcome::Transient,
-                            PoolFault::DelayedAdmission(secs) => return SendOutcome::HeldFor(secs),
-                        }
-                    }
-                }
-                // Self-signing against the shared mempool: the nonce must
-                // account for this wallet's queued-but-unflushed txs too.
-                let queued = outbox
-                    .iter()
-                    .filter(|(from, _)| *from == wallet.address)
-                    .count() as u64;
-                let tx = Transaction {
-                    nonce: net.effective_nonce(wallet.address) + queued,
-                    gas_price: gas_price.unwrap_or(net.config().default_gas_price),
-                    gas_limit,
-                    to,
-                    value,
-                    data,
-                };
-                let signed = tx.sign(&wallet.key);
-                let hash = signed.hash();
-                outbox.push((wallet.address, signed));
-                SendOutcome::Queued(hash)
+        if roll_fault {
+            if let Some(held) = roll_submit_faults(self.faults) {
+                return held;
             }
         }
+        sign_and_queue(
+            self.outbox,
+            wallet,
+            self.net.effective_nonce(wallet.address),
+            gas_price.unwrap_or(self.net.config().default_gas_price),
+            gas_limit,
+            to,
+            value,
+            data,
+        )
+    }
+
+    fn take_rejection(&mut self, hash: H256) -> Option<TxError> {
+        self.rejections.remove(&hash)
+    }
+
+    fn default_gas_price(&self) -> U256 {
+        self.net.config().default_gas_price
     }
 }
 
-/// How a session reaches the off-chain message bus.
-pub enum BusPort<'a> {
-    /// Legacy mode: a session-private faulty bus.
-    Owned(&'a mut FaultyWhisper),
-    /// Scheduler mode: one shared bus, per-session fault schedule.
-    Shared {
-        /// The shared bus.
-        bus: &'a mut Whisper,
-        /// This session's whisper fault schedule.
-        faults: &'a mut WhisperFaults,
-    },
+/// How a session reaches the off-chain message bus: the shared bus,
+/// through the session's own fault schedule.
+pub struct BusPort<'a> {
+    /// The shared bus.
+    pub bus: &'a mut Whisper,
+    /// This session's whisper fault schedule.
+    pub faults: &'a mut WhisperFaults,
 }
 
 impl BusPort<'_> {
     /// Publishes through the session's fault schedule.
     pub fn post(&mut self, from: Address, topic: &str, payload: Vec<u8>) {
-        match self {
-            BusPort::Owned(w) => w.post(from, topic, payload),
-            BusPort::Shared { bus, faults } => faults.post(bus, from, topic, payload),
-        }
+        self.faults.post(self.bus, from, topic, payload);
     }
 
     /// Polls unseen messages through the session's fault schedule.
     pub fn poll(&mut self, reader: Address, topic: &str) -> Vec<Envelope> {
-        match self {
-            BusPort::Owned(w) => w.poll(reader, topic),
-            BusPort::Shared { bus, faults } => faults.poll(bus, reader, topic),
-        }
+        self.faults.poll(self.bus, reader, topic)
     }
 }
 
 /// Everything a session may touch during one step.
 ///
 /// The chain is a capability object, not a concrete port: sessions are
-/// generic over *how* they reach the chain (a private [`ChainPort`], a
-/// shared one, a networked node, or a stateless [`light::LightPort`])
-/// and can only do what [`ChainReader`] + [`TxSubmitter`] allow.
+/// generic over *how* they reach the chain (a [`NodePort`] or a
+/// stateless [`light::LightPort`]) and can only do what [`ChainReader`]
+/// + [`TxSubmitter`] allow.
 pub struct SessionCtx<'a> {
     /// The chain, behind whichever capability stack homes this session.
     pub chain: &'a mut (dyn ChainAccess + 'a),
-    /// The message bus, owned or shared.
+    /// The message bus, through this session's fault schedule.
     pub bus: BusPort<'a>,
 }
 
-/// A protocol session the scheduler can drive to completion.
-pub trait Session {
+/// A protocol session the scheduler can drive to completion. `Any`, so
+/// the single-session front-ends can get their typed machine back out
+/// of the scheduler's boxed slot.
+pub trait Session: Any {
     /// Makes one bounded unit of progress.
     fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError>;
 
@@ -484,8 +384,8 @@ pub trait Session {
 /// Declared gas limit for the dispute-resolution call. Its execution
 /// cost grows linearly with the reveal weight (~290 gas per unit
 /// measured), so the estimate scales the same way with headroom rather
-/// than declaring the whole block — in pooled mode the packer budgets
-/// blocks by *declared* gas, so honest estimates are what let disputes
+/// than declaring the whole block — the packer budgets blocks by
+/// *declared* gas, so honest estimates are what let disputes
 /// share blocks. Capped at the default block gas limit so the
 /// transaction stays admissible at any weight.
 pub(crate) fn dispute_gas_limit(weight: u64) -> u64 {

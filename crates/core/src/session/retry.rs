@@ -1,7 +1,6 @@
 //! Deadline-driven transaction retry as a pollable task.
 //!
-//! Both legacy drivers carried a private copy of the same blocking loop:
-//! try to send, back off exponentially on injected transient failures,
+//! Try to send, back off exponentially on injected transient failures,
 //! give up when the contract window closes or a deterministic rejection
 //! arrives. [`TxTask`] is that loop turned inside out — each
 //! [`TxTask::poll`] makes at most one submission attempt and reports
@@ -27,8 +26,8 @@ pub enum TaskPoll {
     /// The transaction was mined; here is its receipt (possibly a
     /// revert — the caller decides what a failure means).
     Landed(Receipt),
-    /// The transaction is queued for the next shared block; poll again
-    /// after it is mined.
+    /// The transaction is queued for the next block; poll again after
+    /// it is mined.
     Pending,
     /// Back off: poll again once the chain clock reaches this timestamp.
     Wait(u64),
@@ -50,7 +49,7 @@ pub struct TxTask {
     data: Vec<u8>,
     gas: u64,
     /// The current gas-price bid: `None` until a fee-market rejection
-    /// forces a raise (pooled shared mode), then the raised price. Each
+    /// forces a raise, then the raised price. Each
     /// raise is strictly higher, so re-pricing terminates — either the
     /// transaction out-bids the market or the sender's balance check
     /// turns the rejection deterministic.
@@ -58,8 +57,8 @@ pub struct TxTask {
     deadline: Option<u64>,
     backoff: u64,
     attempts: u32,
-    /// Set after an injected mining delay in shared mode: the fault for
-    /// this submission was already drawn, so the resumed attempt must
+    /// Set after an injected mining delay: the fault for this
+    /// submission was already drawn, so the resumed attempt must
     /// not roll again (that would double-draw the fault stream).
     skip_fault_roll: bool,
     in_flight: Option<H256>,
@@ -105,17 +104,15 @@ impl TxTask {
 
     /// Makes at most one submission attempt (or checks on an in-flight
     /// queued transaction) and reports how to proceed. Generic over the
-    /// chain capability, so the same retry machine drives a private
-    /// chain, a shared one, a networked node, or a light relay.
+    /// chain capability, so the same retry machine drives a full-node
+    /// port or a light relay.
     pub fn poll(&mut self, chain: &mut (dyn ChainAccess + '_)) -> TaskPoll {
         if let Some(hash) = self.in_flight {
             // Receipt first: on a multi-node chain a transaction can be
             // mined via a *gossiped* block and still show up in the
             // eviction log when the pool prunes its now-stale nonce. A
             // mined transaction is done — a routed rejection for it is a
-            // stale price signal, not a failure. (Single-chain modes
-            // never produce both, so the order is observationally
-            // unchanged there.)
+            // stale price signal, not a failure.
             if let Some(r) = chain.receipt(hash) {
                 self.in_flight = None;
                 let _ = chain.take_rejection(hash);
@@ -123,8 +120,8 @@ impl TxTask {
             }
             if let Some(e) = chain.take_rejection(hash) {
                 self.in_flight = None;
-                // Fee-market rejections (pooled mode) are price signals,
-                // not protocol failures: raise the bid and resubmit.
+                // Fee-market rejections are price signals, not protocol
+                // failures: raise the bid and resubmit.
                 match e {
                     TxError::Underpriced { required } => {
                         return self.reprice(chain, required);
@@ -143,10 +140,9 @@ impl TxTask {
                 return TaskPoll::Pending;
             }
             // The transaction vanished: a reorg orphaned it and the new
-            // branch didn't re-include it (node mode only — single-chain
-            // ports report every queued transaction as known). Fall
-            // through to resubmission against the new canonical chain,
-            // still bounded by the deadline and the attempt cap.
+            // branch didn't re-include it. Fall through to resubmission
+            // against the new canonical chain, still bounded by the
+            // deadline and the attempt cap.
             self.in_flight = None;
         }
         if let Some(d) = self.deadline {
@@ -171,7 +167,6 @@ impl TxTask {
             self.gas_price,
             roll,
         ) {
-            SendOutcome::Landed(r) => TaskPoll::Landed(r),
             SendOutcome::Queued(hash) => {
                 self.in_flight = Some(hash);
                 TaskPoll::Pending
@@ -190,7 +185,6 @@ impl TxTask {
                 self.skip_fault_roll = true;
                 TaskPoll::Wait(chain.now() + secs)
             }
-            SendOutcome::Rejected(e) => TaskPoll::Rejected(e),
         }
     }
 

@@ -117,7 +117,7 @@ struct SettleTx {
 /// Where the machine is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Fund wallets, wait out the staggered start.
+    /// Wait out the staggered start.
     Start,
     /// Deploy the confidential-deposit contract.
     Deploy,
@@ -143,7 +143,8 @@ enum Phase {
     Done,
 }
 
-/// Construction parameters for a [`SettleLaterSession`].
+/// Construction parameters for a [`SettleLaterSession`]. Both wallets
+/// must be funded at genesis.
 pub struct SettleLaterSessionParams {
     /// Party A's wallet.
     pub alice: Wallet,
@@ -155,8 +156,6 @@ pub struct SettleLaterSessionParams {
     pub topic: String,
     /// Compiled contract (compile once, clone per session).
     pub contracts: ConfidentialContracts,
-    /// Wei to mint per wallet at the first step (`None` = pre-funded).
-    pub funding: Option<U256>,
 }
 
 /// One confidential settle-later channel as a pollable state machine.
@@ -166,7 +165,6 @@ pub struct SettleLaterSession {
     bob: Wallet,
     spec: SettleLaterSpec,
     topic: String,
-    funding: Option<U256>,
     /// Deployed contract address.
     pub onchain: Address,
     params: Option<ConfidentialParams>,
@@ -207,7 +205,6 @@ impl SettleLaterSession {
             bob: params.bob,
             spec: params.spec,
             topic: params.topic,
-            funding: params.funding,
             onchain: Address::ZERO,
             params: None,
             phase: Phase::Start,
@@ -318,10 +315,6 @@ impl SettleLaterSession {
     pub fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
         match self.phase {
             Phase::Start => {
-                if let Some(amount) = self.funding.take() {
-                    ctx.chain.faucet(self.alice.address, amount);
-                    ctx.chain.faucet(self.bob.address, amount);
-                }
                 let now = ctx.chain.now();
                 let start = *self.start_at.get_or_insert(now + self.spec.start_delay);
                 if now < start {

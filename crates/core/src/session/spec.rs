@@ -1,0 +1,217 @@
+//! What a scheduler run is built from and what it hands back: one
+//! [`SessionSpec`] per session going in, one [`SessionReport`] per
+//! session coming out.
+//!
+//! Determinism: wallets derive from the slot id
+//! ([`session_wallets`]), each spec carries its own fault seed, and
+//! contracts are compiled once per variant and cloned into each session
+//! — two runs from identical specs build identical machines.
+
+use super::{
+    BettingSession, BettingSessionParams, ChallengeSession, ChallengeSessionParams, Session,
+    SettleLaterSession, SettleLaterSessionParams, SettleLaterSpec,
+};
+use crate::challenge_protocol::{CrashPoint, SubmitStrategy, WatchStrategy};
+use crate::participant::{Participant, Strategy};
+use crate::protocol::GameConfig;
+use sc_contracts::challenge::ChallengeContracts;
+use sc_contracts::confidential::ConfidentialContracts;
+use sc_contracts::{BetSecrets, OffChainContract, OnChainContract};
+
+/// Specification of one betting-variant session.
+#[derive(Debug, Clone)]
+pub struct BettingSpec {
+    /// Participant 0's strategy.
+    pub alice: Strategy,
+    /// Participant 1's strategy.
+    pub bob: Strategy,
+    /// The private bet.
+    pub secrets: BetSecrets,
+    /// Seconds between T0→T1→T2→T3.
+    pub phase_seconds: u64,
+    /// `Some(seed)` injects that deterministic fault schedule.
+    pub fault_seed: Option<u64>,
+    /// Seconds after scheduler start before this session begins.
+    pub start_delay: u64,
+}
+
+impl Default for BettingSpec {
+    fn default() -> Self {
+        BettingSpec {
+            alice: Strategy::Honest,
+            bob: Strategy::Honest,
+            secrets: GameConfig::default().secrets,
+            phase_seconds: 3600,
+            fault_seed: None,
+            start_delay: 0,
+        }
+    }
+}
+
+/// Specification of one challenge-variant session.
+#[derive(Debug, Clone)]
+pub struct ChallengeSpec {
+    /// The private bet.
+    pub secrets: BetSecrets,
+    /// Challenge window in seconds.
+    pub window: u64,
+    /// What the representative submits.
+    pub submit: SubmitStrategy,
+    /// What the watcher does during the window.
+    pub watch: WatchStrategy,
+    /// Whether (and when) the representative crashes.
+    pub crash: CrashPoint,
+    /// `Some(seed)` injects that deterministic fault schedule.
+    pub fault_seed: Option<u64>,
+    /// Seconds after scheduler start before this session begins.
+    pub start_delay: u64,
+}
+
+impl Default for ChallengeSpec {
+    fn default() -> Self {
+        ChallengeSpec {
+            secrets: GameConfig::default().secrets,
+            window: 1800,
+            submit: SubmitStrategy::Truthful,
+            watch: WatchStrategy::Vigilant,
+            crash: CrashPoint::None,
+            fault_seed: None,
+            start_delay: 0,
+        }
+    }
+}
+
+/// One session to multiplex: which protocol variant, with which knobs.
+#[derive(Debug, Clone)]
+pub enum SessionSpec {
+    /// A four-stage betting game.
+    Betting(BettingSpec),
+    /// A submit/challenge game.
+    Challenge(ChallengeSpec),
+    /// A confidential channel settled later by voucher.
+    SettleLater(SettleLaterSpec),
+}
+
+/// Terminal record of one multiplexed session. `PartialEq` because the
+/// light-session acceptance test compares whole reports bit-for-bit
+/// against a full-node run under the same seed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SessionReport {
+    /// Slot index (also the wallet-seed and topic namespace).
+    pub id: usize,
+    /// `"betting"`, `"challenge"` or `"settle-later"`.
+    pub kind: &'static str,
+    /// Outcome label, `None` if the session failed.
+    pub outcome: Option<&'static str>,
+    /// Protocol error, for failed sessions.
+    pub error: Option<String>,
+    /// Gas charged across every transaction the session sent.
+    pub total_gas: u64,
+    /// Gas per protocol stage `[deploy, deposit, submit, dispute]`
+    /// (see [`super::stage_bucket`]); sums to `total_gas`.
+    pub stage_gas: [u64; 4],
+    /// `(label, success)` of every on-chain transaction, in order.
+    pub txs: Vec<(String, bool)>,
+    /// Off-chain messages the session attempted to post.
+    pub messages_posted: usize,
+}
+
+/// Compiled contracts shared across sessions of one run (compiled once
+/// per variant, cloned into each session that needs them).
+#[derive(Default)]
+pub(crate) struct ContractCache {
+    betting: Option<(OnChainContract, OffChainContract)>,
+    challenge: Option<ChallengeContracts>,
+    confidential: Option<ConfidentialContracts>,
+}
+
+/// The deterministic wallets a session slot plays with, derivable from
+/// the slot id alone — what lets a run pre-fund every participant at
+/// genesis, before the session even exists.
+pub(crate) fn session_wallets(id: usize) -> [sc_chain::Wallet; 2] {
+    [
+        sc_chain::Wallet::from_seed(&format!("s{id}-alice")),
+        sc_chain::Wallet::from_seed(&format!("s{id}-bob")),
+    ]
+}
+
+/// Builds one session state machine from its spec.
+///
+/// `topic` namespaces the session's off-chain traffic on the shared
+/// bus. The session's wallets ([`session_wallets`]) must be funded at
+/// genesis.
+///
+/// Returns the boxed machine, its kind label, and the fault seed.
+pub(crate) fn build_session(
+    id: usize,
+    spec: SessionSpec,
+    topic: String,
+    contracts: &mut ContractCache,
+) -> (Box<dyn Session>, &'static str, Option<u64>) {
+    match spec {
+        SessionSpec::Betting(s) => {
+            let pair = contracts
+                .betting
+                .get_or_insert_with(|| (OnChainContract::new(), OffChainContract::new()))
+                .clone();
+            let session = BettingSession::new(BettingSessionParams {
+                alice: Participant::with_strategy(&format!("s{id}-alice"), s.alice),
+                bob: Participant::with_strategy(&format!("s{id}-bob"), s.bob),
+                config: GameConfig {
+                    phase_seconds: s.phase_seconds,
+                    secrets: s.secrets,
+                },
+                topic,
+                contracts: pair,
+                start_delay: s.start_delay,
+            });
+            (
+                Box::new(session) as Box<dyn Session>,
+                "betting",
+                s.fault_seed,
+            )
+        }
+        SessionSpec::Challenge(s) => {
+            let pair = contracts
+                .challenge
+                .get_or_insert_with(ChallengeContracts::new)
+                .clone();
+            let session = ChallengeSession::new(ChallengeSessionParams {
+                alice: Participant::honest(&format!("s{id}-alice")),
+                bob: Participant::honest(&format!("s{id}-bob")),
+                secrets: s.secrets,
+                window: s.window,
+                contracts: pair,
+                start_delay: s.start_delay,
+                submit: s.submit,
+                watch: s.watch,
+                crash: s.crash,
+            });
+            (
+                Box::new(session) as Box<dyn Session>,
+                "challenge",
+                s.fault_seed,
+            )
+        }
+        SessionSpec::SettleLater(s) => {
+            let contracts = contracts
+                .confidential
+                .get_or_insert_with(ConfidentialContracts::new)
+                .clone();
+            let [alice, bob] = session_wallets(id);
+            let fault_seed = s.fault_seed;
+            let session = SettleLaterSession::new(SettleLaterSessionParams {
+                alice,
+                bob,
+                spec: s,
+                topic,
+                contracts,
+            });
+            (
+                Box::new(session) as Box<dyn Session>,
+                "settle-later",
+                fault_seed,
+            )
+        }
+    }
+}

@@ -27,7 +27,7 @@ fn secrets_bob_wins() -> BetSecrets {
 fn run_cell(submit: SubmitStrategy, watch: WatchStrategy, crash: CrashPoint) -> ChallengeOutcome {
     let game = ChallengeGame::new(secrets_bob_wins(), WINDOW);
     let (game, report) = game.run_with_crash(submit, watch, crash);
-    check_conservation(&game.net).unwrap_or_else(|e| {
+    check_conservation(game.net()).unwrap_or_else(|e| {
         panic!("cell ({submit:?}, {watch:?}, {crash:?}): {e}");
     });
     // Every recorded tx has a sender who is one of the two participants.
@@ -53,11 +53,11 @@ fn dispute_winner_slot_proves_against_header_root() {
 
     let onchain = game.onchain;
     let slot = U256::from_u64(CHALLENGE_DEPLOYED_ADDR_SLOT);
-    let trusted = game.net.storage_at(onchain, slot);
+    let trusted = game.net().storage_at(onchain, slot);
     assert_ne!(trusted, U256::ZERO, "challenge() recorded deployedAddr");
 
-    let proof = game.net.prove_storage(onchain, slot);
-    let header_root = game.net.head().state_root;
+    let proof = game.net_mut().prove_storage(onchain, slot);
+    let header_root = game.net().head().state_root;
     assert_eq!(proof.root, header_root, "proof anchors to the sealed head");
     assert_eq!(proof.value, trusted);
     proof.verify(header_root).expect("honest witness verifies");
@@ -146,14 +146,14 @@ fn lie_stood_cell_conserves_ether_and_pays_the_liar() {
     let bob_addr = game.bob.wallet.address;
     let (game, report) = game.run(SubmitStrategy::False, WatchStrategy::Asleep);
     assert_eq!(report.outcome, ChallengeOutcome::LieStood);
-    check_conservation(&game.net).unwrap();
+    check_conservation(game.net()).unwrap();
     // The liar pocketed Bob's stake…
-    assert!(game.net.balance_of(alice_addr) > sc_primitives::ether(1000));
+    assert!(game.net().balance_of(alice_addr) > sc_primitives::ether(1000));
     // …and Bob lost at most stake + security deposit (he spent gas only
     // on his own deposit).
     let floor = sc_primitives::ether(1000)
         .wrapping_sub(sc_contracts::challenge::stake())
         .wrapping_sub(sc_contracts::challenge::security_deposit());
-    let bob_final = game.net.balance_of(bob_addr);
+    let bob_final = game.net().balance_of(bob_addr);
     assert!(bob_final >= floor.wrapping_sub(sc_primitives::ether(1) / U256::from_u64(100)));
 }

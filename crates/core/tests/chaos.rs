@@ -151,15 +151,16 @@ fn betting_cell(seed: u64, alice_strategy: Strategy, bob_strategy: Strategy) {
     // caught by the harness.
     let (game, report) = game.run().expect("driver terminates cleanly");
 
-    check_conservation(&game.net).unwrap();
-    check_state_commitments(&game.net).unwrap();
+    check_conservation(game.net()).unwrap();
+    check_state_commitments(game.net()).unwrap();
     for (who, addr, strategy) in [
         ("alice", alice_addr, alice_strategy),
         ("bob", bob_addr, bob_strategy),
     ] {
         if strategy == Strategy::Honest {
             let gas = U256::from_u64(report.gas_spent_by(addr)).wrapping_mul(gwei(1));
-            check_honest_floor(who, ether(1000), game.net.balance_of(addr), ether(1), gas).unwrap();
+            check_honest_floor(who, ether(1000), game.net().balance_of(addr), ether(1), gas)
+                .unwrap();
         }
     }
 }
@@ -173,8 +174,8 @@ fn challenge_cell(seed: u64, submit: SubmitStrategy, watch: WatchStrategy, crash
     let bob_addr = game.bob.wallet.address;
     let (game, report) = game.run_with_crash(submit, watch, crash);
 
-    check_conservation(&game.net).unwrap();
-    check_state_commitments(&game.net).unwrap();
+    check_conservation(game.net()).unwrap();
+    check_state_commitments(game.net()).unwrap();
     let deposit = stake().wrapping_add(security_deposit());
     // The watcher is honest under every watch behaviour; the
     // representative is honest when submitting truthfully (crashing is
@@ -185,7 +186,7 @@ fn challenge_cell(seed: u64, submit: SubmitStrategy, watch: WatchStrategy, crash
     }
     for (who, addr) in honest {
         let gas = U256::from_u64(report.gas_spent_by(addr)).wrapping_mul(gwei(1));
-        check_honest_floor(who, ether(1000), game.net.balance_of(addr), deposit, gas).unwrap();
+        check_honest_floor(who, ether(1000), game.net().balance_of(addr), deposit, gas).unwrap();
     }
 }
 
@@ -248,10 +249,10 @@ fn chaos_runs_are_deterministic_per_seed() {
                 .iter()
                 .map(|t| (t.label.clone(), t.gas_used, t.success))
                 .collect::<Vec<_>>(),
-            game.net.balance_of(alice_addr),
-            game.net.balance_of(bob_addr),
-            game.net.injected_faults().to_vec(),
-            game.whisper.injected_faults().to_vec(),
+            game.net().balance_of(alice_addr),
+            game.net().balance_of(bob_addr),
+            game.chain_faults().injected_faults().to_vec(),
+            game.whisper_faults().injected_faults().to_vec(),
         )
     };
     assert_eq!(
@@ -277,9 +278,9 @@ fn chaos_runs_are_deterministic_per_seed() {
                 .iter()
                 .map(|t| (t.label.clone(), t.sender, t.gas_used, t.success))
                 .collect::<Vec<_>>(),
-            game.net.balance_of(alice_addr),
-            game.net.balance_of(bob_addr),
-            game.net.injected_faults().to_vec(),
+            game.net().balance_of(alice_addr),
+            game.net().balance_of(bob_addr),
+            game.chain_faults().injected_faults().to_vec(),
         )
     };
     assert_eq!(

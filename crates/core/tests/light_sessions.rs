@@ -96,6 +96,7 @@ fn light_run_is_bit_identical_to_full_node_run_on_a_quiet_network() {
 }
 
 #[test]
+#[ignore = "widest sweep of the suite; run in release by the CI light-client step"]
 fn light_run_is_bit_identical_to_full_node_run_under_chaos_seeds() {
     // Chaos seeds draw link faults *and* per-session chain, whisper and
     // light faults. Light faults are liveness-only by construction, so

@@ -58,10 +58,13 @@ fn honest_game_settles_without_revealing_anything() {
     // The dispute machinery never ran.
     assert_eq!(report.stage_gas(Stage::DisputeResolve), 0);
     // Bob ended up richer by ~1 ether (minus his own gas).
-    let bob_balance = game.net.balance_of(bob_addr);
+    let bob_balance = game.net().balance_of(bob_addr);
     assert!(bob_balance > ether(1000));
     // The on-chain contract is drained.
-    assert_eq!(game.net.balance_of(game.onchain_addr.unwrap()), U256::ZERO);
+    assert_eq!(
+        game.net().balance_of(game.onchain_addr.unwrap()),
+        U256::ZERO
+    );
     // Off-chain communication happened (two signatures).
     assert_eq!(report.offchain_messages, 2);
 }
@@ -78,12 +81,12 @@ fn dispute_path_enforces_true_result() {
     assert_eq!(report.outcome, Outcome::SettledByDispute);
     assert!(report.dispute);
     // The true result (Bob wins) was enforced by the miners.
-    let bob_balance = game.net.balance_of(bob_addr);
+    let bob_balance = game.net().balance_of(bob_addr);
     assert!(
         bob_balance > ether(1000),
         "winner must receive both deposits despite the silent loser"
     );
-    let alice_balance = game.net.balance_of(alice_addr);
+    let alice_balance = game.net().balance_of(alice_addr);
     assert!(alice_balance < ether(1000), "loser lost the deposit");
     // Privacy cost of the dispute: the entire bytecode is now public.
     assert_eq!(report.offchain_bytes_revealed, game.offchain_bytecode.len());
@@ -102,7 +105,7 @@ fn dispute_resolves_for_alice_as_winner_too() {
     let (game, report) = game.run().unwrap();
     assert_eq!(report.outcome, Outcome::SettledByDispute);
     assert!(!report.winner_is_bob);
-    assert!(game.net.balance_of(alice_addr) > ether(1000));
+    assert!(game.net().balance_of(alice_addr) > ether(1000));
 }
 
 #[test]
@@ -125,7 +128,7 @@ fn forged_bytecode_is_rejected_on_chain() {
         "the forger pays for the failed attempt"
     );
     // Justice still prevails.
-    assert!(game.net.balance_of(bob_addr) > ether(1000));
+    assert!(game.net().balance_of(bob_addr) > ether(1000));
 }
 
 #[test]
@@ -138,11 +141,14 @@ fn tampered_signature_aborts_before_any_deposit() {
 
     assert_eq!(report.outcome, Outcome::AbortedAtSigning);
     // No deposits ever reached the contract.
-    assert_eq!(game.net.balance_of(game.onchain_addr.unwrap()), U256::ZERO);
+    assert_eq!(
+        game.net().balance_of(game.onchain_addr.unwrap()),
+        U256::ZERO
+    );
     // Nobody lost more than deploy gas.
-    assert!(game.net.balance_of(bob_addr) == ether(1000));
+    assert!(game.net().balance_of(bob_addr) == ether(1000));
     assert!(
-        game.net.balance_of(alice_addr) < ether(1000),
+        game.net().balance_of(alice_addr) < ether(1000),
         "deployer paid gas"
     );
 }
@@ -157,7 +163,7 @@ fn refusing_to_sign_aborts() {
     // Alice re-posts every signing round until the deadline; Bob never
     // posts anything.
     assert!(report.offchain_messages >= 1);
-    let history = game.whisper.history(sc_core::protocol::SIGNATURE_TOPIC);
+    let history = game.whisper().history(sc_core::protocol::SIGNATURE_TOPIC);
     assert!(!history.is_empty());
     assert!(
         history.iter().all(|env| env.from == alice_addr),
@@ -173,12 +179,15 @@ fn no_show_leads_to_refund() {
     let (game, report) = game.run().unwrap();
     assert_eq!(report.outcome, Outcome::Refunded);
     // Alice got her ether back (minus gas).
-    let spent = ether(1000).wrapping_sub(game.net.balance_of(alice_addr));
+    let spent = ether(1000).wrapping_sub(game.net().balance_of(alice_addr));
     assert!(
         spent < ether(1) / U256::from_u64(100),
         "alice only lost gas, not the deposit: spent {spent}"
     );
-    assert_eq!(game.net.balance_of(game.onchain_addr.unwrap()), U256::ZERO);
+    assert_eq!(
+        game.net().balance_of(game.onchain_addr.unwrap()),
+        U256::ZERO
+    );
 }
 
 #[test]
@@ -261,14 +270,14 @@ fn verified_instance_is_linked_to_its_creator() {
     let (game, _report) = game.run().unwrap();
     let onchain = game.onchain_addr.unwrap();
     let instance = sc_primitives::Address::from_u256(
-        game.net
+        game.net()
             .storage_at(onchain, U256::from_u64(sc_contracts::DEPLOYED_ADDR_SLOT)),
     );
     assert!(!instance.is_zero());
     // CREATE address derivation: keccak(rlp([onchain, nonce=1])).
     assert_eq!(instance, sc_evm::contract_address(onchain, 1));
     // And the instance's code is the off-chain contract's runtime.
-    assert!(!game.net.code_at(instance).is_empty());
+    assert!(!game.net().code_at(instance).is_empty());
 }
 
 #[test]
@@ -279,7 +288,7 @@ fn outsider_cannot_enforce_resolution_directly() {
     let game = game_with(Strategy::Honest, Strategy::Honest, secrets);
     let (mut game, _report) = game.run().unwrap();
     let onchain = game.onchain_addr.unwrap();
-    let mallory = game.net.funded_wallet("mallory", ether(10));
+    let mallory = game.net_mut().funded_wallet("mallory", ether(10));
     let data = game
         .onchain_abi
         .compiled
@@ -289,7 +298,7 @@ fn outsider_cannot_enforce_resolution_directly() {
         )
         .unwrap();
     let r = game
-        .net
+        .net_mut()
         .execute(&mallory, onchain, U256::ZERO, data, 500_000)
         .unwrap();
     assert!(!r.success, "deployedAddrOnly must reject outsiders");

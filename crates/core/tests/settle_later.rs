@@ -16,15 +16,24 @@
 //! * **Timeout degradation** — a session that never completes the
 //!   exchange reclaims both stakes after the deadline.
 //! * **Composition** — settle-later sessions interleave with betting
-//!   and challenge sessions on one shared chain (outbox and pooled),
-//!   and run over the multi-node network, conserving ether everywhere
-//!   and staying bit-identical per seed.
+//!   and challenge sessions on one node, and run over the multi-node
+//!   network, conserving ether everywhere and staying bit-identical per
+//!   seed.
 
-use sc_chain::PoolConfig;
+use sc_chain::{PoolConfig, Testnet};
 use sc_core::{
     check_conservation, check_state_commitments, BettingSpec, ChallengeSpec, NetworkScheduler,
-    SessionReport, SessionScheduler, SessionSpec, SettleLaterCrash, SettleLaterSpec,
+    SessionReport, SessionSpec, SettleLaterCrash, SettleLaterSpec,
 };
+
+/// The single-node scheduler every single-chain test here runs on.
+fn one_node(specs: Vec<SessionSpec>) -> NetworkScheduler {
+    NetworkScheduler::new(specs, 1, PoolConfig::default(), None)
+}
+
+fn chain(sched: &NetworkScheduler) -> &Testnet {
+    sched.network().node(0)
+}
 
 fn settle_later(tweak: impl FnOnce(&mut SettleLaterSpec)) -> SessionSpec {
     let mut spec = SettleLaterSpec::default();
@@ -32,8 +41,8 @@ fn settle_later(tweak: impl FnOnce(&mut SettleLaterSpec)) -> SessionSpec {
     SessionSpec::SettleLater(spec)
 }
 
-fn run_single(spec: SessionSpec) -> (SessionReport, SessionScheduler) {
-    let mut sched = SessionScheduler::new(vec![spec]);
+fn run_single(spec: SessionSpec) -> (SessionReport, NetworkScheduler) {
+    let mut sched = one_node(vec![spec]);
     let mut reports = sched.run();
     (reports.remove(0), sched)
 }
@@ -71,8 +80,8 @@ fn happy_path_settles_by_voucher_and_withdraws() {
     let staged: u64 = r.stage_gas.iter().sum();
     assert_eq!(staged, r.total_gas, "stage gas must sum to total");
     assert!(r.stage_gas[0] > 0 && r.stage_gas[1] > 0 && r.stage_gas[2] > 0);
-    check_conservation(sched.net()).unwrap();
-    check_state_commitments(sched.net()).unwrap();
+    check_conservation(chain(&sched)).unwrap();
+    check_state_commitments(chain(&sched)).unwrap();
 }
 
 #[test]
@@ -89,7 +98,7 @@ fn crashed_cosigner_is_settled_by_the_counterparty() {
     assert_eq!(trace.iter().filter(|l| **l == "settle").count(), 1);
     assert_eq!(trace.iter().filter(|l| **l == "withdraw").count(), 1);
     assert!(r.txs.iter().all(|(_, ok)| *ok), "trace: {:?}", r.txs);
-    check_conservation(sched.net()).unwrap();
+    check_conservation(chain(&sched)).unwrap();
 }
 
 #[test]
@@ -114,7 +123,7 @@ fn double_submission_settles_exactly_once() {
     // Both parties still withdraw their voucher outputs.
     let trace = labels(&r);
     assert_eq!(trace.iter().filter(|l| **l == "withdraw").count(), 2);
-    check_conservation(sched.net()).unwrap();
+    check_conservation(chain(&sched)).unwrap();
 }
 
 #[test]
@@ -130,48 +139,38 @@ fn no_voucher_degrades_to_reclaim_after_deadline() {
     assert_eq!(trace.iter().filter(|l| **l == "settle").count(), 0);
     assert_eq!(trace.iter().filter(|l| **l == "reclaim").count(), 2);
     assert!(r.txs.iter().all(|(_, ok)| *ok), "trace: {:?}", r.txs);
-    check_conservation(sched.net()).unwrap();
+    check_conservation(chain(&sched)).unwrap();
 }
 
 /// Settle-later sessions interleaved with betting and challenge games
-/// on one shared chain, in both mining modes: everyone terminates
-/// validly and the chain conserves ether.
+/// on one shared chain: everyone terminates validly and the chain
+/// conserves ether.
 #[test]
 fn composes_with_other_session_kinds_on_a_shared_chain() {
-    let specs = || {
-        vec![
-            SessionSpec::Betting(BettingSpec::default()),
-            settle_later(|s| s.start_delay = 120),
-            SessionSpec::Challenge(ChallengeSpec::default()),
-            settle_later(|s| {
-                s.double_submit = true;
-                s.fault_seed = Some(0xC0FF_EE00_u64);
-                s.start_delay = 300;
-            }),
-        ]
-    };
-
-    for pooled in [false, true] {
-        let mut sched = if pooled {
-            SessionScheduler::new_pooled(specs(), PoolConfig::default())
-        } else {
-            SessionScheduler::new(specs())
-        };
-        let reports = sched.run();
-        for r in &reports {
-            assert!(
-                r.error.is_none() && r.outcome.is_some(),
-                "session {} ({}) failed (pooled = {pooled}): {:?}",
-                r.id,
-                r.kind,
-                r.error
-            );
-        }
-        assert_eq!(reports[1].outcome, Some("settled"));
-        assert_eq!(reports[3].outcome, Some("settled-double-submit"));
-        check_conservation(sched.net()).unwrap();
-        check_state_commitments(sched.net()).unwrap();
+    let mut sched = one_node(vec![
+        SessionSpec::Betting(BettingSpec::default()),
+        settle_later(|s| s.start_delay = 120),
+        SessionSpec::Challenge(ChallengeSpec::default()),
+        settle_later(|s| {
+            s.double_submit = true;
+            s.fault_seed = Some(0xC0FF_EE00_u64);
+            s.start_delay = 300;
+        }),
+    ]);
+    let reports = sched.run();
+    for r in &reports {
+        assert!(
+            r.error.is_none() && r.outcome.is_some(),
+            "session {} ({}) failed: {:?}",
+            r.id,
+            r.kind,
+            r.error
+        );
     }
+    assert_eq!(reports[1].outcome, Some("settled"));
+    assert_eq!(reports[3].outcome, Some("settled-double-submit"));
+    check_conservation(chain(&sched)).unwrap();
+    check_state_commitments(chain(&sched)).unwrap();
 }
 
 /// Whisper faults on the voucher exchange delay but never corrupt the
@@ -192,7 +191,7 @@ fn faulted_runs_settle_and_are_deterministic() {
     };
 
     let run = || {
-        let mut sched = SessionScheduler::new(specs());
+        let mut sched = one_node(specs());
         let reports = sched.run();
         for r in &reports {
             assert!(
@@ -202,7 +201,7 @@ fn faulted_runs_settle_and_are_deterministic() {
                 r.error
             );
         }
-        check_conservation(sched.net()).unwrap();
+        check_conservation(chain(&sched)).unwrap();
         let fingerprint: Vec<String> = reports
             .iter()
             .map(|r| {
@@ -212,7 +211,7 @@ fn faulted_runs_settle_and_are_deterministic() {
                 )
             })
             .collect();
-        (fingerprint, sched.net().head().hash)
+        (fingerprint, chain(&sched).head().hash)
     };
     assert_eq!(
         run(),

@@ -1,20 +1,16 @@
 //! A deterministic transaction pool and fee market.
 //!
-//! The session engine's outbox mode flushes every tick's transactions
-//! straight into one block: no admission layer, no block gas limit, no
-//! price signal — and a measured utilization of under 3 txs/block at
-//! 256 concurrent sessions. On a real chain the paper's on-chain side
-//! competes for block space like any other contract, so the
-//! reproduction needs what every node has: a pool that *orders* (per
-//! -sender nonce queues), *prices* (a fee-priority heap with
-//! replacement and eviction rules) and *packs* (greedy fill under a
-//! block gas limit, nonce order preserved).
+//! On a real chain the paper's on-chain side competes for block space
+//! like any other contract, so the reproduction needs what every node
+//! has: a pool that *orders* (per-sender nonce queues), *prices* (a
+//! fee-priority heap with replacement and eviction rules) and *packs*
+//! (greedy fill under a block gas limit, nonce order preserved).
 //!
 //! Everything is bit-deterministic. Ties in the fee market are broken
 //! by arrival sequence, iteration is over ordered maps, and no clock or
 //! randomness is consulted: the same admission sequence always yields
-//! the same packed block sequence, which is what lets the session
-//! engine's determinism proptests extend to pooled mode.
+//! the same packed block sequence, which is what the session engine's
+//! determinism proptests rely on.
 //!
 //! The pool is generic over its payload `T` (the signed transaction
 //! plus whatever the chain caches alongside it) and depends only on
@@ -39,11 +35,6 @@ pub struct PoolConfig {
     /// to be accepted (the classic anti-spam bump; 10 on mainnet-era
     /// clients).
     pub replacement_bump_percent: u64,
-    /// How long (in chain seconds) a pooled miner may hold the oldest
-    /// pending transaction while it waits for more traffic to batch.
-    /// Consumed by the scheduler's pooled mining loop, not by the pool
-    /// itself.
-    pub max_hold_secs: u64,
 }
 
 impl Default for PoolConfig {
@@ -51,7 +42,6 @@ impl Default for PoolConfig {
         PoolConfig {
             capacity: 4096,
             replacement_bump_percent: 10,
-            max_hold_secs: 120,
         }
     }
 }
@@ -125,8 +115,6 @@ struct Entry<T> {
     payload: T,
     /// Admission sequence number — the deterministic FIFO tie-break.
     seq: u64,
-    /// Chain timestamp at admission (drives the miner's hold window).
-    entered_at: u64,
 }
 
 /// A packing candidate: the lowest-nonce *ready* transaction of one
@@ -207,16 +195,6 @@ impl<T> Mempool<T> {
         self.by_hash.contains_key(&hash)
     }
 
-    /// Earliest admission timestamp among resident transactions — the
-    /// anchor of the miner's hold window.
-    pub fn earliest_entry(&self) -> Option<u64> {
-        self.senders
-            .values()
-            .flat_map(|q| q.values())
-            .map(|e| e.entered_at)
-            .min()
-    }
-
     /// The next nonce a self-signing sender should use: `base` (the
     /// account nonce) advanced past the contiguous run of its pooled
     /// transactions.
@@ -262,8 +240,10 @@ impl<T> Mempool<T> {
     /// (requires the configured fee bump), eviction of the cheapest
     /// queue tail if the pool is full. The caller has already done the
     /// chain-level validation (signature, intrinsic gas, balance,
-    /// nonce ≥ account nonce).
-    pub fn insert(&mut self, meta: TxMeta, payload: T, now: u64) -> Result<Admitted, PoolError> {
+    /// nonce ≥ account nonce). `_now` is the chain timestamp at
+    /// admission; nothing in the pool is time-driven (ordering is price
+    /// then admission sequence), so it is accepted and not stored.
+    pub fn insert(&mut self, meta: TxMeta, payload: T, _now: u64) -> Result<Admitted, PoolError> {
         if self.by_hash.contains_key(&meta.hash) {
             return Ok(Admitted::AlreadyPooled);
         }
@@ -289,15 +269,10 @@ impl<T> Mempool<T> {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.by_hash.insert(meta.hash, (meta.sender, meta.nonce));
-            self.senders.get_mut(&meta.sender).expect("checked").insert(
-                meta.nonce,
-                Entry {
-                    meta,
-                    payload,
-                    seq,
-                    entered_at: now,
-                },
-            );
+            self.senders
+                .get_mut(&meta.sender)
+                .expect("checked")
+                .insert(meta.nonce, Entry { meta, payload, seq });
             return Ok(Admitted::Replaced(old_hash));
         }
 
@@ -323,15 +298,10 @@ impl<T> Mempool<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.by_hash.insert(meta.hash, (meta.sender, meta.nonce));
-        self.senders.entry(meta.sender).or_default().insert(
-            meta.nonce,
-            Entry {
-                meta,
-                payload,
-                seq,
-                entered_at: now,
-            },
-        );
+        self.senders
+            .entry(meta.sender)
+            .or_default()
+            .insert(meta.nonce, Entry { meta, payload, seq });
         self.len += 1;
         Ok(match evicted_other {
             Some(h) => Admitted::EvictedOther(h),
@@ -620,16 +590,5 @@ mod tests {
         p.insert(meta(1, 8, 5, 21_000), 0, 0).unwrap();
         p.insert(meta(1, 10, 5, 21_000), 0, 0).unwrap(); // gap at 9
         assert_eq!(p.next_nonce(addr(1), 7), 9, "stops at the gap");
-    }
-
-    #[test]
-    fn earliest_entry_anchors_the_hold_window() {
-        let mut p = pool(16);
-        assert_eq!(p.earliest_entry(), None);
-        p.insert(meta(1, 0, 5, 21_000), 0, 400).unwrap();
-        p.insert(meta(2, 0, 5, 21_000), 0, 300).unwrap();
-        assert_eq!(p.earliest_entry(), Some(300));
-        p.pack(1_000_000, |_| 0);
-        assert_eq!(p.earliest_entry(), None);
     }
 }

@@ -61,7 +61,7 @@ fn main() {
     assert_eq!(report.outcome, Outcome::SettledByDispute);
     let onchain = game.onchain_addr.unwrap();
     let instance = Address::from_u256(
-        game.net
+        game.net()
             .storage_at(onchain, U256::from_u64(DEPLOYED_ADDR_SLOT)),
     );
     println!("\n== dispute resolution ==");
@@ -74,7 +74,7 @@ fn main() {
     assert_eq!(instance, contract_address(onchain, 1));
     println!(
         "verified instance runtime code: {} bytes now public on-chain",
-        game.net.code_at(instance).len()
+        game.net().code_at(instance).len()
     );
     println!(
         "privacy cost of the dispute: {} bytes of the off-chain contract revealed",
@@ -82,10 +82,10 @@ fn main() {
     );
     println!(
         "\nBob (the honest winner) holds {} wei — both deposits, enforced by miners",
-        game.net.balance_of(game.bob.wallet.address)
+        game.net().balance_of(game.bob.wallet.address)
     );
     println!(
         "Alice (the dishonest loser) holds {} wei",
-        game.net.balance_of(game.alice.wallet.address)
+        game.net().balance_of(game.alice.wallet.address)
     );
 }

@@ -54,8 +54,8 @@ fn main() {
     println!("winner (computed privately, enforced by concession): {winner}");
     println!(
         "alice balance: {} wei, bob balance: {} wei",
-        game.net.balance_of(alice),
-        game.net.balance_of(bob)
+        game.net().balance_of(alice),
+        game.net().balance_of(bob)
     );
     println!(
         "off-chain bytes revealed on-chain: {} (privacy preserved)",
@@ -71,7 +71,7 @@ fn main() {
         secrets.weight
     );
     assert!(
-        game.net
+        game.net()
             .balance_of(if report.winner_is_bob { bob } else { alice })
             > ether(1000)
     );

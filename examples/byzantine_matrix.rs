@@ -58,7 +58,7 @@ fn main() {
         let bob_addr = game.bob.wallet.address;
         let (game, report) = game.run().expect("protocol");
         let delta = |addr| {
-            let now = game.net.balance_of(addr);
+            let now = game.net().balance_of(addr);
             let start = ether(1000);
             if now >= start {
                 format!("+{}", now.wrapping_sub(start))
@@ -81,17 +81,20 @@ fn main() {
         match report.outcome {
             Outcome::SettledHonestly | Outcome::SettledByDispute => {
                 assert!(
-                    game.net.balance_of(bob_addr) > ether(1000),
+                    game.net().balance_of(bob_addr) > ether(1000),
                     "honest winner must profit"
                 );
                 assert!(
-                    game.net.balance_of(alice_addr) < ether(1000),
+                    game.net().balance_of(alice_addr) < ether(1000),
                     "loser must pay"
                 );
             }
             Outcome::AbortedAtSigning | Outcome::Refunded => {
                 // Nobody's deposit is stuck in the contract.
-                assert_eq!(game.net.balance_of(game.onchain_addr.unwrap()), U256::ZERO);
+                assert_eq!(
+                    game.net().balance_of(game.onchain_addr.unwrap()),
+                    U256::ZERO
+                );
             }
         }
     }

@@ -38,8 +38,8 @@ fn show(title: &str, submit: SubmitStrategy, watch: WatchStrategy) -> ChallengeO
     println!("  outcome: {:?}", report.outcome);
     println!(
         "  alice: {} | bob: {} (start 1000 ether each)",
-        game.net.balance_of(alice),
-        game.net.balance_of(bob)
+        game.net().balance_of(alice),
+        game.net().balance_of(bob)
     );
     println!(
         "  off-chain bytes revealed: {}",
