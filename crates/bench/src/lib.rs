@@ -15,7 +15,6 @@ pub mod pipeline;
 pub mod regress;
 pub mod sessions;
 pub mod state;
-pub mod trie;
 
 use sc_chain::Testnet;
 use sc_contracts::{BetSecrets, MonolithicContract, Timeline};

@@ -1,30 +1,25 @@
 //! Measures what optimistic parallel execution buys at the seal: the
-//! same packed block committed three ways —
-//!
-//! * **reference serial** — [`Testnet::mine_block_serial`], the
-//!   determinism baseline that re-derives every sender and hash before
-//!   executing one-by-one;
-//! * **cached serial** — [`Testnet::mine_block`] with
-//!   [`ExecMode::Serial`], admission caches hot;
-//! * **parallel** — [`Testnet::mine_block`] with
-//!   [`ExecMode::Parallel`], Block-STM-style speculation plus in-order
-//!   validation.
+//! same packed block committed by [`Testnet::mine_block`] under
+//! [`ExecMode::Serial`] and under [`ExecMode::Parallel`] (Block-STM-style
+//! speculation plus in-order validation), admission caches hot in both.
 //!
 //! Two workloads per N: *conflict-light* (every sender writes its own
 //! storage slot — the whole block validates speculatively) and
 //! *conflict-heavy* (every transaction read-modify-writes slot 0 of one
 //! contract — only the first speculation survives, the rest re-execute
-//! serially). The three blocks are asserted byte-identical before any
+//! serially). The two blocks are asserted byte-identical before any
 //! number is reported. Results land in `BENCH_parallel_evm.json` at the
-//! repository root; the acceptance bound is ≥ 2× seal speedup over the
-//! reference at N = 256 conflict-light.
+//! repository root. The speedup is serial over parallel — the strongest
+//! baseline, not one that re-derives senders — and is a single-shot
+//! wall-clock ratio, so nothing gates on it; the deterministic
+//! conflict-light abort rate is what `bench_check` holds.
 
 use sc_chain::{ChainConfig, ExecMode, SealReport, Testnet, Transaction};
 use sc_primitives::{gwei, U256};
 use std::time::Instant;
 
 /// Runtime that stores calldata word 1 at the slot named by calldata
-/// word 0 (shared with the trie bench).
+/// word 0.
 const STORE_RUNTIME: [u8; 8] = [0x60, 0x20, 0x35, 0x60, 0x00, 0x35, 0x55, 0x00];
 
 /// Runtime that increments slot 0 — `PUSH1 0 SLOAD PUSH1 1 ADD PUSH1 0
@@ -58,10 +53,7 @@ pub struct ParallelPoint {
     pub n: usize,
     /// Which block shape was mined.
     pub workload: Workload,
-    /// Seal time of [`Testnet::mine_block_serial`] (re-derivation +
-    /// serial execution), nanoseconds.
-    pub reference_serial_ns: u128,
-    /// Seal time of the cached serial path, nanoseconds.
+    /// Seal time of the serial executor, nanoseconds.
     pub cached_serial_ns: u128,
     /// Seal time of the parallel executor, nanoseconds.
     pub parallel_ns: u128,
@@ -74,10 +66,9 @@ pub struct ParallelPoint {
 }
 
 impl ParallelPoint {
-    /// Headline speedup: reference serial seal time over parallel seal
-    /// time.
+    /// Serial seal time over parallel seal time.
     pub fn speedup(&self) -> f64 {
-        self.reference_serial_ns as f64 / self.parallel_ns.max(1) as f64
+        self.cached_serial_ns as f64 / self.parallel_ns.max(1) as f64
     }
 
     /// Fraction of the block that conflicted (0.0 for a fully
@@ -92,7 +83,6 @@ impl ParallelPoint {
                 "    {{\n",
                 "      \"workload\": \"{}\",\n",
                 "      \"n\": {},\n",
-                "      \"reference_serial_ns\": {},\n",
                 "      \"cached_serial_ns\": {},\n",
                 "      \"parallel_ns\": {},\n",
                 "      \"speculative\": {},\n",
@@ -103,7 +93,6 @@ impl ParallelPoint {
             ),
             self.workload.label(),
             self.n,
-            self.reference_serial_ns,
             self.cached_serial_ns,
             self.parallel_ns,
             self.speculative,
@@ -124,13 +113,6 @@ pub struct ParallelReport {
 }
 
 impl ParallelReport {
-    /// The conflict-light point at the given N, if measured.
-    pub fn light_at(&self, n: usize) -> Option<&ParallelPoint> {
-        self.points
-            .iter()
-            .find(|p| p.workload == Workload::ConflictLight && p.n == n)
-    }
-
     /// Serialises the report as a small JSON object (hand-rolled: the
     /// workspace is std-only by design).
     pub fn to_json(&self) -> String {
@@ -206,16 +188,11 @@ fn prepare(mode: ExecMode, workload: Workload, n: usize) -> Testnet {
     net
 }
 
-/// Measures one (workload, N): three identically-prepared chains, one
+/// Measures one (workload, N): two identically-prepared chains, one
 /// timed seal each, blocks asserted byte-identical before reporting.
 pub fn measure_point(workload: Workload, n: usize) -> ParallelPoint {
-    let mut reference = prepare(ExecMode::Serial, workload, n);
     let mut cached = prepare(ExecMode::Serial, workload, n);
     let mut parallel = prepare(ExecMode::Parallel, workload, n);
-
-    let start = Instant::now();
-    let ref_block = reference.mine_block_serial();
-    let reference_serial_ns = start.elapsed().as_nanos();
 
     let start = Instant::now();
     let cached_block = cached.mine_block();
@@ -225,9 +202,8 @@ pub fn measure_point(workload: Workload, n: usize) -> ParallelPoint {
     let par_block = parallel.mine_block();
     let parallel_ns = start.elapsed().as_nanos();
 
-    assert_eq!(ref_block.hash, cached_block.hash, "cached serial diverged");
-    assert_eq!(ref_block.hash, par_block.hash, "parallel seal diverged");
-    assert_eq!(ref_block.transactions.len(), n, "block dropped txs");
+    assert_eq!(cached_block.hash, par_block.hash, "parallel seal diverged");
+    assert_eq!(cached_block.transactions.len(), n, "block dropped txs");
 
     let SealReport {
         speculative,
@@ -237,7 +213,6 @@ pub fn measure_point(workload: Workload, n: usize) -> ParallelPoint {
     ParallelPoint {
         n,
         workload,
-        reference_serial_ns,
         cached_serial_ns,
         parallel_ns,
         speculative,
@@ -284,7 +259,7 @@ mod tests {
         assert_eq!(p.speculative, 8);
         assert_eq!(p.reexecuted, 0);
         assert_eq!(p.abort_rate(), 0.0);
-        assert!(p.reference_serial_ns > 0 && p.parallel_ns > 0);
+        assert!(p.cached_serial_ns > 0 && p.parallel_ns > 0);
     }
 
     #[test]
@@ -306,7 +281,5 @@ mod tests {
         assert!(json.contains("\"workload\": \"conflict_light\""));
         assert!(json.contains("\"speedup\""));
         assert!(json.contains("\"abort_rate\""));
-        assert!(report.light_at(4).is_some());
-        assert!(report.light_at(999).is_none());
     }
 }

@@ -110,7 +110,7 @@ fn admit_serial(
     txs: Vec<SignedTransaction>,
 ) -> (Vec<Result<H256, TxError>>, H256) {
     let outcomes: Vec<_> = txs.into_iter().map(|t| net.submit(t)).collect();
-    (outcomes, net.mine_block_serial().hash)
+    (outcomes, net.mine_block().hash)
 }
 
 /// Admits `txs` via the parallel batch path, returning the same shape.

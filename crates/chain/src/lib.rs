@@ -1,9 +1,9 @@
-//! A deterministic, single-node Ethereum-style chain simulator.
+//! A deterministic Ethereum-style chain node.
 //!
 //! Stands in for the Kovan testnet of the paper's evaluation: accounts and
-//! world state, ECDSA-signed transactions with sender recovery, instant
-//! sealing with controllable timestamps, receipts, and exact Yellow-Paper
-//! gas settlement (intrinsic gas, refund cap, miner payment).
+//! world state, ECDSA-signed transactions with sender recovery, a fee-market
+//! pool, instant sealing with controllable timestamps, receipts, exact
+//! Yellow-Paper gas settlement, and import of peers' blocks with reorgs.
 //!
 //! * [`overlay`] — flat-state [`overlay::StateOverlay`]: the `(address,
 //!   slot) → value` maps every read and write hits, with per-block
@@ -22,8 +22,8 @@
 //!   transactions (identities re-derived locally on decode).
 //! * [`light`] — [`light::HeaderClient`]: a light client tracking
 //!   verified headers only, serving proof-checked storage reads.
-//! * [`testnet`] — the [`testnet::Testnet`] facade, including block
-//!   import, fork choice and reorg rollback/replay.
+//! * [`testnet`] — the [`testnet::Testnet`] node: admission, sealing,
+//!   and block import (the reference executor) with fork choice.
 
 #![warn(missing_docs)]
 

@@ -211,7 +211,7 @@ impl HeaderClient {
     /// Checks a storage proof against the `state_root` of the tracked
     /// canonical header at `number` — the historical-read counterpart
     /// of [`HeaderClient::verified_storage`], pairing with a full
-    /// node's archive proofs ([`crate::testnet::Testnet::prove_storage_at`]).
+    /// node's archive proofs ([`crate::state::WorldState::prove_storage_at`]).
     /// Fails with [`ProofVerifyError::UntrackedHeader`] when the client
     /// does not track that height.
     pub fn verified_storage_at(
@@ -238,7 +238,7 @@ impl HeaderClient {
     /// Checks an account proof against the tracked canonical header at
     /// `number` — the historical counterpart of
     /// [`HeaderClient::verified_account`], pairing with
-    /// [`crate::testnet::Testnet::prove_account_at`].
+    /// [`crate::state::WorldState::prove_account_at`].
     pub fn verified_account_at(
         &self,
         number: u64,

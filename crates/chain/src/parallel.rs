@@ -24,8 +24,8 @@
 //!
 //! Either way every transaction's effects are byte-for-byte the serial
 //! result, so the sealed block (state root, receipts root, gas, logs,
-//! hash) is identical to `mine_block_serial`'s regardless of thread
-//! scheduling.
+//! hash) is identical to a serial seal's regardless of thread
+//! scheduling — which every follower re-proves by replaying it serially.
 //!
 //! **Coinbase fees.** Every transaction pays the miner, so the
 //! coinbase balance changes at every slot — tracked as a read it would

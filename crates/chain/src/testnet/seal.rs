@@ -1,0 +1,320 @@
+//! Block building: packing the pool, the one execution core that both
+//! sealing and import run, and the commit tail that indexes a block.
+
+use super::admit::PendingTx;
+use super::import::BlockUndoRec;
+use super::Testnet;
+use crate::block::{self, Block, FailureReason, Receipt};
+use crate::parallel::{self, ExecMode, SealReport};
+use crate::tx::SignedTransaction;
+use sc_evm::host::Host;
+use sc_evm::{CallParams, Evm};
+use sc_primitives::{H256, U256};
+use std::sync::Arc;
+
+/// What executing a block's transactions determined: the receipts plus
+/// every header field that commits to the execution.
+pub(super) struct Executed {
+    pub(super) receipts: Vec<Receipt>,
+    pub(super) gas_used: u64,
+    pub(super) state_root: H256,
+    pub(super) receipts_root: H256,
+    speculative: usize,
+    reexecuted: usize,
+}
+
+impl Testnet {
+    /// Mines the next block and returns it: a greedy fee-priority pack
+    /// of the pool under the block gas limit (per-sender nonce order
+    /// preserved, leftovers stay pooled for later blocks).
+    ///
+    /// The expensive pre-execution work (sender recovery, tx hashing,
+    /// intrinsic gas) was cached on each [`PendingTx`] at admission, so
+    /// this is purely the sequential commit phase.
+    pub fn mine_block(&mut self) -> Block {
+        let state = &self.state;
+        let txs: Vec<PendingTx> = self
+            .pool
+            .pack(self.config.block_gas_limit, |a| state.nonce(a))
+            .into_iter()
+            .map(|(_, ptx)| ptx)
+            .collect();
+
+        self.time += self.config.block_interval;
+        let number = self.head().number + 1;
+        let timestamp = self.time;
+        let parent_hash = self.head().hash;
+
+        let executed = self
+            .execute_block(&txs, number, timestamp, false)
+            .expect("pool-packed transactions are not re-checked");
+        self.last_seal = Some(SealReport {
+            mode: self.config.exec,
+            txs: txs.len(),
+            speculative: executed.speculative,
+            reexecuted: executed.reexecuted,
+        });
+
+        let txs: Vec<SignedTransaction> = txs.into_iter().map(|p| p.signed).collect();
+        let block = Block {
+            number,
+            timestamp,
+            parent_hash,
+            hash: Block::compute_hash(
+                number,
+                timestamp,
+                parent_hash,
+                executed.state_root,
+                executed.receipts_root,
+                executed.gas_used,
+                &txs,
+            ),
+            state_root: executed.state_root,
+            receipts_root: executed.receipts_root,
+            transactions: txs,
+            gas_used: executed.gas_used,
+        };
+        self.commit_block(&block, executed.receipts);
+        block
+    }
+
+    /// Executor statistics of the most recently mined block (`None`
+    /// before the first seal). Benches and tests read the speculation /
+    /// re-execution split here to assert conflict behaviour.
+    pub fn last_seal_report(&self) -> Option<SealReport> {
+        self.last_seal
+    }
+
+    /// The execution core: runs `txs` as block `number` at `timestamp`
+    /// on the current state, numbers the receipts, sums the gas and
+    /// folds the block's writes into the tries once, not per op.
+    /// Sealing builds a header from the result; import compares it to
+    /// one.
+    ///
+    /// `recheck` is how import distrusts a peer: each transaction is
+    /// re-checked at its slot and they run serially, the reference
+    /// semantics every executor is gated to; `Err` names the rule one
+    /// broke, the writes so far left in the open undo layer for the
+    /// caller to rewind. Pool-packed transactions passed admission, and
+    /// `ChainConfig::exec` picks their executor.
+    pub(super) fn execute_block(
+        &mut self,
+        txs: &[PendingTx],
+        number: u64,
+        timestamp: u64,
+        recheck: bool,
+    ) -> Result<Executed, &'static str> {
+        let (mut receipts, speculative, reexecuted) =
+            if !recheck && self.config.exec == ExecMode::Parallel {
+                self.execute_block_parallel(txs, number, timestamp)
+            } else {
+                let mut receipts = Vec::with_capacity(txs.len());
+                for ptx in txs {
+                    if recheck {
+                        self.recheck_at_slot(ptx)?;
+                    }
+                    receipts.push(self.execute_transaction(ptx, number, timestamp));
+                }
+                (receipts, 0, 0)
+            };
+        let mut gas_used = 0u64;
+        for (index, receipt) in receipts.iter_mut().enumerate() {
+            receipt.tx_index = index;
+            gas_used += receipt.gas_used;
+        }
+        Ok(Executed {
+            gas_used,
+            state_root: self.state.state_root(),
+            receipts_root: block::receipts_root(receipts.iter()),
+            receipts,
+            speculative,
+            reexecuted,
+        })
+    }
+
+    /// The admission rules, re-evaluated against the state a gossiped
+    /// transaction actually meets inside its block.
+    fn recheck_at_slot(&self, ptx: &PendingTx) -> Result<(), &'static str> {
+        let tx = &ptx.signed.tx;
+        if tx.nonce != self.state.nonce(ptx.sender) {
+            return Err("nonce out of sequence");
+        }
+        if tx.gas_limit < ptx.intrinsic || tx.gas_limit > self.config.block_gas_limit {
+            return Err("gas limit out of bounds");
+        }
+        let upfront = U256::from_u64(tx.gas_limit)
+            .wrapping_mul(tx.gas_price)
+            .wrapping_add(tx.value);
+        if self.state.balance(ptx.sender) < upfront {
+            return Err("sender cannot cover upfront cost");
+        }
+        Ok(())
+    }
+
+    /// Commit tail shared by local sealing and gossip import: indexes
+    /// the block and its receipts, maintains the 256-entry `BLOCKHASH`
+    /// window, and closes the block's undo layer.
+    pub(super) fn commit_block(&mut self, block: &Block, receipts: Vec<Receipt>) {
+        let number = block.number;
+        self.state.block_hashes.insert(number, block.hash);
+        // BLOCKHASH only reaches 256 ancestors: retire the hash that
+        // just left the window so the map stays bounded.
+        if number >= 256 {
+            self.state.block_hashes.remove(&(number - 256));
+        }
+        for r in receipts {
+            for log in &r.logs {
+                let blocks = self.log_index.entry(log.address).or_default();
+                if blocks.last() != Some(&number) {
+                    blocks.push(number);
+                }
+            }
+            self.receipts.insert(r.tx_hash, r);
+        }
+        self.canon_index.insert(block.hash, number);
+        self.blocks.push(block.clone());
+        debug_assert_eq!(self.time, block.timestamp, "a seal leaves the clock on it");
+        self.undo_stack.push(BlockUndoRec {
+            undo: self.state.take_undo_layer(),
+            minted_before: self.open_minted,
+        });
+        self.open_minted = self.minted;
+    }
+
+    /// Optimistic parallel block execution: speculate every transaction
+    /// concurrently over the pre-block state, then commit in block
+    /// order — validated speculations apply their buffered write sets,
+    /// conflicting ones re-execute serially at their slot. Returns the
+    /// receipts plus the speculative/re-executed split.
+    fn execute_block_parallel(
+        &mut self,
+        txs: &[PendingTx],
+        number: u64,
+        timestamp: u64,
+    ) -> (Vec<Receipt>, usize, usize) {
+        let outcomes = parallel::speculate_block(
+            &self.state,
+            &self.config,
+            &self.analysis_cache,
+            txs,
+            number,
+            timestamp,
+        );
+        let coinbase = self.config.coinbase;
+        let mut receipts = Vec::with_capacity(txs.len());
+        let mut speculative = 0;
+        let mut reexecuted = 0;
+        for (ptx, outcome) in txs.iter().zip(outcomes) {
+            match outcome.try_commit(&mut self.state, coinbase) {
+                Some(receipt) => {
+                    speculative += 1;
+                    receipts.push(receipt);
+                }
+                None => {
+                    reexecuted += 1;
+                    receipts.push(self.execute_transaction(ptx, number, timestamp));
+                }
+            }
+        }
+        (receipts, speculative, reexecuted)
+    }
+
+    /// Executes one transaction against the state (validation and sender
+    /// recovery already done; the cached derivations on the
+    /// [`PendingTx`] are consumed here, not recomputed).
+    fn execute_transaction(
+        &mut self,
+        ptx: &PendingTx,
+        block_number: u64,
+        timestamp: u64,
+    ) -> Receipt {
+        let tx = &ptx.signed.tx;
+        let sender = ptx.sender;
+        let tx_hash = ptx.hash;
+
+        // Buy gas.
+        let gas_cost = U256::from_u64(tx.gas_limit).wrapping_mul(tx.gas_price);
+        let paid = self.state.transfer(sender, self.config.coinbase, gas_cost);
+        debug_assert!(paid, "upfront balance validated at submit");
+
+        let exec_gas = tx.gas_limit - ptx.intrinsic;
+        let env = self.env(block_number, timestamp, sender, tx.gas_price);
+
+        // Dispatch on the literal `to` field: `None` is a create, `Some`
+        // a call. (Matching here instead of `is_create()` + `expect`
+        // makes a malformed transaction structurally unrepresentable —
+        // there is no path on which a missing recipient can panic.)
+        let (success, gas_left, output, contract_address, failure) = match tx.to {
+            None => {
+                let mut evm = Evm::new(&mut self.state, env)
+                    .with_analysis_cache(Arc::clone(&self.analysis_cache));
+                let out = evm.create(sender, tx.value, tx.data.clone(), exec_gas);
+                let failure = if out.success {
+                    None
+                } else if let Some(err) = out.error.clone() {
+                    Some(FailureReason::VmError(err))
+                } else if !out.output.is_empty() || out.gas_left > 0 {
+                    Some(FailureReason::Reverted(out.output.clone()))
+                } else {
+                    Some(FailureReason::InsufficientBalance)
+                };
+                (out.success, out.gas_left, out.output, out.address, failure)
+            }
+            Some(to) => {
+                // Nonce bump happens before execution for calls (creates
+                // bump inside the EVM so the address derivation sees the
+                // old nonce).
+                self.state.bump_nonce(sender);
+                let mut evm = Evm::new(&mut self.state, env)
+                    .with_analysis_cache(Arc::clone(&self.analysis_cache));
+                let out = evm.call(CallParams::transact(
+                    sender,
+                    to,
+                    tx.value,
+                    tx.data.clone(),
+                    exec_gas,
+                ));
+                let failure = if out.success {
+                    None
+                } else if out.reverted {
+                    Some(FailureReason::Reverted(out.output.clone()))
+                } else if let Some(err) = out.error.clone() {
+                    Some(FailureReason::VmError(err))
+                } else {
+                    Some(FailureReason::InsufficientBalance)
+                };
+                (out.success, out.gas_left, out.output, None, failure)
+            }
+        };
+
+        // Settle gas: refund capped at half of what was used.
+        let (logs, refund_counter) = self.state.clear_tx_scratch();
+        let gas_used_pre_refund = tx.gas_limit - gas_left;
+        let refund = refund_counter.min(gas_used_pre_refund / 2);
+        let gas_used = gas_used_pre_refund - refund;
+        let reimbursement = U256::from_u64(tx.gas_limit - gas_used).wrapping_mul(tx.gas_price);
+        let repaid = self
+            .state
+            .transfer(self.config.coinbase, sender, reimbursement);
+        debug_assert!(repaid, "coinbase holds the upfront payment");
+
+        // For creates, a failed execution must still bump the sender nonce
+        // (the EVM bumps it inside create(); on hard pre-flight failures it
+        // may not have run — normalize here).
+        if tx.is_create() && self.state.nonce(sender) == tx.nonce {
+            self.state.bump_nonce(sender);
+        }
+
+        Receipt {
+            tx_hash,
+            block_number,
+            tx_index: 0,
+            success,
+            gas_used,
+            contract_address: if success { contract_address } else { None },
+            logs: if success { logs } else { Vec::new() },
+            output,
+            failure,
+        }
+    }
+}

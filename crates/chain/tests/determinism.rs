@@ -8,13 +8,12 @@
 //! byte for byte: a changed pin means the engine no longer commits the
 //! same authenticated state, which would fork every existing chain.
 //!
-//! The workload deliberately crosses every engine surface: funded
-//! wallets (faucet mints), contract creation, storage writes and
-//! overwrites, zeroing a slot, plain transfers, history tracking with
-//! a rollback + divergent re-mine, and a storage proof against the
-//! head commitment.
+//! The workload deliberately crosses every engine surface: a genesis
+//! allocation, contract creation, storage writes and overwrites,
+//! zeroing a slot, plain transfers, a rollback + divergent re-mine,
+//! and a storage proof against the head commitment.
 
-use sc_chain::{ChainConfig, Testnet};
+use sc_chain::{ChainConfig, Testnet, Wallet};
 use sc_crypto::keccak256;
 use sc_primitives::{ether, Address, U256};
 
@@ -39,9 +38,10 @@ fn store_calldata(key: U256, value: U256) -> Vec<u8> {
 /// Drives the pinned workload and returns
 /// `(net, store_contract_address)` at the final head.
 fn pinned_workload() -> (Testnet, Address) {
-    let mut net = Testnet::with_config(ChainConfig::default());
-    let alice = net.funded_wallet("pin-alice", ether(100));
-    let bob = net.funded_wallet("pin-bob", ether(100));
+    let alice = Wallet::from_seed("pin-alice");
+    let bob = Wallet::from_seed("pin-bob");
+    let alloc = [(alice.address, ether(100)), (bob.address, ether(100))];
+    let mut net = Testnet::with_genesis(ChainConfig::default(), &alloc);
 
     let r = net
         .deploy(&alice, sstore_initcode(), U256::ZERO, 100_000)
@@ -67,10 +67,9 @@ fn pinned_workload() -> (Testnet, Address) {
     net.execute(&bob, alice.address, ether(3), Vec::new(), 21_000)
         .expect("transfer");
 
-    // A rollback + divergent re-mine: history rollback must restore the
-    // exact parent boundary, and the replacement block must hash the
-    // same as if the orphaned block never existed.
-    net.enable_history();
+    // A rollback + divergent re-mine: rollback must restore the exact
+    // parent boundary, and the replacement block must hash the same as
+    // if the orphaned block never existed.
     let r = net
         .execute(
             &bob,

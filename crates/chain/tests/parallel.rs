@@ -1,17 +1,22 @@
 //! Serial ≡ parallel equivalence: a block mined by the optimistic
-//! parallel executor must be byte-for-byte what `mine_block_serial`
+//! parallel executor must be byte-for-byte what the serial executor
 //! produces — block hash, `state_root`, `receipts_root`, gas, every
 //! receipt, every log — on *adversarial, conflict-heavy* blocks: many
 //! transactions hammering the same account and the same storage slot,
 //! read-modify-write chains, deploys and reverts mixed in, several
-//! transactions per sender.
+//! transactions per sender. Two oracles: a twin chain sealing the same
+//! block under [`ExecMode::Serial`], and a follower importing the
+//! parallel chain block by block (import is the reference executor).
 
+mod common;
+
+use common::assert_follower_replays;
 use proptest::prelude::*;
 use sc_chain::{ChainConfig, ExecMode, Testnet, Transaction, Wallet};
 use sc_primitives::{ether, Address, U256};
 
 /// Runtime that stores calldata word 1 at the slot named by calldata
-/// word 0 (same contract as the trie bench).
+/// word 0 (same contract as the `parallel_evm` bench).
 const STORE_RUNTIME: [u8; 8] = [0x60, 0x20, 0x35, 0x60, 0x00, 0x35, 0x55, 0x00];
 
 /// Runtime that increments slot 0: `PUSH1 0 SLOAD PUSH1 1 ADD PUSH1 0
@@ -95,17 +100,28 @@ struct Fixture {
     logger: Address,
 }
 
-/// Boots a chain in `mode`, funds the senders and deploys the four
-/// fixture contracts (each in its own setup block).
-fn fixture(mode: ExecMode) -> Fixture {
-    let mut net = Testnet::with_config(ChainConfig {
+/// A chain in `mode` whose genesis funds the senders and the deployer.
+fn genesis(mode: ExecMode) -> (Testnet, Vec<Wallet>, Wallet) {
+    let wallets: Vec<Wallet> = (0..SENDERS)
+        .map(|i| Wallet::from_seed(&format!("w{i}")))
+        .collect();
+    let deployer = Wallet::from_seed("deployer");
+    let alloc: Vec<_> = wallets
+        .iter()
+        .chain([&deployer])
+        .map(|w| (w.address, ether(100)))
+        .collect();
+    let config = ChainConfig {
         exec: mode,
         ..ChainConfig::default()
-    });
-    let wallets: Vec<Wallet> = (0..SENDERS)
-        .map(|i| net.funded_wallet(&format!("w{i}"), ether(100)))
-        .collect();
-    let deployer = net.funded_wallet("deployer", ether(100));
+    };
+    (Testnet::with_genesis(config, &alloc), wallets, deployer)
+}
+
+/// Boots a chain in `mode` and deploys the four fixture contracts
+/// (each in its own setup block).
+fn fixture(mode: ExecMode) -> Fixture {
+    let (mut net, wallets, deployer) = genesis(mode);
     let mut deploy = |runtime: &[u8]| {
         let r = net
             .deploy(
@@ -132,14 +148,10 @@ fn fixture(mode: ExecMode) -> Fixture {
     }
 }
 
-/// Submits the whole adversarial op list, mines ONE block through the
-/// requested path, and returns the digest of everything observable.
-#[allow(clippy::type_complexity)]
-fn run(
-    ops: &[Op],
-    mode: ExecMode,
-    reference_serial: bool,
-) -> (Fixture, sc_chain::Block, Vec<Option<sc_chain::Receipt>>) {
+/// Submits the whole adversarial op list, mines ONE block under `mode`,
+/// and returns the digest of everything observable. A parallel chain is
+/// also replayed on a follower.
+fn run(ops: &[Op], mode: ExecMode) -> (Fixture, sc_chain::Block, Vec<Option<sc_chain::Receipt>>) {
     let mut fx = fixture(mode);
     let mut hashes = Vec::new();
     for (i, op) in ops.iter().enumerate() {
@@ -214,11 +226,10 @@ fn run(
         };
         hashes.push(fx.net.submit(tx.sign(&w.key)).ok());
     }
-    let block = if reference_serial {
-        fx.net.mine_block_serial()
-    } else {
-        fx.net.mine_block()
-    };
+    let block = fx.net.mine_block();
+    if mode == ExecMode::Parallel {
+        assert_follower_replays(&fx.net, genesis(ExecMode::Serial).0);
+    }
     let receipts = hashes
         .iter()
         .map(|h| h.and_then(|h| fx.net.receipt(h).cloned()))
@@ -230,12 +241,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The headline property: one conflict-heavy block, mined by the
-    /// optimistic parallel executor vs the serial reference path, is
-    /// byte-for-byte identical in every observable way.
+    /// optimistic parallel executor vs the serial one, is byte-for-byte
+    /// identical in every observable way.
     #[test]
     fn parallel_block_equals_serial_reference(ops in arb_block()) {
-        let (pfx, pblock, preceipts) = run(&ops, ExecMode::Parallel, false);
-        let (sfx, sblock, sreceipts) = run(&ops, ExecMode::Serial, true);
+        let (pfx, pblock, preceipts) = run(&ops, ExecMode::Parallel);
+        let (sfx, sblock, sreceipts) = run(&ops, ExecMode::Serial);
 
         prop_assert_eq!(pblock.hash, sblock.hash, "block hash diverged");
         prop_assert_eq!(pblock.state_root, sblock.state_root);
@@ -286,8 +297,8 @@ proptest! {
                 wei: 1 + i as u64,
             })
             .collect();
-        let (pfx, pblock, _) = run(&ops, ExecMode::Parallel, false);
-        let (_, sblock, _) = run(&ops, ExecMode::Serial, true);
+        let (pfx, pblock, _) = run(&ops, ExecMode::Parallel);
+        let (_, sblock, _) = run(&ops, ExecMode::Serial);
         prop_assert_eq!(pblock.hash, sblock.hash);
         let report = pfx.net.last_seal_report().expect("sealed");
         // The first tx in the chain speculates against the true base
@@ -313,8 +324,8 @@ fn rmw_hot_slot_conflicts_are_deterministic() {
             wei: 1,
         })
         .collect();
-    let (pfx, pblock, _) = run(&ops, ExecMode::Parallel, false);
-    let (_, sblock, _) = run(&ops, ExecMode::Serial, true);
+    let (pfx, pblock, _) = run(&ops, ExecMode::Parallel);
+    let (_, sblock, _) = run(&ops, ExecMode::Serial);
     assert_eq!(pblock.hash, sblock.hash);
     assert_eq!(
         pfx.net.storage_at(pfx.rmw, U256::ZERO),
@@ -342,8 +353,8 @@ fn disjoint_block_commits_fully_speculatively() {
             wei: 10 + sender as u64,
         })
         .collect();
-    let (pfx, pblock, _) = run(&ops, ExecMode::Parallel, false);
-    let (_, sblock, _) = run(&ops, ExecMode::Serial, true);
+    let (pfx, pblock, _) = run(&ops, ExecMode::Parallel);
+    let (_, sblock, _) = run(&ops, ExecMode::Serial);
     assert_eq!(pblock.hash, sblock.hash);
     let report = pfx.net.last_seal_report().expect("sealed");
     assert_eq!(report.txs, SENDERS);

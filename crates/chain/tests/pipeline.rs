@@ -1,9 +1,17 @@
-//! Determinism tests for the parallel block pipeline: the batch admission
-//! path plus pipelined mining must be observably identical to the serial
-//! reference path (`submit` one-by-one + `mine_block_serial`), and a warm
-//! analysis cache must change nothing but wall-clock time.
+//! Determinism tests for the block pipeline: batch admission must be
+//! observably identical to `submit` one by one, every mined block must
+//! replay on a follower (block import is the serial reference executor:
+//! it re-derives every sender and refuses a header it cannot
+//! reproduce), and a warm analysis cache must change nothing but
+//! wall-clock time.
 
-use sc_chain::{ChainConfig, SignedTransaction, Testnet, Transaction, TxError, Wallet};
+mod common;
+
+use common::assert_follower_replays;
+use sc_chain::{
+    ChainConfig, ImportError, ImportOutcome, SignedTransaction, Testnet, Transaction, TxError,
+    Wallet,
+};
 use sc_evm::contract_address;
 use sc_primitives::{ether, gwei, Address, U256};
 
@@ -33,20 +41,34 @@ fn transfer(nonce: u64, to: Address, wei: u64, gas_limit: u64) -> Transaction {
     }
 }
 
-/// A fresh chain with three wallets: two rich, one nearly broke.
-fn fresh_net() -> (Testnet, Vec<Wallet>) {
-    let mut net = Testnet::with_config(ChainConfig::default());
-    let wallets = vec![
-        net.funded_wallet("pipe-rich-0", ether(50)),
-        net.funded_wallet("pipe-rich-1", ether(50)),
-        net.funded_wallet("pipe-poor", U256::from_u64(30_000)),
+/// Three wallets and their genesis allocation: two rich, one nearly
+/// broke.
+fn genesis() -> (Vec<Wallet>, Vec<(Address, U256)>) {
+    let wallets: Vec<Wallet> = ["pipe-rich-0", "pipe-rich-1", "pipe-poor"]
+        .iter()
+        .map(|seed| Wallet::from_seed(seed))
+        .collect();
+    let alloc = vec![
+        (wallets[0].address, ether(50)),
+        (wallets[1].address, ether(50)),
+        (wallets[2].address, U256::from_u64(30_000)),
     ];
-    (net, wallets)
+    (wallets, alloc)
+}
+
+/// A fresh chain holding the [`genesis`] allocation.
+fn fresh_net() -> (Testnet, Vec<Wallet>) {
+    let (wallets, alloc) = genesis();
+    (
+        Testnet::with_genesis(ChainConfig::default(), &alloc),
+        wallets,
+    )
 }
 
 /// A batch mixing every admission outcome: valid transfers from two
 /// senders, a contract creation, a call to the created contract, a
-/// tampered signature, a nonce gap, and an underfunded sender.
+/// tampered signature, a replayed nonce, a future nonce the pool holds
+/// back, and an underfunded sender.
 fn mixed_batch(wallets: &[Wallet]) -> Vec<SignedTransaction> {
     let (rich0, rich1, poor) = (&wallets[0], &wallets[1], &wallets[2]);
     let sink = Address([0x77; 20]);
@@ -78,7 +100,8 @@ fn mixed_batch(wallets: &[Wallet]) -> Vec<SignedTransaction> {
         call.sign(&rich0.key),
         bad_sig,
         transfer(0, rich0.address, 7, 21_000).sign(&rich1.key),
-        transfer(5, sink, 9, 21_000).sign(&rich1.key), // nonce gap → reject
+        transfer(0, sink, 8, 21_000).sign(&rich1.key), // slot taken, no bump → reject
+        transfer(5, sink, 9, 21_000).sign(&rich1.key), // nonce gap → held, not mined
         transfer(1, sink, 11, 21_000).sign(&rich1.key),
         transfer(0, sink, 1, 21_000).sign(&poor.key), // cannot cover gas → reject
     ]
@@ -122,7 +145,7 @@ fn batch_pipeline_is_observably_identical_to_serial_reference() {
     let txs = mixed_batch(&wallets);
 
     let serial_outcomes: Vec<_> = txs.iter().map(|t| serial_net.submit(t.clone())).collect();
-    serial_net.mine_block_serial();
+    serial_net.mine_block();
     let serial = observe(&serial_net, &wallets, serial_outcomes);
 
     let (mut batch_net, _) = fresh_net();
@@ -131,15 +154,22 @@ fn batch_pipeline_is_observably_identical_to_serial_reference() {
     let batch = observe(&batch_net, &wallets, batch_outcomes);
 
     assert_eq!(serial, batch);
+    assert_follower_replays(&batch_net, fresh_net().0);
 
-    // Sanity on the mix itself: the rejects rejected, the contract ran.
+    // Sanity on the mix itself: the rejects rejected, the gapped nonce
+    // waits in the pool, the contract ran.
     assert_eq!(serial.outcomes[3], Err(TxError::BadSignature));
-    assert!(matches!(serial.outcomes[5], Err(TxError::BadNonce { .. })));
     assert!(matches!(
-        serial.outcomes[7],
+        serial.outcomes[5],
+        Err(TxError::Underpriced { .. })
+    ));
+    assert!(matches!(
+        serial.outcomes[8],
         Err(TxError::InsufficientFunds)
     ));
-    assert_eq!(serial.outcomes.iter().filter(|o| o.is_ok()).count(), 5);
+    assert_eq!(serial.outcomes.iter().filter(|o| o.is_ok()).count(), 6);
+    assert_eq!(serial.block.transactions.len(), 5);
+    assert_eq!(batch_net.pending_count(), 1, "nonce 5 waits for 2..=4");
     assert_eq!(serial.contract_storage, U256::from_u64(42));
     assert!(serial.receipts.iter().all(|r| r.success));
 }
@@ -196,13 +226,102 @@ fn empty_and_reject_only_batches_mine_empty_blocks() {
     bad.signature.v ^= 0x40;
     let outcomes = net.submit_batch(vec![
         bad,
-        transfer(9, Address([0x77; 20]), 1, 21_000).sign(&wallets[0].key),
+        transfer(0, Address([0x77; 20]), 1, 20_999).sign(&wallets[0].key),
     ]);
     assert_eq!(outcomes[0], Err(TxError::BadSignature));
-    assert!(matches!(outcomes[1], Err(TxError::BadNonce { .. })));
+    assert!(matches!(
+        outcomes[1],
+        Err(TxError::IntrinsicGasTooLow { .. })
+    ));
     let before: Vec<_> = wallets.iter().map(|w| net.balance_of(w.address)).collect();
     let block = net.mine_block();
     assert!(block.transactions.is_empty());
     let after: Vec<_> = wallets.iter().map(|w| net.balance_of(w.address)).collect();
     assert_eq!(before, after);
+}
+
+/// Regression: `execute`/`deploy` used to index the receipt map right
+/// after one `mine_block` and panicked when the pack left their
+/// transaction behind. Two higher-priced full-block transactions fill
+/// the next two blocks; the convenience transaction lands in the third.
+#[test]
+fn execute_mines_until_its_transaction_lands() {
+    let (mut net, wallets) = fresh_net();
+    let limit = net.config().block_gas_limit;
+    for w in &wallets[..2] {
+        let hog = Transaction {
+            gas_price: gwei(2),
+            ..transfer(0, Address([0x77; 20]), 1, limit)
+        };
+        net.submit(hog.sign(&w.key)).expect("hog admitted");
+    }
+    let owner = net.funded_wallet("late", ether(1));
+    let receipt = net
+        .execute(
+            &owner,
+            Address([0x78; 20]),
+            U256::from_u64(5),
+            vec![],
+            21_000,
+        )
+        .expect("mined behind the two hogs");
+    assert!(receipt.success);
+    assert_eq!(receipt.block_number, 3);
+    assert_eq!(net.block(1).unwrap().transactions.len(), 1);
+    assert_eq!(net.block(2).unwrap().transactions.len(), 1);
+    assert_eq!(net.pending_count(), 0);
+}
+
+/// Import bounds the block, not just each transaction: a block that
+/// burned more gas than the local block gas limit is refused before
+/// anything executes, and the refusal leaves no trace.
+#[test]
+fn import_enforces_the_block_gas_limit() {
+    let (wallets, alloc) = genesis();
+    let roomy = ChainConfig {
+        block_gas_limit: 16_000_000,
+        ..ChainConfig::default()
+    };
+    let mut miner = Testnet::with_genesis(roomy, &alloc);
+    // Two transfers carrying 62 kB of non-zero calldata cost 4.237 M
+    // intrinsic gas each: one block under the roomy limit, over the
+    // default 8 M.
+    for nonce in 0..2 {
+        let heavy = Transaction {
+            data: vec![0xff; 62_000],
+            ..transfer(nonce, Address([0x77; 20]), 1, 21_000 + 68 * 62_000)
+        };
+        miner.submit(heavy.sign(&wallets[0].key)).expect("admitted");
+    }
+    let fat = miner.mine_block();
+    assert_eq!(fat.transactions.len(), 2);
+    assert!(fat.gas_used > ChainConfig::default().block_gas_limit);
+
+    let mut twin = Testnet::with_genesis(ChainConfig::default(), &alloc);
+    let (clock, balance) = (twin.now(), twin.balance_of(wallets[0].address));
+    assert!(matches!(
+        twin.import_block(fat),
+        Err(ImportError::InvalidBlock { reason }) if reason.contains("block gas limit")
+    ));
+    assert_eq!(twin.head().number, 0);
+    assert_eq!(twin.now(), clock);
+    assert_eq!(twin.balance_of(wallets[0].address), balance);
+    assert_eq!(twin.nonce_of(wallets[0].address), 0);
+    assert_eq!(twin.side_block_count(), 0, "refused block is not kept");
+
+    // The twin is not wedged: a block within its limit still extends it.
+    let mut honest = Testnet::with_genesis(ChainConfig::default(), &alloc);
+    honest
+        .execute(
+            &wallets[1],
+            Address([0x77; 20]),
+            U256::from_u64(1),
+            vec![],
+            21_000,
+        )
+        .expect("mined");
+    assert_eq!(
+        twin.import_block(honest.head().clone()),
+        Ok(ImportOutcome::Extended)
+    );
 }

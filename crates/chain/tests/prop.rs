@@ -1,8 +1,11 @@
 //! Property tests for the chain: value conservation, nonce monotonicity
 //! and determinism under random transaction workloads.
 
+mod common;
+
+use common::assert_follower_replays;
 use proptest::prelude::*;
-use sc_chain::{Testnet, Transaction, Wallet};
+use sc_chain::{ChainConfig, Testnet, Transaction, Wallet};
 use sc_primitives::{ether, U256};
 
 #[derive(Debug, Clone)]
@@ -28,8 +31,10 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(arb_op(), 0..24)
 }
 
-/// How a batch entry should be constructed: valid, or corrupted into one
-/// of the admission rejects the parallel pipeline must mirror exactly.
+/// How a batch entry should be constructed: valid, corrupted into an
+/// admission reject, or given a future nonce the pool holds back (and
+/// that a later valid entry may collide with) — the batch pipeline
+/// must mirror serial submits exactly on all of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BatchKind {
     Valid,
@@ -131,7 +136,7 @@ proptest! {
     #[test]
     fn batch_admission_matches_serial_reference(ops in arb_batch_ops()) {
         // Pre-sign one batch: per-sender sequential nonces, with some
-        // entries corrupted into rejects (tampered signature / nonce gap).
+        // entries corrupted (tampered signature / nonce 7 ahead).
         let build_txs = || {
             let ws = wallets();
             let mut next_nonce = [0u64; 4];
@@ -164,11 +169,8 @@ proptest! {
         };
 
         let fresh = || {
-            let mut net = Testnet::new();
-            for w in &wallets() {
-                net.faucet(w.address, ether(10));
-            }
-            net
+            let alloc: Vec<_> = wallets().iter().map(|w| (w.address, ether(10))).collect();
+            Testnet::with_genesis(ChainConfig::default(), &alloc)
         };
 
         let mut serial_net = fresh();
@@ -176,7 +178,7 @@ proptest! {
             .into_iter()
             .map(|t| serial_net.submit(t))
             .collect();
-        let serial_block = serial_net.mine_block_serial();
+        let serial_block = serial_net.mine_block();
 
         let mut batch_net = fresh();
         let batch = batch_net.submit_batch(build_txs());
@@ -184,6 +186,9 @@ proptest! {
 
         prop_assert_eq!(&serial, &batch, "admission outcomes diverged");
         prop_assert_eq!(serial_block.hash, batch_block.hash, "blocks diverged");
+        // The reference executor — a follower re-deriving every sender
+        // and replaying serially — reproduces the block.
+        assert_follower_replays(&batch_net, fresh());
         for w in &wallets() {
             prop_assert_eq!(
                 serial_net.balance_of(w.address),

@@ -45,7 +45,8 @@ use crate::session::{
 };
 use crate::whisper::{Topic, Whisper};
 use sc_chain::{
-    Block, Header, HeaderClient, ImportOutcome, PoolConfig, SignedTransaction, Testnet, TxError,
+    Block, ChainConfig, Header, HeaderClient, ImportOutcome, PoolConfig, SignedTransaction,
+    Testnet, TxError,
 };
 use sc_primitives::{ether, Address, H256, U256};
 use std::any::Any;
@@ -147,12 +148,11 @@ pub struct Network {
 
 impl Network {
     /// Builds `n` nodes with identical genesis (same [`sc_chain::ChainConfig`],
-    /// same pool configuration, history enabled for reorgs) under the
-    /// link-fault schedule of `plan`. `genesis_funding` is minted on
-    /// *every* node before any block exists — the only sound place to
-    /// fund wallets in a multi-node world, because an out-of-band mint
-    /// on one node would break replay verification of its blocks
-    /// everywhere else.
+    /// same pool configuration) under the link-fault schedule of `plan`.
+    /// `genesis_funding` is every node's genesis allocation — the only
+    /// sound place to fund wallets in a multi-node world, because an
+    /// out-of-band mint on one node would break replay verification of
+    /// its blocks everywhere else.
     pub fn new(
         n: usize,
         plan: &FaultPlan,
@@ -160,16 +160,12 @@ impl Network {
         genesis_funding: &[(Address, U256)],
     ) -> Network {
         assert!(n >= 1, "a network needs at least one node");
+        let config = ChainConfig {
+            pool,
+            ..ChainConfig::default()
+        };
         let nodes = (0..n)
-            .map(|_| {
-                let mut node = Testnet::new();
-                for &(addr, amount) in genesis_funding {
-                    node.faucet(addr, amount);
-                }
-                node.enable_pool(pool.clone());
-                node.enable_history();
-                node
-            })
+            .map(|_| Testnet::with_genesis(config.clone(), genesis_funding))
             .collect();
         Network {
             nodes,

@@ -8,23 +8,17 @@
 //! header's `state_root`/`receipts_root` commitments, and the 256-entry
 //! `BLOCKHASH` window tracking the *canonical* branch only.
 
-use sc_chain::{ImportOutcome, Testnet, Wallet};
+use sc_chain::{ChainConfig, ImportOutcome, Testnet, Wallet};
 use sc_core::{check_conservation, check_state_commitments};
 use sc_primitives::{ether, Address, H256, U256};
 
-/// Two nodes with identical genesis state (same wallets funded with the
-/// same amounts before any block) and history enabled, so blocks sealed
-/// on one replay verbatim on the other.
+/// Two nodes with identical genesis (the same two wallets allocated the
+/// same amounts), so blocks sealed on one replay verbatim on the other.
 fn twins() -> (Testnet, Testnet, Wallet, Wallet) {
     let alice = Wallet::from_seed("reorg-alice");
     let carol = Wallet::from_seed("reorg-carol");
-    let mk = || {
-        let mut net = Testnet::new();
-        net.faucet(alice.address, ether(10));
-        net.faucet(carol.address, ether(10));
-        net.enable_history();
-        net
-    };
+    let alloc = [(alice.address, ether(10)), (carol.address, ether(10))];
+    let mk = || Testnet::with_genesis(ChainConfig::default(), &alloc);
     (mk(), mk(), alice, carol)
 }
 
@@ -63,7 +57,6 @@ fn rollback_restores_state_across_four_blocks() {
         ));
     }
     assert_eq!(net.head().number, 4);
-    assert_eq!(net.rollback_capacity(), 4);
 
     // Unwind block by block; every snapshot must come back exactly, and
     // the chain's own commitments must keep verifying at every depth.
@@ -78,8 +71,8 @@ fn rollback_restores_state_across_four_blocks() {
         assert_eq!(net.now(), now, "clock at depth {depth}");
         check_conservation(&net).unwrap();
         if depth > 0 {
-            // Genesis itself can't verify: the faucet mints postdate the
-            // genesis seal and are first committed by block 1.
+            // Genesis itself can't verify: its header commits the empty
+            // tries, and block 1 is the first to commit the allocation.
             check_state_commitments(&net).unwrap();
         }
     }
@@ -230,5 +223,43 @@ fn blockhash_window_tracks_the_canonical_branch_after_a_reorg() {
     let seen = a.storage_at(recorder, U256::ZERO);
     assert_eq!(H256::from_u256(seen), canonical_b2);
     assert_ne!(H256::from_u256(seen), orphaned_b2);
+    check_state_commitments(&a).unwrap();
+}
+
+/// The genesis allocation sits under the first undo layer: a reorg all
+/// the way down to block 1 rolls the node's own first block back and
+/// must leave every genesis-funded balance — and the minted total —
+/// exactly where genesis put them, or the heavier branch could not pay
+/// for its own replay.
+#[test]
+fn genesis_allocation_survives_a_reorg_to_block_one() {
+    let (mut a, mut b, alice, carol) = twins();
+    let sink = Address([0x55; 20]);
+
+    // No shared prefix: A mines one block from genesis, B mines two.
+    transfer(&mut a, &alice, sink, 100);
+    transfer(&mut b, &carol, sink, 200);
+    transfer(&mut b, &carol, sink, 300);
+
+    let mut reverted_total = 0;
+    for n in 1..=2 {
+        if let ImportOutcome::Reorged { reverted, .. } =
+            a.import_block(b.block(n).unwrap().clone()).unwrap()
+        {
+            reverted_total += reverted;
+        }
+    }
+    assert_eq!(reverted_total, 1, "A rolled its own block 1 back");
+    assert_eq!(a.head().hash, b.head().hash, "A sits on the heavier head");
+    assert_eq!(a.head().number, 2);
+
+    // Alice never transacted on the adopted branch: her balance is the
+    // untouched allocation. Carol paid 500 wei plus two transfers' gas.
+    assert_eq!(a.balance_of(alice.address), ether(10));
+    assert_eq!(a.nonce_of(alice.address), 0);
+    assert_eq!(a.balance_of(carol.address), b.balance_of(carol.address));
+    assert_eq!(a.balance_of(sink), U256::from_u64(500));
+    assert_eq!(a.total_minted(), ether(20), "minted == allocation sum");
+    check_conservation(&a).unwrap();
     check_state_commitments(&a).unwrap();
 }
