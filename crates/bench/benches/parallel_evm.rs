@@ -2,15 +2,15 @@
 //! serial executor and by the Block-STM-style parallel executor.
 //!
 //! Prints the comparison at N ∈ {1, 16, 256} for the conflict-light and
-//! conflict-heavy workloads, writes `BENCH_parallel_evm.json` at the
-//! repository root, then Criterion-times the parallel N = 16 seal.
+//! conflict-heavy workloads, then Criterion-times the parallel N = 16
+//! seal. Single-shot wall clock: a table to read, not a number to gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sc_bench::parallel_evm::{artifact_path, measure_point, run_and_write, Workload};
+use sc_bench::parallel_evm::{measure, measure_point, Workload};
 use sc_bench::print_gas_table;
 
 fn print_comparison() {
-    let report = run_and_write().expect("write BENCH_parallel_evm.json");
+    let report = measure();
     let rows: Vec<(&str, String)> = report
         .points
         .iter()
@@ -44,7 +44,6 @@ fn print_comparison() {
         ),
         &rows,
     );
-    println!("  wrote {}", artifact_path().display());
 }
 
 fn bench(c: &mut Criterion) {

@@ -8,11 +8,13 @@
 //! *conflict-heavy* (every transaction read-modify-writes slot 0 of one
 //! contract — only the first speculation survives, the rest re-execute
 //! serially). The two blocks are asserted byte-identical before any
-//! number is reported. Results land in `BENCH_parallel_evm.json` at the
-//! repository root. The speedup is serial over parallel — the strongest
-//! baseline, not one that re-derives senders — and is a single-shot
+//! number is reported. `benches/parallel_evm.rs` prints the table: it is
+//! the one comparison `e2e_bench` cannot make (the ruler measures the
+//! default executor and refuses `SC_EXEC_MODE`). The speedup is serial
+//! over parallel — the strongest baseline — and a single-shot
 //! wall-clock ratio, so nothing gates on it; the deterministic
-//! conflict-light abort rate is what `bench_check` holds.
+//! conflict-light abort rate is pinned by
+//! `chain/tests/parallel.rs::disjoint_block_commits_fully_speculatively`.
 
 use sc_chain::{ChainConfig, ExecMode, SealReport, Testnet, Transaction};
 use sc_primitives::{gwei, U256};
@@ -34,16 +36,6 @@ pub enum Workload {
     ConflictLight,
     /// Every transaction read-modify-writes the same slot.
     ConflictHeavy,
-}
-
-impl Workload {
-    /// Stable label used in the JSON artifact.
-    pub fn label(self) -> &'static str {
-        match self {
-            Workload::ConflictLight => "conflict_light",
-            Workload::ConflictHeavy => "conflict_heavy",
-        }
-    }
 }
 
 /// One (workload, N) measurement.
@@ -76,31 +68,6 @@ impl ParallelPoint {
     pub fn abort_rate(&self) -> f64 {
         self.reexecuted as f64 / (self.speculative + self.reexecuted).max(1) as f64
     }
-
-    fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "    {{\n",
-                "      \"workload\": \"{}\",\n",
-                "      \"n\": {},\n",
-                "      \"cached_serial_ns\": {},\n",
-                "      \"parallel_ns\": {},\n",
-                "      \"speculative\": {},\n",
-                "      \"reexecuted\": {},\n",
-                "      \"abort_rate\": {:.4},\n",
-                "      \"speedup\": {:.3}\n",
-                "    }}"
-            ),
-            self.workload.label(),
-            self.n,
-            self.cached_serial_ns,
-            self.parallel_ns,
-            self.speculative,
-            self.reexecuted,
-            self.abort_rate(),
-            self.speedup(),
-        )
-    }
 }
 
 /// Results of the parallel-execution measurement across all points.
@@ -110,29 +77,6 @@ pub struct ParallelReport {
     pub workers: usize,
     /// Every (workload, N) point, conflict-light first, N ascending.
     pub points: Vec<ParallelPoint>,
-}
-
-impl ParallelReport {
-    /// Serialises the report as a small JSON object (hand-rolled: the
-    /// workspace is std-only by design).
-    pub fn to_json(&self) -> String {
-        let points = self
-            .points
-            .iter()
-            .map(ParallelPoint::to_json)
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            concat!(
-                "{{\n",
-                "  \"bench\": \"parallel_evm\",\n",
-                "  \"workers\": {},\n",
-                "  \"points\": [\n{}\n  ]\n",
-                "}}\n"
-            ),
-            self.workers, points,
-        )
-    }
 }
 
 /// Initcode deploying an arbitrary short runtime (≤ 32 bytes).
@@ -235,19 +179,6 @@ pub fn measure() -> ParallelReport {
     }
 }
 
-/// Path of the JSON artifact at the repository root.
-pub fn artifact_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_parallel_evm.json")
-}
-
-/// Runs the measurement, writes `BENCH_parallel_evm.json` at the repo
-/// root and returns the report.
-pub fn run_and_write() -> std::io::Result<ParallelReport> {
-    let report = measure();
-    std::fs::write(artifact_path(), report.to_json())?;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,18 +199,5 @@ mod tests {
         assert_eq!(p.speculative, 1, "only the first RMW validates");
         assert_eq!(p.reexecuted, 7);
         assert!(p.abort_rate() > 0.8);
-    }
-
-    #[test]
-    fn report_json_shape() {
-        let report = ParallelReport {
-            workers: 4,
-            points: vec![measure_point(Workload::ConflictLight, 4)],
-        };
-        let json = report.to_json();
-        assert!(json.contains("\"bench\": \"parallel_evm\""));
-        assert!(json.contains("\"workload\": \"conflict_light\""));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"abort_rate\""));
     }
 }

@@ -216,9 +216,11 @@ impl Testnet {
     }
 
     /// Hashes displaced from the pool (replacement, capacity eviction)
-    /// since the last drain.
+    /// or left out of a block at the seal since the last drain.
     pub fn drain_evicted(&mut self) -> Vec<H256> {
-        self.pool.drain_evicted()
+        let mut gone = self.pool.drain_evicted();
+        gone.append(&mut self.refused);
+        gone
     }
 
     /// Drops pooled transactions whose nonce the canonical chain has

@@ -300,7 +300,7 @@ impl Testnet {
         }
         self.time = block.timestamp;
         let verdict = self
-            .execute_block(&ptxs, block.number, block.timestamp, true)
+            .execute_block(ptxs, block.number, block.timestamp, false)
             .and_then(|executed| {
                 if executed.gas_used != block.gas_used {
                     Err("gas total mismatch")

@@ -100,6 +100,10 @@ pub struct Testnet {
     /// The fee market: every admitted transaction waits here until the
     /// miner packs it into a block under the gas limit.
     pool: Mempool<PendingTx>,
+    /// Packed transactions the seal left out because they no longer
+    /// passed the admission rules at their slot; drained with the
+    /// pool's evictions.
+    refused: Vec<H256>,
     time: u64,
     /// Wei ever created through the genesis allocation and the faucet.
     /// Since the EVM only moves value, `state.total_balance()` must
@@ -175,6 +179,7 @@ impl Testnet {
             state,
             time: config.genesis_timestamp,
             pool: Mempool::new(config.pool.clone()),
+            refused: Vec::new(),
             undo_stack: Vec::new(),
             open_minted: minted,
             config,

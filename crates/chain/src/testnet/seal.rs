@@ -15,6 +15,8 @@ use std::sync::Arc;
 /// What executing a block's transactions determined: the receipts plus
 /// every header field that commits to the execution.
 pub(super) struct Executed {
+    /// The transactions that ran, in block order.
+    pub(super) txs: Vec<PendingTx>,
     pub(super) receipts: Vec<Receipt>,
     pub(super) gas_used: u64,
     pub(super) state_root: H256,
@@ -33,7 +35,7 @@ impl Testnet {
     /// this is purely the sequential commit phase.
     pub fn mine_block(&mut self) -> Block {
         let state = &self.state;
-        let txs: Vec<PendingTx> = self
+        let packed: Vec<PendingTx> = self
             .pool
             .pack(self.config.block_gas_limit, |a| state.nonce(a))
             .into_iter()
@@ -46,16 +48,16 @@ impl Testnet {
         let parent_hash = self.head().hash;
 
         let executed = self
-            .execute_block(&txs, number, timestamp, false)
-            .expect("pool-packed transactions are not re-checked");
+            .execute_block(packed, number, timestamp, true)
+            .expect("sealing leaves a refused transaction out");
         self.last_seal = Some(SealReport {
             mode: self.config.exec,
-            txs: txs.len(),
+            txs: executed.txs.len(),
             speculative: executed.speculative,
             reexecuted: executed.reexecuted,
         });
 
-        let txs: Vec<SignedTransaction> = txs.into_iter().map(|p| p.signed).collect();
+        let txs: Vec<SignedTransaction> = executed.txs.into_iter().map(|p| p.signed).collect();
         let block = Block {
             number,
             timestamp,
@@ -91,38 +93,68 @@ impl Testnet {
     /// Sealing builds a header from the result; import compares it to
     /// one.
     ///
-    /// `recheck` is how import distrusts a peer: each transaction is
-    /// re-checked at its slot and they run serially, the reference
-    /// semantics every executor is gated to; `Err` names the rule one
-    /// broke, the writes so far left in the open undo layer for the
-    /// caller to rewind. Pool-packed transactions passed admission, and
-    /// `ChainConfig::exec` picks their executor.
+    /// Every transaction is re-checked at its slot — admission saw an
+    /// earlier state, and the pool knows nothing of balances. Import
+    /// (`sealing == false`) refuses the block: `Err` names the rule
+    /// broken, the writes so far left in the open undo layer for the
+    /// caller to rewind, and everything runs serially, the reference
+    /// semantics every executor is gated to. Sealing leaves the
+    /// transaction out, unexecuted, its hash joining
+    /// [`Testnet::drain_evicted`] — the sender's later nonces then fail
+    /// the same check — and `ChainConfig::exec` picks the executor.
     pub(super) fn execute_block(
         &mut self,
-        txs: &[PendingTx],
+        txs: Vec<PendingTx>,
         number: u64,
         timestamp: u64,
-        recheck: bool,
+        sealing: bool,
     ) -> Result<Executed, &'static str> {
-        let (mut receipts, speculative, reexecuted) =
-            if !recheck && self.config.exec == ExecMode::Parallel {
-                self.execute_block_parallel(txs, number, timestamp)
-            } else {
-                let mut receipts = Vec::with_capacity(txs.len());
-                for ptx in txs {
-                    if recheck {
-                        self.recheck_at_slot(ptx)?;
-                    }
-                    receipts.push(self.execute_transaction(ptx, number, timestamp));
+        // Optimistic parallel execution: speculate every transaction
+        // concurrently over the pre-block state, then commit in block
+        // order — validated speculations apply their buffered write
+        // sets, conflicting ones re-execute serially at their slot.
+        let parallel = sealing && self.config.exec == ExecMode::Parallel;
+        let mut outcomes = parallel.then(|| {
+            parallel::speculate_block(
+                &self.state,
+                &self.config,
+                &self.analysis_cache,
+                &txs,
+                number,
+                timestamp,
+            )
+            .into_iter()
+        });
+        let coinbase = self.config.coinbase;
+        let mut included = Vec::with_capacity(txs.len());
+        let mut receipts = Vec::with_capacity(txs.len());
+        let (mut speculative, mut reexecuted, mut gas_used) = (0, 0, 0u64);
+        for ptx in txs {
+            let outcome = outcomes.as_mut().and_then(Iterator::next);
+            if let Err(rule) = self.recheck_at_slot(&ptx) {
+                if !sealing {
+                    return Err(rule);
                 }
-                (receipts, 0, 0)
+                self.refused.push(ptx.hash);
+                continue;
+            }
+            let mut receipt = match outcome.and_then(|o| o.try_commit(&mut self.state, coinbase)) {
+                Some(receipt) => {
+                    speculative += 1;
+                    receipt
+                }
+                None => {
+                    reexecuted += usize::from(parallel);
+                    self.execute_transaction(&ptx, number, timestamp)
+                }
             };
-        let mut gas_used = 0u64;
-        for (index, receipt) in receipts.iter_mut().enumerate() {
-            receipt.tx_index = index;
+            receipt.tx_index = receipts.len();
             gas_used += receipt.gas_used;
+            receipts.push(receipt);
+            included.push(ptx);
         }
         Ok(Executed {
+            txs: included,
             gas_used,
             state_root: self.state.state_root(),
             receipts_root: block::receipts_root(receipts.iter()),
@@ -132,7 +164,7 @@ impl Testnet {
         })
     }
 
-    /// The admission rules, re-evaluated against the state a gossiped
+    /// The admission rules, re-evaluated against the state a
     /// transaction actually meets inside its block.
     fn recheck_at_slot(&self, ptx: &PendingTx) -> Result<(), &'static str> {
         let tx = &ptx.signed.tx;
@@ -181,44 +213,6 @@ impl Testnet {
         self.open_minted = self.minted;
     }
 
-    /// Optimistic parallel block execution: speculate every transaction
-    /// concurrently over the pre-block state, then commit in block
-    /// order — validated speculations apply their buffered write sets,
-    /// conflicting ones re-execute serially at their slot. Returns the
-    /// receipts plus the speculative/re-executed split.
-    fn execute_block_parallel(
-        &mut self,
-        txs: &[PendingTx],
-        number: u64,
-        timestamp: u64,
-    ) -> (Vec<Receipt>, usize, usize) {
-        let outcomes = parallel::speculate_block(
-            &self.state,
-            &self.config,
-            &self.analysis_cache,
-            txs,
-            number,
-            timestamp,
-        );
-        let coinbase = self.config.coinbase;
-        let mut receipts = Vec::with_capacity(txs.len());
-        let mut speculative = 0;
-        let mut reexecuted = 0;
-        for (ptx, outcome) in txs.iter().zip(outcomes) {
-            match outcome.try_commit(&mut self.state, coinbase) {
-                Some(receipt) => {
-                    speculative += 1;
-                    receipts.push(receipt);
-                }
-                None => {
-                    reexecuted += 1;
-                    receipts.push(self.execute_transaction(ptx, number, timestamp));
-                }
-            }
-        }
-        (receipts, speculative, reexecuted)
-    }
-
     /// Executes one transaction against the state (validation and sender
     /// recovery already done; the cached derivations on the
     /// [`PendingTx`] are consumed here, not recomputed).
@@ -235,7 +229,7 @@ impl Testnet {
         // Buy gas.
         let gas_cost = U256::from_u64(tx.gas_limit).wrapping_mul(tx.gas_price);
         let paid = self.state.transfer(sender, self.config.coinbase, gas_cost);
-        debug_assert!(paid, "upfront balance validated at submit");
+        debug_assert!(paid, "upfront cost re-checked at this slot");
 
         let exec_gas = tx.gas_limit - ptx.intrinsic;
         let env = self.env(block_number, timestamp, sender, tx.gas_price);

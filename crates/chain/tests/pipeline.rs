@@ -325,3 +325,47 @@ fn import_enforces_the_block_gas_limit() {
         Ok(ImportOutcome::Extended)
     );
 }
+
+/// Regression: a miner must not seal what its followers refuse.
+/// Admission checks each transaction's upfront cost against the state of
+/// the moment and the pool knows nothing of balances, so two 0.6-ether
+/// transfers from a 1-ether wallet are both admitted and packed. The
+/// seal used to execute the second unpaid (a panic in debug; in release
+/// a block every follower rejects at its slot re-check). Now the seal
+/// applies that same re-check and leaves the transaction out — whether
+/// the two share a block or a tight gas limit spills the second into
+/// the next one.
+#[test]
+fn seal_leaves_out_what_the_sender_can_no_longer_afford() {
+    let owner = Wallet::from_seed("pipe-overdraft");
+    let alloc = [(owner.address, ether(1))];
+    let sink = Address([0x77; 20]);
+    for block_gas_limit in [ChainConfig::default().block_gas_limit, 30_000] {
+        let config = ChainConfig {
+            block_gas_limit,
+            ..ChainConfig::default()
+        };
+        let mut net = Testnet::with_genesis(config.clone(), &alloc);
+        let [first, second] = [0, 1].map(|nonce| {
+            let tx = transfer(nonce, sink, 600_000_000_000_000_000, 21_000);
+            net.submit(tx.sign(&owner.key)).expect("affordable alone")
+        });
+
+        let block = net.mine_block();
+        assert_eq!(block.transactions.len(), 1);
+        assert_eq!(block.transactions[0].hash(), first);
+        if net.tx_is_pending(second) {
+            assert!(net.mine_block().transactions.is_empty(), "spilled");
+        }
+        assert_follower_replays(&net, Testnet::with_genesis(config, &alloc));
+
+        assert!(net.receipt(second).is_none());
+        assert!(!net.tx_is_pending(second));
+        assert_eq!(net.drain_evicted(), vec![second]);
+        assert_eq!(net.nonce_of(owner.address), 1);
+        let held = [owner.address, sink, net.config().coinbase]
+            .iter()
+            .fold(U256::ZERO, |sum, &a| sum.wrapping_add(net.balance_of(a)));
+        assert_eq!(held, net.total_minted());
+    }
+}

@@ -350,6 +350,9 @@ mod tests {
         addr: Address,
         cc: ConfidentialContracts,
         p: ConfidentialParams,
+        /// Gas of each `depositCommitted`, Alice's then Bob's.
+        deposit_gas: Vec<u64>,
+        activate_gas: u64,
     }
 
     /// Drives the channel through fund + deposit + activate.
@@ -373,6 +376,7 @@ mod tests {
         let (r_a, r_b) = cancelling_blindings(7777);
         let c_a = backend.commit(U256::from_u64(p.units_a), r_a);
         let c_b = backend.commit(U256::from_u64(p.units_b), r_b);
+        let mut deposit_gas = Vec::new();
         for (w, units, c, r) in [(&alice, p.units_a, &c_a, r_a), (&bob, p.units_b, &c_b, r_b)] {
             let r1 = net
                 .execute(w, addr, p.stake_wei(units), cc.fund(), 300_000)
@@ -391,6 +395,7 @@ mod tests {
                 )
                 .unwrap();
             assert!(r2.success, "deposit: {:?}", r2.failure);
+            deposit_gas.push(r2.gas_used);
         }
         let sum = backend.add(&c_a, &c_b);
         let r = net
@@ -404,6 +409,8 @@ mod tests {
             addr,
             cc,
             p,
+            deposit_gas,
+            activate_gas: r.gas_used,
         }
     }
 
@@ -476,6 +483,12 @@ mod tests {
             )
             .unwrap();
         assert!(r.success, "settle: {:?}", r.failure);
+        // Deterministic like the Table II pins (fixed contract, fixed
+        // 16-bit proofs): a move means the compiler, the precompile
+        // pricing or the range-proof encoding changed.
+        assert_eq!(ch.deposit_gas, [477_454, 478_195], "depositCommitted gas");
+        assert_eq!(ch.activate_gas, 97_701, "activate gas");
+        assert_eq!(r.gas_used, 173_094, "settle gas");
         // Replay by the other party reverts: nullifier burned.
         let r = ch
             .net

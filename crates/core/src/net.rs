@@ -1059,26 +1059,50 @@ mod tests {
 
     #[test]
     fn forced_partition_forks_and_heals_into_one_chain() {
-        let mut sched = NetworkScheduler::new(betting_specs(4), 4, PoolConfig::default(), None);
-        sched.network.force_partition(vec![0, 1], 6);
-        let reports = sched.run();
-        let net = sched.network();
-        assert!(net.converged(), "heads diverged: {:?}", net.heads());
-        for r in &reports {
+        for nodes in [4, 8] {
+            let mut sched =
+                NetworkScheduler::new(betting_specs(4), nodes, PoolConfig::default(), None);
+            sched.network.force_partition((0..nodes / 2).collect(), 6);
+            // Fork choice is a pure function of the round protocol: the
+            // queued cross-cut frames land at the heal and every node
+            // must be on one head within two rounds of it.
+            while sched.network.active_partition().is_some() {
+                sched.tick();
+            }
+            let healed = sched.network.round_number();
+            while !sched.network.converged() {
+                sched.tick();
+            }
+            let rounds = sched.network.round_number() - healed;
+            assert!(rounds <= 2, "{nodes} nodes: {rounds} rounds to one head");
+
+            let reports = sched.run();
+            let net = sched.network();
+            assert!(net.converged(), "heads diverged: {:?}", net.heads());
+            for r in &reports {
+                assert!(
+                    r.outcome.is_some(),
+                    "session {} failed: {:?}",
+                    r.id,
+                    r.error
+                );
+            }
+            for i in 0..net.len() {
+                check_conservation(net.node(i)).unwrap();
+                check_state_commitments(net.node(i)).unwrap();
+            }
+            // Both sides mined during the cut, so healing must have forced
+            // at least one node through a reorg — and a two-sided cut
+            // orphans at most the losing side's blocks.
+            let stats = net.stats();
+            assert!(stats.reorgs > 0, "partition healed without a reorg");
+            let orphaned = stats.blocks_sealed - net.node(0).head().number;
             assert!(
-                r.outcome.is_some(),
-                "session {} failed: {:?}",
-                r.id,
-                r.error
+                orphaned * 10 <= stats.blocks_sealed * 6,
+                "{nodes} nodes: {orphaned} of {} sealed blocks orphaned",
+                stats.blocks_sealed
             );
         }
-        for i in 0..net.len() {
-            check_conservation(net.node(i)).unwrap();
-            check_state_commitments(net.node(i)).unwrap();
-        }
-        // Both sides mined during the cut, so healing must have forced
-        // at least one node through a reorg.
-        assert!(net.stats().reorgs > 0, "partition healed without a reorg");
     }
 
     #[test]

@@ -296,8 +296,9 @@ proptest! {
 }
 
 /// N = 16 with a quarter of the sessions fault-seeded: every session
-/// terminates validly, its stage gas sums to its total gas, and the
-/// chain conserves ether and re-verifies its commitments.
+/// terminates validly, its stage gas sums to its total gas, the chain
+/// conserves ether and re-verifies its commitments, and the sessions
+/// share blocks.
 #[test]
 fn sixteen_sessions_settle_conserve_and_account_stage_gas() {
     let specs: Vec<SessionSpec> = (0..16u8)
@@ -324,6 +325,11 @@ fn sixteen_sessions_settle_conserve_and_account_stage_gas() {
     }
     check_conservation(chain(&sched)).unwrap();
     check_state_commitments(chain(&sched)).unwrap();
+    let (blocks, txs) = block_counts(chain(&sched));
+    assert!(
+        txs > blocks,
+        "16 sessions must share blocks: {txs} txs over {blocks} blocks"
+    );
 }
 
 /// Clock-jump regression: when one session sleeps toward a *far* wake

@@ -1,10 +1,12 @@
 //! Stress and robustness: long chains, many games on one chain instance,
 //! multi-transaction blocks, and adversarial calldata fuzzing.
 
-use onoffchain::chain::{Testnet, Transaction, Wallet};
+use onoffchain::chain::{Testnet, Transaction, Wallet, WorldState};
 use onoffchain::contracts::{BetSecrets, OnChainContract, Timeline};
 use onoffchain::core::SignedCopy;
+use onoffchain::evm::Host;
 use onoffchain::primitives::{ether, Address, U256};
+use std::time::Instant;
 
 #[test]
 fn fifty_sequential_games_on_one_chain() {
@@ -343,6 +345,54 @@ fn scale_1024_sessions_settle_and_share_blocks() {
     );
 }
 
+// splitmix64 so the address set doesn't correlate with map layout.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e3779b97f4a7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
+    x ^ (x >> 31)
+}
+fn acct(i: u64) -> Address {
+    let mut a = [0u8; 20];
+    a[..8].copy_from_slice(&mix(i).to_be_bytes());
+    a[8..16].copy_from_slice(&mix(i ^ 0xabcd).to_be_bytes());
+    Address(a)
+}
+fn populate(n: u64) -> WorldState {
+    let mut s = WorldState::new();
+    for i in 0..n {
+        s.mint(acct(i), U256::from_u64(i + 1));
+        if i % 16 == 0 {
+            s.set_storage(acct(i), U256::from_u64(i % 4), U256::from_u64(i + 7));
+        }
+    }
+    s.clear_tx_scratch();
+    s
+}
+fn mean_read_ns(s: &WorldState, n: u64, reads: u64) -> f64 {
+    let start = Instant::now();
+    let mut sink = U256::ZERO;
+    for r in 0..reads {
+        sink = sink.wrapping_add(s.storage(acct(mix(r) % n), U256::from_u64(r % 4)));
+    }
+    let ns = start.elapsed().as_nanos() as f64;
+    std::hint::black_box(sink);
+    ns / reads as f64
+}
+
+/// Smoke-scale version of the million-account read check below: 16x
+/// more accounts must not multiply flat-read latency (generous 3x
+/// bound — one wall-clock ratio inside one process).
+#[test]
+fn flat_reads_do_not_scale_with_account_count() {
+    let small_ns = mean_read_ns(&populate(5_000), 5_000, 200_000);
+    let large_ns = mean_read_ns(&populate(80_000), 80_000, 200_000);
+    assert!(
+        large_ns <= small_ns * 3.0,
+        "flat read latency scaled with state: {small_ns:.1}ns @ 5k -> {large_ns:.1}ns @ 80k"
+    );
+}
+
 /// The flat-state engine at full paper scale: a million funded accounts
 /// (every 16th holding storage) built, folded, churned under the
 /// pruning archive and snapshot-round-tripped. Expensive (a trie fold
@@ -352,45 +402,6 @@ fn scale_1024_sessions_settle_and_share_blocks() {
 #[test]
 #[ignore = "scheduled stress job: million-account state build, churn and snapshot"]
 fn million_account_state_reads_flat_and_archives_bounded() {
-    use onoffchain::chain::WorldState;
-    use onoffchain::evm::Host;
-    use std::time::Instant;
-
-    // splitmix64 so the address set doesn't correlate with map layout.
-    fn mix(mut x: u64) -> u64 {
-        x = x.wrapping_add(0x9e3779b97f4a7c15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-        x ^ (x >> 31)
-    }
-    fn acct(i: u64) -> Address {
-        let mut a = [0u8; 20];
-        a[..8].copy_from_slice(&mix(i).to_be_bytes());
-        a[8..16].copy_from_slice(&mix(i ^ 0xabcd).to_be_bytes());
-        Address(a)
-    }
-    fn populate(n: u64) -> WorldState {
-        let mut s = WorldState::new();
-        for i in 0..n {
-            s.mint(acct(i), U256::from_u64(i + 1));
-            if i % 16 == 0 {
-                s.set_storage(acct(i), U256::from_u64(i % 4), U256::from_u64(i + 7));
-            }
-        }
-        s.clear_tx_scratch();
-        s
-    }
-    fn mean_read_ns(s: &WorldState, n: u64, reads: u64) -> f64 {
-        let start = Instant::now();
-        let mut sink = U256::ZERO;
-        for r in 0..reads {
-            sink = sink.wrapping_add(s.storage(acct(mix(r) % n), U256::from_u64(r % 4)));
-        }
-        let ns = start.elapsed().as_nanos() as f64;
-        std::hint::black_box(sink);
-        ns / reads as f64
-    }
-
     const N: u64 = 1_000_000;
     let mut s = populate(N);
     s.enable_pruning(64);
