@@ -8,13 +8,9 @@
 //! This crate measures no performance claim and writes no artifact:
 //! wall-clock numbers with repeats and spread come from the one ruler,
 //! `src/bin/e2e_bench` (see `/BENCHMARK.json`), and deterministic figures
-//! are pinned by `#[test]`s in the crate that owns the behaviour. The one
-//! timing table left here is [`parallel_evm`], the serial-vs-parallel
-//! seal comparison the ruler cannot make.
+//! are pinned by `#[test]`s in the crate that owns the behaviour.
 
 #![warn(missing_docs)]
-
-pub mod parallel_evm;
 
 use sc_chain::Testnet;
 use sc_contracts::{BetSecrets, MonolithicContract, Timeline};

@@ -16,21 +16,19 @@
 //!   `state_root` / `receipts_root` Merkle commitments.
 //! * [`proof`] — [`proof::StorageProof`]: stateless light verification
 //!   of a storage slot against a header's `state_root`.
-//! * [`parallel`] — optimistic parallel block execution
-//!   ([`parallel::ExecMode`], Block-STM-style speculation).
 //! * [`wire`] — RLP wire codec for gossiped blocks, headers and
 //!   transactions (identities re-derived locally on decode).
 //! * [`light`] — [`light::HeaderClient`]: a light client tracking
 //!   verified headers only, serving proof-checked storage reads.
 //! * [`testnet`] — the [`testnet::Testnet`] node: admission, sealing,
-//!   and block import (the reference executor) with fork choice.
+//!   and block import with fork choice; sealing and import run the one
+//!   serial execution loop, so every follower re-proves every seal.
 
 #![warn(missing_docs)]
 
 pub mod block;
 pub mod light;
 pub mod overlay;
-pub mod parallel;
 pub mod proof;
 pub mod state;
 pub mod testnet;
@@ -40,10 +38,11 @@ pub mod wire;
 pub use block::{receipts_root, Block, FailureReason, Header, Receipt};
 pub use light::{HeaderClient, HeaderImport, HeaderImportError};
 pub use overlay::{Account, DiffLayer, StateOverlay};
-pub use parallel::{ExecMode, SealReport};
 pub use proof::{AccountProof, ProofVerifyError, ReceiptProof, StorageProof};
 pub use state::{encode_account, SnapshotError, WorldState};
-pub use testnet::{CallResult, ChainConfig, ImportError, ImportOutcome, Testnet, TxError};
+pub use testnet::{
+    CallResult, ChainConfig, ImportError, ImportOutcome, SealReport, Testnet, TxError,
+};
 pub use tx::{SignedTransaction, Transaction, Wallet};
 pub use wire::WireError;
 // The pool types travel with the chain so downstream crates (the

@@ -277,12 +277,6 @@ impl StateOverlay {
             acct.storage_root = root;
         }
     }
-
-    /// The flat storage map, for the seal-time fold jobs (read-only,
-    /// shared across fold threads).
-    pub(crate) fn storage_map(&self) -> &HashMap<(Address, U256), U256> {
-        &self.storage
-    }
 }
 
 #[cfg(test)]

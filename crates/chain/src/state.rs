@@ -4,11 +4,11 @@
 //!
 //! Reads and writes never touch a Merkle trie — they hit the overlay's
 //! flat maps and mark dirty sets. [`WorldState::state_root`] reconciles
-//! the authenticated tries from those sets once per block (batched,
-//! folding big batches across threads), and when pruning is enabled
-//! ([`WorldState::enable_pruning`]) each seal also commits the changed
-//! trie spines into a refcounted [`TrieArchive`] window so historical
-//! roots stay provable while node memory stays bounded.
+//! the authenticated tries from those sets once per block (batched),
+//! and when pruning is enabled ([`WorldState::enable_pruning`]) each
+//! seal also commits the changed trie spines into a refcounted
+//! [`TrieArchive`] window so historical roots stay provable while node
+//! memory stays bounded.
 
 use crate::overlay::StateOverlay;
 use sc_crypto::keccak256;
@@ -16,6 +16,7 @@ use sc_evm::host::{Host, LogEntry};
 use sc_primitives::rlp::{self, Item};
 use sc_primitives::{Address, H256, U256};
 use sc_trie::{ProofError, SecureTrie, TrieArchive};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -237,43 +238,6 @@ impl WorldState {
         self.overlay.addresses()
     }
 
-    /// Sets a balance directly, outside any journal (commit path of the
-    /// optimistic executor: effects are final when applied).
-    pub(crate) fn set_balance_raw(&mut self, a: Address, v: U256) {
-        self.overlay.account_mut(a).balance = v;
-        self.dirty_accounts.insert(a);
-    }
-
-    /// Adds `delta` wei to a balance directly (the executor's
-    /// commutative coinbase fee credit).
-    pub(crate) fn add_balance_raw(&mut self, a: Address, delta: U256) {
-        let acct = self.overlay.account_mut(a);
-        acct.balance = acct.balance.wrapping_add(delta);
-        self.dirty_accounts.insert(a);
-    }
-
-    /// Sets a nonce directly, outside any journal.
-    pub(crate) fn set_nonce_raw(&mut self, a: Address, v: u64) {
-        self.overlay.account_mut(a).nonce = v;
-        self.dirty_accounts.insert(a);
-    }
-
-    /// Installs code (with its precomputed hash) directly, outside any
-    /// journal.
-    pub(crate) fn set_code_raw(&mut self, a: Address, code: Arc<Vec<u8>>, hash: H256) {
-        let acct = self.overlay.account_mut(a);
-        acct.code = code;
-        acct.code_hash = hash;
-        self.dirty_accounts.insert(a);
-    }
-
-    /// Writes a storage slot directly, outside any journal (zero
-    /// removes the entry, like a reverted write would).
-    pub(crate) fn set_storage_raw(&mut self, a: Address, key: U256, value: U256) {
-        self.overlay.set_storage(a, key, value);
-        self.touch_storage(a, key);
-    }
-
     /// Folds every dirty slot and account into the authenticated tries
     /// and returns the account-trie root — the `state_root` a sealed
     /// block commits to. Called once per block (not per op): between
@@ -283,40 +247,35 @@ impl WorldState {
     /// Idempotent: folding with empty dirty sets just re-reads the
     /// cached root.
     pub fn state_root(&mut self) -> H256 {
-        // Per-account storage tries are independent: take each dirty
-        // account's trie out of the map and fold them as a batch —
-        // concurrently when the batch is big enough to pay for threads.
-        let mut jobs: Vec<StorageFoldJob> = std::mem::take(&mut self.dirty_storage)
-            .into_iter()
-            .map(|(a, mut keys)| {
-                self.dirty_accounts.insert(a);
-                let trie = match self.storage_tries.remove(&a) {
-                    Some(t) => t,
-                    None => {
-                        // No cached trie (fresh account, or dropped when
-                        // the account was destroyed): fold every live
-                        // slot so the rebuild is complete, not just the
-                        // dirty subset.
-                        keys.extend(self.overlay.slot_keys(a));
-                        SecureTrie::new()
-                    }
-                };
-                StorageFoldJob {
-                    address: a,
-                    keys,
-                    trie,
-                    root: H256::ZERO,
+        for (a, mut keys) in std::mem::take(&mut self.dirty_storage) {
+            self.dirty_accounts.insert(a);
+            let trie = match self.storage_tries.entry(a) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    // No cached trie (fresh account, or dropped when
+                    // the account was destroyed): fold every live
+                    // slot so the rebuild is complete, not just the
+                    // dirty subset.
+                    keys.extend(self.overlay.slot_keys(a));
+                    e.insert(SecureTrie::new())
                 }
-            })
-            .collect();
-        fold_storage_jobs(self.overlay.storage_map(), &mut jobs);
-        for job in jobs {
-            self.overlay.set_storage_root(job.address, job.root);
+            };
+            for key in keys {
+                let k = key.to_be_bytes();
+                let v = self.overlay.storage(a, key);
+                if v.is_zero() {
+                    trie.remove(&k);
+                } else {
+                    trie.insert(&k, encode_storage_value(v));
+                }
+            }
+            let root = trie.root();
             // An emptied trie is dropped, not retained: it contributes
             // nothing to any root and would otherwise pin node memory.
-            if !job.trie.is_empty() {
-                self.storage_tries.insert(job.address, job.trie);
+            if trie.is_empty() {
+                self.storage_tries.remove(&a);
             }
+            self.overlay.set_storage_root(a, root);
         }
         for a in std::mem::take(&mut self.dirty_accounts) {
             // Every dirty account is an archive candidate: destruction
@@ -721,51 +680,6 @@ impl WorldState {
         }
         Ok(state)
     }
-}
-
-/// One dirty account's storage-trie fold: the stale keys plus the trie
-/// itself, taken out of [`WorldState::storage_tries`] for the duration.
-struct StorageFoldJob {
-    address: Address,
-    keys: HashSet<U256>,
-    trie: SecureTrie,
-    root: H256,
-}
-
-/// Dirty accounts below this count fold inline — thread setup would
-/// dominate the trie work.
-const PARALLEL_FOLD_THRESHOLD: usize = 8;
-
-/// Folds every job's stale keys into its trie and records the new root.
-/// Jobs are independent (one trie per account, shared read-only view of
-/// the flat storage map), so big batches fan out over scoped threads;
-/// MPT roots are canonical regardless of insertion order, making the
-/// result identical either way.
-fn fold_storage_jobs(storage: &HashMap<(Address, U256), U256>, jobs: &mut [StorageFoldJob]) {
-    let fold_one = |job: &mut StorageFoldJob| {
-        for key in &job.keys {
-            let k = key.to_be_bytes();
-            match storage.get(&(job.address, *key)) {
-                Some(v) if !v.is_zero() => job.trie.insert(&k, encode_storage_value(*v)),
-                _ => {
-                    job.trie.remove(&k);
-                }
-            }
-        }
-        job.root = job.trie.root();
-    };
-
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if jobs.len() < PARALLEL_FOLD_THRESHOLD || workers < 2 {
-        jobs.iter_mut().for_each(fold_one);
-        return;
-    }
-    let chunk_len = jobs.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for chunk in jobs.chunks_mut(chunk_len) {
-            scope.spawn(|| chunk.iter_mut().for_each(&fold_one));
-        }
-    });
 }
 
 impl Host for WorldState {

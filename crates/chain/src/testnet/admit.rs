@@ -3,7 +3,7 @@
 //! arriving and the miner packing it lives here.
 
 use super::Testnet;
-use crate::tx::SignedTransaction;
+use crate::tx::{SignedTransaction, Transaction};
 use sc_crypto::ecdsa::recover_addresses_batch;
 use sc_evm::{gas, Host};
 use sc_mempool::{PoolError, TxMeta};
@@ -81,11 +81,11 @@ impl std::error::Error for TxError {}
 /// Sender recovery (~an ECDSA scalar-mul) and the two keccaks are paid
 /// once here; sealing and [`Testnet::effective_nonce`] read the cached
 /// fields instead of re-deriving per transaction.
-pub(crate) struct PendingTx {
-    pub(crate) signed: SignedTransaction,
-    pub(crate) sender: Address,
-    pub(crate) hash: H256,
-    pub(crate) intrinsic: u64,
+pub(super) struct PendingTx {
+    pub(super) signed: SignedTransaction,
+    pub(super) sender: Address,
+    pub(super) hash: H256,
+    pub(super) intrinsic: u64,
 }
 
 impl PendingTx {
@@ -107,6 +107,15 @@ impl PendingTx {
         let sender = signed.sender().map_err(|_| TxError::BadSignature)?;
         Ok(PendingTx::new(signed, sender))
     }
+}
+
+/// What a transaction must hold before it runs: `gas_limit × gas_price
+/// + value`. The fields are outside input, so the sum is checked:
+/// `None` is a cost no balance can cover.
+pub(super) fn upfront_cost(tx: &Transaction) -> Option<U256> {
+    U256::from_u64(tx.gas_limit)
+        .checked_mul(tx.gas_price)?
+        .checked_add(tx.value)
 }
 
 impl Testnet {
@@ -174,10 +183,7 @@ impl Testnet {
                 required: ptx.intrinsic,
             });
         }
-        let upfront = U256::from_u64(tx.gas_limit)
-            .wrapping_mul(tx.gas_price)
-            .wrapping_add(tx.value);
-        if self.state.balance(ptx.sender) < upfront {
+        if upfront_cost(tx).is_none_or(|cost| self.state.balance(ptx.sender) < cost) {
             return Err(TxError::InsufficientFunds);
         }
         let hash = ptx.hash;

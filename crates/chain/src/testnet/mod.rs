@@ -18,15 +18,15 @@ mod admit;
 mod import;
 mod seal;
 
-pub(crate) use admit::PendingTx;
 pub use admit::TxError;
 pub use import::{ImportError, ImportOutcome};
+pub use seal::SealReport;
 
 use crate::block::{Block, Receipt};
-use crate::parallel::{ExecMode, SealReport};
 use crate::proof::{AccountProof, ReceiptProof, StorageProof};
 use crate::state::WorldState;
 use crate::tx::{Transaction, Wallet};
+use admit::PendingTx;
 use import::BlockUndoRec;
 use sc_evm::host::{BlockEnv, Env, TxEnv};
 use sc_evm::{AnalysisCache, CallParams, Evm, Host};
@@ -63,12 +63,6 @@ pub struct ChainConfig {
     pub default_gas_price: U256,
     /// The fee market: pool capacity and same-nonce replacement bump.
     pub pool: PoolConfig,
-    /// How blocks execute their transactions. The default honours the
-    /// `SC_EXEC_MODE` environment variable (see [`ExecMode::from_env`])
-    /// and is [`ExecMode::Serial`] when unset, so the chaos suite and
-    /// every existing test keep the serial executor unless CI
-    /// explicitly opts a whole process into [`ExecMode::Parallel`].
-    pub exec: ExecMode,
 }
 
 impl Default for ChainConfig {
@@ -80,7 +74,6 @@ impl Default for ChainConfig {
             genesis_timestamp: 1_550_000_000, // Feb 2019, the paper's era
             default_gas_price: sc_primitives::gwei(1),
             pool: PoolConfig::default(),
-            exec: ExecMode::from_env(),
         }
     }
 }
@@ -113,7 +106,7 @@ pub struct Testnet {
     /// Jumpdest analyses shared by every EVM this chain spins up, so a
     /// contract's bitmap is computed once across all blocks and calls.
     analysis_cache: Arc<AnalysisCache>,
-    /// Executor statistics of the most recently sealed block.
+    /// Report of the most recently sealed block.
     last_seal: Option<SealReport>,
     /// Canonical hash → height index, maintained through seals and
     /// reorgs so gossip dedup and fork-point walks are O(1) per block.

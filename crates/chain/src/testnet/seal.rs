@@ -1,11 +1,10 @@
 //! Block building: packing the pool, the one execution core that both
 //! sealing and import run, and the commit tail that indexes a block.
 
-use super::admit::PendingTx;
+use super::admit::{upfront_cost, PendingTx};
 use super::import::BlockUndoRec;
 use super::Testnet;
 use crate::block::{self, Block, FailureReason, Receipt};
-use crate::parallel::{self, ExecMode, SealReport};
 use crate::tx::SignedTransaction;
 use sc_evm::host::Host;
 use sc_evm::{CallParams, Evm};
@@ -21,8 +20,18 @@ pub(super) struct Executed {
     pub(super) gas_used: u64,
     pub(super) state_root: H256,
     pub(super) receipts_root: H256,
-    speculative: usize,
-    reexecuted: usize,
+}
+
+/// What the most recent seal did. The two counters are always 0 and
+/// stay only because `src/bin/e2e_bench/src/drive.rs` reads them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SealReport {
+    /// Transactions in the block.
+    pub txs: usize,
+    /// Always 0: the one executor speculates nothing.
+    pub speculative: usize,
+    /// Always 0, likewise.
+    pub reexecuted: usize,
 }
 
 impl Testnet {
@@ -51,10 +60,9 @@ impl Testnet {
             .execute_block(packed, number, timestamp, true)
             .expect("sealing leaves a refused transaction out");
         self.last_seal = Some(SealReport {
-            mode: self.config.exec,
             txs: executed.txs.len(),
-            speculative: executed.speculative,
-            reexecuted: executed.reexecuted,
+            speculative: 0,
+            reexecuted: 0,
         });
 
         let txs: Vec<SignedTransaction> = executed.txs.into_iter().map(|p| p.signed).collect();
@@ -80,28 +88,26 @@ impl Testnet {
         block
     }
 
-    /// Executor statistics of the most recently mined block (`None`
-    /// before the first seal). Benches and tests read the speculation /
-    /// re-execution split here to assert conflict behaviour.
+    /// The report of the most recently mined block (`None` before the
+    /// first seal).
     pub fn last_seal_report(&self) -> Option<SealReport> {
         self.last_seal
     }
 
     /// The execution core: runs `txs` as block `number` at `timestamp`
-    /// on the current state, numbers the receipts, sums the gas and
-    /// folds the block's writes into the tries once, not per op.
-    /// Sealing builds a header from the result; import compares it to
-    /// one.
+    /// on the current state, one after another, numbers the receipts,
+    /// sums the gas and folds the block's writes into the tries once,
+    /// not per op. Sealing builds a header from the result; import
+    /// compares it to one — the same loop, so every follower re-proves
+    /// every seal.
     ///
     /// Every transaction is re-checked at its slot — admission saw an
     /// earlier state, and the pool knows nothing of balances. Import
     /// (`sealing == false`) refuses the block: `Err` names the rule
     /// broken, the writes so far left in the open undo layer for the
-    /// caller to rewind, and everything runs serially, the reference
-    /// semantics every executor is gated to. Sealing leaves the
-    /// transaction out, unexecuted, its hash joining
-    /// [`Testnet::drain_evicted`] — the sender's later nonces then fail
-    /// the same check — and `ChainConfig::exec` picks the executor.
+    /// caller to rewind. Sealing leaves the transaction out,
+    /// unexecuted, its hash joining [`Testnet::drain_evicted`] — the
+    /// sender's later nonces then fail the same check.
     pub(super) fn execute_block(
         &mut self,
         txs: Vec<PendingTx>,
@@ -109,28 +115,10 @@ impl Testnet {
         timestamp: u64,
         sealing: bool,
     ) -> Result<Executed, &'static str> {
-        // Optimistic parallel execution: speculate every transaction
-        // concurrently over the pre-block state, then commit in block
-        // order — validated speculations apply their buffered write
-        // sets, conflicting ones re-execute serially at their slot.
-        let parallel = sealing && self.config.exec == ExecMode::Parallel;
-        let mut outcomes = parallel.then(|| {
-            parallel::speculate_block(
-                &self.state,
-                &self.config,
-                &self.analysis_cache,
-                &txs,
-                number,
-                timestamp,
-            )
-            .into_iter()
-        });
-        let coinbase = self.config.coinbase;
         let mut included = Vec::with_capacity(txs.len());
         let mut receipts = Vec::with_capacity(txs.len());
-        let (mut speculative, mut reexecuted, mut gas_used) = (0, 0, 0u64);
+        let mut gas_used = 0u64;
         for ptx in txs {
-            let outcome = outcomes.as_mut().and_then(Iterator::next);
             if let Err(rule) = self.recheck_at_slot(&ptx) {
                 if !sealing {
                     return Err(rule);
@@ -138,16 +126,7 @@ impl Testnet {
                 self.refused.push(ptx.hash);
                 continue;
             }
-            let mut receipt = match outcome.and_then(|o| o.try_commit(&mut self.state, coinbase)) {
-                Some(receipt) => {
-                    speculative += 1;
-                    receipt
-                }
-                None => {
-                    reexecuted += usize::from(parallel);
-                    self.execute_transaction(&ptx, number, timestamp)
-                }
-            };
+            let mut receipt = self.execute_transaction(&ptx, number, timestamp);
             receipt.tx_index = receipts.len();
             gas_used += receipt.gas_used;
             receipts.push(receipt);
@@ -159,8 +138,6 @@ impl Testnet {
             state_root: self.state.state_root(),
             receipts_root: block::receipts_root(receipts.iter()),
             receipts,
-            speculative,
-            reexecuted,
         })
     }
 
@@ -174,10 +151,7 @@ impl Testnet {
         if tx.gas_limit < ptx.intrinsic || tx.gas_limit > self.config.block_gas_limit {
             return Err("gas limit out of bounds");
         }
-        let upfront = U256::from_u64(tx.gas_limit)
-            .wrapping_mul(tx.gas_price)
-            .wrapping_add(tx.value);
-        if self.state.balance(ptx.sender) < upfront {
+        if upfront_cost(tx).is_none_or(|cost| self.state.balance(ptx.sender) < cost) {
             return Err("sender cannot cover upfront cost");
         }
         Ok(())
@@ -226,7 +200,9 @@ impl Testnet {
         let sender = ptx.sender;
         let tx_hash = ptx.hash;
 
-        // Buy gas.
+        // Buy gas. `recheck_at_slot` bounded `gas_limit × gas_price` by
+        // the sender's balance, so neither this product nor the smaller
+        // reimbursement below can wrap.
         let gas_cost = U256::from_u64(tx.gas_limit).wrapping_mul(tx.gas_price);
         let paid = self.state.transfer(sender, self.config.coinbase, gas_cost);
         debug_assert!(paid, "upfront cost re-checked at this slot");

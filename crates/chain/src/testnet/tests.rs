@@ -387,9 +387,9 @@ fn submit_batch_rejects_tampered_signature() {
 
 /// Queues one transfer per entry of `gwei_prices` (alice and bob
 /// alternating), mines them into one block, and has a fresh follower
-/// with the same genesis replay it: import re-derives every sender and
-/// executes serially, so `Extended` means the cached (or parallel)
-/// seal agrees with the reference executor on gas and both roots.
+/// with the same genesis replay it: import re-derives every sender, so
+/// `Extended` means the seal's cached senders and fee-ordered pack
+/// agree with the reference executor on gas and both roots.
 fn mined_block_replays_on_a_follower(gwei_prices: &[u64]) {
     let senders = ["alice", "bob"].map(Wallet::from_seed);
     let alloc = [0, 1].map(|i| (senders[i].address, ether(10)));
@@ -644,75 +644,6 @@ fn pooled_serial_and_cached_mining_agree() {
     // Distinct prices: the pack reorders by fee, the follower must
     // still reproduce the block.
     mined_block_replays_on_a_follower(&[1, 2, 3, 4]);
-}
-
-#[test]
-fn parallel_blocks_match_serial_and_report_conflicts() {
-    let run = |exec: ExecMode| {
-        let mut net = Testnet::with_config(ChainConfig {
-            exec,
-            ..ChainConfig::default()
-        });
-        let wallets: Vec<Wallet> = (0..6)
-            .map(|i| net.funded_wallet(&format!("w{i}"), ether(10)))
-            .collect();
-        // Disjoint transfers (speculate cleanly) plus two txs
-        // hitting the same recipient (the second conflicts on the
-        // recipient balance) and a contract deploy.
-        for (i, w) in wallets.iter().enumerate().take(4) {
-            let tx = Transaction {
-                to: Some(Address([10 + i as u8; 20])),
-                value: U256::from_u64(100 + i as u64),
-                ..transfer_tx(0, gwei(1), 21_000)
-            };
-            net.submit(tx.sign(&w.key)).unwrap();
-        }
-        for w in &wallets[4..] {
-            let tx = Transaction {
-                to: Some(Address([0x77; 20])),
-                value: U256::from_u64(5),
-                ..transfer_tx(0, gwei(1), 21_000)
-            };
-            net.submit(tx.sign(&w.key)).unwrap();
-        }
-        let deployer = net.funded_wallet("deployer", ether(10));
-        let initcode = sc_evm::wrap_initcode(&[0x60, 0x2a, 0x60, 0x00, 0x55, 0x00]);
-        let tx = Transaction {
-            to: None,
-            value: U256::ZERO,
-            data: initcode,
-            ..transfer_tx(0, gwei(1), 200_000)
-        };
-        net.submit(tx.sign(&deployer.key)).unwrap();
-        let block = net.mine_block();
-        (block, net)
-    };
-
-    let (pb, pnet) = run(ExecMode::Parallel);
-    let (sb, snet) = run(ExecMode::Serial);
-    assert_eq!(pb.hash, sb.hash, "parallel block is byte-identical");
-    assert_eq!(pb.state_root, sb.state_root);
-    assert_eq!(pb.receipts_root, sb.receipts_root);
-    assert_eq!(pb.gas_used, sb.gas_used);
-    for t in &pb.transactions {
-        assert_eq!(pnet.receipt(t.hash()), snet.receipt(t.hash()));
-    }
-
-    let report = pnet.last_seal_report().unwrap();
-    assert_eq!(report.mode, ExecMode::Parallel);
-    assert_eq!(report.txs, 7);
-    assert_eq!(report.speculative + report.reexecuted, report.txs);
-    assert!(
-        report.speculative >= 5,
-        "disjoint txs commit speculatively: {report:?}"
-    );
-    assert!(
-        report.reexecuted >= 1,
-        "second tx into the shared recipient conflicts: {report:?}"
-    );
-    let serial_report = snet.last_seal_report().unwrap();
-    assert_eq!(serial_report.mode, ExecMode::Serial);
-    assert_eq!(serial_report.speculative, 0);
 }
 
 #[test]

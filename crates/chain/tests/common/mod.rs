@@ -3,8 +3,8 @@
 //! transactions, re-checks and executes them serially, and accepts a
 //! block only if gas, `state_root` and `receipts_root` match the header
 //! whose hash commits them — so a follower that extends with a sealed
-//! block has proven the seal path (cached senders, batch admission, the
-//! parallel executor) changed nothing observable.
+//! block has proven the seal path (cached senders, batch admission,
+//! the fee-ordered pack) changed nothing observable.
 
 use sc_chain::{ImportOutcome, Testnet};
 

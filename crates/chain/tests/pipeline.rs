@@ -9,8 +9,8 @@ mod common;
 
 use common::assert_follower_replays;
 use sc_chain::{
-    ChainConfig, ImportError, ImportOutcome, SignedTransaction, Testnet, Transaction, TxError,
-    Wallet,
+    Block, ChainConfig, ImportError, ImportOutcome, SignedTransaction, Testnet, Transaction,
+    TxError, Wallet,
 };
 use sc_evm::contract_address;
 use sc_primitives::{ether, gwei, Address, U256};
@@ -367,5 +367,67 @@ fn seal_leaves_out_what_the_sender_can_no_longer_afford() {
             .iter()
             .fold(U256::ZERO, |sum, &a| sum.wrapping_add(net.balance_of(a)));
         assert_eq!(held, net.total_minted());
+    }
+}
+
+/// Regression: the upfront cost `gas_limit × gas_price + value` is built
+/// from outside input and must not wrap. With `gas_limit = 2¹⁵` and
+/// `gas_price = 2²⁴¹` the product is ≡ 0 mod 2²⁵⁶ (and a `value` of
+/// 2²⁵⁶ − fee does the same to the sum), so a zero-balance wallet used
+/// to be admitted at the top of the fee market and mined for free in
+/// release, while in debug the miner — and every follower importing the
+/// block — panicked settling the gas. Now admission refuses it, and so
+/// does import when a peer that skipped admission gossips it in a block.
+#[test]
+fn wrapped_upfront_cost_is_refused_at_admission_and_at_the_slot() {
+    let broke = Wallet::from_seed("pipe-wrapped-fee");
+    let sink = Address([0x77; 20]);
+    let fee = U256::from_u64(21_000).wrapping_mul(gwei(1));
+    let wrapped = [
+        Transaction {
+            gas_price: U256::from_u64(1) << 241,
+            ..transfer(0, sink, 0, 32_768)
+        },
+        Transaction {
+            value: U256::ZERO.wrapping_sub(fee),
+            ..transfer(0, sink, 0, 21_000)
+        },
+    ];
+    for tx in wrapped {
+        let free = tx.sign(&broke.key);
+        let mut net = Testnet::new();
+        assert_eq!(net.submit(free.clone()), Err(TxError::InsufficientFunds));
+        assert_eq!(
+            net.submit_batch(vec![free.clone()]),
+            vec![Err(TxError::InsufficientFunds)]
+        );
+
+        let head = net.head().clone();
+        let (number, timestamp, txs) = (head.number + 1, net.now(), vec![free]);
+        let forged = Block {
+            number,
+            timestamp,
+            parent_hash: head.hash,
+            hash: Block::compute_hash(
+                number,
+                timestamp,
+                head.hash,
+                head.state_root,
+                head.receipts_root,
+                21_000,
+                &txs,
+            ),
+            state_root: head.state_root,
+            receipts_root: head.receipts_root,
+            transactions: txs,
+            gas_used: 21_000,
+        };
+        assert_eq!(
+            net.import_block(forged),
+            Err(ImportError::InvalidBlock {
+                reason: "sender cannot cover upfront cost"
+            })
+        );
+        assert_eq!(net.head().number, 0);
     }
 }

@@ -1,22 +1,21 @@
-//! Serial ≡ parallel equivalence: a block mined by the optimistic
-//! parallel executor must be byte-for-byte what the serial executor
-//! produces — block hash, `state_root`, `receipts_root`, gas, every
-//! receipt, every log — on *adversarial, conflict-heavy* blocks: many
-//! transactions hammering the same account and the same storage slot,
-//! read-modify-write chains, deploys and reverts mixed in, several
-//! transactions per sender. Two oracles: a twin chain sealing the same
-//! block under [`ExecMode::Serial`], and a follower importing the
-//! parallel chain block by block (import is the reference executor).
+//! Seal ≡ import on *adversarial* blocks: many transactions hammering
+//! the same account and the same storage slot, read-modify-write
+//! chains, deploys and reverts mixed in, several transactions per
+//! sender. Two oracles: a follower importing the chain block by block
+//! (import is the reference executor — it re-derives every sender and
+//! accepts only matching gas and roots), and a twin chain fed the same
+//! operations, which must seal the same block — hash, `state_root`,
+//! `receipts_root`, gas, every receipt, every log.
 
 mod common;
 
 use common::assert_follower_replays;
 use proptest::prelude::*;
-use sc_chain::{ChainConfig, ExecMode, Testnet, Transaction, Wallet};
+use sc_chain::{ChainConfig, Testnet, Transaction, Wallet};
 use sc_primitives::{ether, Address, U256};
 
 /// Runtime that stores calldata word 1 at the slot named by calldata
-/// word 0 (same contract as the `parallel_evm` bench).
+/// word 0.
 const STORE_RUNTIME: [u8; 8] = [0x60, 0x20, 0x35, 0x60, 0x00, 0x35, 0x55, 0x00];
 
 /// Runtime that increments slot 0: `PUSH1 0 SLOAD PUSH1 1 ADD PUSH1 0
@@ -100,8 +99,8 @@ struct Fixture {
     logger: Address,
 }
 
-/// A chain in `mode` whose genesis funds the senders and the deployer.
-fn genesis(mode: ExecMode) -> (Testnet, Vec<Wallet>, Wallet) {
+/// A chain whose genesis funds the senders and the deployer.
+fn genesis() -> (Testnet, Vec<Wallet>, Wallet) {
     let wallets: Vec<Wallet> = (0..SENDERS)
         .map(|i| Wallet::from_seed(&format!("w{i}")))
         .collect();
@@ -111,17 +110,14 @@ fn genesis(mode: ExecMode) -> (Testnet, Vec<Wallet>, Wallet) {
         .chain([&deployer])
         .map(|w| (w.address, ether(100)))
         .collect();
-    let config = ChainConfig {
-        exec: mode,
-        ..ChainConfig::default()
-    };
-    (Testnet::with_genesis(config, &alloc), wallets, deployer)
+    let net = Testnet::with_genesis(ChainConfig::default(), &alloc);
+    (net, wallets, deployer)
 }
 
-/// Boots a chain in `mode` and deploys the four fixture contracts
-/// (each in its own setup block).
-fn fixture(mode: ExecMode) -> Fixture {
-    let (mut net, wallets, deployer) = genesis(mode);
+/// Boots a chain and deploys the four fixture contracts (each in its
+/// own setup block).
+fn fixture() -> Fixture {
+    let (mut net, wallets, deployer) = genesis();
     let mut deploy = |runtime: &[u8]| {
         let r = net
             .deploy(
@@ -148,11 +144,19 @@ fn fixture(mode: ExecMode) -> Fixture {
     }
 }
 
-/// Submits the whole adversarial op list, mines ONE block under `mode`,
-/// and returns the digest of everything observable. A parallel chain is
-/// also replayed on a follower.
-fn run(ops: &[Op], mode: ExecMode) -> (Fixture, sc_chain::Block, Vec<Option<sc_chain::Receipt>>) {
-    let mut fx = fixture(mode);
+type Sealed = (Fixture, sc_chain::Block, Vec<Option<sc_chain::Receipt>>);
+
+/// [`seal`], then the whole chain replayed on a fresh follower.
+fn run(ops: &[Op]) -> Sealed {
+    let sealed = seal(ops);
+    assert_follower_replays(&sealed.0.net, genesis().0);
+    sealed
+}
+
+/// Submits the whole adversarial op list to a fresh chain, mines ONE
+/// block, and returns everything observable.
+fn seal(ops: &[Op]) -> Sealed {
+    let mut fx = fixture();
     let mut hashes = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         let w = &fx.wallets[op.sender];
@@ -227,9 +231,6 @@ fn run(ops: &[Op], mode: ExecMode) -> (Fixture, sc_chain::Block, Vec<Option<sc_c
         hashes.push(fx.net.submit(tx.sign(&w.key)).ok());
     }
     let block = fx.net.mine_block();
-    if mode == ExecMode::Parallel {
-        assert_follower_replays(&fx.net, genesis(ExecMode::Serial).0);
-    }
     let receipts = hashes
         .iter()
         .map(|h| h.and_then(|h| fx.net.receipt(h).cloned()))
@@ -240,83 +241,34 @@ fn run(ops: &[Op], mode: ExecMode) -> (Fixture, sc_chain::Block, Vec<Option<sc_c
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The headline property: one conflict-heavy block, mined by the
-    /// optimistic parallel executor vs the serial one, is byte-for-byte
-    /// identical in every observable way.
+    /// The headline property: one adversarial block replays on a
+    /// follower, and a second fresh chain fed the same operations seals
+    /// it identically in every observable way.
     #[test]
-    fn parallel_block_equals_serial_reference(ops in arb_block()) {
-        let (pfx, pblock, preceipts) = run(&ops, ExecMode::Parallel);
-        let (sfx, sblock, sreceipts) = run(&ops, ExecMode::Serial);
+    fn mixed_block_replays_on_a_follower(ops in arb_block()) {
+        let (fx, block, receipts) = run(&ops);
+        let (twin, twin_block, twin_receipts) = seal(&ops);
 
-        prop_assert_eq!(pblock.hash, sblock.hash, "block hash diverged");
-        prop_assert_eq!(pblock.state_root, sblock.state_root);
-        prop_assert_eq!(pblock.receipts_root, sblock.receipts_root);
-        prop_assert_eq!(pblock.gas_used, sblock.gas_used);
-        prop_assert_eq!(&preceipts, &sreceipts, "receipts diverged");
-
-        let head = pblock.number;
+        prop_assert_eq!(block.hash, twin_block.hash, "block hash diverged");
+        prop_assert_eq!(block.state_root, twin_block.state_root);
+        prop_assert_eq!(block.receipts_root, twin_block.receipts_root);
+        prop_assert_eq!(block.gas_used, twin_block.gas_used);
+        prop_assert_eq!(&receipts, &twin_receipts, "receipts diverged");
         prop_assert_eq!(
-            pfx.net.logs(0, head, None),
-            sfx.net.logs(0, head, None),
+            fx.net.logs(0, block.number, None),
+            twin.net.logs(0, block.number, None),
             "logs diverged"
         );
-        for (pw, sw) in pfx.wallets.iter().zip(&sfx.wallets) {
-            prop_assert_eq!(pfx.net.balance_of(pw.address), sfx.net.balance_of(sw.address));
-            prop_assert_eq!(pfx.net.nonce_of(pw.address), sfx.net.nonce_of(sw.address));
-        }
-        prop_assert_eq!(
-            pfx.net.balance_of(pfx.net.config().coinbase),
-            sfx.net.balance_of(sfx.net.config().coinbase),
-            "coinbase fees diverged"
-        );
-        prop_assert_eq!(
-            pfx.net.storage_at(pfx.store, U256::ZERO),
-            sfx.net.storage_at(sfx.store, U256::ZERO)
-        );
-        prop_assert_eq!(
-            pfx.net.storage_at(pfx.rmw, U256::ZERO),
-            sfx.net.storage_at(sfx.rmw, U256::ZERO)
-        );
 
-        // The report accounts for every transaction in the block.
-        let report = pfx.net.last_seal_report().expect("sealed at least once");
-        prop_assert_eq!(report.mode, ExecMode::Parallel);
-        prop_assert_eq!(report.txs, pblock.transactions.len());
-        prop_assert_eq!(report.speculative + report.reexecuted, report.txs);
-    }
-
-    /// Same-sender nonce chains: every tx after a sender's first reads
-    /// the nonce the previous one bumped, so chains re-execute — and
-    /// still land byte-identical.
-    #[test]
-    fn nonce_chains_from_one_sender_stay_identical(n in 2usize..12) {
-        let ops: Vec<Op> = (0..n)
-            .map(|i| Op {
-                sender: 0,
-                kind: KINDS[i % KINDS.len()],
-                wei: 1 + i as u64,
-            })
-            .collect();
-        let (pfx, pblock, _) = run(&ops, ExecMode::Parallel);
-        let (_, sblock, _) = run(&ops, ExecMode::Serial);
-        prop_assert_eq!(pblock.hash, sblock.hash);
-        let report = pfx.net.last_seal_report().expect("sealed");
-        // The first tx in the chain speculates against the true base
-        // state and commits; later ones conflict on the sender nonce
-        // and balance.
-        prop_assert!(
-            report.reexecuted >= report.txs.saturating_sub(1).min(1),
-            "chained txs must conflict: {:?}",
-            report
-        );
+        let report = fx.net.last_seal_report().expect("sealed at least once");
+        prop_assert_eq!(report.txs, block.transactions.len());
     }
 }
 
-/// Deterministic conflict accounting: N read-modify-write txs on one
-/// slot from distinct senders — the first commits speculatively, every
-/// other conflicts, regardless of thread scheduling.
+/// N read-modify-write transactions on one slot from N senders: every
+/// increment lands exactly once.
 #[test]
-fn rmw_hot_slot_conflicts_are_deterministic() {
+fn hot_slot_increments_land_exactly_once_each() {
     let ops: Vec<Op> = (0..SENDERS)
         .map(|sender| Op {
             sender,
@@ -324,43 +276,30 @@ fn rmw_hot_slot_conflicts_are_deterministic() {
             wei: 1,
         })
         .collect();
-    let (pfx, pblock, _) = run(&ops, ExecMode::Parallel);
-    let (_, sblock, _) = run(&ops, ExecMode::Serial);
-    assert_eq!(pblock.hash, sblock.hash);
+    let (fx, block, _) = run(&ops);
+    assert_eq!(block.transactions.len(), SENDERS);
     assert_eq!(
-        pfx.net.storage_at(pfx.rmw, U256::ZERO),
-        U256::from_u64(SENDERS as u64),
-        "every increment landed exactly once"
+        fx.net.storage_at(fx.rmw, U256::ZERO),
+        U256::from_u64(SENDERS as u64)
     );
-    let report = pfx.net.last_seal_report().expect("sealed");
-    assert_eq!(report.txs, SENDERS);
-    assert_eq!(report.speculative, 1, "only the first RMW validates");
-    assert_eq!(report.reexecuted, SENDERS - 1);
 }
 
-/// Disjoint workload: distinct senders, distinct slots, distinct
-/// recipients — everything commits speculatively.
+/// Same-sender nonce chains: every transaction after a sender's first
+/// needs the nonce the previous one bumped, and all of them land in
+/// nonce order in one block.
 #[test]
-fn disjoint_block_commits_fully_speculatively() {
-    let ops: Vec<Op> = (0..SENDERS)
-        .map(|sender| Op {
-            sender,
-            kind: if sender % 2 == 0 {
-                Kind::StoreColdSlot
-            } else {
-                Kind::TransferCold
-            },
-            wei: 10 + sender as u64,
-        })
-        .collect();
-    let (pfx, pblock, _) = run(&ops, ExecMode::Parallel);
-    let (_, sblock, _) = run(&ops, ExecMode::Serial);
-    assert_eq!(pblock.hash, sblock.hash);
-    let report = pfx.net.last_seal_report().expect("sealed");
-    assert_eq!(report.txs, SENDERS);
-    assert_eq!(
-        report.speculative, SENDERS,
-        "no conflicts in disjoint block"
-    );
-    assert_eq!(report.reexecuted, 0);
+fn nonce_chain_from_one_sender_lands_in_order_in_one_block() {
+    for n in 2..12 {
+        let ops: Vec<Op> = (0..n)
+            .map(|i| Op {
+                sender: 0,
+                kind: KINDS[i % KINDS.len()],
+                wei: 1 + i as u64,
+            })
+            .collect();
+        let (fx, block, _) = run(&ops);
+        let nonces: Vec<u64> = block.transactions.iter().map(|t| t.tx.nonce).collect();
+        assert_eq!(nonces, (0..n as u64).collect::<Vec<_>>());
+        assert_eq!(fx.net.nonce_of(fx.wallets[0].address), n as u64);
+    }
 }

@@ -14,8 +14,6 @@
 //! * [`precompile`] — `ecrecover`, `sha256`, `identity`.
 //! * [`asm`] — label-aware assembler and disassembler.
 //! * [`inspect`] — step tracing and per-opcode gas profiling.
-//! * [`spec`] — read/write-set tracking host for optimistic parallel
-//!   execution.
 
 #![warn(missing_docs)]
 
@@ -28,7 +26,6 @@ pub mod inspect;
 pub mod memory;
 pub mod opcode;
 pub mod precompile;
-pub mod spec;
 
 pub use analysis::{AnalysisCache, CacheStats, CodeAnalysis, DEFAULT_ANALYSIS_CAPACITY};
 pub use asm::{disassemble, wrap_initcode, Asm};
@@ -36,4 +33,3 @@ pub use exec::{contract_address, CallOutcome, CallParams, CreateOutcome, Evm, Vm
 pub use host::{BlockEnv, Env, Host, LogEntry, MockHost, TxEnv};
 pub use inspect::{GasProfiler, Inspector};
 pub use opcode::Op;
-pub use spec::{ReadRecord, SpeculativeHost, WriteSet};
