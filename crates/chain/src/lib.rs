@@ -9,8 +9,8 @@
 //!   slot) → value` maps every read and write hits, with per-block
 //!   [`overlay::DiffLayer`]s recording first-touch priors.
 //! * [`state`] — journaled [`state::WorldState`] implementing `sc_evm::Host`
-//!   over the overlay, reconciling tries at seal time and archiving
-//!   retained-window roots for pruning + historical proofs.
+//!   over the overlay, reconciling tries at seal time and proving
+//!   reads against the current root.
 //! * [`tx`] — transactions, signing, [`tx::Wallet`].
 //! * [`block`] — blocks and [`block::Receipt`]s, sealed with
 //!   `state_root` / `receipts_root` Merkle commitments.

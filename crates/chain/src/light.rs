@@ -8,7 +8,7 @@
 //! on the same head as the full nodes feeding them, reorgs included.
 //!
 //! Storage reads are served by checking a [`StorageProof`] against the
-//! `state_root` of a tracked header ([`HeaderClient::verified_storage`]),
+//! `state_root` of the tracked head ([`HeaderClient::verified_storage`]),
 //! which is the paper's "stateless verifier" role: a session participant
 //! that holds no chain state but still refuses unproven answers.
 
@@ -139,19 +139,20 @@ impl HeaderClient {
     }
 
     /// Walks `tip`'s ancestry through the side store to the canonical
-    /// chain; `None` while detached or height-inconsistent.
+    /// chain; `None` while detached, height-inconsistent, or dated at
+    /// or before a parent (the full node's import rule).
     fn connected_branch(&self, tip: &Header) -> Option<(u64, Vec<Header>)> {
         let mut rev: Vec<&Header> = vec![tip];
         let mut cur = tip;
         loop {
             if let Some(&n) = self.canon.get(&cur.parent_hash) {
-                if n + 1 != cur.number {
+                if n + 1 != cur.number || cur.timestamp <= self.header(n)?.timestamp {
                     return None;
                 }
                 return Some((n, rev.into_iter().rev().cloned().collect()));
             }
             let parent = self.side.get(&cur.parent_hash)?;
-            if parent.number + 1 != cur.number {
+            if parent.number + 1 != cur.number || cur.timestamp <= parent.timestamp {
                 return None;
             }
             rev.push(parent);
@@ -208,46 +209,12 @@ impl HeaderClient {
         Ok(proof.value)
     }
 
-    /// Checks a storage proof against the `state_root` of the tracked
-    /// canonical header at `number` — the historical-read counterpart
-    /// of [`HeaderClient::verified_storage`], pairing with a full
-    /// node's archive proofs ([`crate::state::WorldState::prove_storage_at`]).
-    /// Fails with [`ProofVerifyError::UntrackedHeader`] when the client
-    /// does not track that height.
-    pub fn verified_storage_at(
-        &self,
-        number: u64,
-        proof: &StorageProof,
-    ) -> Result<U256, ProofVerifyError> {
-        let header = self
-            .header(number)
-            .ok_or(ProofVerifyError::UntrackedHeader(number))?;
-        proof.verify(header.state_root)?;
-        Ok(proof.value)
-    }
-
     /// Checks an account proof against the tracked head's `state_root`,
     /// returning the proven `(nonce, balance)`. A light *submitter*
     /// uses this to bound its own nonce and funds without trusting the
     /// relay's account map.
     pub fn verified_account(&self, proof: &AccountProof) -> Result<(u64, U256), ProofVerifyError> {
         proof.verify(self.head().state_root)?;
-        Ok((proof.nonce, proof.balance))
-    }
-
-    /// Checks an account proof against the tracked canonical header at
-    /// `number` — the historical counterpart of
-    /// [`HeaderClient::verified_account`], pairing with
-    /// [`crate::state::WorldState::prove_account_at`].
-    pub fn verified_account_at(
-        &self,
-        number: u64,
-        proof: &AccountProof,
-    ) -> Result<(u64, U256), ProofVerifyError> {
-        let header = self
-            .header(number)
-            .ok_or(ProofVerifyError::UntrackedHeader(number))?;
-        proof.verify(header.state_root)?;
         Ok((proof.nonce, proof.balance))
     }
 
@@ -291,7 +258,7 @@ mod tests {
 
     #[test]
     fn follows_headers_and_verifies_storage() {
-        let (mut net, _, proof) = chain_with_storage();
+        let (mut net, contract, proof) = chain_with_storage();
         let alice = Wallet::from_seed("alice");
         net.execute(&alice, Address([9; 20]), ether(1), vec![], 100_000)
             .unwrap();
@@ -306,15 +273,16 @@ mod tests {
         assert_eq!(client.height(), net.head().number);
         assert_eq!(client.head().hash, net.head().hash);
 
-        // The proof was anchored at block 1; verify against that header.
-        assert_eq!(client.verified_storage_at(1, &proof).unwrap(), proof.value);
-        assert_eq!(
-            client.verified_storage_at(99, &proof),
-            Err(ProofVerifyError::UntrackedHeader(99))
-        );
+        // The proof was anchored at block 1; it still checks out against
+        // that header's root.
+        proof.verify(client.header(1).unwrap().state_root).unwrap();
+        assert!(client.header(99).is_none());
         // Against the head's root it must fail (alice's transfer moved
-        // the account trie): a light client never accepts stale proofs.
+        // the account trie): a light client never accepts stale proofs,
+        // and the re-proved read goes through.
         assert!(client.verified_storage(&proof).is_err());
+        let fresh = net.prove_storage(contract, U256::ONE);
+        assert_eq!(client.verified_storage(&fresh), Ok(U256::from_u64(42)));
     }
 
     #[test]
@@ -351,6 +319,36 @@ mod tests {
         assert_eq!(
             client.import_header(forged),
             Err(HeaderImportError::HashMismatch)
+        );
+
+        // A well-formed child of the head dated at or before it is kept
+        // off the canonical chain, and so is anything built on it; the
+        // honest child still extends.
+        let head = client.head().clone();
+        let child_at = |parent: &Header, timestamp| {
+            Header::new(
+                parent.number + 1,
+                timestamp,
+                parent.hash,
+                parent.state_root,
+                parent.receipts_root,
+                0,
+                vec![],
+            )
+        };
+        for timestamp in [head.timestamp, head.timestamp - 3_000] {
+            let backdated = child_at(&head, timestamp);
+            let grandchild = child_at(&backdated, head.timestamp + 8);
+            for h in [backdated, grandchild] {
+                assert_eq!(client.import_header(h).unwrap(), HeaderImport::Side);
+            }
+            assert_eq!(client.head().hash, head.hash);
+        }
+        assert_eq!(
+            client
+                .import_header(child_at(&head, head.timestamp + 4))
+                .unwrap(),
+            HeaderImport::Extended
         );
     }
 
@@ -512,24 +510,32 @@ mod tests {
             client.verified_account(&forged),
             Err(ProofVerifyError::AccountMismatch { .. })
         ));
-        assert_eq!(
-            client.verified_account_at(99, &proof),
-            Err(ProofVerifyError::UntrackedHeader(99))
-        );
+        // The honest proof is anchored to the head and to no other root.
+        assert!(proof.verify(client.header(0).unwrap().state_root).is_err());
     }
 
     /// Every structurally-corrupted witness must surface a typed error —
     /// never a panic — no matter which byte an adversarial relay mangles.
     #[test]
     fn malformed_witness_corpus_yields_typed_errors() {
-        let (mut net, contract, storage_proof) = chain_with_storage();
+        let (mut net, contract, _) = chain_with_storage();
         let alice = Wallet::from_seed("alice");
         let r = net
             .execute(&alice, contract, U256::ZERO, vec![], 100_000)
             .unwrap();
         let client = synced_client(&net);
+        // Taken after the last block, so each witness verifies against
+        // the head untouched: a mutation below fails for what it
+        // corrupts, not for being stale.
+        let storage_proof = net.prove_storage(contract, U256::ONE);
         let account_proof = net.prove_account(alice.address);
         let receipt_proof = net.prove_receipt(r.tx_hash).unwrap();
+        assert_eq!(
+            client.verified_storage(&storage_proof),
+            Ok(U256::from_u64(42))
+        );
+        client.verified_account(&account_proof).unwrap();
+        client.verified_receipt(&receipt_proof).unwrap();
 
         // Corrupt every byte of every path node, plus truncations and
         // node swaps — all must decode to Err, none may panic.
@@ -540,7 +546,7 @@ mod tests {
                 for b in p.account_proof[i].iter_mut() {
                     *b ^= bit;
                 }
-                assert!(client.verified_storage_at(1, &p).is_err());
+                assert!(client.verified_storage(&p).is_err());
                 corpus += 1;
             }
         }
@@ -556,7 +562,7 @@ mod tests {
         let mut p = storage_proof.clone();
         p.storage_proof.reverse(); // nodes out of path order still hash-checked
         p.value = p.value.wrapping_add(U256::ONE);
-        assert!(client.verified_storage_at(1, &p).is_err());
+        assert!(client.verified_storage(&p).is_err());
         for i in 0..receipt_proof.proof.len() {
             let mut p = receipt_proof.clone();
             p.proof[i] = vec![0xff; 3];

@@ -1,23 +1,21 @@
 //! Journaled world state over the flat [`StateOverlay`]: the chain's
 //! implementation of [`sc_evm::Host`], plus the seal-time trie fold,
-//! the pruning archive, and deterministic snapshot export/import.
+//! head-anchored proofs, and deterministic snapshot export/import.
 //!
 //! Reads and writes never touch a Merkle trie — they hit the overlay's
 //! flat maps and mark dirty sets. [`WorldState::state_root`] reconciles
-//! the authenticated tries from those sets once per block (batched),
-//! and when pruning is enabled ([`WorldState::enable_pruning`]) each
-//! seal also commits the changed trie spines into a refcounted
-//! [`TrieArchive`] window so historical roots stay provable while node
-//! memory stays bounded.
+//! the authenticated tries from those sets once per block (batched).
+//! Proofs anchor to the current root of those live tries; history is
+//! the chain's per-block [`DiffLayer`] undo stack.
 
 use crate::overlay::StateOverlay;
 use sc_crypto::keccak256;
 use sc_evm::host::{Host, LogEntry};
 use sc_primitives::rlp::{self, Item};
 use sc_primitives::{Address, H256, U256};
-use sc_trie::{ProofError, SecureTrie, TrieArchive};
+use sc_trie::SecureTrie;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -57,9 +55,9 @@ pub enum SnapshotError {
     /// The RLP envelope or an account entry did not decode to the
     /// expected shape.
     Malformed,
-    /// Accounts were not strictly ascending by address (the canonical
-    /// form [`WorldState::export_snapshot`] emits), so the blob cannot
-    /// round-trip deterministically.
+    /// Accounts were not strictly ascending by address, or one's slots
+    /// by key (the canonical form [`WorldState::export_snapshot`]
+    /// emits), so the blob cannot round-trip deterministically.
     Unordered,
 }
 
@@ -67,33 +65,12 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Malformed => write!(f, "malformed state snapshot"),
-            SnapshotError::Unordered => write!(f, "snapshot accounts not in canonical order"),
+            SnapshotError::Unordered => write!(f, "snapshot entries not in canonical order"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// One sealed block's archive bookkeeping: the account-trie root it
-/// committed plus, per account whose storage root moved, the root it
-/// displaced and the one it installed ([`sc_trie::empty_root`] encodes
-/// "no storage").
-struct SealRecord {
-    account_root: H256,
-    changed: Vec<(Address, H256, H256)>,
-}
-
-/// The pruning archive: a refcounted node store holding every trie node
-/// reachable from the last `window` sealed roots, and nothing else.
-struct EngineArchive {
-    store: TrieArchive,
-    window: usize,
-    records: VecDeque<SealRecord>,
-    /// Storage root currently archived per account (absent = empty).
-    committed_storage: HashMap<Address, H256>,
-    /// Accounts whose storage trie was re-folded since the last commit.
-    pending: HashSet<Address>,
-}
 
 /// The full world state with a transaction-scoped journal.
 ///
@@ -128,9 +105,6 @@ pub struct WorldState {
     dirty_accounts: HashSet<Address>,
     /// Storage slots whose trie entry is stale.
     dirty_storage: HashMap<Address, HashSet<U256>>,
-    /// Trie-node pruning and historical-proof archive, when
-    /// [`WorldState::enable_pruning`] armed it.
-    archive: Option<EngineArchive>,
 }
 
 impl WorldState {
@@ -278,13 +252,6 @@ impl WorldState {
             self.overlay.set_storage_root(a, root);
         }
         for a in std::mem::take(&mut self.dirty_accounts) {
-            // Every dirty account is an archive candidate: destruction
-            // drops a storage root and resurrection re-introduces one
-            // even when no slot was written this block. Unchanged roots
-            // are skipped cheaply at commit (memoized root compare).
-            if let Some(arch) = &mut self.archive {
-                arch.pending.insert(a);
-            }
             let meta = self
                 .overlay
                 .account(a)
@@ -380,203 +347,6 @@ impl WorldState {
         }
     }
 
-    // ---- pruning archive ----
-
-    /// Arms the pruning archive with a retention window of `window`
-    /// sealed roots (min 1). From the next [`WorldState::commit_archive`]
-    /// on, every seal's changed trie spines are archived, historical
-    /// storage proofs within the window are served by
-    /// [`WorldState::prove_storage_at`], and nodes unreachable from the
-    /// retained roots are freed as seals slide the window forward.
-    pub fn enable_pruning(&mut self, window: usize) {
-        self.archive = Some(EngineArchive {
-            store: TrieArchive::new(),
-            window: window.max(1),
-            records: VecDeque::new(),
-            committed_storage: HashMap::new(),
-            pending: HashSet::new(),
-        });
-    }
-
-    /// True once [`WorldState::enable_pruning`] armed the archive.
-    pub fn pruning_enabled(&self) -> bool {
-        self.archive.is_some()
-    }
-
-    /// Nodes currently held by the archive (bounded by the window).
-    pub fn archived_node_count(&self) -> usize {
-        self.archive.as_ref().map_or(0, |a| a.store.node_count())
-    }
-
-    /// Total encoded bytes currently held by the archive.
-    pub fn archived_byte_size(&self) -> usize {
-        self.archive.as_ref().map_or(0, |a| a.store.byte_size())
-    }
-
-    /// Nodes held by the live (unarchived) account and storage tries.
-    pub fn live_trie_node_count(&self) -> usize {
-        self.account_trie.node_count()
-            + self
-                .storage_tries
-                .values()
-                .map(|t| t.node_count())
-                .sum::<usize>()
-    }
-
-    /// True while `root` is still reachable in the archive (i.e. inside
-    /// the retention window).
-    pub fn archived_root_available(&self, root: H256) -> bool {
-        self.archive
-            .as_ref()
-            .is_some_and(|a| a.store.contains_root(root))
-    }
-
-    /// Commits the current sealed tries into the archive: the account
-    /// trie plus every storage trie re-folded since the last commit
-    /// whose root actually moved. When the record count exceeds the
-    /// window, the oldest record's displaced roots are released, freeing
-    /// every node no retained root reaches. No-op with pruning off.
-    ///
-    /// Call once per sealed block, *after* [`WorldState::state_root`].
-    pub fn commit_archive(&mut self) {
-        let Some(arch) = &mut self.archive else {
-            return;
-        };
-        let account_root = arch.store.commit_secure(&mut self.account_trie);
-        let mut pending: Vec<Address> = arch.pending.drain().collect();
-        pending.sort_unstable();
-        let mut changed = Vec::new();
-        for a in pending {
-            let old = arch
-                .committed_storage
-                .get(&a)
-                .copied()
-                .unwrap_or_else(sc_trie::empty_root);
-            let new = match self.storage_tries.get_mut(&a) {
-                Some(t) => t.root(),
-                None => sc_trie::empty_root(),
-            };
-            if old == new {
-                continue;
-            }
-            if new == sc_trie::empty_root() {
-                arch.committed_storage.remove(&a);
-            } else {
-                if let Some(t) = self.storage_tries.get_mut(&a) {
-                    arch.store.commit_secure(t);
-                }
-                arch.committed_storage.insert(a, new);
-            }
-            changed.push((a, old, new));
-        }
-        arch.records.push_back(SealRecord {
-            account_root,
-            changed,
-        });
-        while arch.records.len() > arch.window {
-            let rec = arch.records.pop_front().expect("len > window >= 1");
-            arch.store.release(rec.account_root);
-            for (_, old, _) in rec.changed {
-                // `old` was current up to this record's block; with the
-                // record evicted no retained block can reference it.
-                arch.store.release(old);
-            }
-        }
-    }
-
-    /// Rolls the archive back one sealed record, releasing the roots
-    /// that seal installed and restoring the displaced storage roots as
-    /// current. Call once per [`WorldState::apply_undo`]'d block, newest
-    /// first. Rolling back deeper than the window leaves the archive
-    /// correct but may strand (never free) nodes from the un-tracked
-    /// depth — reorgs are expected to be shallower than the window.
-    pub fn rollback_archive(&mut self) {
-        let Some(arch) = &mut self.archive else {
-            return;
-        };
-        let Some(rec) = arch.records.pop_back() else {
-            return;
-        };
-        arch.store.release(rec.account_root);
-        for (a, old, new) in rec.changed {
-            arch.store.release(new);
-            if old == sc_trie::empty_root() {
-                arch.committed_storage.remove(&a);
-            } else {
-                arch.committed_storage.insert(a, old);
-            }
-        }
-    }
-
-    /// Merkle proof that `(a, key)` held `value` under the *historical*
-    /// `state_root` — any root still inside the pruning window. The
-    /// proof is built statelessly from archived nodes, so it verifies
-    /// with [`crate::proof::StorageProof::verify`] exactly like a live
-    /// proof. Errors with [`ProofError::MissingNode`] once the root has
-    /// been pruned (or was never archived).
-    pub fn prove_storage_at(
-        &self,
-        state_root: H256,
-        a: Address,
-        key: U256,
-    ) -> Result<crate::proof::StorageProof, ProofError> {
-        let Some(arch) = &self.archive else {
-            return Err(ProofError::MissingNode(state_root));
-        };
-        let account_proof = arch.store.prove_secure(state_root, a.as_bytes())?;
-        let account_rlp = arch.store.get_secure(state_root, a.as_bytes())?;
-        let (value, storage_proof) = match account_rlp {
-            None => (U256::ZERO, Vec::new()),
-            Some(enc) => {
-                let storage_root =
-                    crate::proof::decode_storage_root(&enc).ok_or(ProofError::BadNode)?;
-                let storage_proof = arch.store.prove_secure(storage_root, &key.to_be_bytes())?;
-                let value = match arch.store.get_secure(storage_root, &key.to_be_bytes())? {
-                    None => U256::ZERO,
-                    Some(v) => rlp::decode(&v)
-                        .ok()
-                        .and_then(|i| i.as_uint())
-                        .ok_or(ProofError::BadNode)?,
-                };
-                (value, storage_proof)
-            }
-        };
-        Ok(crate::proof::StorageProof {
-            address: a,
-            slot: key,
-            value,
-            root: state_root,
-            account_proof,
-            storage_proof,
-        })
-    }
-
-    /// Merkle proof that `a` held its nonce and balance under the
-    /// *historical* `state_root` — any root still inside the pruning
-    /// window, served statelessly from archived nodes like
-    /// [`WorldState::prove_storage_at`].
-    pub fn prove_account_at(
-        &self,
-        state_root: H256,
-        a: Address,
-    ) -> Result<crate::proof::AccountProof, ProofError> {
-        let Some(arch) = &self.archive else {
-            return Err(ProofError::MissingNode(state_root));
-        };
-        let account_proof = arch.store.prove_secure(state_root, a.as_bytes())?;
-        let (nonce, balance) = match arch.store.get_secure(state_root, a.as_bytes())? {
-            None => (0, U256::ZERO),
-            Some(enc) => crate::proof::decode_account_parts(&enc).ok_or(ProofError::BadNode)?,
-        };
-        Ok(crate::proof::AccountProof {
-            address: a,
-            nonce,
-            balance,
-            root: state_root,
-            account_proof,
-        })
-    }
-
     // ---- snapshots ----
 
     /// Serialises the live state into the canonical snapshot blob: an
@@ -616,8 +386,10 @@ impl WorldState {
     /// Rebuilds a state from a snapshot blob. Everything is marked
     /// dirty, so the first [`WorldState::state_root`] reconstructs the
     /// tries — importing a node's snapshot and folding must reproduce
-    /// the exporter's root bit for bit. Rejects blobs that are not in
-    /// the canonical (strictly address-ascending) form.
+    /// the exporter's root bit for bit. Accepts only the canonical form
+    /// [`WorldState::export_snapshot`] emits (addresses and slot keys
+    /// strictly ascending, no entry without account or slot), so an
+    /// accepted blob re-exports to the same bytes.
     pub fn import_snapshot(data: &[u8]) -> Result<WorldState, SnapshotError> {
         let Ok(Item::List(entries)) = rlp::decode(data) else {
             return Err(SnapshotError::Malformed);
@@ -651,7 +423,8 @@ impl WorldState {
             let Item::Bytes(code) = code else {
                 return Err(SnapshotError::Malformed);
             };
-            if nonce != 0 || !balance.is_zero() || !code.is_empty() {
+            let exists = nonce != 0 || !balance.is_zero() || !code.is_empty();
+            if exists {
                 let acct = state.overlay.account_mut(a);
                 acct.nonce = nonce;
                 acct.balance = balance;
@@ -662,6 +435,10 @@ impl WorldState {
             let Item::List(slots) = slots else {
                 return Err(SnapshotError::Malformed);
             };
+            if !exists && slots.is_empty() {
+                return Err(SnapshotError::Malformed);
+            }
+            let mut last_key = None;
             for slot in slots {
                 let Item::List(kv) = slot else {
                     return Err(SnapshotError::Malformed);
@@ -673,6 +450,9 @@ impl WorldState {
                 let v = v.as_uint().ok_or(SnapshotError::Malformed)?;
                 if v.is_zero() {
                     return Err(SnapshotError::Malformed);
+                }
+                if last_key.replace(k).is_some_and(|prev| prev >= k) {
+                    return Err(SnapshotError::Unordered);
                 }
                 state.overlay.set_storage(a, k, v);
                 state.touch_storage(a, k);
@@ -1229,122 +1009,36 @@ mod tests {
             WorldState::import_snapshot(&swapped),
             Err(SnapshotError::Unordered)
         ));
-    }
 
-    #[test]
-    fn archive_serves_historical_proofs_inside_the_window() {
-        let mut s = WorldState::new();
-        s.enable_pruning(2);
-        s.mint(addr(1), U256::ONE);
-        s.set_storage(addr(1), U256::ONE, U256::from_u64(10));
-        s.clear_tx_scratch();
-        let root_a = s.state_root();
-        s.commit_archive();
-
-        s.set_storage(addr(1), U256::ONE, U256::from_u64(20));
-        s.clear_tx_scratch();
-        let root_b = s.state_root();
-        s.commit_archive();
-
-        // Both roots are in the window: each proves its own value.
-        for (root, v) in [(root_a, 10u64), (root_b, 20)] {
-            let p = s
-                .prove_storage_at(root, addr(1), U256::ONE)
-                .expect("in window");
-            assert_eq!(p.value, U256::from_u64(v));
-            p.verify(root).expect("archived proof verifies");
-        }
-        // Exclusion proofs work against history too.
-        let p = s
-            .prove_storage_at(root_a, addr(1), U256::from_u64(99))
-            .expect("slot exclusion");
-        assert_eq!(p.value, U256::ZERO);
-        p.verify(root_a).expect("exclusion verifies");
-        let p = s
-            .prove_storage_at(root_a, addr(0xee), U256::ONE)
-            .expect("account exclusion");
-        assert_eq!(p.value, U256::ZERO);
-        p.verify(root_a).expect("account exclusion verifies");
-
-        // A third seal slides root_a out of the 2-root window.
-        s.set_storage(addr(1), U256::ONE, U256::from_u64(30));
-        s.clear_tx_scratch();
-        s.state_root();
-        s.commit_archive();
-        assert!(
-            matches!(
-                s.prove_storage_at(root_a, addr(1), U256::ONE),
-                Err(ProofError::MissingNode(_))
+        // The canonical form binds inside an entry too: slots out of
+        // order or repeated, and an entry for an account that neither
+        // exists nor holds a slot, would re-export to different bytes.
+        let slot = |k: u64, v: u64| Item::List(vec![Item::u64(k), Item::u64(v)]);
+        let entry = |balance: u64, slots: Vec<Item>| {
+            rlp::encode_list(&[Item::List(vec![
+                Item::address(addr(1)),
+                Item::u64(0),
+                Item::u64(balance),
+                Item::bytes(vec![]),
+                Item::List(slots),
+            ])])
+        };
+        for (blob, want) in [
+            (
+                entry(1, vec![slot(2, 9), slot(1, 9)]),
+                SnapshotError::Unordered,
             ),
-            "pruned root no longer provable"
-        );
-        assert!(s.archived_root_available(root_b));
-        assert!(!s.archived_root_available(root_a));
-    }
-
-    #[test]
-    fn archive_node_memory_plateaus_under_churn() {
-        let mut s = WorldState::new();
-        s.enable_pruning(4);
-        for a in 1..=8u8 {
-            s.mint(addr(a), U256::from_u64(1_000));
+            (
+                entry(1, vec![slot(1, 8), slot(1, 9)]),
+                SnapshotError::Unordered,
+            ),
+            (entry(0, vec![]), SnapshotError::Malformed),
+        ] {
+            assert_eq!(WorldState::import_snapshot(&blob).err(), Some(want));
         }
-        s.clear_tx_scratch();
-        s.state_root();
-        s.commit_archive();
-
-        let mut peak = 0usize;
-        let mut at_50 = 0usize;
-        for round in 0u64..200 {
-            for a in 1..=8u8 {
-                s.set_storage(
-                    addr(a),
-                    U256::from_u64(round % 16),
-                    U256::from_u64(round + a as u64),
-                );
-            }
-            s.clear_tx_scratch();
-            s.state_root();
-            s.commit_archive();
-            peak = peak.max(s.archived_node_count());
-            if round == 50 {
-                at_50 = s.archived_node_count();
-            }
-        }
-        assert!(peak > 0);
-        assert!(
-            peak <= at_50 * 2,
-            "windowed archive must plateau: peak {peak} vs round-50 {at_50}"
-        );
-    }
-
-    #[test]
-    fn archive_rollback_releases_the_orphaned_seal() {
-        let mut s = WorldState::new();
-        s.enable_pruning(8);
-        s.mint(addr(1), U256::ONE);
-        s.set_storage(addr(1), U256::ONE, U256::from_u64(1));
-        s.clear_tx_scratch();
-        let root_a = s.state_root();
-        s.commit_archive();
-        let nodes_a = s.archived_node_count();
-
-        s.begin_undo_layer();
-        s.set_storage(addr(1), U256::from_u64(2), U256::from_u64(2));
-        s.clear_tx_scratch();
-        let root_b = s.state_root();
-        s.commit_archive();
-        assert!(s.archived_root_available(root_b));
-
-        let layer = s.take_undo_layer();
-        s.apply_undo(layer);
-        s.rollback_archive();
-        assert_eq!(
-            s.archived_node_count(),
-            nodes_a,
-            "rollback frees exactly the orphaned seal's nodes"
-        );
-        assert!(s.archived_root_available(root_a));
-        assert_eq!(s.state_root(), root_a);
+        // A storage-only entry in slot order is the canonical form.
+        let ok = entry(0, vec![slot(1, 8), slot(2, 9)]);
+        let imported = WorldState::import_snapshot(&ok).expect("canonical");
+        assert_eq!(imported.export_snapshot(), ok);
     }
 }

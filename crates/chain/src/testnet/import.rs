@@ -287,6 +287,10 @@ impl Testnet {
         if block.parent_hash != head.hash || block.number != head.number + 1 {
             return Err(fail("does not extend the head"));
         }
+        // `TIMESTAMP` feeds every deadline check: the clock only moves forward.
+        if block.timestamp <= head.timestamp {
+            return Err(fail("timestamp does not advance"));
+        }
         // Honest miners pack under the limit: nothing can burn more.
         if block.gas_used > self.config.block_gas_limit {
             return Err(fail("gas used exceeds the block gas limit"));

@@ -40,7 +40,7 @@ impl Testnet {
     /// preserved, leftovers stay pooled for later blocks).
     ///
     /// The expensive pre-execution work (sender recovery, tx hashing,
-    /// intrinsic gas) was cached on each [`PendingTx`] at admission, so
+    /// intrinsic gas) was cached on each `PendingTx` at admission, so
     /// this is purely the sequential commit phase.
     pub fn mine_block(&mut self) -> Block {
         let state = &self.state;

@@ -13,7 +13,7 @@ use sc_chain::{
     TxError, Wallet,
 };
 use sc_evm::contract_address;
-use sc_primitives::{ether, gwei, Address, U256};
+use sc_primitives::{ether, gwei, Address, H256, U256};
 
 /// Runtime code `SSTORE(0, 42); STOP`, preceded by initcode returning it.
 const STORE_INITCODE: [u8; 15] = [
@@ -65,6 +65,37 @@ fn fresh_net() -> (Testnet, Vec<Wallet>) {
     )
 }
 
+/// A hand-built child of `head` whose hash commits the given fields,
+/// as a peer that skipped sealing would gossip it. The state root is
+/// the head's: a block that moves no state.
+fn hand_built_child(
+    head: &Block,
+    timestamp: u64,
+    receipts_root: H256,
+    gas_used: u64,
+    transactions: Vec<SignedTransaction>,
+) -> Block {
+    let number = head.number + 1;
+    Block {
+        number,
+        timestamp,
+        parent_hash: head.hash,
+        hash: Block::compute_hash(
+            number,
+            timestamp,
+            head.hash,
+            head.state_root,
+            receipts_root,
+            gas_used,
+            &transactions,
+        ),
+        state_root: head.state_root,
+        receipts_root,
+        transactions,
+        gas_used,
+    }
+}
+
 /// A batch mixing every admission outcome: valid transfers from two
 /// senders, a contract creation, a call to the created contract, a
 /// tampered signature, a replayed nonce, a future nonce the pool holds
@@ -110,19 +141,15 @@ fn mixed_batch(wallets: &[Wallet]) -> Vec<SignedTransaction> {
 /// Everything a block observer could compare between two runs.
 #[derive(Debug, PartialEq)]
 struct Observation {
-    outcomes: Vec<Result<sc_primitives::H256, TxError>>,
-    block: sc_chain::Block,
+    outcomes: Vec<Result<H256, TxError>>,
+    block: Block,
     receipts: Vec<sc_chain::Receipt>,
     balances: Vec<U256>,
     nonces: Vec<u64>,
     contract_storage: U256,
 }
 
-fn observe(
-    net: &Testnet,
-    wallets: &[Wallet],
-    outcomes: Vec<Result<sc_primitives::H256, TxError>>,
-) -> Observation {
+fn observe(net: &Testnet, wallets: &[Wallet], outcomes: Vec<Result<H256, TxError>>) -> Observation {
     let head = net.head().clone();
     let receipts = net
         .receipts_in_block(head.number)
@@ -326,6 +353,49 @@ fn import_enforces_the_block_gas_limit() {
     );
 }
 
+/// Regression: import used to accept any timestamp and then set the
+/// node's clock to it, so one gossiped block dated at or before its
+/// parent moved `TIMESTAMP` — and every T1–T3 / challenge-window check
+/// it feeds — backwards. A well-formed empty child of the head that
+/// does not advance the clock is now refused without a trace.
+#[test]
+fn import_refuses_a_block_whose_timestamp_does_not_advance() {
+    let sink = Address([0x77; 20]);
+    let (mut miner, wallets) = fresh_net();
+    miner
+        .execute(&wallets[1], sink, U256::from_u64(1), vec![], 21_000)
+        .expect("mined");
+    let (mut twin, _) = fresh_net();
+    assert_eq!(
+        twin.import_block(miner.head().clone()),
+        Ok(ImportOutcome::Extended)
+    );
+
+    let head = twin.head().clone();
+    let (clock, root) = (twin.now(), twin.prove_account(sink).root);
+    let empty_receipts = sc_chain::receipts_root(&[]);
+    for timestamp in [head.timestamp, head.timestamp - 3_000] {
+        let backdated = hand_built_child(&head, timestamp, empty_receipts, 0, vec![]);
+        assert_eq!(
+            twin.import_block(backdated),
+            Err(ImportError::InvalidBlock {
+                reason: "timestamp does not advance"
+            })
+        );
+        assert_eq!(twin.head(), &head);
+        assert_eq!(twin.now(), clock);
+        assert_eq!(twin.prove_account(sink).root, root);
+        assert_eq!(twin.side_block_count(), 0, "refused block is not kept");
+    }
+
+    // The honest empty child carries the same roots four seconds on.
+    assert_eq!(
+        twin.import_block(miner.mine_block()),
+        Ok(ImportOutcome::Extended)
+    );
+    assert_eq!(twin.head().timestamp, head.timestamp + 4);
+}
+
 /// Regression: a miner must not seal what its followers refuse.
 /// Admission checks each transaction's upfront cost against the state of
 /// the moment and the pool knows nothing of balances, so two 0.6-ether
@@ -403,25 +473,7 @@ fn wrapped_upfront_cost_is_refused_at_admission_and_at_the_slot() {
         );
 
         let head = net.head().clone();
-        let (number, timestamp, txs) = (head.number + 1, net.now(), vec![free]);
-        let forged = Block {
-            number,
-            timestamp,
-            parent_hash: head.hash,
-            hash: Block::compute_hash(
-                number,
-                timestamp,
-                head.hash,
-                head.state_root,
-                head.receipts_root,
-                21_000,
-                &txs,
-            ),
-            state_root: head.state_root,
-            receipts_root: head.receipts_root,
-            transactions: txs,
-            gas_used: 21_000,
-        };
+        let forged = hand_built_child(&head, net.now(), head.receipts_root, 21_000, vec![free]);
         assert_eq!(
             net.import_block(forged),
             Err(ImportError::InvalidBlock {

@@ -5,8 +5,10 @@ mod common;
 
 use common::assert_follower_replays;
 use proptest::prelude::*;
-use sc_chain::{ChainConfig, Testnet, Transaction, Wallet};
-use sc_primitives::{ether, U256};
+use sc_chain::{ChainConfig, Testnet, Transaction, Wallet, WorldState};
+use sc_evm::Host;
+use sc_primitives::rlp::{self, Item};
+use sc_primitives::{ether, Address, U256};
 
 #[derive(Debug, Clone)]
 struct Op {
@@ -74,6 +76,96 @@ fn total_supply(net: &Testnet, wallets: &[Wallet]) -> U256 {
         sum = sum.wrapping_add(net.balance_of(w.address));
     }
     sum
+}
+
+/// Accounts of a random small state: `(address byte, balance, code
+/// length, slots)`. Balance and code may both be zero (a storage-only
+/// entry, or nothing at all), addresses and slot keys may repeat.
+type SnapshotAccounts = Vec<(u8, u64, usize, Vec<(u64, u64)>)>;
+
+fn arb_snapshot_accounts() -> impl Strategy<Value = SnapshotAccounts> {
+    let slots = proptest::collection::vec((0u64..6, 1u64..4), 0..4);
+    proptest::collection::vec((0u8..6, 0u64..3, 0usize..3, slots), 0..5)
+}
+
+/// Applies one mutation to a snapshot blob. Kinds 0–2 swap, duplicate
+/// or drop an item of the account list or of one account's slot list
+/// (`i` picks the list, `j` the positions); 3 flips a bit; 4 truncates.
+fn mutate_snapshot(blob: &mut Vec<u8>, (kind, i, j): (u8, usize, usize)) {
+    if kind == 3 {
+        let at = i % blob.len().max(1);
+        if let Some(byte) = blob.get_mut(at) {
+            *byte ^= 1 << (j % 8);
+        }
+        return;
+    }
+    if kind == 4 {
+        blob.truncate(i % (blob.len() + 1));
+        return;
+    }
+    // An earlier flip or truncation may have left nothing to restructure.
+    let Ok(Item::List(mut entries)) = rlp::decode(blob) else {
+        return;
+    };
+    let pick = i % (entries.len() + 1);
+    let list = if pick == entries.len() {
+        &mut entries
+    } else {
+        match &mut entries[pick] {
+            Item::List(fields) => match fields.get_mut(4) {
+                Some(Item::List(slots)) => slots,
+                _ => return,
+            },
+            Item::Bytes(_) => return,
+        }
+    };
+    if list.is_empty() {
+        return;
+    }
+    let (x, y) = (j % list.len(), (j / list.len()) % list.len());
+    match kind {
+        0 => list.swap(x, y),
+        1 => list.insert(y, list[x].clone()),
+        _ => drop(list.remove(x)),
+    }
+    *blob = rlp::encode_list(&entries);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The snapshot decode boundary: whatever bytes arrive, import never
+    /// panics, and a blob it accepts is exactly the blob the resulting
+    /// state exports — there is one encoding per state, so two nodes
+    /// that accept the same bytes hold the same state and vice versa.
+    #[test]
+    fn snapshot_import_accepts_only_what_it_would_export(
+        accounts in arb_snapshot_accounts(),
+        mutations in proptest::collection::vec((0u8..5, 0usize..4096, 0usize..4096), 0..3),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut state = WorldState::new();
+        for (a, balance, code_len, slots) in &accounts {
+            let a = Address([*a; 20]);
+            state.mint(a, U256::from_u64(*balance));
+            if *code_len > 0 {
+                state.install_code(a, vec![0x5b; *code_len]);
+            }
+            for (k, v) in slots {
+                state.set_storage(a, U256::from_u64(*k), U256::from_u64(*v));
+            }
+        }
+        let mut blob = state.export_snapshot();
+        prop_assert!(WorldState::import_snapshot(&blob).is_ok(), "own export refused");
+        for m in mutations {
+            mutate_snapshot(&mut blob, m);
+        }
+        for input in [blob, noise] {
+            if let Ok(imported) = WorldState::import_snapshot(&input) {
+                prop_assert_eq!(imported.export_snapshot(), input);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -16,13 +16,10 @@
 //! `challenge()`, a sleeping one at least reclaims their own funds via
 //! `reclaimNoSubmission()`.
 //!
-//! The event loop is
-//! [`ChallengeSession`](crate::session::ChallengeSession);
-//! [`ChallengeGame`] is the typed single-game front-end: one such
-//! machine alone on a 1-node
-//! [`NetworkScheduler`](crate::net::NetworkScheduler). `with_faults()`
-//! builds it, `run_with_crash()` binds the behaviours and drives it to
-//! its terminal outcome.
+//! The event loop is [`ChallengeSession`]; [`ChallengeGame`] is the
+//! typed single-game front-end: one such machine alone on a 1-node
+//! [`NetworkScheduler`]. `with_faults()` builds it, `run_with_crash()`
+//! binds the behaviours and drives it to its terminal outcome.
 
 use crate::faults::{ChainFaults, FaultPlan};
 use crate::net::NetworkScheduler;

@@ -511,7 +511,7 @@ impl Network {
 
     /// One full network round without sessions: partition lifecycle,
     /// frame delivery, inbox processing, mining, clock sync. The
-    /// building block [`NetworkScheduler::tick`] wraps with session
+    /// building block `NetworkScheduler::tick` wraps with session
     /// stepping; also the whole loop for chain-only benchmarks.
     pub fn round(&mut self) {
         self.round += 1;

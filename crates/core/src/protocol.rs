@@ -16,13 +16,11 @@
 //!    instance is CREATEd on-chain, and `returnDisputeResolution` makes
 //!    miners recompute `reveal()` and enforce the transfer.
 //!
-//! The event loop itself is
-//! [`BettingSession`](crate::session::BettingSession): a resumable
+//! The event loop itself is [`BettingSession`]: a resumable
 //! state machine over the T1–T3 deadlines whose every wait — signature
 //! rounds, retry backoff, contract windows — is yielded to the
 //! scheduler. [`BettingGame`] is the typed single-game front-end: one
-//! such machine alone on a 1-node
-//! [`NetworkScheduler`](crate::net::NetworkScheduler), with the full
+//! such machine alone on a 1-node [`NetworkScheduler`], with the full
 //! [`ProtocolReport`] (per-transaction sender and gas) handed back. The
 //! same machine shares a network with N other sessions when built from
 //! a [`SessionSpec`](crate::session::SessionSpec) instead.

@@ -7,7 +7,7 @@
 //! against a commitment in a tracked header before it reaches the
 //! session:
 //!
-//! * storage reads verify a [`StorageProof`] against the head's
+//! * storage reads verify a [`sc_chain::StorageProof`] against the head's
 //!   `state_root` ([`HeaderClient::verified_storage`]);
 //! * its own nonce is floored by an account witness
 //!   ([`HeaderClient::verified_account`]) instead of trusting the

@@ -3,7 +3,7 @@
 //! session coming out.
 //!
 //! Determinism: wallets derive from the slot id
-//! ([`session_wallets`]), each spec carries its own fault seed, and
+//! (`session_wallets`), each spec carries its own fault seed, and
 //! contracts are compiled once per variant and cloned into each session
 //! — two runs from identical specs build identical machines.
 

@@ -20,12 +20,10 @@
 //! path and [`verify_proof`] replays them statelessly against a root —
 //! for both inclusion and exclusion.
 
-mod archive;
 mod nibbles;
 mod node;
 mod proof;
 
-pub use archive::TrieArchive;
 pub use nibbles::{hp_decode, hp_encode, to_nibbles};
 pub use proof::{verify_proof, ProofError};
 
@@ -95,21 +93,6 @@ impl Trie {
             Some(e) => keccak256(&e.encode()),
         }
     }
-
-    /// Number of nodes in the in-memory tree (leaf + extension +
-    /// branch), a live-memory diagnostic for the pruning bench.
-    pub fn node_count(&self) -> usize {
-        fn count(entry: &node::Entry) -> usize {
-            match &entry.node {
-                node::Node::Leaf { .. } => 1,
-                node::Node::Extension { child, .. } => 1 + count(child),
-                node::Node::Branch { children, .. } => {
-                    1 + children.iter().flatten().map(|c| count(c)).sum::<usize>()
-                }
-            }
-        }
-        self.root.as_deref().map_or(0, count)
-    }
 }
 
 /// A trie whose keys are keccak-256 hashed before insertion — the
@@ -148,11 +131,6 @@ impl SecureTrie {
     /// The Merkle root (see [`Trie::root`]).
     pub fn root(&mut self) -> H256 {
         self.inner.root()
-    }
-
-    /// Number of nodes in the in-memory tree (see [`Trie::node_count`]).
-    pub fn node_count(&self) -> usize {
-        self.inner.node_count()
     }
 
     /// Merkle proof for `key` (see [`Trie::prove`]); verify with
