@@ -24,6 +24,7 @@
 use crate::faults::{ChainFaults, FaultPlan};
 use crate::net::NetworkScheduler;
 use crate::participant::Participant;
+use crate::protocol::{gas_queries, TxRecord};
 use crate::session::{ChallengeSession, ChallengeSessionParams};
 use sc_chain::Testnet;
 use sc_contracts::challenge::ChallengeContracts;
@@ -78,24 +79,11 @@ pub enum ChallengeOutcome {
     ReclaimedStale,
 }
 
-/// One on-chain transaction made by the challenge driver.
-#[derive(Debug, Clone)]
-pub struct ChallengeTx {
-    /// What it was (e.g. `"submitResult"`).
-    pub label: String,
-    /// Who sent it.
-    pub sender: Address,
-    /// Gas charged.
-    pub gas_used: u64,
-    /// Whether it succeeded.
-    pub success: bool,
-}
-
 /// Report of one challenge-variant run.
 #[derive(Debug, Clone)]
 pub struct ChallengeReport {
     /// Every on-chain transaction, in order.
-    pub txs: Vec<ChallengeTx>,
+    pub txs: Vec<TxRecord>,
     /// How it ended.
     pub outcome: ChallengeOutcome,
     /// True off-chain result.
@@ -104,29 +92,7 @@ pub struct ChallengeReport {
     pub offchain_bytes_revealed: usize,
 }
 
-impl ChallengeReport {
-    /// Gas total over all transactions.
-    pub fn total_gas(&self) -> u64 {
-        self.txs.iter().map(|t| t.gas_used).sum()
-    }
-
-    /// Gas of the first successful tx with the label.
-    pub fn gas_of(&self, label: &str) -> Option<u64> {
-        self.txs
-            .iter()
-            .find(|t| t.label == label && t.success)
-            .map(|t| t.gas_used)
-    }
-
-    /// Total gas units sent by one address (failed txs included).
-    pub fn gas_spent_by(&self, who: Address) -> u64 {
-        self.txs
-            .iter()
-            .filter(|t| t.sender == who)
-            .map(|t| t.gas_used)
-            .sum()
-    }
-}
+gas_queries!(ChallengeReport);
 
 /// The challenge-variant game driver: a [`ChallengeSession`] alone on
 /// a 1-node network, both participants funded with 1000 ether at

@@ -46,8 +46,7 @@ pub mod splitter;
 pub mod whisper;
 
 pub use challenge_protocol::{
-    ChallengeGame, ChallengeOutcome, ChallengeReport, ChallengeTx, CrashPoint, SubmitStrategy,
-    WatchStrategy,
+    ChallengeGame, ChallengeOutcome, ChallengeReport, CrashPoint, SubmitStrategy, WatchStrategy,
 };
 pub use faults::{
     ChainFaults, FaultPlan, LightFaults, LinkFaults, Partition, SubmitFault, WhisperFaults,

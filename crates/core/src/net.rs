@@ -40,8 +40,8 @@ use crate::faults::{ChainFaults, FaultPlan, LightFaults, LinkFaults, Partition, 
 use crate::protocol::ProtocolError;
 use crate::session::spec::{build_session, session_wallets, ContractCache};
 use crate::session::{
-    BusPort, ChainAccess, LightPort, LightStats, NodePort, Session, SessionCtx, SessionReport,
-    SessionSpec, StepOutcome,
+    stage_bucket, BusPort, ChainAccess, LightPort, LightStats, NodePort, Session, SessionCtx,
+    SessionReport, SessionSpec, StepOutcome,
 };
 use crate::whisper::{Topic, Whisper};
 use sc_chain::{
@@ -1007,15 +1007,22 @@ impl NetworkScheduler {
         self.slots
             .iter()
             .enumerate()
-            .map(|(id, slot)| SessionReport {
-                id,
-                kind: slot.kind,
-                outcome: slot.session.outcome_label(),
-                error: slot.error.as_ref().map(ProtocolError::to_string),
-                total_gas: slot.session.total_gas(),
-                stage_gas: slot.session.gas_by_stage(),
-                txs: slot.session.tx_trace(),
-                messages_posted: slot.session.messages_posted(),
+            .map(|(id, slot)| {
+                let txs = slot.session.txs();
+                let mut stage_gas = [0u64; 4];
+                for t in txs {
+                    stage_gas[stage_bucket(&t.label)] += t.gas_used;
+                }
+                SessionReport {
+                    id,
+                    kind: slot.kind,
+                    outcome: slot.session.outcome_label(),
+                    error: slot.error.as_ref().map(ProtocolError::to_string),
+                    total_gas: stage_gas.iter().sum(),
+                    stage_gas,
+                    txs: txs.iter().map(|t| (t.label.clone(), t.success)).collect(),
+                    messages_posted: slot.session.messages_posted(),
+                }
             })
             .collect()
     }

@@ -111,35 +111,47 @@ pub struct ProtocolReport {
     pub offchain_messages: usize,
 }
 
-impl ProtocolReport {
-    /// Total gas across all transactions (miner-executed work).
-    pub fn total_gas(&self) -> u64 {
-        self.txs.iter().map(|t| t.gas_used).sum()
-    }
+/// The gas queries every report type answers from its `txs` field —
+/// one definition for [`ProtocolReport`] and
+/// [`ChallengeReport`](crate::challenge_protocol::ChallengeReport).
+macro_rules! gas_queries {
+    ($report:ty) => {
+        impl $report {
+            /// Total gas across all transactions (miner-executed work).
+            pub fn total_gas(&self) -> u64 {
+                self.txs.iter().map(|t| t.gas_used).sum()
+            }
 
+            /// Gas of the first successful transaction with this label.
+            pub fn gas_of(&self, label: &str) -> Option<u64> {
+                self.txs
+                    .iter()
+                    .find(|t| t.label == label && t.success)
+                    .map(|t| t.gas_used)
+            }
+
+            /// Total gas units sent by one address (successful or not —
+            /// failed transactions are paid for too).
+            pub fn gas_spent_by(&self, who: Address) -> u64 {
+                self.txs
+                    .iter()
+                    .filter(|t| t.sender == who)
+                    .map(|t| t.gas_used)
+                    .sum()
+            }
+        }
+    };
+}
+pub(crate) use gas_queries;
+
+gas_queries!(ProtocolReport);
+
+impl ProtocolReport {
     /// Gas attributable to one stage.
     pub fn stage_gas(&self, stage: Stage) -> u64 {
         self.txs
             .iter()
             .filter(|t| t.stage == stage)
-            .map(|t| t.gas_used)
-            .sum()
-    }
-
-    /// Gas of the first successful transaction with this label.
-    pub fn gas_of(&self, label: &str) -> Option<u64> {
-        self.txs
-            .iter()
-            .find(|t| t.label == label && t.success)
-            .map(|t| t.gas_used)
-    }
-
-    /// Total gas units sent by one address (successful or not — failed
-    /// transactions are paid for too).
-    pub fn gas_spent_by(&self, who: Address) -> u64 {
-        self.txs
-            .iter()
-            .filter(|t| t.sender == who)
             .map(|t| t.gas_used)
             .sum()
     }

@@ -10,11 +10,10 @@
 //! because its window is unbounded.
 
 use super::sign::{SignExchange, MAX_SIGN_ROUNDS, SIGN_ROUND_SECS};
-use super::{Session, SessionCtx, StepOutcome, TaskPoll, TxTask};
+use super::{hold_for_start, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
 use crate::participant::{Participant, Strategy};
-use crate::protocol::{GameConfig, Outcome, ProtocolError, Stage, TxRecord};
+use crate::protocol::{GameConfig, Outcome, ProtocolError, ProtocolReport, TxRecord};
 use crate::signedcopy::{bytecode_hash, sign_bytecode, SignedCopy};
-use sc_chain::Receipt;
 use sc_contracts::{OffChainContract, OnChainContract, Timeline, DEPLOYED_ADDR_SLOT};
 use sc_primitives::{ether, Address, U256};
 
@@ -89,10 +88,9 @@ pub struct BettingSession {
     start_delay: u64,
     start_at: Option<u64>,
     phase: Phase,
-    task: Option<TxTask>,
+    log: TxLog,
     sign: Option<SignExchange>,
     deposits_made: [bool; 2],
-    txs: Vec<TxRecord>,
     offchain_bytes_revealed: usize,
     posts: usize,
     outcome: Option<Outcome>,
@@ -122,10 +120,9 @@ impl BettingSession {
             start_delay: params.start_delay,
             start_at: None,
             phase: Phase::Start,
-            task: None,
+            log: TxLog::default(),
             sign: None,
             deposits_made: [false, false],
-            txs: Vec::new(),
             offchain_bytes_revealed: 0,
             posts: 0,
             outcome: None,
@@ -148,26 +145,16 @@ impl BettingSession {
     /// Builds the run report. `offchain_messages` is supplied by the
     /// owner of the bus (what the session's topic actually carried,
     /// after faults).
-    pub fn report(&self, offchain_messages: usize) -> crate::protocol::ProtocolReport {
+    pub fn report(&self, offchain_messages: usize) -> ProtocolReport {
         let outcome = self.outcome.expect("session not finished");
-        crate::protocol::ProtocolReport {
-            txs: self.txs.clone(),
+        ProtocolReport {
+            txs: self.log.txs().to_vec(),
             outcome,
             dispute: outcome == Outcome::SettledByDispute,
             winner_is_bob: self.config.secrets.winner_is_bob(),
             offchain_bytes_revealed: self.offchain_bytes_revealed,
             offchain_messages,
         }
-    }
-
-    fn record(&mut self, stage: Stage, label: &str, sender: Address, receipt: &Receipt) {
-        self.txs.push(TxRecord {
-            stage,
-            label: label.to_string(),
-            sender,
-            gas_used: receipt.gas_used,
-            success: receipt.success,
-        });
     }
 
     fn finish(&mut self, outcome: Outcome) -> StepOutcome {
@@ -228,20 +215,19 @@ impl BettingSession {
                 }
             }
         }
-        let topic = self.topic.clone();
         let ex = self.sign.as_mut().expect("exchange started");
-        ex.absorb(&mut ctx.bus, &topic);
-        ex.advance_round();
+        ex.round(&mut ctx.bus, &self.topic);
     }
+}
 
+impl Session for BettingSession {
     /// Makes one bounded unit of progress through Fig. 2.
-    pub fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
+    fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
         match self.phase {
             Phase::Start => {
                 let now = ctx.chain.now();
-                let start = *self.start_at.get_or_insert(now + self.start_delay);
-                if now < start {
-                    return Ok(StepOutcome::WaitUntil(start));
+                if let Some(wait) = hold_for_start(&mut self.start_at, self.start_delay, now) {
+                    return Ok(wait);
                 }
                 self.timeline = Timeline::starting_at(now, self.config.phase_seconds);
                 self.phase = Phase::Deploy;
@@ -249,13 +235,13 @@ impl BettingSession {
             }
 
             Phase::Deploy => {
-                if self.task.is_none() {
+                if self.log.idle() {
                     let initcode = self.onchain_abi.initcode(
                         self.alice.wallet.address,
                         self.bob.wallet.address,
                         self.timeline,
                     );
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "deploy onChain",
                         self.alice.wallet.clone(),
                         None,
@@ -265,15 +251,8 @@ impl BettingSession {
                         Some(self.timeline.t1),
                     ));
                 }
-                match self.task.as_mut().expect("task set").poll(ctx.chain) {
-                    TaskPoll::Landed(r) => {
-                        self.task = None;
-                        self.record(
-                            Stage::DeploySign,
-                            "deploy onChain",
-                            self.alice.wallet.address,
-                            &r,
-                        );
+                match self.log.poll(ctx.chain) {
+                    Sent::Landed(r) => {
                         if !r.success {
                             return Err(ProtocolError::TxFailed("deploy onChain".into()));
                         }
@@ -285,13 +264,9 @@ impl BettingSession {
                         self.phase = Phase::Signing;
                         Ok(StepOutcome::Progress)
                     }
-                    TaskPoll::Pending => Ok(StepOutcome::Pending),
-                    TaskPoll::Wait(t) => Ok(StepOutcome::WaitUntil(t)),
-                    TaskPoll::DeadlineMissed => {
-                        self.task = None;
-                        Ok(self.finish(Outcome::AbortedAtSigning))
-                    }
-                    TaskPoll::Rejected(e) => {
+                    Sent::Hold(hold) => Ok(hold),
+                    Sent::Missed => Ok(self.finish(Outcome::AbortedAtSigning)),
+                    Sent::Rejected(e) => {
                         Err(ProtocolError::TxFailed(format!("deploy onChain: {e}")))
                     }
                 }
@@ -335,36 +310,26 @@ impl BettingSession {
                     self.phase = Phase::Deposit(idx + 1);
                     return Ok(StepOutcome::Progress);
                 }
-                if self.task.is_none() {
-                    let onchain = self.onchain_addr.expect("deployed");
-                    self.task = Some(TxTask::new(
+                if self.log.idle() {
+                    self.log.start(TxTask::new(
                         "deposit",
-                        p.wallet.clone(),
-                        Some(onchain),
+                        p.wallet,
+                        Some(self.onchain_addr.expect("deployed")),
                         ether(1),
                         self.onchain_abi.deposit(),
                         300_000,
                         Some(self.timeline.t1),
                     ));
                 }
-                match self.task.as_mut().expect("task set").poll(ctx.chain) {
-                    TaskPoll::Landed(r) => {
-                        self.task = None;
-                        self.record(Stage::SubmitChallenge, "deposit", p.wallet.address, &r);
-                        self.deposits_made[idx] = r.success;
-                        self.phase = Phase::Deposit(idx + 1);
-                        Ok(StepOutcome::Progress)
-                    }
-                    TaskPoll::Pending => Ok(StepOutcome::Pending),
-                    TaskPoll::Wait(t) => Ok(StepOutcome::WaitUntil(t)),
+                match self.log.poll(ctx.chain) {
+                    Sent::Hold(hold) => return Ok(hold),
+                    Sent::Landed(r) => self.deposits_made[idx] = r.success,
                     // A deposit that cannot land just stays unmade; the
                     // refund path handles the dissolution.
-                    TaskPoll::DeadlineMissed | TaskPoll::Rejected(_) => {
-                        self.task = None;
-                        self.phase = Phase::Deposit(idx + 1);
-                        Ok(StepOutcome::Progress)
-                    }
+                    Sent::Missed | Sent::Rejected(_) => {}
                 }
+                self.phase = Phase::Deposit(idx + 1);
+                Ok(StepOutcome::Progress)
             }
 
             Phase::RefundWait => {
@@ -385,42 +350,25 @@ impl BettingSession {
                     self.phase = Phase::Refund(idx + 1);
                     return Ok(StepOutcome::Progress);
                 }
-                let p = self.participant(idx);
-                if self.task.is_none() {
-                    let onchain = self.onchain_addr.expect("deployed");
-                    self.task = Some(TxTask::new(
+                if self.log.idle() {
+                    self.log.start(TxTask::new(
                         "refundRoundTwo",
-                        p.wallet.clone(),
-                        Some(onchain),
+                        self.participant(idx).wallet,
+                        Some(self.onchain_addr.expect("deployed")),
                         U256::ZERO,
                         self.onchain_abi.refund_round_two(),
                         300_000,
                         Some(self.timeline.t2),
                     ));
                 }
-                match self.task.as_mut().expect("task set").poll(ctx.chain) {
-                    TaskPoll::Landed(r) => {
-                        self.task = None;
-                        self.record(
-                            Stage::SubmitChallenge,
-                            "refundRoundTwo",
-                            p.wallet.address,
-                            &r,
-                        );
-                        self.phase = Phase::Refund(idx + 1);
-                        Ok(StepOutcome::Progress)
-                    }
-                    TaskPoll::Pending => Ok(StepOutcome::Pending),
-                    TaskPoll::Wait(t) => Ok(StepOutcome::WaitUntil(t)),
-                    // A refund that misses its window leaves the wei in
-                    // the contract; the depositor is still no worse off
-                    // than deposit-minus-gas.
-                    TaskPoll::DeadlineMissed | TaskPoll::Rejected(_) => {
-                        self.task = None;
-                        self.phase = Phase::Refund(idx + 1);
-                        Ok(StepOutcome::Progress)
-                    }
+                if let Sent::Hold(hold) = self.log.poll(ctx.chain) {
+                    return Ok(hold);
                 }
+                // Landed or not: a refund that misses its window leaves
+                // the wei in the contract; the depositor is still no
+                // worse off than deposit-minus-gas.
+                self.phase = Phase::Refund(idx + 1);
+                Ok(StepOutcome::Progress)
             }
 
             Phase::AwaitT2 => {
@@ -440,41 +388,28 @@ impl BettingSession {
             }
 
             Phase::Reassign => {
-                let loser = self.loser();
-                if self.task.is_none() {
-                    let onchain = self.onchain_addr.expect("deployed");
-                    self.task = Some(TxTask::new(
+                if self.log.idle() {
+                    self.log.start(TxTask::new(
                         "reassign",
-                        loser.wallet.clone(),
-                        Some(onchain),
+                        self.loser().wallet,
+                        Some(self.onchain_addr.expect("deployed")),
                         U256::ZERO,
                         self.onchain_abi.reassign(),
                         300_000,
                         Some(self.timeline.t3),
                     ));
                 }
-                match self.task.as_mut().expect("task set").poll(ctx.chain) {
-                    TaskPoll::Landed(r) => {
-                        self.task = None;
-                        self.record(Stage::SubmitChallenge, "reassign", loser.wallet.address, &r);
-                        if r.success {
-                            Ok(self.finish(Outcome::SettledHonestly))
-                        } else {
-                            // A reverted reassign (e.g. a mining delay
-                            // pushed the block past T3): the winner can
-                            // always enforce via the dispute path.
-                            self.phase = Phase::AwaitT3;
-                            Ok(StepOutcome::Progress)
-                        }
-                    }
-                    TaskPoll::Pending => Ok(StepOutcome::Pending),
-                    TaskPoll::Wait(t) => Ok(StepOutcome::WaitUntil(t)),
-                    TaskPoll::DeadlineMissed => {
-                        self.task = None;
+                match self.log.poll(ctx.chain) {
+                    Sent::Landed(r) if r.success => Ok(self.finish(Outcome::SettledHonestly)),
+                    // A reverted reassign (e.g. a mining delay pushed the
+                    // block past T3) or one that missed T3 outright: the
+                    // winner can always enforce via the dispute path.
+                    Sent::Landed(_) | Sent::Missed => {
                         self.phase = Phase::AwaitT3;
                         Ok(StepOutcome::Progress)
                     }
-                    TaskPoll::Rejected(e) => Err(ProtocolError::TxFailed(format!("reassign: {e}"))),
+                    Sent::Hold(hold) => Ok(hold),
+                    Sent::Rejected(e) => Err(ProtocolError::TxFailed(format!("reassign: {e}"))),
                 }
             }
 
@@ -495,9 +430,8 @@ impl BettingSession {
                 // The dishonest loser tries a forged bytecode first: a
                 // copy whose baked-in secrets favour them, signed only by
                 // themselves (they cannot produce the winner's signature).
-                let loser = self.loser();
-                if self.task.is_none() {
-                    let onchain = self.onchain_addr.expect("deployed");
+                if self.log.idle() {
+                    let loser = self.loser();
                     let mut forged = self.offchain_bytecode.clone();
                     let last = forged.len() - 1;
                     forged[last] ^= 0x01;
@@ -505,50 +439,34 @@ impl BettingSession {
                     let data = self
                         .onchain_abi
                         .deploy_verified_instance(&forged, &own_sig, &own_sig);
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "deployVerifiedInstance (forged)",
-                        loser.wallet.clone(),
-                        Some(onchain),
+                        loser.wallet,
+                        Some(self.onchain_addr.expect("deployed")),
                         U256::ZERO,
                         data,
                         600_000,
                         None,
                     ));
                 }
-                match self.task.as_mut().expect("task set").poll(ctx.chain) {
-                    TaskPoll::Landed(r) => {
-                        self.task = None;
-                        self.record(
-                            Stage::DisputeResolve,
-                            "deployVerifiedInstance (forged)",
-                            loser.wallet.address,
-                            &r,
-                        );
-                        assert!(
-                            !r.success,
-                            "forged bytecode must fail on-chain signature verification"
-                        );
-                        self.phase = Phase::SubmitCopy;
-                        Ok(StepOutcome::Progress)
-                    }
-                    TaskPoll::Pending => Ok(StepOutcome::Pending),
-                    TaskPoll::Wait(t) => Ok(StepOutcome::WaitUntil(t)),
+                match self.log.poll(ctx.chain) {
+                    Sent::Hold(hold) => return Ok(hold),
+                    Sent::Landed(r) => assert!(
+                        !r.success,
+                        "forged bytecode must fail on-chain signature verification"
+                    ),
                     // The forgery never landing is no loss to anyone.
-                    TaskPoll::DeadlineMissed | TaskPoll::Rejected(_) => {
-                        self.task = None;
-                        self.phase = Phase::SubmitCopy;
-                        Ok(StepOutcome::Progress)
-                    }
+                    Sent::Missed | Sent::Rejected(_) => {}
                 }
+                self.phase = Phase::SubmitCopy;
+                Ok(StepOutcome::Progress)
             }
 
             Phase::SubmitCopy => {
                 // The honest winner submits the true signed copy. The
                 // window is unbounded, so with a finite fault budget this
                 // always lands eventually.
-                let winner = self.winner();
-                if self.task.is_none() {
-                    let onchain = self.onchain_addr.expect("deployed");
+                if self.log.idle() {
                     let copy = self.signed_copy();
                     self.offchain_bytes_revealed = copy.bytecode.len();
                     let data = self.onchain_abi.deploy_verified_instance(
@@ -556,42 +474,28 @@ impl BettingSession {
                         &copy.signatures[0],
                         &copy.signatures[1],
                     );
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "deployVerifiedInstance",
-                        winner.wallet.clone(),
-                        Some(onchain),
+                        self.winner().wallet,
+                        Some(self.onchain_addr.expect("deployed")),
                         U256::ZERO,
                         data,
                         600_000,
                         None,
                     ));
                 }
-                match self.task.as_mut().expect("task set").poll(ctx.chain) {
-                    TaskPoll::Landed(r) => {
-                        self.task = None;
-                        self.record(
-                            Stage::DisputeResolve,
-                            "deployVerifiedInstance",
-                            winner.wallet.address,
-                            &r,
-                        );
-                        if !r.success {
-                            return Err(ProtocolError::TxFailed("deployVerifiedInstance".into()));
-                        }
+                match self.log.poll(ctx.chain) {
+                    Sent::Landed(r) if r.success => {
                         self.phase = Phase::Resolve;
                         Ok(StepOutcome::Progress)
                     }
-                    TaskPoll::Pending => Ok(StepOutcome::Pending),
-                    TaskPoll::Wait(t) => Ok(StepOutcome::WaitUntil(t)),
-                    TaskPoll::DeadlineMissed | TaskPoll::Rejected(_) => {
-                        Err(ProtocolError::TxFailed("deployVerifiedInstance".into()))
-                    }
+                    Sent::Hold(hold) => Ok(hold),
+                    _ => Err(ProtocolError::TxFailed("deployVerifiedInstance".into())),
                 }
             }
 
             Phase::Resolve => {
-                let winner = self.winner();
-                if self.task.is_none() {
+                if self.log.idle() {
                     // Read deployedAddr from the on-chain contract's
                     // storage; anyone certified can then trigger the
                     // miner-enforced resolution.
@@ -603,51 +507,25 @@ impl BettingSession {
                     if instance.is_zero() {
                         return Err(ProtocolError::NoVerifiedInstance);
                     }
-                    let data = self.offchain_abi.return_dispute_resolution(onchain);
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "returnDisputeResolution",
-                        winner.wallet.clone(),
+                        self.winner().wallet,
                         Some(instance),
                         U256::ZERO,
-                        data,
+                        self.offchain_abi.return_dispute_resolution(onchain),
                         super::dispute_gas_limit(self.config.secrets.weight),
                         None,
                     ));
                 }
-                match self.task.as_mut().expect("task set").poll(ctx.chain) {
-                    TaskPoll::Landed(r) => {
-                        self.task = None;
-                        self.record(
-                            Stage::DisputeResolve,
-                            "returnDisputeResolution",
-                            winner.wallet.address,
-                            &r,
-                        );
-                        if !r.success {
-                            return Err(ProtocolError::TxFailed("returnDisputeResolution".into()));
-                        }
-                        Ok(self.finish(Outcome::SettledByDispute))
-                    }
-                    TaskPoll::Pending => Ok(StepOutcome::Pending),
-                    TaskPoll::Wait(t) => Ok(StepOutcome::WaitUntil(t)),
-                    TaskPoll::DeadlineMissed | TaskPoll::Rejected(_) => {
-                        Err(ProtocolError::TxFailed("returnDisputeResolution".into()))
-                    }
+                match self.log.poll(ctx.chain) {
+                    Sent::Landed(r) if r.success => Ok(self.finish(Outcome::SettledByDispute)),
+                    Sent::Hold(hold) => Ok(hold),
+                    _ => Err(ProtocolError::TxFailed("returnDisputeResolution".into())),
                 }
             }
 
             Phase::Done => Ok(StepOutcome::Done),
         }
-    }
-}
-
-impl Session for BettingSession {
-    fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
-        BettingSession::step(self, ctx)
-    }
-
-    fn is_done(&self) -> bool {
-        self.outcome.is_some()
     }
 
     fn outcome_label(&self) -> Option<&'static str> {
@@ -659,26 +537,11 @@ impl Session for BettingSession {
         })
     }
 
-    fn total_gas(&self) -> u64 {
-        self.txs.iter().map(|t| t.gas_used).sum()
-    }
-
-    fn tx_trace(&self) -> Vec<(String, bool)> {
-        self.txs
-            .iter()
-            .map(|t| (t.label.clone(), t.success))
-            .collect()
+    fn txs(&self) -> &[TxRecord] {
+        self.log.txs()
     }
 
     fn messages_posted(&self) -> usize {
         self.posts
-    }
-
-    fn gas_by_stage(&self) -> [u64; 4] {
-        let mut buckets = [0u64; 4];
-        for t in &self.txs {
-            buckets[super::stage_bucket(&t.label)] += t.gas_used;
-        }
-        buckets
     }
 }

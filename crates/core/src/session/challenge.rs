@@ -10,14 +10,13 @@
 //! its two-call `with_faults()` + `run_with_crash()` API on top of one
 //! machine.
 
-use super::{Session, SessionCtx, StepOutcome, TaskPoll, TxTask};
+use super::{hold_for_start, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
 use crate::challenge_protocol::{
-    ChallengeOutcome, ChallengeReport, ChallengeTx, CrashPoint, SubmitStrategy, WatchStrategy,
+    ChallengeOutcome, ChallengeReport, CrashPoint, SubmitStrategy, WatchStrategy,
 };
 use crate::participant::Participant;
-use crate::protocol::ProtocolError;
+use crate::protocol::{ProtocolError, TxRecord};
 use crate::signedcopy::SignedCopy;
-use sc_chain::Receipt;
 use sc_contracts::challenge::{
     security_deposit, stake, ChallengeContracts, CHALLENGE_DEPLOYED_ADDR_SLOT,
 };
@@ -56,15 +55,6 @@ enum Phase {
     Finalize,
     /// Terminal.
     Done,
-}
-
-/// A mandatory send either landed successfully or tells the caller how
-/// to hold; everything else already became a [`ProtocolError`].
-enum Mandatory {
-    /// The receipt landed and succeeded.
-    Landed(Receipt),
-    /// Still in flight — surface this outcome to the scheduler.
-    Hold(StepOutcome),
 }
 
 /// Construction parameters for a [`ChallengeSession`]. Both wallets
@@ -113,10 +103,9 @@ pub struct ChallengeSession {
     start_delay: u64,
     start_at: Option<u64>,
     phase: Phase,
-    task: Option<TxTask>,
+    log: TxLog,
     proposed_at: u64,
     revealed: usize,
-    txs: Vec<ChallengeTx>,
     outcome: Option<ChallengeOutcome>,
 }
 
@@ -144,10 +133,9 @@ impl ChallengeSession {
             start_delay: params.start_delay,
             start_at: None,
             phase: Phase::Start,
-            task: None,
+            log: TxLog::default(),
             proposed_at: 0,
             revealed: 0,
-            txs: Vec::new(),
             outcome: None,
         }
     }
@@ -181,20 +169,11 @@ impl ChallengeSession {
     /// Builds the run report.
     pub fn report(&self) -> ChallengeReport {
         ChallengeReport {
-            txs: self.txs.clone(),
+            txs: self.log.txs().to_vec(),
             outcome: self.outcome.expect("session not finished"),
             winner_is_bob: self.secrets.winner_is_bob(),
             offchain_bytes_revealed: self.revealed,
         }
-    }
-
-    fn record(&mut self, label: &str, sender: Address, r: &Receipt) {
-        self.txs.push(ChallengeTx {
-            label: label.into(),
-            sender,
-            gas_used: r.gas_used,
-            success: r.success,
-        });
     }
 
     fn finish(&mut self, outcome: ChallengeOutcome) -> StepOutcome {
@@ -224,42 +203,16 @@ impl ChallengeSession {
             .map_err(|e| ProtocolError::StateUnverified(format!("deployedAddr: {e}")))?;
         Ok(Address::from_u256(value))
     }
+}
 
-    /// Polls the current task; a landed receipt is recorded and must be
-    /// successful, anything else (deadline, rejection, revert) is a
-    /// protocol failure. This is the common shape of every mandatory
-    /// send in this variant.
-    fn poll_mandatory(
-        &mut self,
-        ctx: &mut SessionCtx<'_>,
-        sender: Address,
-    ) -> Result<Mandatory, ProtocolError> {
-        let task = self.task.as_mut().expect("task set");
-        let label = task.label();
-        match task.poll(ctx.chain) {
-            TaskPoll::Landed(r) => {
-                self.task = None;
-                self.record(label, sender, &r);
-                if !r.success {
-                    return Err(ProtocolError::TxFailed(label.into()));
-                }
-                Ok(Mandatory::Landed(r))
-            }
-            TaskPoll::Pending => Ok(Mandatory::Hold(StepOutcome::Pending)),
-            TaskPoll::Wait(t) => Ok(Mandatory::Hold(StepOutcome::WaitUntil(t))),
-            TaskPoll::DeadlineMissed => Err(ProtocolError::TxFailed(label.into())),
-            TaskPoll::Rejected(e) => Err(ProtocolError::TxFailed(format!("{label}: {e}"))),
-        }
-    }
-
+impl Session for ChallengeSession {
     /// Makes one bounded unit of progress.
-    pub fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
+    fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
         match self.phase {
             Phase::Start => {
                 let now = ctx.chain.now();
-                let start = *self.start_at.get_or_insert(now + self.start_delay);
-                if now < start {
-                    return Ok(StepOutcome::WaitUntil(start));
+                if let Some(wait) = hold_for_start(&mut self.start_at, self.start_delay, now) {
+                    return Ok(wait);
                 }
                 self.timeline = Timeline::starting_at(now, 3600);
                 self.phase = Phase::Deploy;
@@ -267,14 +220,14 @@ impl ChallengeSession {
             }
 
             Phase::Deploy => {
-                if self.task.is_none() {
+                if self.log.idle() {
                     let initcode = self.contracts.onchain_initcode(
                         self.alice.wallet.address,
                         self.bob.wallet.address,
                         self.timeline,
                         self.window,
                     );
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "deploy onChainChallenge",
                         self.alice.wallet.clone(),
                         None,
@@ -284,14 +237,13 @@ impl ChallengeSession {
                         None,
                     ));
                 }
-                let sender = self.alice.wallet.address;
-                match self.poll_mandatory(ctx, sender)? {
-                    Mandatory::Landed(r) => {
+                match self.log.poll_must(ctx.chain)? {
+                    Ok(r) => {
                         self.onchain = r.contract_address.expect("created");
                         self.phase = Phase::Deposit(0);
                         Ok(StepOutcome::Progress)
                     }
-                    Mandatory::Hold(h) => Ok(h),
+                    Err(hold) => Ok(hold),
                 }
             }
 
@@ -300,15 +252,11 @@ impl ChallengeSession {
                     self.phase = Phase::AwaitT2;
                     return Ok(StepOutcome::Progress);
                 }
-                let wallet = if idx == 0 {
-                    self.alice.wallet.clone()
-                } else {
-                    self.bob.wallet.clone()
-                };
-                if self.task.is_none() {
-                    self.task = Some(TxTask::new(
+                if self.log.idle() {
+                    let depositor = if idx == 0 { &self.alice } else { &self.bob };
+                    self.log.start(TxTask::new(
                         "deposit",
-                        wallet.clone(),
+                        depositor.wallet.clone(),
                         Some(self.onchain),
                         stake().wrapping_add(security_deposit()),
                         self.contracts.deposit(),
@@ -316,12 +264,12 @@ impl ChallengeSession {
                         Some(self.timeline.t1),
                     ));
                 }
-                match self.poll_mandatory(ctx, wallet.address)? {
-                    Mandatory::Landed(_) => {
+                match self.log.poll_must(ctx.chain)? {
+                    Ok(_) => {
                         self.phase = Phase::Deposit(idx + 1);
                         Ok(StepOutcome::Progress)
                     }
-                    Mandatory::Hold(h) => Ok(h),
+                    Err(hold) => Ok(hold),
                 }
             }
 
@@ -359,14 +307,14 @@ impl ChallengeSession {
             Phase::StaleChallenge => {
                 // Force the miner-enforced resolution with the signed
                 // copy — the crashed side's stake is not a hostage.
-                if self.task.is_none() {
+                if self.log.idle() {
                     let copy = self.signed_copy();
                     let data = self.contracts.challenge(
                         &copy.bytecode,
                         &copy.signatures[0],
                         &copy.signatures[1],
                     );
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "challenge",
                         self.bob.wallet.clone(),
                         Some(self.onchain),
@@ -376,21 +324,20 @@ impl ChallengeSession {
                         None,
                     ));
                 }
-                let sender = self.bob.wallet.address;
-                match self.poll_mandatory(ctx, sender)? {
-                    Mandatory::Landed(_) => {
+                match self.log.poll_must(ctx.chain)? {
+                    Ok(_) => {
                         self.revealed = self.bytecode.len();
                         self.phase = Phase::StaleResolve;
                         Ok(StepOutcome::Progress)
                     }
-                    Mandatory::Hold(h) => Ok(h),
+                    Err(hold) => Ok(hold),
                 }
             }
 
             Phase::StaleResolve | Phase::ChallengeResolve => {
-                if self.task.is_none() {
+                if self.log.idle() {
                     let instance = self.challenge_instance(ctx)?;
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "returnDisputeResolution",
                         self.bob.wallet.clone(),
                         Some(instance),
@@ -400,10 +347,9 @@ impl ChallengeSession {
                         None,
                     ));
                 }
-                let sender = self.bob.wallet.address;
-                match self.poll_mandatory(ctx, sender)? {
-                    Mandatory::Landed(_) => Ok(self.finish(ChallengeOutcome::ResolvedByChallenge)),
-                    Mandatory::Hold(h) => Ok(h),
+                match self.log.poll_must(ctx.chain)? {
+                    Ok(_) => Ok(self.finish(ChallengeOutcome::ResolvedByChallenge)),
+                    Err(hold) => Ok(hold),
                 }
             }
 
@@ -411,16 +357,12 @@ impl ChallengeSession {
                 if idx >= 2 {
                     return Ok(self.finish(ChallengeOutcome::ReclaimedStale));
                 }
-                // The watcher first, then the (restarted) representative.
-                let wallet = if idx == 0 {
-                    self.bob.wallet.clone()
-                } else {
-                    self.alice.wallet.clone()
-                };
-                if self.task.is_none() {
-                    self.task = Some(TxTask::new(
+                if self.log.idle() {
+                    // The watcher first, then the (restarted) representative.
+                    let claimant = if idx == 0 { &self.bob } else { &self.alice };
+                    self.log.start(TxTask::new(
                         "reclaimNoSubmission",
-                        wallet.clone(),
+                        claimant.wallet.clone(),
                         Some(self.onchain),
                         U256::ZERO,
                         self.contracts.reclaim_no_submission(),
@@ -428,18 +370,18 @@ impl ChallengeSession {
                         None,
                     ));
                 }
-                match self.poll_mandatory(ctx, wallet.address)? {
-                    Mandatory::Landed(_) => {
+                match self.log.poll_must(ctx.chain)? {
+                    Ok(_) => {
                         self.phase = Phase::Reclaim(idx + 1);
                         Ok(StepOutcome::Progress)
                     }
-                    Mandatory::Hold(h) => Ok(h),
+                    Err(hold) => Ok(hold),
                 }
             }
 
             Phase::Submit => {
-                if self.task.is_none() {
-                    self.task = Some(TxTask::new(
+                if self.log.idle() {
+                    self.log.start(TxTask::new(
                         "submitResult",
                         self.alice.wallet.clone(),
                         Some(self.onchain),
@@ -449,9 +391,8 @@ impl ChallengeSession {
                         None,
                     ));
                 }
-                let sender = self.alice.wallet.address;
-                match self.poll_mandatory(ctx, sender)? {
-                    Mandatory::Landed(r) => {
+                match self.log.poll_must(ctx.chain)? {
+                    Ok(r) => {
                         // The challenge window opens at the block that
                         // mined the submission (mining delays included).
                         self.proposed_at = ctx.chain.block_timestamp(r.block_number);
@@ -469,7 +410,7 @@ impl ChallengeSession {
                         };
                         Ok(StepOutcome::Progress)
                     }
-                    Mandatory::Hold(h) => Ok(h),
+                    Err(hold) => Ok(hold),
                 }
             }
 
@@ -479,14 +420,14 @@ impl ChallengeSession {
                 // land before the window closes (injected delays), is
                 // rejected outright, or lands reverted degrades to the
                 // finalize path.
-                if self.task.is_none() {
+                if self.log.idle() {
                     let copy = self.signed_copy();
                     let data = self.contracts.challenge(
                         &copy.bytecode,
                         &copy.signatures[0],
                         &copy.signatures[1],
                     );
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "challenge",
                         self.bob.wallet.clone(),
                         Some(self.onchain),
@@ -496,28 +437,15 @@ impl ChallengeSession {
                         Some(self.proposed_at + self.window),
                     ));
                 }
-                let sender = self.bob.wallet.address;
-                let task = self.task.as_mut().expect("task set");
-                match task.poll(ctx.chain) {
-                    TaskPoll::Landed(r) => {
-                        self.task = None;
-                        self.record("challenge", sender, &r);
-                        self.phase = if r.success {
-                            self.revealed = self.bytecode.len();
-                            Phase::ChallengeResolve
-                        } else {
-                            Phase::FinalizeWait
-                        };
-                        Ok(StepOutcome::Progress)
+                self.phase = match self.log.poll(ctx.chain) {
+                    Sent::Hold(hold) => return Ok(hold),
+                    Sent::Landed(r) if r.success => {
+                        self.revealed = self.bytecode.len();
+                        Phase::ChallengeResolve
                     }
-                    TaskPoll::Pending => Ok(StepOutcome::Pending),
-                    TaskPoll::Wait(t) => Ok(StepOutcome::WaitUntil(t)),
-                    TaskPoll::DeadlineMissed | TaskPoll::Rejected(_) => {
-                        self.task = None;
-                        self.phase = Phase::FinalizeWait;
-                        Ok(StepOutcome::Progress)
-                    }
-                }
+                    Sent::Landed(_) | Sent::Missed | Sent::Rejected(_) => Phase::FinalizeWait,
+                };
+                Ok(StepOutcome::Progress)
             }
 
             Phase::FinalizeWait => {
@@ -532,17 +460,17 @@ impl ChallengeSession {
             }
 
             Phase::Finalize => {
-                // Whoever is still up finalizes — the crashed
-                // representative cannot, the watcher can.
-                let wallet = if self.crash == CrashPoint::AfterSubmit {
-                    self.bob.wallet.clone()
-                } else {
-                    self.alice.wallet.clone()
-                };
-                if self.task.is_none() {
-                    self.task = Some(TxTask::new(
+                if self.log.idle() {
+                    // Whoever is still up finalizes — the crashed
+                    // representative cannot, the watcher can.
+                    let finalizer = if self.crash == CrashPoint::AfterSubmit {
+                        &self.bob
+                    } else {
+                        &self.alice
+                    };
+                    self.log.start(TxTask::new(
                         "finalize",
-                        wallet.clone(),
+                        finalizer.wallet.clone(),
                         Some(self.onchain),
                         U256::ZERO,
                         self.contracts.finalize(),
@@ -550,8 +478,8 @@ impl ChallengeSession {
                         None,
                     ));
                 }
-                match self.poll_mandatory(ctx, wallet.address)? {
-                    Mandatory::Landed(_) => {
+                match self.log.poll_must(ctx.chain)? {
+                    Ok(_) => {
                         let outcome = if self.claimed() == self.secrets.winner_is_bob() {
                             ChallengeOutcome::FinalizedUnchallenged
                         } else {
@@ -559,22 +487,12 @@ impl ChallengeSession {
                         };
                         Ok(self.finish(outcome))
                     }
-                    Mandatory::Hold(h) => Ok(h),
+                    Err(hold) => Ok(hold),
                 }
             }
 
             Phase::Done => Ok(StepOutcome::Done),
         }
-    }
-}
-
-impl Session for ChallengeSession {
-    fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
-        ChallengeSession::step(self, ctx)
-    }
-
-    fn is_done(&self) -> bool {
-        self.outcome.is_some()
     }
 
     fn outcome_label(&self) -> Option<&'static str> {
@@ -586,26 +504,11 @@ impl Session for ChallengeSession {
         })
     }
 
-    fn total_gas(&self) -> u64 {
-        self.txs.iter().map(|t| t.gas_used).sum()
-    }
-
-    fn tx_trace(&self) -> Vec<(String, bool)> {
-        self.txs
-            .iter()
-            .map(|t| (t.label.clone(), t.success))
-            .collect()
+    fn txs(&self) -> &[TxRecord] {
+        self.log.txs()
     }
 
     fn messages_posted(&self) -> usize {
         0 // this variant exchanges no off-chain messages in-protocol
-    }
-
-    fn gas_by_stage(&self) -> [u64; 4] {
-        let mut buckets = [0u64; 4];
-        for t in &self.txs {
-            buckets[super::stage_bucket(&t.label)] += t.gas_used;
-        }
-        buckets
     }
 }

@@ -3,11 +3,13 @@
 //! Each protocol variant ([`betting`], [`challenge`], [`settle_later`])
 //! is a state machine that makes *one bounded unit of progress per
 //! [`Session::step`] call* and yields whenever it must wait for the
-//! clock or for a block. The machinery they share lives here:
-//! deadline-driven retry with capped backoff ([`retry`]), the signature
-//! re-post/verify exchange ([`sign`]), and the chain-access boundary —
-//! [`ChainReader`] + [`TxSubmitter`], implemented by the full-node
-//! [`NodePort`] and the stateless [`light::LightPort`].
+//! clock or for a block. The machinery they share lives here: the one
+//! send path ([`retry`] — deadline-driven retry with capped backoff
+//! inside a [`TxLog`] that also records what landed, so a phase only
+//! decides *what* to send and what each [`Sent`] result means), the
+//! signature re-post/verify exchange ([`sign`]), and the chain-access
+//! boundary — [`ChainReader`] + [`TxSubmitter`], implemented by the
+//! full-node [`NodePort`] and the stateless [`light::LightPort`].
 //!
 //! Yielding is what makes multi-tenancy possible: a
 //! [`NetworkScheduler`](crate::net::NetworkScheduler) interleaves N
@@ -29,7 +31,7 @@ pub mod spec;
 pub use betting::{BettingSession, BettingSessionParams};
 pub use challenge::{ChallengeSession, ChallengeSessionParams};
 pub use light::{LightPort, LightStats};
-pub use retry::{TaskPoll, TxTask, BACKOFF_BASE_SECS, MAX_ATTEMPTS};
+pub use retry::{Sent, TxLog, TxTask, BACKOFF_BASE_SECS, MAX_ATTEMPTS};
 pub use settle_later::{
     SettleLaterCrash, SettleLaterOutcome, SettleLaterSession, SettleLaterSessionParams,
     SettleLaterSpec,
@@ -38,7 +40,7 @@ pub use sign::{SignExchange, MAX_SIGN_ROUNDS, SIGN_ROUND_SECS};
 pub use spec::{BettingSpec, ChallengeSpec, SessionReport, SessionSpec};
 
 use crate::faults::{ChainFaults, PoolFault, SubmitFault, WhisperFaults};
-use crate::protocol::ProtocolError;
+use crate::protocol::{ProtocolError, TxRecord};
 use crate::whisper::{Envelope, Whisper};
 use sc_chain::{
     ProofVerifyError, Receipt, SignedTransaction, Testnet, Transaction, TxError, Wallet,
@@ -354,31 +356,34 @@ pub struct SessionCtx<'a> {
 
 /// A protocol session the scheduler can drive to completion. `Any`, so
 /// the single-session front-ends can get their typed machine back out
-/// of the scheduler's boxed slot.
+/// of the scheduler's boxed slot. What a session did on-chain is read
+/// off [`Session::txs`]; the scheduler derives a report's gas totals,
+/// stage breakdown and `(label, success)` trace from it.
 pub trait Session: Any {
     /// Makes one bounded unit of progress.
     fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError>;
 
-    /// True once the session reached a terminal outcome.
-    fn is_done(&self) -> bool;
-
     /// Short human label for the terminal outcome (`None` until done).
     fn outcome_label(&self) -> Option<&'static str>;
 
-    /// Gas charged across every transaction this session sent.
-    fn total_gas(&self) -> u64;
-
-    /// `(label, success)` of every on-chain transaction, in order —
-    /// the observable trace the determinism tests compare.
-    fn tx_trace(&self) -> Vec<(String, bool)>;
+    /// Every on-chain transaction this session landed, in order (its
+    /// [`TxLog`]'s record).
+    fn txs(&self) -> &[TxRecord];
 
     /// Off-chain messages this session attempted to post (pre-fault).
     fn messages_posted(&self) -> usize;
+}
 
-    /// Gas charged per protocol stage, bucketed by [`stage_bucket`]:
-    /// `[deploy, deposit, submit, dispute]`. Sums to
-    /// [`Session::total_gas`].
-    fn gas_by_stage(&self) -> [u64; 4];
+/// The `Start` phase every machine shares: pins the start time
+/// `start_delay` seconds after the first step and holds the session
+/// (`Some(wait)`) until the chain clock `now` reaches it.
+pub(crate) fn hold_for_start(
+    start_at: &mut Option<u64>,
+    start_delay: u64,
+    now: u64,
+) -> Option<StepOutcome> {
+    let start = *start_at.get_or_insert(now + start_delay);
+    (now < start).then_some(StepOutcome::WaitUntil(start))
 }
 
 /// Declared gas limit for the dispute-resolution call. Its execution
@@ -395,7 +400,7 @@ pub(crate) fn dispute_gas_limit(weight: u64) -> u64 {
 }
 
 /// Names of the four stage-gas buckets, index-aligned with
-/// [`stage_bucket`] and [`Session::gas_by_stage`].
+/// [`stage_bucket`] and [`SessionReport::stage_gas`].
 pub const STAGE_NAMES: [&str; 4] = ["deploy", "deposit", "submit", "dispute"];
 
 /// Buckets a transaction label into the four-stage gas breakdown the

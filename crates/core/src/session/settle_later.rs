@@ -20,9 +20,10 @@
 //! path.
 
 use super::sign::{SignExchange, MAX_SIGN_ROUNDS, SIGN_ROUND_SECS};
-use super::{Session, SessionCtx, StepOutcome, TaskPoll, TxTask};
-use crate::protocol::ProtocolError;
-use sc_chain::{Receipt, Wallet};
+use super::{hold_for_start, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
+use crate::protocol::{ProtocolError, TxRecord};
+use sc_chain::Wallet;
+use sc_confidential::range::MAX_BITS;
 use sc_confidential::{CommitmentBackend, PedersenBackend, SettlementVoucher, SignedVoucher};
 use sc_contracts::confidential::{ConfidentialContracts, ConfidentialParams};
 use sc_crypto::keccak256;
@@ -106,14 +107,6 @@ pub enum SettleLaterOutcome {
     ReclaimedUnsettled,
 }
 
-/// One on-chain transaction of a settle-later run.
-#[derive(Debug, Clone)]
-struct SettleTx {
-    label: String,
-    gas_used: u64,
-    success: bool,
-}
-
 /// Where the machine is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
@@ -169,20 +162,12 @@ pub struct SettleLaterSession {
     pub onchain: Address,
     params: Option<ConfidentialParams>,
     phase: Phase,
-    task: Option<TxTask>,
+    log: TxLog,
     exchange: Option<SignExchange>,
     start_at: Option<u64>,
     settle_at: u64,
     posts: usize,
-    txs: Vec<SettleTx>,
     outcome: Option<SettleLaterOutcome>,
-}
-
-/// A mandatory send either landed successfully or tells the caller how
-/// to hold; everything else already became a [`ProtocolError`].
-enum Mandatory {
-    Landed(Receipt),
-    Hold(StepOutcome),
 }
 
 /// A session-deterministic blinding scalar: every run derives the same
@@ -208,12 +193,11 @@ impl SettleLaterSession {
             onchain: Address::ZERO,
             params: None,
             phase: Phase::Start,
-            task: None,
+            log: TxLog::default(),
             exchange: None,
             start_at: None,
             settle_at: 0,
             posts: 0,
-            txs: Vec::new(),
             outcome: None,
         }
     }
@@ -241,7 +225,33 @@ impl SettleLaterSession {
         (ra, curve_order().wrapping_sub(ra))
     }
 
-    /// The final split the voucher encodes.
+    /// Refuses a spec that could never settle, naming the field at
+    /// fault: the voucher must not move more than A staked, and each
+    /// side's larger amount (A's deposit, B's final claim — so both
+    /// deposits and both final claims) needs a range proof at
+    /// `range_bits`. Checked before anything is sent: past that point
+    /// both stakes would sit in a contract this session can neither
+    /// settle nor reclaim from.
+    fn check_spec(&self) -> Result<(), ProtocolError> {
+        let spec = &self.spec;
+        let fits = |units: u64| {
+            (1..=MAX_BITS).contains(&spec.range_bits)
+                && u64::BITS - units.leading_zeros() <= spec.range_bits
+        };
+        let fault = if spec.delta_units > spec.units_a {
+            "delta_units exceeds units_a"
+        } else if !fits(spec.units_a) {
+            "units_a does not fit range_bits"
+        } else if !spec.units_b.checked_add(spec.delta_units).is_some_and(fits) {
+            "units_b + delta_units overflows or does not fit range_bits"
+        } else {
+            return Ok(());
+        };
+        Err(ProtocolError::TxFailed(format!("spec: {fault}")))
+    }
+
+    /// The final split the voucher encodes ([`Self::check_spec`] ruled
+    /// out under- and overflow).
     fn final_units(&self) -> (u64, u64) {
         (
             self.spec.units_a - self.spec.delta_units,
@@ -276,56 +286,45 @@ impl SettleLaterSession {
         }
     }
 
-    fn record(&mut self, label: &str, r: &Receipt) {
-        self.txs.push(SettleTx {
-            label: label.into(),
-            gas_used: r.gas_used,
-            success: r.success,
-        });
-    }
-
     fn finish(&mut self, outcome: SettleLaterOutcome) -> StepOutcome {
         self.outcome = Some(outcome);
         self.phase = Phase::Done;
         StepOutcome::Done
     }
 
-    /// Polls the current task; a landed receipt is recorded and must be
-    /// successful, anything else is a protocol failure.
-    fn poll_mandatory(&mut self, ctx: &mut SessionCtx<'_>) -> Result<Mandatory, ProtocolError> {
-        let task = self.task.as_mut().expect("task set");
-        let label = task.label();
-        match task.poll(ctx.chain) {
-            TaskPoll::Landed(r) => {
-                self.task = None;
-                self.record(label, &r);
-                if !r.success {
-                    return Err(ProtocolError::TxFailed(label.into()));
-                }
-                Ok(Mandatory::Landed(r))
+    /// Polls a send the channel cannot proceed without; once it landed,
+    /// moves to `next`.
+    fn land_then(
+        &mut self,
+        ctx: &mut SessionCtx<'_>,
+        next: Phase,
+    ) -> Result<StepOutcome, ProtocolError> {
+        Ok(match self.log.poll_must(ctx.chain)? {
+            Ok(_) => {
+                self.phase = next;
+                StepOutcome::Progress
             }
-            TaskPoll::Pending => Ok(Mandatory::Hold(StepOutcome::Pending)),
-            TaskPoll::Wait(t) => Ok(Mandatory::Hold(StepOutcome::WaitUntil(t))),
-            TaskPoll::DeadlineMissed => Err(ProtocolError::TxFailed(label.into())),
-            TaskPoll::Rejected(e) => Err(ProtocolError::TxFailed(format!("{label}: {e}"))),
-        }
+            Err(hold) => hold,
+        })
     }
+}
 
+impl Session for SettleLaterSession {
     /// Makes one bounded unit of progress.
-    pub fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
+    fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
         match self.phase {
             Phase::Start => {
                 let now = ctx.chain.now();
-                let start = *self.start_at.get_or_insert(now + self.spec.start_delay);
-                if now < start {
-                    return Ok(StepOutcome::WaitUntil(start));
+                if let Some(wait) = hold_for_start(&mut self.start_at, self.spec.start_delay, now) {
+                    return Ok(wait);
                 }
+                self.check_spec()?;
                 self.phase = Phase::Deploy;
                 Ok(StepOutcome::Progress)
             }
 
             Phase::Deploy => {
-                if self.task.is_none() {
+                if self.log.idle() {
                     let p = *self.params.get_or_insert(ConfidentialParams {
                         units_a: self.spec.units_a,
                         units_b: self.spec.units_b,
@@ -336,7 +335,7 @@ impl SettleLaterSession {
                     let initcode = self
                         .contracts
                         .initcode(self.alice.address, self.bob.address, p);
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "deploy onConfidentialDeposit",
                         self.alice.clone(),
                         None,
@@ -346,13 +345,13 @@ impl SettleLaterSession {
                         None,
                     ));
                 }
-                match self.poll_mandatory(ctx)? {
-                    Mandatory::Landed(r) => {
+                match self.log.poll_must(ctx.chain)? {
+                    Ok(r) => {
                         self.onchain = r.contract_address.expect("created");
                         self.phase = Phase::Fund(0);
                         Ok(StepOutcome::Progress)
                     }
-                    Mandatory::Hold(h) => Ok(h),
+                    Err(hold) => Ok(hold),
                 }
             }
 
@@ -361,14 +360,14 @@ impl SettleLaterSession {
                     self.phase = Phase::Deposit(0);
                     return Ok(StepOutcome::Progress);
                 }
-                let p = self.channel();
-                let (wallet, units) = if idx == 0 {
-                    (self.alice.clone(), p.units_a)
-                } else {
-                    (self.bob.clone(), p.units_b)
-                };
-                if self.task.is_none() {
-                    self.task = Some(TxTask::new(
+                if self.log.idle() {
+                    let p = self.channel();
+                    let (wallet, units) = if idx == 0 {
+                        (self.alice.clone(), p.units_a)
+                    } else {
+                        (self.bob.clone(), p.units_b)
+                    };
+                    self.log.start(TxTask::new(
                         "deposit stake",
                         wallet,
                         Some(self.onchain),
@@ -378,13 +377,7 @@ impl SettleLaterSession {
                         Some(p.deadline),
                     ));
                 }
-                match self.poll_mandatory(ctx)? {
-                    Mandatory::Landed(_) => {
-                        self.phase = Phase::Fund(idx + 1);
-                        Ok(StepOutcome::Progress)
-                    }
-                    Mandatory::Hold(h) => Ok(h),
-                }
+                self.land_then(ctx, Phase::Fund(idx + 1))
             }
 
             Phase::Deposit(idx) => {
@@ -392,22 +385,20 @@ impl SettleLaterSession {
                     self.phase = Phase::Activate;
                     return Ok(StepOutcome::Progress);
                 }
-                let p = self.channel();
-                let backend = PedersenBackend;
-                let (r_a, r_b) = self.input_blindings();
-                let (wallet, units, r) = if idx == 0 {
-                    (self.alice.clone(), p.units_a, r_a)
-                } else {
-                    (self.bob.clone(), p.units_b, r_b)
-                };
-                if self.task.is_none() {
+                if self.log.idle() {
+                    let p = self.channel();
+                    let backend = PedersenBackend;
+                    let (r_a, r_b) = self.input_blindings();
+                    let (wallet, units, r) = if idx == 0 {
+                        (self.alice.clone(), p.units_a, r_a)
+                    } else {
+                        (self.bob.clone(), p.units_b, r_b)
+                    };
                     let c = backend.commit(U256::from_u64(units), r);
                     let proof = backend
                         .prove_range(U256::from_u64(units), r, p.range_bits)
-                        .ok_or_else(|| {
-                            ProtocolError::TxFailed("stake exceeds range width".into())
-                        })?;
-                    self.task = Some(TxTask::new(
+                        .expect("check_spec: the stake fits the range width");
+                    self.log.start(TxTask::new(
                         "depositCommitted",
                         wallet,
                         Some(self.onchain),
@@ -418,24 +409,18 @@ impl SettleLaterSession {
                         Some(p.deadline),
                     ));
                 }
-                match self.poll_mandatory(ctx)? {
-                    Mandatory::Landed(_) => {
-                        self.phase = Phase::Deposit(idx + 1);
-                        Ok(StepOutcome::Progress)
-                    }
-                    Mandatory::Hold(h) => Ok(h),
-                }
+                self.land_then(ctx, Phase::Deposit(idx + 1))
             }
 
             Phase::Activate => {
-                if self.task.is_none() {
+                if self.log.idle() {
                     let p = self.channel();
                     let backend = PedersenBackend;
                     let (r_a, r_b) = self.input_blindings();
                     let c_a = backend.commit(U256::from_u64(p.units_a), r_a);
                     let c_b = backend.commit(U256::from_u64(p.units_b), r_b);
                     let sum = backend.add(&c_a, &c_b);
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "activate",
                         self.alice.clone(),
                         Some(self.onchain),
@@ -445,13 +430,7 @@ impl SettleLaterSession {
                         Some(p.deadline),
                     ));
                 }
-                match self.poll_mandatory(ctx)? {
-                    Mandatory::Landed(_) => {
-                        self.phase = Phase::Exchange;
-                        Ok(StepOutcome::Progress)
-                    }
-                    Mandatory::Hold(h) => Ok(h),
-                }
+                self.land_then(ctx, Phase::Exchange)
             }
 
             Phase::Exchange => {
@@ -477,8 +456,7 @@ impl SettleLaterSession {
                 self.posts += 2;
                 let deadline = self.channel().deadline;
                 let ex = self.exchange.as_mut().expect("exchange started");
-                ex.absorb(&mut ctx.bus, &topic);
-                ex.advance_round();
+                ex.round(&mut ctx.bus, &topic);
                 if ex.complete() {
                     self.settle_at = ctx.chain.now() + self.spec.settle_delay;
                     self.phase = Phase::SettleHold;
@@ -512,9 +490,9 @@ impl SettleLaterSession {
                     self.phase = Phase::Withdraw(0);
                     return Ok(StepOutcome::Progress);
                 }
-                if self.task.is_none() {
+                if self.log.idle() {
                     let signed = self.signed_voucher();
-                    self.task = Some(TxTask::new(
+                    self.log.start(TxTask::new(
                         "settle",
                         submitters[idx].clone(),
                         Some(self.onchain),
@@ -526,39 +504,20 @@ impl SettleLaterSession {
                 }
                 if idx == 0 {
                     // The first submission must land and succeed.
-                    match self.poll_mandatory(ctx)? {
-                        Mandatory::Landed(_) => {
-                            self.phase = Phase::Settle(idx + 1);
-                            Ok(StepOutcome::Progress)
-                        }
-                        Mandatory::Hold(h) => Ok(h),
-                    }
-                } else {
-                    // The replay must land and *revert*: the nullifier is
-                    // burned. A second success would be a double
-                    // settlement — a protocol violation, not bad luck.
-                    let task = self.task.as_mut().expect("task set");
-                    match task.poll(ctx.chain) {
-                        TaskPoll::Landed(r) => {
-                            self.task = None;
-                            self.record("settle", &r);
-                            if r.success {
-                                return Err(ProtocolError::TxFailed(
-                                    "voucher settled twice".into(),
-                                ));
-                            }
-                            self.phase = Phase::Settle(idx + 1);
-                            Ok(StepOutcome::Progress)
-                        }
-                        TaskPoll::Pending => Ok(StepOutcome::Pending),
-                        TaskPoll::Wait(t) => Ok(StepOutcome::WaitUntil(t)),
-                        TaskPoll::DeadlineMissed | TaskPoll::Rejected(_) => {
-                            self.task = None;
-                            self.phase = Phase::Settle(idx + 1);
-                            Ok(StepOutcome::Progress)
-                        }
-                    }
+                    return self.land_then(ctx, Phase::Settle(1));
                 }
+                // The replay must land and *revert*: the nullifier is
+                // burned. A second success would be a double settlement —
+                // a protocol violation, not bad luck.
+                match self.log.poll(ctx.chain) {
+                    Sent::Hold(hold) => return Ok(hold),
+                    Sent::Landed(r) if r.success => {
+                        return Err(ProtocolError::TxFailed("voucher settled twice".into()));
+                    }
+                    Sent::Landed(_) | Sent::Missed | Sent::Rejected(_) => {}
+                }
+                self.phase = Phase::Settle(idx + 1);
+                Ok(StepOutcome::Progress)
             }
 
             Phase::Withdraw(idx) => {
@@ -575,15 +534,15 @@ impl SettleLaterSession {
                     self.phase = Phase::Withdraw(1);
                     return Ok(StepOutcome::Progress);
                 }
-                let (va, vb) = self.final_units();
-                let (ra, rb) = self.output_blindings();
-                let (wallet, v, r) = if idx == 0 {
-                    (self.alice.clone(), va, ra)
-                } else {
-                    (self.bob.clone(), vb, rb)
-                };
-                if self.task.is_none() {
-                    self.task = Some(TxTask::new(
+                if self.log.idle() {
+                    let (va, vb) = self.final_units();
+                    let (ra, rb) = self.output_blindings();
+                    let (wallet, v, r) = if idx == 0 {
+                        (self.alice.clone(), va, ra)
+                    } else {
+                        (self.bob.clone(), vb, rb)
+                    };
+                    self.log.start(TxTask::new(
                         "withdraw",
                         wallet,
                         Some(self.onchain),
@@ -593,13 +552,7 @@ impl SettleLaterSession {
                         None,
                     ));
                 }
-                match self.poll_mandatory(ctx)? {
-                    Mandatory::Landed(_) => {
-                        self.phase = Phase::Withdraw(idx + 1);
-                        Ok(StepOutcome::Progress)
-                    }
-                    Mandatory::Hold(h) => Ok(h),
-                }
+                self.land_then(ctx, Phase::Withdraw(idx + 1))
             }
 
             Phase::AwaitDeadline => {
@@ -616,15 +569,11 @@ impl SettleLaterSession {
                 if idx >= 2 {
                     return Ok(self.finish(SettleLaterOutcome::ReclaimedUnsettled));
                 }
-                let wallet = if idx == 0 {
-                    self.alice.clone()
-                } else {
-                    self.bob.clone()
-                };
-                if self.task.is_none() {
-                    self.task = Some(TxTask::new(
+                if self.log.idle() {
+                    let wallet = if idx == 0 { &self.alice } else { &self.bob };
+                    self.log.start(TxTask::new(
                         "reclaim",
-                        wallet,
+                        wallet.clone(),
                         Some(self.onchain),
                         U256::ZERO,
                         self.contracts.reclaim(),
@@ -632,27 +581,11 @@ impl SettleLaterSession {
                         None,
                     ));
                 }
-                match self.poll_mandatory(ctx)? {
-                    Mandatory::Landed(_) => {
-                        self.phase = Phase::Reclaim(idx + 1);
-                        Ok(StepOutcome::Progress)
-                    }
-                    Mandatory::Hold(h) => Ok(h),
-                }
+                self.land_then(ctx, Phase::Reclaim(idx + 1))
             }
 
             Phase::Done => Ok(StepOutcome::Done),
         }
-    }
-}
-
-impl Session for SettleLaterSession {
-    fn step(&mut self, ctx: &mut SessionCtx<'_>) -> Result<StepOutcome, ProtocolError> {
-        SettleLaterSession::step(self, ctx)
-    }
-
-    fn is_done(&self) -> bool {
-        self.outcome.is_some()
     }
 
     fn outcome_label(&self) -> Option<&'static str> {
@@ -663,26 +596,11 @@ impl Session for SettleLaterSession {
         })
     }
 
-    fn total_gas(&self) -> u64 {
-        self.txs.iter().map(|t| t.gas_used).sum()
-    }
-
-    fn tx_trace(&self) -> Vec<(String, bool)> {
-        self.txs
-            .iter()
-            .map(|t| (t.label.clone(), t.success))
-            .collect()
+    fn txs(&self) -> &[TxRecord] {
+        self.log.txs()
     }
 
     fn messages_posted(&self) -> usize {
         self.posts
-    }
-
-    fn gas_by_stage(&self) -> [u64; 4] {
-        let mut buckets = [0u64; 4];
-        for t in &self.txs {
-            buckets[super::stage_bucket(&t.label)] += t.gas_used;
-        }
-        buckets
     }
 }

@@ -48,15 +48,10 @@ impl SignExchange {
         self.rounds_run
     }
 
-    /// Marks one post+poll round as completed.
-    pub fn advance_round(&mut self) {
-        self.rounds_run += 1;
-    }
-
-    /// Polls the topic for both readers and absorbs every candidate that
-    /// verifies. Corruption and tampering both fail the recovery check
-    /// and are simply ignored.
-    pub fn absorb(&mut self, bus: &mut BusPort<'_>, topic: &str) {
+    /// Completes one post+poll round: polls the topic for both readers
+    /// and absorbs every candidate that verifies. Corruption and
+    /// tampering both fail the recovery check and are simply ignored.
+    pub fn round(&mut self, bus: &mut BusPort<'_>, topic: &str) {
         for (reader, me) in self.expected.into_iter().enumerate() {
             for env in bus.poll(me, topic) {
                 let Ok(sig) = Signature::from_bytes(&env.payload) else {
@@ -72,6 +67,7 @@ impl SignExchange {
                 }
             }
         }
+        self.rounds_run += 1;
     }
 
     /// True once every reader holds a signature from every signer.

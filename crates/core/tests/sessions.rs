@@ -24,8 +24,10 @@ use sc_contracts::BetSecrets;
 use sc_core::{
     check_conservation, check_state_commitments, BettingGame, BettingSpec, ChallengeGame,
     ChallengeSpec, CrashPoint, GameConfig, NetworkScheduler, Participant, Session, SessionReport,
-    SessionSpec, Strategy, SubmitStrategy, WatchStrategy,
+    SessionSpec, SettleLaterCrash, SettleLaterSpec, Strategy, SubmitStrategy, TxRecord,
+    WatchStrategy,
 };
+use sc_crypto::keccak256;
 use sc_primitives::U256;
 
 /// The single-node scheduler every test here runs on.
@@ -381,6 +383,9 @@ fn clock_jump_never_overshoots_a_nearer_deadline() {
 fn game_wrappers_and_one_spec_scheduler_are_one_path() {
     let secrets = secrets_bob_wins();
     let solo = |spec: SessionSpec| one_node(vec![spec]).run().remove(0);
+    let trace = |txs: &[TxRecord]| -> Vec<(String, bool)> {
+        txs.iter().map(|t| (t.label.clone(), t.success)).collect()
+    };
 
     for (alice, bob) in [
         (Strategy::Honest, Strategy::Honest),
@@ -406,7 +411,7 @@ fn game_wrappers_and_one_spec_scheduler_are_one_path() {
             ..BettingSpec::default()
         }));
         assert_eq!(report.error, None, "cell ({alice:?}, {bob:?})");
-        assert_eq!(game.tx_trace(), report.txs, "cell ({alice:?}, {bob:?})");
+        assert_eq!(trace(game.txs()), report.txs, "cell ({alice:?}, {bob:?})");
         assert_eq!(
             game.outcome_label(),
             report.outcome,
@@ -428,7 +433,11 @@ fn game_wrappers_and_one_spec_scheduler_are_one_path() {
                 ..ChallengeSpec::default()
             }));
             assert_eq!(report.error, None, "cell ({submit:?}, {watch:?})");
-            assert_eq!(game.tx_trace(), report.txs, "cell ({submit:?}, {watch:?})");
+            assert_eq!(
+                trace(game.txs()),
+                report.txs,
+                "cell ({submit:?}, {watch:?})"
+            );
             assert_eq!(
                 game.outcome_label(),
                 report.outcome,
@@ -436,4 +445,151 @@ fn game_wrappers_and_one_spec_scheduler_are_one_path() {
             );
         }
     }
+}
+
+/// Cross-commit pin: the full `Debug` rendering of every report of one
+/// fixed mixed run, hashed. The two same-build determinism tests above
+/// cannot see a refactor that changes what a session sends, records or
+/// reports; this one can. The constants were produced at commit 6032182
+/// (before the session machines shared one send path) and change only
+/// when a session's observable behaviour is meant to.
+#[test]
+fn mixed_run_reports_are_pinned() {
+    let secrets = secrets_bob_wins();
+    let mut cells: Vec<SessionSpec> = (0..10u8).map(|c| spec_cell(c, None, 0)).collect();
+    for submit in [SubmitStrategy::Truthful, SubmitStrategy::False] {
+        for watch in [
+            WatchStrategy::Vigilant,
+            WatchStrategy::Asleep,
+            WatchStrategy::Frivolous,
+        ] {
+            cells.push(SessionSpec::Challenge(ChallengeSpec {
+                secrets,
+                submit,
+                watch,
+                ..ChallengeSpec::default()
+            }));
+        }
+    }
+    for (watch, crash) in [
+        (WatchStrategy::Asleep, CrashPoint::BeforeSubmit),
+        (WatchStrategy::Asleep, CrashPoint::AfterSubmit),
+    ] {
+        cells.push(SessionSpec::Challenge(ChallengeSpec {
+            secrets,
+            watch,
+            crash,
+            ..ChallengeSpec::default()
+        }));
+    }
+    for (exchange_voucher, crash, double_submit) in [
+        (true, SettleLaterCrash::None, false),
+        (true, SettleLaterCrash::AAfterCosign, false),
+        (true, SettleLaterCrash::None, true),
+        (false, SettleLaterCrash::None, false),
+    ] {
+        cells.push(SessionSpec::SettleLater(SettleLaterSpec {
+            exchange_voucher,
+            crash,
+            double_submit,
+            range_bits: 8, // halves the proving cost; 30 + 12 units fit
+            ..SettleLaterSpec::default()
+        }));
+    }
+    // Every odd slot runs under its own fault schedule, and starts are
+    // staggered so sessions meet the chain in different phases.
+    let specs: Vec<SessionSpec> = cells
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut spec)| {
+            let seed = (i % 2 == 1).then_some(0x901D_0000_u64 + i as u64);
+            let delay = (i as u64 % 5) * 45;
+            match &mut spec {
+                SessionSpec::Betting(s) => (s.fault_seed, s.start_delay) = (seed, delay),
+                SessionSpec::Challenge(s) => (s.fault_seed, s.start_delay) = (seed, delay),
+                SessionSpec::SettleLater(s) => (s.fault_seed, s.start_delay) = (seed, delay),
+            }
+            spec
+        })
+        .collect();
+    assert_eq!(specs.len(), 22);
+
+    let digest =
+        |reports: &[SessionReport]| keccak256(format!("{reports:?}").as_bytes()).to_string();
+
+    let quiet = one_node(specs.clone()).run();
+    assert_eq!(
+        digest(&quiet),
+        "0x7d7f1f1dcc9d577e5095025d0cffdefd1cd050bafddaccf7bbdd30d4981700fe",
+        "one quiet node"
+    );
+
+    let mut cut = NetworkScheduler::new(specs, 4, PoolConfig::default(), None);
+    cut.network_mut().force_partition(vec![0, 1], 6);
+    let partitioned = cut.run();
+    assert_eq!(
+        digest(&partitioned),
+        "0xdffe9bccf93d392137eab4b152256d644a2b1689199e6902bf7a1b4bdba4dc5e",
+        "four nodes, forced partition"
+    );
+}
+
+/// A settle-later spec whose voucher can never be built or proven is
+/// refused at its first step, before the channel is deployed or a stake
+/// leaves a wallet — it must not panic the scheduler (and every other
+/// session with it) in the voucher arithmetic, nor fund a contract it
+/// can then neither settle nor reach `reclaim` on.
+#[test]
+fn unsettleable_settle_later_specs_are_refused_before_any_transaction() {
+    let good = SettleLaterSpec {
+        range_bits: 8,
+        ..SettleLaterSpec::default()
+    };
+    let bad = [
+        // Moves more out of A's claim than A staked.
+        (
+            "delta_units",
+            SettleLaterSpec {
+                delta_units: good.units_a + 1,
+                ..good.clone()
+            },
+        ),
+        // B's final claim overflows the unit type.
+        (
+            "units_b",
+            SettleLaterSpec {
+                units_b: u64::MAX,
+                range_bits: 64,
+                ..good.clone()
+            },
+        ),
+        // A's deposit has no range proof at this width.
+        (
+            "units_a",
+            SettleLaterSpec {
+                units_a: 1 << 8,
+                ..good.clone()
+            },
+        ),
+    ];
+    let mut specs: Vec<SessionSpec> = bad
+        .iter()
+        .map(|(_, spec)| SessionSpec::SettleLater(spec.clone()))
+        .collect();
+    specs.push(SessionSpec::SettleLater(good));
+
+    let mut sched = one_node(specs);
+    let reports = sched.run();
+
+    for ((field, _), r) in bad.iter().zip(&reports) {
+        let error = r.error.as_deref().unwrap_or_default();
+        assert!(error.contains(field), "session {}: error {error:?}", r.id);
+        assert_eq!(r.outcome, None, "session {}", r.id);
+        assert!(r.txs.is_empty(), "session {} sent {:?}", r.id, r.txs);
+        assert_eq!(r.total_gas, 0, "session {}", r.id);
+    }
+    let neighbour = &reports[bad.len()];
+    assert_eq!(neighbour.error, None);
+    assert_eq!(neighbour.outcome, Some("settled"));
+    check_conservation(chain(&sched)).unwrap();
 }
