@@ -130,11 +130,7 @@ pub struct FaultPlan {
     /// Per-fetch chance (‰) a witness requested from the relay is
     /// dropped in transit (light sessions only — the port refetches).
     pub proof_drop_permille: u32,
-    /// Per-round chance (‰) a light client's header push is withheld
-    /// for the round (the port's pull path recovers on demand).
-    pub header_lag_permille: u32,
-    /// Total light faults (dropped proofs + lagged headers) allowed
-    /// before the relay turns perfect.
+    /// Total dropped proofs allowed before the relay turns perfect.
     pub light_fault_budget: u32,
 }
 
@@ -164,7 +160,6 @@ impl FaultPlan {
             max_link_delay_rounds: 0,
             link_fault_budget: 0,
             proof_drop_permille: 0,
-            header_lag_permille: 0,
             light_fault_budget: 0,
         }
     }
@@ -209,7 +204,6 @@ impl FaultPlan {
             // contract again, so every pinned single-node *and*
             // multi-node chaos outcome replays bit-identically.
             proof_drop_permille: (splitmix64(&mut s) % 201) as u32,
-            header_lag_permille: (splitmix64(&mut s) % 151) as u32,
             light_fault_budget: (splitmix64(&mut s) % 9) as u32,
         }
     }
@@ -471,11 +465,6 @@ impl ChainFaults {
     pub fn remaining_budget(&self) -> u32 {
         self.budget
     }
-
-    /// Pool fault budget still unspent.
-    pub fn remaining_pool_budget(&self) -> u32 {
-        self.pool_budget
-    }
 }
 
 /// A network partition drawn from a [`LinkFaults`] schedule: nodes in
@@ -567,14 +556,12 @@ impl LinkFaults {
     }
 }
 
-/// Per-session light-client fault state: dropped witnesses and withheld
-/// header pushes. Drawn from its own stream (site 5), so arming a light
-/// fleet never perturbs the whisper, chain, pool or link schedules
-/// existing chaos pins depend on. Both fault kinds are *liveness*
-/// faults by construction — a dropped proof is refetched and a lagged
-/// header is pulled on demand — so a light session under this schedule
-/// reaches the same outcome as its full-node twin, just with more wire
-/// traffic.
+/// Per-session light-client fault state: witnesses dropped in transit.
+/// Drawn from its own stream (site 5), so arming a light fleet never
+/// perturbs the whisper, chain, pool or link schedules existing chaos
+/// pins depend on. A drop is a *liveness* fault by construction — the
+/// port refetches — so a light session under this schedule reaches the
+/// same outcome as its full-node twin, just with more wire traffic.
 pub struct LightFaults {
     rng: XorShift64,
     plan: FaultPlan,
@@ -605,21 +592,6 @@ impl LightFaults {
         }
         self.budget -= 1;
         self.injected.push("witness dropped in transit".to_string());
-        true
-    }
-
-    /// Rolls for this round's header push being withheld from the
-    /// client (stale until it pulls).
-    pub fn lag_headers(&mut self) -> bool {
-        if self.budget == 0 {
-            return false;
-        }
-        let roll = self.rng.below(1000) as u32;
-        if roll >= self.plan.header_lag_permille {
-            return false;
-        }
-        self.budget -= 1;
-        self.injected.push("header push withheld".to_string());
         true
     }
 
@@ -898,25 +870,14 @@ mod tests {
         for seed in 0..256u64 {
             let p = FaultPlan::from_seed(seed);
             assert!(p.proof_drop_permille <= 200);
-            assert!(p.header_lag_permille <= 150);
             assert!(p.light_fault_budget <= 8);
         }
         let plan = FaultPlan {
             proof_drop_permille: 1000,
-            header_lag_permille: 1000,
             ..FaultPlan::from_seed(0x5eed)
         };
         let mut lf = LightFaults::new(&plan);
-        let mut fired = 0;
-        for i in 0..128 {
-            if if i % 2 == 0 {
-                lf.drop_proof()
-            } else {
-                lf.lag_headers()
-            } {
-                fired += 1;
-            }
-        }
+        let fired = (0..128).filter(|_| lf.drop_proof()).count() as u32;
         assert_eq!(fired, plan.light_fault_budget);
         assert_eq!(lf.remaining_budget(), 0);
         assert_eq!(lf.injected_faults().len(), fired as usize);

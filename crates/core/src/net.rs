@@ -45,8 +45,8 @@ use crate::session::{
 };
 use crate::whisper::{Topic, Whisper};
 use sc_chain::{
-    Block, ChainConfig, Header, HeaderClient, ImportOutcome, PoolConfig, SignedTransaction,
-    Testnet, TxError,
+    Block, ChainConfig, HeaderClient, ImportOutcome, PoolConfig, SignedTransaction, Testnet,
+    TxError,
 };
 use sc_primitives::{ether, Address, H256, U256};
 use std::any::Any;
@@ -58,6 +58,11 @@ use std::collections::HashMap;
 /// partitioned runs finish in a few thousand.
 const MAX_ROUNDS: u64 = 2_000_000;
 
+/// Rounds a heal must stick before the next cut may start — long
+/// enough for the queued cross-cut frames to deliver and the reorg to
+/// resolve.
+const FAULTS_COOLDOWN: u64 = 8;
+
 /// The reader address node `i` polls its bus inbox with, and the sender
 /// attribution on its outbound frames. Purely diagnostic — frames are
 /// self-verifying — but keeps per-node bus cursors separate.
@@ -65,16 +70,6 @@ fn node_addr(i: usize) -> Address {
     let mut b = [0xeeu8; 20];
     b[18] = (i >> 8) as u8;
     b[19] = i as u8;
-    Address(b)
-}
-
-/// The reader address light client `id` drains its header inbox with —
-/// distinct from every node address so per-reader bus cursors never
-/// collide.
-fn light_addr(id: usize) -> Address {
-    let mut b = [0xccu8; 20];
-    b[18] = (id >> 8) as u8;
-    b[19] = id as u8;
     Address(b)
 }
 
@@ -319,7 +314,7 @@ impl Network {
     fn partition_step(&mut self) {
         if let Some(p) = &self.partition {
             if self.round >= p.heal_at {
-                self.cooldown_until = self.round + self.faults_cooldown();
+                self.cooldown_until = self.round + FAULTS_COOLDOWN;
                 self.partition = None;
             }
         }
@@ -329,13 +324,6 @@ impl Network {
                 self.partition = Some(p);
             }
         }
-    }
-
-    /// Rounds a heal must stick before the next cut may start — long
-    /// enough for the queued cross-cut frames to deliver and the reorg
-    /// to resolve.
-    fn faults_cooldown(&self) -> u64 {
-        8
     }
 
     /// Posts every frame whose delivery round arrived into its
@@ -522,23 +510,6 @@ impl Network {
         self.mine();
         self.sync_clocks();
     }
-
-    /// Runs rounds until every node converged on one head and no frame
-    /// is in flight (at most `max_rounds`); returns the rounds spent.
-    /// Used by tests and the convergence benchmark after a forced
-    /// partition heals.
-    pub fn run_until_converged(&mut self, max_rounds: u64) -> u64 {
-        let start = self.round;
-        while !(self.converged() && self.frames.is_empty()) {
-            self.round();
-            assert!(
-                self.round - start <= max_rounds,
-                "network failed to converge within {max_rounds} rounds; heads: {:?}",
-                self.heads()
-            );
-        }
-        self.round - start
-    }
 }
 
 /// Where one networked session slot stands between rounds.
@@ -628,11 +599,11 @@ impl NetworkScheduler {
 
     /// Like [`NetworkScheduler::new`], but every session runs
     /// *stateless*: it owns a [`HeaderClient`] seeded with its home
-    /// node's genesis header, follows the chain through per-session
-    /// header pushes over whisper (plus the pull path when a push
-    /// lags), and reaches the chain through a [`LightPort`] — every
-    /// read witness-verified, inclusion confirmed against
-    /// `receipts_root`, the home node demoted to an untrusted relay.
+    /// node's genesis header, pulls the headers it is missing from that
+    /// node before every read, and reaches the chain through a
+    /// [`LightPort`] — every read witness-verified, inclusion confirmed
+    /// against `receipts_root`, the home node demoted to an untrusted
+    /// relay.
     /// Same specs + same seeds produce reports bit-identical to
     /// [`NetworkScheduler::new`]'s.
     pub fn new_light(
@@ -762,60 +733,6 @@ impl NetworkScheduler {
         self.slots.iter().map(|s| s.light_stats).collect()
     }
 
-    /// Pushes each light client the canonical headers it is missing,
-    /// as encoded [`Header`] frames over that session's scoped whisper
-    /// topic, then lets the client drain its inbox and import whatever
-    /// verifies (hashes are recomputed on decode, so a tampered frame
-    /// cannot take effect). A header-lag fault withholds this round's
-    /// push — the client stays stale until the [`LightPort`] pull path
-    /// catches it up on its next read, which is the fault's whole
-    /// observable effect.
-    fn sync_light_clients(&mut self) {
-        let Network { nodes, bus, .. } = &mut self.network;
-        for (id, slot) in self.slots.iter_mut().enumerate() {
-            let Some(client) = slot.client.as_mut() else {
-                continue;
-            };
-            let node = &nodes[slot.home];
-            if client.head().hash == node.head().hash {
-                continue;
-            }
-            if slot.light_faults.lag_headers() {
-                continue;
-            }
-            let topic = Topic::node_session(slot.home, id as u64, "headers");
-            // The home node walks its canonical chain back to the last
-            // header the client tracks and pushes the gap oldest-first
-            // (crossing the fork point after a reorg, so the client's
-            // fork choice flips too).
-            let mut missing = Vec::new();
-            let mut cur = node.head().header();
-            loop {
-                if client.header_by_hash(cur.hash).is_some() {
-                    break;
-                }
-                let parent_hash = cur.parent_hash;
-                let number = cur.number;
-                missing.push(cur);
-                if number == 0 {
-                    break;
-                }
-                match node.block_by_hash(parent_hash) {
-                    Some(b) => cur = b.header(),
-                    None => break,
-                }
-            }
-            for h in missing.iter().rev() {
-                bus.post(node_addr(slot.home), &topic, h.encode());
-            }
-            for env in bus.poll(light_addr(id), &topic) {
-                if let Ok(header) = Header::decode(&env.payload) {
-                    let _ = client.import_header(header);
-                }
-            }
-        }
-    }
-
     /// Transactions displaced from any node's pool and routed back for
     /// re-pricing.
     pub fn pool_evicted(&self) -> u64 {
@@ -851,12 +768,6 @@ impl NetworkScheduler {
         self.network.partition_step();
         self.network.deliver_due();
         self.network.process_inboxes();
-        // Light clients catch up on headers *after* the round's imports
-        // land and *before* sessions step, so a light session observes
-        // its relay's head at exactly the point a full-node session
-        // would read its own — which is what keeps the two modes'
-        // reports bit-identical under the same seed.
-        self.sync_light_clients();
 
         let now_by_node: Vec<u64> = self.network.nodes.iter().map(|n| n.now()).collect();
         for slot in &mut self.slots {

@@ -500,10 +500,8 @@ impl Session for BettingSession {
                     // storage; anyone certified can then trigger the
                     // miner-enforced resolution.
                     let onchain = self.onchain_addr.expect("deployed");
-                    let instance = Address::from_u256(
-                        ctx.chain
-                            .storage_at(onchain, U256::from_u64(DEPLOYED_ADDR_SLOT)),
-                    );
+                    let instance =
+                        super::deployed_instance(ctx.chain, onchain, DEPLOYED_ADDR_SLOT)?;
                     if instance.is_zero() {
                         return Err(ProtocolError::NoVerifiedInstance);
                     }

@@ -189,20 +189,6 @@ impl ChallengeSession {
             SubmitStrategy::False => !truth,
         }
     }
-
-    /// The address the miner-enforced resolution instance was deployed
-    /// to by a successful `challenge()` — read *light-client style*:
-    /// the `deployedAddr` slot is fetched with a Merkle proof and
-    /// verified against the header's `state_root` commitment rather
-    /// than trusted from the node's storage map.
-    fn challenge_instance(&self, ctx: &mut SessionCtx<'_>) -> Result<Address, ProtocolError> {
-        let slot = U256::from_u64(CHALLENGE_DEPLOYED_ADDR_SLOT);
-        let value = ctx
-            .chain
-            .verified_storage_at(self.onchain, slot)
-            .map_err(|e| ProtocolError::StateUnverified(format!("deployedAddr: {e}")))?;
-        Ok(Address::from_u256(value))
-    }
 }
 
 impl Session for ChallengeSession {
@@ -336,7 +322,11 @@ impl Session for ChallengeSession {
 
             Phase::StaleResolve | Phase::ChallengeResolve => {
                 if self.log.idle() {
-                    let instance = self.challenge_instance(ctx)?;
+                    let instance = super::deployed_instance(
+                        ctx.chain,
+                        self.onchain,
+                        CHALLENGE_DEPLOYED_ADDR_SLOT,
+                    )?;
                     self.log.start(TxTask::new(
                         "returnDisputeResolution",
                         self.bob.wallet.clone(),

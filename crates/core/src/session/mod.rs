@@ -87,20 +87,13 @@ pub trait ChainReader {
     /// The timestamp the next block will carry.
     fn now(&self) -> u64;
 
-    /// Timestamp of the current head block.
-    fn head_timestamp(&self) -> u64;
-
     /// Timestamp of the block a receipt landed in (head's timestamp if
     /// the number is somehow unknown, which cannot happen for a mined
     /// receipt).
     fn block_timestamp(&self, number: u64) -> u64;
 
-    /// Storage slot lookup. Full-node ports read their own trie; a
-    /// light port returns the *proven* value of a fetched witness.
-    fn storage_at(&mut self, a: Address, key: U256) -> U256;
-
-    /// Light-verified storage read: the value is only returned after a
-    /// Merkle proof for the slot checked out against the chain's
+    /// The one storage read: the value is only returned after a Merkle
+    /// proof for the slot checked out against the head header's
     /// `state_root` commitment.
     fn verified_storage_at(&mut self, a: Address, key: U256) -> Result<U256, ProofVerifyError>;
 
@@ -233,42 +226,23 @@ impl ChainReader for NodePort<'_> {
         self.net.now()
     }
 
-    fn head_timestamp(&self) -> u64 {
-        self.net.head().timestamp
-    }
-
     fn block_timestamp(&self, number: u64) -> u64 {
         self.net
             .block(number)
             .map_or_else(|| self.net.head().timestamp, |b| b.timestamp)
     }
 
-    fn storage_at(&mut self, a: Address, key: U256) -> U256 {
-        self.net.storage_at(a, key)
-    }
-
     /// Fetches a Merkle proof for the slot and checks it against the
-    /// chain's `state_root` commitment before returning the value,
-    /// instead of trusting the node's storage map.
-    ///
-    /// When the live state still matches the sealed head (always true
-    /// immediately after a block, which is when sessions read results),
-    /// the proof is checked against the **head header's** `state_root` —
-    /// exactly what a stateless light client would do; otherwise it
-    /// anchors to the root the *next* header will commit, which still
-    /// binds the value to the trie. The proof is fetched *fresh* from
-    /// the live trie on every call, which is what makes reads
-    /// reorg-safe: after a rollback-and-replay it re-proves against
-    /// exactly what the current head commits.
+    /// **head header's** `state_root` — exactly what a stateless light
+    /// client does — instead of trusting the node's storage map. Live
+    /// state the head does not commit (an unsealed mint, say) fails to
+    /// verify rather than being anchored to the root the proof itself
+    /// claims. The proof is fetched *fresh* on every call, which is
+    /// what makes reads reorg-safe: after a rollback-and-replay it
+    /// re-proves against exactly what the current head commits.
     fn verified_storage_at(&mut self, a: Address, key: U256) -> Result<U256, ProofVerifyError> {
         let proof = self.net.prove_storage(a, key);
-        let sealed = self.net.head().state_root;
-        let anchor = if proof.root == sealed {
-            sealed
-        } else {
-            proof.root
-        };
-        proof.verify(anchor)?;
+        proof.verify(self.net.head().state_root)?;
         Ok(proof.value)
     }
 
@@ -397,6 +371,21 @@ pub(crate) fn dispute_gas_limit(weight: u64) -> u64 {
     150_000_u64
         .saturating_add(weight.saturating_mul(350))
         .min(8_000_000)
+}
+
+/// The address the miner-enforced resolution instance was deployed to,
+/// as the on-chain contract's `deployedAddr` slot stores it — read
+/// *light-client style*: verified against the head header's
+/// `state_root` rather than trusted from the node's storage map.
+pub(crate) fn deployed_instance(
+    chain: &mut (dyn ChainAccess + '_),
+    onchain: Address,
+    slot: u64,
+) -> Result<Address, ProtocolError> {
+    chain
+        .verified_storage_at(onchain, U256::from_u64(slot))
+        .map(Address::from_u256)
+        .map_err(|e| ProtocolError::StateUnverified(format!("deployedAddr: {e}")))
 }
 
 /// Names of the four stage-gas buckets, index-aligned with

@@ -337,14 +337,8 @@ mod tests {
         fn now(&self) -> u64 {
             self.now
         }
-        fn head_timestamp(&self) -> u64 {
-            self.now
-        }
         fn block_timestamp(&self, _number: u64) -> u64 {
             self.now
-        }
-        fn storage_at(&mut self, _a: Address, _key: U256) -> U256 {
-            U256::ZERO
         }
         fn verified_storage_at(&mut self, _a: Address, _k: U256) -> Result<U256, ProofVerifyError> {
             Ok(U256::ZERO)

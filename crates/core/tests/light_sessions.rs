@@ -4,8 +4,8 @@
 //! The acceptance property of the light-session refactor is
 //! **observational equivalence**: a mixed betting / challenge /
 //! settle-later scheduler run in which *every* session lives on a
-//! [`LightPort`] — headers over gossip, every read witness-verified
-//! against the head `state_root`, inclusion confirmed against
+//! [`LightPort`] — headers pulled from the relay, every read
+//! witness-verified against the head `state_root`, inclusion confirmed against
 //! `receipts_root` — must produce session reports **bit-identical** to
 //! the same specs on full-node ports under the same seed, on a quiet
 //! network and under pinned chaos seeds alike. Statelessness costs
@@ -128,8 +128,8 @@ fn light_runs_are_bit_identical_per_seed() {
 fn light_sessions_survive_a_forced_partition_and_reorg() {
     // A partition forced before the run forks the chain under the
     // sessions; healing reorgs both the full nodes and — through the
-    // header push — every light client. Sessions must re-prove and
-    // resubmit across the reorg and still settle cleanly.
+    // header pull on its next read — every light client. Sessions must
+    // re-prove and resubmit across the reorg and still settle cleanly.
     let mut sched = NetworkScheduler::new_light(mixed_specs(0), 4, PoolConfig::default(), None);
     sched.network_mut().force_partition(vec![0, 1], 6);
     let reports = sched.run();

@@ -96,14 +96,6 @@ impl Asm {
         self
     }
 
-    /// Pushes exactly `width` bytes (big-endian, left-padded).
-    pub fn push_fixed(&mut self, v: U256, width: usize) -> &mut Self {
-        assert!((1..=32).contains(&width));
-        let be = v.to_be_bytes();
-        self.items.push(Item::Push(be[32 - width..].to_vec()));
-        self
-    }
-
     /// Generates a fresh label name, unique process-wide.
     pub fn fresh_label(&mut self, hint: &str) -> String {
         let n = NEXT_LABEL.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
