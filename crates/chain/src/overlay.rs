@@ -10,7 +10,7 @@
 //!
 //! Reorg support is a property of the same structure rather than a
 //! bolt-on: while recording, the first touch of an account or slot
-//! captures its prior value into the open [`DiffLayer`], so rolling a
+//! captures its prior value into the open layer, so rolling a
 //! block back is "apply the top layer" — the whole-account snapshot
 //! machinery the previous engine stacked next to its storage maps is
 //! gone.
@@ -27,9 +27,17 @@ pub fn empty_code_hash() -> H256 {
     *EMPTY.get_or_init(|| keccak256(&[]))
 }
 
+/// The one empty code buffer every codeless account shares, so an EOA
+/// costs no allocation of its own.
+pub fn empty_code() -> Arc<Vec<u8>> {
+    static EMPTY: OnceLock<Arc<Vec<u8>>> = OnceLock::new();
+    EMPTY.get_or_init(Arc::default).clone()
+}
+
 /// Account metadata: EOA (no code) or contract account. Storage lives
-/// in the overlay's flat map, not here — an `Account` is a few words,
-/// so diff layers can snapshot it by value cheaply.
+/// in the overlay's flat map and its root in the state's tries, not
+/// here — an `Account` is a few words, so diff layers can snapshot it
+/// by value cheaply.
 #[derive(Clone, Debug)]
 pub struct Account {
     /// Transaction / creation counter.
@@ -41,12 +49,6 @@ pub struct Account {
     /// `keccak256(code)`, maintained on every code write so the EVM's
     /// analysis-cache key costs a field read instead of a hash.
     pub code_hash: H256,
-    /// Root of the account's storage trie as of the last
-    /// [`crate::state::WorldState::state_root`] fold — a cached
-    /// diagnostic, never an input to the fold (which reads the live
-    /// trie). [`sc_trie::empty_root`] for an account that has never
-    /// stored anything.
-    pub storage_root: H256,
 }
 
 impl Default for Account {
@@ -54,9 +56,8 @@ impl Default for Account {
         Account {
             nonce: 0,
             balance: U256::ZERO,
-            code: Arc::default(),
+            code: empty_code(),
             code_hash: empty_code_hash(),
-            storage_root: sc_trie::empty_root(),
         }
     }
 }
@@ -69,18 +70,20 @@ impl Account {
 }
 
 /// One block's worth of first-touch priors: every account and storage
-/// slot the block touched, mapped to its value *before* the first touch
-/// (`None` / [`U256::ZERO`] when it did not exist yet). Applying the
-/// layer restores the overlay exactly as it was when the layer opened —
-/// the primitive reorg rollback is built on.
+/// slot the block touched, paired with its value *before* the first
+/// touch (`None` / [`U256::ZERO`] when it did not exist yet). Applying
+/// the layer restores the overlay exactly as it was when the layer
+/// opened — the primitive reorg rollback is built on.
 ///
 /// Priors are recorded once per key per layer, so applying is
 /// order-independent and a block that rewrites one slot a thousand
-/// times costs one entry.
+/// times costs one entry. A closed layer is only ever applied whole,
+/// never probed, so it is two exact-size vectors: a node keeps one per
+/// block above genesis.
 #[derive(Debug, Default)]
 pub struct DiffLayer {
-    pub(crate) accounts: HashMap<Address, Option<Account>>,
-    pub(crate) storage: HashMap<(Address, U256), U256>,
+    pub(crate) accounts: Vec<(Address, Option<Account>)>,
+    pub(crate) storage: Vec<((Address, U256), U256)>,
 }
 
 impl DiffLayer {
@@ -95,10 +98,17 @@ impl DiffLayer {
     }
 }
 
+/// The layer being recorded: maps, so each key's first touch is the one
+/// kept. [`StateOverlay::take_layer`] drains it into a [`DiffLayer`].
+#[derive(Default)]
+struct OpenLayer {
+    accounts: HashMap<Address, Option<Account>>,
+    storage: HashMap<(Address, U256), U256>,
+}
+
 /// The flat state overlay: account metadata plus a single
 /// `(address, slot) → value` map holding every live (nonzero) storage
-/// word, with an optional open [`DiffLayer`] capturing priors for
-/// rollback.
+/// word, with an optional open layer capturing priors for rollback.
 ///
 /// The `slots` directory mirrors the flat map's keys per address in
 /// sorted order, so enumerations (`entries`, trie rebuilds, snapshot
@@ -109,7 +119,7 @@ pub struct StateOverlay {
     storage: HashMap<(Address, U256), U256>,
     slots: HashMap<Address, BTreeSet<U256>>,
     recording: bool,
-    open: DiffLayer,
+    open: OpenLayer,
 }
 
 impl StateOverlay {
@@ -192,23 +202,23 @@ impl StateOverlay {
     /// Starts recording with a fresh, empty open layer.
     pub fn begin_recording(&mut self) {
         self.recording = true;
-        self.open = DiffLayer::default();
+        self.open = OpenLayer::default();
     }
 
     /// Closes the open layer and returns it; recording continues into a
-    /// fresh layer. Returns an empty layer when recording is off.
+    /// fresh layer (the maps keep their capacity for the next block).
+    /// Returns an empty layer when recording is off.
     pub fn take_layer(&mut self) -> DiffLayer {
-        if self.recording {
-            std::mem::take(&mut self.open)
-        } else {
-            DiffLayer::default()
+        DiffLayer {
+            accounts: self.open.accounts.drain().collect(),
+            storage: self.open.storage.drain().collect(),
         }
     }
 
     /// Stops recording and discards the open layer.
     pub fn stop_recording(&mut self) {
         self.recording = false;
-        self.open = DiffLayer::default();
+        self.open = OpenLayer::default();
     }
 
     /// True while an open layer is recording priors.
@@ -267,15 +277,6 @@ impl StateOverlay {
     /// Number of live storage words across all accounts (diagnostics).
     pub fn storage_len(&self) -> usize {
         self.storage.len()
-    }
-
-    /// Updates the cached `storage_root` on an account's metadata after
-    /// a fold, bypassing recording: the field is derived state, and
-    /// rollback re-derives it from the restored values.
-    pub(crate) fn set_storage_root(&mut self, a: Address, root: H256) {
-        if let Some(acct) = self.accounts.get_mut(&a) {
-            acct.storage_root = root;
-        }
     }
 }
 

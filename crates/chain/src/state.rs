@@ -8,7 +8,7 @@
 //! Proofs anchor to the current root of those live tries; history is
 //! the chain's per-block [`DiffLayer`] undo stack.
 
-use crate::overlay::StateOverlay;
+use crate::overlay::{empty_code, StateOverlay};
 use sc_crypto::keccak256;
 use sc_evm::host::{Host, LogEntry};
 use sc_primitives::rlp::{self, Item};
@@ -243,13 +243,11 @@ impl WorldState {
                     trie.insert(&k, encode_storage_value(v));
                 }
             }
-            let root = trie.root();
             // An emptied trie is dropped, not retained: it contributes
             // nothing to any root and would otherwise pin node memory.
             if trie.is_empty() {
                 self.storage_tries.remove(&a);
             }
-            self.overlay.set_storage_root(a, root);
         }
         for a in std::mem::take(&mut self.dirty_accounts) {
             let meta = self
@@ -263,7 +261,6 @@ impl WorldState {
                         a.as_bytes(),
                         encode_account(nonce, balance, root, code_hash),
                     );
-                    self.overlay.set_storage_root(a, root);
                 }
                 _ => {
                     self.account_trie.remove(a.as_bytes());
@@ -365,7 +362,7 @@ impl WorldState {
                 continue;
             }
             let (nonce, balance, code) = meta.map_or_else(
-                || (0, U256::ZERO, Arc::default()),
+                || (0, U256::ZERO, empty_code()),
                 |m| (m.nonce, m.balance, m.code.clone()),
             );
             let slots = entries
@@ -428,8 +425,10 @@ impl WorldState {
                 let acct = state.overlay.account_mut(a);
                 acct.nonce = nonce;
                 acct.balance = balance;
-                acct.code_hash = keccak256(code);
-                acct.code = Arc::new(code.clone());
+                if !code.is_empty() {
+                    acct.code_hash = keccak256(code);
+                    acct.code = Arc::new(code.clone());
+                }
             }
             state.dirty_accounts.insert(a);
             let Item::List(slots) = slots else {
@@ -472,7 +471,7 @@ impl Host for WorldState {
     fn code(&self, a: Address) -> Arc<Vec<u8>> {
         self.overlay
             .account(a)
-            .map_or_else(Default::default, |acct| acct.code.clone())
+            .map_or_else(empty_code, |acct| acct.code.clone())
     }
 
     fn storage(&self, a: Address, key: U256) -> U256 {

@@ -4,7 +4,6 @@
 
 use super::Testnet;
 use crate::tx::{SignedTransaction, Transaction};
-use sc_crypto::ecdsa::recover_addresses_batch;
 use sc_evm::{gas, Host};
 use sc_mempool::{PoolError, TxMeta};
 use sc_primitives::{Address, H256, U256};
@@ -89,23 +88,19 @@ pub(super) struct PendingTx {
 }
 
 impl PendingTx {
-    /// Caches the hash and intrinsic gas beside an already recovered sender.
-    fn new(signed: SignedTransaction, sender: Address) -> PendingTx {
-        PendingTx {
+    /// Derives every cached field from the raw transaction — at
+    /// admission, and again at block import, which takes nothing a peer
+    /// says about senders on faith. A signature that does not recover
+    /// (or is high-s) is a typed [`TxError`], never a panic: a malformed
+    /// gossiped transaction must not crash the node.
+    pub(super) fn derive(signed: SignedTransaction) -> Result<PendingTx, TxError> {
+        let sender = signed.sender().map_err(|_| TxError::BadSignature)?;
+        Ok(PendingTx {
             sender,
             hash: signed.hash(),
             intrinsic: gas::tx_intrinsic_gas(&signed.tx.data, signed.tx.is_create()),
             signed,
-        }
-    }
-
-    /// Re-derives every cached field from the raw transaction, serially
-    /// — block import takes nothing a peer says about senders on faith.
-    /// A signature that does not recover is a typed [`TxError`], never a
-    /// panic: a malformed gossiped transaction must not crash the node.
-    pub(super) fn derive(signed: SignedTransaction) -> Result<PendingTx, TxError> {
-        let sender = signed.sender().map_err(|_| TxError::BadSignature)?;
-        Ok(PendingTx::new(signed, sender))
+        })
     }
 }
 
@@ -124,43 +119,14 @@ impl Testnet {
         self.admit(PendingTx::derive(signed)?)
     }
 
-    /// Validates and admits a whole batch, recovering senders in
-    /// parallel across CPU cores.
-    ///
-    /// Per-entry results are exactly what [`Testnet::submit`]ing each
-    /// transaction in order would return: sender recovery is a pure
-    /// function (fanned out via [`recover_addresses_batch`]), and the
-    /// state-dependent checks — nonce, balance, block gas limit, the
-    /// pool's fee market — run in the sequential admission loop below,
-    /// so an entry sees every earlier entry's admission just like
-    /// serial submits.
+    /// Validates and admits a whole batch in order: per-entry results
+    /// are exactly what [`Testnet::submit`]ing each transaction would
+    /// return, since that is what it does.
     pub fn submit_batch(&mut self, txs: Vec<SignedTransaction>) -> Vec<Result<H256, TxError>> {
-        // Cheap serial pass: signing digests (pure, O(data)).
-        let digests: Vec<_> = txs
-            .iter()
-            .map(|s| (s.tx.signing_hash(), s.signature))
-            .collect();
-
-        // Parallel pass: the expensive curve recoveries.
-        let senders = recover_addresses_batch(&digests);
-
-        // Sequential admission: order-sensitive, state-dependent checks.
-        txs.into_iter()
-            .zip(senders)
-            .map(|(signed, sender)| {
-                // EIP-2 low-s: checked here (not in the recovery kernel) to
-                // mirror `SignedTransaction::sender` exactly.
-                if !signed.signature.is_low_s() {
-                    return Err(TxError::BadSignature);
-                }
-                let sender = sender.map_err(|_| TxError::BadSignature)?;
-                self.admit(PendingTx::new(signed, sender))
-            })
-            .collect()
+        txs.into_iter().map(|signed| self.submit(signed)).collect()
     }
 
-    /// State-dependent half of admission, shared by the serial and batch
-    /// submit paths once the sender is recovered.
+    /// State-dependent half of admission, once the sender is recovered.
     ///
     /// The nonce rule is "not yet mined", not "exactly next": the pool
     /// holds future nonces until the gap fills. The pool's fee market

@@ -113,13 +113,12 @@ impl Testnet {
             let hash = self.blocks[n as usize].hash;
             self.state.block_hashes.insert(n, hash);
         }
-        for t in &block.transactions {
-            if let Some(r) = self.receipts.remove(&t.hash()) {
-                for log in &r.logs {
-                    if let Some(blocks) = self.log_index.get_mut(&log.address) {
-                        if blocks.last() == Some(&block.number) {
-                            blocks.pop();
-                        }
+        for r in self.receipts.pop().expect("receipts sit beside blocks") {
+            self.receipt_index.remove(&r.tx_hash);
+            for log in &r.logs {
+                if let Some(blocks) = self.log_index.get_mut(&log.address) {
+                    if blocks.last() == Some(&block.number) {
+                        blocks.pop();
                     }
                 }
             }

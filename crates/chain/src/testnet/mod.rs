@@ -84,7 +84,11 @@ pub struct Testnet {
     pub state: WorldState,
     config: ChainConfig,
     blocks: Vec<Block>,
-    receipts: HashMap<H256, Receipt>,
+    /// Each canonical block's receipts in transaction order, indexed by
+    /// height beside `blocks`.
+    receipts: Vec<Vec<Receipt>>,
+    /// Canonical transaction hash → (height, index) into `receipts`.
+    receipt_index: HashMap<H256, (u64, u32)>,
     /// Per-address log index: for each emitting address, the ascending
     /// list of block numbers holding at least one of its logs. Updated
     /// at commit time so address-filtered [`Testnet::logs`] queries
@@ -177,7 +181,8 @@ impl Testnet {
             open_minted: minted,
             config,
             blocks: vec![genesis],
-            receipts: HashMap::new(),
+            receipts: vec![Vec::new()],
+            receipt_index: HashMap::new(),
             log_index: HashMap::new(),
             minted,
             analysis_cache: Arc::new(AnalysisCache::new()),
@@ -257,21 +262,15 @@ impl Testnet {
 
     /// Receipt by transaction hash.
     pub fn receipt(&self, tx_hash: H256) -> Option<&Receipt> {
-        self.receipts.get(&tx_hash)
+        let &(number, index) = self.receipt_index.get(&tx_hash)?;
+        self.receipts.get(number as usize)?.get(index as usize)
     }
 
     /// All receipts in a block, in transaction order.
     pub fn receipts_in_block(&self, number: u64) -> Vec<&Receipt> {
-        let Some(block) = self.block(number) else {
-            return Vec::new();
-        };
-        let mut out: Vec<&Receipt> = block
-            .transactions
-            .iter()
-            .filter_map(|t| self.receipts.get(&t.hash()))
-            .collect();
-        out.sort_by_key(|r| r.tx_index);
-        out
+        self.receipts
+            .get(number as usize)
+            .map_or_else(Vec::new, |rs| rs.iter().collect())
     }
 
     /// Log query in the spirit of `eth_getLogs`: all logs in the block
@@ -410,7 +409,7 @@ impl Testnet {
         let hash = self.submit(tx.sign(&wallet.key))?;
         loop {
             let block = self.mine_block();
-            if let Some(receipt) = self.receipts.get(&hash) {
+            if let Some(receipt) = self.receipt(hash) {
                 return Ok(receipt.clone());
             }
             if block.transactions.is_empty() {

@@ -168,15 +168,21 @@ impl Testnet {
         if number >= 256 {
             self.state.block_hashes.remove(&(number - 256));
         }
-        for r in receipts {
+        for (index, r) in receipts.iter().enumerate() {
             for log in &r.logs {
                 let blocks = self.log_index.entry(log.address).or_default();
                 if blocks.last() != Some(&number) {
                     blocks.push(number);
                 }
             }
-            self.receipts.insert(r.tx_hash, r);
+            self.receipt_index.insert(r.tx_hash, (number, index as u32));
         }
+        debug_assert_eq!(
+            self.receipts.len() as u64,
+            number,
+            "receipts sit beside blocks"
+        );
+        self.receipts.push(receipts);
         self.canon_index.insert(block.hash, number);
         self.blocks.push(block.clone());
         debug_assert_eq!(self.time, block.timestamp, "a seal leaves the clock on it");

@@ -827,3 +827,118 @@ fn equal_height_forks_converge_on_the_smaller_hash() {
     }
     assert_eq!(a.head().hash, b.head().hash, "fork choice converges");
 }
+
+#[test]
+fn rollback_unindexes_every_orphaned_receipt() {
+    let (mut net, _) = twin_nets();
+    let alice = Wallet::from_seed("alice");
+    let carol = Wallet::from_seed("carol");
+    let hashes: Vec<H256> = [(&alice, 0), (&alice, 1), (&carol, 0)]
+        .into_iter()
+        .map(|(w, nonce)| {
+            net.submit(transfer_tx(nonce, gwei(1), 21_000).sign(&w.key))
+                .unwrap()
+        })
+        .collect();
+    let block = net.mine_block();
+    assert_eq!(block.transactions.len(), 3);
+    assert!(hashes.iter().all(|&h| net.receipt(h).is_some()));
+
+    net.rollback_head_block().expect("block 1 rolls back");
+    for h in &hashes {
+        assert!(
+            net.receipt(*h).is_none(),
+            "orphaned receipt {h} still indexed"
+        );
+    }
+    assert!(net.receipts_in_block(1).is_empty());
+    assert!(net.prove_receipt(hashes[0]).is_none());
+
+    // A different block 1 takes the orphans' heights and indices: the
+    // old hashes must still find nothing, not the newcomers' receipts.
+    let dave = Address([0xda; 20]);
+    let fresh: Vec<H256> = [&carol, &alice]
+        .into_iter()
+        .map(|w| {
+            let tx = Transaction {
+                to: Some(dave),
+                ..transfer_tx(0, gwei(2), 21_000)
+            };
+            net.submit(tx.sign(&w.key)).unwrap()
+        })
+        .collect();
+    assert_eq!(net.mine_block().number, 1);
+    for h in &hashes {
+        assert!(
+            net.receipt(*h).is_none(),
+            "orphan {h} resolved after re-mine"
+        );
+    }
+    for h in fresh {
+        assert_eq!(net.receipt(h).map(|r| r.tx_hash), Some(h));
+    }
+}
+
+#[test]
+fn receipts_in_block_come_back_in_tx_index_order() {
+    let mut net = Testnet::new();
+    let senders: Vec<Wallet> = (0..6)
+        .map(|i| net.funded_wallet(&format!("sender-{i}"), ether(1)))
+        .collect();
+    // Prices rise with the sender index, so the fee market packs them in
+    // the reverse of arrival order.
+    for (i, w) in senders.iter().enumerate() {
+        net.submit(transfer_tx(0, gwei(1 + i as u64), 21_000).sign(&w.key))
+            .unwrap();
+    }
+    let block = net.mine_block();
+    let receipts = net.receipts_in_block(block.number);
+    assert_eq!(receipts.len(), senders.len());
+    for (i, (r, tx)) in receipts.iter().zip(&block.transactions).enumerate() {
+        assert_eq!(r.tx_index, i);
+        assert_eq!(
+            r.tx_hash,
+            tx.hash(),
+            "receipt {i} matches the block's tx {i}"
+        );
+        assert_eq!(net.receipt(r.tx_hash).map(|r| r.tx_index), Some(i));
+    }
+    assert!(net.receipts_in_block(block.number + 1).is_empty());
+}
+
+#[test]
+fn receipt_proofs_verify_after_a_reorg() {
+    let (mut a, mut b) = twin_nets();
+    let alice = Wallet::from_seed("alice");
+    let carol = Wallet::from_seed("carol");
+    let orphaned = a
+        .execute(&alice, Address([0xb0; 20]), ether(1), vec![], 100_000)
+        .unwrap()
+        .tx_hash;
+    let mut winners = Vec::new();
+    for _ in 0..2 {
+        let r = b
+            .execute(&carol, Address([0xda; 20]), ether(1), vec![], 100_000)
+            .unwrap();
+        winners.push(r.tx_hash);
+    }
+    for n in 1..=2 {
+        a.import_block(b.block(n).unwrap().clone()).unwrap();
+    }
+    assert_eq!(a.head().hash, b.head().hash, "a reorged onto b's branch");
+    assert!(a.prove_receipt(orphaned).is_none());
+    for h in winners {
+        let proof = a.prove_receipt(h).expect("canonical tx has a proof");
+        let header = a.block(proof.block_number).unwrap();
+        assert_eq!(proof.verify(header.receipts_root), Ok(()));
+        assert_eq!(a.receipt(h).unwrap().block_number, proof.block_number);
+    }
+    // The orphan lands again on the new chain, in a fresh block.
+    let again = a
+        .execute(&alice, Address([0xb0; 20]), ether(1), vec![], 100_000)
+        .unwrap();
+    assert_eq!(again.tx_hash, orphaned);
+    let proof = a.prove_receipt(orphaned).unwrap();
+    assert_eq!(proof.block_number, 3);
+    assert_eq!(proof.verify(a.head().receipts_root), Ok(()));
+}

@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 
 use crate::CommitmentBackend;
 use sc_crypto::keccak::keccak256;
-use sc_crypto::secp256k1::{n, p, scalar, Affine, Point};
+use sc_crypto::secp256k1::{lincomb, n, p, scalar, Affine, BaseTable, Point};
 use sc_primitives::U256;
 
 /// Domain tag for the try-and-increment derivation of `H`.
@@ -18,20 +18,25 @@ pub const H_DOMAIN: &[u8] = b"sc-pedersen-H-v1";
 
 /// The second generator `H`, derived deterministically from [`H_DOMAIN`].
 pub fn generator_h() -> Point {
-    static H: OnceLock<Affine> = OnceLock::new();
-    let a = H.get_or_init(|| {
+    Point::from_affine(h_table().base())
+}
+
+/// `H`'s fixed-base table (64 odd multiples, 4 KiB), derived and built
+/// once: every `·H` in commitments and range proofs runs over it.
+pub fn h_table() -> &'static BaseTable {
+    static H: OnceLock<BaseTable> = OnceLock::new();
+    H.get_or_init(|| {
         for ctr in 0u64.. {
             let mut buf = Vec::with_capacity(H_DOMAIN.len() + 8);
             buf.extend_from_slice(H_DOMAIN);
             buf.extend_from_slice(&ctr.to_be_bytes());
             let x = keccak256(&buf).to_u256();
             if let Some(a) = Affine::lift_x(x, false) {
-                return a;
+                return BaseTable::new(a);
             }
         }
         unreachable!("try-and-increment terminates with overwhelming probability")
-    });
-    Point::from_affine(*a)
+    })
 }
 
 /// A Pedersen commitment — a point on secp256k1 (possibly the identity,
@@ -133,9 +138,7 @@ impl CommitmentBackend for PedersenBackend {
     fn commit(&self, value: U256, blinding: U256) -> Commitment {
         let v = scalar::reduce(value);
         let r = scalar::reduce(blinding);
-        let vg = Point::generator().mul_scalar(v);
-        let rh = generator_h().mul_scalar(r);
-        Commitment(vg.add(&rh))
+        Commitment(lincomb(&[(BaseTable::generator(), v), (h_table(), r)], &[]))
     }
 
     fn verify_opening(&self, c: &Commitment, value: U256, blinding: U256) -> bool {

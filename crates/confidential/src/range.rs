@@ -16,10 +16,10 @@
 //! a 16-bit default rather than full 64-bit amounts.
 
 use crate::pedersen::{
-    decode_point, encode_point, generator_h, points_equal, scalar_sub, Commitment, PedersenBackend,
+    decode_point, encode_point, h_table, points_equal, scalar_sub, Commitment, PedersenBackend,
 };
 use sc_crypto::keccak::keccak256;
-use sc_crypto::secp256k1::{n, scalar, Point};
+use sc_crypto::secp256k1::{lincomb, n, scalar, Point};
 use sc_primitives::U256;
 
 /// Serialized size of one per-bit entry.
@@ -102,7 +102,7 @@ pub fn prove(
     let r = scalar::reduce(blinding);
     let c = backend.commit(value, r);
     let g = Point::generator();
-    let h = generator_h();
+    let h = h_table();
 
     // Bit blindings: r_1..r_{bits-1} are hash-derived, r_0 closes the
     // linear relation Σ 2^i·r_i = r.
@@ -120,7 +120,7 @@ pub fn prove(
     for (i, &ri) in bit_r.iter().enumerate() {
         let b = value.bit(i as u32);
         let ci = {
-            let rh = h.mul_scalar(ri);
+            let rh = h.mul(ri);
             if b {
                 g.add(&rh)
             } else {
@@ -132,9 +132,9 @@ pub fn prove(
         let e_sim = h2s(b"sc-range-sim-e-v1", ri, i as u64);
         let z_sim = h2s(b"sc-range-sim-z-v1", ri, i as u64);
         let y_sim = if b { ci } else { ci.add(&g.negate()) };
-        let a_sim = h.mul_scalar(z_sim).add(&y_sim.mul_scalar(e_sim).negate());
+        let a_sim = lincomb(&[(h, z_sim)], &[(y_sim.negate(), e_sim)]);
         let k = h2s(b"sc-range-nonce-v1", ri, i as u64);
-        let a_real = h.mul_scalar(k);
+        let a_real = h.mul(k);
 
         let (a0, a1) = if b { (a_sim, a_real) } else { (a_real, a_sim) };
         let e = challenge(&c, bits, i as u64, &ci, &a0, &a1);
@@ -168,8 +168,8 @@ pub fn verify(c: &Commitment, bits: u32, proof: &[u8]) -> bool {
         return false;
     }
     let g_neg = Point::generator().negate();
-    let h = generator_h();
-    let mut acc = Point::INFINITY;
+    let h = h_table();
+    let mut bit_commitments = Vec::with_capacity(bits as usize);
     for i in 0..bits as usize {
         let entry = &proof[i * BYTES_PER_BIT..(i + 1) * BYTES_PER_BIT];
         let Ok(ci) = decode_point(&entry[..64]) else {
@@ -190,24 +190,31 @@ pub fn verify(c: &Commitment, bits: u32, proof: &[u8]) -> bool {
         let e = challenge(c, bits, i as u64, &ci, &a0, &a1);
         let e1 = scalar_sub(e, e0);
 
+        // Each branch's `z·H == A + e·Y`, checked as `z·H − e·Y == A`
+        // in one two-term pass.
         // Branch 0: C_i hides 0, i.e. C_i = r·H.
-        if !points_equal(&h.mul_scalar(z0), &a0.add(&ci.mul_scalar(e0))) {
+        if !points_equal(&lincomb(&[(h, z0)], &[(ci.negate(), e0)]), &a0) {
             return false;
         }
         // Branch 1: C_i hides 1, i.e. C_i − G = r·H.
         let y1 = ci.add(&g_neg);
-        if !points_equal(&h.mul_scalar(z1), &a1.add(&y1.mul_scalar(e1))) {
+        if !points_equal(&lincomb(&[(h, z1)], &[(y1.negate(), e1)]), &a1) {
             return false;
         }
-
-        acc = acc.add(&ci.mul_scalar(U256::ONE.shl_bits(i as u32)));
+        bit_commitments.push(ci);
     }
-    points_equal(&acc, &c.0)
+    // Σ 2^i·C_i by Horner's rule, one doubling per bit.
+    let sum = bit_commitments
+        .iter()
+        .rev()
+        .fold(Point::INFINITY, |acc, ci| acc.double().add(ci));
+    points_equal(&sum, &c.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pedersen::generator_h;
     use crate::CommitmentBackend;
 
     #[test]

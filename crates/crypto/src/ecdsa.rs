@@ -7,6 +7,12 @@
 //! * [`recover_address`] mirrors the EVM `ecrecover` precompile exactly — the same
 //!   function backs both off-chain signature checks and the on-chain
 //!   `deployVerifiedInstance` verification.
+//!
+//! Signing and key derivation multiply over the generator's fixed-base
+//! table ([`Point::mul_g`]). Recovery computes `Q = (−z·r⁻¹)·G +
+//! (s·r⁻¹)·R` and verification `u₁·G + u₂·Q`, each as one Strauss–Shamir
+//! pass ([`Point::mul_add_g`]) after a single scalar inversion. Like the
+//! curve arithmetic under it, none of this is constant-time.
 
 use crate::keccak::keccak256;
 use crate::secp256k1::{n, scalar, Affine, Point};
@@ -97,7 +103,7 @@ impl PrivateKey {
 
     /// Derives the public key `d·G`.
     pub fn public_key(&self) -> PublicKey {
-        let point = Point::generator().mul_scalar(self.0);
+        let point = Point::mul_g(self.0);
         PublicKey(point.to_affine().expect("nonzero scalar times G"))
     }
 
@@ -112,7 +118,7 @@ impl PrivateKey {
         let mut extra_iter = 0u32;
         loop {
             let k = rfc6979_nonce(self.0, digest, extra_iter);
-            let rp = Point::generator().mul_scalar(k);
+            let rp = Point::mul_g(k);
             let Some(raff) = rp.to_affine() else {
                 extra_iter += 1;
                 continue;
@@ -164,9 +170,7 @@ impl PublicKey {
         let sinv = scalar::inv(s);
         let u1 = scalar::mul(z, sinv);
         let u2 = scalar::mul(r, sinv);
-        let point = Point::generator()
-            .mul_scalar(u1)
-            .add(&Point::from_affine(self.0).mul_scalar(u2));
+        let point = Point::mul_add_g(u1, u2, &Point::from_affine(self.0));
         match point.to_affine() {
             Some(a) => scalar::reduce(a.x) == r,
             None => false,
@@ -279,11 +283,11 @@ pub fn recover_pubkey(digest: H256, sig: &Signature) -> Result<PublicKey, EcdsaE
     let y_odd = sig.v == 28;
     let rpoint = Affine::lift_x(r, y_odd).ok_or(EcdsaError::RecoveryFailed)?;
     let z = bits2int_mod_n(digest);
-    // Q = r⁻¹ (s·R − z·G)
+    // Q = r⁻¹·(s·R − z·G) = (−z·r⁻¹)·G + (s·r⁻¹)·R, one pass.
     let rinv = scalar::inv(r);
-    let sr = Point::from_affine(rpoint).mul_scalar(s);
-    let zg = Point::generator().mul_scalar(z);
-    let q = sr.add(&zg.negate()).mul_scalar(rinv);
+    let u1 = scalar::mul(scalar::neg(z), rinv);
+    let u2 = scalar::mul(s, rinv);
+    let q = Point::mul_add_g(u1, u2, &Point::from_affine(rpoint));
     let qaff = q.to_affine().ok_or(EcdsaError::RecoveryFailed)?;
     Ok(PublicKey(qaff))
 }
@@ -293,44 +297,14 @@ pub fn recover_address(digest: H256, sig: &Signature) -> Result<Address, EcdsaEr
     Ok(recover_pubkey(digest, sig)?.address())
 }
 
-/// Below this many signatures, thread spawn overhead beats the win from
-/// parallel recovery (~100µs each), so the batch path stays serial.
-const PARALLEL_RECOVERY_THRESHOLD: usize = 8;
-
-/// Recovers many addresses at once, fanning out across CPU cores.
-///
-/// Each entry is independent — ECDSA recovery is a pure function of
-/// `(digest, signature)` — so results are exactly what per-entry
-/// [`recover_address`] calls would produce, in input order. This is the
-/// hot half of block admission: the chain validates a pending set's
-/// senders through here before its sequential commit phase.
-///
-/// Scoped threads keep this std-only (no rayon): the slice is chunked
-/// into at most [`std::thread::available_parallelism`] contiguous
-/// pieces, each worker writes its own chunk of the output, and the scope
-/// joins before returning.
+/// Recovers many addresses, in input order: exactly what per-entry
+/// [`recover_address`] calls return, one after another on the calling
+/// thread (DESIGN.md §5e says why there is no fan-out).
 pub fn recover_addresses_batch(items: &[(H256, Signature)]) -> Vec<Result<Address, EcdsaError>> {
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if items.len() < PARALLEL_RECOVERY_THRESHOLD || workers < 2 {
-        return items
-            .iter()
-            .map(|(digest, sig)| recover_address(*digest, sig))
-            .collect();
-    }
-
-    let chunk_len = items.len().div_ceil(workers);
-    let mut results: Vec<Result<Address, EcdsaError>> =
-        vec![Err(EcdsaError::RecoveryFailed); items.len()];
-    std::thread::scope(|scope| {
-        for (inputs, outputs) in items.chunks(chunk_len).zip(results.chunks_mut(chunk_len)) {
-            scope.spawn(move || {
-                for ((digest, sig), out) in inputs.iter().zip(outputs.iter_mut()) {
-                    *out = recover_address(*digest, sig);
-                }
-            });
-        }
-    });
-    results
+    items
+        .iter()
+        .map(|(digest, sig)| recover_address(*digest, sig))
+        .collect()
 }
 
 #[cfg(test)]
@@ -498,8 +472,8 @@ mod tests {
 
     #[test]
     fn batch_recovery_matches_serial_with_mixed_validity() {
-        // Large enough to cross PARALLEL_RECOVERY_THRESHOLD, with bad
-        // signatures sprinkled in so error positions are checked too.
+        // Two dozen entries with bad signatures sprinkled in, so error
+        // positions are checked too.
         let items: Vec<(H256, Signature)> = (0..24u64)
             .map(|i| {
                 let key = PrivateKey::from_seed(&format!("signer-{i}"));

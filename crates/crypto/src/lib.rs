@@ -3,7 +3,11 @@
 //! * [`keccak`] — Keccak-256 (Ethereum variant) plus Solidity function
 //!   selectors.
 //! * [`sha256`] — SHA-256 / HMAC-SHA256 (RFC 6979 nonces, 0x02 precompile).
-//! * [`secp256k1`] — field, scalar and Jacobian point arithmetic.
+//! * [`secp256k1`] — field, scalar and Jacobian point arithmetic, and the
+//!   one scalar-multiplication engine (wNAF, fixed-base tables,
+//!   Strauss–Shamir) every signature and commitment runs on.
+//! * [`modmath`] — modular add/sub, the generic 512-bit fold and the
+//!   binary extended-Euclid inverse shared by both fields.
 //! * [`ecdsa`] — Ethereum-convention ECDSA: deterministic signing, low-s
 //!   normalization, and the `ecrecover` operation that powers both
 //!   transaction sender recovery and the paper's signed-copy verification.

@@ -1,77 +1,192 @@
 //! The secp256k1 elliptic curve: y² = x³ + 7 over F_p.
 //!
-//! Implements field arithmetic, Jacobian-coordinate point arithmetic and
-//! scalar multiplication — everything ECDSA ([`crate::ecdsa`]) needs. The
-//! implementation favours clarity and determinism over constant-time
-//! hardening: this stack signs simulated testnet transactions, not
+//! Field arithmetic, Jacobian-coordinate point arithmetic and one
+//! scalar-multiplication engine — everything ECDSA ([`crate::ecdsa`])
+//! and `sc-confidential`'s Pedersen commitments need.
+//!
+//! * **Field.** `p = 2²⁵⁶ − 2³² − 977`, so `2²⁵⁶ ≡ 0x1_0000_03D1 (mod p)`.
+//!   [`fe::mul`] and [`fe::sq`] fold the 512-bit product's high half
+//!   back with that one-word constant, fold the ≤ 34-bit carry once
+//!   more and finish with one conditional subtract. The scalar field
+//!   keeps the generic fold of [`crate::modmath::mul_mod`] (a handful of
+//!   scalar products per signature). Both fields invert with the binary
+//!   extended Euclid of [`crate::modmath::inv_mod`]; square roots run a
+//!   fixed addition chain for `(p + 1)/4`.
+//! * **Scalar multiplication.** Every product — `k·P`, `k·G`,
+//!   `a·G + b·P`, a Pedersen `v·G + r·H` — is one call of [`lincomb`], a
+//!   Strauss–Shamir pass: each scalar is recoded in width-w NAF, then a
+//!   single run of ≤ 257 doublings adds each nonzero digit's table point
+//!   to one accumulator. A variable point gets w = 5 over a Jacobian
+//!   table of its 8 odd multiples, built per call. A fixed base
+//!   ([`BaseTable`]: G through [`Point::mul_g`], `sc-confidential`'s H)
+//!   gets w = 8 over 64 affine odd multiples (4 KiB) built once, added
+//!   with the cheaper mixed Jacobian + affine formula. ECDSA recovery and
+//!   verification are each one such pass ([`Point::mul_add_g`]).
+//!
+//! The implementation favours clarity and determinism over constant-time
+//! hardening — wNAF recoding, table lookups and both inversions branch on
+//! secret data: this stack signs simulated testnet transactions, not
 //! production keys.
 
-use crate::modmath::{add_mod, inv_mod, mul_mod, pow_mod, sub_mod};
+use crate::modmath::{add_mod, inv_mod, mul_mod, sub_mod};
 use sc_primitives::U256;
+use std::sync::OnceLock;
+
+/// The base field prime `p = 2^256 - 2^32 - 977`.
+const P: U256 = U256([
+    0xffff_fffe_ffff_fc2f,
+    0xffff_ffff_ffff_ffff,
+    0xffff_ffff_ffff_ffff,
+    0xffff_ffff_ffff_ffff,
+]);
+
+/// The group order `n`.
+const N: U256 = U256([
+    0xbfd2_5e8c_d036_4141,
+    0xbaae_dce6_af48_a03b,
+    0xffff_ffff_ffff_fffe,
+    0xffff_ffff_ffff_ffff,
+]);
 
 /// The base field prime `p = 2^256 - 2^32 - 977`.
 pub fn p() -> U256 {
-    U256([
-        0xffff_fffe_ffff_fc2f,
-        0xffff_ffff_ffff_ffff,
-        0xffff_ffff_ffff_ffff,
-        0xffff_ffff_ffff_ffff,
-    ])
+    P
 }
 
 /// The group order `n`.
 pub fn n() -> U256 {
-    U256([
-        0xbfd2_5e8c_d036_4141,
-        0xbaae_dce6_af48_a03b,
-        0xffff_ffff_ffff_fffe,
-        0xffff_ffff_ffff_ffff,
-    ])
+    N
 }
 
-/// `2^256 mod p`, the folding constant for base-field reduction.
-fn rp() -> U256 {
-    U256::ZERO.wrapping_sub(p())
-}
-
-/// `2^256 mod n`, the folding constant for scalar-field reduction.
-fn rn() -> U256 {
-    U256::ZERO.wrapping_sub(n())
-}
-
-/// Base-field operations (mod p).
+/// Base-field operations (mod p). Inputs must be reduced (`< p`);
+/// every output is.
 pub mod fe {
     use super::*;
 
+    /// `2^256 mod p = 2^32 + 977`: the one-word folding constant.
+    const FOLD: u64 = 0x1_0000_03d1;
+
     /// `(a + b) mod p`.
+    #[inline]
     pub fn add(a: U256, b: U256) -> U256 {
-        add_mod(a, b, p())
+        add_mod(a, b, P)
     }
     /// `(a - b) mod p`.
+    #[inline]
     pub fn sub(a: U256, b: U256) -> U256 {
-        sub_mod(a, b, p())
+        sub_mod(a, b, P)
+    }
+    /// `-a mod p`.
+    #[inline]
+    pub fn neg(a: U256) -> U256 {
+        sub_mod(U256::ZERO, a, P)
     }
     /// `(a * b) mod p`.
     pub fn mul(a: U256, b: U256) -> U256 {
-        mul_mod(a, b, p(), rp())
+        let (a, b) = (a.0, b.0);
+        let mut w = [0u64; 8];
+        for i in 0..4 {
+            let mut carry = 0u128;
+            for j in 0..4 {
+                let t = a[i] as u128 * b[j] as u128 + w[i + j] as u128 + carry;
+                w[i + j] = t as u64;
+                carry = t >> 64;
+            }
+            w[i + 4] = carry as u64;
+        }
+        reduce(w)
     }
-    /// `a² mod p`.
+    /// `a² mod p`: the six cross products are computed once and doubled.
     pub fn sq(a: U256) -> U256 {
-        mul(a, a)
+        let a = a.0;
+        let mut w = [0u64; 8];
+        for i in 0..3 {
+            let mut carry = 0u128;
+            for j in i + 1..4 {
+                let t = a[i] as u128 * a[j] as u128 + w[i + j] as u128 + carry;
+                w[i + j] = t as u64;
+                carry = t >> 64;
+            }
+            w[i + 4] = carry as u64;
+        }
+        // The cross terms sum below 2^511, so doubling drops no bit.
+        let mut top = 0;
+        for limb in w.iter_mut() {
+            let v = *limb;
+            *limb = (v << 1) | top;
+            top = v >> 63;
+        }
+        let mut carry = 0u128;
+        for i in 0..4 {
+            let square = a[i] as u128 * a[i] as u128;
+            let t = w[2 * i] as u128 + (square as u64) as u128 + carry;
+            w[2 * i] = t as u64;
+            let t = w[2 * i + 1] as u128 + (square >> 64) + (t >> 64);
+            w[2 * i + 1] = t as u64;
+            carry = t >> 64;
+        }
+        reduce(w)
     }
+
+    /// Reduces a 512-bit product `lo + hi·2^256` modulo p.
+    #[inline]
+    fn reduce(w: [u64; 8]) -> U256 {
+        // lo + hi·FOLD: 256 bits plus a fifth word of at most 34 bits.
+        let mut r = [0u64; 4];
+        let mut carry = 0u128;
+        for i in 0..4 {
+            let t = w[i + 4] as u128 * FOLD as u128 + w[i] as u128 + carry;
+            r[i] = t as u64;
+            carry = t >> 64;
+        }
+        // The fifth word is another multiple of 2^256: fold it once more.
+        let t = carry * FOLD as u128 + r[0] as u128;
+        r[0] = t as u64;
+        let mut carry = (t >> 64) as u64;
+        for limb in r.iter_mut().skip(1) {
+            let (s, c) = limb.overflowing_add(carry);
+            *limb = s;
+            carry = c as u64;
+        }
+        let mut r = U256(r);
+        if carry != 0 {
+            // Wrapped past 2^256, so what is left is below 2^67 and one
+            // more FOLD cannot carry out.
+            r = r.wrapping_add(U256::from_u64(FOLD));
+        }
+        if r >= P {
+            r.wrapping_sub(P)
+        } else {
+            r
+        }
+    }
+
     /// `a⁻¹ mod p` (0 for 0).
     pub fn inv(a: U256) -> U256 {
-        inv_mod(a, p(), rp())
+        inv_mod(a, P)
     }
-    /// Square root mod p if one exists (`p ≡ 3 mod 4`, so `a^((p+1)/4)`).
+    /// Square root mod p if one exists. `p ≡ 3 mod 4`, so the candidate
+    /// is `a^((p+1)/4)`, computed with libsecp256k1's addition chain:
+    /// the exponent's binary form is runs of ones of lengths 223, 22 and
+    /// 2, so 253 squarings and 13 multiplications reach it.
     pub fn sqrt(a: U256) -> Option<U256> {
-        let e = p().wrapping_add(U256::ONE).shr_bits(2);
-        let root = pow_mod(a, e, p(), rp());
-        if sq(root) == a {
-            Some(root)
-        } else {
-            None
-        }
+        let sqn = |x: U256, k: u32| (0..k).fold(x, |acc, _| sq(acc));
+        // xk = a^(2^k − 1)
+        let x2 = mul(sq(a), a);
+        let x3 = mul(sq(x2), a);
+        let x6 = mul(sqn(x3, 3), x3);
+        let x9 = mul(sqn(x6, 3), x3);
+        let x11 = mul(sqn(x9, 2), x2);
+        let x22 = mul(sqn(x11, 11), x11);
+        let x44 = mul(sqn(x22, 22), x22);
+        let x88 = mul(sqn(x44, 44), x44);
+        let x176 = mul(sqn(x88, 88), x88);
+        let x220 = mul(sqn(x176, 44), x44);
+        let x223 = mul(sqn(x220, 3), x3);
+        let t = mul(sqn(x223, 23), x22);
+        let t = mul(sqn(t, 6), x2);
+        let root = sqn(t, 2);
+        (sq(root) == a).then_some(root)
     }
 }
 
@@ -79,29 +194,37 @@ pub mod fe {
 pub mod scalar {
     use super::*;
 
+    /// `2^256 mod n = 2^256 − n`, the folding constant for scalar-field
+    /// reduction.
+    const FOLD: U256 = U256([0x402d_a173_2fc9_bebf, 0x4551_2319_50b7_5fc4, 1, 0]);
+
     /// `(a + b) mod n`.
     pub fn add(a: U256, b: U256) -> U256 {
-        add_mod(a, b, n())
+        add_mod(a, b, N)
+    }
+    /// `-a mod n`.
+    pub fn neg(a: U256) -> U256 {
+        sub_mod(U256::ZERO, a, N)
     }
     /// `(a * b) mod n`.
     pub fn mul(a: U256, b: U256) -> U256 {
-        mul_mod(a, b, n(), rn())
+        mul_mod(a, b, N, FOLD)
     }
     /// `a⁻¹ mod n` (0 for 0).
     pub fn inv(a: U256) -> U256 {
-        inv_mod(a, n(), rn())
+        inv_mod(a, N)
     }
     /// Reduces an arbitrary 256-bit value mod n.
     pub fn reduce(a: U256) -> U256 {
-        if a >= n() {
-            a.wrapping_sub(n())
+        if a >= N {
+            a.wrapping_sub(N)
         } else {
             a
         }
     }
     /// True iff `1 ≤ a < n`.
     pub fn is_valid_nonzero(a: U256) -> bool {
-        !a.is_zero() && a < n()
+        !a.is_zero() && a < N
     }
 }
 
@@ -125,6 +248,22 @@ pub struct Affine {
     pub y: U256,
 }
 
+/// The generator G in affine form.
+const G: Affine = Affine {
+    x: U256([
+        0x59f2_815b_16f8_1798,
+        0x029b_fcdb_2dce_28d9,
+        0x55a0_6295_ce87_0b07,
+        0x79be_667e_f9dc_bbac,
+    ]),
+    y: U256([
+        0x9c47_d08f_fb10_d4b8,
+        0xfd17_b448_a685_5419,
+        0x5da4_fbfc_0e11_08a8,
+        0x483a_da77_26a3_c465,
+    ]),
+};
+
 impl Point {
     /// The point at infinity (group identity).
     pub const INFINITY: Point = Point {
@@ -135,20 +274,7 @@ impl Point {
 
     /// The generator point G.
     pub fn generator() -> Point {
-        Point::from_affine(Affine {
-            x: U256([
-                0x59f2_815b_16f8_1798,
-                0x029b_fcdb_2dce_28d9,
-                0x55a0_6295_ce87_0b07,
-                0x79be_667e_f9dc_bbac,
-            ]),
-            y: U256([
-                0x9c47_d08f_fb10_d4b8,
-                0xfd17_b448_a685_5419,
-                0x5da4_fbfc_0e11_08a8,
-                0x483a_da77_26a3_c465,
-            ]),
-        })
+        Point::from_affine(G)
     }
 
     /// Lifts an affine point to Jacobian coordinates.
@@ -248,6 +374,36 @@ impl Point {
         }
     }
 
+    /// Mixed addition of an affine point: [`Point::add`] with `Z₂ = 1`,
+    /// which saves the second operand's two `Z` powers.
+    fn add_affine(&self, q: &Affine) -> Point {
+        if self.is_infinity() {
+            return Point::from_affine(*q);
+        }
+        let z1z1 = fe::sq(self.z);
+        let u2 = fe::mul(q.x, z1z1);
+        let s2 = fe::mul(q.y, fe::mul(self.z, z1z1));
+        let h = fe::sub(u2, self.x);
+        let r = fe::sub(s2, self.y);
+        if h.is_zero() {
+            if r.is_zero() {
+                return self.double();
+            }
+            return Point::INFINITY; // P + (-P)
+        }
+        let hh = fe::sq(h);
+        let hhh = fe::mul(h, hh);
+        let v = fe::mul(self.x, hh);
+        let x3 = fe::sub(fe::sub(fe::sq(r), hhh), fe::add(v, v));
+        let y3 = fe::sub(fe::mul(r, fe::sub(v, x3)), fe::mul(self.y, hhh));
+        let z3 = fe::mul(self.z, h);
+        Point {
+            x: x3,
+            y: y3,
+            z: z3,
+        }
+    }
+
     /// Additive inverse.
     pub fn negate(&self) -> Point {
         if self.is_infinity() {
@@ -255,21 +411,25 @@ impl Point {
         }
         Point {
             x: self.x,
-            y: sub_mod(U256::ZERO, self.y, p()),
+            y: fe::neg(self.y),
             z: self.z,
         }
     }
 
-    /// Scalar multiplication by double-and-add (MSB first).
+    /// `k·self` for a variable point (one [`lincomb`] term).
     pub fn mul_scalar(&self, k: U256) -> Point {
-        let mut acc = Point::INFINITY;
-        for i in (0..k.bits()).rev() {
-            acc = acc.double();
-            if k.bit(i) {
-                acc = acc.add(self);
-            }
-        }
-        acc
+        lincomb(&[], &[(*self, k)])
+    }
+
+    /// `k·G` over the generator's fixed-base table.
+    pub fn mul_g(k: U256) -> Point {
+        BaseTable::generator().mul(k)
+    }
+
+    /// `a·G + b·p` in one Strauss–Shamir pass — the shape of both ECDSA
+    /// verification and public-key recovery.
+    pub fn mul_add_g(a: U256, b: U256, p: &Point) -> Point {
+        lincomb(&[(BaseTable::generator(), a)], &[(*p, b)])
     }
 }
 
@@ -284,13 +444,13 @@ impl Affine {
     /// Recovers the point with the given x coordinate and y parity, if the
     /// x coordinate lies on the curve.
     pub fn lift_x(x: U256, y_is_odd: bool) -> Option<Affine> {
-        if x >= p() {
+        if x >= P {
             return None;
         }
         let rhs = fe::add(fe::mul(fe::sq(x), x), U256::from_u64(7));
         let mut y = fe::sqrt(rhs)?;
         if y.bit(0) != y_is_odd {
-            y = sub_mod(U256::ZERO, y, p());
+            y = fe::neg(y);
         }
         Some(Affine { x, y })
     }
@@ -303,6 +463,161 @@ impl Affine {
         out[33..].copy_from_slice(&self.y.to_be_bytes());
         out
     }
+}
+
+/// wNAF width for a fixed base: digits up to ±127, one table entry per
+/// odd magnitude.
+const FIXED_WINDOW: u32 = 8;
+/// Entries of a fixed-base table: the odd multiples `1·B … 127·B`.
+const FIXED_TABLE_LEN: usize = 1 << (FIXED_WINDOW - 2);
+/// wNAF width for a variable point: its table is rebuilt on every call,
+/// so it stays small (8 entries, digits up to ±15).
+const VAR_WINDOW: u32 = 5;
+/// Entries of a variable point's table: `1·P … 15·P`.
+const VAR_TABLE_LEN: usize = 1 << (VAR_WINDOW - 2);
+/// Digits of a 256-bit scalar's wNAF: one past the top bit for the
+/// final carry.
+const NAF_LEN: usize = 257;
+
+/// The odd multiples `B, 3B, …, 127B` of a fixed base `B`, in affine
+/// form (64 points, 4 KiB). Built once per base, it lets [`lincomb`]
+/// recode that base's scalar at width 8 — ~28 mixed additions per
+/// 256-bit scalar, against ~43 full ones at the variable width of 5.
+pub struct BaseTable {
+    odd: [Affine; FIXED_TABLE_LEN],
+}
+
+impl BaseTable {
+    /// Tabulates `base`, which must be a curve point (a validated
+    /// encoding or [`Affine::lift_x`]'s output): the group has prime
+    /// order, so no odd multiple below 128 of it is infinity.
+    pub fn new(base: Affine) -> BaseTable {
+        let twice = Point::from_affine(base).double();
+        let mut odd = [base; FIXED_TABLE_LEN];
+        let mut acc = Point::from_affine(base);
+        for slot in odd.iter_mut().skip(1) {
+            acc = acc.add(&twice);
+            *slot = acc
+                .to_affine()
+                .expect("odd multiples of a curve point below the prime order are finite");
+        }
+        BaseTable { odd }
+    }
+
+    /// The generator's table, built on first use.
+    pub fn generator() -> &'static BaseTable {
+        static TABLE: OnceLock<BaseTable> = OnceLock::new();
+        TABLE.get_or_init(|| BaseTable::new(G))
+    }
+
+    /// The tabulated base `B`.
+    pub fn base(&self) -> Affine {
+        self.odd[0]
+    }
+
+    /// `k·B`.
+    pub fn mul(&self, k: U256) -> Point {
+        lincomb(&[(self, k)], &[])
+    }
+
+    /// `d·B` for an odd wNAF digit `d`.
+    fn lookup(&self, d: i8) -> Affine {
+        let a = self.odd[(d.unsigned_abs() / 2) as usize];
+        if d < 0 {
+            Affine {
+                x: a.x,
+                y: fe::neg(a.y),
+            }
+        } else {
+            a
+        }
+    }
+}
+
+/// `Σ kᵢ·Bᵢ + Σ kⱼ·Pⱼ` over fixed-base tables `Bᵢ` and variable points
+/// `Pⱼ`, in one Strauss–Shamir pass: every scalar is recoded in wNAF
+/// (width 8 for a table, 5 for a point), and one run of doublings from
+/// the highest nonzero digit down adds each term's digit from its table.
+/// Scalars are any 256-bit values, not only reduced ones. This is the
+/// crate's one scalar-multiplication path.
+pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
+    let fixed_nafs: Vec<[i8; NAF_LEN]> =
+        fixed.iter().map(|&(_, k)| wnaf(k, FIXED_WINDOW)).collect();
+    let var_terms: Vec<([Point; VAR_TABLE_LEN], [i8; NAF_LEN])> = var
+        .iter()
+        .map(|&(p, k)| (odd_multiples(p), wnaf(k, VAR_WINDOW)))
+        .collect();
+    let top = fixed_nafs
+        .iter()
+        .chain(var_terms.iter().map(|(_, naf)| naf))
+        .filter_map(|naf| naf.iter().rposition(|&d| d != 0))
+        .max();
+    let Some(top) = top else {
+        return Point::INFINITY;
+    };
+    let mut acc = Point::INFINITY;
+    for i in (0..=top).rev() {
+        acc = acc.double();
+        for (&(table, _), naf) in fixed.iter().zip(&fixed_nafs) {
+            if naf[i] != 0 {
+                acc = acc.add_affine(&table.lookup(naf[i]));
+            }
+        }
+        for (table, naf) in &var_terms {
+            let d = naf[i];
+            if d != 0 {
+                let q = table[(d.unsigned_abs() / 2) as usize];
+                acc = acc.add(&if d < 0 { q.negate() } else { q });
+            }
+        }
+    }
+    acc
+}
+
+/// `P, 3P, …, 15P` in Jacobian form (all infinity for infinity).
+fn odd_multiples(p: Point) -> [Point; VAR_TABLE_LEN] {
+    let twice = p.double();
+    let mut out = [p; VAR_TABLE_LEN];
+    for i in 1..VAR_TABLE_LEN {
+        out[i] = out[i - 1].add(&twice);
+    }
+    out
+}
+
+/// Width-`w` NAF of `k`, least significant digit first: every nonzero
+/// digit is odd, below `2^(w−1)` in magnitude, and followed by at least
+/// `w − 1` zeros, and `Σ dᵢ·2ⁱ = k`. (libsecp256k1's recoding, with
+/// the final carry kept as digit 256 instead of negating the scalar.)
+fn wnaf(k: U256, w: u32) -> [i8; NAF_LEN] {
+    let mut naf = [0i8; NAF_LEN];
+    let mut carry = 0u64;
+    let mut bit = 0u32;
+    while bit < 256 {
+        if k.bit(bit) as u64 == carry {
+            bit += 1;
+            continue;
+        }
+        let width = w.min(256 - bit);
+        // Odd, so at most 2^w − 1: a top bit set means "subtract 2^w
+        // here, carry one into the next window".
+        let word = window(k, bit, width) + carry;
+        carry = (word >> (w - 1)) & 1;
+        naf[bit as usize] = (word as i64 - ((carry as i64) << w)) as i8;
+        bit += width;
+    }
+    naf[256] = carry as i8;
+    naf
+}
+
+/// Bits `at .. at + width` of `k` (`width < 64`, `at + width ≤ 256`).
+fn window(k: U256, at: u32, width: u32) -> u64 {
+    let limb = (at / 64) as usize;
+    let shift = at % 64;
+    let mut v = k.0[limb] >> shift;
+    if shift + width > 64 {
+        v |= k.0[limb + 1] << (64 - shift);
+    }
+    v & ((1 << width) - 1)
 }
 
 #[cfg(test)]
@@ -408,5 +723,59 @@ mod tests {
         let sq = fe::sq(v);
         let root = fe::sqrt(sq).unwrap();
         assert!(root == v || root == sub_mod(U256::ZERO, v, p()));
+    }
+
+    #[test]
+    fn wnaf_digits_are_sparse_odd_and_sum_to_the_scalar() {
+        let ks = [
+            U256::ZERO,
+            U256::ONE,
+            U256::MAX,
+            n().wrapping_sub(U256::ONE),
+            U256::from_hex_str("8000000000000000000000000000000000000000000000000000000000000000")
+                .unwrap(),
+            U256([
+                0x0123_4567_89ab_cdef,
+                0xfedc_ba98_7654_3210,
+                0xf0f0_f0f0,
+                1 << 63,
+            ]),
+        ];
+        for k in ks {
+            for w in [VAR_WINDOW, FIXED_WINDOW] {
+                let naf = wnaf(k, w);
+                // Σ dᵢ·2ⁱ, split into a positive and a negative part.
+                let (mut pos, mut neg) = (U256::ZERO, U256::ZERO);
+                let mut last: Option<usize> = None;
+                for (i, &d) in naf.iter().enumerate() {
+                    if d == 0 {
+                        continue;
+                    }
+                    assert!(d % 2 != 0 && d.unsigned_abs() < 1 << (w - 1), "digit {d}");
+                    if let Some(prev) = last {
+                        assert!(i - prev >= w as usize, "digits {prev} and {i} too close");
+                    }
+                    last = Some(i);
+                    // Digit 256 is only ever the final carry of 1.
+                    let term = U256::from_u64(d.unsigned_abs() as u64).shl_bits(i as u32);
+                    if d > 0 {
+                        pos = pos.wrapping_add(term);
+                    } else {
+                        neg = neg.wrapping_add(term);
+                    }
+                }
+                assert_eq!(pos.wrapping_sub(neg), k, "w = {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_base_tables_hold_the_odd_multiples() {
+        let t = BaseTable::generator();
+        assert_eq!(std::mem::size_of::<BaseTable>(), 64 * 64, "4 KiB");
+        for (i, a) in t.odd.iter().enumerate() {
+            let k = U256::from_u64(2 * i as u64 + 1);
+            assert_eq!(Some(*a), Point::generator().mul_scalar(k).to_affine());
+        }
     }
 }

@@ -11,6 +11,7 @@
 use crate::nibbles::hp_encode;
 use sc_crypto::keccak256;
 use sc_primitives::rlp::{self, Item};
+use sc_primitives::H256;
 
 #[derive(Debug, Clone)]
 pub(crate) enum Node {
@@ -30,7 +31,27 @@ pub(crate) enum Node {
 pub(crate) struct Entry {
     pub(crate) node: Node,
     /// `None` while dirty; recomputed lazily by [`Entry::node_ref`].
-    cached_ref: Option<Item>,
+    cached_ref: Option<NodeRef>,
+}
+
+/// A memoised reference. The hash is held inline, not as the 32-byte
+/// heap buffer of an [`Item::Bytes`]: nearly every node of a large trie
+/// is hash-referenced, and the entry is no bigger for it.
+#[derive(Debug, Clone)]
+enum NodeRef {
+    /// keccak-256 of an encoding of 32 bytes or more.
+    Hash(H256),
+    /// An encoding shorter than 32 bytes: the node itself.
+    Inline(Item),
+}
+
+impl NodeRef {
+    fn item(&self) -> Item {
+        match self {
+            NodeRef::Hash(h) => Item::Bytes(h.as_bytes().to_vec()),
+            NodeRef::Inline(item) => item.clone(),
+        }
+    }
 }
 
 pub(crate) type Child = Option<Box<Entry>>;
@@ -47,7 +68,7 @@ impl Entry {
         })
     }
 
-    fn restore(node: Node, cached_ref: Option<Item>) -> Box<Entry> {
+    fn restore(node: Node, cached_ref: Option<NodeRef>) -> Box<Entry> {
         Box::new(Entry { node, cached_ref })
     }
 
@@ -91,24 +112,30 @@ impl Entry {
     /// The reference a parent embeds: the node itself when the encoding
     /// is shorter than 32 bytes, otherwise its keccak-256 hash.
     pub(crate) fn node_ref(&mut self) -> Item {
-        if let Some(r) = &self.cached_ref {
-            return r.clone();
-        }
-        let item = self.item();
-        let enc = rlp::encode(&item);
-        let r = if enc.len() < 32 {
-            item
-        } else {
-            Item::Bytes(keccak256(&enc).as_bytes().to_vec())
-        };
-        self.cached_ref = Some(r.clone());
-        r
+        self.cached().item()
     }
 
     /// True when a parent refers to this node by hash — i.e. when the
     /// node contributes its own entry to a Merkle proof.
     pub(crate) fn is_hash_referenced(&mut self) -> bool {
-        matches!(self.node_ref(), Item::Bytes(_))
+        matches!(self.cached(), NodeRef::Hash(_))
+    }
+
+    /// The memoised reference, computed first when dirty.
+    fn cached(&mut self) -> &NodeRef {
+        let r = match self.cached_ref.take() {
+            Some(r) => r,
+            None => {
+                let item = self.item();
+                let enc = rlp::encode(&item);
+                if enc.len() < 32 {
+                    NodeRef::Inline(item)
+                } else {
+                    NodeRef::Hash(keccak256(&enc))
+                }
+            }
+        };
+        self.cached_ref.insert(r)
     }
 
     pub(crate) fn get<'a>(&'a self, n: &[u8]) -> Option<&'a [u8]> {
