@@ -87,17 +87,28 @@ pub(super) struct PendingTx {
     pub(super) intrinsic: u64,
 }
 
-impl PendingTx {
-    /// Derives every cached field from the raw transaction — at
-    /// admission, and again at block import, which takes nothing a peer
-    /// says about senders on faith. A signature that does not recover
-    /// (or is high-s) is a typed [`TxError`], never a panic: a malformed
-    /// gossiped transaction must not crash the node.
-    pub(super) fn derive(signed: SignedTransaction) -> Result<PendingTx, TxError> {
-        let sender = signed.sender().map_err(|_| TxError::BadSignature)?;
+impl Testnet {
+    /// Derives every cached field from the raw transaction, at admission
+    /// and at block import alike. The sender is one this node recovered
+    /// itself: the pool's or the receipt index's entry under the same
+    /// transaction hash, which commits `v, r, s`, or else a fresh
+    /// recovery. Nothing a peer says about senders is taken on faith.
+    /// A signature that does not recover (or is high-s) is a typed
+    /// [`TxError`], never a panic: a malformed gossiped transaction must
+    /// not crash the node.
+    pub(super) fn derive(&self, signed: SignedTransaction) -> Result<PendingTx, TxError> {
+        let hash = signed.hash();
+        let known = self
+            .pool
+            .sender_of(hash)
+            .or_else(|| self.receipt_index.get(&hash).map(|&(_, _, sender)| sender));
+        let sender = match known {
+            Some(sender) => sender,
+            None => signed.sender().map_err(|_| TxError::BadSignature)?,
+        };
         Ok(PendingTx {
             sender,
-            hash: signed.hash(),
+            hash,
             intrinsic: gas::tx_intrinsic_gas(&signed.tx.data, signed.tx.is_create()),
             signed,
         })
@@ -116,7 +127,7 @@ pub(super) fn upfront_cost(tx: &Transaction) -> Option<U256> {
 impl Testnet {
     /// Validates a signed transaction and admits it to the pool.
     pub fn submit(&mut self, signed: SignedTransaction) -> Result<H256, TxError> {
-        self.admit(PendingTx::derive(signed)?)
+        self.admit(self.derive(signed)?)
     }
 
     /// Validates and admits a whole batch in order: per-entry results

@@ -1,7 +1,6 @@
 //! Multi-node support: per-block undo history, gossiped-block import,
 //! longest-chain fork choice and rollback/replay reorgs.
 
-use super::admit::PendingTx;
 use super::Testnet;
 use crate::block::Block;
 use crate::state::DiffLayer;
@@ -276,10 +275,11 @@ impl Testnet {
     }
 
     /// Replays one block on top of the current head as the reference
-    /// executor: senders re-derived, transactions re-checked and
-    /// re-executed serially, and the block accepted only if the gas
-    /// total and both roots match the header whose hash commits them.
-    /// Atomic — a failure rewinds every write through the undo layer.
+    /// executor: senders derived (`Testnet::derive`), transactions
+    /// re-checked and re-executed serially, and the block accepted only
+    /// if the gas total and both roots match the header whose hash
+    /// commits them. Atomic — a failure rewinds every write through the
+    /// undo layer.
     fn apply_block(&mut self, block: &Block) -> Result<(), ImportError> {
         let fail = |reason| ImportError::InvalidBlock { reason };
         let head = self.head();
@@ -294,11 +294,12 @@ impl Testnet {
         if block.gas_used > self.config.block_gas_limit {
             return Err(fail("gas used exceeds the block gas limit"));
         }
-        // Sender recovery is pure: derive before touching state.
+        // Sender derivation reads no world state: derive before touching it.
         let mut ptxs = Vec::with_capacity(block.transactions.len());
         for tx in &block.transactions {
-            let ptx =
-                PendingTx::derive(tx.clone()).map_err(|_| fail("signature does not recover"))?;
+            let ptx = self
+                .derive(tx.clone())
+                .map_err(|_| fail("signature does not recover"))?;
             ptxs.push(ptx);
         }
         self.time = block.timestamp;
@@ -312,12 +313,13 @@ impl Testnet {
                 } else if executed.receipts_root != block.receipts_root {
                     Err("receipts root mismatch")
                 } else {
-                    Ok(executed.receipts)
+                    Ok(executed)
                 }
             });
         match verdict {
-            Ok(receipts) => {
-                self.commit_block(block, receipts);
+            Ok(executed) => {
+                let senders = executed.txs.iter().map(|ptx| ptx.sender);
+                self.commit_block(block, executed.receipts, senders);
                 Ok(())
             }
             Err(reason) => {

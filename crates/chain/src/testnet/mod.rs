@@ -87,8 +87,9 @@ pub struct Testnet {
     /// Each canonical block's receipts in transaction order, indexed by
     /// height beside `blocks`.
     receipts: Vec<Vec<Receipt>>,
-    /// Canonical transaction hash → (height, index) into `receipts`.
-    receipt_index: HashMap<H256, (u64, u32)>,
+    /// Canonical transaction hash → (height, index) into `receipts`, and
+    /// the sender this node derived for the transaction.
+    receipt_index: HashMap<H256, (u64, u32, Address)>,
     /// Per-address log index: for each emitting address, the ascending
     /// list of block numbers holding at least one of its logs. Updated
     /// at commit time so address-filtered [`Testnet::logs`] queries
@@ -262,7 +263,7 @@ impl Testnet {
 
     /// Receipt by transaction hash.
     pub fn receipt(&self, tx_hash: H256) -> Option<&Receipt> {
-        let &(number, index) = self.receipt_index.get(&tx_hash)?;
+        let &(number, index, _) = self.receipt_index.get(&tx_hash)?;
         self.receipts.get(number as usize)?.get(index as usize)
     }
 

@@ -8,7 +8,7 @@ use crate::block::{self, Block, FailureReason, Receipt};
 use crate::tx::SignedTransaction;
 use sc_evm::host::Host;
 use sc_evm::{CallParams, Evm};
-use sc_primitives::{H256, U256};
+use sc_primitives::{Address, H256, U256};
 use std::sync::Arc;
 
 /// What executing a block's transactions determined: the receipts plus
@@ -65,7 +65,11 @@ impl Testnet {
             reexecuted: 0,
         });
 
-        let txs: Vec<SignedTransaction> = executed.txs.into_iter().map(|p| p.signed).collect();
+        let (txs, senders): (Vec<SignedTransaction>, Vec<Address>) = executed
+            .txs
+            .into_iter()
+            .map(|p| (p.signed, p.sender))
+            .unzip();
         let block = Block {
             number,
             timestamp,
@@ -84,7 +88,7 @@ impl Testnet {
             transactions: txs,
             gas_used: executed.gas_used,
         };
-        self.commit_block(&block, executed.receipts);
+        self.commit_block(&block, executed.receipts, senders);
         block
     }
 
@@ -158,9 +162,15 @@ impl Testnet {
     }
 
     /// Commit tail shared by local sealing and gossip import: indexes
-    /// the block and its receipts, maintains the 256-entry `BLOCKHASH`
-    /// window, and closes the block's undo layer.
-    pub(super) fn commit_block(&mut self, block: &Block, receipts: Vec<Receipt>) {
+    /// the block and its receipts, each beside the sender this node
+    /// derived for it, maintains the 256-entry `BLOCKHASH` window, and
+    /// closes the block's undo layer.
+    pub(super) fn commit_block(
+        &mut self,
+        block: &Block,
+        receipts: Vec<Receipt>,
+        senders: impl IntoIterator<Item = Address>,
+    ) {
         let number = block.number;
         self.state.block_hashes.insert(number, block.hash);
         // BLOCKHASH only reaches 256 ancestors: retire the hash that
@@ -168,14 +178,15 @@ impl Testnet {
         if number >= 256 {
             self.state.block_hashes.remove(&(number - 256));
         }
-        for (index, r) in receipts.iter().enumerate() {
+        for ((index, r), sender) in receipts.iter().enumerate().zip(senders) {
             for log in &r.logs {
                 let blocks = self.log_index.entry(log.address).or_default();
                 if blocks.last() != Some(&number) {
                     blocks.push(number);
                 }
             }
-            self.receipt_index.insert(r.tx_hash, (number, index as u32));
+            self.receipt_index
+                .insert(r.tx_hash, (number, index as u32, sender));
         }
         debug_assert_eq!(
             self.receipts.len() as u64,

@@ -1,7 +1,6 @@
 //! Unit tests of the `testnet` module (`#[cfg(test)] mod tests;` in `mod.rs`),
 //! kept in one module so each keeps the name earlier test reports know it by.
 
-use super::admit::PendingTx;
 use super::*;
 use crate::block::{self, FailureReason};
 use crate::tx::SignedTransaction;
@@ -458,7 +457,10 @@ fn derive_rejects_malformed_signature_instead_of_panicking() {
     let alice = Wallet::from_seed("alice");
     let mut signed = transfer_tx(0, gwei(1), 21_000).sign(&alice.key);
     signed.signature.v = 26; // invalid recovery id
-    assert_eq!(PendingTx::derive(signed).err(), Some(TxError::BadSignature));
+    assert_eq!(
+        Testnet::new().derive(signed).err(),
+        Some(TxError::BadSignature)
+    );
 }
 
 #[test]
@@ -664,6 +666,96 @@ fn twin_nets() -> (Testnet, Testnet) {
     let alloc = ["alice", "carol"].map(|seed| (Wallet::from_seed(seed).address, ether(10)));
     let mk = || Testnet::with_genesis(ChainConfig::default(), &alloc);
     (mk(), mk())
+}
+
+#[test]
+fn a_pooled_twin_does_not_lend_its_sender_to_a_block() {
+    // T and T′ share every signing field; T is alice's, T′ carol's. The
+    // follower pools T, then imports an honest block sealing T′.
+    let (mut miner, mut follower) = twin_nets();
+    let alice = Wallet::from_seed("alice");
+    let carol = Wallet::from_seed("carol");
+    let fields = transfer_tx(0, gwei(1), 21_000);
+    follower.submit(fields.clone().sign(&alice.key)).unwrap();
+    miner.submit(fields.sign(&carol.key)).unwrap();
+    let block = miner.mine_block();
+    assert_eq!(follower.import_block(block), Ok(ImportOutcome::Extended));
+    assert_eq!(follower.head().hash, miner.head().hash);
+    assert_eq!(follower.nonce_of(carol.address), 1, "carol paid");
+    assert_eq!(follower.nonce_of(alice.address), 0);
+    assert_eq!(follower.balance_of(alice.address), ether(10));
+    assert_eq!(follower.pending_count(), 1, "alice's T still waits");
+}
+
+#[test]
+fn a_pooled_twin_does_not_vouch_for_a_malformed_signature() {
+    // The honest block sealing T, with T swapped for a copy whose
+    // signature cannot recover and the hash recommitted: the follower
+    // that pooled T must still recover the copy, and refuse it.
+    let (mut miner, mut follower) = twin_nets();
+    let signed = transfer_tx(0, gwei(1), 21_000).sign(&Wallet::from_seed("alice").key);
+    let hash = follower.submit(signed.clone()).unwrap();
+    miner.submit(signed).unwrap();
+    let mut forged = miner.mine_block();
+    forged.transactions[0].signature.v = 26; // invalid recovery id
+    forged.hash = Block::compute_hash(
+        forged.number,
+        forged.timestamp,
+        forged.parent_hash,
+        forged.state_root,
+        forged.receipts_root,
+        forged.gas_used,
+        &forged.transactions,
+    );
+    assert_eq!(
+        follower.import_block(forged),
+        Err(ImportError::InvalidBlock {
+            reason: "signature does not recover"
+        })
+    );
+    assert_eq!(follower.head().number, 0);
+    assert!(follower.tx_is_pending(hash));
+}
+
+#[test]
+fn a_transaction_mined_before_it_is_gossiped_is_refused_on_its_nonce() {
+    let (mut miner, mut follower) = twin_nets();
+    let signed = transfer_tx(0, gwei(1), 21_000).sign(&Wallet::from_seed("alice").key);
+    miner.submit(signed.clone()).unwrap();
+    let block = miner.mine_block();
+    assert_eq!(follower.import_block(block), Ok(ImportOutcome::Extended));
+    assert_eq!(
+        follower.submit(signed),
+        Err(TxError::BadNonce {
+            expected: 1,
+            got: 0
+        })
+    );
+}
+
+#[test]
+fn a_transaction_gossiped_before_its_block_leaves_the_pool_on_import() {
+    let (mut miner, mut follower) = twin_nets();
+    let signed = transfer_tx(0, gwei(1), 21_000).sign(&Wallet::from_seed("alice").key);
+    let hash = follower.submit(signed.clone()).unwrap();
+    miner.submit(signed).unwrap();
+    let block = miner.mine_block();
+    assert_eq!(follower.import_block(block), Ok(ImportOutcome::Extended));
+    assert_eq!(follower.pending_count(), 0);
+    assert_eq!(follower.receipt(hash), miner.receipt(hash));
+}
+
+#[test]
+fn an_orphaned_transaction_is_admitted_again_after_rollback() {
+    let (mut net, _) = twin_nets();
+    let signed = transfer_tx(0, gwei(1), 21_000).sign(&Wallet::from_seed("alice").key);
+    let hash = net.submit(signed.clone()).unwrap();
+    net.mine_block();
+    net.rollback_head_block().expect("block 1 rolls back");
+    assert_eq!(net.submit(signed), Ok(hash));
+    assert!(net.tx_is_pending(hash));
+    assert_eq!(net.mine_block().transactions.len(), 1);
+    assert!(net.receipt(hash).is_some());
 }
 
 #[test]

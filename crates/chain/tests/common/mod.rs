@@ -1,8 +1,9 @@
 //! The oracle the chain's determinism suites share: block import is the
-//! reference executor. It re-derives every sender from the raw
-//! transactions, re-checks and executes them serially, and accepts a
-//! block only if gas, `state_root` and `receipts_root` match the header
-//! whose hash commits them — so a follower that extends with a sealed
+//! reference executor. A fresh follower has pooled and indexed nothing,
+//! so it recovers every sender from the raw transactions, re-checks and
+//! executes them serially, and accepts a block only if gas,
+//! `state_root` and `receipts_root` match the header whose hash
+//! commits them — so a follower that extends with a sealed
 //! block has proven the seal path (cached senders, batch admission,
 //! the fee-ordered pack) changed nothing observable.
 

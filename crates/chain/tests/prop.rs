@@ -5,10 +5,14 @@ mod common;
 
 use common::assert_follower_replays;
 use proptest::prelude::*;
-use sc_chain::{ChainConfig, Testnet, Transaction, Wallet, WorldState};
+use sc_chain::{
+    Block, ChainConfig, Header, SignedTransaction, Testnet, Transaction, Wallet, WireError,
+    WorldState,
+};
 use sc_evm::Host;
 use sc_primitives::rlp::{self, Item};
 use sc_primitives::{ether, Address, U256};
+use std::sync::OnceLock;
 
 #[derive(Debug, Clone)]
 struct Op {
@@ -166,6 +170,139 @@ proptest! {
             }
         }
     }
+}
+
+/// The encodings the wire property starts from: a sealed block holding
+/// a call with calldata and a create, its header, and its first
+/// transaction. Built once: signing is the slow part.
+fn wire_samples() -> &'static [Vec<u8>; 3] {
+    static SAMPLES: OnceLock<[Vec<u8>; 3]> = OnceLock::new();
+    SAMPLES.get_or_init(|| {
+        let ws = wallets();
+        let alloc: Vec<_> = ws.iter().map(|w| (w.address, ether(10))).collect();
+        let mut net = Testnet::with_genesis(ChainConfig::default(), &alloc);
+        for (i, to) in [Some(ws[1].address), None].into_iter().enumerate() {
+            let tx = Transaction {
+                nonce: 0,
+                gas_price: sc_primitives::gwei(1),
+                gas_limit: 100_000,
+                to,
+                value: U256::from_u64(7),
+                data: vec![0x60, 0x00, 0x60, 0x00, 0xf3],
+            };
+            net.submit(tx.sign(&ws[i].key)).unwrap();
+        }
+        let block = net.mine_block();
+        assert_eq!(block.transactions.len(), 2);
+        [
+            block.encode(),
+            block.header().encode(),
+            block.transactions[0].encode(),
+        ]
+    })
+}
+
+/// One byte mutation: `(kind, position, byte)`. Half the bytes are zero,
+/// the one value that makes an integer field non-canonical in place.
+fn arb_byte_mutation() -> impl Strategy<Value = (u8, usize, u8)> {
+    (0u8..3, 0usize..4096, prop_oneof![Just(0u8), any::<u8>()])
+}
+
+/// One case of the wire property: sample `pick`, after one byte
+/// overwritten (kind 0), inserted (1) or deleted (2), and `noise`, fed to
+/// every gossip decoder. None may panic, and each input a decoder
+/// accepts is exactly what the decoded value encodes back to.
+fn wire_case(
+    pick: usize,
+    (kind, at, byte): (u8, usize, u8),
+    noise: &[u8],
+) -> Result<(), TestCaseError> {
+    let sample = &wire_samples()[pick];
+    let mut mutated = sample.clone();
+    let at = at % (mutated.len() + 1);
+    match kind {
+        0 if at < mutated.len() => mutated[at] = byte,
+        1 => mutated.insert(at, byte),
+        _ if at < mutated.len() => drop(mutated.remove(at)),
+        _ => {}
+    }
+    for input in [&sample[..], &mutated[..], noise] {
+        if let Ok(block) = Block::decode(input) {
+            prop_assert_eq!(block.encode(), input);
+        }
+        if let Ok(header) = Header::decode(input) {
+            prop_assert_eq!(header.encode(), input);
+        }
+        if let Ok(tx) = SignedTransaction::decode(input) {
+            prop_assert_eq!(tx.encode(), input);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The gossip decode boundary, in the shape of the snapshot property
+    /// above: no byte string panics `Block`, `Header` or
+    /// `SignedTransaction` decoding, and accepted frames re-encode to
+    /// themselves — so a node may re-flood the bytes that arrived.
+    #[test]
+    fn wire_decoders_accept_only_what_they_would_encode(
+        pick in 0usize..3,
+        mutation in arb_byte_mutation(),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        wire_case(pick, mutation, &noise)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// The release sweep of the wire property.
+    #[test]
+    #[ignore = "10,000 cases; run in release"]
+    fn wire_sweep_10000_cases(
+        pick in 0usize..3,
+        mutation in arb_byte_mutation(),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        wire_case(pick, mutation, &noise)?;
+    }
+}
+
+/// A frame of nested lists of at least `min_len` bytes, each list
+/// holding only the next: the header lengths are worked out from the
+/// innermost `0xc0` outwards, then written outermost first.
+fn nested_lists(min_len: usize) -> Vec<u8> {
+    let mut headers = Vec::new();
+    let mut len = 1;
+    while len < min_len {
+        let header = if len < 56 {
+            vec![0xc0 + len as u8]
+        } else {
+            let be = (len as u64).to_be_bytes();
+            let skip = be.iter().take_while(|&&b| b == 0).count();
+            [&[0xf7 + (8 - skip) as u8][..], &be[skip..]].concat()
+        };
+        len += header.len();
+        headers.push(header);
+    }
+    let mut frame: Vec<u8> = headers.into_iter().rev().flatten().collect();
+    frame.push(0xc0);
+    frame
+}
+
+#[test]
+fn deeply_nested_frames_are_refused_not_overflowed() {
+    let frame = nested_lists(1 << 20);
+    assert!(frame.len() >= 1 << 20);
+    assert_eq!(rlp::decode(&frame), Err(rlp::DecodeError::TooDeep));
+    let too_deep = WireError::Rlp(rlp::DecodeError::TooDeep);
+    assert_eq!(Block::decode(&frame).unwrap_err(), too_deep);
+    assert_eq!(Header::decode(&frame).unwrap_err(), too_deep);
+    assert_eq!(SignedTransaction::decode(&frame).unwrap_err(), too_deep);
 }
 
 proptest! {

@@ -6,10 +6,11 @@
 //! canonical RLP frames over the in-process Whisper bus, each node's
 //! inbox namespaced under [`Topic::node_scoped`] so the network layer
 //! alone decides what crosses between nodes — which is what makes
-//! injected partitions enforceable. Every node re-derives every identity
-//! locally (hashes recomputed, senders recovered) and replays every
-//! imported block against its own state, so a byzantine frame is
-//! rejected by construction, not by trust.
+//! injected partitions enforceable. Every node derives every identity
+//! locally (hashes recomputed; a sender is recovered once per node and
+//! then looked up under the signature-committing transaction hash) and
+//! replays every imported block against its own state, so a byzantine
+//! frame is rejected by construction, not by trust.
 //!
 //! Faults come from the seeded [`LinkFaults`] stream (site 4 of the
 //! [`FaultPlan`]): whole-network partitions that cut the node set in two
@@ -378,7 +379,7 @@ impl Network {
                         continue;
                     }
                 };
-                self.import_on(i, block);
+                self.import_on(i, block, env.payload);
             }
             let txs = self.bus.poll(me, &Topic::node_scoped(i, "txs"));
             for env in txs {
@@ -398,9 +399,10 @@ impl Network {
 
     /// Imports one block on node `i`, updating stats, resubmitting
     /// reorg orphans and re-flooding the block when it improved the
-    /// node's head.
-    fn import_on(&mut self, i: usize, block: Block) {
-        let bytes = block.encode();
+    /// node's head. `bytes` is the frame the block arrived in: the
+    /// decoder accepts only canonical RLP, so they are exactly what
+    /// `block.encode()` would produce.
+    fn import_on(&mut self, i: usize, block: Block, bytes: Vec<u8>) {
         match self.nodes[i].import_block(block) {
             Ok(ImportOutcome::AlreadyKnown) => self.stats.imports_known += 1,
             Ok(ImportOutcome::Side) => self.stats.imports_side += 1,

@@ -9,7 +9,6 @@
 //! strategy-dependent); this type owns the collection state.
 
 use super::BusPort;
-use crate::signedcopy::SignedCopy;
 use sc_crypto::ecdsa::{recover_address, Signature};
 use sc_primitives::{Address, H256};
 
@@ -70,21 +69,55 @@ impl SignExchange {
         self.rounds_run += 1;
     }
 
-    /// True once every reader holds a signature from every signer.
+    /// True once every reader holds a signature from every signer. Each
+    /// recovered to its signer over the digest when it arrived, so each
+    /// reader's assembled copy of the bytecode behind the digest already
+    /// passes [`SignedCopy::verify`](crate::signedcopy::SignedCopy::verify).
     pub fn complete(&self) -> bool {
         self.seen.iter().flatten().all(Option::is_some)
     }
+}
 
-    /// Runs each participant's assembled copy through full
-    /// [`SignedCopy::verify`] (the off-chain mirror of
-    /// `deployVerifiedInstance`'s checks).
-    pub fn copies_verify(&self, bytecode: &[u8]) -> bool {
-        self.seen.iter().all(|assembled| {
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::faults::{FaultPlan, WhisperFaults};
+    use crate::signedcopy::{bytecode_hash, sign_bytecode, SignedCopy};
+    use crate::whisper::Whisper;
+    use sc_crypto::ecdsa::PrivateKey;
+
+    #[test]
+    fn a_completed_exchange_assembles_verifying_copies() {
+        let keys = [PrivateKey::from_seed("alice"), PrivateKey::from_seed("bob")];
+        let expected = [keys[0].address(), keys[1].address()];
+        let bytecode = vec![0x60, 0x2a, 0x60, 0x00, 0x52];
+        let mut bus = Whisper::new();
+        let mut faults = WhisperFaults::new(&FaultPlan::none());
+        let mut port = BusPort {
+            bus: &mut bus,
+            faults: &mut faults,
+        };
+        // A foreign signature and garbage are absorbed without counting.
+        let outsider = PrivateKey::from_seed("mallory");
+        port.post(
+            expected[1],
+            "t",
+            sign_bytecode(&outsider, &bytecode).to_bytes().to_vec(),
+        );
+        port.post(expected[0], "t", vec![0xff; 3]);
+        for (key, &from) in keys.iter().zip(&expected) {
+            port.post(from, "t", sign_bytecode(key, &bytecode).to_bytes().to_vec());
+        }
+
+        let mut ex = SignExchange::new(bytecode_hash(&bytecode), expected);
+        ex.round(&mut port, "t");
+        assert!(ex.complete());
+        for assembled in &ex.seen {
             let copy = SignedCopy {
-                bytecode: bytecode.to_vec(),
+                bytecode: bytecode.clone(),
                 signatures: assembled.iter().copied().flatten().collect(),
             };
-            copy.verify(&self.expected).is_ok()
-        })
+            assert_eq!(copy.verify(&expected), Ok(()));
+        }
     }
 }

@@ -195,6 +195,12 @@ impl<T> Mempool<T> {
         self.by_hash.contains_key(&hash)
     }
 
+    /// The sender recorded when this hash was admitted, while it is
+    /// pooled.
+    pub fn sender_of(&self, hash: H256) -> Option<Address> {
+        self.by_hash.get(&hash).map(|&(sender, _)| sender)
+    }
+
     /// The next nonce a self-signing sender should use: `base` (the
     /// account nonce) advanced past the contiguous run of its pooled
     /// transactions.
@@ -529,6 +535,17 @@ mod tests {
         assert_eq!(p.insert(m.clone(), 0, 0).unwrap(), Admitted::Queued);
         assert_eq!(p.insert(m, 0, 0).unwrap(), Admitted::AlreadyPooled);
         assert_eq!(p.len(), 1);
+    }
+
+    #[test]
+    fn sender_of_answers_only_while_pooled() {
+        let mut p = pool(16);
+        let m = meta(1, 0, 5, 21_000);
+        assert_eq!(p.sender_of(m.hash), None);
+        p.insert(m.clone(), 0, 0).unwrap();
+        assert_eq!(p.sender_of(m.hash), Some(addr(1)));
+        p.pack(1_000_000, |_| 0);
+        assert_eq!(p.sender_of(m.hash), None, "packed is no longer pooled");
     }
 
     #[test]

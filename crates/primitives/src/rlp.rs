@@ -28,7 +28,17 @@ pub enum DecodeError {
     NonCanonical,
     /// Trailing bytes after the top-level item.
     TrailingBytes,
+    /// Lists nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
+
+/// The deepest list nesting [`decode`] accepts. Decoding recurses once
+/// per nested list, so without a bound a frame of nested list prefixes
+/// overflows the stack. The deepest structure the workspace encodes is
+/// a trie node: one list whose inline children each encode to under 32
+/// bytes, so at most 31 further one-byte list prefixes. (The deepest
+/// fixed schema is a receipt: receipt, logs, log, topics.)
+pub const MAX_DEPTH: usize = 32;
 
 impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -36,6 +46,7 @@ impl fmt::Display for DecodeError {
             DecodeError::UnexpectedEof => write!(f, "input too short"),
             DecodeError::NonCanonical => write!(f, "non-canonical RLP encoding"),
             DecodeError::TrailingBytes => write!(f, "trailing bytes after item"),
+            DecodeError::TooDeep => write!(f, "lists nest deeper than {MAX_DEPTH}"),
         }
     }
 }
@@ -134,47 +145,45 @@ pub fn decode(input: &[u8]) -> Result<Item, DecodeError> {
 
 /// Decodes one item, returning the remaining bytes.
 pub fn decode_partial(input: &[u8]) -> Result<(Item, &[u8]), DecodeError> {
+    decode_nested(input, 0)
+}
+
+/// [`decode_partial`] inside `depth` enclosing lists.
+fn decode_nested(input: &[u8], depth: usize) -> Result<(Item, &[u8]), DecodeError> {
     let (&prefix, rest) = input.split_first().ok_or(DecodeError::UnexpectedEof)?;
-    match prefix {
-        0x00..=0x7f => Ok((Item::Bytes(vec![prefix]), rest)),
+    let (mut payload, rest) = match prefix {
+        0x00..=0x7f => return Ok((Item::Bytes(vec![prefix]), rest)),
         0x80..=0xb7 => {
             let len = (prefix - 0x80) as usize;
             let (payload, rest) = split_checked(rest, len)?;
             if len == 1 && payload[0] < 0x80 {
                 return Err(DecodeError::NonCanonical);
             }
-            Ok((Item::Bytes(payload.to_vec()), rest))
+            return Ok((Item::Bytes(payload.to_vec()), rest));
         }
         0xb8..=0xbf => {
             let len_len = (prefix - 0xb7) as usize;
             let (len, rest) = read_length(rest, len_len)?;
             let (payload, rest) = split_checked(rest, len)?;
-            Ok((Item::Bytes(payload.to_vec()), rest))
+            return Ok((Item::Bytes(payload.to_vec()), rest));
         }
-        0xc0..=0xf7 => {
-            let len = (prefix - 0xc0) as usize;
-            let (mut payload, rest) = split_checked(rest, len)?;
-            let mut items = Vec::new();
-            while !payload.is_empty() {
-                let (item, next) = decode_partial(payload)?;
-                items.push(item);
-                payload = next;
-            }
-            Ok((Item::List(items), rest))
-        }
+        0xc0..=0xf7 => split_checked(rest, (prefix - 0xc0) as usize)?,
         0xf8..=0xff => {
             let len_len = (prefix - 0xf7) as usize;
             let (len, rest) = read_length(rest, len_len)?;
-            let (mut payload, rest) = split_checked(rest, len)?;
-            let mut items = Vec::new();
-            while !payload.is_empty() {
-                let (item, next) = decode_partial(payload)?;
-                items.push(item);
-                payload = next;
-            }
-            Ok((Item::List(items), rest))
+            split_checked(rest, len)?
         }
+    };
+    if depth == MAX_DEPTH {
+        return Err(DecodeError::TooDeep);
     }
+    let mut items = Vec::new();
+    while !payload.is_empty() {
+        let (item, next) = decode_nested(payload, depth + 1)?;
+        items.push(item);
+        payload = next;
+    }
+    Ok((Item::List(items), rest))
 }
 
 fn read_length(input: &[u8], len_len: usize) -> Result<(usize, &[u8]), DecodeError> {
@@ -269,6 +278,16 @@ mod tests {
     #[test]
     fn decode_rejects_truncated_payload() {
         assert_eq!(decode(&[0x83, b'd', b'o']), Err(DecodeError::UnexpectedEof));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest =
+            |depth: usize| (0..depth).fold(Item::List(vec![]), |in_, _| Item::List(vec![in_]));
+        // `nest(d)` holds d + 1 lists, one inside the next.
+        let deepest = nest(MAX_DEPTH - 1);
+        assert_eq!(decode(&encode(&deepest)).unwrap(), deepest);
+        assert_eq!(decode(&encode(&nest(MAX_DEPTH))), Err(DecodeError::TooDeep));
     }
 
     #[test]
