@@ -33,7 +33,7 @@ use sc_evm::{AnalysisCache, CallParams, Evm, Host};
 use sc_mempool::{Mempool, PoolConfig};
 use sc_primitives::{Address, H256, U256};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Result of a read-only [`Testnet::call`].
 ///
@@ -110,7 +110,7 @@ pub struct Testnet {
     minted: U256,
     /// Jumpdest analyses shared by every EVM this chain spins up, so a
     /// contract's bitmap is computed once across all blocks and calls.
-    analysis_cache: Arc<AnalysisCache>,
+    analysis_cache: Rc<AnalysisCache>,
     /// Report of the most recently sealed block.
     last_seal: Option<SealReport>,
     /// Canonical hash → height index, maintained through seals and
@@ -186,7 +186,7 @@ impl Testnet {
             receipt_index: HashMap::new(),
             log_index: HashMap::new(),
             minted,
-            analysis_cache: Arc::new(AnalysisCache::new()),
+            analysis_cache: Rc::new(AnalysisCache::new()),
             last_seal: None,
             canon_index,
             side_blocks: HashMap::new(),
@@ -194,7 +194,7 @@ impl Testnet {
     }
 
     /// The shared code-analysis cache (hit/miss stats for benchmarks).
-    pub fn analysis_cache(&self) -> &Arc<AnalysisCache> {
+    pub fn analysis_cache(&self) -> &AnalysisCache {
         &self.analysis_cache
     }
 
@@ -449,7 +449,7 @@ impl Testnet {
         let snapshot = self.state.snapshot();
         let mut profiler = sc_evm::GasProfiler::new();
         let out = Evm::with_inspector(&mut self.state, env, &mut profiler)
-            .with_analysis_cache(Arc::clone(&self.analysis_cache))
+            .with_analysis_cache(Rc::clone(&self.analysis_cache))
             .call(CallParams::transact(from, to, value, data, gas));
         self.state.revert(snapshot);
         self.state.clear_tx_scratch();
@@ -463,7 +463,7 @@ impl Testnet {
         let env = self.env(self.head().number + 1, self.now(), from, U256::ZERO);
         let snapshot = self.state.snapshot();
         let mut evm =
-            Evm::new(&mut self.state, env).with_analysis_cache(Arc::clone(&self.analysis_cache));
+            Evm::new(&mut self.state, env).with_analysis_cache(Rc::clone(&self.analysis_cache));
         let out = evm.call(CallParams {
             caller: from,
             address: to,

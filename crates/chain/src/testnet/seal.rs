@@ -9,7 +9,7 @@ use crate::tx::SignedTransaction;
 use sc_evm::host::Host;
 use sc_evm::{CallParams, Evm};
 use sc_primitives::{Address, H256, U256};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// What executing a block's transactions determined: the receipts plus
 /// every header field that commits to the execution.
@@ -234,7 +234,7 @@ impl Testnet {
         let (success, gas_left, output, contract_address, failure) = match tx.to {
             None => {
                 let mut evm = Evm::new(&mut self.state, env)
-                    .with_analysis_cache(Arc::clone(&self.analysis_cache));
+                    .with_analysis_cache(Rc::clone(&self.analysis_cache));
                 let out = evm.create(sender, tx.value, tx.data.clone(), exec_gas);
                 let failure = if out.success {
                     None
@@ -253,7 +253,7 @@ impl Testnet {
                 // old nonce).
                 self.state.bump_nonce(sender);
                 let mut evm = Evm::new(&mut self.state, env)
-                    .with_analysis_cache(Arc::clone(&self.analysis_cache));
+                    .with_analysis_cache(Rc::clone(&self.analysis_cache));
                 let out = evm.call(CallParams::transact(
                     sender,
                     to,

@@ -8,7 +8,7 @@
 //!
 //! [`AnalysisCache`] memoizes the scan keyed by `keccak256(code)`, so a
 //! contract's bitmap is computed once per unique bytecode and shared
-//! (via `Arc`) across frames, transactions and blocks. The chain keeps
+//! (via `Rc`) across frames, transactions and blocks. The chain keeps
 //! one cache per [`Testnet`](../../sc_chain/testnet/struct.Testnet.html)
 //! and threads it into each [`crate::Evm`]; hit/miss counters make the
 //! effect measurable in `sc-bench`.
@@ -20,9 +20,9 @@
 
 use crate::opcode::analyze_jumpdests;
 use sc_primitives::H256;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// The result of statically analysing one bytecode blob.
 ///
@@ -54,7 +54,7 @@ impl CodeAnalysis {
     }
 }
 
-/// Cache hit/miss counters, readable while executions are in flight.
+/// Cache hit/miss counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -80,19 +80,18 @@ impl CacheStats {
 /// deploying throwaway contracts cannot grow the map without bound.
 pub const DEFAULT_ANALYSIS_CAPACITY: usize = 4096;
 
-/// Entries plus their insertion order, guarded by one lock so eviction
-/// and lookup can't race.
+/// Entries plus their insertion order.
 #[derive(Debug, Default)]
 struct CacheInner {
-    entries: HashMap<H256, Arc<CodeAnalysis>>,
+    entries: HashMap<H256, Rc<CodeAnalysis>>,
     /// Insertion order, oldest first — the FIFO eviction queue.
     order: VecDeque<H256>,
 }
 
-/// A thread-safe, *bounded* memo of [`CodeAnalysis`] keyed by
-/// `keccak256(code)`.
+/// A *bounded* memo of [`CodeAnalysis`] keyed by `keccak256(code)`. The
+/// node that owns it is single-threaded, so it takes no lock.
 ///
-/// Keying by content hash (not by `Arc` pointer identity) means two
+/// Keying by content hash (not by pointer identity) means two
 /// deployments of the same bytecode — e.g. the on-chain copy and a
 /// dispute-path re-deployment — share one entry. The chain already knows
 /// each account's code hash (it is cached on the account record), so
@@ -104,11 +103,11 @@ struct CacheInner {
 /// deployments keeps a bounded footprint.
 #[derive(Debug)]
 pub struct AnalysisCache {
-    inner: Mutex<CacheInner>,
+    inner: RefCell<CacheInner>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    evictions: Cell<u64>,
 }
 
 impl Default for AnalysisCache {
@@ -130,11 +129,11 @@ impl AnalysisCache {
     /// the bound only ever costs speed, never correctness.
     pub fn with_capacity(capacity: usize) -> Self {
         AnalysisCache {
-            inner: Mutex::new(CacheInner::default()),
+            inner: RefCell::default(),
             capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hits: Cell::new(0),
+            misses: Cell::new(0),
+            evictions: Cell::new(0),
         }
     }
 
@@ -145,7 +144,7 @@ impl AnalysisCache {
 
     /// Entries evicted to enforce the capacity bound so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions.get()
     }
 
     /// Returns the analysis for `code`, computing and memoizing it on
@@ -153,36 +152,20 @@ impl AnalysisCache {
     ///
     /// The caller is trusted that `code_hash == keccak256(code)`; the
     /// chain maintains that invariant on its account records.
-    pub fn get_or_analyze(&self, code_hash: H256, code: &[u8]) -> Arc<CodeAnalysis> {
-        if let Some(hit) = self
-            .inner
-            .lock()
-            .expect("analysis cache poisoned")
-            .entries
-            .get(&code_hash)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(hit);
+    pub fn get_or_analyze(&self, code_hash: H256, code: &[u8]) -> Rc<CodeAnalysis> {
+        let mut inner = self.inner.borrow_mut();
+        if let Some(hit) = inner.entries.get(&code_hash) {
+            self.hits.set(self.hits.get() + 1);
+            return Rc::clone(hit);
         }
-        // Analyse outside the lock: scans of large code must not block
-        // other executors' lookups. A racing analysis of the same hash
-        // produces an identical value, so last-write-wins is harmless.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let analysis = Arc::new(CodeAnalysis::analyze(code));
-        let mut inner = self.inner.lock().expect("analysis cache poisoned");
-        if inner
-            .entries
-            .insert(code_hash, Arc::clone(&analysis))
-            .is_none()
-        {
-            // First sight (a racing duplicate insert keeps the hash's
-            // existing queue slot).
-            inner.order.push_back(code_hash);
-        }
-        while inner.entries.len() > self.capacity {
+        self.misses.set(self.misses.get() + 1);
+        let analysis = Rc::new(CodeAnalysis::analyze(code));
+        inner.entries.insert(code_hash, Rc::clone(&analysis));
+        inner.order.push_back(code_hash);
+        if inner.entries.len() > self.capacity {
             let oldest = inner.order.pop_front().expect("order tracks entries");
             inner.entries.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            self.evictions.set(self.evictions.get() + 1);
         }
         analysis
     }
@@ -190,18 +173,14 @@ impl AnalysisCache {
     /// Snapshot of the hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
         }
     }
 
     /// Number of distinct bytecodes cached.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("analysis cache poisoned")
-            .entries
-            .len()
+        self.inner.borrow().entries.len()
     }
 
     /// True iff no bytecode has been analysed yet.
@@ -211,12 +190,12 @@ impl AnalysisCache {
 
     /// Drops all entries and zeroes the counters (bench cold starts).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("analysis cache poisoned");
+        let mut inner = self.inner.borrow_mut();
         inner.entries.clear();
         inner.order.clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.hits.set(0);
+        self.misses.set(0);
+        self.evictions.set(0);
     }
 }
 
@@ -246,7 +225,7 @@ mod tests {
         let first = cache.get_or_analyze(hash, &code);
         let second = cache.get_or_analyze(hash, &code);
         assert!(
-            Arc::ptr_eq(&first, &second),
+            Rc::ptr_eq(&first, &second),
             "second lookup shares the entry"
         );
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
@@ -314,27 +293,5 @@ mod tests {
         cache.clear();
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.capacity(), 2, "clear keeps the bound");
-    }
-
-    #[test]
-    fn concurrent_lookups_converge() {
-        let cache = Arc::new(AnalysisCache::new());
-        let code = Arc::new(vec![0x5b, 0x60, 0x01, 0x00]);
-        let hash = keccak256(&code);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let cache = Arc::clone(&cache);
-                let code = Arc::clone(&code);
-                s.spawn(move || {
-                    for _ in 0..100 {
-                        let a = cache.get_or_analyze(hash, &code);
-                        assert!(a.is_jumpdest(0));
-                    }
-                });
-            }
-        });
-        assert_eq!(cache.len(), 1);
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 800);
     }
 }

@@ -15,7 +15,7 @@ use sc_crypto::keccak256;
 use sc_primitives::rlp::{self, Item};
 use sc_primitives::{Address, H256, U256};
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Maximum runtime code size (EIP-170).
 pub const MAX_CODE_SIZE: usize = 24_576;
@@ -157,7 +157,7 @@ pub struct Evm<'a, H: Host> {
     pub env: Env,
     depth: usize,
     inspector: Option<&'a mut dyn crate::inspect::Inspector>,
-    cache: Arc<AnalysisCache>,
+    cache: Rc<AnalysisCache>,
 }
 
 enum FrameResult {
@@ -167,9 +167,9 @@ enum FrameResult {
     Failed(VmError),
 }
 
+/// A frame's mutable state. Its code and jumpdest map are borrowed by
+/// the interpreter loop beside it, not reached through the frame.
 struct Frame {
-    code: Arc<Vec<u8>>,
-    analysis: Arc<CodeAnalysis>,
     pc: usize,
     stack: Vec<U256>,
     memory: Memory,
@@ -183,10 +183,8 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(code: Arc<Vec<u8>>, analysis: Arc<CodeAnalysis>, params: &CallParams) -> Frame {
+    fn new(params: &CallParams) -> Frame {
         Frame {
-            analysis,
-            code,
             pc: 0,
             stack: Vec::with_capacity(64),
             memory: Memory::new(),
@@ -235,14 +233,19 @@ impl Frame {
 
     /// Charges memory expansion for the byte range `[offset, offset+len)`
     /// and expands. Returns the usize offset (0 when len is 0).
+    #[inline]
     fn charge_memory(&mut self, offset: U256, len: U256) -> Result<usize, VmError> {
         let len = len.to_usize().ok_or(VmError::OutOfGas)?;
         if len == 0 {
             return Ok(0);
         }
         let offset = offset.to_usize().ok_or(VmError::OutOfGas)?;
-        let end = offset.checked_add(len).ok_or(VmError::OutOfGas)? as u64;
-        let new_words = gas::words(end);
+        let end = offset.checked_add(len).ok_or(VmError::OutOfGas)?;
+        if end <= self.memory.len() {
+            // Inside memory already: the expansion would cost 0.
+            return Ok(offset);
+        }
+        let new_words = gas::words(end as u64);
         let cost = gas::memory_expansion_cost(self.memory.words(), new_words);
         self.use_gas(cost)?;
         self.memory.expand(offset, len);
@@ -258,7 +261,7 @@ impl<'a, H: Host> Evm<'a, H> {
             env,
             depth: 0,
             inspector: None,
-            cache: Arc::new(AnalysisCache::new()),
+            cache: Rc::new(AnalysisCache::new()),
         }
     }
 
@@ -274,7 +277,7 @@ impl<'a, H: Host> Evm<'a, H> {
             env,
             depth: 0,
             inspector: Some(inspector),
-            cache: Arc::new(AnalysisCache::new()),
+            cache: Rc::new(AnalysisCache::new()),
         }
     }
 
@@ -282,7 +285,7 @@ impl<'a, H: Host> Evm<'a, H> {
     /// one, so jumpdest bitmaps persist across transactions and blocks.
     /// Chainable: `Evm::new(..).with_analysis_cache(cache)`.
     #[must_use]
-    pub fn with_analysis_cache(mut self, cache: Arc<AnalysisCache>) -> Self {
+    pub fn with_analysis_cache(mut self, cache: Rc<AnalysisCache>) -> Self {
         self.cache = cache;
         self
     }
@@ -347,9 +350,9 @@ impl<'a, H: Host> Evm<'a, H> {
         let analysis = self
             .cache
             .get_or_analyze(self.host.code_hash(params.code_address), &code);
-        let mut frame = Box::new(Frame::new(code, analysis, &params));
+        let mut frame = Box::new(Frame::new(&params));
         self.depth += 1;
-        let result = self.run(&mut frame);
+        let result = self.run(&mut frame, &code, &analysis);
         self.depth -= 1;
 
         match result {
@@ -451,11 +454,10 @@ impl<'a, H: Host> Evm<'a, H> {
         // Initcode has no account to look a hash up on; hash it once here
         // so repeated deployments of the same initcode (dispute-path
         // re-deployments in particular) still share one analysis.
-        let init_code = Arc::new(init_code);
         let analysis = self.cache.get_or_analyze(keccak256(&init_code), &init_code);
-        let mut frame = Box::new(Frame::new(init_code, analysis, &params));
+        let mut frame = Box::new(Frame::new(&params));
         self.depth += 1;
-        let result = self.run(&mut frame);
+        let result = self.run(&mut frame, &init_code, &analysis);
         self.depth -= 1;
 
         match result {
@@ -519,8 +521,8 @@ impl<'a, H: Host> Evm<'a, H> {
         }
     }
 
-    fn run(&mut self, f: &mut Frame) -> FrameResult {
-        let result = self.run_inner(f);
+    fn run(&mut self, f: &mut Frame, code: &[u8], analysis: &CodeAnalysis) -> FrameResult {
+        let result = self.run_inner(f, code, analysis);
         if let Some(ins) = self.inspector.as_mut() {
             ins.exit_frame(self.depth, f.gas);
         }
@@ -528,7 +530,7 @@ impl<'a, H: Host> Evm<'a, H> {
     }
 
     #[allow(clippy::too_many_lines)]
-    fn run_inner(&mut self, f: &mut Frame) -> FrameResult {
+    fn run_inner(&mut self, f: &mut Frame, code: &[u8], analysis: &CodeAnalysis) -> FrameResult {
         macro_rules! try_vm {
             ($e:expr) => {
                 match $e {
@@ -539,7 +541,7 @@ impl<'a, H: Host> Evm<'a, H> {
         }
 
         loop {
-            let Some(&byte) = f.code.get(f.pc) else {
+            let Some(&byte) = code.get(f.pc) else {
                 // Running off the end of code is an implicit STOP.
                 return FrameResult::Stopped;
             };
@@ -646,12 +648,12 @@ impl<'a, H: Host> Evm<'a, H> {
                 Op::CallDataLoad => {
                     try_vm!(f.use_gas(g::VERYLOW));
                     let offset = try_vm!(f.pop());
+                    // Reads past the end (any offset near 2^64 included)
+                    // are zero-padded, as in CALLDATACOPY.
+                    let src = tail(&f.data, offset.to_usize().unwrap_or(usize::MAX));
                     let mut buf = [0u8; 32];
-                    if let Some(off) = offset.to_usize() {
-                        for (i, b) in buf.iter_mut().enumerate() {
-                            *b = f.data.get(off + i).copied().unwrap_or(0);
-                        }
-                    }
+                    let n = src.len().min(32);
+                    buf[..n].copy_from_slice(&src[..n]);
                     try_vm!(f.push(U256::from_be_bytes(buf)));
                 }
                 Op::CallDataSize => {
@@ -665,12 +667,12 @@ impl<'a, H: Host> Evm<'a, H> {
                 }
                 Op::CodeSize => {
                     try_vm!(f.use_gas(g::BASE));
-                    let n = U256::from_u64(f.code.len() as u64);
+                    let n = U256::from_u64(code.len() as u64);
                     try_vm!(f.push(n));
                 }
                 Op::CodeCopy => {
                     let (dst, src, len) = (try_vm!(f.pop()), try_vm!(f.pop()), try_vm!(f.pop()));
-                    try_vm!(self.copy_to_memory(f, dst, src, len, CopySource::Code));
+                    try_vm!(self.copy_to_memory(f, dst, src, len, CopySource::Code(code)));
                 }
                 Op::GasPrice => {
                     try_vm!(f.use_gas(g::BASE));
@@ -798,14 +800,14 @@ impl<'a, H: Host> Evm<'a, H> {
                 Op::Jump => {
                     try_vm!(f.use_gas(g::MID));
                     let dest = try_vm!(f.pop());
-                    try_vm!(self.do_jump(f, dest));
+                    try_vm!(do_jump(f, analysis, dest));
                 }
                 Op::JumpI => {
                     try_vm!(f.use_gas(g::HIGH));
                     let dest = try_vm!(f.pop());
                     let cond = try_vm!(f.pop());
                     if !cond.is_zero() {
-                        try_vm!(self.do_jump(f, dest));
+                        try_vm!(do_jump(f, analysis, dest));
                     }
                 }
                 Op::Pc => {
@@ -831,13 +833,22 @@ impl<'a, H: Host> Evm<'a, H> {
                 _ if op.push_bytes() > 0 => {
                     try_vm!(f.use_gas(g::VERYLOW));
                     let n = op.push_bytes();
-                    let end = (f.pc + n).min(f.code.len());
-                    let slice = &f.code[f.pc..end];
-                    // Truncated push data reads as zero-padded (right).
-                    let mut buf = [0u8; 32];
-                    buf[32 - n..32 - n + slice.len()].copy_from_slice(slice);
+                    let v = match code.get(f.pc..f.pc + n) {
+                        // PUSH1–PUSH8: the immediate fits one limb.
+                        Some(imm) if n <= 8 => {
+                            U256::from_u64(imm.iter().fold(0, |v, &b| (v << 8) | u64::from(b)))
+                        }
+                        _ => {
+                            let end = (f.pc + n).min(code.len());
+                            let slice = &code[f.pc..end];
+                            // Truncated push data reads as zero-padded (right).
+                            let mut buf = [0u8; 32];
+                            buf[32 - n..32 - n + slice.len()].copy_from_slice(slice);
+                            U256::from_be_bytes(buf)
+                        }
+                    };
                     f.pc += n;
-                    try_vm!(f.push(U256::from_be_bytes(buf)));
+                    try_vm!(f.push(v));
                 }
                 _ if (0x80..=0x8f).contains(&byte) => {
                     try_vm!(f.use_gas(g::VERYLOW));
@@ -975,24 +986,13 @@ impl<'a, H: Host> Evm<'a, H> {
         f.push(op(a, b, c))
     }
 
-    fn do_jump(&mut self, f: &mut Frame, dest: U256) -> Result<(), VmError> {
-        let Some(pc) = dest.to_usize() else {
-            return Err(VmError::InvalidJump(usize::MAX));
-        };
-        if !f.analysis.is_jumpdest(pc) {
-            return Err(VmError::InvalidJump(pc));
-        }
-        f.pc = pc;
-        Ok(())
-    }
-
     fn copy_to_memory(
         &mut self,
         f: &mut Frame,
         dst: U256,
         src: U256,
         len: U256,
-        source: CopySource,
+        source: CopySource<'_>,
     ) -> Result<(), VmError> {
         let base_cost = match source {
             CopySource::ExtCode(_) => g::EXTCODE,
@@ -1008,7 +1008,7 @@ impl<'a, H: Host> Evm<'a, H> {
         let src_off = src.to_usize().unwrap_or(usize::MAX);
         let buf: Vec<u8> = match source {
             CopySource::CallData => tail(&f.data, src_off).to_vec(),
-            CopySource::Code => tail(&f.code, src_off).to_vec(),
+            CopySource::Code(code) => tail(code, src_off).to_vec(),
             CopySource::ReturnData => tail(&f.return_data, src_off).to_vec(),
             CopySource::ExtCode(a) => tail(&self.host.code(a), src_off).to_vec(),
         };
@@ -1122,14 +1122,27 @@ impl<'a, H: Host> Evm<'a, H> {
     }
 }
 
-enum CopySource {
+enum CopySource<'c> {
     CallData,
-    Code,
+    Code(&'c [u8]),
     ReturnData,
     ExtCode(Address),
 }
 
+#[inline]
+fn do_jump(f: &mut Frame, analysis: &CodeAnalysis, dest: U256) -> Result<(), VmError> {
+    let Some(pc) = dest.to_usize() else {
+        return Err(VmError::InvalidJump(usize::MAX));
+    };
+    if !analysis.is_jumpdest(pc) {
+        return Err(VmError::InvalidJump(pc));
+    }
+    f.pc = pc;
+    Ok(())
+}
+
 /// Returns `data[offset..]`, or empty when offset is past the end.
+#[inline]
 fn tail(data: &[u8], offset: usize) -> &[u8] {
     data.get(offset..).unwrap_or(&[])
 }

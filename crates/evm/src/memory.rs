@@ -19,6 +19,7 @@ impl Memory {
     }
 
     /// Current size in bytes (always a multiple of 32).
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len()
     }
@@ -29,12 +30,14 @@ impl Memory {
     }
 
     /// Current size in words.
+    #[inline]
     pub fn words(&self) -> u64 {
         (self.data.len() / 32) as u64
     }
 
     /// Grows to cover `offset + len` bytes, word-aligned. No-op for
     /// zero-length ranges (the EVM charges nothing for those).
+    #[inline]
     pub fn expand(&mut self, offset: usize, len: usize) {
         if len == 0 {
             return;
@@ -49,6 +52,7 @@ impl Memory {
     }
 
     /// Reads a 32-byte word at `offset` (memory must be expanded first).
+    #[inline]
     pub fn load_word(&self, offset: usize) -> U256 {
         let mut buf = [0u8; 32];
         buf.copy_from_slice(&self.data[offset..offset + 32]);
@@ -56,11 +60,13 @@ impl Memory {
     }
 
     /// Writes a 32-byte word at `offset`.
+    #[inline]
     pub fn store_word(&mut self, offset: usize, value: U256) {
         self.data[offset..offset + 32].copy_from_slice(&value.to_be_bytes());
     }
 
     /// Writes a single byte.
+    #[inline]
     pub fn store_byte(&mut self, offset: usize, value: u8) {
         self.data[offset] = value;
     }

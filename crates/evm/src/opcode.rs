@@ -159,6 +159,7 @@ pub enum Op {
 
 impl Op {
     /// Decodes a byte; `None` for unassigned opcodes.
+    #[inline]
     pub fn from_byte(b: u8) -> Option<Op> {
         use Op::*;
         Some(match b {
@@ -262,6 +263,7 @@ impl Op {
     }
 
     /// For `PUSHn`, the number of immediate bytes that follow; 0 otherwise.
+    #[inline]
     pub fn push_bytes(&self) -> usize {
         let b = *self as u8;
         if (0x60..=0x7f).contains(&b) {

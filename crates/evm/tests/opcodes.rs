@@ -158,6 +158,38 @@ fn memory_opcodes() {
 }
 
 #[test]
+fn calldataload_near_the_top_of_the_address_space_reads_zero() {
+    // Regression: the load summed `offset + i` unchecked, so an offset
+    // near 2^64 panicked a debug node and wrapped to calldata[0..] on a
+    // release node. Every offset past the end must read as zero.
+    let load = |offset: u64| {
+        let mut a = Asm::new();
+        a.push_u64(offset).op(Op::CallDataLoad);
+        a.push_u64(0).op(Op::MStore);
+        a.push_u64(32).push_u64(0).op(Op::Return);
+        let mut host = MockHost::new();
+        host.install(CONTRACT, a.assemble().unwrap());
+        host.fund(CALLER, ether(1));
+        let out = Evm::new(&mut host, Env::default()).call(CallParams::transact(
+            CALLER,
+            CONTRACT,
+            U256::ZERO,
+            vec![0xab; 40],
+            100_000,
+        ));
+        assert!(out.success, "offset {offset:#x}: {:?}", out.error);
+        out.output
+    };
+    for offset in [u64::MAX, u64::MAX - 7, u64::MAX - 31, 40] {
+        assert_eq!(load(offset), [0u8; 32], "offset {offset:#x}");
+    }
+    // A load straddling the end keeps the bytes that exist.
+    let mut straddle = [0u8; 32];
+    straddle[..16].fill(0xab);
+    assert_eq!(load(24), straddle);
+}
+
+#[test]
 fn environment_opcodes() {
     let mut host = MockHost::new();
     let code = {

@@ -26,6 +26,7 @@ impl Address {
 
     /// Widens to a 256-bit word (left-padded with zeros), the EVM stack
     /// representation of an address.
+    #[inline]
     pub fn to_u256(&self) -> U256 {
         let mut buf = [0u8; 32];
         buf[12..].copy_from_slice(&self.0);
@@ -34,6 +35,7 @@ impl Address {
 
     /// Truncates a 256-bit word to its low 20 bytes, the inverse of
     /// [`Address::to_u256`]. High bytes are discarded, as the EVM does.
+    #[inline]
     pub fn from_u256(v: U256) -> Address {
         let be = v.to_be_bytes();
         let mut a = [0u8; 20];
@@ -68,11 +70,13 @@ impl H256 {
     pub const ZERO: H256 = H256([0u8; 32]);
 
     /// Reinterprets as a 256-bit big-endian integer.
+    #[inline]
     pub fn to_u256(&self) -> U256 {
         U256::from_be_bytes(self.0)
     }
 
     /// Builds from a 256-bit integer (big-endian).
+    #[inline]
     pub fn from_u256(v: U256) -> H256 {
         H256(v.to_be_bytes())
     }

@@ -175,6 +175,7 @@ impl U256 {
     }
 
     /// Full 256×256→512-bit multiplication, returned as (low, high).
+    #[inline]
     pub fn full_mul(self, rhs: U256) -> (U256, U256) {
         let mut w = [0u64; 8];
         for i in 0..4 {
@@ -192,10 +193,20 @@ impl U256 {
         )
     }
 
-    /// Wrapping multiplication modulo 2^256.
+    /// Wrapping multiplication modulo 2^256: only the ten limb products
+    /// that land below 2^256, with no 512-bit buffer.
     #[inline]
     pub fn wrapping_mul(self, rhs: U256) -> U256 {
-        self.full_mul(rhs).0
+        let mut out = [0u64; 4];
+        for i in 0..4 {
+            let mut carry: u128 = 0;
+            for j in 0..4 - i {
+                let t = (self.0[i] as u128) * (rhs.0[j] as u128) + (out[i + j] as u128) + carry;
+                out[i + j] = t as u64;
+                carry = t >> 64;
+            }
+        }
+        U256(out)
     }
 
     /// Checked multiplication: `None` on overflow.
@@ -244,6 +255,7 @@ impl U256 {
     }
 
     /// Logical left shift by `n` bits; shifts ≥ 256 yield zero.
+    #[inline]
     pub fn shl_bits(self, n: u32) -> U256 {
         if n >= 256 {
             return U256::ZERO;
@@ -261,6 +273,7 @@ impl U256 {
     }
 
     /// Logical right shift by `n` bits; shifts ≥ 256 yield zero.
+    #[inline]
     pub fn shr_bits(self, n: u32) -> U256 {
         if n >= 256 {
             return U256::ZERO;
@@ -389,6 +402,7 @@ impl U256 {
     }
 
     /// Signed less-than under two's-complement interpretation (EVM `SLT`).
+    #[inline]
     pub fn slt(self, rhs: U256) -> bool {
         match (self.is_negative(), rhs.is_negative()) {
             (true, false) => true,
@@ -425,6 +439,7 @@ impl U256 {
     }
 
     /// Big-endian 32-byte serialization.
+    #[inline]
     pub fn to_be_bytes(&self) -> [u8; 32] {
         let mut out = [0u8; 32];
         for i in 0..4 {
@@ -434,6 +449,7 @@ impl U256 {
     }
 
     /// Deserializes from exactly 32 big-endian bytes.
+    #[inline]
     pub fn from_be_bytes(bytes: [u8; 32]) -> U256 {
         let mut limbs = [0u64; 4];
         for i in 0..4 {
@@ -446,6 +462,7 @@ impl U256 {
 
     /// Deserializes from up to 32 big-endian bytes (shorter inputs are
     /// left-padded with zeros, as in RLP and calldata decoding).
+    #[inline]
     pub fn from_be_slice(bytes: &[u8]) -> U256 {
         assert!(bytes.len() <= 32, "more than 32 bytes for a U256");
         let mut buf = [0u8; 32];
@@ -538,6 +555,7 @@ fn u512_rem(limbs: &[u64; 8], m: U256) -> U256 {
 }
 
 impl Ord for U256 {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         for i in (0..4).rev() {
             match self.0[i].cmp(&other.0[i]) {
@@ -550,6 +568,7 @@ impl Ord for U256 {
 }
 
 impl PartialOrd for U256 {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -592,6 +611,7 @@ impl Rem for U256 {
 
 impl Not for U256 {
     type Output = U256;
+    #[inline]
     fn not(self) -> U256 {
         U256([!self.0[0], !self.0[1], !self.0[2], !self.0[3]])
     }
@@ -599,6 +619,7 @@ impl Not for U256 {
 
 impl BitAnd for U256 {
     type Output = U256;
+    #[inline]
     fn bitand(self, rhs: U256) -> U256 {
         U256([
             self.0[0] & rhs.0[0],
@@ -611,6 +632,7 @@ impl BitAnd for U256 {
 
 impl BitOr for U256 {
     type Output = U256;
+    #[inline]
     fn bitor(self, rhs: U256) -> U256 {
         U256([
             self.0[0] | rhs.0[0],
@@ -623,6 +645,7 @@ impl BitOr for U256 {
 
 impl BitXor for U256 {
     type Output = U256;
+    #[inline]
     fn bitxor(self, rhs: U256) -> U256 {
         U256([
             self.0[0] ^ rhs.0[0],
@@ -672,6 +695,7 @@ impl From<u8> for U256 {
 }
 
 impl From<bool> for U256 {
+    #[inline]
     fn from(v: bool) -> Self {
         if v {
             U256::ONE

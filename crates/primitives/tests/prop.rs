@@ -18,6 +18,20 @@ fn arb_u256() -> impl Strategy<Value = U256> {
     ]
 }
 
+/// Words built limb by limb from 0, 1, 2^63, 2^64 − 1 and random limbs,
+/// so every partial product and carry lands on a limb boundary.
+fn arb_boundary_u256() -> impl Strategy<Value = U256> {
+    (any::<[u8; 4]>(), any::<[u64; 4]>()).prop_map(|(pick, random)| {
+        U256(std::array::from_fn(|i| match pick[i] % 5 {
+            0 => 0,
+            1 => 1,
+            2 => 1 << 63,
+            3 => u64::MAX,
+            _ => random[i],
+        }))
+    })
+}
+
 proptest! {
     // ----- U256 vs u128 reference model -----
 
@@ -61,6 +75,12 @@ proptest! {
     #[test]
     fn mul_is_commutative(a in arb_u256(), b in arb_u256()) {
         prop_assert_eq!(a.wrapping_mul(b), b.wrapping_mul(a));
+    }
+
+    /// The low-half multiply agrees with the low word of the full one.
+    #[test]
+    fn wrapping_mul_is_the_low_half_of_full_mul(a in arb_boundary_u256(), b in arb_boundary_u256()) {
+        prop_assert_eq!(a.wrapping_mul(b), a.full_mul(b).0);
     }
 
     #[test]
