@@ -214,6 +214,10 @@ fn table2_gas_shape_holds() {
         deploy_gas > 3 * return_gas,
         "deploy ({deploy_gas}) must dominate return ({return_gas})"
     );
+    // The exact Table II figures for these secrets: nothing that only
+    // changes how a session is constructed or driven may move them.
+    assert_eq!(deploy_gas, 275_335, "deployVerifiedInstance gas");
+    assert_eq!(return_gas, 24_575, "returnDisputeResolution gas");
     let _ = game;
 }
 
