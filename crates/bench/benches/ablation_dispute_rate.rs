@@ -22,10 +22,10 @@ fn measure(weight: u64) -> Costs {
     Costs {
         honest: run_game(Strategy::Honest, Strategy::Honest, weight)
             .report
-            .total_gas(),
+            .total_gas,
         dispute: run_game(Strategy::SilentLoser, Strategy::Honest, weight)
             .report
-            .total_gas(),
+            .total_gas,
         monolithic: run_monolithic(weight).total(),
     }
 }

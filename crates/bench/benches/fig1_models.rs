@@ -26,7 +26,7 @@ fn print_fig1() {
         let mono = run_monolithic(w).total();
         let hybrid = run_game(Strategy::Honest, Strategy::Honest, w)
             .report
-            .total_gas();
+            .total_gas;
         println!(
             "  {:>8} {:>16} {:>16} {:>9.2}x",
             w,
@@ -60,7 +60,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             run_game(Strategy::Honest, Strategy::Honest, 1_000)
                 .report
-                .total_gas()
+                .total_gas
         })
     });
     group.bench_function("all_on_chain_game", |b| {

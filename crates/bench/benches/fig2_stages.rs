@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sc_bench::{fmt_gas, run_game};
-use sc_core::{Stage, Strategy};
+use sc_core::{stage_gas, Session, Stage, Strategy};
 
 fn print_fig2() {
     let honest = run_game(Strategy::Honest, Strategy::Honest, 256);
@@ -21,34 +21,34 @@ fn print_fig2() {
         println!(
             "  {:<18} {:>14} {:>14}",
             stage.to_string(),
-            fmt_gas(honest.report.stage_gas(stage)),
-            fmt_gas(dispute.report.stage_gas(stage))
+            fmt_gas(stage_gas(honest.game().txs(), stage)),
+            fmt_gas(stage_gas(dispute.game().txs(), stage))
         );
     }
     println!(
         "  {:<18} {:>14} {:>14}",
         "TOTAL",
-        fmt_gas(honest.report.total_gas()),
-        fmt_gas(dispute.report.total_gas())
+        fmt_gas(honest.report.total_gas),
+        fmt_gas(dispute.report.total_gas)
     );
     println!();
     println!("  privacy: off-chain bytes revealed on-chain");
     println!(
         "    honest path : {:>6} bytes (out of {})",
-        honest.report.offchain_bytes_revealed,
-        honest.game.offchain_bytecode.len()
+        honest.game().offchain_bytes_revealed,
+        honest.game().offchain_bytecode.len()
     );
     println!(
         "    dispute path: {:>6} bytes (out of {})",
-        dispute.report.offchain_bytes_revealed,
-        dispute.game.offchain_bytecode.len()
+        dispute.game().offchain_bytes_revealed,
+        dispute.game().offchain_bytecode.len()
     );
     println!(
         "  off-chain (Whisper) messages: honest {}, dispute {}",
-        honest.report.offchain_messages, dispute.report.offchain_messages
+        honest.report.messages_posted, dispute.report.messages_posted
     );
-    let honest_cache = honest.game.net().analysis_cache().stats();
-    let dispute_cache = dispute.game.net().analysis_cache().stats();
+    let honest_cache = honest.sched.network().node(0).analysis_cache().stats();
+    let dispute_cache = dispute.sched.network().node(0).analysis_cache().stats();
     println!("  EVM analysis cache (jumpdest bitmaps memoised across frames):");
     println!(
         "    honest path : {:>4} hits / {:>3} misses ({:.0}% hit ratio)",
@@ -65,13 +65,13 @@ fn print_fig2() {
     println!();
 
     // Shape assertions.
-    assert_eq!(honest.report.stage_gas(Stage::DisputeResolve), 0);
-    assert_eq!(honest.report.offchain_bytes_revealed, 0);
+    assert_eq!(stage_gas(honest.game().txs(), Stage::DisputeResolve), 0);
+    assert_eq!(honest.game().offchain_bytes_revealed, 0);
     assert_eq!(
-        dispute.report.offchain_bytes_revealed,
-        dispute.game.offchain_bytecode.len()
+        dispute.game().offchain_bytes_revealed,
+        dispute.game().offchain_bytecode.len()
     );
-    assert!(dispute.report.total_gas() > honest.report.total_gas());
+    assert!(dispute.report.total_gas > honest.report.total_gas);
     assert!(
         dispute_cache.hits > 0,
         "dispute re-execution should reuse memoised analyses"
@@ -86,14 +86,14 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             run_game(Strategy::Honest, Strategy::Honest, 256)
                 .report
-                .total_gas()
+                .total_gas
         })
     });
     group.bench_function("dispute_path", |b| {
         b.iter(|| {
             run_game(Strategy::SilentLoser, Strategy::Honest, 256)
                 .report
-                .total_gas()
+                .total_gas
         })
     });
     group.finish();

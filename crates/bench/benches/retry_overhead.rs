@@ -8,35 +8,38 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sc_bench::{fmt_gas, secrets_bob_wins};
-use sc_core::{BettingGame, FaultPlan, GameConfig, Participant, Strategy};
+use sc_chain::PoolConfig;
+use sc_core::{BettingSpec, NetworkScheduler, SessionSpec};
 
-fn run_with_plan(plan: &FaultPlan) -> (u64, usize, usize) {
-    let game = BettingGame::with_faults(
-        Participant::with_strategy("alice", Strategy::Honest),
-        Participant::with_strategy("bob", Strategy::Honest),
-        GameConfig {
-            phase_seconds: 3600,
-            secrets: secrets_bob_wins(64),
-        },
-        plan,
-    );
-    let (game, report) = game.run().expect("game terminates");
-    let injected =
-        game.chain_faults().injected_faults().len() + game.whisper_faults().injected_faults().len();
-    (report.total_gas(), report.txs.len(), injected)
+/// The honest game alone on one node, under the fault schedule of
+/// `fault_seed` (`None`: a perfect network).
+fn run_with_plan(fault_seed: Option<u64>) -> (u64, usize, usize) {
+    let spec = BettingSpec {
+        secrets: secrets_bob_wins(64),
+        fault_seed,
+        seats: Some(["alice", "bob"]),
+        ..BettingSpec::default()
+    };
+    let sessions = vec![SessionSpec::Betting(spec)];
+    let mut sched = NetworkScheduler::new(sessions, 1, PoolConfig::default(), None);
+    let report = sched.run().remove(0);
+    assert_eq!(report.error, None, "game terminates");
+    let (chain, whisper) = sched.faults(0);
+    let injected = chain.injected_faults().len() + whisper.injected_faults().len();
+    (report.total_gas, report.txs.len(), injected)
 }
 
 fn print_ablation() {
     println!();
     println!("=== R1 — retry/backoff overhead under injected faults ===");
-    let (clean_gas, clean_txs, _) = run_with_plan(&FaultPlan::none());
+    let (clean_gas, clean_txs, _) = run_with_plan(None);
     println!(
         "  perfect network : {} gas over {clean_txs} txs",
         fmt_gas(clean_gas)
     );
 
     for seed in [0x00C0_FFEEu64, 0x0BAD_F00D, 0x5EED_0001, 0x5EED_0002] {
-        let (gas, txs, injected) = run_with_plan(&FaultPlan::from_seed(seed));
+        let (gas, txs, injected) = run_with_plan(Some(seed));
         println!(
             "  seed {seed:#018x}: {} gas over {txs} txs ({injected} faults injected, \
              gas delta {:+})",
@@ -55,11 +58,9 @@ fn print_ablation() {
 fn bench(c: &mut Criterion) {
     print_ablation();
     let mut group = c.benchmark_group("retry_overhead");
-    group.bench_function("honest_game/perfect", |b| {
-        b.iter(|| run_with_plan(&FaultPlan::none()))
-    });
+    group.bench_function("honest_game/perfect", |b| b.iter(|| run_with_plan(None)));
     group.bench_function("honest_game/faulted", |b| {
-        b.iter(|| run_with_plan(&FaultPlan::from_seed(0x5EED_0001)))
+        b.iter(|| run_with_plan(Some(0x5EED_0001)))
     });
     group.finish();
 }

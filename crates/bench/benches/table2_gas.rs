@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sc_bench::{fmt_gas, print_gas_table, run_game};
-use sc_core::Strategy;
+use sc_core::{gas_of, Session, Strategy};
 use sc_evm::gas::{self, g};
 
 fn print_table2() {
@@ -25,26 +25,25 @@ fn print_table2() {
     let light = run_game(Strategy::SilentLoser, Strategy::Honest, 1);
     let heavy = run_game(Strategy::SilentLoser, Strategy::Honest, 1_000);
 
-    let deploy = light.report.gas_of("deployVerifiedInstance").unwrap();
-    let deploy_heavy = heavy.report.gas_of("deployVerifiedInstance").unwrap();
-    let ret = light.report.gas_of("returnDisputeResolution").unwrap();
-    let ret_heavy = heavy.report.gas_of("returnDisputeResolution").unwrap();
+    let (game, game_heavy) = (light.game(), heavy.game());
+    let deploy = gas_of(game.txs(), "deployVerifiedInstance").unwrap();
+    let deploy_heavy = gas_of(game_heavy.txs(), "deployVerifiedInstance").unwrap();
+    let ret = gas_of(game.txs(), "returnDisputeResolution").unwrap();
+    let ret_heavy = gas_of(game_heavy.txs(), "returnDisputeResolution").unwrap();
 
     // Cost decomposition of deployVerifiedInstance.
-    let bytecode_len = light.game.offchain_bytecode.len() as u64;
+    let bytecode_len = game.offchain_bytecode.len() as u64;
     let runtime_len = light
-        .game
-        .net()
-        .code_at(sc_evm::contract_address(
-            light.game.onchain_addr.unwrap(),
-            1,
-        ))
+        .sched
+        .network()
+        .node(0)
+        .code_at(sc_evm::contract_address(game.onchain, 1))
         .len() as u64;
     let calldata_cost = {
-        let data = light.game.onchain_abi.deploy_verified_instance(
-            &light.game.offchain_bytecode,
-            &light.game.signed_copy().signatures[0],
-            &light.game.signed_copy().signatures[1],
+        let data = game.onchain_abi.deploy_verified_instance(
+            &game.offchain_bytecode,
+            &game.signed_copy().signatures[0],
+            &game.signed_copy().signatures[1],
         );
         gas::tx_intrinsic_gas(&data, false) - g::TRANSACTION
     };
@@ -116,7 +115,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             run_game(Strategy::SilentLoser, Strategy::Honest, 64)
                 .report
-                .total_gas()
+                .total_gas
         })
     });
     group.finish();

@@ -12,33 +12,42 @@
 
 #![warn(missing_docs)]
 
-use sc_chain::Testnet;
+use sc_chain::{PoolConfig, Testnet};
 use sc_contracts::{BetSecrets, MonolithicContract, Timeline};
-use sc_core::{BettingGame, GameConfig, Participant, ProtocolReport, Strategy};
+use sc_core::{BettingSpec, NetworkScheduler, SessionReport, SessionSpec, Strategy};
 use sc_primitives::{ether, U256};
 
-/// Outcome of a full betting game plus the final chain, for inspection.
+/// A full betting game run alone on a 1-node scheduler, for inspection.
 pub struct GameRun {
-    /// The protocol report (per-tx gas, privacy metrics).
-    pub report: ProtocolReport,
-    /// The game (chain can be inspected further).
-    pub game: BettingGame,
+    /// The session's report (gas per stage, messages posted).
+    pub report: SessionReport,
+    /// The scheduler after the run: its node's chain and the machine.
+    pub sched: NetworkScheduler,
+}
+
+impl GameRun {
+    /// The game's machine (participants, signed copy, privacy ledger).
+    pub fn game(&self) -> &sc_core::BettingSession {
+        self.sched.session(0).expect("a betting game")
+    }
 }
 
 /// Runs a complete two-party game with the given strategies and reveal
-/// weight. Secrets are adjusted so Bob wins (making Alice the loser).
+/// weight, `alice`/`bob` seated. Secrets are adjusted so Bob wins
+/// (making Alice the loser).
 pub fn run_game(alice: Strategy, bob: Strategy, weight: u64) -> GameRun {
-    let secrets = secrets_bob_wins(weight);
-    let game = BettingGame::new(
-        Participant::with_strategy("alice", alice),
-        Participant::with_strategy("bob", bob),
-        GameConfig {
-            phase_seconds: 3600,
-            secrets,
-        },
-    );
-    let (game, report) = game.run().expect("protocol run");
-    GameRun { report, game }
+    let spec = BettingSpec {
+        alice,
+        bob,
+        secrets: secrets_bob_wins(weight),
+        seats: Some(["alice", "bob"]),
+        ..BettingSpec::default()
+    };
+    let sessions = vec![SessionSpec::Betting(spec)];
+    let mut sched = NetworkScheduler::new(sessions, 1, PoolConfig::default(), None);
+    let report = sched.run().remove(0);
+    assert_eq!(report.error, None, "protocol run");
+    GameRun { report, sched }
 }
 
 /// Secrets with the given weight whose mixed parity favours Bob.
@@ -151,9 +160,9 @@ mod tests {
     #[test]
     fn harness_runs_both_models() {
         let hybrid = run_game(Strategy::Honest, Strategy::Honest, 8);
-        assert!(!hybrid.report.dispute);
+        assert_eq!(hybrid.report.outcome, Some("settled-honestly"));
         let mono = run_monolithic(8);
         assert!(mono.settle_gas > 21_000);
-        assert!(mono.total() > hybrid.report.total_gas() / 2);
+        assert!(mono.total() > hybrid.report.total_gas / 2);
     }
 }

@@ -16,20 +16,9 @@
 //! `challenge()`, a sleeping one at least reclaims their own funds via
 //! `reclaimNoSubmission()`.
 //!
-//! The event loop is [`ChallengeSession`]; [`ChallengeGame`] is the
-//! typed single-game front-end: one such machine alone on a 1-node
-//! [`NetworkScheduler`]. `with_faults()` builds it, `run_with_crash()`
-//! binds the behaviours and drives it to its terminal outcome.
-
-use crate::faults::{ChainFaults, FaultPlan};
-use crate::net::NetworkScheduler;
-use crate::participant::Participant;
-use crate::protocol::{gas_queries, TxRecord};
-use crate::session::{ChallengeSession, ChallengeSessionParams};
-use sc_chain::Testnet;
-use sc_contracts::challenge::ChallengeContracts;
-use sc_contracts::BetSecrets;
-use sc_primitives::Address;
+//! This module holds the variant's vocabulary; the event loop is
+//! [`ChallengeSession`](crate::session::ChallengeSession), run from a
+//! [`ChallengeSpec`](crate::session::ChallengeSpec) like every session.
 
 /// What the representative does at submission time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,122 +68,13 @@ pub enum ChallengeOutcome {
     ReclaimedStale,
 }
 
-/// Report of one challenge-variant run.
-#[derive(Debug, Clone)]
-pub struct ChallengeReport {
-    /// Every on-chain transaction, in order.
-    pub txs: Vec<TxRecord>,
-    /// How it ended.
-    pub outcome: ChallengeOutcome,
-    /// True off-chain result.
-    pub winner_is_bob: bool,
-    /// Bytes of the off-chain contract published (0 without a challenge).
-    pub offchain_bytes_revealed: usize,
-}
-
-gas_queries!(ChallengeReport);
-
-/// The challenge-variant game driver: a [`ChallengeSession`] alone on
-/// a 1-node network, both participants funded with 1000 ether at
-/// genesis. Session state — participants, the deployed address, the
-/// signed bytecode, the timeline — is reachable directly through
-/// [`std::ops::Deref`].
-pub struct ChallengeGame {
-    sched: NetworkScheduler,
-}
-
-impl std::ops::Deref for ChallengeGame {
-    type Target = ChallengeSession;
-    fn deref(&self) -> &ChallengeSession {
-        self.sched.machine()
-    }
-}
-
-impl std::ops::DerefMut for ChallengeGame {
-    fn deref_mut(&mut self) -> &mut ChallengeSession {
-        self.sched.machine_mut()
-    }
-}
-
-impl ChallengeGame {
-    /// A game on a perfect chain. Alice is the representative; Bob
-    /// watches.
-    pub fn new(secrets: BetSecrets, window: u64) -> ChallengeGame {
-        ChallengeGame::with_faults(secrets, window, &FaultPlan::none())
-    }
-
-    /// Same game under a seeded fault schedule. Sends retry transient
-    /// failures; the fault budgets guarantee deposits land before T1.
-    pub fn with_faults(secrets: BetSecrets, window: u64, plan: &FaultPlan) -> ChallengeGame {
-        let alice = Participant::honest("alice");
-        let bob = Participant::honest("bob");
-        let wallets = [alice.wallet.address, bob.wallet.address];
-        let session = ChallengeSession::new(ChallengeSessionParams {
-            alice,
-            bob,
-            secrets,
-            window,
-            contracts: ChallengeContracts::new(),
-            start_delay: 0,
-            submit: SubmitStrategy::Truthful,
-            watch: WatchStrategy::Vigilant,
-            crash: CrashPoint::None,
-        });
-        ChallengeGame {
-            sched: NetworkScheduler::solo(Box::new(session), "challenge", plan, wallets),
-        }
-    }
-
-    /// Runs the submit/challenge flow with the given behaviours and no
-    /// crash.
-    pub fn run(
-        self,
-        submit: SubmitStrategy,
-        watch: WatchStrategy,
-    ) -> (ChallengeGame, ChallengeReport) {
-        self.run_with_crash(submit, watch, CrashPoint::None)
-    }
-
-    /// Runs the flow (deploy, both deposits, then submission and window)
-    /// with the representative possibly crashing at the given point.
-    /// Always terminates in a valid [`ChallengeOutcome`]: every send on
-    /// these paths is mandatory, so a protocol failure panics
-    /// (unreachable under any seeded fault plan's finite budgets).
-    pub fn run_with_crash(
-        mut self,
-        submit: SubmitStrategy,
-        watch: WatchStrategy,
-        crash: CrashPoint,
-    ) -> (ChallengeGame, ChallengeReport) {
-        self.set_behaviour(submit, watch, crash);
-        self.sched.run();
-        if let Some(e) = self.sched.failure() {
-            panic!("mandatory challenge-protocol send must land within the fault budget: {e}");
-        }
-        let report = self.report();
-        (self, report)
-    }
-
-    /// The game's chain.
-    pub fn net(&self) -> &Testnet {
-        self.sched.network().node(0)
-    }
-
-    /// Mutable access to the game's chain (post-run probing: proofs,
-    /// extra transactions).
-    pub fn net_mut(&mut self) -> &mut Testnet {
-        self.sched.network_mut().node_mut(0)
-    }
-
-    /// The chain fault schedule's state (injected-fault log, budgets).
-    pub fn chain_faults(&self) -> &ChainFaults {
-        self.sched.faults().0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::NetworkScheduler;
+    use crate::session::{ChallengeSession, ChallengeSpec, Session, SessionReport, SessionSpec};
+    use sc_chain::{PoolConfig, Testnet};
+    use sc_contracts::BetSecrets;
     use sc_primitives::{ether, U256};
 
     fn secrets_bob_wins() -> BetSecrets {
@@ -209,118 +89,169 @@ mod tests {
         s
     }
 
+    /// One game with `alice` (the representative) and `bob` (the
+    /// watcher) seated, alone on a 1-node scheduler, run to its end
+    /// without a protocol error.
+    fn play(
+        submit: SubmitStrategy,
+        watch: WatchStrategy,
+        crash: CrashPoint,
+    ) -> (NetworkScheduler, SessionReport) {
+        let spec = ChallengeSpec {
+            secrets: secrets_bob_wins(),
+            submit,
+            watch,
+            crash,
+            seats: Some(["alice", "bob"]),
+            ..ChallengeSpec::default()
+        };
+        let sessions = vec![SessionSpec::Challenge(spec)];
+        let mut sched = NetworkScheduler::new(sessions, 1, PoolConfig::default(), None);
+        let report = sched.run().remove(0);
+        assert_eq!(report.error, None);
+        (sched, report)
+    }
+
+    fn game(sched: &NetworkScheduler) -> &ChallengeSession {
+        sched.session(0).expect("a challenge game")
+    }
+
+    fn chain(sched: &NetworkScheduler) -> &Testnet {
+        sched.network().node(0)
+    }
+
     #[test]
     fn truthful_submission_finalizes() {
-        let game = ChallengeGame::new(secrets_bob_wins(), 1800);
-        let bob_addr = game.bob.wallet.address;
-        let (game, report) = game.run(SubmitStrategy::Truthful, WatchStrategy::Vigilant);
-        assert_eq!(report.outcome, ChallengeOutcome::FinalizedUnchallenged);
-        assert_eq!(report.offchain_bytes_revealed, 0, "privacy preserved");
-        assert!(game.net().balance_of(bob_addr) > ether(1000));
+        let (sched, _report) = play(
+            SubmitStrategy::Truthful,
+            WatchStrategy::Vigilant,
+            CrashPoint::None,
+        );
+        let game = game(&sched);
+        assert_eq!(
+            game.outcome(),
+            Some(ChallengeOutcome::FinalizedUnchallenged)
+        );
+        assert_eq!(game.offchain_bytes_revealed, 0, "privacy preserved");
+        assert!(chain(&sched).balance_of(game.bob.wallet.address) > ether(1000));
     }
 
     #[test]
     fn false_submission_caught_by_vigilant_watcher() {
-        let game = ChallengeGame::new(secrets_bob_wins(), 1800);
-        let alice_addr = game.alice.wallet.address;
-        let bob_addr = game.bob.wallet.address;
-        let (game, report) = game.run(SubmitStrategy::False, WatchStrategy::Vigilant);
-        assert_eq!(report.outcome, ChallengeOutcome::ResolvedByChallenge);
+        let (sched, _report) = play(
+            SubmitStrategy::False,
+            WatchStrategy::Vigilant,
+            CrashPoint::None,
+        );
+        let (game, chain) = (game(&sched), chain(&sched));
+        assert_eq!(game.outcome(), Some(ChallengeOutcome::ResolvedByChallenge));
         assert!(
-            report.offchain_bytes_revealed > 0,
+            game.offchain_bytes_revealed > 0,
             "dispute published the code"
         );
         // Bob got pot + both security deposits; the liar lost both.
-        assert!(game.net().balance_of(bob_addr) > ether(1001));
-        assert!(game.net().balance_of(alice_addr) < ether(999));
+        assert!(chain.balance_of(game.bob.wallet.address) > ether(1001));
+        assert!(chain.balance_of(game.alice.wallet.address) < ether(999));
     }
 
     #[test]
     fn false_submission_stands_if_watcher_sleeps() {
         // The design's residual risk, made visible.
-        let game = ChallengeGame::new(secrets_bob_wins(), 1800);
-        let alice_addr = game.alice.wallet.address;
-        let (game, report) = game.run(SubmitStrategy::False, WatchStrategy::Asleep);
-        assert_eq!(report.outcome, ChallengeOutcome::LieStood);
+        let (sched, _report) = play(
+            SubmitStrategy::False,
+            WatchStrategy::Asleep,
+            CrashPoint::None,
+        );
+        let game = game(&sched);
+        assert_eq!(game.outcome(), Some(ChallengeOutcome::LieStood));
         assert!(
-            game.net().balance_of(alice_addr) > ether(1000),
+            chain(&sched).balance_of(game.alice.wallet.address) > ether(1000),
             "the unwatched lie profits — participants must stay online"
         );
     }
 
     #[test]
     fn frivolous_challenge_still_resolves_truthfully() {
-        let game = ChallengeGame::new(secrets_bob_wins(), 1800);
-        let bob_addr = game.bob.wallet.address;
-        let (game, report) = game.run(SubmitStrategy::Truthful, WatchStrategy::Frivolous);
-        assert_eq!(report.outcome, ChallengeOutcome::ResolvedByChallenge);
+        let (sched, _report) = play(
+            SubmitStrategy::Truthful,
+            WatchStrategy::Frivolous,
+            CrashPoint::None,
+        );
+        let game = game(&sched);
+        assert_eq!(game.outcome(), Some(ChallengeOutcome::ResolvedByChallenge));
         // Truth still wins: Bob is the true winner even though his
         // challenge was pointless (he burned gas for nothing).
-        assert!(game.net().balance_of(bob_addr) > ether(1000));
+        assert!(chain(&sched).balance_of(game.bob.wallet.address) > ether(1000));
     }
 
     #[test]
     fn unchallenged_path_is_cheaper_than_challenge_path() {
-        let (_g1, quiet) = ChallengeGame::new(secrets_bob_wins(), 1800)
-            .run(SubmitStrategy::Truthful, WatchStrategy::Vigilant);
-        let (_g2, fought) = ChallengeGame::new(secrets_bob_wins(), 1800)
-            .run(SubmitStrategy::False, WatchStrategy::Vigilant);
+        let (_, quiet) = play(
+            SubmitStrategy::Truthful,
+            WatchStrategy::Vigilant,
+            CrashPoint::None,
+        );
+        let (_, fought) = play(
+            SubmitStrategy::False,
+            WatchStrategy::Vigilant,
+            CrashPoint::None,
+        );
         assert!(
-            fought.total_gas() > quiet.total_gas() + 150_000,
+            fought.total_gas > quiet.total_gas + 150_000,
             "challenge {} vs quiet {}",
-            fought.total_gas(),
-            quiet.total_gas()
+            fought.total_gas,
+            quiet.total_gas
         );
     }
 
     #[test]
     fn crashed_representative_cannot_hold_a_watcher_hostage() {
-        let game = ChallengeGame::new(secrets_bob_wins(), 1800);
-        let bob_addr = game.bob.wallet.address;
-        let (game, report) = game.run_with_crash(
+        let (sched, _report) = play(
             SubmitStrategy::Truthful,
             WatchStrategy::Vigilant,
             CrashPoint::BeforeSubmit,
         );
-        assert_eq!(report.outcome, ChallengeOutcome::ResolvedByChallenge);
+        let game = game(&sched);
+        assert_eq!(game.outcome(), Some(ChallengeOutcome::ResolvedByChallenge));
         // The true winner collected the pot despite the crash.
-        assert!(game.net().balance_of(bob_addr) > ether(1000));
+        assert!(chain(&sched).balance_of(game.bob.wallet.address) > ether(1000));
     }
 
     #[test]
     fn sleeping_parties_reclaim_after_a_silent_representative() {
-        let game = ChallengeGame::new(secrets_bob_wins(), 1800);
-        let alice_addr = game.alice.wallet.address;
-        let bob_addr = game.bob.wallet.address;
-        let (game, report) = game.run_with_crash(
+        let (sched, _report) = play(
             SubmitStrategy::Truthful,
             WatchStrategy::Asleep,
             CrashPoint::BeforeSubmit,
         );
-        assert_eq!(report.outcome, ChallengeOutcome::ReclaimedStale);
+        let (game, chain) = (game(&sched), chain(&sched));
+        assert_eq!(game.outcome(), Some(ChallengeOutcome::ReclaimedStale));
         // Both took back exactly their stake + security deposit (gas
         // aside): nobody won, nobody is stuck.
-        for a in [alice_addr, bob_addr] {
-            let bal = game.net().balance_of(a);
+        for a in [game.alice.wallet.address, game.bob.wallet.address] {
+            let bal = chain.balance_of(a);
             assert!(bal > ether(1000).wrapping_sub(ether(1) / U256::from_u64(100)));
             assert!(bal <= ether(1000));
         }
-        assert_eq!(game.net().balance_of(game.onchain), U256::ZERO);
+        assert_eq!(chain.balance_of(game.onchain), U256::ZERO);
     }
 
     #[test]
     fn crash_after_submit_is_finalized_by_the_watcher() {
-        let game = ChallengeGame::new(secrets_bob_wins(), 1800);
-        let bob_addr = game.bob.wallet.address;
-        let (game, report) = game.run_with_crash(
+        let (sched, _report) = play(
             SubmitStrategy::Truthful,
             WatchStrategy::Asleep,
             CrashPoint::AfterSubmit,
         );
-        assert_eq!(report.outcome, ChallengeOutcome::FinalizedUnchallenged);
+        let game = game(&sched);
+        let bob_addr = game.bob.wallet.address;
+        assert_eq!(
+            game.outcome(),
+            Some(ChallengeOutcome::FinalizedUnchallenged)
+        );
         // Bob (the finalizer and true winner) collected.
-        assert!(game.net().balance_of(bob_addr) > ether(1000));
-        let finalize = report.txs.iter().find(|t| t.label == "finalize").unwrap();
+        assert!(chain(&sched).balance_of(bob_addr) > ether(1000));
+        let finalize = game.txs().iter().find(|t| t.label == "finalize").unwrap();
         assert_eq!(finalize.sender, bob_addr, "the watcher finalized");
     }
 }

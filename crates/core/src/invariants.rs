@@ -17,6 +17,7 @@
 //!    head's `state_root` matches a state trie rebuilt from scratch
 //!    through the host boundary ([`check_state_commitments`]).
 
+use crate::protocol::TxRecord;
 use sc_chain::{block, encode_account, Testnet};
 use sc_evm::host::Host;
 use sc_primitives::{Address, U256};
@@ -142,17 +143,13 @@ pub fn check_honest_floor(
     }
 }
 
-/// Wei paid to miners for a set of `(sender, gas_used)` transaction
-/// records at a uniform gas price.
-pub fn gas_spent_by<'a>(
-    txs: impl IntoIterator<Item = (Address, &'a u64)>,
-    who: Address,
-    gas_price: U256,
-) -> U256 {
+/// Wei `who` paid to miners across a session's transactions at a
+/// uniform gas price (failed transactions are paid for too).
+pub fn gas_spent_by(txs: &[TxRecord], who: Address, gas_price: U256) -> U256 {
     let total: u64 = txs
-        .into_iter()
-        .filter(|(sender, _)| *sender == who)
-        .map(|(_, gas)| *gas)
+        .iter()
+        .filter(|t| t.sender == who)
+        .map(|t| t.gas_used)
         .sum();
     U256::from_u64(total).wrapping_mul(gas_price)
 }
@@ -210,8 +207,16 @@ mod tests {
     fn gas_attribution_filters_by_sender() {
         let alice = Address([1; 20]);
         let bob = Address([2; 20]);
-        let txs = [(alice, 100u64), (bob, 50), (alice, 25)];
-        let spent = gas_spent_by(txs.iter().map(|(s, g)| (*s, g)), alice, U256::from_u64(2));
+        let txs = [(alice, 100u64, true), (bob, 50, true), (alice, 25, false)].map(
+            |(sender, gas_used, success)| TxRecord {
+                stage: crate::protocol::Stage::DeploySign,
+                label: "tx".into(),
+                sender,
+                gas_used,
+                success,
+            },
+        );
+        let spent = gas_spent_by(&txs, alice, U256::from_u64(2));
         assert_eq!(spent, U256::from_u64(250));
     }
 }

@@ -9,14 +9,13 @@
 //!   and the off-chain mirror of Algorithm 5's checks).
 //! * [`whisper`] — the off-chain message bus used in deploy/sign.
 //! * [`participant`] — participants with honest and Byzantine strategies.
-//! * [`protocol`] — the four-stage betting game's vocabulary (stages,
-//!   outcomes, the per-transaction report with gas and privacy
-//!   accounting) and [`BettingGame`], the typed single-game front-end.
-//! * [`challenge_protocol`] — extension: the paper's submit/challenge
-//!   stage implemented literally (representative submission, challenge
-//!   window, security-deposit penalties), with crash-resilient
-//!   escalation past the stale deadline; [`ChallengeGame`] is its
-//!   single-game front-end.
+//! * [`protocol`] — the four-stage betting game's vocabulary: stages,
+//!   outcomes, errors and the per-transaction record (sender, gas) every
+//!   session keeps.
+//! * [`challenge_protocol`] — extension: the vocabulary of the paper's
+//!   submit/challenge stage implemented literally (representative
+//!   submission, challenge window, security-deposit penalties, escalation
+//!   past the stale deadline after a crash).
 //! * [`faults`] — deterministic fault injection: a seeded PRNG schedule
 //!   of message drops/duplicates/reorders/corruption/delays, transient
 //!   chain and pool failures, link cuts and dropped witnesses.
@@ -26,7 +25,9 @@
 //! * [`net`] — the network: N ≥ 1 gossiping chain nodes under seeded
 //!   partitions and link delays, longest-chain fork choice with
 //!   reorgs, and the [`NetworkScheduler`] that multiplexes sessions
-//!   over it with shared blocks — the one way a session runs.
+//!   over it with shared blocks — the one way a session runs: every
+//!   caller, a single game included, hands it a [`SessionSpec`] that
+//!   seats its own participants.
 //! * [`invariants`] — post-run checks (ether conservation, the honest
 //!   participant floor, header Merkle-root commitments) used by the
 //!   chaos suite.
@@ -45,9 +46,7 @@ pub mod signedcopy;
 pub mod splitter;
 pub mod whisper;
 
-pub use challenge_protocol::{
-    ChallengeGame, ChallengeOutcome, ChallengeReport, CrashPoint, SubmitStrategy, WatchStrategy,
-};
+pub use challenge_protocol::{ChallengeOutcome, CrashPoint, SubmitStrategy, WatchStrategy};
 pub use faults::{
     ChainFaults, FaultPlan, LightFaults, LinkFaults, Partition, SubmitFault, WhisperFaults,
     XorShift64, MAX_INJECTED_SECS,
@@ -59,9 +58,7 @@ pub use invariants::{
 };
 pub use net::{NetStats, Network, NetworkScheduler};
 pub use participant::{Participant, Strategy};
-pub use protocol::{
-    BettingGame, GameConfig, Outcome, ProtocolError, ProtocolReport, Stage, TxRecord,
-};
+pub use protocol::{gas_of, stage_gas, Outcome, ProtocolError, Stage, TxRecord};
 pub use session::{
     stage_bucket, BettingSession, BettingSessionParams, BettingSpec, BusPort, ChainAccess,
     ChainReader, ChallengeSession, ChallengeSessionParams, ChallengeSpec, LightPort, LightStats,

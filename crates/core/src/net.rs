@@ -39,7 +39,7 @@
 
 use crate::faults::{ChainFaults, FaultPlan, LightFaults, LinkFaults, Partition, WhisperFaults};
 use crate::protocol::ProtocolError;
-use crate::session::spec::{build_session, session_wallets, ContractCache};
+use crate::session::spec::{build_session, ContractCache};
 use crate::session::{
     stage_bucket, BusPort, ChainAccess, LightPort, LightStats, NodePort, Session, SessionCtx,
     SessionReport, SessionSpec, StepOutcome,
@@ -200,9 +200,10 @@ impl Network {
         &mut self.nodes[i]
     }
 
-    /// The shared bus: gossip inboxes and every session's whisper
-    /// topics.
-    pub(crate) fn bus(&self) -> &Whisper {
+    /// The shared bus, read-only: gossip inboxes and every session's
+    /// whisper topics (session `id` homed on node `h` signs on
+    /// `Topic::node_session(h, id, "signed-copy")`).
+    pub fn bus(&self) -> &Whisper {
         &self.bus
     }
 
@@ -576,8 +577,9 @@ impl NetSlot {
 /// through a [`NodePort`] (self-sign, queue, flush into `submit_batch`)
 /// against a head that can move backwards under reorgs. Wallets are
 /// pre-funded at genesis on every node (1000 ether per participant) so
-/// no session ever mints out-of-band; whisper traffic is namespaced per
-/// node *and* per session via [`Topic::node_session`].
+/// no session ever mints out-of-band, and no wallet sits in two
+/// sessions; whisper traffic is namespaced per node *and* per session
+/// via [`Topic::node_session`].
 pub struct NetworkScheduler {
     network: Network,
     slots: Vec<NetSlot>,
@@ -589,7 +591,9 @@ impl NetworkScheduler {
     /// Builds `nodes` chain nodes and homes one session per spec on
     /// them round-robin. `net_fault_seed` seeds the link-fault schedule
     /// (`None` = a quiet network); per-session chain/whisper faults come
-    /// from each spec's own `fault_seed`.
+    /// from each spec's own `fault_seed`. Panics if two sessions seat
+    /// one wallet: they would share its nonce sequence, and genesis
+    /// would fund it twice.
     pub fn new(
         specs: Vec<SessionSpec>,
         nodes: usize,
@@ -628,19 +632,32 @@ impl NetworkScheduler {
             Some(seed) => FaultPlan::from_seed(seed),
             None => FaultPlan::none(),
         };
-        let funding: Vec<(Address, U256)> = (0..specs.len())
-            .flat_map(|id| session_wallets(id).map(|w| (w.address, ether(1000))))
+        let wallets: Vec<_> = specs
+            .iter()
+            .enumerate()
+            .map(|(id, s)| s.wallets(id))
             .collect();
+        let mut seated = HashMap::new();
+        let mut funding = Vec::new();
+        for (id, pair) in wallets.iter().enumerate() {
+            for w in pair {
+                if let Some(prev) = seated.insert(w.address, id) {
+                    panic!("sessions {prev} and {id} both seat wallet {}", w.address);
+                }
+                funding.push((w.address, ether(1000)));
+            }
+        }
         let network = Network::new(nodes, &link_plan, pool, &funding);
         let mut contracts = ContractCache::default();
         let slots = specs
             .into_iter()
+            .zip(wallets)
             .enumerate()
-            .map(|(id, spec)| {
+            .map(|(id, (spec, wallets))| {
                 let home = id % nodes;
                 let (session, kind, seed) = build_session(
-                    id,
                     spec,
+                    wallets,
                     Topic::node_session(home, id as u64, "signed-copy"),
                     &mut contracts,
                 );
@@ -664,49 +681,17 @@ impl NetworkScheduler {
         }
     }
 
-    /// One pre-built machine alone on a quiet 1-node network: what the
-    /// typed single-session front-ends
-    /// ([`BettingGame`](crate::protocol::BettingGame),
-    /// [`ChallengeGame`](crate::challenge_protocol::ChallengeGame)) run
-    /// on. `plan` seeds the slot's fault schedules; each of `wallets`
-    /// holds 1000 ether at genesis, like every scheduled participant.
-    pub(crate) fn solo(
-        session: Box<dyn Session>,
-        kind: &'static str,
-        plan: &FaultPlan,
-        wallets: [Address; 2],
-    ) -> NetworkScheduler {
-        let funding = wallets.map(|a| (a, ether(1000)));
-        NetworkScheduler {
-            network: Network::new(1, &FaultPlan::none(), PoolConfig::default(), &funding),
-            slots: vec![NetSlot::new(session, kind, 0, plan, None)],
-            rejections: HashMap::new(),
-            pool_evicted: 0,
-        }
+    /// Session `id`'s machine, typed: `None` if there is no such slot
+    /// or it holds another kind of session.
+    pub fn session<S: Session>(&self, id: usize) -> Option<&S> {
+        let session: &dyn Any = &*self.slots.get(id)?.session;
+        session.downcast_ref()
     }
 
-    /// Slot 0's machine, typed. Panics if it is not an `S` — the caller
-    /// is the front-end that boxed it.
-    pub(crate) fn machine<S: Session>(&self) -> &S {
-        let session: &dyn Any = &*self.slots[0].session;
-        session.downcast_ref().expect("slot 0 holds this machine")
-    }
-
-    /// Mutable [`NetworkScheduler::machine`].
-    pub(crate) fn machine_mut<S: Session>(&mut self) -> &mut S {
-        let session: &mut dyn Any = &mut *self.slots[0].session;
-        session.downcast_mut().expect("slot 0 holds this machine")
-    }
-
-    /// The protocol error that failed slot 0, if any.
-    pub(crate) fn failure(&self) -> Option<&ProtocolError> {
-        self.slots[0].error.as_ref()
-    }
-
-    /// Slot 0's chain and whisper fault state (injected-fault logs,
-    /// remaining budgets).
-    pub(crate) fn faults(&self) -> (&ChainFaults, &WhisperFaults) {
-        (&self.slots[0].chain_faults, &self.slots[0].whisper_faults)
+    /// Session `id`'s chain and whisper fault state (injected-fault
+    /// logs, remaining budgets).
+    pub fn faults(&self, id: usize) -> (&ChainFaults, &WhisperFaults) {
+        (&self.slots[id].chain_faults, &self.slots[id].whisper_faults)
     }
 
     /// The underlying network (invariant checks, stats, head
@@ -1037,6 +1022,19 @@ mod tests {
     fn forced_partition_rejects_a_repeated_index() {
         let mut net = Network::new(4, &FaultPlan::none(), PoolConfig::default(), &[]);
         net.force_partition(vec![1, 1, 1], 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "sessions 0 and 1 both seat wallet")]
+    fn a_wallet_seated_in_two_sessions_is_refused() {
+        let seated = |seats| {
+            SessionSpec::Betting(BettingSpec {
+                seats: Some(seats),
+                ..BettingSpec::default()
+            })
+        };
+        let specs = vec![seated(["alice", "bob"]), seated(["carol", "alice"])];
+        NetworkScheduler::new(specs, 1, PoolConfig::default(), None);
     }
 
     #[test]

@@ -44,24 +44,6 @@ pub struct Participant {
     pub strategy: Strategy,
 }
 
-impl Participant {
-    /// An honest participant from a deterministic seed.
-    pub fn honest(seed: &str) -> Participant {
-        Participant {
-            wallet: Wallet::from_seed(seed),
-            strategy: Strategy::Honest,
-        }
-    }
-
-    /// A participant with an explicit strategy.
-    pub fn with_strategy(seed: &str, strategy: Strategy) -> Participant {
-        Participant {
-            wallet: Wallet::from_seed(seed),
-            strategy,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,8 +67,10 @@ mod tests {
 
     #[test]
     fn deterministic_identities() {
-        let p1 = Participant::honest("alice");
-        let p2 = Participant::honest("alice");
-        assert_eq!(p1.wallet.address, p2.wallet.address);
+        // A seat's wallet seed is its whole identity: the same seed is
+        // the same wallet in every run.
+        let p1 = Wallet::from_seed("alice");
+        let p2 = Wallet::from_seed("alice");
+        assert_eq!(p1.address, p2.address);
     }
 }

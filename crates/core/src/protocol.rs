@@ -16,28 +16,17 @@
 //!    instance is CREATEd on-chain, and `returnDisputeResolution` makes
 //!    miners recompute `reveal()` and enforce the transfer.
 //!
-//! The event loop itself is [`BettingSession`]: a resumable
+//! The event loop itself is
+//! [`BettingSession`](crate::session::BettingSession): a resumable
 //! state machine over the T1–T3 deadlines whose every wait — signature
 //! rounds, retry backoff, contract windows — is yielded to the
-//! scheduler. [`BettingGame`] is the typed single-game front-end: one
-//! such machine alone on a 1-node [`NetworkScheduler`], with the full
-//! [`ProtocolReport`] (per-transaction sender and gas) handed back. The
-//! same machine shares a network with N other sessions when built from
-//! a [`SessionSpec`](crate::session::SessionSpec) instead.
+//! [`NetworkScheduler`](crate::net::NetworkScheduler) it runs on, built
+//! from a [`BettingSpec`](crate::session::BettingSpec) alone or among N
+//! other sessions. This module holds the protocol's vocabulary: stages,
+//! outcomes, errors and the per-transaction record every session keeps.
 
-use crate::faults::{ChainFaults, FaultPlan, WhisperFaults};
-use crate::net::NetworkScheduler;
-use crate::participant::Participant;
-use crate::session::{BettingSession, BettingSessionParams};
-use crate::whisper::Whisper;
-use sc_chain::Testnet;
-use sc_contracts::{BetSecrets, OffChainContract, OnChainContract};
-use sc_primitives::{Address, U256};
+use sc_primitives::Address;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
-
-/// Whisper topic used to exchange signatures.
-pub const SIGNATURE_TOPIC: &str = "betting/signed-copy";
 
 /// Protocol stages (Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -93,68 +82,19 @@ pub enum Outcome {
     SettledByDispute,
 }
 
-/// Full record of one protocol run.
-#[derive(Debug, Clone)]
-pub struct ProtocolReport {
-    /// Every on-chain transaction, in order.
-    pub txs: Vec<TxRecord>,
-    /// The game's outcome.
-    pub outcome: Outcome,
-    /// True iff the dispute path ran.
-    pub dispute: bool,
-    /// Result of the off-chain computation (true → Bob wins).
-    pub winner_is_bob: bool,
-    /// Bytes of off-chain contract code that became publicly visible
-    /// on-chain (0 on the honest path; the privacy metric of Fig. 1).
-    pub offchain_bytes_revealed: usize,
-    /// Off-chain messages exchanged (Whisper traffic).
-    pub offchain_messages: usize,
+/// Gas of the first successful transaction with this label.
+pub fn gas_of(txs: &[TxRecord], label: &str) -> Option<u64> {
+    txs.iter()
+        .find(|t| t.label == label && t.success)
+        .map(|t| t.gas_used)
 }
 
-/// The gas queries every report type answers from its `txs` field —
-/// one definition for [`ProtocolReport`] and
-/// [`ChallengeReport`](crate::challenge_protocol::ChallengeReport).
-macro_rules! gas_queries {
-    ($report:ty) => {
-        impl $report {
-            /// Total gas across all transactions (miner-executed work).
-            pub fn total_gas(&self) -> u64 {
-                self.txs.iter().map(|t| t.gas_used).sum()
-            }
-
-            /// Gas of the first successful transaction with this label.
-            pub fn gas_of(&self, label: &str) -> Option<u64> {
-                self.txs
-                    .iter()
-                    .find(|t| t.label == label && t.success)
-                    .map(|t| t.gas_used)
-            }
-
-            /// Total gas units sent by one address (successful or not —
-            /// failed transactions are paid for too).
-            pub fn gas_spent_by(&self, who: Address) -> u64 {
-                self.txs
-                    .iter()
-                    .filter(|t| t.sender == who)
-                    .map(|t| t.gas_used)
-                    .sum()
-            }
-        }
-    };
-}
-pub(crate) use gas_queries;
-
-gas_queries!(ProtocolReport);
-
-impl ProtocolReport {
-    /// Gas attributable to one stage.
-    pub fn stage_gas(&self, stage: Stage) -> u64 {
-        self.txs
-            .iter()
-            .filter(|t| t.stage == stage)
-            .map(|t| t.gas_used)
-            .sum()
-    }
+/// Gas attributable to one stage.
+pub fn stage_gas(txs: &[TxRecord], stage: Stage) -> u64 {
+    txs.iter()
+        .filter(|t| t.stage == stage)
+        .map(|t| t.gas_used)
+        .sum()
 }
 
 /// Protocol-level failures (distinct from failed-but-expected txs).
@@ -182,114 +122,3 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
-
-/// Configuration of one betting game.
-#[derive(Clone, Debug)]
-pub struct GameConfig {
-    /// Phase length in seconds between T0→T1→T2→T3.
-    pub phase_seconds: u64,
-    /// The private bet.
-    pub secrets: BetSecrets,
-}
-
-impl Default for GameConfig {
-    fn default() -> Self {
-        GameConfig {
-            phase_seconds: 3600,
-            secrets: BetSecrets {
-                secret_a: U256::from_u64(0xa11ce),
-                secret_b: U256::from_u64(0xb0b),
-                weight: 64,
-            },
-        }
-    }
-}
-
-/// The protocol engine for one two-party betting game: a
-/// [`BettingSession`] alone on a 1-node network, both participants
-/// funded with 1000 ether at genesis. Session state — participants,
-/// timeline, the deployed address, the agreed bytecode — is reachable
-/// directly through [`Deref`].
-pub struct BettingGame {
-    sched: NetworkScheduler,
-}
-
-impl Deref for BettingGame {
-    type Target = BettingSession;
-    fn deref(&self) -> &BettingSession {
-        self.sched.machine()
-    }
-}
-
-impl DerefMut for BettingGame {
-    fn deref_mut(&mut self) -> &mut BettingSession {
-        self.sched.machine_mut()
-    }
-}
-
-impl BettingGame {
-    /// Stage 1 — split/generate on a perfect network: sets up the
-    /// chain, compiles both contracts and builds the off-chain initcode.
-    pub fn new(alice: Participant, bob: Participant, config: GameConfig) -> BettingGame {
-        BettingGame::with_faults(alice, bob, config, &FaultPlan::none())
-    }
-
-    /// Stage 1 under a fault schedule: same setup, but every whisper
-    /// message and chain submission passes through the seeded fault
-    /// injectors.
-    pub fn with_faults(
-        alice: Participant,
-        bob: Participant,
-        config: GameConfig,
-        plan: &FaultPlan,
-    ) -> BettingGame {
-        let wallets = [alice.wallet.address, bob.wallet.address];
-        let session = BettingSession::new(BettingSessionParams {
-            alice,
-            bob,
-            config,
-            topic: SIGNATURE_TOPIC.into(),
-            contracts: (OnChainContract::new(), OffChainContract::new()),
-            start_delay: 0,
-        });
-        BettingGame {
-            sched: NetworkScheduler::solo(Box::new(session), "betting", plan, wallets),
-        }
-    }
-
-    /// Runs the complete game and produces the report.
-    pub fn run(mut self) -> Result<(BettingGame, ProtocolReport), ProtocolError> {
-        self.sched.run();
-        if let Some(e) = self.sched.failure() {
-            return Err(e.clone());
-        }
-        let report = self.report(self.whisper().history(SIGNATURE_TOPIC).len());
-        Ok((self, report))
-    }
-
-    /// The game's chain.
-    pub fn net(&self) -> &Testnet {
-        self.sched.network().node(0)
-    }
-
-    /// Mutable access to the game's chain (post-run probing: extra
-    /// wallets, hostile calls).
-    pub fn net_mut(&mut self) -> &mut Testnet {
-        self.sched.network_mut().node_mut(0)
-    }
-
-    /// The off-chain message bus.
-    pub fn whisper(&self) -> &Whisper {
-        self.sched.network().bus()
-    }
-
-    /// The chain fault schedule's state (injected-fault log, budgets).
-    pub fn chain_faults(&self) -> &ChainFaults {
-        self.sched.faults().0
-    }
-
-    /// The whisper fault schedule's state (injected-fault log, budgets).
-    pub fn whisper_faults(&self) -> &WhisperFaults {
-        self.sched.faults().1
-    }
-}

@@ -12,9 +12,9 @@
 use super::sign::{SignExchange, MAX_SIGN_ROUNDS, SIGN_ROUND_SECS};
 use super::{hold_for_start, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
 use crate::participant::{Participant, Strategy};
-use crate::protocol::{GameConfig, Outcome, ProtocolError, ProtocolReport, TxRecord};
+use crate::protocol::{Outcome, ProtocolError, TxRecord};
 use crate::signedcopy::{bytecode_hash, sign_bytecode, SignedCopy};
-use sc_contracts::{OffChainContract, OnChainContract, Timeline, DEPLOYED_ADDR_SLOT};
+use sc_contracts::{BetSecrets, OffChainContract, OnChainContract, Timeline, DEPLOYED_ADDR_SLOT};
 use sc_primitives::{ether, Address, U256};
 
 /// Where the machine is in Fig. 2.
@@ -56,8 +56,10 @@ pub struct BettingSessionParams {
     pub alice: Participant,
     /// Participant 1.
     pub bob: Participant,
-    /// Phase length and the private bet.
-    pub config: GameConfig,
+    /// Seconds between T0→T1→T2→T3.
+    pub phase_seconds: u64,
+    /// The private bet.
+    pub secrets: BetSecrets,
     /// Whisper topic for the signature exchange (session-scoped when
     /// many sessions share one bus).
     pub topic: String,
@@ -79,11 +81,15 @@ pub struct BettingSession {
     pub bob: Participant,
     /// The game's windows (placeholder until the session starts).
     pub timeline: Timeline,
-    /// Address of the deployed on-chain contract (after deploy/sign).
-    pub onchain_addr: Option<Address>,
+    /// Deployed on-chain contract (zero until the deploy lands).
+    pub onchain: Address,
     /// The agreed off-chain initcode.
     pub offchain_bytecode: Vec<u8>,
-    pub(crate) config: GameConfig,
+    /// Bytes of the off-chain contract made public on-chain (0 on the
+    /// honest path; the privacy metric of Fig. 1).
+    pub offchain_bytes_revealed: usize,
+    phase_seconds: u64,
+    secrets: BetSecrets,
     topic: String,
     start_delay: u64,
     start_at: Option<u64>,
@@ -91,7 +97,6 @@ pub struct BettingSession {
     log: TxLog,
     sign: Option<SignExchange>,
     deposits_made: [bool; 2],
-    offchain_bytes_revealed: usize,
     posts: usize,
     outcome: Option<Outcome>,
 }
@@ -104,18 +109,20 @@ impl BettingSession {
         let offchain_bytecode = offchain_abi.initcode(
             params.alice.wallet.address,
             params.bob.wallet.address,
-            params.config.secrets,
+            params.secrets,
         );
-        let timeline = Timeline::starting_at(0, params.config.phase_seconds);
+        let timeline = Timeline::starting_at(0, params.phase_seconds);
         BettingSession {
             onchain_abi,
             offchain_abi,
             alice: params.alice,
             bob: params.bob,
             timeline,
-            onchain_addr: None,
+            onchain: Address::ZERO,
             offchain_bytecode,
-            config: params.config,
+            offchain_bytes_revealed: 0,
+            phase_seconds: params.phase_seconds,
+            secrets: params.secrets,
             topic: params.topic,
             start_delay: params.start_delay,
             start_at: None,
@@ -123,7 +130,6 @@ impl BettingSession {
             log: TxLog::default(),
             sign: None,
             deposits_made: [false, false],
-            offchain_bytes_revealed: 0,
             posts: 0,
             outcome: None,
         }
@@ -142,21 +148,6 @@ impl BettingSession {
         self.outcome
     }
 
-    /// Builds the run report. `offchain_messages` is supplied by the
-    /// owner of the bus (what the session's topic actually carried,
-    /// after faults).
-    pub fn report(&self, offchain_messages: usize) -> ProtocolReport {
-        let outcome = self.outcome.expect("session not finished");
-        ProtocolReport {
-            txs: self.log.txs().to_vec(),
-            outcome,
-            dispute: outcome == Outcome::SettledByDispute,
-            winner_is_bob: self.config.secrets.winner_is_bob(),
-            offchain_bytes_revealed: self.offchain_bytes_revealed,
-            offchain_messages,
-        }
-    }
-
     fn finish(&mut self, outcome: Outcome) -> StepOutcome {
         self.outcome = Some(outcome);
         self.phase = Phase::Done;
@@ -164,7 +155,7 @@ impl BettingSession {
     }
 
     fn winner_is_bob(&self) -> bool {
-        self.config.secrets.winner_is_bob()
+        self.secrets.winner_is_bob()
     }
 
     fn loser(&self) -> Participant {
@@ -229,7 +220,7 @@ impl Session for BettingSession {
                 if let Some(wait) = hold_for_start(&mut self.start_at, self.start_delay, now) {
                     return Ok(wait);
                 }
-                self.timeline = Timeline::starting_at(now, self.config.phase_seconds);
+                self.timeline = Timeline::starting_at(now, self.phase_seconds);
                 self.phase = Phase::Deploy;
                 Ok(StepOutcome::Progress)
             }
@@ -253,10 +244,10 @@ impl Session for BettingSession {
                 }
                 match self.log.poll(ctx.chain) {
                     Sent::Landed(r) => {
-                        if !r.success {
+                        let Some(onchain) = r.contract_address.filter(|_| r.success) else {
                             return Err(ProtocolError::TxFailed("deploy onChain".into()));
-                        }
-                        self.onchain_addr = r.contract_address;
+                        };
+                        self.onchain = onchain;
                         self.sign = Some(SignExchange::new(
                             bytecode_hash(&self.offchain_bytecode),
                             [self.alice.wallet.address, self.bob.wallet.address],
@@ -310,7 +301,7 @@ impl Session for BettingSession {
                     self.log.start(TxTask::new(
                         "deposit",
                         p.wallet,
-                        Some(self.onchain_addr.expect("deployed")),
+                        Some(self.onchain),
                         ether(1),
                         self.onchain_abi.deposit(),
                         300_000,
@@ -350,7 +341,7 @@ impl Session for BettingSession {
                     self.log.start(TxTask::new(
                         "refundRoundTwo",
                         self.participant(idx).wallet,
-                        Some(self.onchain_addr.expect("deployed")),
+                        Some(self.onchain),
                         U256::ZERO,
                         self.onchain_abi.refund_round_two(),
                         300_000,
@@ -388,7 +379,7 @@ impl Session for BettingSession {
                     self.log.start(TxTask::new(
                         "reassign",
                         self.loser().wallet,
-                        Some(self.onchain_addr.expect("deployed")),
+                        Some(self.onchain),
                         U256::ZERO,
                         self.onchain_abi.reassign(),
                         300_000,
@@ -438,7 +429,7 @@ impl Session for BettingSession {
                     self.log.start(TxTask::new(
                         "deployVerifiedInstance (forged)",
                         loser.wallet,
-                        Some(self.onchain_addr.expect("deployed")),
+                        Some(self.onchain),
                         U256::ZERO,
                         data,
                         600_000,
@@ -473,7 +464,7 @@ impl Session for BettingSession {
                     self.log.start(TxTask::new(
                         "deployVerifiedInstance",
                         self.winner().wallet,
-                        Some(self.onchain_addr.expect("deployed")),
+                        Some(self.onchain),
                         U256::ZERO,
                         data,
                         600_000,
@@ -495,9 +486,8 @@ impl Session for BettingSession {
                     // Read deployedAddr from the on-chain contract's
                     // storage; anyone certified can then trigger the
                     // miner-enforced resolution.
-                    let onchain = self.onchain_addr.expect("deployed");
                     let instance =
-                        super::deployed_instance(ctx.chain, onchain, DEPLOYED_ADDR_SLOT)?;
+                        super::deployed_instance(ctx.chain, self.onchain, DEPLOYED_ADDR_SLOT)?;
                     if instance.is_zero() {
                         return Err(ProtocolError::NoVerifiedInstance);
                     }
@@ -506,8 +496,8 @@ impl Session for BettingSession {
                         self.winner().wallet,
                         Some(instance),
                         U256::ZERO,
-                        self.offchain_abi.return_dispute_resolution(onchain),
-                        super::dispute_gas_limit(self.config.secrets.weight),
+                        self.offchain_abi.return_dispute_resolution(self.onchain),
+                        super::dispute_gas_limit(self.secrets.weight),
                         None,
                     ));
                 }

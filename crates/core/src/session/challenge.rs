@@ -3,17 +3,10 @@
 //! Setup (deploy, stake + security deposits, wait out T2), then the
 //! representative's submission, the challenge window, and the
 //! escalation paths for a crashed representative (forced resolution for
-//! a watching counterparty, stake reclamation for a sleeping one). The
-//! behaviours — submit/watch strategies and the crash point — can be
-//! rebound before the machine is first stepped, which is how
-//! [`ChallengeGame`](crate::challenge_protocol::ChallengeGame) offers
-//! its two-call `with_faults()` + `run_with_crash()` API on top of one
-//! machine.
+//! a watching counterparty, stake reclamation for a sleeping one).
 
 use super::{hold_for_start, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
-use crate::challenge_protocol::{
-    ChallengeOutcome, ChallengeReport, CrashPoint, SubmitStrategy, WatchStrategy,
-};
+use crate::challenge_protocol::{ChallengeOutcome, CrashPoint, SubmitStrategy, WatchStrategy};
 use crate::participant::Participant;
 use crate::protocol::{ProtocolError, TxRecord};
 use crate::signedcopy::SignedCopy;
@@ -95,6 +88,9 @@ pub struct ChallengeSession {
     pub bytecode: Vec<u8>,
     /// The game's T1/T2 windows (T3 unused by this variant).
     pub timeline: Timeline,
+    /// Bytes of the off-chain contract made public (0 without a
+    /// challenge).
+    pub offchain_bytes_revealed: usize,
     secrets: BetSecrets,
     window: u64,
     submit: SubmitStrategy,
@@ -105,7 +101,6 @@ pub struct ChallengeSession {
     phase: Phase,
     log: TxLog,
     proposed_at: u64,
-    revealed: usize,
     outcome: Option<ChallengeOutcome>,
 }
 
@@ -125,6 +120,7 @@ impl ChallengeSession {
             onchain: Address::ZERO,
             bytecode,
             timeline: Timeline::starting_at(0, 3600),
+            offchain_bytes_revealed: 0,
             secrets: params.secrets,
             window: params.window,
             submit: params.submit,
@@ -135,22 +131,8 @@ impl ChallengeSession {
             phase: Phase::Start,
             log: TxLog::default(),
             proposed_at: 0,
-            revealed: 0,
             outcome: None,
         }
-    }
-
-    /// Rebinds the behaviours. Only meaningful before the machine routes
-    /// on them (after T2).
-    pub fn set_behaviour(
-        &mut self,
-        submit: SubmitStrategy,
-        watch: WatchStrategy,
-        crash: CrashPoint,
-    ) {
-        self.submit = submit;
-        self.watch = watch;
-        self.crash = crash;
     }
 
     /// The fully signed copy of the off-chain contract.
@@ -164,16 +146,6 @@ impl ChallengeSession {
     /// The terminal outcome, once the session is done.
     pub fn outcome(&self) -> Option<ChallengeOutcome> {
         self.outcome
-    }
-
-    /// Builds the run report.
-    pub fn report(&self) -> ChallengeReport {
-        ChallengeReport {
-            txs: self.log.txs().to_vec(),
-            outcome: self.outcome.expect("session not finished"),
-            winner_is_bob: self.secrets.winner_is_bob(),
-            offchain_bytes_revealed: self.revealed,
-        }
     }
 
     fn finish(&mut self, outcome: ChallengeOutcome) -> StepOutcome {
@@ -312,7 +284,7 @@ impl Session for ChallengeSession {
                 }
                 match self.log.poll_must(ctx.chain)? {
                     Ok(_) => {
-                        self.revealed = self.bytecode.len();
+                        self.offchain_bytes_revealed = self.bytecode.len();
                         self.phase = Phase::StaleResolve;
                         Ok(StepOutcome::Progress)
                     }
@@ -430,7 +402,7 @@ impl Session for ChallengeSession {
                 self.phase = match self.log.poll(ctx.chain) {
                     Sent::Hold(hold) => return Ok(hold),
                     Sent::Landed(r) if r.success => {
-                        self.revealed = self.bytecode.len();
+                        self.offchain_bytes_revealed = self.bytecode.len();
                         Phase::ChallengeResolve
                     }
                     Sent::Landed(_) | Sent::Missed | Sent::Rejected(_) => Phase::FinalizeWait,

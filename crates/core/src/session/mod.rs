@@ -329,8 +329,9 @@ pub struct SessionCtx<'a> {
 }
 
 /// A protocol session the scheduler can drive to completion. `Any`, so
-/// the single-session front-ends can get their typed machine back out
-/// of the scheduler's boxed slot. What a session did on-chain is read
+/// [`NetworkScheduler::session`](crate::net::NetworkScheduler::session)
+/// can hand a caller its typed machine back out of the scheduler's boxed
+/// slot. What a session did on-chain is read
 /// off [`Session::txs`]; the scheduler derives a report's gas totals,
 /// stage breakdown and `(label, success)` trace from it.
 pub trait Session: Any {

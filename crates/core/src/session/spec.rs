@@ -2,10 +2,11 @@
 //! [`SessionSpec`] per session going in, one [`SessionReport`] per
 //! session coming out.
 //!
-//! Determinism: wallets derive from the slot id
-//! (`session_wallets`), each spec carries its own fault seed, and
-//! contracts are compiled once per variant and cloned into each session
-//! — two runs from identical specs build identical machines.
+//! Determinism: wallets derive from the spec's seats or, by default,
+//! the slot id (`SessionSpec::wallets`), each spec carries its own
+//! fault seed, and contracts are compiled once per variant and cloned
+//! into each session — two runs from identical specs build identical
+//! machines.
 
 use super::{
     BettingSession, BettingSessionParams, ChallengeSession, ChallengeSessionParams, Session,
@@ -13,10 +14,18 @@ use super::{
 };
 use crate::challenge_protocol::{CrashPoint, SubmitStrategy, WatchStrategy};
 use crate::participant::{Participant, Strategy};
-use crate::protocol::GameConfig;
+use sc_chain::Wallet;
 use sc_contracts::challenge::ChallengeContracts;
 use sc_contracts::confidential::ConfidentialContracts;
 use sc_contracts::{BetSecrets, OffChainContract, OnChainContract};
+use sc_primitives::U256;
+
+/// The private bet a spec carries unless it sets its own.
+const DEFAULT_SECRETS: BetSecrets = BetSecrets {
+    secret_a: U256::from_u64(0xa11ce),
+    secret_b: U256::from_u64(0xb0b),
+    weight: 64,
+};
 
 /// Specification of one betting-variant session.
 #[derive(Debug, Clone)]
@@ -33,6 +42,9 @@ pub struct BettingSpec {
     pub fault_seed: Option<u64>,
     /// Seconds after scheduler start before this session begins.
     pub start_delay: u64,
+    /// Wallet seeds of participants 0 and 1; `None` seats the slot's
+    /// own `s{id}-alice` / `s{id}-bob`.
+    pub seats: Option<[&'static str; 2]>,
 }
 
 impl Default for BettingSpec {
@@ -40,10 +52,11 @@ impl Default for BettingSpec {
         BettingSpec {
             alice: Strategy::Honest,
             bob: Strategy::Honest,
-            secrets: GameConfig::default().secrets,
+            secrets: DEFAULT_SECRETS,
             phase_seconds: 3600,
             fault_seed: None,
             start_delay: 0,
+            seats: None,
         }
     }
 }
@@ -65,18 +78,22 @@ pub struct ChallengeSpec {
     pub fault_seed: Option<u64>,
     /// Seconds after scheduler start before this session begins.
     pub start_delay: u64,
+    /// Wallet seeds of the representative and the watcher; `None` seats
+    /// the slot's own `s{id}-alice` / `s{id}-bob`.
+    pub seats: Option<[&'static str; 2]>,
 }
 
 impl Default for ChallengeSpec {
     fn default() -> Self {
         ChallengeSpec {
-            secrets: GameConfig::default().secrets,
+            secrets: DEFAULT_SECRETS,
             window: 1800,
             submit: SubmitStrategy::Truthful,
             watch: WatchStrategy::Vigilant,
             crash: CrashPoint::None,
             fault_seed: None,
             start_delay: 0,
+            seats: None,
         }
     }
 }
@@ -90,6 +107,23 @@ pub enum SessionSpec {
     Challenge(ChallengeSpec),
     /// A confidential channel settled later by voucher.
     SettleLater(SettleLaterSpec),
+}
+
+impl SessionSpec {
+    /// The two wallets the session in slot `id` plays with: its spec's
+    /// seats, else the slot's own. The one derivation both genesis
+    /// funding and the session's participants come from.
+    pub(crate) fn wallets(&self, id: usize) -> [Wallet; 2] {
+        let seats = match self {
+            SessionSpec::Betting(s) => s.seats,
+            SessionSpec::Challenge(s) => s.seats,
+            SessionSpec::SettleLater(_) => None,
+        };
+        match seats {
+            Some(seeds) => seeds.map(Wallet::from_seed),
+            None => ["alice", "bob"].map(|p| Wallet::from_seed(&format!("s{id}-{p}"))),
+        }
+    }
 }
 
 /// Terminal record of one multiplexed session. `PartialEq` because the
@@ -125,29 +159,20 @@ pub(crate) struct ContractCache {
     confidential: Option<ConfidentialContracts>,
 }
 
-/// The deterministic wallets a session slot plays with, derivable from
-/// the slot id alone — what lets a run pre-fund every participant at
-/// genesis, before the session even exists.
-pub(crate) fn session_wallets(id: usize) -> [sc_chain::Wallet; 2] {
-    [
-        sc_chain::Wallet::from_seed(&format!("s{id}-alice")),
-        sc_chain::Wallet::from_seed(&format!("s{id}-bob")),
-    ]
-}
-
 /// Builds one session state machine from its spec.
 ///
-/// `topic` namespaces the session's off-chain traffic on the shared
-/// bus. The session's wallets ([`session_wallets`]) must be funded at
-/// genesis.
+/// `wallets` are the ones [`SessionSpec::wallets`] derived for its slot
+/// (funded at genesis); `topic` namespaces the session's off-chain
+/// traffic on the shared bus.
 ///
 /// Returns the boxed machine, its kind label, and the fault seed.
 pub(crate) fn build_session(
-    id: usize,
     spec: SessionSpec,
+    wallets: [Wallet; 2],
     topic: String,
     contracts: &mut ContractCache,
 ) -> (Box<dyn Session>, &'static str, Option<u64>) {
+    let [alice, bob] = wallets;
     match spec {
         SessionSpec::Betting(s) => {
             let pair = contracts
@@ -155,12 +180,16 @@ pub(crate) fn build_session(
                 .get_or_insert_with(|| (OnChainContract::new(), OffChainContract::new()))
                 .clone();
             let session = BettingSession::new(BettingSessionParams {
-                alice: Participant::with_strategy(&format!("s{id}-alice"), s.alice),
-                bob: Participant::with_strategy(&format!("s{id}-bob"), s.bob),
-                config: GameConfig {
-                    phase_seconds: s.phase_seconds,
-                    secrets: s.secrets,
+                alice: Participant {
+                    wallet: alice,
+                    strategy: s.alice,
                 },
+                bob: Participant {
+                    wallet: bob,
+                    strategy: s.bob,
+                },
+                phase_seconds: s.phase_seconds,
+                secrets: s.secrets,
                 topic,
                 contracts: pair,
                 start_delay: s.start_delay,
@@ -177,8 +206,14 @@ pub(crate) fn build_session(
                 .get_or_insert_with(ChallengeContracts::new)
                 .clone();
             let session = ChallengeSession::new(ChallengeSessionParams {
-                alice: Participant::honest(&format!("s{id}-alice")),
-                bob: Participant::honest(&format!("s{id}-bob")),
+                alice: Participant {
+                    wallet: alice,
+                    strategy: Strategy::Honest,
+                },
+                bob: Participant {
+                    wallet: bob,
+                    strategy: Strategy::Honest,
+                },
                 secrets: s.secrets,
                 window: s.window,
                 contracts: pair,
@@ -198,7 +233,6 @@ pub(crate) fn build_session(
                 .confidential
                 .get_or_insert_with(ConfidentialContracts::new)
                 .clone();
-            let [alice, bob] = session_wallets(id);
             let fault_seed = s.fault_seed;
             let session = SettleLaterSession::new(SettleLaterSessionParams {
                 alice,

@@ -1,16 +1,18 @@
 //! The full submit/challenge strategy matrix: every combination of
 //! SubmitStrategy × WatchStrategy × CrashPoint terminates in exactly the
 //! expected outcome, and ether is conserved in every cell — including
-//! the design's accepted residual risk (`LieStood`).
+//! the design's accepted residual risk (`LieStood`). Each game runs
+//! alone on a 1-node scheduler with `alice` (the representative) and
+//! `bob` (the watcher) seated.
 
+use sc_chain::{PoolConfig, Testnet};
 use sc_contracts::challenge::CHALLENGE_DEPLOYED_ADDR_SLOT;
 use sc_contracts::BetSecrets;
 use sc_core::{
-    check_conservation, ChallengeGame, ChallengeOutcome, CrashPoint, SubmitStrategy, WatchStrategy,
+    check_conservation, ChallengeOutcome, ChallengeSession, ChallengeSpec, CrashPoint,
+    NetworkScheduler, Session, SessionReport, SessionSpec, SubmitStrategy, WatchStrategy,
 };
-use sc_primitives::U256;
-
-const WINDOW: u64 = 1800;
+use sc_primitives::{ether, U256};
 
 fn secrets_bob_wins() -> BetSecrets {
     let mut s = BetSecrets {
@@ -24,21 +26,58 @@ fn secrets_bob_wins() -> BetSecrets {
     s
 }
 
+/// One game run to its end without a protocol error.
+fn play(
+    submit: SubmitStrategy,
+    watch: WatchStrategy,
+    crash: CrashPoint,
+) -> (NetworkScheduler, SessionReport) {
+    let spec = ChallengeSpec {
+        secrets: secrets_bob_wins(),
+        submit,
+        watch,
+        crash,
+        seats: Some(["alice", "bob"]),
+        ..ChallengeSpec::default()
+    };
+    let mut sched = NetworkScheduler::new(
+        vec![SessionSpec::Challenge(spec)],
+        1,
+        PoolConfig::default(),
+        None,
+    );
+    let report = sched.run().remove(0);
+    assert_eq!(
+        report.error, None,
+        "cell ({submit:?}, {watch:?}, {crash:?})"
+    );
+    (sched, report)
+}
+
+/// The game's machine after the run.
+fn game(sched: &NetworkScheduler) -> &ChallengeSession {
+    sched.session(0).expect("a challenge game")
+}
+
+fn chain(sched: &NetworkScheduler) -> &Testnet {
+    sched.network().node(0)
+}
+
 fn run_cell(submit: SubmitStrategy, watch: WatchStrategy, crash: CrashPoint) -> ChallengeOutcome {
-    let game = ChallengeGame::new(secrets_bob_wins(), WINDOW);
-    let (game, report) = game.run_with_crash(submit, watch, crash);
-    check_conservation(game.net()).unwrap_or_else(|e| {
+    let (sched, _report) = play(submit, watch, crash);
+    let game = game(&sched);
+    check_conservation(chain(&sched)).unwrap_or_else(|e| {
         panic!("cell ({submit:?}, {watch:?}, {crash:?}): {e}");
     });
     // Every recorded tx has a sender who is one of the two participants.
-    for tx in &report.txs {
+    for tx in game.txs() {
         assert!(
             tx.sender == game.alice.wallet.address || tx.sender == game.bob.wallet.address,
             "unknown sender in {:?}",
             tx.label
         );
     }
-    report.outcome
+    game.outcome().expect("terminal outcome")
 }
 
 /// Acceptance for the authenticated-state loop: after a disputed game,
@@ -47,17 +86,23 @@ fn run_cell(submit: SubmitStrategy, watch: WatchStrategy, crash: CrashPoint) -> 
 /// value or a tampered Merkle path is rejected.
 #[test]
 fn dispute_winner_slot_proves_against_header_root() {
-    let game = ChallengeGame::new(secrets_bob_wins(), WINDOW);
-    let (mut game, report) = game.run(SubmitStrategy::False, WatchStrategy::Vigilant);
-    assert_eq!(report.outcome, ChallengeOutcome::ResolvedByChallenge);
+    let (mut sched, _report) = play(
+        SubmitStrategy::False,
+        WatchStrategy::Vigilant,
+        CrashPoint::None,
+    );
+    assert_eq!(
+        game(&sched).outcome(),
+        Some(ChallengeOutcome::ResolvedByChallenge)
+    );
 
-    let onchain = game.onchain;
+    let onchain = game(&sched).onchain;
     let slot = U256::from_u64(CHALLENGE_DEPLOYED_ADDR_SLOT);
-    let trusted = game.net().storage_at(onchain, slot);
+    let trusted = chain(&sched).storage_at(onchain, slot);
     assert_ne!(trusted, U256::ZERO, "challenge() recorded deployedAddr");
 
-    let proof = game.net_mut().prove_storage(onchain, slot);
-    let header_root = game.net().head().state_root;
+    let proof = sched.network_mut().node_mut(0).prove_storage(onchain, slot);
+    let header_root = chain(&sched).head().state_root;
     assert_eq!(proof.root, header_root, "proof anchors to the sealed head");
     assert_eq!(proof.value, trusted);
     proof.verify(header_root).expect("honest witness verifies");
@@ -141,19 +186,21 @@ fn lie_stood_cell_conserves_ether_and_pays_the_liar() {
     // the sleeping honest winner eats the stake — but no wei is created
     // or destroyed, and the honest floor (deposit + gas) still bounds
     // the loss.
-    let game = ChallengeGame::new(secrets_bob_wins(), WINDOW);
-    let alice_addr = game.alice.wallet.address;
-    let bob_addr = game.bob.wallet.address;
-    let (game, report) = game.run(SubmitStrategy::False, WatchStrategy::Asleep);
-    assert_eq!(report.outcome, ChallengeOutcome::LieStood);
-    check_conservation(game.net()).unwrap();
+    let (sched, _report) = play(
+        SubmitStrategy::False,
+        WatchStrategy::Asleep,
+        CrashPoint::None,
+    );
+    let (game, chain) = (game(&sched), chain(&sched));
+    assert_eq!(game.outcome(), Some(ChallengeOutcome::LieStood));
+    check_conservation(chain).unwrap();
     // The liar pocketed Bob's stake…
-    assert!(game.net().balance_of(alice_addr) > sc_primitives::ether(1000));
+    assert!(chain.balance_of(game.alice.wallet.address) > ether(1000));
     // …and Bob lost at most stake + security deposit (he spent gas only
     // on his own deposit).
-    let floor = sc_primitives::ether(1000)
+    let floor = ether(1000)
         .wrapping_sub(sc_contracts::challenge::stake())
         .wrapping_sub(sc_contracts::challenge::security_deposit());
-    let bob_final = game.net().balance_of(bob_addr);
-    assert!(bob_final >= floor.wrapping_sub(sc_primitives::ether(1) / U256::from_u64(100)));
+    let bob_final = chain.balance_of(game.bob.wallet.address);
+    assert!(bob_final >= floor.wrapping_sub(ether(1) / U256::from_u64(100)));
 }

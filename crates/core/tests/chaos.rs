@@ -24,14 +24,15 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use sc_chain::{PoolConfig, Testnet};
 use sc_contracts::challenge::{security_deposit, stake};
 use sc_contracts::BetSecrets;
 use sc_core::{
-    check_conservation, check_honest_floor, check_state_commitments, BettingGame, ChallengeGame,
-    CrashPoint, FaultPlan, GameConfig, Participant, Strategy, SubmitStrategy, WatchStrategy,
-    XorShift64,
+    check_conservation, check_honest_floor, check_state_commitments, gas_spent_by, BettingSession,
+    BettingSpec, ChallengeSession, ChallengeSpec, CrashPoint, NetworkScheduler, Session,
+    SessionReport, SessionSpec, Strategy, SubmitStrategy, TxRecord, WatchStrategy, XorShift64,
 };
-use sc_primitives::{ether, gwei, U256};
+use sc_primitives::{ether, gwei, Address, U256};
 
 /// Base of the pinned seed schedule. Seed i is the i-th draw of an
 /// [`XorShift64`] stream started here, so the CI sweep is reproducible
@@ -59,6 +60,56 @@ fn secrets_bob_wins() -> BetSecrets {
         s.secret_a = s.secret_a.wrapping_add(U256::ONE);
     }
     s
+}
+
+/// Runs one session alone on a quiet 1-node network. Termination in a
+/// valid outcome: `run` returning at all (with no protocol error) IS the
+/// property; a hung stage would spin forever and a panic is caught by
+/// the harness.
+fn run_one(spec: SessionSpec) -> (NetworkScheduler, SessionReport) {
+    let mut sched = NetworkScheduler::new(vec![spec], 1, PoolConfig::default(), None);
+    let report = sched.run().remove(0);
+    assert_eq!(report.error, None, "driver terminates cleanly");
+    (sched, report)
+}
+
+fn betting_spec(seed: u64, alice: Strategy, bob: Strategy) -> SessionSpec {
+    SessionSpec::Betting(BettingSpec {
+        alice,
+        bob,
+        secrets: secrets_bob_wins(),
+        fault_seed: Some(seed),
+        seats: Some(["alice", "bob"]),
+        ..BettingSpec::default()
+    })
+}
+
+fn challenge_spec(
+    seed: u64,
+    submit: SubmitStrategy,
+    watch: WatchStrategy,
+    crash: CrashPoint,
+) -> SessionSpec {
+    SessionSpec::Challenge(ChallengeSpec {
+        secrets: secrets_bob_wins(),
+        submit,
+        watch,
+        crash,
+        fault_seed: Some(seed),
+        seats: Some(["alice", "bob"]),
+        ..ChallengeSpec::default()
+    })
+}
+
+/// Checks conservation, the state commitments and the honest floor of
+/// every `honest` participant against the chain a run left behind.
+fn check_invariants(chain: &Testnet, txs: &[TxRecord], honest: &[(&str, Address)], deposit: U256) {
+    check_conservation(chain).unwrap();
+    check_state_commitments(chain).unwrap();
+    for &(who, addr) in honest {
+        let gas = gas_spent_by(txs, addr, gwei(1));
+        check_honest_floor(who, ether(1000), chain.balance_of(addr), deposit, gas).unwrap();
+    }
 }
 
 /// Runs `f`; on panic, re-panics with the reproducing seed in the
@@ -134,60 +185,30 @@ const QUICK_CHALLENGE_CELLS: [(SubmitStrategy, WatchStrategy, CrashPoint); 9] = 
 /// One betting-game run under the seed's fault schedule, with all
 /// invariants checked.
 fn betting_cell(seed: u64, alice_strategy: Strategy, bob_strategy: Strategy) {
-    let plan = FaultPlan::from_seed(seed);
-    let game = BettingGame::with_faults(
-        Participant::with_strategy("alice", alice_strategy),
-        Participant::with_strategy("bob", bob_strategy),
-        GameConfig {
-            phase_seconds: 3600,
-            secrets: secrets_bob_wins(),
-        },
-        &plan,
-    );
-    let alice_addr = game.alice.wallet.address;
-    let bob_addr = game.bob.wallet.address;
-    // Termination in a valid outcome: `run` returning at all (and Ok)
-    // IS the property; a hung stage would spin forever and a panic is
-    // caught by the harness.
-    let (game, report) = game.run().expect("driver terminates cleanly");
-
-    check_conservation(game.net()).unwrap();
-    check_state_commitments(game.net()).unwrap();
-    for (who, addr, strategy) in [
-        ("alice", alice_addr, alice_strategy),
-        ("bob", bob_addr, bob_strategy),
-    ] {
-        if strategy == Strategy::Honest {
-            let gas = U256::from_u64(report.gas_spent_by(addr)).wrapping_mul(gwei(1));
-            check_honest_floor(who, ether(1000), game.net().balance_of(addr), ether(1), gas)
-                .unwrap();
-        }
-    }
+    let (sched, _report) = run_one(betting_spec(seed, alice_strategy, bob_strategy));
+    let game: &BettingSession = sched.session(0).expect("a betting game");
+    let honest: Vec<_> = [("alice", &game.alice), ("bob", &game.bob)]
+        .into_iter()
+        .filter(|(_, p)| p.strategy == Strategy::Honest)
+        .map(|(who, p)| (who, p.wallet.address))
+        .collect();
+    check_invariants(sched.network().node(0), game.txs(), &honest, ether(1));
 }
 
 /// One challenge-game run under the seed's fault schedule, with all
 /// invariants checked.
 fn challenge_cell(seed: u64, submit: SubmitStrategy, watch: WatchStrategy, crash: CrashPoint) {
-    let plan = FaultPlan::from_seed(seed);
-    let game = ChallengeGame::with_faults(secrets_bob_wins(), 1800, &plan);
-    let alice_addr = game.alice.wallet.address;
-    let bob_addr = game.bob.wallet.address;
-    let (game, report) = game.run_with_crash(submit, watch, crash);
-
-    check_conservation(game.net()).unwrap();
-    check_state_commitments(game.net()).unwrap();
-    let deposit = stake().wrapping_add(security_deposit());
+    let (sched, _report) = run_one(challenge_spec(seed, submit, watch, crash));
+    let game: &ChallengeSession = sched.session(0).expect("a challenge game");
     // The watcher is honest under every watch behaviour; the
     // representative is honest when submitting truthfully (crashing is
     // a fault, not a deviation).
-    let mut honest = vec![("bob", bob_addr)];
+    let mut honest = vec![("bob", game.bob.wallet.address)];
     if submit == SubmitStrategy::Truthful {
-        honest.push(("alice", alice_addr));
+        honest.push(("alice", game.alice.wallet.address));
     }
-    for (who, addr) in honest {
-        let gas = U256::from_u64(report.gas_spent_by(addr)).wrapping_mul(gwei(1));
-        check_honest_floor(who, ether(1000), game.net().balance_of(addr), deposit, gas).unwrap();
-    }
+    let deposit = stake().wrapping_add(security_deposit());
+    check_invariants(sched.network().node(0), game.txs(), &honest, deposit);
 }
 
 fn sweep(seeds: &[u64], challenge_cells: &[(SubmitStrategy, WatchStrategy, CrashPoint)]) {
@@ -229,30 +250,19 @@ fn chaos_runs_are_deterministic_per_seed() {
     let seed = chaos_seeds(1)[0];
 
     let run_betting = || {
-        let plan = FaultPlan::from_seed(seed);
-        let game = BettingGame::with_faults(
-            Participant::with_strategy("alice", Strategy::SilentLoser),
-            Participant::with_strategy("bob", Strategy::Honest),
-            GameConfig {
-                phase_seconds: 3600,
-                secrets: secrets_bob_wins(),
-            },
-            &plan,
-        );
-        let alice_addr = game.alice.wallet.address;
-        let bob_addr = game.bob.wallet.address;
-        let (game, report) = game.run().unwrap();
+        let (sched, _report) = run_one(betting_spec(seed, Strategy::SilentLoser, Strategy::Honest));
+        let game: &BettingSession = sched.session(0).expect("a betting game");
+        let (chain, (chain_faults, whisper_faults)) = (sched.network().node(0), sched.faults(0));
         (
-            report.outcome,
-            report
-                .txs
+            game.outcome(),
+            game.txs()
                 .iter()
                 .map(|t| (t.label.clone(), t.gas_used, t.success))
                 .collect::<Vec<_>>(),
-            game.net().balance_of(alice_addr),
-            game.net().balance_of(bob_addr),
-            game.chain_faults().injected_faults().to_vec(),
-            game.whisper_faults().injected_faults().to_vec(),
+            chain.balance_of(game.alice.wallet.address),
+            chain.balance_of(game.bob.wallet.address),
+            chain_faults.injected_faults().to_vec(),
+            whisper_faults.injected_faults().to_vec(),
         )
     };
     assert_eq!(
@@ -262,25 +272,24 @@ fn chaos_runs_are_deterministic_per_seed() {
     );
 
     let run_challenge = || {
-        let plan = FaultPlan::from_seed(seed);
-        let game = ChallengeGame::with_faults(secrets_bob_wins(), 1800, &plan);
-        let alice_addr = game.alice.wallet.address;
-        let bob_addr = game.bob.wallet.address;
-        let (game, report) = game.run_with_crash(
+        let spec = challenge_spec(
+            seed,
             SubmitStrategy::False,
             WatchStrategy::Vigilant,
             CrashPoint::None,
         );
+        let (sched, _report) = run_one(spec);
+        let game: &ChallengeSession = sched.session(0).expect("a challenge game");
+        let chain = sched.network().node(0);
         (
-            report.outcome,
-            report
-                .txs
+            game.outcome(),
+            game.txs()
                 .iter()
                 .map(|t| (t.label.clone(), t.sender, t.gas_used, t.success))
                 .collect::<Vec<_>>(),
-            game.net().balance_of(alice_addr),
-            game.net().balance_of(bob_addr),
-            game.chain_faults().injected_faults().to_vec(),
+            chain.balance_of(game.alice.wallet.address),
+            chain.balance_of(game.bob.wallet.address),
+            sched.faults(0).0.injected_faults().to_vec(),
         )
     };
     assert_eq!(

@@ -1,19 +1,42 @@
 //! End-to-end protocol tests: the full four-stage game on the chain
 //! simulator, honest and Byzantine.
 
+use sc_chain::{PoolConfig, Testnet};
 use sc_contracts::BetSecrets;
-use sc_core::{BettingGame, GameConfig, Outcome, Participant, Stage, Strategy};
+use sc_core::{
+    gas_of, stage_gas, BettingSession, BettingSpec, NetworkScheduler, Outcome, Session,
+    SessionReport, SessionSpec, Stage, Strategy, Topic,
+};
 use sc_primitives::{ether, U256};
 
-fn game_with(alice_strategy: Strategy, bob_strategy: Strategy, secrets: BetSecrets) -> BettingGame {
-    BettingGame::new(
-        Participant::with_strategy("alice", alice_strategy),
-        Participant::with_strategy("bob", bob_strategy),
-        GameConfig {
-            phase_seconds: 3600,
-            secrets,
-        },
-    )
+/// One game with `alice`/`bob` seated, alone on a 1-node scheduler and
+/// run to its end without a protocol error.
+fn play(alice: Strategy, bob: Strategy, secrets: BetSecrets) -> (NetworkScheduler, SessionReport) {
+    let spec = BettingSpec {
+        alice,
+        bob,
+        secrets,
+        seats: Some(["alice", "bob"]),
+        ..BettingSpec::default()
+    };
+    let mut sched = NetworkScheduler::new(
+        vec![SessionSpec::Betting(spec)],
+        1,
+        PoolConfig::default(),
+        None,
+    );
+    let report = sched.run().remove(0);
+    assert_eq!(report.error, None);
+    (sched, report)
+}
+
+/// The game's machine after the run.
+fn game(sched: &NetworkScheduler) -> &BettingSession {
+    sched.session(0).expect("a betting game")
+}
+
+fn chain(sched: &NetworkScheduler) -> &Testnet {
+    sched.network().node(0)
 }
 
 /// Secrets where Bob wins (parity 1 after mixing).
@@ -46,79 +69,71 @@ fn alice_wins_secrets() -> BetSecrets {
 #[test]
 fn honest_game_settles_without_revealing_anything() {
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::Honest, Strategy::Honest, secrets);
-    let bob_addr = game.bob.wallet.address;
-    let (game, report) = game.run().unwrap();
+    let (sched, report) = play(Strategy::Honest, Strategy::Honest, secrets);
+    let game = game(&sched);
 
-    assert_eq!(report.outcome, Outcome::SettledHonestly);
-    assert!(!report.dispute);
-    assert!(report.winner_is_bob);
+    assert_eq!(game.outcome(), Some(Outcome::SettledHonestly));
+    assert!(secrets.winner_is_bob());
     // Privacy: zero bytes of the off-chain contract touched the chain.
-    assert_eq!(report.offchain_bytes_revealed, 0);
+    assert_eq!(game.offchain_bytes_revealed, 0);
     // The dispute machinery never ran.
-    assert_eq!(report.stage_gas(Stage::DisputeResolve), 0);
+    assert_eq!(stage_gas(game.txs(), Stage::DisputeResolve), 0);
     // Bob ended up richer by ~1 ether (minus his own gas).
-    let bob_balance = game.net().balance_of(bob_addr);
+    let bob_balance = chain(&sched).balance_of(game.bob.wallet.address);
     assert!(bob_balance > ether(1000));
     // The on-chain contract is drained.
-    assert_eq!(
-        game.net().balance_of(game.onchain_addr.unwrap()),
-        U256::ZERO
-    );
+    assert_eq!(chain(&sched).balance_of(game.onchain), U256::ZERO);
     // Off-chain communication happened (two signatures).
-    assert_eq!(report.offchain_messages, 2);
+    assert_eq!(report.messages_posted, 2);
 }
 
 #[test]
 fn dispute_path_enforces_true_result() {
     // Bob wins; Alice (the loser) goes silent.
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::SilentLoser, Strategy::Honest, secrets);
+    let (sched, _report) = play(Strategy::SilentLoser, Strategy::Honest, secrets);
+    let game = game(&sched);
     let alice_addr = game.alice.wallet.address;
     let bob_addr = game.bob.wallet.address;
-    let (game, report) = game.run().unwrap();
 
-    assert_eq!(report.outcome, Outcome::SettledByDispute);
-    assert!(report.dispute);
+    assert_eq!(game.outcome(), Some(Outcome::SettledByDispute));
     // The true result (Bob wins) was enforced by the miners.
-    let bob_balance = game.net().balance_of(bob_addr);
+    let bob_balance = chain(&sched).balance_of(bob_addr);
     assert!(
         bob_balance > ether(1000),
         "winner must receive both deposits despite the silent loser"
     );
-    let alice_balance = game.net().balance_of(alice_addr);
+    let alice_balance = chain(&sched).balance_of(alice_addr);
     assert!(alice_balance < ether(1000), "loser lost the deposit");
     // Privacy cost of the dispute: the entire bytecode is now public.
-    assert_eq!(report.offchain_bytes_revealed, game.offchain_bytecode.len());
-    assert!(report.offchain_bytes_revealed > 500);
+    assert_eq!(game.offchain_bytes_revealed, game.offchain_bytecode.len());
+    assert!(game.offchain_bytes_revealed > 500);
     // Both extra functions ran and have recorded gas.
-    assert!(report.gas_of("deployVerifiedInstance").is_some());
-    assert!(report.gas_of("returnDisputeResolution").is_some());
+    assert!(gas_of(game.txs(), "deployVerifiedInstance").is_some());
+    assert!(gas_of(game.txs(), "returnDisputeResolution").is_some());
 }
 
 #[test]
 fn dispute_resolves_for_alice_as_winner_too() {
     let secrets = alice_wins_secrets();
     // Alice honest winner; Bob silent loser.
-    let game = game_with(Strategy::Honest, Strategy::SilentLoser, secrets);
-    let alice_addr = game.alice.wallet.address;
-    let (game, report) = game.run().unwrap();
-    assert_eq!(report.outcome, Outcome::SettledByDispute);
-    assert!(!report.winner_is_bob);
-    assert!(game.net().balance_of(alice_addr) > ether(1000));
+    let (sched, _report) = play(Strategy::Honest, Strategy::SilentLoser, secrets);
+    let game = game(&sched);
+    assert_eq!(game.outcome(), Some(Outcome::SettledByDispute));
+    assert!(!secrets.winner_is_bob());
+    assert!(chain(&sched).balance_of(game.alice.wallet.address) > ether(1000));
 }
 
 #[test]
 fn forged_bytecode_is_rejected_on_chain() {
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::ForgingLoser, Strategy::Honest, secrets);
-    let bob_addr = game.bob.wallet.address;
-    let (game, report) = game.run().unwrap();
+    let (sched, _report) = play(Strategy::ForgingLoser, Strategy::Honest, secrets);
+    let game = game(&sched);
 
-    assert_eq!(report.outcome, Outcome::SettledByDispute);
+    assert_eq!(game.outcome(), Some(Outcome::SettledByDispute));
     // The forged submission is recorded as a failed tx.
-    let forged = report
-        .txs
+    let forged = game
+        .txs()
         .iter()
         .find(|t| t.label == "deployVerifiedInstance (forged)")
         .expect("forged attempt recorded");
@@ -128,27 +143,22 @@ fn forged_bytecode_is_rejected_on_chain() {
         "the forger pays for the failed attempt"
     );
     // Justice still prevails.
-    assert!(game.net().balance_of(bob_addr) > ether(1000));
+    assert!(chain(&sched).balance_of(game.bob.wallet.address) > ether(1000));
 }
 
 #[test]
 fn tampered_signature_aborts_before_any_deposit() {
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::SignsTampered, Strategy::Honest, secrets);
-    let alice_addr = game.alice.wallet.address;
-    let bob_addr = game.bob.wallet.address;
-    let (game, report) = game.run().unwrap();
+    let (sched, _report) = play(Strategy::SignsTampered, Strategy::Honest, secrets);
+    let (game, chain) = (game(&sched), chain(&sched));
 
-    assert_eq!(report.outcome, Outcome::AbortedAtSigning);
+    assert_eq!(game.outcome(), Some(Outcome::AbortedAtSigning));
     // No deposits ever reached the contract.
-    assert_eq!(
-        game.net().balance_of(game.onchain_addr.unwrap()),
-        U256::ZERO
-    );
+    assert_eq!(chain.balance_of(game.onchain), U256::ZERO);
     // Nobody lost more than deploy gas.
-    assert!(game.net().balance_of(bob_addr) == ether(1000));
+    assert!(chain.balance_of(game.bob.wallet.address) == ether(1000));
     assert!(
-        game.net().balance_of(alice_addr) < ether(1000),
+        chain.balance_of(game.alice.wallet.address) < ether(1000),
         "deployer paid gas"
     );
 }
@@ -156,14 +166,15 @@ fn tampered_signature_aborts_before_any_deposit() {
 #[test]
 fn refusing_to_sign_aborts() {
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::Honest, Strategy::RefusesToSign, secrets);
+    let (sched, report) = play(Strategy::Honest, Strategy::RefusesToSign, secrets);
+    let game = game(&sched);
     let alice_addr = game.alice.wallet.address;
-    let (game, report) = game.run().unwrap();
-    assert_eq!(report.outcome, Outcome::AbortedAtSigning);
+    assert_eq!(game.outcome(), Some(Outcome::AbortedAtSigning));
     // Alice re-posts every signing round until the deadline; Bob never
     // posts anything.
-    assert!(report.offchain_messages >= 1);
-    let history = game.whisper().history(sc_core::protocol::SIGNATURE_TOPIC);
+    assert!(report.messages_posted >= 1);
+    let topic = Topic::node_session(0, 0, "signed-copy");
+    let history = sched.network().bus().history(&topic);
     assert!(!history.is_empty());
     assert!(
         history.iter().all(|env| env.from == alice_addr),
@@ -174,20 +185,16 @@ fn refusing_to_sign_aborts() {
 #[test]
 fn no_show_leads_to_refund() {
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::Honest, Strategy::NoShow, secrets);
-    let alice_addr = game.alice.wallet.address;
-    let (game, report) = game.run().unwrap();
-    assert_eq!(report.outcome, Outcome::Refunded);
+    let (sched, _report) = play(Strategy::Honest, Strategy::NoShow, secrets);
+    let (game, chain) = (game(&sched), chain(&sched));
+    assert_eq!(game.outcome(), Some(Outcome::Refunded));
     // Alice got her ether back (minus gas).
-    let spent = ether(1000).wrapping_sub(game.net().balance_of(alice_addr));
+    let spent = ether(1000).wrapping_sub(chain.balance_of(game.alice.wallet.address));
     assert!(
         spent < ether(1) / U256::from_u64(100),
         "alice only lost gas, not the deposit: spent {spent}"
     );
-    assert_eq!(
-        game.net().balance_of(game.onchain_addr.unwrap()),
-        U256::ZERO
-    );
+    assert_eq!(chain.balance_of(game.onchain), U256::ZERO);
 }
 
 #[test]
@@ -197,10 +204,10 @@ fn table2_gas_shape_holds() {
     // not solc) but the structure must hold: deploy dominated by code
     // deposit + 2 ecrecover + CREATE, return an order of magnitude less.
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::SilentLoser, Strategy::Honest, secrets);
-    let (game, report) = game.run().unwrap();
-    let deploy_gas = report.gas_of("deployVerifiedInstance").unwrap();
-    let return_gas = report.gas_of("returnDisputeResolution").unwrap();
+    let (sched, _report) = play(Strategy::SilentLoser, Strategy::Honest, secrets);
+    let txs = game(&sched).txs();
+    let deploy_gas = gas_of(txs, "deployVerifiedInstance").unwrap();
+    let return_gas = gas_of(txs, "returnDisputeResolution").unwrap();
     // Same order as the paper: a couple hundred k vs a few tens of k.
     assert!(
         (100_000..600_000).contains(&deploy_gas),
@@ -218,21 +225,17 @@ fn table2_gas_shape_holds() {
     // changes how a session is constructed or driven may move them.
     assert_eq!(deploy_gas, 275_335, "deployVerifiedInstance gas");
     assert_eq!(return_gas, 24_575, "returnDisputeResolution gas");
-    let _ = game;
 }
 
 #[test]
 fn honest_path_is_much_cheaper_than_dispute_path() {
     let secrets = bob_wins_secrets();
-    let (_g1, honest) = game_with(Strategy::Honest, Strategy::Honest, secrets)
-        .run()
-        .unwrap();
-    let (_g2, dispute) = game_with(Strategy::SilentLoser, Strategy::Honest, secrets)
-        .run()
-        .unwrap();
-    let honest_settle = honest.stage_gas(Stage::SubmitChallenge);
+    let (honest, _) = play(Strategy::Honest, Strategy::Honest, secrets);
+    let (dispute, _) = play(Strategy::SilentLoser, Strategy::Honest, secrets);
+    let (honest, dispute) = (game(&honest).txs(), game(&dispute).txs());
+    let honest_settle = stage_gas(honest, Stage::SubmitChallenge);
     let dispute_total =
-        dispute.stage_gas(Stage::SubmitChallenge) + dispute.stage_gas(Stage::DisputeResolve);
+        stage_gas(dispute, Stage::SubmitChallenge) + stage_gas(dispute, Stage::DisputeResolve);
     assert!(
         dispute_total > honest_settle + 150_000,
         "dispute {dispute_total} vs honest {honest_settle}"
@@ -251,9 +254,8 @@ fn dispute_cost_scales_with_reveal_weight() {
         while !secrets.winner_is_bob() {
             secrets.secret_a = secrets.secret_a.wrapping_add(U256::ONE);
         }
-        let game = game_with(Strategy::SilentLoser, Strategy::Honest, secrets);
-        let (_g, report) = game.run().unwrap();
-        gas_at_weight.push(report.gas_of("returnDisputeResolution").unwrap());
+        let (sched, _report) = play(Strategy::SilentLoser, Strategy::Honest, secrets);
+        gas_at_weight.push(gas_of(game(&sched).txs(), "returnDisputeResolution").unwrap());
     }
     // Paper: "deployVerifiedInstance = 225082 + reveal()" — in our pair,
     // reveal() executes inside returnDisputeResolution, so that is where
@@ -270,18 +272,16 @@ fn verified_instance_is_linked_to_its_creator() {
     // contract created BY the on-chain contract (the unique-link
     // authorization of Algorithm 5/6).
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::SilentLoser, Strategy::Honest, secrets);
-    let (game, _report) = game.run().unwrap();
-    let onchain = game.onchain_addr.unwrap();
+    let (sched, _report) = play(Strategy::SilentLoser, Strategy::Honest, secrets);
+    let onchain = game(&sched).onchain;
     let instance = sc_primitives::Address::from_u256(
-        game.net()
-            .storage_at(onchain, U256::from_u64(sc_contracts::DEPLOYED_ADDR_SLOT)),
+        chain(&sched).storage_at(onchain, U256::from_u64(sc_contracts::DEPLOYED_ADDR_SLOT)),
     );
     assert!(!instance.is_zero());
     // CREATE address derivation: keccak(rlp([onchain, nonce=1])).
     assert_eq!(instance, sc_evm::contract_address(onchain, 1));
     // And the instance's code is the off-chain contract's runtime.
-    assert!(!game.net().code_at(instance).is_empty());
+    assert!(!chain(&sched).code_at(instance).is_empty());
 }
 
 #[test]
@@ -289,11 +289,9 @@ fn outsider_cannot_enforce_resolution_directly() {
     // An attacker calling enforceDisputeResolution directly (not via the
     // verified instance) must be rejected by deployedAddrOnly.
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::Honest, Strategy::Honest, secrets);
-    let (mut game, _report) = game.run().unwrap();
-    let onchain = game.onchain_addr.unwrap();
-    let mallory = game.net_mut().funded_wallet("mallory", ether(10));
-    let data = game
+    let (mut sched, _report) = play(Strategy::Honest, Strategy::Honest, secrets);
+    let onchain = game(&sched).onchain;
+    let data = game(&sched)
         .onchain_abi
         .compiled
         .calldata(
@@ -301,8 +299,9 @@ fn outsider_cannot_enforce_resolution_directly() {
             &[sc_primitives::abi::Value::Bool(true)],
         )
         .unwrap();
-    let r = game
-        .net_mut()
+    let chain = sched.network_mut().node_mut(0);
+    let mallory = chain.funded_wallet("mallory", ether(10));
+    let r = chain
         .execute(&mallory, onchain, U256::ZERO, data, 500_000)
         .unwrap();
     assert!(!r.success, "deployedAddrOnly must reject outsiders");
@@ -311,9 +310,9 @@ fn outsider_cannot_enforce_resolution_directly() {
 #[test]
 fn full_tx_ledger_is_recorded() {
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::SilentLoser, Strategy::Honest, secrets);
-    let (_g, report) = game.run().unwrap();
-    let labels: Vec<&str> = report.txs.iter().map(|t| t.label.as_str()).collect();
+    let (sched, report) = play(Strategy::SilentLoser, Strategy::Honest, secrets);
+    let txs = game(&sched).txs();
+    let labels: Vec<&str> = txs.iter().map(|t| t.label.as_str()).collect();
     assert_eq!(
         labels,
         vec![
@@ -324,12 +323,12 @@ fn full_tx_ledger_is_recorded() {
             "returnDisputeResolution"
         ]
     );
-    assert!(report.total_gas() > 0);
+    assert!(report.total_gas > 0);
     assert_eq!(
-        report.total_gas(),
-        report.stage_gas(Stage::DeploySign)
-            + report.stage_gas(Stage::SubmitChallenge)
-            + report.stage_gas(Stage::DisputeResolve)
+        report.total_gas,
+        stage_gas(txs, Stage::DeploySign)
+            + stage_gas(txs, Stage::SubmitChallenge)
+            + stage_gas(txs, Stage::DisputeResolve)
     );
 }
 
@@ -341,8 +340,7 @@ fn gas_profile_of_deploy_verified_instance() {
     // KECCAK256. A completed game supplies the signed copy; the deploy is
     // then profiled against a freshly rebuilt pre-dispute state.
     let secrets = bob_wins_secrets();
-    let game = game_with(Strategy::SilentLoser, Strategy::Honest, secrets);
-    let (game, _report) = game.run().unwrap();
+    let (sched, _report) = play(Strategy::SilentLoser, Strategy::Honest, secrets);
 
     let mut net = sc_chain::Testnet::new();
     let alice = net.funded_wallet("alice", ether(1000));
@@ -368,7 +366,7 @@ fn gas_profile_of_deploy_verified_instance() {
     }
     net.advance_time(4 * 3600);
 
-    let copy = game.signed_copy();
+    let copy = game(&sched).signed_copy();
     let data =
         on.deploy_verified_instance(&copy.bytecode, &copy.signatures[0], &copy.signatures[1]);
     let (profile, exec_gas) = net.profile_call(bob.address, onchain, U256::ZERO, data, 7_000_000);
@@ -388,5 +386,4 @@ fn gas_profile_of_deploy_verified_instance() {
     assert!(profile.gas_of(sc_evm::Op::StaticCall) >= 2 * 3_000);
     // keccak over the whole bytecode ran once in the verification.
     assert!(profile.count_of(sc_evm::Op::Keccak256) >= 1);
-    let _ = game;
 }

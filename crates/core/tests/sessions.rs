@@ -13,19 +13,19 @@
 //!   globally, and every session terminates in a valid outcome.
 //! * **Batching is real** — at 256 concurrent sessions the mean number
 //!   of admitted transactions per shared block exceeds 1.
-//! * **One path** — the typed single-game front-ends
-//!   (`BettingGame`, `ChallengeGame`) and a 1-spec scheduler produce the
-//!   same trace and outcome for the same cell.
+//!
+//! There is one way to run a session, alone or not: a spec list on a
+//! scheduler. A single game is a 1-spec list, so "solo" below means
+//! exactly what every single-game caller runs.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sc_chain::{PoolConfig, Testnet};
 use sc_contracts::BetSecrets;
 use sc_core::{
-    check_conservation, check_state_commitments, BettingGame, BettingSpec, ChallengeGame,
-    ChallengeSpec, CrashPoint, GameConfig, NetworkScheduler, Participant, Session, SessionReport,
-    SessionSpec, SettleLaterCrash, SettleLaterSpec, Strategy, SubmitStrategy, TxRecord,
-    WatchStrategy,
+    check_conservation, check_state_commitments, BettingSpec, ChallengeSpec, CrashPoint,
+    NetworkScheduler, SessionReport, SessionSpec, SettleLaterCrash, SettleLaterSpec, Strategy,
+    SubmitStrategy, WatchStrategy,
 };
 use sc_crypto::keccak256;
 use sc_primitives::U256;
@@ -374,77 +374,6 @@ fn clock_jump_never_overshoots_a_nearer_deadline() {
         observable(&solo_distant[0]),
         "delayed session diverged"
     );
-}
-
-/// The typed single-game front-ends are one-slot schedulers on a 1-node
-/// network, so the same cell run as a 1-spec [`NetworkScheduler`] must
-/// produce the same `(label, success)` trace and the same outcome.
-#[test]
-fn game_wrappers_and_one_spec_scheduler_are_one_path() {
-    let secrets = secrets_bob_wins();
-    let solo = |spec: SessionSpec| one_node(vec![spec]).run().remove(0);
-    let trace = |txs: &[TxRecord]| -> Vec<(String, bool)> {
-        txs.iter().map(|t| (t.label.clone(), t.success)).collect()
-    };
-
-    for (alice, bob) in [
-        (Strategy::Honest, Strategy::Honest),
-        (Strategy::SilentLoser, Strategy::Honest),
-        (Strategy::ForgingLoser, Strategy::Honest),
-        (Strategy::Honest, Strategy::NoShow),
-        (Strategy::Honest, Strategy::RefusesToSign),
-        (Strategy::SignsTampered, Strategy::Honest),
-    ] {
-        let game = BettingGame::new(
-            Participant::with_strategy("alice", alice),
-            Participant::with_strategy("bob", bob),
-            GameConfig {
-                phase_seconds: 3600,
-                secrets,
-            },
-        );
-        let (game, _report) = game.run().expect("betting game terminates");
-        let report = solo(SessionSpec::Betting(BettingSpec {
-            alice,
-            bob,
-            secrets,
-            ..BettingSpec::default()
-        }));
-        assert_eq!(report.error, None, "cell ({alice:?}, {bob:?})");
-        assert_eq!(trace(game.txs()), report.txs, "cell ({alice:?}, {bob:?})");
-        assert_eq!(
-            game.outcome_label(),
-            report.outcome,
-            "cell ({alice:?}, {bob:?})"
-        );
-    }
-
-    for submit in [SubmitStrategy::Truthful, SubmitStrategy::False] {
-        for watch in [
-            WatchStrategy::Vigilant,
-            WatchStrategy::Asleep,
-            WatchStrategy::Frivolous,
-        ] {
-            let (game, _report) = ChallengeGame::new(secrets, 1800).run(submit, watch);
-            let report = solo(SessionSpec::Challenge(ChallengeSpec {
-                secrets,
-                submit,
-                watch,
-                ..ChallengeSpec::default()
-            }));
-            assert_eq!(report.error, None, "cell ({submit:?}, {watch:?})");
-            assert_eq!(
-                trace(game.txs()),
-                report.txs,
-                "cell ({submit:?}, {watch:?})"
-            );
-            assert_eq!(
-                game.outcome_label(),
-                report.outcome,
-                "cell ({submit:?}, {watch:?})"
-            );
-        }
-    }
 }
 
 /// Cross-commit pin: the full `Debug` rendering of every report of one

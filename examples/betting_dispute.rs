@@ -6,8 +6,11 @@
 //!
 //! Run with: `cargo run --example betting_dispute`
 
+use onoffchain::chain::PoolConfig;
 use onoffchain::contracts::{BetSecrets, DEPLOYED_ADDR_SLOT};
-use onoffchain::core::{BettingGame, GameConfig, Outcome, Participant, Strategy};
+use onoffchain::core::{
+    BettingSession, BettingSpec, NetworkScheduler, Outcome, Session, SessionSpec, Strategy,
+};
 use onoffchain::evm::contract_address;
 use onoffchain::primitives::{Address, U256};
 
@@ -23,14 +26,19 @@ fn main() {
         secrets.secret_a = secrets.secret_a.wrapping_add(U256::ONE);
     }
 
-    let game = BettingGame::new(
-        Participant::with_strategy("alice", Strategy::SilentLoser),
-        Participant::with_strategy("bob", Strategy::Honest),
-        GameConfig {
-            phase_seconds: 3600,
-            secrets,
-        },
+    let spec = BettingSpec {
+        alice: Strategy::SilentLoser,
+        secrets,
+        seats: Some(["alice", "bob"]),
+        ..BettingSpec::default()
+    };
+    let mut sched = NetworkScheduler::new(
+        vec![SessionSpec::Betting(spec)],
+        1,
+        PoolConfig::default(),
+        None,
     );
+    let game: &BettingSession = sched.session(0).expect("a betting game");
     println!("Alice will lose — and refuse to concede.");
     println!(
         "signed copy: {} bytes of bytecode + 2 signatures over keccak256(bytecode)",
@@ -45,10 +53,13 @@ fn main() {
         println!("  signature {i}: v={}, r={}, s={}", sig.v, sig.r, sig.s);
     }
 
-    let (game, report) = game.run().expect("protocol");
+    let report = sched.run().remove(0);
+    assert_eq!(report.error, None, "protocol");
+    let game: &BettingSession = sched.session(0).expect("a betting game");
+    let chain = sched.network().node(0);
 
     println!("\n== transaction ledger ==");
-    for tx in &report.txs {
+    for tx in game.txs() {
         println!(
             "  [{}] {:<26} {:>9} gas  {}",
             tx.stage,
@@ -58,12 +69,10 @@ fn main() {
         );
     }
 
-    assert_eq!(report.outcome, Outcome::SettledByDispute);
-    let onchain = game.onchain_addr.unwrap();
-    let instance = Address::from_u256(
-        game.net()
-            .storage_at(onchain, U256::from_u64(DEPLOYED_ADDR_SLOT)),
-    );
+    assert_eq!(game.outcome(), Some(Outcome::SettledByDispute));
+    let onchain = game.onchain;
+    let instance =
+        Address::from_u256(chain.storage_at(onchain, U256::from_u64(DEPLOYED_ADDR_SLOT)));
     println!("\n== dispute resolution ==");
     println!("on-chain contract:  {onchain}");
     println!("verified instance:  {instance}");
@@ -74,18 +83,18 @@ fn main() {
     assert_eq!(instance, contract_address(onchain, 1));
     println!(
         "verified instance runtime code: {} bytes now public on-chain",
-        game.net().code_at(instance).len()
+        chain.code_at(instance).len()
     );
     println!(
         "privacy cost of the dispute: {} bytes of the off-chain contract revealed",
-        report.offchain_bytes_revealed
+        game.offchain_bytes_revealed
     );
     println!(
         "\nBob (the honest winner) holds {} wei — both deposits, enforced by miners",
-        game.net().balance_of(game.bob.wallet.address)
+        chain.balance_of(game.bob.wallet.address)
     );
     println!(
         "Alice (the dishonest loser) holds {} wei",
-        game.net().balance_of(game.alice.wallet.address)
+        chain.balance_of(game.alice.wallet.address)
     );
 }

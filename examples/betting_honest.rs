@@ -4,8 +4,11 @@
 //!
 //! Run with: `cargo run --example betting_honest`
 
+use onoffchain::chain::PoolConfig;
 use onoffchain::contracts::BetSecrets;
-use onoffchain::core::{BettingGame, GameConfig, Outcome, Participant, Stage};
+use onoffchain::core::{
+    stage_gas, BettingSession, BettingSpec, NetworkScheduler, Outcome, Session, SessionSpec, Stage,
+};
 use onoffchain::primitives::{ether, U256};
 
 fn main() {
@@ -20,14 +23,18 @@ fn main() {
         secrets.secret_a, secrets.secret_b, secrets.weight
     );
 
-    let game = BettingGame::new(
-        Participant::honest("alice"),
-        Participant::honest("bob"),
-        GameConfig {
-            phase_seconds: 3600,
-            secrets,
-        },
+    let spec = BettingSpec {
+        secrets,
+        seats: Some(["alice", "bob"]),
+        ..BettingSpec::default()
+    };
+    let mut sched = NetworkScheduler::new(
+        vec![SessionSpec::Betting(spec)],
+        1,
+        PoolConfig::default(),
+        None,
     );
+    let game: &BettingSession = sched.session(0).expect("a betting game");
     println!(
         "off-chain contract initcode: {} bytes (signed, never published on the honest path)",
         game.offchain_bytecode.len()
@@ -35,10 +42,13 @@ fn main() {
     let alice = game.alice.wallet.address;
     let bob = game.bob.wallet.address;
 
-    let (game, report) = game.run().expect("protocol");
+    let report = sched.run().remove(0);
+    assert_eq!(report.error, None, "protocol");
+    let game: &BettingSession = sched.session(0).expect("a betting game");
+    let chain = sched.network().node(0);
 
     println!("\n== transaction ledger ==");
-    for tx in &report.txs {
+    for tx in game.txs() {
         println!(
             "  [{}] {:<24} {:>9} gas  {}",
             tx.stage,
@@ -49,30 +59,29 @@ fn main() {
     }
 
     println!("\n== outcome ==");
-    assert_eq!(report.outcome, Outcome::SettledHonestly);
-    let winner = if report.winner_is_bob { "Bob" } else { "Alice" };
+    assert_eq!(game.outcome(), Some(Outcome::SettledHonestly));
+    let winner = if secrets.winner_is_bob() {
+        "Bob"
+    } else {
+        "Alice"
+    };
     println!("winner (computed privately, enforced by concession): {winner}");
     println!(
         "alice balance: {} wei, bob balance: {} wei",
-        game.net().balance_of(alice),
-        game.net().balance_of(bob)
+        chain.balance_of(alice),
+        chain.balance_of(bob)
     );
     println!(
         "off-chain bytes revealed on-chain: {} (privacy preserved)",
-        report.offchain_bytes_revealed
+        game.offchain_bytes_revealed
     );
     println!(
         "dispute machinery gas: {} (never ran)",
-        report.stage_gas(Stage::DisputeResolve)
+        stage_gas(game.txs(), Stage::DisputeResolve)
     );
     println!(
         "total miner-executed gas: {} — the {}-iteration reveal() cost the miners nothing",
-        report.total_gas(),
-        secrets.weight
+        report.total_gas, secrets.weight
     );
-    assert!(
-        game.net()
-            .balance_of(if report.winner_is_bob { bob } else { alice })
-            > ether(1000)
-    );
+    assert!(chain.balance_of(if secrets.winner_is_bob() { bob } else { alice }) > ether(1000));
 }

@@ -4,8 +4,11 @@
 //!
 //! Run with: `cargo run --example byzantine_matrix`
 
+use onoffchain::chain::PoolConfig;
 use onoffchain::contracts::BetSecrets;
-use onoffchain::core::{BettingGame, GameConfig, Outcome, Participant, Strategy};
+use onoffchain::core::{
+    BettingSession, BettingSpec, NetworkScheduler, Outcome, SessionSpec, Strategy,
+};
 use onoffchain::primitives::{ether, U256};
 
 fn secrets_bob_wins() -> BetSecrets {
@@ -46,19 +49,27 @@ fn main() {
         "alice (loser)", "outcome", "alice Δwei", "bob Δwei", "gas"
     );
     for a_strat in alice_strategies {
-        let game = BettingGame::new(
-            Participant::with_strategy("alice", a_strat),
-            Participant::with_strategy("bob", Strategy::Honest),
-            GameConfig {
-                phase_seconds: 3600,
-                secrets: secrets_bob_wins(),
-            },
+        let spec = BettingSpec {
+            alice: a_strat,
+            secrets: secrets_bob_wins(),
+            seats: Some(["alice", "bob"]),
+            ..BettingSpec::default()
+        };
+        let mut sched = NetworkScheduler::new(
+            vec![SessionSpec::Betting(spec)],
+            1,
+            PoolConfig::default(),
+            None,
         );
+        let report = sched.run().remove(0);
+        assert_eq!(report.error, None, "protocol");
+        let game: &BettingSession = sched.session(0).expect("a betting game");
+        let chain = sched.network().node(0);
+        let outcome = game.outcome().expect("terminal outcome");
         let alice_addr = game.alice.wallet.address;
         let bob_addr = game.bob.wallet.address;
-        let (game, report) = game.run().expect("protocol");
         let delta = |addr| {
-            let now = game.net().balance_of(addr);
+            let now = chain.balance_of(addr);
             let start = ether(1000);
             if now >= start {
                 format!("+{}", now.wrapping_sub(start))
@@ -69,32 +80,26 @@ fn main() {
         println!(
             "{:<16} {:>12} {:>16} {:>16} {:>10}",
             format!("{a_strat:?}"),
-            outcome_label(report.outcome),
+            outcome_label(outcome),
             delta(alice_addr),
             delta(bob_addr),
-            report.total_gas()
+            report.total_gas
         );
 
         // The incentive invariant: whatever Alice tries, she never ends
         // up with more than she would by playing honestly, and the
         // honest Bob never loses his stake.
-        match report.outcome {
+        match outcome {
             Outcome::SettledHonestly | Outcome::SettledByDispute => {
                 assert!(
-                    game.net().balance_of(bob_addr) > ether(1000),
+                    chain.balance_of(bob_addr) > ether(1000),
                     "honest winner must profit"
                 );
-                assert!(
-                    game.net().balance_of(alice_addr) < ether(1000),
-                    "loser must pay"
-                );
+                assert!(chain.balance_of(alice_addr) < ether(1000), "loser must pay");
             }
             Outcome::AbortedAtSigning | Outcome::Refunded => {
                 // Nobody's deposit is stuck in the contract.
-                assert_eq!(
-                    game.net().balance_of(game.onchain_addr.unwrap()),
-                    U256::ZERO
-                );
+                assert_eq!(chain.balance_of(game.onchain), U256::ZERO);
             }
         }
     }

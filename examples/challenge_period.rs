@@ -5,8 +5,12 @@
 //!
 //! Run with: `cargo run --example challenge_period`
 
+use onoffchain::chain::PoolConfig;
 use onoffchain::contracts::BetSecrets;
-use onoffchain::core::{ChallengeGame, ChallengeOutcome, SubmitStrategy, WatchStrategy};
+use onoffchain::core::{
+    ChallengeOutcome, ChallengeSession, ChallengeSpec, NetworkScheduler, Session, SessionSpec,
+    SubmitStrategy, WatchStrategy,
+};
 use onoffchain::primitives::{ether, U256};
 
 fn secrets() -> BetSecrets {
@@ -23,11 +27,27 @@ fn secrets() -> BetSecrets {
 
 fn show(title: &str, submit: SubmitStrategy, watch: WatchStrategy) -> ChallengeOutcome {
     println!("\n== {title} ==");
-    let game = ChallengeGame::new(secrets(), 1800);
+    let spec = ChallengeSpec {
+        secrets: secrets(),
+        submit,
+        watch,
+        seats: Some(["alice", "bob"]),
+        ..ChallengeSpec::default()
+    };
+    let mut sched = NetworkScheduler::new(
+        vec![SessionSpec::Challenge(spec)],
+        1,
+        PoolConfig::default(),
+        None,
+    );
+    let report = sched.run().remove(0);
+    assert_eq!(report.error, None, "protocol");
+    let game: &ChallengeSession = sched.session(0).expect("a challenge game");
+    let chain = sched.network().node(0);
+    let outcome = game.outcome().expect("terminal outcome");
     let alice = game.alice.wallet.address;
     let bob = game.bob.wallet.address;
-    let (game, report) = game.run(submit, watch);
-    for tx in &report.txs {
+    for tx in game.txs() {
         println!(
             "  {:<26} {:>9} gas  {}",
             tx.label,
@@ -35,17 +55,17 @@ fn show(title: &str, submit: SubmitStrategy, watch: WatchStrategy) -> ChallengeO
             if tx.success { "ok" } else { "REVERTED" }
         );
     }
-    println!("  outcome: {:?}", report.outcome);
+    println!("  outcome: {outcome:?}");
     println!(
         "  alice: {} | bob: {} (start 1000 ether each)",
-        game.net().balance_of(alice),
-        game.net().balance_of(bob)
+        chain.balance_of(alice),
+        chain.balance_of(bob)
     );
     println!(
         "  off-chain bytes revealed: {}",
-        report.offchain_bytes_revealed
+        game.offchain_bytes_revealed
     );
-    report.outcome
+    outcome
 }
 
 fn main() {

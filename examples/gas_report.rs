@@ -4,11 +4,14 @@
 //!
 //! Run with: `cargo run --release --example gas_report`
 
-use onoffchain::chain::Testnet;
+use onoffchain::chain::{PoolConfig, Testnet};
 use onoffchain::contracts::{
     BetSecrets, MonolithicContract, OnChainContract, Timeline, MONOLITHIC_SRC,
 };
-use onoffchain::core::{split, BettingGame, GameConfig, Participant, Strategy};
+use onoffchain::core::{
+    gas_of, split, BettingSession, BettingSpec, NetworkScheduler, Session, SessionReport,
+    SessionSpec, Strategy,
+};
 use onoffchain::lang::parse;
 use onoffchain::primitives::{ether, U256};
 
@@ -24,16 +27,32 @@ fn secrets(weight: u64) -> BetSecrets {
     s
 }
 
-fn run_dispute(weight: u64) -> onoffchain::core::ProtocolReport {
-    let game = BettingGame::new(
-        Participant::with_strategy("alice", Strategy::SilentLoser),
-        Participant::honest("bob"),
-        GameConfig {
-            phase_seconds: 3600,
-            secrets: secrets(weight),
-        },
-    );
-    game.run().expect("protocol").1
+/// One betting game with `alice`/`bob` seated, alone on a 1-node
+/// scheduler.
+fn game(alice: Strategy, weight: u64) -> NetworkScheduler {
+    let spec = BettingSpec {
+        alice,
+        secrets: secrets(weight),
+        seats: Some(["alice", "bob"]),
+        ..BettingSpec::default()
+    };
+    NetworkScheduler::new(
+        vec![SessionSpec::Betting(spec)],
+        1,
+        PoolConfig::default(),
+        None,
+    )
+}
+
+/// Runs a one-game scheduler to its end.
+fn run(sched: &mut NetworkScheduler) -> SessionReport {
+    let report = sched.run().remove(0);
+    assert_eq!(report.error, None, "protocol");
+    report
+}
+
+fn betting(sched: &NetworkScheduler) -> &BettingSession {
+    sched.session(0).expect("a betting game")
 }
 
 fn monolithic_total(weight: u64) -> u64 {
@@ -74,33 +93,27 @@ fn main() {
     println!("{}", plan.report());
 
     println!("# Table II — dispute extra functions (paper: 225,082 + reveal() / 37,745)\n");
-    let report = run_dispute(64);
+    let mut dispute = game(Strategy::SilentLoser, 64);
+    run(&mut dispute);
+    let txs = betting(&dispute).txs();
     println!(
         "  deployVerifiedInstance():  {:>9} gas",
-        report.gas_of("deployVerifiedInstance").unwrap()
+        gas_of(txs, "deployVerifiedInstance").unwrap()
     );
     println!(
         "  returnDisputeResolution(): {:>9} gas (includes reveal @ weight 64)",
-        report.gas_of("returnDisputeResolution").unwrap()
+        gas_of(txs, "returnDisputeResolution").unwrap()
     );
 
     println!("\n# Fig. 1 — whole-game miner gas, all-on-chain vs hybrid honest path\n");
     println!("  {:>8} {:>14} {:>14}", "weight", "monolithic", "hybrid");
     for w in [0u64, 100, 1_000, 10_000] {
-        let game = BettingGame::new(
-            Participant::honest("alice"),
-            Participant::honest("bob"),
-            GameConfig {
-                phase_seconds: 3600,
-                secrets: secrets(w),
-            },
-        );
-        let (_g, honest) = game.run().expect("protocol");
+        let honest = run(&mut game(Strategy::Honest, w));
         println!(
             "  {:>8} {:>14} {:>14}",
             w,
             monolithic_total(w),
-            honest.total_gas()
+            honest.total_gas
         );
     }
     println!(
@@ -128,15 +141,7 @@ fn main() {
             .unwrap();
     }
     net.advance_time(4 * 3600);
-    let game = BettingGame::new(
-        Participant::honest("alice"),
-        Participant::honest("bob"),
-        GameConfig {
-            phase_seconds: 3600,
-            secrets: secrets(64),
-        },
-    );
-    let copy = game.signed_copy();
+    let copy = betting(&game(Strategy::Honest, 64)).signed_copy();
     let data =
         on.deploy_verified_instance(&copy.bytecode, &copy.signatures[0], &copy.signatures[1]);
     let (profile, exec_gas) = net.profile_call(

@@ -181,16 +181,25 @@ fn splitter_plan_matches_shipped_pair() {
 fn whole_game_is_reproducible() {
     // Two runs of the same configuration produce identical gas ledgers —
     // the determinism claim of DESIGN.md.
-    use onoffchain::core::{BettingGame, GameConfig, Participant, Strategy};
+    use onoffchain::chain::PoolConfig;
+    use onoffchain::core::{
+        BettingSession, BettingSpec, NetworkScheduler, Session, SessionSpec, Strategy,
+    };
     let run = || {
-        let game = BettingGame::new(
-            Participant::with_strategy("alice", Strategy::SilentLoser),
-            Participant::honest("bob"),
-            GameConfig::default(),
+        let spec = BettingSpec {
+            alice: Strategy::SilentLoser,
+            seats: Some(["alice", "bob"]),
+            ..BettingSpec::default()
+        };
+        let mut sched = NetworkScheduler::new(
+            vec![SessionSpec::Betting(spec)],
+            1,
+            PoolConfig::default(),
+            None,
         );
-        let (_g, report) = game.run().unwrap();
-        report
-            .txs
+        assert_eq!(sched.run().remove(0).error, None);
+        let game: &BettingSession = sched.session(0).expect("a betting game");
+        game.txs()
             .iter()
             .map(|t| (t.label.clone(), t.gas_used, t.success))
             .collect::<Vec<_>>()
