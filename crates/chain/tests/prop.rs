@@ -6,9 +6,10 @@ mod common;
 use common::assert_follower_replays;
 use proptest::prelude::*;
 use sc_chain::{
-    Block, ChainConfig, Header, SignedTransaction, Testnet, Transaction, Wallet, WireError,
-    WorldState,
+    Block, ChainConfig, Header, HeaderClient, ImportOutcome, SignedTransaction, Testnet,
+    Transaction, Wallet, WireError, WorldState,
 };
+use sc_crypto::keccak256;
 use sc_evm::Host;
 use sc_primitives::rlp::{self, Item};
 use sc_primitives::{ether, Address, U256};
@@ -196,10 +197,53 @@ fn wire_samples() -> &'static [Vec<u8>; 3] {
         assert_eq!(block.transactions.len(), 2);
         [
             block.encode(),
-            block.header().encode(),
+            header_of(&block).encode(),
             block.transactions[0].encode(),
         ]
     })
+}
+
+/// The header a light client is served for `block`, rebuilt from the
+/// block's fields and the hashes of the bodies it carries.
+fn header_of(block: &Block) -> Header {
+    Header::new(
+        block.number,
+        block.timestamp,
+        block.parent_hash,
+        block.state_root,
+        block.receipts_root,
+        block.gas_used,
+        block
+            .transactions
+            .iter()
+            .map(SignedTransaction::hash)
+            .collect(),
+    )
+}
+
+/// The wire format as a cross-commit gate, like `determinism.rs`: the
+/// bytes a sealed block and its header travel as, and the identity a
+/// receiver derives from them, are pinned.
+#[test]
+fn wire_encodings_are_pinned() {
+    let [block, header, _] = wire_samples();
+    assert_eq!(
+        format!("{}", keccak256(block)),
+        "0x1f50623af8fcd5983277746a35d4f176c8be69c37450021d8a2d0c4c657208b1",
+        "block encoding diverged"
+    );
+    assert_eq!(
+        format!("{}", keccak256(header)),
+        "0x833391f247ed781dca0707247db3b669754e033847fe72edf809c573b1985aaa",
+        "header encoding diverged"
+    );
+    let decoded = Block::decode(block).unwrap();
+    assert_eq!(
+        format!("{}", decoded.hash),
+        "0x833391f247ed781dca0707247db3b669754e033847fe72edf809c573b1985aaa",
+        "decoded block hash diverged"
+    );
+    assert_eq!(Header::decode(header).unwrap().hash, decoded.hash);
 }
 
 /// One byte mutation: `(kind, position, byte)`. Half the bytes are zero,
@@ -454,5 +498,127 @@ proptest! {
             )
         };
         prop_assert_eq!(run(&ops), run(&ops));
+    }
+}
+
+/// A fork tree: per branch `(parent, fork, len)`. Branch `i > 0` copies
+/// the first `fork` blocks of branch `parent` (both taken modulo what
+/// exists), then seals `len` blocks of its own.
+fn arb_fork_tree() -> impl Strategy<Value = Vec<(usize, u64, u64)>> {
+    proptest::collection::vec((0usize..3, 0u64..4, 1u64..4), 2..4)
+}
+
+/// Seals the fork tree on honest nodes sharing one genesis: branch `i`
+/// imports its prefix, then seals one transfer from wallet `i` per
+/// block, so no two branches seal the same block. Returns every
+/// distinct block above genesis, ordered by hash.
+fn fork_tree(specs: &[(usize, u64, u64)]) -> Vec<Block> {
+    let ws = wallets();
+    let mut chains: Vec<Vec<Block>> = Vec::new();
+    for (i, &(parent, fork, len)) in specs.iter().enumerate() {
+        let mut net = fork_genesis();
+        if i > 0 {
+            let prefix = &chains[parent % i];
+            let fork = fork as usize % (prefix.len() + 1);
+            for block in &prefix[..fork] {
+                assert_eq!(net.import_block(block.clone()), Ok(ImportOutcome::Extended));
+            }
+        }
+        for nonce in 0..len {
+            let tx = Transaction {
+                nonce,
+                gas_price: sc_primitives::gwei(1),
+                gas_limit: 21_000,
+                to: Some(ws[3].address),
+                value: U256::from_u64(1 + nonce),
+                data: vec![],
+            };
+            net.submit(tx.sign(&ws[i].key)).unwrap();
+            assert_eq!(net.mine_block().transactions.len(), 1);
+        }
+        chains.push(
+            (1..=net.head().number)
+                .map(|n| net.block(n).unwrap().clone())
+                .collect(),
+        );
+    }
+    let mut blocks: Vec<Block> = chains.into_iter().flatten().collect();
+    blocks.sort_by_key(|b| b.hash.0);
+    blocks.dedup_by_key(|b| b.hash);
+    blocks
+}
+
+/// The genesis every node of a fork tree shares.
+fn fork_genesis() -> Testnet {
+    let alloc: Vec<_> = wallets().iter().map(|w| (w.address, ether(10))).collect();
+    Testnet::with_genesis(ChainConfig::default(), &alloc)
+}
+
+/// One case of the arrival-order property: every block of a fork tree,
+/// plus `dups` repeats, reaches a fresh follower as a block and a fresh
+/// light client as a header, in the order `keys` sorts them into. Both
+/// must end on the highest tip (ties to the smaller hash) whatever the
+/// order, and the follower must hold exactly that tip's state.
+fn arrival_case(
+    specs: &[(usize, u64, u64)],
+    keys: &[u64],
+    dups: &[usize],
+) -> Result<(), TestCaseError> {
+    let blocks = fork_tree(specs);
+    let best = blocks
+        .iter()
+        .max_by(|a, b| a.number.cmp(&b.number).then(b.hash.0.cmp(&a.hash.0)))
+        .expect("every branch seals a block");
+    let mut deliveries: Vec<(u64, usize)> = (0..blocks.len())
+        .chain(dups.iter().map(|d| d % blocks.len()))
+        .zip(keys)
+        .map(|(i, &key)| (key, i))
+        .collect();
+    deliveries.sort_unstable();
+
+    let mut follower = fork_genesis();
+    let mut client = HeaderClient::new(header_of(follower.head()));
+    for (_, i) in deliveries {
+        let block = &blocks[i];
+        prop_assert!(follower.import_block(block.clone()).is_ok());
+        prop_assert!(client.import_header(header_of(block)).is_ok());
+    }
+    prop_assert_eq!(follower.head().hash, best.hash);
+    prop_assert_eq!(client.head().hash, best.hash);
+    prop_assert_eq!(follower.state.state_root(), best.state_root);
+    let side = blocks.len() - best.number as usize;
+    prop_assert_eq!(follower.side_block_count(), side);
+    prop_assert_eq!(client.side_count(), side);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Fork choice does not depend on arrival order: a full node and a
+    /// light client fed the same tree, shuffled and with repeats, pick
+    /// the same head.
+    #[test]
+    fn fork_choice_is_independent_of_arrival_order(
+        specs in arb_fork_tree(),
+        keys in proptest::collection::vec(any::<u64>(), 16),
+        dups in proptest::collection::vec(0usize..64, 0..6),
+    ) {
+        arrival_case(&specs, &keys, &dups)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// The release sweep of the arrival-order property.
+    #[test]
+    #[ignore = "1,000 cases; run in release"]
+    fn fork_choice_sweep_1000_cases(
+        specs in arb_fork_tree(),
+        keys in proptest::collection::vec(any::<u64>(), 16),
+        dups in proptest::collection::vec(0usize..64, 0..6),
+    ) {
+        arrival_case(&specs, &keys, &dups)?;
     }
 }
