@@ -7,6 +7,7 @@ use sc_evm::host::LogEntry;
 use sc_evm::VmError;
 use sc_primitives::rlp::{self, Item};
 use sc_primitives::{Address, H256};
+use std::ops::Deref;
 
 /// Why a transaction failed (mirrors what a node's RPC would surface).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,27 +43,29 @@ pub struct Receipt {
     pub failure: Option<FailureReason>,
 }
 
-/// A mined block.
+/// A mined block: its header and the transaction bodies whose hashes
+/// the header commits. Reads of header fields go through `Deref`, so
+/// `block.number` is `block.header.number`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Block {
-    /// Height.
-    pub number: u64,
-    /// Unix timestamp.
-    pub timestamp: u64,
-    /// Hash of the parent block.
-    pub parent_hash: H256,
-    /// This block's hash.
-    pub hash: H256,
-    /// Root of the account trie after executing this block — the
-    /// commitment light verifiers check storage proofs against.
-    pub state_root: H256,
-    /// Root of the trie over this block's RLP-encoded receipts, keyed
-    /// by `rlp(index)`.
-    pub receipts_root: H256,
-    /// Included transactions.
+    /// The header: every commitment, and the block's identity.
+    pub header: Header,
+    /// Included transactions, in the order `header.tx_hashes` lists.
     pub transactions: Vec<SignedTransaction>,
-    /// Total gas used by the block.
-    pub gas_used: u64,
+}
+
+impl Deref for Block {
+    type Target = Header;
+
+    fn deref(&self) -> &Header {
+        &self.header
+    }
+}
+
+impl AsRef<Header> for Block {
+    fn as_ref(&self) -> &Header {
+        &self.header
+    }
 }
 
 /// A block header on its own: the commitments without the transaction
@@ -77,9 +80,11 @@ pub struct Header {
     pub timestamp: u64,
     /// Hash of the parent block.
     pub parent_hash: H256,
-    /// Root of the account trie after this block.
+    /// Root of the account trie after executing this block — the
+    /// commitment light verifiers check storage proofs against.
     pub state_root: H256,
-    /// Root of the receipts trie for this block.
+    /// Root of the trie over this block's RLP-encoded receipts, keyed
+    /// by `rlp(index)`.
     pub receipts_root: H256,
     /// Total gas used by the block.
     pub gas_used: u64,
@@ -87,37 +92,15 @@ pub struct Header {
     /// commits to these, so a header can't silently claim a different
     /// body than the full block it summarizes.
     pub tx_hashes: Vec<H256>,
-    /// This header's hash — always recomputed locally from the fields
-    /// above, never trusted from the wire.
+    /// This header's hash: keccak of [`Header::encode`], always
+    /// recomputed locally, never trusted from the wire.
     pub hash: H256,
 }
 
-/// The one hashing core shared by full blocks and bare headers: keccak
-/// of the RLP `[number, timestamp, parent_hash, state_root,
-/// receipts_root, gas_used, [tx_hashes]]`.
-fn hash_header_parts(
-    number: u64,
-    timestamp: u64,
-    parent_hash: H256,
-    state_root: H256,
-    receipts_root: H256,
-    gas_used: u64,
-    tx_hashes: &[H256],
-) -> H256 {
-    let tx_items: Vec<Item> = tx_hashes
-        .iter()
-        .map(|h| Item::bytes(h.0.to_vec()))
-        .collect();
-    let payload = rlp::encode_list(&[
-        Item::u64(number),
-        Item::u64(timestamp),
-        Item::bytes(parent_hash.0.to_vec()),
-        Item::bytes(state_root.0.to_vec()),
-        Item::bytes(receipts_root.0.to_vec()),
-        Item::u64(gas_used),
-        Item::List(tx_items),
-    ]);
-    keccak256(&payload)
+impl AsRef<Header> for Header {
+    fn as_ref(&self) -> &Header {
+        self
+    }
 }
 
 impl Header {
@@ -132,16 +115,7 @@ impl Header {
         gas_used: u64,
         tx_hashes: Vec<H256>,
     ) -> Header {
-        let hash = hash_header_parts(
-            number,
-            timestamp,
-            parent_hash,
-            state_root,
-            receipts_root,
-            gas_used,
-            &tx_hashes,
-        );
-        Header {
+        let mut header = Header {
             number,
             timestamp,
             parent_hash,
@@ -149,18 +123,28 @@ impl Header {
             receipts_root,
             gas_used,
             tx_hashes,
-            hash,
-        }
+            hash: H256::ZERO,
+        };
+        header.hash = keccak256(&header.encode());
+        header
     }
 
-    /// Canonical wire bytes of the seven hashed fields. The hash itself
-    /// is never serialized — receivers recompute it.
+    /// True iff `hash` commits the other fields: always so for a header
+    /// built by [`Header::new`] or decoded from the wire, so only a
+    /// hand-built one can fail.
+    pub(crate) fn hash_commits_fields(&self) -> bool {
+        keccak256(&self.encode()) == self.hash
+    }
+
+    /// Canonical wire bytes of the seven hashed fields — the bytes the
+    /// hash is the keccak of. The hash itself is never serialized.
     pub fn encode(&self) -> Vec<u8> {
-        let tx_items: Vec<Item> = self
-            .tx_hashes
-            .iter()
-            .map(|h| Item::bytes(h.0.to_vec()))
-            .collect();
+        self.encode_with(self.tx_hashes.iter().map(|h| Item::bytes(h.0.to_vec())))
+    }
+
+    /// The list a header and a block share: the six scalar fields, then
+    /// `txs` (hashes for a header, bodies for a block).
+    fn encode_with(&self, txs: impl Iterator<Item = Item>) -> Vec<u8> {
         rlp::encode_list(&[
             Item::u64(self.number),
             Item::u64(self.timestamp),
@@ -168,125 +152,66 @@ impl Header {
             Item::bytes(self.state_root.0.to_vec()),
             Item::bytes(self.receipts_root.0.to_vec()),
             Item::u64(self.gas_used),
-            Item::List(tx_items),
+            Item::List(txs.collect()),
         ])
     }
 
     /// Decodes wire bytes produced by [`Header::encode`], recomputing
     /// the hash from the decoded fields.
     pub fn decode(bytes: &[u8]) -> Result<Header, WireError> {
+        let (header, _) =
+            Header::decode_with(bytes, |it| wire::as_h256(it, "header: tx hash"), |h| *h)?;
+        Ok(header)
+    }
+
+    /// Decodes the list [`Header::encode_with`] writes: `tx` decodes
+    /// each entry of the seventh item, `tx_hash` names its hash for the
+    /// header built once from the result.
+    fn decode_with<T>(
+        bytes: &[u8],
+        tx: impl Fn(&Item) -> Result<T, WireError>,
+        tx_hash: impl Fn(&T) -> H256,
+    ) -> Result<(Header, Vec<T>), WireError> {
         let item = rlp::decode(bytes)?;
         let items = wire::as_list(&item, "header: expected list")?;
         if items.len() != 7 {
             return Err(WireError::Malformed("header: expected 7 fields"));
         }
-        let tx_hashes = wire::as_list(&items[6], "header: tx hashes")?
+        let txs = wire::as_list(&items[6], "header: transactions")?
             .iter()
-            .map(|it| wire::as_h256(it, "header: tx hash"))
-            .collect::<Result<Vec<H256>, WireError>>()?;
-        Ok(Header::new(
+            .map(tx)
+            .collect::<Result<Vec<T>, WireError>>()?;
+        let header = Header::new(
             wire::as_u64(&items[0], "header: number")?,
             wire::as_u64(&items[1], "header: timestamp")?,
             wire::as_h256(&items[2], "header: parent_hash")?,
             wire::as_h256(&items[3], "header: state_root")?,
             wire::as_h256(&items[4], "header: receipts_root")?,
             wire::as_u64(&items[5], "header: gas_used")?,
-            tx_hashes,
-        ))
+            txs.iter().map(tx_hash).collect(),
+        );
+        Ok((header, txs))
     }
 }
 
 impl Block {
-    /// Computes a block hash from the header fields — including the
-    /// state and receipts commitments and the gas total, so tampering
-    /// with any of them changes the block identity — and the tx list.
-    pub fn compute_hash(
-        number: u64,
-        timestamp: u64,
-        parent_hash: H256,
-        state_root: H256,
-        receipts_root: H256,
-        gas_used: u64,
-        transactions: &[SignedTransaction],
-    ) -> H256 {
-        let tx_hashes: Vec<H256> = transactions.iter().map(|t| t.hash()).collect();
-        hash_header_parts(
-            number,
-            timestamp,
-            parent_hash,
-            state_root,
-            receipts_root,
-            gas_used,
-            &tx_hashes,
-        )
-    }
-
-    /// The header view of this block: same hash, no transaction bodies.
-    pub fn header(&self) -> Header {
-        Header {
-            number: self.number,
-            timestamp: self.timestamp,
-            parent_hash: self.parent_hash,
-            state_root: self.state_root,
-            receipts_root: self.receipts_root,
-            gas_used: self.gas_used,
-            tx_hashes: self.transactions.iter().map(|t| t.hash()).collect(),
-            hash: self.hash,
-        }
-    }
-
-    /// Canonical wire bytes: the six header fields followed by the full
-    /// transaction bodies (each as its signed nine-item RLP).
+    /// Canonical wire bytes: the six scalar header fields followed by
+    /// the full transaction bodies (each as its signed nine-item RLP).
     pub fn encode(&self) -> Vec<u8> {
-        let tx_items: Vec<Item> = self.transactions.iter().map(|t| t.rlp_item()).collect();
-        rlp::encode_list(&[
-            Item::u64(self.number),
-            Item::u64(self.timestamp),
-            Item::bytes(self.parent_hash.0.to_vec()),
-            Item::bytes(self.state_root.0.to_vec()),
-            Item::bytes(self.receipts_root.0.to_vec()),
-            Item::u64(self.gas_used),
-            Item::List(tx_items),
-        ])
+        self.header
+            .encode_with(self.transactions.iter().map(SignedTransaction::rlp_item))
     }
 
-    /// Decodes wire bytes produced by [`Block::encode`], recomputing the
-    /// block hash from the decoded contents — so a gossiped block's
-    /// identity is always locally derived, never trusted.
+    /// Decodes wire bytes produced by [`Block::encode`], building the
+    /// header from the decoded fields and the bodies' hashes — so a
+    /// gossiped block's identity is always locally derived, never
+    /// trusted.
     pub fn decode(bytes: &[u8]) -> Result<Block, WireError> {
-        let item = rlp::decode(bytes)?;
-        let items = wire::as_list(&item, "block: expected list")?;
-        if items.len() != 7 {
-            return Err(WireError::Malformed("block: expected 7 fields"));
-        }
-        let transactions = wire::as_list(&items[6], "block: txs")?
-            .iter()
-            .map(SignedTransaction::from_item)
-            .collect::<Result<Vec<SignedTransaction>, WireError>>()?;
-        let number = wire::as_u64(&items[0], "block: number")?;
-        let timestamp = wire::as_u64(&items[1], "block: timestamp")?;
-        let parent_hash = wire::as_h256(&items[2], "block: parent_hash")?;
-        let state_root = wire::as_h256(&items[3], "block: state_root")?;
-        let receipts_root = wire::as_h256(&items[4], "block: receipts_root")?;
-        let gas_used = wire::as_u64(&items[5], "block: gas_used")?;
-        let hash = Block::compute_hash(
-            number,
-            timestamp,
-            parent_hash,
-            state_root,
-            receipts_root,
-            gas_used,
-            &transactions,
-        );
+        let (header, transactions) =
+            Header::decode_with(bytes, SignedTransaction::from_item, SignedTransaction::hash)?;
         Ok(Block {
-            number,
-            timestamp,
-            parent_hash,
-            hash,
-            state_root,
-            receipts_root,
+            header,
             transactions,
-            gas_used,
         })
     }
 }
@@ -339,15 +264,16 @@ mod tests {
     use sc_trie::empty_root;
 
     fn hash_with(number: u64, timestamp: u64, state_root: H256, gas: u64) -> H256 {
-        Block::compute_hash(
+        Header::new(
             number,
             timestamp,
             H256::ZERO,
             state_root,
             empty_root(),
             gas,
-            &[],
+            vec![],
         )
+        .hash
     }
 
     #[test]
@@ -374,27 +300,19 @@ mod tests {
             data: vec![],
         }
         .sign(&alice.key);
-        let hash = Block::compute_hash(
+        let header = Header::new(
             7,
             1000,
             H256([3; 32]),
             H256([4; 32]),
             empty_root(),
             21_000,
-            std::slice::from_ref(&tx),
+            vec![tx.hash()],
         );
         let block = Block {
-            number: 7,
-            timestamp: 1000,
-            parent_hash: H256([3; 32]),
-            hash,
-            state_root: H256([4; 32]),
-            receipts_root: empty_root(),
+            header: header.clone(),
             transactions: vec![tx],
-            gas_used: 21_000,
         };
-        let header = block.header();
-        assert_eq!(header.hash, block.hash, "header hashes like the block");
         let decoded_header = Header::decode(&header.encode()).unwrap();
         assert_eq!(decoded_header, header);
         let decoded_block = Block::decode(&block.encode()).unwrap();
@@ -407,22 +325,16 @@ mod tests {
         // Tampering with an encoded block changes the locally derived
         // hash — a peer can't forward a block under a false identity.
         let block = Block {
-            number: 1,
-            timestamp: 50,
-            parent_hash: H256([9; 32]),
-            hash: Block::compute_hash(1, 50, H256([9; 32]), H256([2; 32]), empty_root(), 0, &[]),
-            state_root: H256([2; 32]),
-            receipts_root: empty_root(),
+            header: Header::new(1, 50, H256([9; 32]), H256([2; 32]), empty_root(), 0, vec![]),
             transactions: vec![],
-            gas_used: 0,
         };
         let mut tampered = block.clone();
-        tampered.state_root = H256([5; 32]); // keep the stale hash field
+        tampered.header.state_root = H256([5; 32]); // keep the stale hash field
         let decoded = Block::decode(&tampered.encode()).unwrap();
         assert_ne!(decoded.hash, block.hash);
         assert_eq!(
             decoded.hash,
-            Block::compute_hash(1, 50, H256([9; 32]), H256([5; 32]), empty_root(), 0, &[])
+            Header::new(1, 50, H256([9; 32]), H256([5; 32]), empty_root(), 0, vec![]).hash
         );
     }
 

@@ -12,14 +12,17 @@
 //!   over the overlay, reconciling tries at seal time and proving
 //!   reads against the current root.
 //! * [`tx`] — transactions, signing, [`tx::Wallet`].
-//! * [`block`] — blocks and [`block::Receipt`]s, sealed with
-//!   `state_root` / `receipts_root` Merkle commitments.
+//! * [`block`] — headers, blocks (a header plus its transaction bodies)
+//!   and [`block::Receipt`]s, sealed with `state_root` /
+//!   `receipts_root` Merkle commitments.
 //! * [`proof`] — [`proof::StorageProof`]: stateless light verification
 //!   of a storage slot against a header's `state_root`.
 //! * [`wire`] — RLP wire codec for gossiped blocks, headers and
 //!   transactions (identities re-derived locally on decode).
 //! * [`light`] — [`light::HeaderClient`]: a light client tracking
 //!   verified headers only, serving proof-checked storage reads.
+//! * `fork_choice` (crate-private) — the one store and fork choice the
+//!   light client and the full node both pick their head through.
 //! * [`testnet`] — the [`testnet::Testnet`] node: admission, sealing,
 //!   and block import with fork choice; sealing and import run the one
 //!   serial execution loop, so every follower re-proves every seal.
@@ -27,6 +30,7 @@
 #![warn(missing_docs)]
 
 pub mod block;
+mod fork_choice;
 pub mod light;
 pub mod overlay;
 pub mod proof;

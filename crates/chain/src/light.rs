@@ -13,9 +13,9 @@
 //! that holds no chain state but still refuses unproven answers.
 
 use crate::block::Header;
+use crate::fork_choice::{Backdated, ChainStore};
 use crate::proof::{AccountProof, ProofVerifyError, ReceiptProof, StorageProof};
 use sc_primitives::{H256, U256};
-use std::collections::HashMap;
 
 /// Outcome of a header import that did not error.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,6 +42,9 @@ pub enum HeaderImportError {
     /// its contents (only possible for hand-built headers — the wire
     /// decoder always recomputes).
     HashMismatch,
+    /// The header is dated at or before a parent the client holds — the
+    /// full node's import rule. It is not stored.
+    TimestampDoesNotAdvance,
 }
 
 impl std::fmt::Display for HeaderImportError {
@@ -49,6 +52,9 @@ impl std::fmt::Display for HeaderImportError {
         match self {
             HeaderImportError::HashMismatch => {
                 write!(f, "header hash does not commit the contents")
+            }
+            HeaderImportError::TimestampDoesNotAdvance => {
+                write!(f, "header timestamp does not advance")
             }
         }
     }
@@ -59,29 +65,22 @@ impl std::error::Error for HeaderImportError {}
 /// A light client tracking verified headers only.
 #[derive(Clone, Debug)]
 pub struct HeaderClient {
-    /// Canonical header chain; index == height.
-    headers: Vec<Header>,
-    /// Canonical hash → height.
-    canon: HashMap<H256, u64>,
-    /// Non-canonical headers by hash: competing branches, reorg
-    /// orphans, and detached headers waiting for their parent.
-    side: HashMap<H256, Header>,
+    /// The canonical header chain from the trusted start, and every
+    /// side header.
+    headers: ChainStore<Header>,
 }
 
 impl HeaderClient {
     /// Starts a client from a trusted genesis (or checkpoint) header.
     pub fn new(genesis: Header) -> HeaderClient {
-        let canon = HashMap::from([(genesis.hash, 0)]);
         HeaderClient {
-            headers: vec![genesis],
-            canon,
-            side: HashMap::new(),
+            headers: ChainStore::new(genesis),
         }
     }
 
     /// The tracked canonical head.
     pub fn head(&self) -> &Header {
-        self.headers.last().expect("genesis always present")
+        self.headers.head()
     }
 
     /// Height of the tracked head.
@@ -91,114 +90,51 @@ impl HeaderClient {
 
     /// Canonical header at `number`, if tracked.
     pub fn header(&self, number: u64) -> Option<&Header> {
-        let offset = self.headers.first()?.number;
-        self.headers.get(number.checked_sub(offset)? as usize)
+        self.headers.get(number)
     }
 
     /// Canonical header lookup by hash.
     pub fn header_by_hash(&self, hash: H256) -> Option<&Header> {
-        self.canon.get(&hash).and_then(|&n| self.header(n))
+        self.headers.by_hash(hash)
     }
 
     /// Number of non-canonical headers currently stored.
     pub fn side_count(&self) -> usize {
-        self.side.len()
+        self.headers.side_len()
     }
 
     /// Imports one header: verifies its hash commits its contents,
     /// stores it, and moves the head when fork choice prefers the
     /// branch it completes. Detached headers are retained and reconnect
-    /// automatically once the gap fills.
+    /// automatically once the gap fills. Headers carry no state, so a
+    /// reorg is a truncate-and-extend of the canonical chain.
     pub fn import_header(&mut self, header: Header) -> Result<HeaderImport, HeaderImportError> {
-        let recomputed = Header::new(
-            header.number,
-            header.timestamp,
-            header.parent_hash,
-            header.state_root,
-            header.receipts_root,
-            header.gas_used,
-            header.tx_hashes.clone(),
-        );
-        if recomputed.hash != header.hash {
+        if !header.hash_commits_fields() {
             return Err(HeaderImportError::HashMismatch);
         }
-        if self.canon.contains_key(&header.hash) || self.side.contains_key(&header.hash) {
+        let stored = self
+            .headers
+            .insert(header)
+            .map_err(|Backdated| HeaderImportError::TimestampDoesNotAdvance)?;
+        if !stored {
             return Ok(HeaderImport::AlreadyKnown);
         }
-        self.side.insert(header.hash, header);
-        Ok(match self.adopt_best() {
-            Some((0, _)) => HeaderImport::Extended,
-            Some((reverted, applied)) => HeaderImport::Reorged { reverted, applied },
-            None => HeaderImport::Side,
-        })
-    }
-
-    /// Longest-chain fork choice, identical to the full node's.
-    fn preferred(number: u64, hash: H256, over_number: u64, over_hash: H256) -> bool {
-        number > over_number || (number == over_number && hash.0 < over_hash.0)
-    }
-
-    /// Walks `tip`'s ancestry through the side store to the canonical
-    /// chain; `None` while detached, height-inconsistent, or dated at
-    /// or before a parent (the full node's import rule).
-    fn connected_branch(&self, tip: &Header) -> Option<(u64, Vec<Header>)> {
-        let mut rev: Vec<&Header> = vec![tip];
-        let mut cur = tip;
-        loop {
-            if let Some(&n) = self.canon.get(&cur.parent_hash) {
-                if n + 1 != cur.number || cur.timestamp <= self.header(n)?.timestamp {
-                    return None;
-                }
-                return Some((n, rev.into_iter().rev().cloned().collect()));
-            }
-            let parent = self.side.get(&cur.parent_hash)?;
-            if parent.number + 1 != cur.number || cur.timestamp <= parent.timestamp {
-                return None;
-            }
-            rev.push(parent);
-            cur = parent;
-        }
-    }
-
-    /// Adopts the best connected branch, if any beats the head.
-    /// Returns `(reverted, applied)` when the head moved. Headers carry
-    /// no state, so a reorg is a truncate-and-extend of the header vec.
-    fn adopt_best(&mut self) -> Option<(u64, u64)> {
-        let head = (self.head().number, self.head().hash);
-        let mut best: Option<(u64, Vec<Header>)> = None;
-        for tip in self.side.values() {
-            if !Self::preferred(tip.number, tip.hash, head.0, head.1) {
-                continue;
-            }
-            if let Some(found) = self.connected_branch(tip) {
-                let better = match &best {
-                    None => true,
-                    Some((_, b)) => {
-                        let cur = b.last().expect("branch never empty");
-                        Self::preferred(tip.number, tip.hash, cur.number, cur.hash)
-                    }
-                };
-                if better {
-                    best = Some(found);
-                }
-            }
-        }
-        let (fork, branch) = best?;
-        let base = self.headers.first().expect("genesis").number;
-        let keep = (fork - base + 1) as usize;
-        let orphans = self.headers.split_off(keep);
-        let reverted = orphans.len() as u64;
-        for h in orphans {
-            self.canon.remove(&h.hash);
-            self.side.insert(h.hash, h);
+        let Some((fork, branch)) = self.headers.best_branch() else {
+            return Ok(HeaderImport::Side);
+        };
+        let reverted = self.height() - fork;
+        while self.height() > fork {
+            let orphan = self.headers.pop().expect("above the fork");
+            self.headers.park(orphan);
         }
         let applied = branch.len() as u64;
         for h in branch {
-            self.side.remove(&h.hash);
-            self.canon.insert(h.hash, h.number);
             self.headers.push(h);
         }
-        Some((reverted, applied))
+        Ok(match reverted {
+            0 => HeaderImport::Extended,
+            _ => HeaderImport::Reorged { reverted, applied },
+        })
     }
 
     /// Checks a storage proof against the tracked head's `state_root`,
@@ -263,10 +199,10 @@ mod tests {
         net.execute(&alice, Address([9; 20]), ether(1), vec![], 100_000)
             .unwrap();
 
-        let mut client = HeaderClient::new(net.block(0).unwrap().header());
+        let mut client = HeaderClient::new(net.block(0).unwrap().header.clone());
         for n in 1..=net.head().number {
             let out = client
-                .import_header(net.block(n).unwrap().header())
+                .import_header(net.block(n).unwrap().header.clone())
                 .unwrap();
             assert_eq!(out, HeaderImport::Extended);
         }
@@ -293,20 +229,20 @@ mod tests {
             net.execute(&alice, Address([9; 20]), ether(1), vec![], 100_000)
                 .unwrap();
         }
-        let mut client = HeaderClient::new(net.block(0).unwrap().header());
+        let mut client = HeaderClient::new(net.block(0).unwrap().header.clone());
         // Newest-first delivery: everything parks, then block 1 connects
         // the whole branch at once.
         for n in [4u64, 3, 2] {
             assert_eq!(
                 client
-                    .import_header(net.block(n).unwrap().header())
+                    .import_header(net.block(n).unwrap().header.clone())
                     .unwrap(),
                 HeaderImport::Side
             );
         }
         assert_eq!(
             client
-                .import_header(net.block(1).unwrap().header())
+                .import_header(net.block(1).unwrap().header.clone())
                 .unwrap(),
             HeaderImport::Extended
         );
@@ -314,15 +250,15 @@ mod tests {
         assert_eq!(client.side_count(), 0);
 
         // A header whose hash doesn't commit its fields is refused.
-        let mut forged = net.block(2).unwrap().header();
+        let mut forged = net.block(2).unwrap().header.clone();
         forged.gas_used += 1;
         assert_eq!(
             client.import_header(forged),
             Err(HeaderImportError::HashMismatch)
         );
 
-        // A well-formed child of the head dated at or before it is kept
-        // off the canonical chain, and so is anything built on it; the
+        // A well-formed child of the head dated at or before it is
+        // refused and not kept, so anything built on it is detached; the
         // honest child still extends.
         let head = client.head().clone();
         let child_at = |parent: &Header, timestamp| {
@@ -336,12 +272,23 @@ mod tests {
                 vec![],
             )
         };
-        for timestamp in [head.timestamp, head.timestamp - 3_000] {
+        let backdated_times = [head.timestamp, head.timestamp - 3_000];
+        for (detached, timestamp) in backdated_times.into_iter().enumerate() {
             let backdated = child_at(&head, timestamp);
             let grandchild = child_at(&backdated, head.timestamp + 8);
-            for h in [backdated, grandchild] {
-                assert_eq!(client.import_header(h).unwrap(), HeaderImport::Side);
-            }
+            assert_eq!(
+                client.import_header(backdated),
+                Err(HeaderImportError::TimestampDoesNotAdvance)
+            );
+            assert_eq!(
+                client.side_count(),
+                detached,
+                "the refused header is not kept"
+            );
+            assert_eq!(
+                client.import_header(grandchild).unwrap(),
+                HeaderImport::Side
+            );
             assert_eq!(client.head().hash, head.hash);
         }
         assert_eq!(
@@ -372,14 +319,18 @@ mod tests {
         b.execute(&carol, Address([0xda; 20]), ether(1), vec![], 100_000)
             .unwrap();
 
-        let mut client = HeaderClient::new(a.block(0).unwrap().header());
+        let mut client = HeaderClient::new(a.block(0).unwrap().header.clone());
         assert_eq!(
-            client.import_header(a.block(1).unwrap().header()).unwrap(),
+            client
+                .import_header(a.block(1).unwrap().header.clone())
+                .unwrap(),
             HeaderImport::Extended
         );
         // Equal height: whether the client switches now depends only on
         // the hash tiebreak, so accept both shapes…
-        let mid = client.import_header(b.block(1).unwrap().header()).unwrap();
+        let mid = client
+            .import_header(b.block(1).unwrap().header.clone())
+            .unwrap();
         assert!(matches!(
             mid,
             HeaderImport::Side
@@ -389,7 +340,9 @@ mod tests {
                 }
         ));
         // …but once fork B is strictly heavier, the client must be on it.
-        let out = client.import_header(b.block(2).unwrap().header()).unwrap();
+        let out = client
+            .import_header(b.block(2).unwrap().header.clone())
+            .unwrap();
         match mid {
             HeaderImport::Side => assert_eq!(
                 out,
@@ -405,6 +358,28 @@ mod tests {
     }
 
     #[test]
+    fn a_checkpoint_started_client_follows_from_its_checkpoint() {
+        // Regression: the client indexed its trusted header at height 0
+        // whatever its number, so a client started past genesis could
+        // neither find it by hash nor connect the header after it.
+        let (mut net, _, _) = chain_with_storage();
+        let alice = Wallet::from_seed("alice");
+        for _ in 0..3 {
+            net.execute(&alice, Address([9; 20]), ether(1), vec![], 100_000)
+                .unwrap();
+        }
+        let checkpoint = net.block(2).unwrap().header.clone();
+        let mut client = HeaderClient::new(checkpoint.clone());
+        assert_eq!(client.header_by_hash(checkpoint.hash), Some(&checkpoint));
+        for n in 3..=net.head().number {
+            let header = net.block(n).unwrap().header.clone();
+            assert_eq!(client.import_header(header), Ok(HeaderImport::Extended));
+        }
+        assert_eq!(client.head().hash, net.head().hash);
+        assert!(client.header(1).is_none(), "nothing below the checkpoint");
+    }
+
+    #[test]
     fn thousand_light_clients_smoke() {
         let (mut net, _, proof) = chain_with_storage();
         let alice = Wallet::from_seed("alice");
@@ -413,7 +388,7 @@ mod tests {
                 .unwrap();
         }
         let headers: Vec<Header> = (0..=net.head().number)
-            .map(|n| net.block(n).unwrap().header())
+            .map(|n| net.block(n).unwrap().header.clone())
             .collect();
         let head_hash = net.head().hash;
 
@@ -441,10 +416,10 @@ mod tests {
 
     /// A client tracking `net`'s full canonical chain.
     fn synced_client(net: &Testnet) -> HeaderClient {
-        let mut client = HeaderClient::new(net.block(0).unwrap().header());
+        let mut client = HeaderClient::new(net.block(0).unwrap().header.clone());
         for n in 1..=net.head().number {
             client
-                .import_header(net.block(n).unwrap().header())
+                .import_header(net.block(n).unwrap().header.clone())
                 .unwrap();
         }
         client
@@ -598,8 +573,10 @@ mod tests {
         b.execute(&carol, Address([0xda; 20]), ether(1), vec![], 100_000)
             .unwrap();
 
-        let mut client = HeaderClient::new(a.block(0).unwrap().header());
-        client.import_header(a.block(1).unwrap().header()).unwrap();
+        let mut client = HeaderClient::new(a.block(0).unwrap().header.clone());
+        client
+            .import_header(a.block(1).unwrap().header.clone())
+            .unwrap();
         // An account witness whose value genuinely differs between the
         // forks: fork A paid 0xb0, fork B never did.
         let stale_account = a.prove_account(Address([0xb0; 20]));
@@ -608,8 +585,12 @@ mod tests {
             .expect("fresh on fork A");
 
         // Fork B is heavier: the client must switch…
-        client.import_header(b.block(1).unwrap().header()).unwrap();
-        let out = client.import_header(b.block(2).unwrap().header()).unwrap();
+        client
+            .import_header(b.block(1).unwrap().header.clone())
+            .unwrap();
+        let out = client
+            .import_header(b.block(2).unwrap().header.clone())
+            .unwrap();
         assert!(matches!(
             out,
             HeaderImport::Reorged { .. } | HeaderImport::Extended

@@ -1,8 +1,9 @@
-//! Multi-node support: per-block undo history, gossiped-block import,
-//! longest-chain fork choice and rollback/replay reorgs.
+//! Multi-node support: per-block undo history, gossiped-block import
+//! through the shared fork choice, and rollback/replay reorgs.
 
 use super::Testnet;
 use crate::block::Block;
+use crate::fork_choice::Backdated;
 use crate::state::DiffLayer;
 use crate::tx::SignedTransaction;
 use sc_primitives::{H256, U256};
@@ -68,20 +69,12 @@ impl Testnet {
     /// branches and reorg orphans) — the numerator of an orphan-rate
     /// metric.
     pub fn side_block_count(&self) -> usize {
-        self.side_blocks.len()
+        self.chain.side_len()
     }
 
     /// Canonical block lookup by hash.
     pub fn block_by_hash(&self, hash: H256) -> Option<&Block> {
-        self.canon_index.get(&hash).and_then(|&n| self.block(n))
-    }
-
-    /// Longest-chain fork choice: the higher block wins; equal heights
-    /// break toward the smaller hash, so both sides of a healed
-    /// partition pick the same winner without negotiating. (Every block
-    /// has difficulty 1 here, so height *is* total difficulty.)
-    fn preferred(number: u64, hash: H256, over_number: u64, over_hash: H256) -> bool {
-        number > over_number || (number == over_number && hash.0 < over_hash.0)
+        self.chain.by_hash(hash)
     }
 
     /// Rolls the canonical head back one block, restoring state,
@@ -102,14 +95,13 @@ impl Testnet {
         self.minted = rec.minted_before;
         self.open_minted = rec.minted_before;
 
-        let block = self.blocks.pop().expect("non-genesis head");
+        let block = self.chain.pop().expect("non-genesis head");
         self.time = self.head().timestamp;
-        self.canon_index.remove(&block.hash);
         self.state.block_hashes.remove(&block.number);
         if block.number >= 256 {
             // The seal pruned this ancestor out of the window; restore it.
             let n = block.number - 256;
-            let hash = self.blocks[n as usize].hash;
+            let hash = self.chain.get(n).expect("canonical ancestor").hash;
             self.state.block_hashes.insert(n, hash);
         }
         for r in self.receipts.pop().expect("receipts sit beside blocks") {
@@ -125,101 +117,43 @@ impl Testnet {
         Some(block)
     }
 
-    /// Imports a gossiped block: verifies its hash commits its
-    /// contents, stores it, and runs fork choice. A block on the best
-    /// branch is replayed transaction by transaction with the
-    /// `state_root` / `receipts_root` / gas commitments re-verified
-    /// against the header; a heavier competing branch triggers a
-    /// rollback-and-replay reorg.
+    /// Imports a gossiped block: verifies its hash commits its header
+    /// fields and the bodies it arrived with, stores it, and runs fork
+    /// choice. A block on the best branch is replayed transaction by
+    /// transaction with the `state_root` / `receipts_root` / gas
+    /// commitments re-verified against the header; a heavier competing
+    /// branch triggers a rollback-and-replay reorg.
     pub fn import_block(&mut self, block: Block) -> Result<ImportOutcome, ImportError> {
-        let computed = Block::compute_hash(
-            block.number,
-            block.timestamp,
-            block.parent_hash,
-            block.state_root,
-            block.receipts_root,
-            block.gas_used,
-            &block.transactions,
-        );
-        if computed != block.hash {
+        let bodies = block.transactions.iter().map(SignedTransaction::hash);
+        if !block.tx_hashes.iter().copied().eq(bodies) || !block.hash_commits_fields() {
             return Err(ImportError::InvalidBlock {
                 reason: "hash does not commit the contents",
             });
         }
-        if self.canon_index.contains_key(&block.hash) || self.side_blocks.contains_key(&block.hash)
-        {
+        let stored = self
+            .chain
+            .insert(block)
+            .map_err(|Backdated| ImportError::InvalidBlock {
+                reason: "timestamp does not advance",
+            })?;
+        if !stored {
             return Ok(ImportOutcome::AlreadyKnown);
         }
         // Uniform store-then-adopt: a direct head child is simply a
         // depth-0 "reorg" (nothing reverted, one block applied), and the
         // same walk picks up previously detached descendants that this
         // block just connected.
-        self.side_blocks.insert(block.hash, block);
-        match self.try_adopt_best()? {
-            Some((0, _, _)) => Ok(ImportOutcome::Extended),
-            Some((reverted, applied, orphaned_txs)) => Ok(ImportOutcome::Reorged {
+        let Some((fork, branch)) = self.chain.best_branch() else {
+            return Ok(ImportOutcome::Side);
+        };
+        Ok(match self.adopt_branch(fork, branch)? {
+            (0, _, _) => ImportOutcome::Extended,
+            (reverted, applied, orphaned_txs) => ImportOutcome::Reorged {
                 reverted,
                 applied,
                 orphaned_txs,
-            }),
-            None => Ok(ImportOutcome::Side),
-        }
-    }
-
-    /// Walks `tip`'s ancestry through the side-block store until it
-    /// meets the canonical chain. Returns the fork height and the
-    /// branch oldest-first; `None` while the ancestry is detached (a
-    /// gap gossip has not filled yet) or height-inconsistent.
-    fn connected_branch(&self, tip: &Block) -> Option<(u64, Vec<Block>)> {
-        let mut rev: Vec<&Block> = vec![tip];
-        let mut cur = tip;
-        loop {
-            if let Some(&n) = self.canon_index.get(&cur.parent_hash) {
-                if n + 1 != cur.number {
-                    return None;
-                }
-                return Some((n, rev.into_iter().rev().cloned().collect()));
-            }
-            let parent = self.side_blocks.get(&cur.parent_hash)?;
-            if parent.number + 1 != cur.number {
-                return None;
-            }
-            rev.push(parent);
-            cur = parent;
-        }
-    }
-
-    /// Finds the best connected side tip and adopts its branch when
-    /// fork choice prefers it over the head. Returns `Some((reverted,
-    /// applied, orphaned_txs))` when the head moved. The ordering
-    /// (height, then smaller hash) is total, so the winner is
-    /// independent of store iteration order — determinism holds.
-    fn try_adopt_best(
-        &mut self,
-    ) -> Result<Option<(u64, u64, Vec<SignedTransaction>)>, ImportError> {
-        let head = (self.head().number, self.head().hash);
-        let mut best: Option<(u64, Vec<Block>)> = None;
-        for tip in self.side_blocks.values() {
-            if !Self::preferred(tip.number, tip.hash, head.0, head.1) {
-                continue;
-            }
-            if let Some(found) = self.connected_branch(tip) {
-                let better = match &best {
-                    None => true,
-                    Some((_, b)) => {
-                        let cur = b.last().expect("branch never empty");
-                        Self::preferred(tip.number, tip.hash, cur.number, cur.hash)
-                    }
-                };
-                if better {
-                    best = Some(found);
-                }
-            }
-        }
-        let Some((fork, branch)) = best else {
-            return Ok(None);
-        };
-        self.adopt_branch(fork, branch).map(Some)
+            },
+        })
     }
 
     /// Rolls back to `fork` and replays `branch` (oldest-first). On a
@@ -242,32 +176,30 @@ impl Testnet {
                 // Invalid branch: unwind the part that applied and
                 // restore the original chain.
                 for _ in 0..i {
-                    self.rollback_head_block()
-                        .expect("applied blocks have undo layers");
+                    let applied = self.rollback_head_block();
+                    self.chain
+                        .park(applied.expect("applied blocks have undo layers"));
                 }
                 for ob in &orphans {
                     self.apply_block(ob)
                         .expect("previously canonical blocks replay");
                 }
-                self.side_blocks.remove(&b.hash);
+                self.chain.discard(b.hash);
                 return Err(e);
             }
         }
-        for b in &branch {
-            self.side_blocks.remove(&b.hash);
-        }
         let new_txs: std::collections::HashSet<H256> = branch
             .iter()
-            .flat_map(|b| b.transactions.iter().map(SignedTransaction::hash))
+            .flat_map(|b| b.tx_hashes.iter().copied())
             .collect();
         let mut orphaned_txs = Vec::new();
         for ob in orphans {
-            for t in &ob.transactions {
-                if !new_txs.contains(&t.hash()) {
+            for (hash, t) in ob.tx_hashes.iter().zip(&ob.transactions) {
+                if !new_txs.contains(hash) {
                     orphaned_txs.push(t.clone());
                 }
             }
-            self.side_blocks.insert(ob.hash, ob);
+            self.chain.park(ob);
         }
         // Pooled nonces the new chain consumed are stale now.
         self.prune_pool();

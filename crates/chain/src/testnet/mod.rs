@@ -11,8 +11,9 @@
 //!
 //! This file holds the type, its construction, queries and the sign +
 //! submit + mine conveniences; `admit` admission to the pool, `seal`
-//! packing and the one execution core, `import` undo history, replay
-//! of gossiped blocks (the reference executor) and fork choice.
+//! packing and the one execution core, `import` undo history and replay
+//! of gossiped blocks (the reference executor) on the branch the shared
+//! fork choice (`crate::fork_choice`) names.
 
 mod admit;
 mod import;
@@ -22,7 +23,8 @@ pub use admit::TxError;
 pub use import::{ImportError, ImportOutcome};
 pub use seal::SealReport;
 
-use crate::block::{Block, Receipt};
+use crate::block::{Block, Header, Receipt};
+use crate::fork_choice::ChainStore;
 use crate::proof::{AccountProof, ReceiptProof, StorageProof};
 use crate::state::WorldState;
 use crate::tx::{Transaction, Wallet};
@@ -83,9 +85,11 @@ pub struct Testnet {
     /// World state (public for inspection in tests and benchmarks).
     pub state: WorldState,
     config: ChainConfig,
-    blocks: Vec<Block>,
+    /// The canonical chain from genesis, and every side block gossip
+    /// or a reorg left behind.
+    chain: ChainStore<Block>,
     /// Each canonical block's receipts in transaction order, indexed by
-    /// height beside `blocks`.
+    /// height beside the canonical chain.
     receipts: Vec<Vec<Receipt>>,
     /// Canonical transaction hash → (height, index) into `receipts`, and
     /// the sender this node derived for the transaction.
@@ -113,14 +117,6 @@ pub struct Testnet {
     analysis_cache: Rc<AnalysisCache>,
     /// Report of the most recently sealed block.
     last_seal: Option<SealReport>,
-    /// Canonical hash → height index, maintained through seals and
-    /// reorgs so gossip dedup and fork-point walks are O(1) per block.
-    canon_index: HashMap<H256, u64>,
-    /// Blocks received via gossip that are not canonical (competing
-    /// branches, or blocks whose ancestry has not connected yet),
-    /// keyed by hash. Canonical blocks that a reorg orphans move here
-    /// so a counter-reorg can restore them without re-gossip.
-    side_blocks: HashMap<H256, Block>,
     /// One undo record per block above genesis, newest last: the chain
     /// can roll back to any block boundary, never below genesis.
     undo_stack: Vec<BlockUndoRec>,
@@ -146,23 +142,18 @@ impl Testnet {
     /// other's blocks.
     pub fn with_genesis(config: ChainConfig, alloc: &[(Address, U256)]) -> Self {
         // Genesis commits the empty tries: block 1 commits `alloc`.
+        let empty = sc_trie::empty_root();
         let genesis = Block {
-            number: 0,
-            timestamp: config.genesis_timestamp,
-            parent_hash: H256::ZERO,
-            hash: Block::compute_hash(
+            header: Header::new(
                 0,
                 config.genesis_timestamp,
                 H256::ZERO,
-                sc_trie::empty_root(),
-                sc_trie::empty_root(),
+                empty,
+                empty,
                 0,
-                &[],
+                vec![],
             ),
-            state_root: sc_trie::empty_root(),
-            receipts_root: sc_trie::empty_root(),
             transactions: Vec::new(),
-            gas_used: 0,
         };
         let mut state = WorldState::new();
         let mut minted = U256::ZERO;
@@ -172,7 +163,6 @@ impl Testnet {
         }
         state.block_hashes.insert(0, genesis.hash);
         state.begin_undo_layer();
-        let canon_index = HashMap::from([(genesis.hash, 0)]);
         Testnet {
             state,
             time: config.genesis_timestamp,
@@ -181,15 +171,13 @@ impl Testnet {
             undo_stack: Vec::new(),
             open_minted: minted,
             config,
-            blocks: vec![genesis],
+            chain: ChainStore::new(genesis),
             receipts: vec![Vec::new()],
             receipt_index: HashMap::new(),
             log_index: HashMap::new(),
             minted,
             analysis_cache: Rc::new(AnalysisCache::new()),
             last_seal: None,
-            canon_index,
-            side_blocks: HashMap::new(),
         }
     }
 
@@ -205,7 +193,7 @@ impl Testnet {
 
     /// Current head block.
     pub fn head(&self) -> &Block {
-        self.blocks.last().expect("genesis always present")
+        self.chain.head()
     }
 
     /// Merkle proof that `(address, slot)` holds its current value,
@@ -258,7 +246,7 @@ impl Testnet {
 
     /// Block by number.
     pub fn block(&self, number: u64) -> Option<&Block> {
-        self.blocks.get(number as usize)
+        self.chain.get(number)
     }
 
     /// Receipt by transaction hash.

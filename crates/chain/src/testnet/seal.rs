@@ -4,7 +4,7 @@
 use super::admit::{upfront_cost, PendingTx};
 use super::import::BlockUndoRec;
 use super::Testnet;
-use crate::block::{self, Block, FailureReason, Receipt};
+use crate::block::{self, Block, FailureReason, Header, Receipt};
 use crate::tx::SignedTransaction;
 use sc_evm::host::Host;
 use sc_evm::{CallParams, Evm};
@@ -65,28 +65,24 @@ impl Testnet {
             reexecuted: 0,
         });
 
-        let (txs, senders): (Vec<SignedTransaction>, Vec<Address>) = executed
+        let tx_hashes = executed.txs.iter().map(|p| p.hash).collect();
+        let (transactions, senders): (Vec<SignedTransaction>, Vec<Address>) = executed
             .txs
             .into_iter()
             .map(|p| (p.signed, p.sender))
             .unzip();
-        let block = Block {
+        let header = Header::new(
             number,
             timestamp,
             parent_hash,
-            hash: Block::compute_hash(
-                number,
-                timestamp,
-                parent_hash,
-                executed.state_root,
-                executed.receipts_root,
-                executed.gas_used,
-                &txs,
-            ),
-            state_root: executed.state_root,
-            receipts_root: executed.receipts_root,
-            transactions: txs,
-            gas_used: executed.gas_used,
+            executed.state_root,
+            executed.receipts_root,
+            executed.gas_used,
+            tx_hashes,
+        );
+        let block = Block {
+            header,
+            transactions,
         };
         self.commit_block(&block, executed.receipts, senders);
         block
@@ -194,8 +190,7 @@ impl Testnet {
             "receipts sit beside blocks"
         );
         self.receipts.push(receipts);
-        self.canon_index.insert(block.hash, number);
-        self.blocks.push(block.clone());
+        self.chain.push(block.clone());
         debug_assert_eq!(self.time, block.timestamp, "a seal leaves the clock on it");
         self.undo_stack.push(BlockUndoRec {
             undo: self.state.take_undo_layer(),

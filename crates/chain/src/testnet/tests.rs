@@ -668,6 +668,47 @@ fn twin_nets() -> (Testnet, Testnet) {
     (mk(), mk())
 }
 
+/// `block` with its header rebuilt over its (edited) fields and the
+/// hashes of its bodies, as a peer forging a consistent block would.
+fn recommit(block: Block) -> Block {
+    let h = &block.header;
+    let tx_hashes = block.transactions.iter().map(SignedTransaction::hash);
+    Block {
+        header: Header::new(
+            h.number,
+            h.timestamp,
+            h.parent_hash,
+            h.state_root,
+            h.receipts_root,
+            h.gas_used,
+            tx_hashes.collect(),
+        ),
+        transactions: block.transactions,
+    }
+}
+
+#[test]
+fn import_refuses_a_header_that_lists_other_bodies() {
+    // A hand-built block may carry a well-formed header whose hash
+    // commits its fields while its bodies are another block's: import
+    // checks the bodies against the header's transaction hashes too.
+    let (mut miner, mut follower) = twin_nets();
+    let alice = Wallet::from_seed("alice");
+    miner
+        .submit(transfer_tx(0, gwei(1), 21_000).sign(&alice.key))
+        .unwrap();
+    let mut forged = miner.mine_block();
+    forged.transactions[0] = transfer_tx(0, gwei(2), 21_000).sign(&alice.key);
+    assert!(forged.hash_commits_fields());
+    assert_eq!(
+        follower.import_block(forged),
+        Err(ImportError::InvalidBlock {
+            reason: "hash does not commit the contents"
+        })
+    );
+    assert_eq!(follower.side_block_count(), 0);
+}
+
 #[test]
 fn a_pooled_twin_does_not_lend_its_sender_to_a_block() {
     // T and T′ share every signing field; T is alice's, T′ carol's. The
@@ -698,15 +739,7 @@ fn a_pooled_twin_does_not_vouch_for_a_malformed_signature() {
     miner.submit(signed).unwrap();
     let mut forged = miner.mine_block();
     forged.transactions[0].signature.v = 26; // invalid recovery id
-    forged.hash = Block::compute_hash(
-        forged.number,
-        forged.timestamp,
-        forged.parent_hash,
-        forged.state_root,
-        forged.receipts_root,
-        forged.gas_used,
-        &forged.transactions,
-    );
+    let forged = recommit(forged);
     assert_eq!(
         follower.import_block(forged),
         Err(ImportError::InvalidBlock {
@@ -790,7 +823,7 @@ fn import_rejects_tampered_blocks() {
     // Content tampered without recomputing the hash: caught by the
     // hash check before any execution.
     let mut forged = good.clone();
-    forged.gas_used += 1;
+    forged.header.gas_used += 1;
     assert!(matches!(
         b.import_block(forged),
         Err(ImportError::InvalidBlock { reason }) if reason.contains("hash")
@@ -799,16 +832,8 @@ fn import_rejects_tampered_blocks() {
     // Root tampered *with* a recomputed hash: replay catches the
     // dishonest commitment, and the failed import leaves no trace.
     let mut forged = good.clone();
-    forged.state_root = H256([0xee; 32]);
-    forged.hash = Block::compute_hash(
-        forged.number,
-        forged.timestamp,
-        forged.parent_hash,
-        forged.state_root,
-        forged.receipts_root,
-        forged.gas_used,
-        &forged.transactions,
-    );
+    forged.header.state_root = H256([0xee; 32]);
+    let forged = recommit(forged);
     assert!(matches!(
         b.import_block(forged),
         Err(ImportError::InvalidBlock { reason }) if reason.contains("state root")

@@ -9,8 +9,8 @@ mod common;
 
 use common::assert_follower_replays;
 use sc_chain::{
-    Block, ChainConfig, ImportError, ImportOutcome, SignedTransaction, Testnet, Transaction,
-    TxError, Wallet,
+    Block, ChainConfig, Header, ImportError, ImportOutcome, SignedTransaction, Testnet,
+    Transaction, TxError, Wallet,
 };
 use sc_evm::contract_address;
 use sc_primitives::{ether, gwei, Address, H256, U256};
@@ -75,24 +75,18 @@ fn hand_built_child(
     gas_used: u64,
     transactions: Vec<SignedTransaction>,
 ) -> Block {
-    let number = head.number + 1;
+    let tx_hashes = transactions.iter().map(SignedTransaction::hash).collect();
     Block {
-        number,
-        timestamp,
-        parent_hash: head.hash,
-        hash: Block::compute_hash(
-            number,
+        header: Header::new(
+            head.number + 1,
             timestamp,
             head.hash,
             head.state_root,
             receipts_root,
             gas_used,
-            &transactions,
+            tx_hashes,
         ),
-        state_root: head.state_root,
-        receipts_root,
         transactions,
-        gas_used,
     }
 }
 

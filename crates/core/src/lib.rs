@@ -60,11 +60,10 @@ pub use net::{NetStats, Network, NetworkScheduler};
 pub use participant::{Participant, Strategy};
 pub use protocol::{gas_of, stage_gas, Outcome, ProtocolError, Stage, TxRecord};
 pub use session::{
-    stage_bucket, BettingSession, BettingSessionParams, BettingSpec, BusPort, ChainAccess,
-    ChainReader, ChallengeSession, ChallengeSessionParams, ChallengeSpec, LightPort, LightStats,
-    NodePort, Session, SessionCtx, SessionReport, SessionSpec, SettleLaterCrash,
-    SettleLaterOutcome, SettleLaterSession, SettleLaterSessionParams, SettleLaterSpec, StepOutcome,
-    TxSubmitter, STAGE_NAMES,
+    stage_bucket, BettingSession, BettingSpec, BusPort, ChainAccess, ChainReader, ChallengeSession,
+    ChallengeSpec, LightPort, LightStats, NodePort, Session, SessionCtx, SessionReport,
+    SessionSpec, SettleLaterCrash, SettleLaterOutcome, SettleLaterSession, SettleLaterSpec,
+    StepOutcome, TxSubmitter, STAGE_NAMES,
 };
 pub use signedcopy::{bytecode_hash, sign_bytecode, SignedCopy, SignedCopyError};
 pub use splitter::{classify_function, split, Classification, FunctionClass, SplitPlan};

@@ -500,16 +500,22 @@ impl Network {
         }
     }
 
-    /// One full network round without sessions: partition lifecycle,
-    /// frame delivery, inbox processing, mining, clock sync. The
-    /// building block `NetworkScheduler::tick` wraps with session
-    /// stepping; also the whole loop for chain-only benchmarks.
+    /// One full network round without sessions — the whole loop for
+    /// chain-only benchmarks.
     pub fn round(&mut self) {
+        self.round_with(|_| {});
+    }
+
+    /// The one round order: counters, partition lifecycle, frame
+    /// delivery, inbox processing, `between` (where
+    /// `NetworkScheduler::tick` steps its sessions), mining, clock sync.
+    fn round_with(&mut self, between: impl FnOnce(&mut Network)) {
         self.round += 1;
         self.stats.rounds += 1;
         self.partition_step();
         self.deliver_due();
         self.process_inboxes();
+        between(self);
         self.mine();
         self.sync_clocks();
     }
@@ -668,7 +674,8 @@ impl NetworkScheduler {
                 // A light client trusts exactly one thing: its home
                 // node's genesis header. Everything after is verified.
                 let client = light.then(|| {
-                    HeaderClient::new(network.nodes[home].block(0).expect("genesis").header())
+                    let genesis = network.nodes[home].block(0).expect("genesis");
+                    HeaderClient::new(genesis.header.clone())
                 });
                 NetSlot::new(session, kind, home, &plan, client)
             })
@@ -744,20 +751,59 @@ impl NetworkScheduler {
             .min()
     }
 
-    /// One scheduler round: advance the network, wake and step sessions,
-    /// flush per-node outboxes, gossip admissions, then let the elected
-    /// miners seal. When the whole network is idle (no frames, no pooled
-    /// work, every session asleep), the clocks jump to the earliest wake
+    /// One scheduler round: the network's round with the sessions
+    /// stepped between inbox processing and mining (`step_sessions`).
+    /// When the whole network is then idle (no frames, no pooled work,
+    /// every session asleep), the clocks jump to the earliest wake
     /// target so hour-long contract windows cost nothing.
     fn tick(&mut self) {
-        self.network.round += 1;
-        self.network.stats.rounds += 1;
-        self.network.partition_step();
-        self.network.deliver_due();
-        self.network.process_inboxes();
+        let NetworkScheduler {
+            network,
+            slots,
+            rejections,
+            pool_evicted,
+        } = self;
+        network.round_with(|network| {
+            Self::step_sessions(network, slots, rejections, pool_evicted);
+        });
 
-        let now_by_node: Vec<u64> = self.network.nodes.iter().map(|n| n.now()).collect();
-        for slot in &mut self.slots {
+        let pooled: usize = self.network.nodes.iter().map(|n| n.pending_count()).sum();
+        if pooled == 0 && self.network.frames.is_empty() {
+            // Pending slots can only be waiting on a routed rejection or
+            // an orphaned transaction — release them to observe it.
+            let mut released = false;
+            for slot in &mut self.slots {
+                if slot.state == NetSlotState::Pending {
+                    slot.state = NetSlotState::Runnable;
+                    released = true;
+                }
+            }
+            if !released {
+                // Everyone is asleep: jump every clock to the earliest
+                // wake target.
+                if let Some(target) = self.earliest_wait() {
+                    for node in &mut self.network.nodes {
+                        let now = node.now();
+                        if target > now {
+                            node.advance_time(target - now);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Wakes slots whose wait is over, steps every runnable slot, then
+    /// flushes per-node outboxes, routing admission errors back and
+    /// gossiping what was admitted.
+    fn step_sessions(
+        network: &mut Network,
+        slots: &mut [NetSlot],
+        rejections: &mut HashMap<H256, TxError>,
+        pool_evicted: &mut u64,
+    ) {
+        let now_by_node: Vec<u64> = network.nodes.iter().map(|n| n.now()).collect();
+        for slot in slots.iter_mut() {
             if matches!(slot.state, NetSlotState::Waiting(t) if now_by_node[slot.home] >= t) {
                 slot.state = NetSlotState::Runnable;
             }
@@ -765,12 +811,11 @@ impl NetworkScheduler {
 
         // Step every runnable slot in fixed index order, each against
         // its home node, queueing into that node's round outbox.
-        let n = self.network.nodes.len();
+        let n = network.nodes.len();
         let mut outboxes: Vec<Vec<(Address, SignedTransaction)>> = vec![Vec::new(); n];
         {
-            let Network { nodes, bus, .. } = &mut self.network;
-            let rejections = &mut self.rejections;
-            for slot in self.slots.iter_mut() {
+            let Network { nodes, bus, .. } = network;
+            for slot in slots.iter_mut() {
                 while slot.state == NetSlotState::Runnable {
                     // Full-node slots step through a `NodePort` against
                     // their home chain; light slots step through a
@@ -832,49 +877,21 @@ impl NetworkScheduler {
             let txs: Vec<SignedTransaction> = outbox.into_iter().map(|(_, tx)| tx).collect();
             let hashes: Vec<H256> = txs.iter().map(|tx| tx.hash()).collect();
             let encoded: Vec<Vec<u8>> = txs.iter().map(|tx| tx.encode()).collect();
-            let results = self.network.nodes[i].submit_batch(txs);
+            let results = network.nodes[i].submit_batch(txs);
             for ((hash, bytes), result) in hashes.into_iter().zip(encoded).zip(results) {
                 match result {
                     Ok(_) => {
-                        self.network.mine_blocked[i] = false;
-                        self.network.broadcast(i, false, bytes);
+                        network.mine_blocked[i] = false;
+                        network.broadcast(i, false, bytes);
                     }
                     Err(e) => {
-                        self.rejections.insert(hash, e);
+                        rejections.insert(hash, e);
                     }
                 }
             }
-            for hash in self.network.nodes[i].drain_evicted() {
-                self.rejections.insert(hash, TxError::Evicted);
-                self.pool_evicted += 1;
-            }
-        }
-
-        self.network.mine();
-        self.network.sync_clocks();
-
-        let pooled: usize = self.network.nodes.iter().map(|n| n.pending_count()).sum();
-        if pooled == 0 && self.network.frames.is_empty() {
-            // Pending slots can only be waiting on a routed rejection or
-            // an orphaned transaction — release them to observe it.
-            let mut released = false;
-            for slot in &mut self.slots {
-                if slot.state == NetSlotState::Pending {
-                    slot.state = NetSlotState::Runnable;
-                    released = true;
-                }
-            }
-            if !released {
-                // Everyone is asleep: jump every clock to the earliest
-                // wake target.
-                if let Some(target) = self.earliest_wait() {
-                    for node in &mut self.network.nodes {
-                        let now = node.now();
-                        if target > now {
-                            node.advance_time(target - now);
-                        }
-                    }
-                }
+            for hash in network.nodes[i].drain_evicted() {
+                rejections.insert(hash, TxError::Evicted);
+                *pool_evicted += 1;
             }
         }
     }

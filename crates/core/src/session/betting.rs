@@ -10,10 +10,11 @@
 //! because its window is unbounded.
 
 use super::sign::{SignExchange, MAX_SIGN_ROUNDS, SIGN_ROUND_SECS};
-use super::{hold_for_start, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
+use super::{hold_for_start, BettingSpec, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
 use crate::participant::{Participant, Strategy};
 use crate::protocol::{Outcome, ProtocolError, TxRecord};
 use crate::signedcopy::{bytecode_hash, sign_bytecode, SignedCopy};
+use sc_chain::Wallet;
 use sc_contracts::{BetSecrets, OffChainContract, OnChainContract, Timeline, DEPLOYED_ADDR_SLOT};
 use sc_primitives::{ether, Address, U256};
 
@@ -46,27 +47,6 @@ enum Phase {
     Resolve,
     /// Terminal.
     Done,
-}
-
-/// Construction parameters for a [`BettingSession`]. Both wallets must
-/// be funded at genesis; the timeline is fixed from the chain clock at
-/// the session's first step after `start_delay`.
-pub struct BettingSessionParams {
-    /// Participant 0 (deployer).
-    pub alice: Participant,
-    /// Participant 1.
-    pub bob: Participant,
-    /// Seconds between T0→T1→T2→T3.
-    pub phase_seconds: u64,
-    /// The private bet.
-    pub secrets: BetSecrets,
-    /// Whisper topic for the signature exchange (session-scoped when
-    /// many sessions share one bus).
-    pub topic: String,
-    /// Compiled contract pair (compile once, clone per session).
-    pub contracts: (OnChainContract, OffChainContract),
-    /// Seconds after creation before the session begins deploying.
-    pub start_delay: u64,
 }
 
 /// One betting game as a pollable state machine.
@@ -104,27 +84,35 @@ pub struct BettingSession {
 impl BettingSession {
     /// Stage 1 — split/generate: builds the off-chain initcode with the
     /// private bet baked in and parks the machine at its start state.
-    pub fn new(params: BettingSessionParams) -> BettingSession {
-        let (onchain_abi, offchain_abi) = params.contracts;
-        let offchain_bytecode = offchain_abi.initcode(
-            params.alice.wallet.address,
-            params.bob.wallet.address,
-            params.secrets,
-        );
-        let timeline = Timeline::starting_at(0, params.phase_seconds);
+    /// Both wallets must be funded at genesis; `topic` scopes the
+    /// signature exchange on a shared bus, and the timeline is fixed
+    /// from the chain clock at the first step after `start_delay`.
+    pub fn new(
+        spec: BettingSpec,
+        [alice, bob]: [Wallet; 2],
+        topic: String,
+        (onchain_abi, offchain_abi): (OnChainContract, OffChainContract),
+    ) -> BettingSession {
+        let offchain_bytecode = offchain_abi.initcode(alice.address, bob.address, spec.secrets);
         BettingSession {
             onchain_abi,
             offchain_abi,
-            alice: params.alice,
-            bob: params.bob,
-            timeline,
+            alice: Participant {
+                wallet: alice,
+                strategy: spec.alice,
+            },
+            bob: Participant {
+                wallet: bob,
+                strategy: spec.bob,
+            },
+            timeline: Timeline::starting_at(0, spec.phase_seconds),
             onchain: Address::ZERO,
             offchain_bytecode,
             offchain_bytes_revealed: 0,
-            phase_seconds: params.phase_seconds,
-            secrets: params.secrets,
-            topic: params.topic,
-            start_delay: params.start_delay,
+            phase_seconds: spec.phase_seconds,
+            secrets: spec.secrets,
+            topic,
+            start_delay: spec.start_delay,
             start_at: None,
             phase: Phase::Start,
             log: TxLog::default(),

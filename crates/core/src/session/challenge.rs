@@ -5,11 +5,12 @@
 //! escalation paths for a crashed representative (forced resolution for
 //! a watching counterparty, stake reclamation for a sleeping one).
 
-use super::{hold_for_start, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
+use super::{hold_for_start, ChallengeSpec, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
 use crate::challenge_protocol::{ChallengeOutcome, CrashPoint, SubmitStrategy, WatchStrategy};
-use crate::participant::Participant;
+use crate::participant::{Participant, Strategy};
 use crate::protocol::{ProtocolError, TxRecord};
 use crate::signedcopy::SignedCopy;
+use sc_chain::Wallet;
 use sc_contracts::challenge::{
     security_deposit, stake, ChallengeContracts, CHALLENGE_DEPLOYED_ADDR_SLOT,
 };
@@ -50,30 +51,6 @@ enum Phase {
     Done,
 }
 
-/// Construction parameters for a [`ChallengeSession`]. Both wallets
-/// must be funded at genesis; the timeline is fixed from the chain clock
-/// at the session's first step after `start_delay`.
-pub struct ChallengeSessionParams {
-    /// Participant 0 — the representative who submits.
-    pub alice: Participant,
-    /// Participant 1 — the watcher.
-    pub bob: Participant,
-    /// The private bet.
-    pub secrets: BetSecrets,
-    /// Challenge window in seconds.
-    pub window: u64,
-    /// Compiled contract pair (compile once, clone per session).
-    pub contracts: ChallengeContracts,
-    /// Seconds after creation before the session begins deploying.
-    pub start_delay: u64,
-    /// What the representative submits.
-    pub submit: SubmitStrategy,
-    /// What the watcher does during the window.
-    pub watch: WatchStrategy,
-    /// Whether (and when) the representative crashes.
-    pub crash: CrashPoint,
-}
-
 /// One challenge-variant game as a pollable state machine.
 pub struct ChallengeSession {
     /// Compiled contract pair.
@@ -106,27 +83,34 @@ pub struct ChallengeSession {
 
 impl ChallengeSession {
     /// Builds the machine at its start state (nothing touched the chain
-    /// yet; the off-chain initcode is derived immediately).
-    pub fn new(params: ChallengeSessionParams) -> ChallengeSession {
-        let bytecode = params.contracts.offchain_initcode(
-            params.alice.wallet.address,
-            params.bob.wallet.address,
-            params.secrets,
-        );
+    /// yet; the off-chain initcode is derived immediately). `wallets`
+    /// are the representative's and the watcher's, both funded at
+    /// genesis; the timeline is fixed from the chain clock at the first
+    /// step after `start_delay`.
+    pub fn new(
+        spec: ChallengeSpec,
+        [alice, bob]: [Wallet; 2],
+        contracts: ChallengeContracts,
+    ) -> ChallengeSession {
+        let bytecode = contracts.offchain_initcode(alice.address, bob.address, spec.secrets);
+        let honest = |wallet| Participant {
+            wallet,
+            strategy: Strategy::Honest,
+        };
         ChallengeSession {
-            contracts: params.contracts,
-            alice: params.alice,
-            bob: params.bob,
+            contracts,
+            alice: honest(alice),
+            bob: honest(bob),
             onchain: Address::ZERO,
             bytecode,
             timeline: Timeline::starting_at(0, 3600),
             offchain_bytes_revealed: 0,
-            secrets: params.secrets,
-            window: params.window,
-            submit: params.submit,
-            watch: params.watch,
-            crash: params.crash,
-            start_delay: params.start_delay,
+            secrets: spec.secrets,
+            window: spec.window,
+            submit: spec.submit,
+            watch: spec.watch,
+            crash: spec.crash,
+            start_delay: spec.start_delay,
             start_at: None,
             phase: Phase::Start,
             log: TxLog::default(),

@@ -126,28 +126,15 @@ impl LightPort<'_> {
     /// (the walk crosses the fork point, so the imported branch wins
     /// fork choice on the client too). A no-op when heads agree.
     fn sync(&mut self) {
-        if self.client.head().hash == self.relay.head().hash {
-            return;
-        }
+        let relay: &Testnet = self.relay;
         let mut missing = Vec::new();
-        let mut cur = self.relay.head().header();
-        loop {
-            if self.client.header_by_hash(cur.hash).is_some() {
-                break;
-            }
-            let parent_hash = cur.parent_hash;
-            let number = cur.number;
-            missing.push(cur);
-            if number == 0 {
-                break;
-            }
-            match self.relay.block_by_hash(parent_hash) {
-                Some(b) => cur = b.header(),
-                None => break,
-            }
+        let mut cur = Some(relay.head());
+        while let Some(block) = cur.filter(|b| self.client.header_by_hash(b.hash).is_none()) {
+            missing.push(&block.header);
+            cur = relay.block_by_hash(block.parent_hash);
         }
         for h in missing.into_iter().rev() {
-            if self.client.import_header(h).is_ok() {
+            if self.client.import_header(h.clone()).is_ok() {
                 self.stats.headers_pulled += 1;
             }
         }
@@ -297,7 +284,7 @@ mod tests {
     fn rig() -> (Testnet, HeaderClient, Wallet) {
         let mut net = Testnet::new();
         let alice = net.funded_wallet("alice", ether(10));
-        let client = HeaderClient::new(net.block(0).unwrap().header());
+        let client = HeaderClient::new(net.block(0).unwrap().header.clone());
         (net, client, alice)
     }
 

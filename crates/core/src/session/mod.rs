@@ -28,14 +28,11 @@ pub mod settle_later;
 pub mod sign;
 pub mod spec;
 
-pub use betting::{BettingSession, BettingSessionParams};
-pub use challenge::{ChallengeSession, ChallengeSessionParams};
+pub use betting::BettingSession;
+pub use challenge::ChallengeSession;
 pub use light::{LightPort, LightStats};
 pub use retry::{Sent, TxLog, TxTask, BACKOFF_BASE_SECS, MAX_ATTEMPTS};
-pub use settle_later::{
-    SettleLaterCrash, SettleLaterOutcome, SettleLaterSession, SettleLaterSessionParams,
-    SettleLaterSpec,
-};
+pub use settle_later::{SettleLaterCrash, SettleLaterOutcome, SettleLaterSession, SettleLaterSpec};
 pub use sign::{SignExchange, MAX_SIGN_ROUNDS, SIGN_ROUND_SECS};
 pub use spec::{BettingSpec, ChallengeSpec, SessionReport, SessionSpec};
 

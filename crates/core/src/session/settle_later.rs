@@ -136,21 +136,6 @@ enum Phase {
     Done,
 }
 
-/// Construction parameters for a [`SettleLaterSession`]. Both wallets
-/// must be funded at genesis.
-pub struct SettleLaterSessionParams {
-    /// Party A's wallet.
-    pub alice: Wallet,
-    /// Party B's wallet.
-    pub bob: Wallet,
-    /// Behaviour knobs.
-    pub spec: SettleLaterSpec,
-    /// Whisper topic for the voucher exchange.
-    pub topic: String,
-    /// Compiled contract (compile once, clone per session).
-    pub contracts: ConfidentialContracts,
-}
-
 /// One confidential settle-later channel as a pollable state machine.
 pub struct SettleLaterSession {
     contracts: ConfidentialContracts,
@@ -182,14 +167,20 @@ fn derive_blinding(topic: &str, tag: &str) -> U256 {
 }
 
 impl SettleLaterSession {
-    /// Builds the machine at its start state.
-    pub fn new(params: SettleLaterSessionParams) -> SettleLaterSession {
+    /// Builds the machine at its start state. Both wallets must be
+    /// funded at genesis; `topic` scopes the voucher exchange.
+    pub fn new(
+        spec: SettleLaterSpec,
+        [alice, bob]: [Wallet; 2],
+        topic: String,
+        contracts: ConfidentialContracts,
+    ) -> SettleLaterSession {
         SettleLaterSession {
-            contracts: params.contracts,
-            alice: params.alice,
-            bob: params.bob,
-            spec: params.spec,
-            topic: params.topic,
+            contracts,
+            alice,
+            bob,
+            spec,
+            topic,
             onchain: Address::ZERO,
             params: None,
             phase: Phase::Start,

@@ -8,12 +8,9 @@
 //! into each session — two runs from identical specs build identical
 //! machines.
 
-use super::{
-    BettingSession, BettingSessionParams, ChallengeSession, ChallengeSessionParams, Session,
-    SettleLaterSession, SettleLaterSessionParams, SettleLaterSpec,
-};
+use super::{BettingSession, ChallengeSession, Session, SettleLaterSession, SettleLaterSpec};
 use crate::challenge_protocol::{CrashPoint, SubmitStrategy, WatchStrategy};
-use crate::participant::{Participant, Strategy};
+use crate::participant::Strategy;
 use sc_chain::Wallet;
 use sc_contracts::challenge::ChallengeContracts;
 use sc_contracts::confidential::ConfidentialContracts;
@@ -172,80 +169,30 @@ pub(crate) fn build_session(
     topic: String,
     contracts: &mut ContractCache,
 ) -> (Box<dyn Session>, &'static str, Option<u64>) {
-    let [alice, bob] = wallets;
     match spec {
         SessionSpec::Betting(s) => {
             let pair = contracts
                 .betting
-                .get_or_insert_with(|| (OnChainContract::new(), OffChainContract::new()))
-                .clone();
-            let session = BettingSession::new(BettingSessionParams {
-                alice: Participant {
-                    wallet: alice,
-                    strategy: s.alice,
-                },
-                bob: Participant {
-                    wallet: bob,
-                    strategy: s.bob,
-                },
-                phase_seconds: s.phase_seconds,
-                secrets: s.secrets,
-                topic,
-                contracts: pair,
-                start_delay: s.start_delay,
-            });
-            (
-                Box::new(session) as Box<dyn Session>,
-                "betting",
-                s.fault_seed,
-            )
+                .get_or_insert_with(|| (OnChainContract::new(), OffChainContract::new()));
+            let seed = s.fault_seed;
+            let session = BettingSession::new(s, wallets, topic, pair.clone());
+            (Box::new(session), "betting", seed)
         }
         SessionSpec::Challenge(s) => {
             let pair = contracts
                 .challenge
-                .get_or_insert_with(ChallengeContracts::new)
-                .clone();
-            let session = ChallengeSession::new(ChallengeSessionParams {
-                alice: Participant {
-                    wallet: alice,
-                    strategy: Strategy::Honest,
-                },
-                bob: Participant {
-                    wallet: bob,
-                    strategy: Strategy::Honest,
-                },
-                secrets: s.secrets,
-                window: s.window,
-                contracts: pair,
-                start_delay: s.start_delay,
-                submit: s.submit,
-                watch: s.watch,
-                crash: s.crash,
-            });
-            (
-                Box::new(session) as Box<dyn Session>,
-                "challenge",
-                s.fault_seed,
-            )
+                .get_or_insert_with(ChallengeContracts::new);
+            let seed = s.fault_seed;
+            let session = ChallengeSession::new(s, wallets, pair.clone());
+            (Box::new(session), "challenge", seed)
         }
         SessionSpec::SettleLater(s) => {
-            let contracts = contracts
+            let contract = contracts
                 .confidential
-                .get_or_insert_with(ConfidentialContracts::new)
-                .clone();
-            let fault_seed = s.fault_seed;
-            let session = SettleLaterSession::new(SettleLaterSessionParams {
-                alice,
-                bob,
-                spec: s,
-                topic,
-                contracts,
-            });
-            (
-                Box::new(session) as Box<dyn Session>,
-                "settle-later",
-                fault_seed,
-            )
+                .get_or_insert_with(ConfidentialContracts::new);
+            let seed = s.fault_seed;
+            let session = SettleLaterSession::new(s, wallets, topic, contract.clone());
+            (Box::new(session), "settle-later", seed)
         }
     }
 }
