@@ -1,9 +1,9 @@
 //! Golden vectors pinning the confidential subsystem's wire artifacts:
 //! the derived generator `H`, commitment bytes for fixed `(v, r)`,
-//! voucher digests and nullifier hashes. These values are consensus —
-//! contracts store commitments by these exact coordinates and registry
-//! keys are these exact nullifiers — so any drift is a hard break, not
-//! a refactor.
+//! range-proof bytes, voucher digests and nullifier hashes. These
+//! values are consensus — contracts store commitments by these exact
+//! coordinates and registry keys are these exact nullifiers — so any
+//! drift is a hard break, not a refactor.
 //!
 //! Plus a proptest oracle for the homomorphism: the sum of commitments
 //! is the commitment of the sums.
@@ -12,7 +12,8 @@ use proptest::prelude::*;
 use sc_confidential::pedersen::generator_h;
 use sc_confidential::{nullifier, CommitmentBackend, PedersenBackend, SettlementVoucher};
 use sc_crypto::ecdsa::PrivateKey;
-use sc_crypto::secp256k1::scalar;
+use sc_crypto::keccak256;
+use sc_crypto::secp256k1::{n, scalar};
 use sc_primitives::{Address, H256, U256};
 
 fn u(hex: &str) -> U256 {
@@ -130,5 +131,59 @@ proptest! {
         prop_assert!(b.verify_range(&c, 16, proof.as_bytes()));
         let other = b.commit(v.wrapping_add(U256::ONE), r);
         prop_assert!(!b.verify_range(&other, 16, proof.as_bytes()));
+    }
+}
+
+/// `keccak256` of `prove_range(v, r, bits)`'s wire bytes. Deposit
+/// calldata carries these bytes, so transaction and block hashes move
+/// with them: any prover change must keep them byte for byte.
+#[test]
+fn golden_range_proof_bytes() {
+    let b = PedersenBackend;
+    let cases = [
+        // One bit, value 0, blinding 0: C and its only bit commitment
+        // are the identity.
+        (
+            U256::ZERO,
+            U256::ZERO,
+            1,
+            "99c84b70f324e807fbe202999b48d7da60470b6bc7afaff48c855d283a2d0e70",
+        ),
+        (
+            U256::from_u64(1),
+            U256::from_u64(2),
+            8,
+            "b67f1c514474e81872904a9fe8de31a9620f262f69b3a7edfe9293a8b28be234",
+        ),
+        (
+            U256::from_u64(65535),
+            U256::from_u64(11),
+            16,
+            "6514a9fe46106cb193bd542bc1036ac0352d20cc5785d9b28d095394ab0f1c57",
+        ),
+        // A full 64-bit value under a full-width 256-bit blinding.
+        (
+            U256::from_u64(0xfedc_ba98_7654_3210),
+            u("f1e2d3c4b5a6978869504132231405f6e7d8c9bab0a1928374655647382910ff"),
+            64,
+            "5a7a1f4498bcaa11fdc3cbef99abf8004b9ed9be30d961f3537918561e9ae655",
+        ),
+        // Blinding n reduces to 0 before anything is derived from it:
+        // the identity again, and the first case's bytes.
+        (
+            U256::ZERO,
+            n(),
+            1,
+            "99c84b70f324e807fbe202999b48d7da60470b6bc7afaff48c855d283a2d0e70",
+        ),
+    ];
+    for (v, r, bits, expected) in cases {
+        let proof = b.prove_range(v, r, bits).expect("value fits");
+        assert!(b.verify_range(&b.commit(v, r), bits, proof.as_bytes()));
+        assert_eq!(
+            keccak256(proof.as_bytes()),
+            H256::from_hex(expected).unwrap(),
+            "v = {v:x}, r = {r:x}, bits = {bits}"
+        );
     }
 }
