@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 
 use crate::CommitmentBackend;
 use sc_crypto::keccak::keccak256;
-use sc_crypto::secp256k1::{lincomb, n, p, scalar, Affine, BaseTable, Point};
+use sc_crypto::secp256k1::{fe, lincomb, n, p, scalar, Affine, BaseTable, Point};
 use sc_primitives::U256;
 
 /// Domain tag for the try-and-increment derivation of `H`.
@@ -21,8 +21,9 @@ pub fn generator_h() -> Point {
     Point::from_affine(h_table().base())
 }
 
-/// `H`'s fixed-base table (64 odd multiples, 4 KiB), derived and built
-/// once: every `·H` in commitments and range proofs runs over it.
+/// `H`'s fixed-base table (64 odd multiples each of `H` and `2^128·H`,
+/// 8 KiB), derived and built once: every `·H` in commitments and range
+/// proofs runs over it.
 pub fn h_table() -> &'static BaseTable {
     static H: OnceLock<BaseTable> = OnceLock::new();
     H.get_or_init(|| {
@@ -51,9 +52,18 @@ impl PartialEq for Commitment {
 }
 impl Eq for Commitment {}
 
-/// Jacobian-coordinate-independent point equality.
+/// Jacobian-coordinate-independent point equality, without inverting:
+/// `(X₁, Y₁, Z₁)` and `(X₂, Y₂, Z₂)` are one point iff
+/// `X₁·Z₂² = X₂·Z₁²` and `Y₁·Z₂³ = Y₂·Z₁³`.
 pub(crate) fn points_equal(a: &Point, b: &Point) -> bool {
-    a.to_affine() == b.to_affine()
+    match (a.is_infinity(), b.is_infinity()) {
+        (false, false) => {
+            let (za2, zb2) = (fe::sq(a.z), fe::sq(b.z));
+            fe::mul(a.x, zb2) == fe::mul(b.x, za2)
+                && fe::mul(a.y, fe::mul(zb2, b.z)) == fe::mul(b.y, fe::mul(za2, a.z))
+        }
+        (a_inf, b_inf) => a_inf == b_inf,
+    }
 }
 
 impl Commitment {
@@ -95,8 +105,14 @@ pub enum DecodeError {
 
 /// Encodes a point as `x || y` (64 bytes); the identity as all zeros.
 pub fn encode_point(pt: &Point) -> [u8; 64] {
+    encode_affine(pt.to_affine())
+}
+
+/// [`encode_point`] of an already normalised point (`None` for the
+/// identity).
+pub(crate) fn encode_affine(a: Option<Affine>) -> [u8; 64] {
     let mut out = [0u8; 64];
-    if let Some(a) = pt.to_affine() {
+    if let Some(a) = a {
         out[..32].copy_from_slice(&a.x.to_be_bytes());
         out[32..].copy_from_slice(&a.y.to_be_bytes());
     }
@@ -225,6 +241,23 @@ mod tests {
             Commitment::from_bytes(&noncanon),
             Err(DecodeError::NonCanonical)
         );
+    }
+
+    #[test]
+    fn points_compare_across_jacobian_representations() {
+        let g = Point::generator();
+        let three = g.mul_scalar(U256::from_u64(3));
+        let three_again = g.double().add(&g);
+        assert_ne!(three.z, three_again.z, "two representations of 3G");
+        assert!(points_equal(&three, &three_again));
+        assert!(
+            !points_equal(&three, &three_again.negate()),
+            "same x, other y"
+        );
+        assert!(!points_equal(&three, &g.double()));
+        assert!(points_equal(&Point::INFINITY, &g.add(&g.negate())));
+        assert!(!points_equal(&Point::INFINITY, &three));
+        assert!(!points_equal(&three, &Point::INFINITY));
     }
 
     #[test]

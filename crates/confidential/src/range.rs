@@ -6,9 +6,16 @@
 //! leaves only "each `C_i` hides 0 or 1" to prove. That disjunction is
 //! a per-bit Chaum-Pedersen OR proof (CDS composition): the prover
 //! simulates the false branch, answers the true branch honestly, and
-//! splits a Fiat-Shamir challenge `e = e_0 + e_1` between them — the
-//! verifier checks `z_j·H == A_j + e_j·Y_j` with `Y_0 = C_i` and
+//! splits a Fiat-Shamir challenge `e = e_0 + e_1` between them — each
+//! branch must satisfy `z_j·H == A_j + e_j·Y_j` with `Y_0 = C_i` and
 //! `Y_1 = C_i − G`.
+//!
+//! The verifier checks all `2·bits` branch equations and the
+//! recomposition at once: it weighs each branch equation with its own
+//! 128-bit weight, hashed from the whole statement and proof, and
+//! accepts iff the weighted sum — one multi-scalar pass over G, H,
+//! every `C_i`, `A_0`, `A_1` and `C` — is the identity. A proof with
+//! any false equation passes one try with probability at most `2^−127`.
 //!
 //! The proof is a fixed 288 bytes per bit
 //! (`C_i ‖ A_0 ‖ A_1 ‖ e_0 ‖ z_0 ‖ z_1`), so calldata cost scales
@@ -16,14 +23,17 @@
 //! a 16-bit default rather than full 64-bit amounts.
 
 use crate::pedersen::{
-    decode_point, encode_point, h_table, points_equal, scalar_sub, Commitment, PedersenBackend,
+    decode_point, encode_affine, h_table, scalar_sub, Commitment, PedersenBackend,
 };
-use sc_crypto::keccak::keccak256;
-use sc_crypto::secp256k1::{lincomb, n, scalar, Point};
+use sc_crypto::keccak::{keccak256, Keccak256};
+use sc_crypto::secp256k1::{lincomb, n, scalar, BaseTable, Point};
 use sc_primitives::U256;
 
 /// Serialized size of one per-bit entry.
 pub const BYTES_PER_BIT: usize = 288;
+
+/// The points of an entry, `C_i ‖ A_0 ‖ A_1`: what its challenge hashes.
+const POINT_BYTES: usize = 192;
 
 /// Largest supported bit width.
 pub const MAX_BITS: u32 = 64;
@@ -67,21 +77,19 @@ fn h2s(tag: &[u8], r: U256, i: u64) -> U256 {
 }
 
 /// The per-bit Fiat-Shamir challenge, bound to the *full* per-bit
-/// statement: the outer commitment, the proof width, the bit index, the
-/// per-bit commitment `C_i` and both first-round messages. Binding
+/// statement: the outer commitment's encoding `c`, the proof width, the
+/// bit index and the entry's encoded points `C_i ‖ A_0 ‖ A_1`. Binding
 /// `C_i` is soundness-critical — if the challenge were independent of
 /// `C_i`, a prover could fix `e` first and then solve either branch for
 /// a `C_i` of its choosing (e.g. `e_0 = 0`, `A_0 = z_0·H` makes branch
 /// 0 hold for *any* `C_i`), forging per-bit proofs for non-bit values.
-fn challenge(c: &Commitment, bits: u32, i: u64, ci: &Point, a0: &Point, a1: &Point) -> U256 {
-    let mut buf = Vec::with_capacity(16 + 64 + 4 + 8 + 64 * 3);
+fn challenge(c: &[u8; 64], bits: u32, i: u64, points: &[u8]) -> U256 {
+    let mut buf = Vec::with_capacity(16 + 64 + 4 + 8 + POINT_BYTES);
     buf.extend_from_slice(b"sc-range-chal-v2");
-    buf.extend_from_slice(&c.to_bytes());
+    buf.extend_from_slice(c);
     buf.extend_from_slice(&bits.to_be_bytes());
     buf.extend_from_slice(&i.to_be_bytes());
-    buf.extend_from_slice(&encode_point(ci));
-    buf.extend_from_slice(&encode_point(a0));
-    buf.extend_from_slice(&encode_point(a1));
+    buf.extend_from_slice(points);
     scalar::reduce(keccak256(&buf).to_u256())
 }
 
@@ -100,8 +108,8 @@ pub fn prove(
         return None;
     }
     let r = scalar::reduce(blinding);
-    let c = backend.commit(value, r);
-    let g = Point::generator();
+    let c = backend.commit(value, r).to_bytes();
+    let g = BaseTable::generator();
     let h = h_table();
 
     // Bit blindings: r_1..r_{bits-1} are hash-derived, r_0 closes the
@@ -116,39 +124,49 @@ pub fn prove(
     }
     bit_r[0] = scalar_sub(r, acc);
 
-    let mut bytes = Vec::with_capacity(bits as usize * BYTES_PER_BIT);
+    // Every point of every entry is a fixed-base pass. The simulated
+    // branch answers `z_sim·H − e_sim·Y_sim` with `Y_sim = C_i` when the
+    // bit is 1 and `C_i − G` when it is 0; expanding `C_i` makes it
+    // `(z_sim − e_sim·r_i)·H ∓ e_sim·G`.
+    let mut points = Vec::with_capacity(3 * bits as usize);
+    let mut nonces = Vec::with_capacity(bits as usize);
     for (i, &ri) in bit_r.iter().enumerate() {
         let b = value.bit(i as u32);
-        let ci = {
-            let rh = h.mul(ri);
-            if b {
-                g.add(&rh)
-            } else {
-                rh
-            }
-        };
-
-        // Simulate the false branch, then answer the true one.
+        let ci = lincomb(&[(g, U256::from_u64(b as u64)), (h, ri)], &[]);
         let e_sim = h2s(b"sc-range-sim-e-v1", ri, i as u64);
         let z_sim = h2s(b"sc-range-sim-z-v1", ri, i as u64);
-        let y_sim = if b { ci } else { ci.add(&g.negate()) };
-        let a_sim = lincomb(&[(h, z_sim)], &[(y_sim.negate(), e_sim)]);
         let k = h2s(b"sc-range-nonce-v1", ri, i as u64);
+        let g_sim = if b { scalar::neg(e_sim) } else { e_sim };
+        let a_sim = lincomb(
+            &[(h, scalar_sub(z_sim, scalar::mul(e_sim, ri))), (g, g_sim)],
+            &[],
+        );
         let a_real = h.mul(k);
-
         let (a0, a1) = if b { (a_sim, a_real) } else { (a_real, a_sim) };
-        let e = challenge(&c, bits, i as u64, &ci, &a0, &a1);
+        points.extend([ci, a0, a1]);
+        nonces.push((e_sim, z_sim, k));
+    }
+    let affine = Point::batch_to_affine(&points);
+
+    let mut bytes = Vec::with_capacity(bits as usize * BYTES_PER_BIT);
+    for (i, ((&ri, (e_sim, z_sim, k)), entry)) in bit_r
+        .iter()
+        .zip(nonces)
+        .zip(affine.chunks_exact(3))
+        .enumerate()
+    {
+        let at = bytes.len();
+        for &a in entry {
+            bytes.extend_from_slice(&encode_affine(a));
+        }
+        let e = challenge(&c, bits, i as u64, &bytes[at..]);
         let e_real = scalar_sub(e, e_sim);
         let z_real = scalar::add(k, scalar::mul(e_real, ri));
-        let (e0, z0, z1) = if b {
+        let (e0, z0, z1) = if value.bit(i as u32) {
             (e_sim, z_sim, z_real)
         } else {
             (e_real, z_real, z_sim)
         };
-
-        bytes.extend_from_slice(&encode_point(&ci));
-        bytes.extend_from_slice(&encode_point(&a0));
-        bytes.extend_from_slice(&encode_point(&a1));
         bytes.extend_from_slice(&e0.to_be_bytes());
         bytes.extend_from_slice(&z0.to_be_bytes());
         bytes.extend_from_slice(&z1.to_be_bytes());
@@ -160,6 +178,21 @@ pub fn prove(
 /// malformed input (wrong length, off-curve or non-canonical points,
 /// non-canonical scalars) — never panics. This is the routine the
 /// `RANGE_VERIFY` precompile runs on raw calldata.
+///
+/// With the weight `w_{i,j}` of bit `i`'s branch `j` the low 128 bits,
+/// bit 0 set, of `keccak("sc-range-batch-v1" ‖ C ‖ bits ‖ proof ‖
+/// 2i + j)`, the proof is accepted iff
+///
+/// ```text
+/// Σ_i w_{i,0}·(z_{i,0}·H − e_{i,0}·C_i − A_{i,0})
+///   + w_{i,1}·(z_{i,1}·H − e_{i,1}·(C_i − G) − A_{i,1})
+///   + Σ_i 2^i·C_i − C  ==  O
+/// ```
+///
+/// gathered per base into one [`lincomb`]: `Σ w_{i,1}·e_{i,1}` on G,
+/// `Σ w_{i,0}·z_{i,0} + w_{i,1}·z_{i,1}` on H,
+/// `2^i − w_{i,0}·e_{i,0} − w_{i,1}·e_{i,1}` on each `C_i`, the 128-bit
+/// `w_{i,j}` on each `−A_{i,j}`, and 1 on `−C`.
 pub fn verify(c: &Commitment, bits: u32, proof: &[u8]) -> bool {
     if bits == 0 || bits > MAX_BITS {
         return false;
@@ -167,18 +200,34 @@ pub fn verify(c: &Commitment, bits: u32, proof: &[u8]) -> bool {
     if proof.len() != bits as usize * BYTES_PER_BIT {
         return false;
     }
-    let g_neg = Point::generator().negate();
-    let h = h_table();
-    let mut bit_commitments = Vec::with_capacity(bits as usize);
-    for i in 0..bits as usize {
-        let entry = &proof[i * BYTES_PER_BIT..(i + 1) * BYTES_PER_BIT];
+    let c_bytes = c.to_bytes();
+    // The weights are odd (so never zero) 128-bit values. Hashing the
+    // whole proof keeps a prover from choosing errors that cancel under
+    // weights it knows in advance.
+    let mut prefix = Keccak256::new();
+    for part in [
+        b"sc-range-batch-v1".as_slice(),
+        &c_bytes,
+        &bits.to_be_bytes(),
+        proof,
+    ] {
+        prefix.update(part);
+    }
+    let weight = |j: u64| {
+        let mut hasher = prefix.clone();
+        hasher.update(&j.to_be_bytes());
+        U256::from_u128(hasher.finalize().to_u256().low_u128() | 1)
+    };
+    let (mut g_k, mut h_k) = (U256::ZERO, U256::ZERO);
+    let mut var = Vec::with_capacity(3 * bits as usize + 1);
+    for (i, entry) in proof.chunks_exact(BYTES_PER_BIT).enumerate() {
         let Ok(ci) = decode_point(&entry[..64]) else {
             return false;
         };
         let Ok(a0) = decode_point(&entry[64..128]) else {
             return false;
         };
-        let Ok(a1) = decode_point(&entry[128..192]) else {
+        let Ok(a1) = decode_point(&entry[128..POINT_BYTES]) else {
             return false;
         };
         let e0 = U256::from_be_slice(&entry[192..224]);
@@ -187,35 +236,33 @@ pub fn verify(c: &Commitment, bits: u32, proof: &[u8]) -> bool {
         if e0 >= n() || z0 >= n() || z1 >= n() {
             return false;
         }
-        let e = challenge(c, bits, i as u64, &ci, &a0, &a1);
+        // `decode_point` accepts only canonical encodings, so these are
+        // the bytes the prover hashed.
+        let e = challenge(&c_bytes, bits, i as u64, &entry[..POINT_BYTES]);
         let e1 = scalar_sub(e, e0);
-
-        // Each branch's `z·H == A + e·Y`, checked as `z·H − e·Y == A`
-        // in one two-term pass.
-        // Branch 0: C_i hides 0, i.e. C_i = r·H.
-        if !points_equal(&lincomb(&[(h, z0)], &[(ci.negate(), e0)]), &a0) {
-            return false;
-        }
-        // Branch 1: C_i hides 1, i.e. C_i − G = r·H.
-        let y1 = ci.add(&g_neg);
-        if !points_equal(&lincomb(&[(h, z1)], &[(y1.negate(), e1)]), &a1) {
-            return false;
-        }
-        bit_commitments.push(ci);
+        let (w0, w1) = (weight(2 * i as u64), weight(2 * i as u64 + 1));
+        g_k = scalar::add(g_k, scalar::mul(w1, e1));
+        h_k = scalar::add(h_k, scalar::add(scalar::mul(w0, z0), scalar::mul(w1, z1)));
+        let spent = scalar::add(scalar::mul(w0, e0), scalar::mul(w1, e1));
+        var.push((ci, scalar_sub(U256::ONE.shl_bits(i as u32), spent)));
+        var.push((a0.negate(), w0));
+        var.push((a1.negate(), w1));
     }
-    // Σ 2^i·C_i by Horner's rule, one doubling per bit.
-    let sum = bit_commitments
-        .iter()
-        .rev()
-        .fold(Point::INFINITY, |acc, ci| acc.double().add(ci));
-    points_equal(&sum, &c.0)
+    var.push((c.0.negate(), U256::ONE));
+    lincomb(&[(BaseTable::generator(), g_k), (h_table(), h_k)], &var).is_infinity()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pedersen::generator_h;
+    use crate::pedersen::{encode_point, generator_h, points_equal};
     use crate::CommitmentBackend;
+
+    /// The challenge of an entry given as points.
+    fn challenge(c: &Commitment, bits: u32, i: u64, ci: &Point, a0: &Point, a1: &Point) -> U256 {
+        let points = [encode_point(ci), encode_point(a0), encode_point(a1)].concat();
+        super::challenge(&c.to_bytes(), bits, i, &points)
+    }
 
     #[test]
     fn roundtrip_various_values() {

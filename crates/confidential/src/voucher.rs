@@ -59,17 +59,16 @@ impl SettlementVoucher {
     /// contract address and both commitments' coordinates, mirrored
     /// exactly by the contract's `voucherDigest`.
     pub fn digest(&self) -> H256 {
+        // `to_bytes` is `x ‖ y` from one normalisation, so its halves
+        // are the two words `hash2` takes.
+        let coords = |c: &Commitment| {
+            let xy = c.to_bytes();
+            let word = |half: &[u8]| H256(half.try_into().expect("32 bytes"));
+            hash2(word(&xy[..32]), word(&xy[32..]))
+        };
         let domain = keccak256(VOUCHER_DOMAIN);
         let d1 = hash2(domain, H256::from_u256(self.contract.to_u256()));
-        let d2 = hash2(
-            H256::from_u256(self.out_a.x()),
-            H256::from_u256(self.out_a.y()),
-        );
-        let d3 = hash2(
-            H256::from_u256(self.out_b.x()),
-            H256::from_u256(self.out_b.y()),
-        );
-        hash2(hash2(d1, d2), d3)
+        hash2(hash2(d1, coords(&self.out_a)), coords(&self.out_b))
     }
 
     /// Signs the digest with a participant key.

@@ -19,9 +19,13 @@
 //!   to one accumulator. A variable point gets w = 5 over a Jacobian
 //!   table of its 8 odd multiples, built per call. A fixed base
 //!   ([`BaseTable`]: G through [`Point::mul_g`], `sc-confidential`'s H)
-//!   gets w = 8 over 64 affine odd multiples (4 KiB) built once, added
-//!   with the cheaper mixed Jacobian + affine formula. ECDSA recovery and
-//!   verification are each one such pass ([`Point::mul_add_g`]).
+//!   gets w = 8 over 64 affine odd multiples of `B` and 64 of
+//!   `2^128·B` (8 KiB) built once, added with the cheaper mixed
+//!   Jacobian + affine formula: its scalar is recoded as two 128-bit
+//!   halves, so a pass over fixed bases alone (signing, public keys,
+//!   commitments) runs ≤ 129 doublings. ECDSA recovery and verification
+//!   are each one pass with a variable point ([`Point::mul_add_g`]), so
+//!   they keep the full length.
 //!
 //! The implementation favours clarity and determinism over constant-time
 //! hardening — wNAF recoding, table lookups and both inversions branch on
@@ -305,6 +309,38 @@ impl Point {
         })
     }
 
+    /// Normalizes every point with one field inversion (Montgomery's
+    /// trick: invert the product of the `Z`s, then peel each `Z⁻¹` off
+    /// it); `None` for each infinity.
+    pub fn batch_to_affine(points: &[Point]) -> Vec<Option<Affine>> {
+        // prefix[i] = Π Z_j over the finite points j ≤ i.
+        let mut prefix = Vec::with_capacity(points.len());
+        let mut acc = U256::ONE;
+        for pt in points {
+            if !pt.is_infinity() {
+                acc = fe::mul(acc, pt.z);
+            }
+            prefix.push(acc);
+        }
+        let mut inv = fe::inv(acc);
+        let mut out = vec![None; points.len()];
+        for (i, pt) in points.iter().enumerate().rev() {
+            if pt.is_infinity() {
+                continue;
+            }
+            // inv = 1 / prefix[i], so this peels off Z_i⁻¹.
+            let before = if i == 0 { U256::ONE } else { prefix[i - 1] };
+            let zinv = fe::mul(inv, before);
+            inv = fe::mul(inv, pt.z);
+            let zinv2 = fe::sq(zinv);
+            out[i] = Some(Affine {
+                x: fe::mul(pt.x, zinv2),
+                y: fe::mul(pt.y, fe::mul(zinv2, zinv)),
+            });
+        }
+        out
+    }
+
     /// Point doubling (a = 0 short-Weierstrass formulas).
     pub fn double(&self) -> Point {
         if self.is_infinity() || self.y.is_zero() {
@@ -468,7 +504,8 @@ impl Affine {
 /// wNAF width for a fixed base: digits up to ±127, one table entry per
 /// odd magnitude.
 const FIXED_WINDOW: u32 = 8;
-/// Entries of a fixed-base table: the odd multiples `1·B … 127·B`.
+/// Entries of each half of a fixed-base table: the odd multiples
+/// `1·B … 127·B`.
 const FIXED_TABLE_LEN: usize = 1 << (FIXED_WINDOW - 2);
 /// wNAF width for a variable point: its table is rebuilt on every call,
 /// so it stays small (8 entries, digits up to ±15).
@@ -478,30 +515,49 @@ const VAR_TABLE_LEN: usize = 1 << (VAR_WINDOW - 2);
 /// Digits of a 256-bit scalar's wNAF: one past the top bit for the
 /// final carry.
 const NAF_LEN: usize = 257;
+/// A fixed-base scalar is split at this bit: `k = lo + hi·2^128`.
+const HALF_BITS: u32 = 128;
+/// Digits of a 128-bit half's wNAF, again one past the top bit.
+const HALF_NAF_LEN: usize = HALF_BITS as usize + 1;
 
-/// The odd multiples `B, 3B, …, 127B` of a fixed base `B`, in affine
-/// form (64 points, 4 KiB). Built once per base, it lets [`lincomb`]
-/// recode that base's scalar at width 8 — ~28 mixed additions per
-/// 256-bit scalar, against ~43 full ones at the variable width of 5.
+/// The odd multiples `B, 3B, …, 127B` of a fixed base `B` and
+/// `B', 3B', …, 127B'` of `B' = 2^128·B`, in affine form (2 × 64
+/// points, 8 KiB). Built once per base, it lets [`lincomb`] recode that
+/// base's scalar as two 128-bit halves at width 8: ~28 mixed additions
+/// per 256-bit scalar, against ~43 full ones at the variable width of
+/// 5, and a pass over fixed bases alone needs only ≤ 129 doublings.
 pub struct BaseTable {
     odd: [Affine; FIXED_TABLE_LEN],
+    odd_hi: [Affine; FIXED_TABLE_LEN],
 }
 
 impl BaseTable {
     /// Tabulates `base`, which must be a curve point (a validated
     /// encoding or [`Affine::lift_x`]'s output): the group has prime
-    /// order, so no odd multiple below 128 of it is infinity.
+    /// order, so no odd multiple below 128 of it or of `2^128·base` is
+    /// infinity.
     pub fn new(base: Affine) -> BaseTable {
-        let twice = Point::from_affine(base).double();
-        let mut odd = [base; FIXED_TABLE_LEN];
-        let mut acc = Point::from_affine(base);
-        for slot in odd.iter_mut().skip(1) {
-            acc = acc.add(&twice);
-            *slot = acc
-                .to_affine()
-                .expect("odd multiples of a curve point below the prime order are finite");
+        let b = Point::from_affine(base);
+        let b_hi = (0..HALF_BITS).fold(b, |acc, _| acc.double());
+        let mut points = Vec::with_capacity(2 * FIXED_TABLE_LEN);
+        for start in [b, b_hi] {
+            let twice = start.double();
+            let mut acc = start;
+            for _ in 0..FIXED_TABLE_LEN {
+                points.push(acc);
+                acc = acc.add(&twice);
+            }
         }
-        BaseTable { odd }
+        let affine: Vec<Affine> = Point::batch_to_affine(&points)
+            .into_iter()
+            .map(|a| a.expect("odd multiples of a curve point below the prime order are finite"))
+            .collect();
+        BaseTable {
+            odd: affine[..FIXED_TABLE_LEN].try_into().expect("one half"),
+            odd_hi: affine[FIXED_TABLE_LEN..]
+                .try_into()
+                .expect("the other half"),
+        }
     }
 
     /// The generator's table, built on first use.
@@ -519,18 +575,18 @@ impl BaseTable {
     pub fn mul(&self, k: U256) -> Point {
         lincomb(&[(self, k)], &[])
     }
+}
 
-    /// `d·B` for an odd wNAF digit `d`.
-    fn lookup(&self, d: i8) -> Affine {
-        let a = self.odd[(d.unsigned_abs() / 2) as usize];
-        if d < 0 {
-            Affine {
-                x: a.x,
-                y: fe::neg(a.y),
-            }
-        } else {
-            a
+/// `d·Q` for an odd wNAF digit `d`, from `Q`'s odd multiples.
+fn lookup(odd: &[Affine; FIXED_TABLE_LEN], d: i8) -> Affine {
+    let a = odd[(d.unsigned_abs() / 2) as usize];
+    if d < 0 {
+        Affine {
+            x: a.x,
+            y: fe::neg(a.y),
         }
+    } else {
+        a
     }
 }
 
@@ -538,18 +594,28 @@ impl BaseTable {
 /// `Pⱼ`, in one Strauss–Shamir pass: every scalar is recoded in wNAF
 /// (width 8 for a table, 5 for a point), and one run of doublings from
 /// the highest nonzero digit down adds each term's digit from its table.
-/// Scalars are any 256-bit values, not only reduced ones. This is the
-/// crate's one scalar-multiplication path.
+/// A fixed scalar is recoded as two 128-bit halves, the high one over
+/// the table of `2^128·B`, so its digits stop at bit 128 and a pass
+/// with no variable point runs ≤ 129 doublings. Scalars are any 256-bit
+/// values, not only reduced ones. This is the crate's one
+/// scalar-multiplication path.
 pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
-    let fixed_nafs: Vec<[i8; NAF_LEN]> =
-        fixed.iter().map(|&(_, k)| wnaf(k, FIXED_WINDOW)).collect();
+    let fixed_nafs: Vec<[[i8; HALF_NAF_LEN]; 2]> = fixed
+        .iter()
+        .map(|&(_, k)| {
+            let lo = U256([k.0[0], k.0[1], 0, 0]);
+            let hi = U256([k.0[2], k.0[3], 0, 0]);
+            [wnaf(lo, FIXED_WINDOW), wnaf(hi, FIXED_WINDOW)]
+        })
+        .collect();
     let var_terms: Vec<([Point; VAR_TABLE_LEN], [i8; NAF_LEN])> = var
         .iter()
         .map(|&(p, k)| (odd_multiples(p), wnaf(k, VAR_WINDOW)))
         .collect();
     let top = fixed_nafs
         .iter()
-        .chain(var_terms.iter().map(|(_, naf)| naf))
+        .flat_map(|halves| halves.iter().map(|naf| naf.as_slice()))
+        .chain(var_terms.iter().map(|(_, naf)| naf.as_slice()))
         .filter_map(|naf| naf.iter().rposition(|&d| d != 0))
         .max();
     let Some(top) = top else {
@@ -558,9 +624,14 @@ pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
     let mut acc = Point::INFINITY;
     for i in (0..=top).rev() {
         acc = acc.double();
-        for (&(table, _), naf) in fixed.iter().zip(&fixed_nafs) {
-            if naf[i] != 0 {
-                acc = acc.add_affine(&table.lookup(naf[i]));
+        if i < HALF_NAF_LEN {
+            for (&(table, _), [lo, hi]) in fixed.iter().zip(&fixed_nafs) {
+                if lo[i] != 0 {
+                    acc = acc.add_affine(&lookup(&table.odd, lo[i]));
+                }
+                if hi[i] != 0 {
+                    acc = acc.add_affine(&lookup(&table.odd_hi, hi[i]));
+                }
             }
         }
         for (table, naf) in &var_terms {
@@ -584,20 +655,22 @@ fn odd_multiples(p: Point) -> [Point; VAR_TABLE_LEN] {
     out
 }
 
-/// Width-`w` NAF of `k`, least significant digit first: every nonzero
-/// digit is odd, below `2^(w−1)` in magnitude, and followed by at least
-/// `w − 1` zeros, and `Σ dᵢ·2ⁱ = k`. (libsecp256k1's recoding, with
-/// the final carry kept as digit 256 instead of negating the scalar.)
-fn wnaf(k: U256, w: u32) -> [i8; NAF_LEN] {
-    let mut naf = [0i8; NAF_LEN];
+/// Width-`w` NAF of `k < 2^(L−1)`, least significant digit first: every
+/// nonzero digit is odd, below `2^(w−1)` in magnitude, and followed by
+/// at least `w − 1` zeros, and `Σ dᵢ·2ⁱ = k`. (libsecp256k1's
+/// recoding, with the final carry kept as digit `L − 1` instead of
+/// negating the scalar.)
+fn wnaf<const L: usize>(k: U256, w: u32) -> [i8; L] {
+    let bits = L as u32 - 1;
+    let mut naf = [0i8; L];
     let mut carry = 0u64;
     let mut bit = 0u32;
-    while bit < 256 {
+    while bit < bits {
         if k.bit(bit) as u64 == carry {
             bit += 1;
             continue;
         }
-        let width = w.min(256 - bit);
+        let width = w.min(bits - bit);
         // Odd, so at most 2^w − 1: a top bit set means "subtract 2^w
         // here, carry one into the next window".
         let word = window(k, bit, width) + carry;
@@ -605,7 +678,7 @@ fn wnaf(k: U256, w: u32) -> [i8; NAF_LEN] {
         naf[bit as usize] = (word as i64 - ((carry as i64) << w)) as i8;
         bit += width;
     }
-    naf[256] = carry as i8;
+    naf[bits as usize] = carry as i8;
     naf
 }
 
@@ -743,7 +816,7 @@ mod tests {
         ];
         for k in ks {
             for w in [VAR_WINDOW, FIXED_WINDOW] {
-                let naf = wnaf(k, w);
+                let naf: [i8; NAF_LEN] = wnaf(k, w);
                 // Σ dᵢ·2ⁱ, split into a positive and a negative part.
                 let (mut pos, mut neg) = (U256::ZERO, U256::ZERO);
                 let mut last: Option<usize> = None;
@@ -766,16 +839,51 @@ mod tests {
                 }
                 assert_eq!(pos.wrapping_sub(neg), k, "w = {w}");
             }
+            // The fixed-base halves: digits 0..=128, the carry at 128.
+            for half in [U256([k.0[0], k.0[1], 0, 0]), U256([k.0[2], k.0[3], 0, 0])] {
+                let naf: [i8; HALF_NAF_LEN] = wnaf(half, FIXED_WINDOW);
+                let (mut pos, mut neg) = (U256::ZERO, U256::ZERO);
+                for (i, &d) in naf.iter().enumerate().filter(|(_, &d)| d != 0) {
+                    assert!(d % 2 != 0 && d.unsigned_abs() < 1 << (FIXED_WINDOW - 1));
+                    let term = U256::from_u64(d.unsigned_abs() as u64).shl_bits(i as u32);
+                    if d > 0 {
+                        pos = pos.wrapping_add(term);
+                    } else {
+                        neg = neg.wrapping_add(term);
+                    }
+                }
+                assert_eq!(pos.wrapping_sub(neg), half, "half of {k:x}");
+            }
         }
     }
 
     #[test]
     fn fixed_base_tables_hold_the_odd_multiples() {
         let t = BaseTable::generator();
-        assert_eq!(std::mem::size_of::<BaseTable>(), 64 * 64, "4 KiB");
-        for (i, a) in t.odd.iter().enumerate() {
+        assert_eq!(std::mem::size_of::<BaseTable>(), 2 * 64 * 64, "8 KiB");
+        for (i, (a, a_hi)) in t.odd.iter().zip(&t.odd_hi).enumerate() {
             let k = U256::from_u64(2 * i as u64 + 1);
             assert_eq!(Some(*a), Point::generator().mul_scalar(k).to_affine());
+            let k_hi = k.shl_bits(HALF_BITS);
+            assert_eq!(Some(*a_hi), Point::generator().mul_scalar(k_hi).to_affine());
         }
+    }
+
+    #[test]
+    fn batch_normalisation_matches_one_at_a_time() {
+        let g = Point::generator();
+        let points = [
+            Point::INFINITY,
+            g,
+            g.double(),
+            Point::INFINITY,
+            g.mul_scalar(U256::from_u64(12345)),
+            g.double().add(&g),
+            Point::INFINITY,
+        ];
+        let one_by_one: Vec<_> = points.iter().map(Point::to_affine).collect();
+        assert_eq!(Point::batch_to_affine(&points), one_by_one);
+        assert!(Point::batch_to_affine(&[]).is_empty());
+        assert_eq!(Point::batch_to_affine(&[Point::INFINITY]), vec![None]);
     }
 }

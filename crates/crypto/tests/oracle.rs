@@ -15,7 +15,7 @@
 use sc_crypto::ecdsa::{recover_pubkey, EcdsaError, PrivateKey, Signature};
 use sc_crypto::keccak256;
 use sc_crypto::modmath::inv_mod;
-use sc_crypto::secp256k1::{fe, n, p, scalar, Affine, Point};
+use sc_crypto::secp256k1::{fe, lincomb, n, p, scalar, Affine, BaseTable, Point};
 use sc_primitives::{Address, H256, U256};
 
 /// The textbook arithmetic the optimized code must agree with.
@@ -360,6 +360,22 @@ fn check_inverses(rng: &mut Rng) {
     assert_eq!(scalar::inv(k), reference::inv(k, n()));
 }
 
+/// Scalars at the split of a fixed-base pass, which recodes `k` as
+/// `lo + hi·2^128` over two tables: each half alone, the last value
+/// below the split and the first at it, and n − 1.
+fn split_edges(rng: &mut Rng) -> Vec<U256> {
+    let split = U256::ONE.shl_bits(128);
+    vec![
+        U256([0, 0, rng.next(), rng.next() >> 1]), // low half 0
+        U256([rng.next(), rng.next(), 0, 0]),      // high half 0
+        split.wrapping_sub(U256::ONE),
+        split,
+        split.wrapping_add(U256::ONE),
+        U256([0, 0, u64::MAX, u64::MAX]), // 2^256 − 2^128
+        n().wrapping_sub(U256::ONE),
+    ]
+}
+
 fn check_scalar_mul(rng: &mut Rng) {
     // A variable point with a known discrete log, so both sides start
     // from the same group element.
@@ -367,11 +383,27 @@ fn check_scalar_mul(rng: &mut Rng) {
     let ref_p = Pt::generator().mul(d);
     let (px, py) = ref_p.to_affine().expect("d < n");
     let pt = Point::from_affine(Affine { x: px, y: py });
+    let p_table = BaseTable::new(Affine { x: px, y: py });
     let mut scalars = scalar_edges();
+    scalars.extend(split_edges(rng));
     scalars.push(rng.below(n()));
     scalars.push(rng.u256());
     let b = rng.below(n());
     for &a in &scalars {
+        // Commit-shaped: two fixed bases, no variable point, so both
+        // scalars run as halves over ≤ 129 doublings.
+        let expected = Pt::generator().mul(a).add(ref_p.mul(b)).to_affine();
+        assert_eq!(
+            affine_of(&lincomb(&[(BaseTable::generator(), a), (&p_table, b)], &[])),
+            expected,
+            "a·G + b·P over two tables, a = {a:x}"
+        );
+        let expected = Pt::generator().mul(b).add(ref_p.mul(a)).to_affine();
+        assert_eq!(
+            affine_of(&lincomb(&[(BaseTable::generator(), b), (&p_table, a)], &[])),
+            expected,
+            "b·G + a·P over two tables, a = {a:x}"
+        );
         assert_eq!(
             affine_of(&pt.mul_scalar(a)),
             ref_p.mul(a).to_affine(),
