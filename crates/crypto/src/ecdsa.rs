@@ -11,8 +11,12 @@
 //! Signing and key derivation multiply over the generator's fixed-base
 //! table ([`Point::mul_g`]). Recovery computes `Q = (−z·r⁻¹)·G +
 //! (s·r⁻¹)·R` and verification `u₁·G + u₂·Q`, each as one Strauss–Shamir
-//! pass ([`Point::mul_add_g`]) after a single scalar inversion. Like the
-//! curve arithmetic under it, none of this is constant-time.
+//! pass ([`Point::mul_add_g`]) after a single scalar inversion; the pass
+//! splits the variable point's scalar with the curve's endomorphism, so
+//! it runs ≤ 129 doublings like a fixed-base one. That split needs `R`
+//! and `Q` on the curve: `R` comes from [`Affine::lift_x`], and
+//! [`PublicKey::verify`] refuses a key that is not. Like the curve
+//! arithmetic under it, none of this is constant-time.
 
 use crate::keccak::keccak256;
 use crate::secp256k1::{n, scalar, Affine, Point};
@@ -159,11 +163,13 @@ impl PublicKey {
         Address::from_h256(keccak256(&ser[1..]))
     }
 
-    /// Verifies a signature over a digest (ignores `v`).
+    /// Verifies a signature over a digest (ignores `v`). A key off the
+    /// curve verifies nothing: the field is public, so any caller can
+    /// build one, and the verification pass is only sound on the curve.
     pub fn verify(&self, digest: H256, sig: &Signature) -> bool {
         let r = sig.r.to_u256();
         let s = sig.s.to_u256();
-        if !scalar::is_valid_nonzero(r) || !scalar::is_valid_nonzero(s) {
+        if !scalar::is_valid_nonzero(r) || !scalar::is_valid_nonzero(s) || !self.0.is_on_curve() {
             return false;
         }
         let z = bits2int_mod_n(digest);
@@ -455,6 +461,25 @@ mod tests {
         let mut bad_s = sig;
         bad_s.s = H256::from_u256(sig.s.to_u256().wrapping_add(U256::ONE));
         assert!(!key.public_key().verify(digest, &bad_s));
+    }
+
+    #[test]
+    fn off_curve_key_verifies_nothing() {
+        let key = PrivateKey::from_seed("alice");
+        let digest = keccak256(b"m");
+        let sig = key.sign(digest);
+        let mut off = key.public_key();
+        off.0.y = crate::secp256k1::fe::add(off.0.y, U256::ONE);
+        assert!(!off.0.is_on_curve());
+        assert!(!off.verify(digest, &sig));
+        // (0, 0) is no curve point either: it encodes infinity
+        // elsewhere, never a key.
+        let zero = Affine {
+            x: U256::ZERO,
+            y: U256::ZERO,
+        };
+        assert!(!PublicKey(zero).verify(digest, &sig));
+        assert!(key.public_key().verify(digest, &sig));
     }
 
     #[test]

@@ -14,18 +14,19 @@
 //!   fixed addition chain for `(p + 1)/4`.
 //! * **Scalar multiplication.** Every product — `k·P`, `k·G`,
 //!   `a·G + b·P`, a Pedersen `v·G + r·H` — is one call of [`lincomb`], a
-//!   Strauss–Shamir pass: each scalar is recoded in width-w NAF, then a
-//!   single run of ≤ 257 doublings adds each nonzero digit's table point
-//!   to one accumulator. A variable point gets w = 5 over a Jacobian
-//!   table of its 8 odd multiples, built per call. A fixed base
-//!   ([`BaseTable`]: G through [`Point::mul_g`], `sc-confidential`'s H)
-//!   gets w = 8 over 64 affine odd multiples of `B` and 64 of
+//!   Strauss–Shamir pass: each scalar is recoded in width-w NAF as one
+//!   or two halves below 2^128, then a single run of ≤ 129 doublings
+//!   adds each nonzero digit's table point to one accumulator. A fixed
+//!   base ([`BaseTable`]: G through [`Point::mul_g`], `sc-confidential`'s
+//!   H) gets w = 8 over 64 affine odd multiples of `B` and 64 of
 //!   `2^128·B` (8 KiB) built once, added with the cheaper mixed
-//!   Jacobian + affine formula: its scalar is recoded as two 128-bit
-//!   halves, so a pass over fixed bases alone (signing, public keys,
-//!   commitments) runs ≤ 129 doublings. ECDSA recovery and verification
-//!   are each one pass with a variable point ([`Point::mul_add_g`]), so
-//!   they keep the full length.
+//!   Jacobian + affine formula, and its scalar splits as
+//!   `lo + hi·2^128`. A variable point gets w = 5 over a Jacobian table
+//!   of its 8 odd multiples, built per call; a scalar of 129 bits or
+//!   more splits with the curve's endomorphism as `k1 + k2·λ`, the
+//!   second half over the same table with every `X` times β. So ECDSA
+//!   recovery and verification ([`Point::mul_add_g`]) are half length
+//!   too.
 //!
 //! The implementation favours clarity and determinism over constant-time
 //! hardening — wNAF recoding, table lookups and both inversions branch on
@@ -512,13 +513,52 @@ const FIXED_TABLE_LEN: usize = 1 << (FIXED_WINDOW - 2);
 const VAR_WINDOW: u32 = 5;
 /// Entries of a variable point's table: `1·P … 15·P`.
 const VAR_TABLE_LEN: usize = 1 << (VAR_WINDOW - 2);
-/// Digits of a 256-bit scalar's wNAF: one past the top bit for the
-/// final carry.
-const NAF_LEN: usize = 257;
-/// A fixed-base scalar is split at this bit: `k = lo + hi·2^128`.
+/// Every scalar is recoded in halves below `2^128`: a fixed-base one
+/// as `lo + hi·2^128`, a variable one as `k1 + k2·λ`.
 const HALF_BITS: u32 = 128;
-/// Digits of a 128-bit half's wNAF, again one past the top bit.
+/// Digits of a 128-bit half's wNAF: one past the top bit for the final
+/// carry.
 const HALF_NAF_LEN: usize = HALF_BITS as usize + 1;
+
+/// λ, a cube root of unity mod n: `λ·(x, y) = (β·x, y)` on the curve.
+/// This constant and the five below are libsecp256k1's
+/// (`secp256k1_scalar_split_lambda`); the tests check they agree.
+const LAMBDA: U256 = U256([
+    0xdf02_967c_1b23_bd72,
+    0x122e_22ea_2081_6678,
+    0xa526_1c02_8812_645a,
+    0x5363_ad4c_c05c_30e0,
+]);
+/// β, the cube root of unity mod p that pairs with [`LAMBDA`].
+const BETA: U256 = U256([
+    0xc139_6c28_7195_01ee,
+    0x9cf0_4975_12f5_8995,
+    0x6e64_479e_ac34_34e9,
+    0x7ae9_6a2b_657c_0710,
+]);
+/// `g1 = round(2^384·b2 / n)` and `g2 = round(2^384·(−b1) / n)`, for the
+/// lattice basis `(a1, b1), (a2, b2)` of the pairs `(x, y)` with
+/// `x + y·λ ≡ 0 (mod n)`.
+const G1: U256 = U256([
+    0xe893_209a_45db_b031,
+    0x3daa_8a14_71e8_ca7f,
+    0xe86c_90e4_9284_eb15,
+    0x3086_d221_a7d4_6bcd,
+]);
+const G2: U256 = U256([
+    0x1571_b4ae_8ac4_7f71,
+    0x2212_08ac_9df5_06c6,
+    0x6f54_7fa9_0abf_e4c4,
+    0xe443_7ed6_010e_8828,
+]);
+/// `−b1` (a 128-bit value) and `−b2 mod n`.
+const MINUS_B1: U256 = U256([0x6f54_7fa9_0abf_e4c3, 0xe443_7ed6_010e_8828, 0, 0]);
+const MINUS_B2: U256 = U256([
+    0xd765_cda8_3db1_562c,
+    0x8a28_0ac5_0774_346d,
+    0xffff_ffff_ffff_fffe,
+    0xffff_ffff_ffff_ffff,
+]);
 
 /// The odd multiples `B, 3B, …, 127B` of a fixed base `B` and
 /// `B', 3B', …, 127B'` of `B' = 2^128·B`, in affine form (2 × 64
@@ -592,13 +632,20 @@ fn lookup(odd: &[Affine; FIXED_TABLE_LEN], d: i8) -> Affine {
 
 /// `Σ kᵢ·Bᵢ + Σ kⱼ·Pⱼ` over fixed-base tables `Bᵢ` and variable points
 /// `Pⱼ`, in one Strauss–Shamir pass: every scalar is recoded in wNAF
-/// (width 8 for a table, 5 for a point), and one run of doublings from
-/// the highest nonzero digit down adds each term's digit from its table.
-/// A fixed scalar is recoded as two 128-bit halves, the high one over
-/// the table of `2^128·B`, so its digits stop at bit 128 and a pass
-/// with no variable point runs ≤ 129 doublings. Scalars are any 256-bit
-/// values, not only reduced ones. This is the crate's one
-/// scalar-multiplication path.
+/// (width 8 for a table, 5 for a point) as halves below 2^128, and one
+/// run of ≤ 129 doublings from the highest nonzero digit down adds each
+/// half's digit from its table. A fixed scalar splits as
+/// `lo + hi·2^128`, the high half over the table of `2^128·B`. A
+/// variable scalar is reduced mod n; below 2^128 it is recoded as it
+/// is, and otherwise it splits as `k1 + k2·λ` (`split_lambda`), the
+/// second half over `λ·Pⱼ`'s table. Scalars are any 256-bit values, not
+/// only reduced ones. This is the crate's one scalar-multiplication
+/// path.
+///
+/// Each `Pⱼ` must be a curve point or infinity: `(x, y) ↦ (β·x, y)` is
+/// multiplication by λ only on the curve (checked in debug builds).
+/// Every product source is one already — [`Affine::lift_x`],
+/// `sc-confidential`'s `decode_point`, and every multiple of G.
 pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
     let fixed_nafs: Vec<[[i8; HALF_NAF_LEN]; 2]> = fixed
         .iter()
@@ -608,10 +655,26 @@ pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
             [wnaf(lo, FIXED_WINDOW), wnaf(hi, FIXED_WINDOW)]
         })
         .collect();
-    let var_terms: Vec<([Point; VAR_TABLE_LEN], [i8; NAF_LEN])> = var
-        .iter()
-        .map(|&(p, k)| (odd_multiples(p), wnaf(k, VAR_WINDOW)))
-        .collect();
+    let mut var_terms: Vec<([Point; VAR_TABLE_LEN], [i8; HALF_NAF_LEN])> =
+        Vec::with_capacity(2 * var.len());
+    for &(p, k) in var {
+        debug_assert!(is_on_curve_jacobian(&p), "lincomb term off the curve");
+        let table = odd_multiples(p);
+        let k = scalar::reduce(k);
+        // A scalar that is already half width is recoded as it is:
+        // splitting it would double its additions.
+        if k.bits() <= HALF_BITS {
+            var_terms.push((table, wnaf(k, VAR_WINDOW)));
+            continue;
+        }
+        let [k1, k2] = split_lambda(k);
+        let lambda_table = table.map(|q| Point {
+            x: fe::mul(q.x, BETA),
+            ..q
+        });
+        var_terms.push((table, signed_wnaf(k1)));
+        var_terms.push((lambda_table, signed_wnaf(k2)));
+    }
     let top = fixed_nafs
         .iter()
         .flat_map(|halves| halves.iter().map(|naf| naf.as_slice()))
@@ -624,14 +687,12 @@ pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
     let mut acc = Point::INFINITY;
     for i in (0..=top).rev() {
         acc = acc.double();
-        if i < HALF_NAF_LEN {
-            for (&(table, _), [lo, hi]) in fixed.iter().zip(&fixed_nafs) {
-                if lo[i] != 0 {
-                    acc = acc.add_affine(&lookup(&table.odd, lo[i]));
-                }
-                if hi[i] != 0 {
-                    acc = acc.add_affine(&lookup(&table.odd_hi, hi[i]));
-                }
+        for (&(table, _), [lo, hi]) in fixed.iter().zip(&fixed_nafs) {
+            if lo[i] != 0 {
+                acc = acc.add_affine(&lookup(&table.odd, lo[i]));
+            }
+            if hi[i] != 0 {
+                acc = acc.add_affine(&lookup(&table.odd_hi, hi[i]));
             }
         }
         for (table, naf) in &var_terms {
@@ -643,6 +704,53 @@ pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
         }
     }
     acc
+}
+
+/// `[k1, k2]` with `k1 + k2·λ ≡ k (mod n)` for a reduced `k`, each
+/// within 2^128 of 0 mod n, by libsecp256k1's rounding:
+/// `c_j = round(k·g_j / 2^384)`, `k2 = c1·(−b1) + c2·(−b2)` and
+/// `k1 = k − k2·λ`.
+fn split_lambda(k: U256) -> [U256; 2] {
+    let c1 = mul_shift_384(k, G1);
+    let c2 = mul_shift_384(k, G2);
+    let k2 = scalar::add(scalar::mul(c1, MINUS_B1), scalar::mul(c2, MINUS_B2));
+    let k1 = sub_mod(k, scalar::mul(k2, LAMBDA), N);
+    [k1, k2]
+}
+
+/// `round(k·g / 2^384)`: the product's bits from 384 up, plus bit 383.
+fn mul_shift_384(k: U256, g: U256) -> U256 {
+    let (_, hi) = k.full_mul(g);
+    let c = hi.shr_bits(128);
+    if hi.bit(127) {
+        c.wrapping_add(U256::ONE)
+    } else {
+        c
+    }
+}
+
+/// The variable-width wNAF of a split half `r` (mod n). A half above
+/// n/2 stands for `−(n − r)`, so it is recoded as `n − r` with every
+/// digit negated.
+fn signed_wnaf(r: U256) -> [i8; HALF_NAF_LEN] {
+    let neg = scalar::neg(r);
+    if neg < r {
+        wnaf(neg, VAR_WINDOW).map(|d| -d)
+    } else {
+        wnaf(r, VAR_WINDOW)
+    }
+}
+
+/// `Y² = X³ + 7·Z⁶`, the curve equation in Jacobian form; true for
+/// infinity.
+fn is_on_curve_jacobian(p: &Point) -> bool {
+    if p.is_infinity() {
+        return true;
+    }
+    let z2 = fe::sq(p.z);
+    let z6 = fe::mul(fe::sq(z2), z2);
+    let rhs = fe::add(fe::mul(fe::sq(p.x), p.x), fe::mul(z6, U256::from_u64(7)));
+    fe::sq(p.y) == rhs
 }
 
 /// `P, 3P, …, 15P` in Jacobian form (all infinity for infinity).
@@ -662,6 +770,7 @@ fn odd_multiples(p: Point) -> [Point; VAR_TABLE_LEN] {
 /// negating the scalar.)
 fn wnaf<const L: usize>(k: U256, w: u32) -> [i8; L] {
     let bits = L as u32 - 1;
+    debug_assert!(k.bits() <= bits, "{k:x} has more than {bits} bits");
     let mut naf = [0i8; L];
     let mut carry = 0u64;
     let mut bit = 0u32;
@@ -814,47 +923,175 @@ mod tests {
                 1 << 63,
             ]),
         ];
+        // Every recoding is of a half below 2^128: digits 0..=128, the
+        // final carry at 128.
         for k in ks {
-            for w in [VAR_WINDOW, FIXED_WINDOW] {
-                let naf: [i8; NAF_LEN] = wnaf(k, w);
-                // Σ dᵢ·2ⁱ, split into a positive and a negative part.
-                let (mut pos, mut neg) = (U256::ZERO, U256::ZERO);
-                let mut last: Option<usize> = None;
-                for (i, &d) in naf.iter().enumerate() {
-                    if d == 0 {
-                        continue;
-                    }
-                    assert!(d % 2 != 0 && d.unsigned_abs() < 1 << (w - 1), "digit {d}");
-                    if let Some(prev) = last {
-                        assert!(i - prev >= w as usize, "digits {prev} and {i} too close");
-                    }
-                    last = Some(i);
-                    // Digit 256 is only ever the final carry of 1.
-                    let term = U256::from_u64(d.unsigned_abs() as u64).shl_bits(i as u32);
-                    if d > 0 {
-                        pos = pos.wrapping_add(term);
-                    } else {
-                        neg = neg.wrapping_add(term);
-                    }
-                }
-                assert_eq!(pos.wrapping_sub(neg), k, "w = {w}");
-            }
-            // The fixed-base halves: digits 0..=128, the carry at 128.
             for half in [U256([k.0[0], k.0[1], 0, 0]), U256([k.0[2], k.0[3], 0, 0])] {
-                let naf: [i8; HALF_NAF_LEN] = wnaf(half, FIXED_WINDOW);
-                let (mut pos, mut neg) = (U256::ZERO, U256::ZERO);
-                for (i, &d) in naf.iter().enumerate().filter(|(_, &d)| d != 0) {
-                    assert!(d % 2 != 0 && d.unsigned_abs() < 1 << (FIXED_WINDOW - 1));
-                    let term = U256::from_u64(d.unsigned_abs() as u64).shl_bits(i as u32);
-                    if d > 0 {
-                        pos = pos.wrapping_add(term);
-                    } else {
-                        neg = neg.wrapping_add(term);
+                for w in [VAR_WINDOW, FIXED_WINDOW] {
+                    let naf: [i8; HALF_NAF_LEN] = wnaf(half, w);
+                    // Σ dᵢ·2ⁱ, split into a positive and a negative part.
+                    let (mut pos, mut neg) = (U256::ZERO, U256::ZERO);
+                    let mut last: Option<usize> = None;
+                    for (i, &d) in naf.iter().enumerate().filter(|(_, &d)| d != 0) {
+                        assert!(d % 2 != 0 && d.unsigned_abs() < 1 << (w - 1), "digit {d}");
+                        if let Some(prev) = last {
+                            assert!(i - prev >= w as usize, "digits {prev} and {i} too close");
+                        }
+                        last = Some(i);
+                        let term = U256::from_u64(d.unsigned_abs() as u64).shl_bits(i as u32);
+                        if d > 0 {
+                            pos = pos.wrapping_add(term);
+                        } else {
+                            neg = neg.wrapping_add(term);
+                        }
                     }
+                    assert_eq!(pos.wrapping_sub(neg), half, "w = {w}, half of {k:x}");
                 }
-                assert_eq!(pos.wrapping_sub(neg), half, "half of {k:x}");
             }
         }
+    }
+
+    fn hex(s: &str) -> U256 {
+        U256::from_hex_str(s).expect("hex")
+    }
+
+    #[test]
+    fn endomorphism_constants_agree() {
+        let cube = |x: U256, mul: fn(U256, U256) -> U256| mul(mul(x, x), x);
+        assert_eq!(cube(BETA, fe::mul), U256::ONE, "β³ = 1 mod p");
+        assert_eq!(cube(LAMBDA, scalar::mul), U256::ONE, "λ³ = 1 mod n");
+        assert_ne!(BETA, U256::ONE);
+        assert_ne!(LAMBDA, U256::ONE);
+        // mul_g is fixed-base, so it never splits: an independent λ·G.
+        let lambda_g = Point::mul_g(LAMBDA).to_affine().unwrap();
+        let beta_g = Affine {
+            x: fe::mul(G.x, BETA),
+            y: G.y,
+        };
+        assert_eq!(lambda_g, beta_g);
+        // The lattice vectors (a1, b1) and (a2, b2) behind −b1, −b2 and
+        // g1, g2: a1 = b2 and a2 = a1 − b1, both x + y·λ ≡ 0 (mod n).
+        let b2 = scalar::neg(MINUS_B2);
+        let b1 = scalar::neg(MINUS_B1);
+        let a1 = b2;
+        let a2 = scalar::add(a1, MINUS_B1);
+        assert_eq!(scalar::add(a1, scalar::mul(b1, LAMBDA)), U256::ZERO);
+        assert_eq!(scalar::add(a2, scalar::mul(b2, LAMBDA)), U256::ZERO);
+        // g1 = round(2^384·b2 / n) and g2 = round(2^384·(−b1) / n): the
+        // 512-bit g·n lies within n/2 of numerator·2^384.
+        for (g, numerator) in [(G1, b2), (G2, MINUS_B1)] {
+            let (lo, hi) = g.full_mul(N);
+            let target_hi = numerator.shl_bits(128);
+            let half_n = N.shr_bits(1);
+            if hi == target_hi {
+                assert!(lo <= half_n, "g = {g:x} rounds up too far");
+            } else {
+                assert_eq!(hi.wrapping_add(U256::ONE), target_hi, "g = {g:x}");
+                assert!(
+                    U256::ZERO.wrapping_sub(lo) <= half_n,
+                    "g = {g:x} rounds down too far"
+                );
+            }
+        }
+    }
+
+    /// Scalars where the rounding bit 383 of `k·g1` (first two) or
+    /// `k·g2` (last two) is set but not that of `(k − 1)·g_j`.
+    fn rounding_flips() -> [(U256, U256); 4] {
+        [
+            (
+                "2a342063ee95071831addb3fec8e91f8cf00d33ebf8e322101d1ae6946df093a",
+                G1,
+            ),
+            (
+                "546840c7dd2a0e30635bb67fdbc045ec88d316a89af4433da1139bb50d",
+                G1,
+            ),
+            (
+                "11f1b49aafb812989d9baa890b593e6390390318655302176a99f9de01",
+                G2,
+            ),
+            (
+                "8f8da4d57dc094c4ecdd5448564dbc0b704b2f2cb87dd36279255f9c2a71c17d",
+                G2,
+            ),
+        ]
+        .map(|(k, g)| (hex(k), g))
+    }
+
+    #[test]
+    fn lambda_split_halves_are_short_and_recombine() {
+        let bit383 = |k: U256, g: U256| k.full_mul(g).1.bit(127);
+        let mut ks = vec![
+            U256::ZERO,
+            U256::ONE,
+            LAMBDA,
+            LAMBDA.wrapping_add(U256::ONE),
+            LAMBDA.wrapping_sub(U256::ONE),
+            n().wrapping_sub(LAMBDA),
+            n().wrapping_sub(U256::ONE),
+            U256::ONE.shl_bits(128).wrapping_sub(U256::ONE),
+            U256::ONE.shl_bits(128),
+            U256::ONE.shl_bits(128).wrapping_add(U256::ONE),
+        ];
+        for (k, g) in rounding_flips() {
+            assert!(bit383(k, g) && !bit383(k.wrapping_sub(U256::ONE), g));
+            ks.extend([k.wrapping_sub(U256::ONE), k]);
+        }
+        // splitmix64, seeded.
+        let mut state = 0x1a3b_da5e_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for _ in 0..500 {
+            ks.push(scalar::reduce(U256([next(), next(), next(), next()])));
+        }
+        let short = |r: U256| r.bits() <= HALF_BITS || scalar::neg(r).bits() <= HALF_BITS;
+        for k in ks {
+            let [k1, k2] = split_lambda(k);
+            assert!(short(k1) && short(k2), "halves of {k:x}: {k1:x}, {k2:x}");
+            assert_eq!(scalar::add(k1, scalar::mul(k2, LAMBDA)), k, "k = {k:x}");
+        }
+    }
+
+    #[test]
+    fn split_scalar_muls_match_the_fixed_base_product() {
+        // A variable G and a full-width scalar takes the split path; the
+        // fixed-base table of G never does.
+        let g = Point::generator();
+        let mut ks = vec![LAMBDA, n().wrapping_sub(U256::ONE), U256::MAX];
+        ks.extend(rounding_flips().map(|(k, _)| k));
+        for k in ks {
+            assert_eq!(
+                g.mul_scalar(k).to_affine(),
+                Point::mul_g(k).to_affine(),
+                "k = {k:x}"
+            );
+        }
+        // One term recoded whole, one split, in the same pass.
+        let (short, full) = (U256::ONE.shl_bits(127), LAMBDA);
+        let expected = Point::mul_g(scalar::add(short, full));
+        assert_eq!(
+            lincomb(&[], &[(g, short), (g, full)]).to_affine(),
+            expected.to_affine()
+        );
+    }
+
+    #[test]
+    fn on_curve_check_in_jacobian_form() {
+        let g = Point::generator();
+        for p in [g, g.double(), g.mul_scalar(LAMBDA), Point::INFINITY] {
+            assert!(is_on_curve_jacobian(&p));
+        }
+        let off = Point {
+            y: fe::add(g.y, U256::ONE),
+            ..g
+        };
+        assert!(!is_on_curve_jacobian(&off));
     }
 
     #[test]

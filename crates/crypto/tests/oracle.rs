@@ -376,16 +376,81 @@ fn split_edges(rng: &mut Rng) -> Vec<U256> {
     ]
 }
 
+/// Scalars at the edges of a variable point's split `k ≡ k1 + k2·λ`:
+/// λ (the cube root of unity mod n) and its neighbours, n − λ, and
+/// unreduced values at or above n whose reduction is below 2^128, so
+/// they must be recoded whole (a width test made before the reduction
+/// would split them).
+fn lambda_edges() -> Vec<U256> {
+    let l = U256::from_hex_str("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72")
+        .expect("hex");
+    vec![
+        l,
+        l.wrapping_add(U256::ONE),
+        l.wrapping_sub(U256::ONE),
+        n().wrapping_sub(l),
+        n().wrapping_add(U256::from_u64(5)),
+        n().wrapping_add(U256::ONE.shl_bits(128).wrapping_sub(U256::ONE)),
+    ]
+}
+
+/// A curve point with a known discrete log `d`, on both sides.
+fn known_point(rng: &mut Rng) -> (Pt, Point) {
+    let d = rng.below(n()).max(U256::ONE);
+    let ref_p = Pt::generator().mul(d);
+    let (x, y) = ref_p.to_affine().expect("d < n");
+    (ref_p, Point::from_affine(Affine { x, y }))
+}
+
+/// Two variable terms in one pass, the shape of range verification: a
+/// full-width scalar (split along λ) beside a scalar below 2^128
+/// (recoded whole), with and without a fixed base, and a pair that
+/// cancels to infinity.
+fn check_mixed_width_terms(rng: &mut Rng) {
+    let (ref_p, pt) = known_point(rng);
+    let (ref_q, qt) = known_point(rng);
+    let mut fulls = lambda_edges();
+    fulls.extend([n().wrapping_sub(U256::ONE), rng.below(n()), rng.u256()]);
+    // Odd, so nonzero and invertible.
+    let short = U256::from_u128(rng.next() as u128 | (rng.next() as u128) << 64 | 1);
+    let g_k = rng.below(n());
+    for k in fulls {
+        let expected = ref_p.mul(k).add(ref_q.mul(short));
+        assert_eq!(
+            affine_of(&lincomb(&[], &[(pt, k), (qt, short)])),
+            expected.to_affine(),
+            "k·P + w·Q, k = {k:x}, w = {short:x}"
+        );
+        assert_eq!(
+            affine_of(&lincomb(
+                &[(BaseTable::generator(), g_k)],
+                &[(qt, short), (pt, k)]
+            )),
+            expected.add(Pt::generator().mul(g_k)).to_affine(),
+            "g·G + w·Q + k·P, k = {k:x}, w = {short:x}"
+        );
+        // w·Q' with Q' = −(k / w)·P cancels k·P exactly.
+        let k_over_w = reference::mul_mod(k, reference::inv(short, n()), n());
+        let c = reference::sub_mod(U256::ZERO, k_over_w, n());
+        let Some((x, y)) = ref_p.mul(c).to_affine() else {
+            continue; // k ≡ 0: nothing to cancel
+        };
+        let cancel = Point::from_affine(Affine { x, y });
+        assert!(
+            lincomb(&[], &[(pt, k), (cancel, short)]).is_infinity(),
+            "k·P − k·P, k = {k:x}"
+        );
+    }
+}
+
 fn check_scalar_mul(rng: &mut Rng) {
     // A variable point with a known discrete log, so both sides start
     // from the same group element.
-    let d = rng.below(n()).max(U256::ONE);
-    let ref_p = Pt::generator().mul(d);
-    let (px, py) = ref_p.to_affine().expect("d < n");
-    let pt = Point::from_affine(Affine { x: px, y: py });
-    let p_table = BaseTable::new(Affine { x: px, y: py });
+    let (ref_p, pt) = known_point(rng);
+    let p_table = BaseTable::new(Affine { x: pt.x, y: pt.y });
     let mut scalars = scalar_edges();
     scalars.extend(split_edges(rng));
+    scalars.extend(lambda_edges());
     scalars.push(rng.below(n()));
     scalars.push(rng.u256());
     let b = rng.below(n());
@@ -534,6 +599,12 @@ fn scalar_muls_match_double_and_add() {
 }
 
 #[test]
+fn mixed_width_variable_terms_match_double_and_add() {
+    let mut rng = Rng(5);
+    check_mixed_width_terms(&mut rng);
+}
+
+#[test]
 fn recovery_matches_the_three_mul_formula() {
     let mut rng = Rng(4);
     for _ in 0..3 {
@@ -647,6 +718,7 @@ fn sweep_2000_cases() {
         check_field(&mut rng);
         check_inverses(&mut rng);
         check_scalar_mul(&mut rng);
+        check_mixed_width_terms(&mut rng);
         check_recovery(&mut rng);
     }
 }
