@@ -11,7 +11,7 @@
 //! (via `Rc`) across frames, transactions and blocks. The chain keeps
 //! one cache per [`Testnet`](../../sc_chain/testnet/struct.Testnet.html)
 //! and threads it into each [`crate::Evm`]; hit/miss counters make the
-//! effect measurable in `sc-bench`.
+//! effect measurable (`examples/gas_report.rs` prints them for Fig. 2).
 //!
 //! Caching is purely an interpreter-speed optimisation: analysis is a
 //! deterministic pure function of the code, so a warm cache can never
