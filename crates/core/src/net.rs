@@ -41,8 +41,8 @@ use crate::faults::{ChainFaults, FaultPlan, LightFaults, LinkFaults, Partition, 
 use crate::protocol::ProtocolError;
 use crate::session::spec::{build_session, ContractCache};
 use crate::session::{
-    stage_bucket, BusPort, ChainAccess, LightPort, LightStats, NodePort, Session, SessionCtx,
-    SessionReport, SessionSpec, StepOutcome,
+    stage_bucket, BusPort, ChainAccess, LightPort, LightStats, NodePort, QueuedTx, Session,
+    SessionCtx, SessionReport, SessionSpec, StepOutcome,
 };
 use crate::whisper::{Topic, Whisper};
 use sc_chain::{
@@ -812,7 +812,7 @@ impl NetworkScheduler {
         // Step every runnable slot in fixed index order, each against
         // its home node, queueing into that node's round outbox.
         let n = network.nodes.len();
-        let mut outboxes: Vec<Vec<(Address, SignedTransaction)>> = vec![Vec::new(); n];
+        let mut outboxes: Vec<Vec<QueuedTx>> = vec![Vec::new(); n];
         {
             let Network { nodes, bus, .. } = network;
             for slot in slots.iter_mut() {
@@ -874,8 +874,8 @@ impl NetworkScheduler {
             if outbox.is_empty() {
                 continue;
             }
-            let txs: Vec<SignedTransaction> = outbox.into_iter().map(|(_, tx)| tx).collect();
-            let hashes: Vec<H256> = txs.iter().map(|tx| tx.hash()).collect();
+            let (hashes, txs): (Vec<H256>, Vec<SignedTransaction>) =
+                outbox.into_iter().map(|q| (q.hash, q.tx)).unzip();
             let encoded: Vec<Vec<u8>> = txs.iter().map(|tx| tx.encode()).collect();
             let results = network.nodes[i].submit_batch(txs);
             for ((hash, bytes), result) in hashes.into_iter().zip(encoded).zip(results) {

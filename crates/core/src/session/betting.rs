@@ -77,7 +77,6 @@ pub struct BettingSession {
     log: TxLog,
     sign: Option<SignExchange>,
     deposits_made: [bool; 2],
-    posts: usize,
     outcome: Option<Outcome>,
 }
 
@@ -118,7 +117,6 @@ impl BettingSession {
             log: TxLog::default(),
             sign: None,
             deposits_made: [false, false],
-            posts: 0,
             outcome: None,
         }
     }
@@ -170,32 +168,29 @@ impl BettingSession {
         }
     }
 
-    /// One signature-exchange round: both sides post per their strategy,
-    /// then both poll and absorb valid candidates.
-    fn sign_round(&mut self, ctx: &mut SessionCtx<'_>) {
-        for p in [self.alice.clone(), self.bob.clone()] {
-            match p.strategy {
-                Strategy::RefusesToSign => {} // posts nothing, every round
+    /// Starts the signature exchange: each side signs once, per its
+    /// strategy, and the exchange re-posts those bytes every round.
+    fn start_exchange(&self) -> SignExchange {
+        let digest = bytecode_hash(&self.offchain_bytecode);
+        let payload = |p: &Participant| {
+            let sig = match p.strategy {
+                Strategy::RefusesToSign => return None, // posts nothing, every round
                 Strategy::SignsTampered => {
                     let mut tampered = self.offchain_bytecode.clone();
                     // Flip the last byte of the baked-in secret.
                     let last = tampered.len() - 1;
                     tampered[last] ^= 0xff;
-                    let sig = sign_bytecode(&p.wallet.key, &tampered);
-                    ctx.bus
-                        .post(p.wallet.address, &self.topic, sig.to_bytes().to_vec());
-                    self.posts += 1;
+                    sign_bytecode(&p.wallet.key, &tampered)
                 }
-                _ => {
-                    let sig = sign_bytecode(&p.wallet.key, &self.offchain_bytecode);
-                    ctx.bus
-                        .post(p.wallet.address, &self.topic, sig.to_bytes().to_vec());
-                    self.posts += 1;
-                }
-            }
-        }
-        let ex = self.sign.as_mut().expect("exchange started");
-        ex.round(&mut ctx.bus, &self.topic);
+                _ => p.wallet.key.sign(digest),
+            };
+            Some(sig.to_bytes().to_vec())
+        };
+        SignExchange::new(
+            digest,
+            [self.alice.wallet.address, self.bob.wallet.address],
+            [payload(&self.alice), payload(&self.bob)],
+        )
     }
 }
 
@@ -236,10 +231,6 @@ impl Session for BettingSession {
                             return Err(ProtocolError::TxFailed("deploy onChain".into()));
                         };
                         self.onchain = onchain;
-                        self.sign = Some(SignExchange::new(
-                            bytecode_hash(&self.offchain_bytecode),
-                            [self.alice.wallet.address, self.bob.wallet.address],
-                        ));
                         self.phase = Phase::Signing;
                         Ok(StepOutcome::Progress)
                     }
@@ -253,14 +244,17 @@ impl Session for BettingSession {
 
             Phase::Signing => {
                 let now = ctx.chain.now();
-                let rounds_run = self.sign.as_ref().expect("exchange started").rounds_run();
+                let rounds_run = self.sign.as_ref().map_or(0, SignExchange::rounds_run);
                 if now + SIGN_ROUND_SECS >= self.timeline.t1 || rounds_run >= MAX_SIGN_ROUNDS {
                     // Out of time or rounds with the exchange incomplete:
                     // abort before any funds are at risk.
                     return Ok(self.finish(Outcome::AbortedAtSigning));
                 }
-                self.sign_round(ctx);
-                let ex = self.sign.as_ref().expect("exchange started");
+                if self.sign.is_none() {
+                    self.sign = Some(self.start_exchange());
+                }
+                let ex = self.sign.as_mut().expect("exchange started");
+                ex.round(&mut ctx.bus, &self.topic);
                 if ex.complete() {
                     self.phase = Phase::Deposit(0);
                     Ok(StepOutcome::Progress)
@@ -438,16 +432,22 @@ impl Session for BettingSession {
             }
 
             Phase::SubmitCopy => {
-                // The honest winner submits the true signed copy. The
-                // window is unbounded, so with a finite fault budget this
-                // always lands eventually.
+                // The honest winner submits the true signed copy: the
+                // bytecode with the signature pair its own side of the
+                // exchange verified. The window is unbounded, so with a
+                // finite fault budget this always lands eventually.
                 if self.log.idle() {
-                    let copy = self.signed_copy();
-                    self.offchain_bytes_revealed = copy.bytecode.len();
+                    let winner = usize::from(self.winner_is_bob());
+                    let [sig_a, sig_b] = self
+                        .sign
+                        .as_ref()
+                        .and_then(|ex| ex.signatures(winner))
+                        .expect("deposits follow a completed exchange");
+                    self.offchain_bytes_revealed = self.offchain_bytecode.len();
                     let data = self.onchain_abi.deploy_verified_instance(
-                        &copy.bytecode,
-                        &copy.signatures[0],
-                        &copy.signatures[1],
+                        &self.offchain_bytecode,
+                        &sig_a,
+                        &sig_b,
                     );
                     self.log.start(TxTask::new(
                         "deployVerifiedInstance",
@@ -514,6 +514,6 @@ impl Session for BettingSession {
     }
 
     fn messages_posted(&self) -> usize {
-        self.posts
+        self.sign.as_ref().map_or(0, SignExchange::posts)
     }
 }

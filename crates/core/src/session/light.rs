@@ -55,11 +55,9 @@
 //! while the refetch machinery still gets exercised and counted in
 //! [`LightStats`].
 
-use super::{roll_submit_faults, sign_and_queue, ChainReader, SendOutcome, TxSubmitter};
+use super::{roll_submit_faults, sign_and_queue, ChainReader, QueuedTx, SendOutcome, TxSubmitter};
 use crate::faults::{ChainFaults, LightFaults};
-use sc_chain::{
-    HeaderClient, ProofVerifyError, Receipt, SignedTransaction, Testnet, TxError, Wallet,
-};
+use sc_chain::{HeaderClient, ProofVerifyError, Receipt, Testnet, TxError, Wallet};
 use sc_primitives::{Address, H256, U256};
 use std::collections::HashMap;
 
@@ -112,7 +110,7 @@ pub struct LightPort<'a> {
     pub light_faults: &'a mut LightFaults,
     /// The round's per-node transaction queue (shared with every other
     /// session homed on the relay).
-    pub outbox: &'a mut Vec<(Address, SignedTransaction)>,
+    pub outbox: &'a mut Vec<QueuedTx>,
     /// Admission errors from the last flush, routed back by tx hash.
     pub rejections: &'a mut HashMap<H256, TxError>,
     /// Witness-traffic counters.
@@ -211,7 +209,7 @@ impl ChainReader for LightPort<'_> {
     fn tx_known(&self, hash: H256) -> bool {
         self.relay.receipt(hash).is_some()
             || self.relay.tx_is_pending(hash)
-            || self.outbox.iter().any(|(_, tx)| tx.hash() == hash)
+            || self.outbox.iter().any(|q| q.hash == hash)
     }
 }
 
@@ -325,7 +323,7 @@ mod tests {
         };
 
         // Flush the outbox the way the scheduler would and mine.
-        let batch: Vec<SignedTransaction> = outbox.drain(..).map(|(_, tx)| tx).collect();
+        let batch: Vec<_> = outbox.drain(..).map(|q| q.tx).collect();
         let results = net.submit_batch(batch);
         assert!(results.iter().all(|r| r.is_ok()));
         net.mine_block();

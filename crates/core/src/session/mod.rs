@@ -163,12 +163,27 @@ pub(crate) fn roll_submit_faults(faults: &mut ChainFaults) -> Option<SendOutcome
     }
 }
 
+/// One transaction in a round's outbox, tagged with its sender (so
+/// nonce assignment for the wallet's next transaction in the same round
+/// does not need to re-recover signers) and its hash (computed once
+/// when signed; [`ChainReader::tx_known`] and the scheduler's flush
+/// reuse it).
+#[derive(Clone)]
+pub struct QueuedTx {
+    /// The signer.
+    pub from: Address,
+    /// `tx.hash()`.
+    pub hash: H256,
+    /// The signed transaction.
+    pub tx: SignedTransaction,
+}
+
 /// Self-signs one transaction and queues it into the round's outbox.
 /// `nonce` is the sender's next nonce as the chain sees it; this
 /// wallet's queued-but-unflushed transactions are counted on top.
 #[allow(clippy::too_many_arguments)] // mirrors the Transaction fields
 pub(crate) fn sign_and_queue(
-    outbox: &mut Vec<(Address, SignedTransaction)>,
+    outbox: &mut Vec<QueuedTx>,
     wallet: &Wallet,
     nonce: u64,
     gas_price: U256,
@@ -177,10 +192,7 @@ pub(crate) fn sign_and_queue(
     value: U256,
     data: Vec<u8>,
 ) -> SendOutcome {
-    let queued = outbox
-        .iter()
-        .filter(|(from, _)| *from == wallet.address)
-        .count() as u64;
+    let queued = outbox.iter().filter(|q| q.from == wallet.address).count() as u64;
     let tx = Transaction {
         nonce: nonce + queued,
         gas_price,
@@ -191,7 +203,11 @@ pub(crate) fn sign_and_queue(
     };
     let signed = tx.sign(&wallet.key);
     let hash = signed.hash();
-    outbox.push((wallet.address, signed));
+    outbox.push(QueuedTx {
+        from: wallet.address,
+        hash,
+        tx: signed,
+    });
     SendOutcome::Queued(hash)
 }
 
@@ -210,10 +226,8 @@ pub struct NodePort<'a> {
     pub net: &'a mut Testnet,
     /// This session's chain fault schedule.
     pub faults: &'a mut ChainFaults,
-    /// The round's per-node transaction queue, tagged with the sender
-    /// so nonce assignment for a wallet's next transaction in the same
-    /// round does not need to re-recover signers.
-    pub outbox: &'a mut Vec<(Address, SignedTransaction)>,
+    /// The round's per-node transaction queue.
+    pub outbox: &'a mut Vec<QueuedTx>,
     /// Admission errors from the last flush, routed back by tx hash.
     pub rejections: &'a mut HashMap<H256, TxError>,
 }
@@ -250,7 +264,7 @@ impl ChainReader for NodePort<'_> {
     fn tx_known(&self, hash: H256) -> bool {
         self.net.receipt(hash).is_some()
             || self.net.tx_is_pending(hash)
-            || self.outbox.iter().any(|(_, tx)| tx.hash() == hash)
+            || self.outbox.iter().any(|q| q.hash == hash)
     }
 }
 

@@ -149,9 +149,12 @@ pub struct SettleLaterSession {
     phase: Phase,
     log: TxLog,
     exchange: Option<SignExchange>,
+    /// The voucher and both signatures, made once when the exchange
+    /// starts: the exchange posts the signatures, the settle phase
+    /// submits the whole.
+    signed: Option<SignedVoucher>,
     start_at: Option<u64>,
     settle_at: u64,
-    posts: usize,
     outcome: Option<SettleLaterOutcome>,
 }
 
@@ -186,9 +189,9 @@ impl SettleLaterSession {
             phase: Phase::Start,
             log: TxLog::default(),
             exchange: None,
+            signed: None,
             start_at: None,
             settle_at: 0,
-            posts: 0,
             outcome: None,
         }
     }
@@ -196,6 +199,12 @@ impl SettleLaterSession {
     /// The terminal outcome, once the session is done.
     pub fn outcome(&self) -> Option<SettleLaterOutcome> {
         self.outcome
+    }
+
+    /// The co-signed voucher, once the exchange has started (both
+    /// signatures are made then, whether or not the bus delivers them).
+    pub fn signed_voucher(&self) -> Option<SignedVoucher> {
+        self.signed
     }
 
     /// The channel parameters, fixed at deploy time.
@@ -262,10 +271,24 @@ impl SettleLaterSession {
         }
     }
 
-    /// The co-signed voucher (the exchange phase simulates delivery;
-    /// the signatures themselves are deterministic).
-    fn signed_voucher(&self) -> SignedVoucher {
-        self.voucher().co_sign(&self.alice.key, &self.bob.key)
+    /// Starts the voucher exchange: the voucher is built, hashed and
+    /// signed by each party once (kept as [`Self::signed_voucher`] for
+    /// the settle phase), and the exchange re-posts both signatures
+    /// every round.
+    fn start_exchange(&mut self) -> SignExchange {
+        let voucher = self.voucher();
+        let digest = voucher.digest();
+        let signed = SignedVoucher {
+            voucher,
+            sig_a: self.alice.key.sign(digest),
+            sig_b: self.bob.key.sign(digest),
+        };
+        self.signed = Some(signed);
+        SignExchange::new(
+            digest,
+            [self.alice.address, self.bob.address],
+            [signed.sig_a, signed.sig_b].map(|sig| Some(sig.to_bytes().to_vec())),
+        )
     }
 
     /// The submitter order at the settle phase.
@@ -429,25 +452,15 @@ impl Session for SettleLaterSession {
                     self.phase = Phase::AwaitDeadline;
                     return Ok(StepOutcome::Progress);
                 }
-                let digest = self.voucher().digest();
-                let expected = [self.alice.address, self.bob.address];
                 if self.exchange.is_none() {
-                    self.exchange = Some(SignExchange::new(digest, expected));
+                    self.exchange = Some(self.start_exchange());
                 }
-                // One exchange round: both parties (re-)post their
-                // voucher signature, then absorb whatever the faulty bus
+                // One exchange round: both parties re-post their voucher
+                // signature, then absorb whatever the faulty bus
                 // delivered.
-                let sig_a = self.voucher().sign(&self.alice.key);
-                let sig_b = self.voucher().sign(&self.bob.key);
-                let topic = self.topic.clone();
-                ctx.bus
-                    .post(self.alice.address, &topic, sig_a.to_bytes().to_vec());
-                ctx.bus
-                    .post(self.bob.address, &topic, sig_b.to_bytes().to_vec());
-                self.posts += 2;
                 let deadline = self.channel().deadline;
                 let ex = self.exchange.as_mut().expect("exchange started");
-                ex.round(&mut ctx.bus, &topic);
+                ex.round(&mut ctx.bus, &self.topic);
                 if ex.complete() {
                     self.settle_at = ctx.chain.now() + self.spec.settle_delay;
                     self.phase = Phase::SettleHold;
@@ -482,7 +495,7 @@ impl Session for SettleLaterSession {
                     return Ok(StepOutcome::Progress);
                 }
                 if self.log.idle() {
-                    let signed = self.signed_voucher();
+                    let signed = self.signed.expect("settling follows a completed exchange");
                     self.log.start(TxTask::new(
                         "settle",
                         submitters[idx].clone(),
@@ -592,6 +605,6 @@ impl Session for SettleLaterSession {
     }
 
     fn messages_posted(&self) -> usize {
-        self.posts
+        self.exchange.as_ref().map_or(0, SignExchange::posts)
     }
 }

@@ -5,8 +5,15 @@
 //! the right sender *and* cryptographically recover to them, so dropped,
 //! duplicated, corrupted and deliberately tampered messages are all
 //! absorbed the same way: by waiting for a later round to deliver a good
-//! copy. The posting half lives in the betting session (it is
-//! strategy-dependent); this type owns the collection state.
+//! copy.
+//!
+//! Each seat signs once: the session hands the exchange the payload each
+//! side posts (strategy-dependent, so built by the session when the
+//! exchange starts), and every round re-posts those same bytes. Each
+//! distinct payload is recovered once: the verdict is kept for the life
+//! of the exchange, so both readers and every later round reuse it.
+//! Signing is RFC 6979, so a re-signed copy would have been the same
+//! bytes; neither saving changes what the bus carries.
 
 use super::BusPort;
 use sc_crypto::ecdsa::{recover_address, Signature};
@@ -20,23 +27,32 @@ pub const SIGN_ROUND_SECS: u64 = 30;
 /// signature, and `16 × 30s` stays well inside the pre-T1 phase.
 pub const MAX_SIGN_ROUNDS: u32 = 16;
 
-/// Collection state of one two-party signature exchange:
-/// `seen[reader][signer]` is the valid signature `reader` holds from
-/// `signer`, once one arrived.
+/// State of one two-party signature exchange: what each seat posts,
+/// and `seen[reader][signer]`, the valid signature `reader` holds from
+/// `signer` once one arrived.
 pub struct SignExchange {
     digest: H256,
     expected: [Address; 2],
+    payloads: [Option<Vec<u8>>; 2],
+    /// The recovered signer of every distinct signature a reader had to
+    /// check (`None`: recovery failed). Keyed by the parsed signature,
+    /// which is the payload byte for byte: `Signature::from_bytes`
+    /// accepts exactly 65 bytes and keeps each one.
+    verdicts: Vec<(Signature, Option<Address>)>,
     seen: [[Option<Signature>; 2]; 2],
     rounds_run: u32,
 }
 
 impl SignExchange {
     /// Starts an exchange over `digest` between the two `expected`
-    /// signers (who are also the two readers).
-    pub fn new(digest: H256, expected: [Address; 2]) -> SignExchange {
+    /// signers (who are also the two readers). Every round, seat `i`
+    /// posts `payloads[i]` as `expected[i]`, or nothing if it is `None`.
+    pub fn new(digest: H256, expected: [Address; 2], payloads: [Option<Vec<u8>>; 2]) -> Self {
         SignExchange {
             digest,
             expected,
+            payloads,
+            verdicts: Vec::new(),
             seen: [[None, None], [None, None]],
             rounds_run: 0,
         }
@@ -47,19 +63,39 @@ impl SignExchange {
         self.rounds_run
     }
 
-    /// Completes one post+poll round: polls the topic for both readers
-    /// and absorbs every candidate that verifies. Corruption and
-    /// tampering both fail the recovery check and are simply ignored.
+    /// Messages posted so far (before bus faults): every round posts
+    /// each seat's payload once.
+    pub fn posts(&self) -> usize {
+        self.rounds_run as usize * self.payloads.iter().flatten().count()
+    }
+
+    /// Signature recoveries run so far: one per distinct payload that
+    /// claimed a signer whose slot some reader still had open
+    /// (diagnostics; pins the recover-once behaviour in tests).
+    pub fn recoveries(&self) -> usize {
+        self.verdicts.len()
+    }
+
+    /// Completes one post+poll round: both seats post their payloads,
+    /// then both readers poll the topic and absorb every candidate that
+    /// verifies. Corruption and tampering both fail the recovery check
+    /// and are simply ignored.
     pub fn round(&mut self, bus: &mut BusPort<'_>, topic: &str) {
-        for (reader, me) in self.expected.into_iter().enumerate() {
+        for (&from, payload) in self.expected.iter().zip(&self.payloads) {
+            if let Some(payload) = payload {
+                bus.post(from, topic, payload.clone());
+            }
+        }
+        let expected = self.expected;
+        for (reader, me) in expected.into_iter().enumerate() {
             for env in bus.poll(me, topic) {
                 let Ok(sig) = Signature::from_bytes(&env.payload) else {
                     continue; // truncated or corrupted beyond parsing
                 };
-                for (i, &who) in self.expected.iter().enumerate() {
+                for (i, &who) in expected.iter().enumerate() {
                     if env.from == who
                         && self.seen[reader][i].is_none()
-                        && recover_address(self.digest, &sig) == Ok(who)
+                        && self.signer(sig) == Some(who)
                     {
                         self.seen[reader][i] = Some(sig);
                     }
@@ -69,12 +105,32 @@ impl SignExchange {
         self.rounds_run += 1;
     }
 
+    /// Who `sig` recovers to over the digest, recovered on first sight
+    /// and remembered after.
+    fn signer(&mut self, sig: Signature) -> Option<Address> {
+        if let Some(&(_, who)) = self.verdicts.iter().find(|(s, _)| *s == sig) {
+            return who;
+        }
+        let who = recover_address(self.digest, &sig).ok();
+        self.verdicts.push((sig, who));
+        who
+    }
+
     /// True once every reader holds a signature from every signer. Each
     /// recovered to its signer over the digest when it arrived, so each
     /// reader's assembled copy of the bytecode behind the digest already
     /// passes [`SignedCopy::verify`](crate::signedcopy::SignedCopy::verify).
     pub fn complete(&self) -> bool {
         self.seen.iter().flatten().all(Option::is_some)
+    }
+
+    /// The signatures `reader` holds, in signer order, once it holds
+    /// both: the verified pair that reader can take on-chain.
+    pub fn signatures(&self, reader: usize) -> Option<[Signature; 2]> {
+        match self.seen[reader] {
+            [Some(a), Some(b)] => Some([a, b]),
+            _ => None,
+        }
     }
 }
 
@@ -86,38 +142,122 @@ mod tests {
     use crate::whisper::Whisper;
     use sc_crypto::ecdsa::PrivateKey;
 
-    #[test]
-    fn a_completed_exchange_assembles_verifying_copies() {
-        let keys = [PrivateKey::from_seed("alice"), PrivateKey::from_seed("bob")];
-        let expected = [keys[0].address(), keys[1].address()];
-        let bytecode = vec![0x60, 0x2a, 0x60, 0x00, 0x52];
+    const BYTECODE: [u8; 5] = [0x60, 0x2a, 0x60, 0x00, 0x52];
+
+    fn keys() -> [PrivateKey; 2] {
+        [PrivateKey::from_seed("alice"), PrivateKey::from_seed("bob")]
+    }
+
+    fn honest_payloads(keys: &[PrivateKey; 2]) -> [Option<Vec<u8>>; 2] {
+        keys.each_ref()
+            .map(|k| Some(sign_bytecode(k, &BYTECODE).to_bytes().to_vec()))
+    }
+
+    /// Runs `rounds` rounds of an exchange over [`BYTECODE`] on a bus
+    /// under `plan`, after `pre` posted whatever it likes.
+    fn run(
+        plan: &FaultPlan,
+        payloads: [Option<Vec<u8>>; 2],
+        rounds: u32,
+        pre: impl FnOnce(&mut BusPort<'_>),
+    ) -> SignExchange {
+        let keys = keys();
         let mut bus = Whisper::new();
-        let mut faults = WhisperFaults::new(&FaultPlan::none());
+        let mut faults = WhisperFaults::new(plan);
         let mut port = BusPort {
             bus: &mut bus,
             faults: &mut faults,
         };
-        // A foreign signature and garbage are absorbed without counting.
-        let outsider = PrivateKey::from_seed("mallory");
-        port.post(
-            expected[1],
-            "t",
-            sign_bytecode(&outsider, &bytecode).to_bytes().to_vec(),
-        );
-        port.post(expected[0], "t", vec![0xff; 3]);
-        for (key, &from) in keys.iter().zip(&expected) {
-            port.post(from, "t", sign_bytecode(key, &bytecode).to_bytes().to_vec());
+        pre(&mut port);
+        let expected = [keys[0].address(), keys[1].address()];
+        let mut ex = SignExchange::new(bytecode_hash(&BYTECODE), expected, payloads);
+        for _ in 0..rounds {
+            ex.round(&mut port, "t");
         }
+        ex
+    }
 
-        let mut ex = SignExchange::new(bytecode_hash(&bytecode), expected);
-        ex.round(&mut port, "t");
+    #[test]
+    fn a_completed_exchange_assembles_verifying_copies() {
+        let keys = keys();
+        let expected = [keys[0].address(), keys[1].address()];
+        // A foreign signature and garbage are absorbed without counting.
+        let ex = run(&FaultPlan::none(), honest_payloads(&keys), 1, |port| {
+            let outsider = PrivateKey::from_seed("mallory");
+            let foreign = sign_bytecode(&outsider, &BYTECODE).to_bytes().to_vec();
+            port.post(expected[1], "t", foreign);
+            port.post(expected[0], "t", vec![0xff; 3]);
+        });
         assert!(ex.complete());
-        for assembled in &ex.seen {
+        assert_eq!(ex.posts(), 2);
+        for reader in 0..2 {
             let copy = SignedCopy {
-                bytecode: bytecode.clone(),
-                signatures: assembled.iter().copied().flatten().collect(),
+                bytecode: BYTECODE.to_vec(),
+                signatures: ex.signatures(reader).expect("complete").to_vec(),
             };
             assert_eq!(copy.verify(&expected), Ok(()));
+            assert_eq!(
+                copy,
+                SignedCopy::create(BYTECODE.to_vec(), &[&keys[0], &keys[1]])
+            );
+        }
+    }
+
+    #[test]
+    fn an_honest_exchange_recovers_each_signature_once() {
+        let keys = keys();
+        // Lossless: two payloads, two recoveries, though each reader
+        // checks both.
+        let ex = run(&FaultPlan::none(), honest_payloads(&keys), 1, |_| {});
+        assert!(ex.complete());
+        assert_eq!(ex.recoveries(), 2);
+
+        // Every envelope delivered twice: the copies hit the verdicts
+        // (or an already-filled slot), never a second recovery.
+        let duplicating = FaultPlan {
+            duplicate_permille: 1000,
+            whisper_fault_budget: u32::MAX,
+            ..FaultPlan::none()
+        };
+        let ex = run(&duplicating, honest_payloads(&keys), 1, |_| {});
+        assert!(ex.complete());
+        assert_eq!(ex.recoveries(), 2);
+    }
+
+    #[test]
+    fn re_posts_against_a_refusing_signer_recover_once() {
+        let keys = keys();
+        let [alice, _] = honest_payloads(&keys);
+        let ex = run(&FaultPlan::none(), [alice, None], MAX_SIGN_ROUNDS, |_| {});
+        assert!(!ex.complete());
+        assert_eq!(ex.rounds_run(), MAX_SIGN_ROUNDS);
+        assert_eq!(ex.posts(), MAX_SIGN_ROUNDS as usize);
+        assert_eq!(ex.recoveries(), 1);
+    }
+
+    #[test]
+    fn each_distinct_corrupted_payload_costs_one_recovery() {
+        let keys = keys();
+        let expected = [keys[0].address(), keys[1].address()];
+        let [_, bob] = honest_payloads(&keys);
+        let good = sign_bytecode(&keys[0], &BYTECODE).to_bytes();
+        // Alice never posts her real signature, so her slot stays open
+        // and every corrupted copy claiming her reaches a recovery.
+        let corrupted = |k: usize| {
+            let mut bytes = good;
+            bytes[k] ^= 0x40;
+            bytes.to_vec()
+        };
+        for distinct in 0..4 {
+            let ex = run(&FaultPlan::none(), [None, bob.clone()], 2, |port| {
+                for k in 0..distinct {
+                    // Each twice: the repeat is free.
+                    port.post(expected[0], "t", corrupted(k));
+                    port.post(expected[0], "t", corrupted(k));
+                }
+            });
+            assert!(!ex.complete());
+            assert_eq!(ex.recoveries(), 1 + distinct, "{distinct} corrupted");
         }
     }
 }

@@ -4,8 +4,8 @@
 use sc_chain::{PoolConfig, Testnet};
 use sc_contracts::BetSecrets;
 use sc_core::{
-    gas_of, stage_gas, BettingSession, BettingSpec, NetworkScheduler, Outcome, Session,
-    SessionReport, SessionSpec, Stage, Strategy, Topic,
+    gas_of, sign_bytecode, stage_gas, BettingSession, BettingSpec, NetworkScheduler, Outcome,
+    Session, SessionReport, SessionSpec, Stage, Strategy, Topic,
 };
 use sc_primitives::{ether, U256};
 
@@ -180,6 +180,26 @@ fn refusing_to_sign_aborts() {
         history.iter().all(|env| env.from == alice_addr),
         "only Alice ever posted a signature"
     );
+}
+
+/// Each side signs once and re-posts the same bytes every round: every
+/// copy Alice posts against a refusing Bob is exactly her signature over
+/// the agreed bytecode. RFC 6979 makes a fresh signature the same bytes,
+/// which is what makes signing once invisible on the bus.
+#[test]
+fn re_posted_signatures_are_byte_identical() {
+    let (sched, report) = play(
+        Strategy::Honest,
+        Strategy::RefusesToSign,
+        bob_wins_secrets(),
+    );
+    let game = game(&sched);
+    let topic = Topic::node_session(0, 0, "signed-copy");
+    let history = sched.network().bus().history(&topic);
+    let signature = sign_bytecode(&game.alice.wallet.key, &game.offchain_bytecode).to_bytes();
+    assert!(history.len() > 1, "the exchange ran several rounds");
+    assert_eq!(history.len(), report.messages_posted);
+    assert!(history.iter().all(|env| env.payload == signature));
 }
 
 #[test]

@@ -20,10 +20,10 @@
 //!   network, conserving ether everywhere and staying bit-identical per
 //!   seed.
 
-use sc_chain::{PoolConfig, Testnet};
+use sc_chain::{PoolConfig, Testnet, Wallet};
 use sc_core::{
     check_conservation, check_state_commitments, BettingSpec, ChallengeSpec, NetworkScheduler,
-    SessionReport, SessionSpec, SettleLaterCrash, SettleLaterSpec,
+    SessionReport, SessionSpec, SettleLaterCrash, SettleLaterSession, SettleLaterSpec, Topic,
 };
 
 /// The single-node scheduler every single-chain test here runs on.
@@ -218,6 +218,37 @@ fn faulted_runs_settle_and_are_deterministic() {
         run(),
         "seeded settle-later runs must be bit-identical"
     );
+}
+
+/// The voucher is signed once per party and the same bytes re-posted
+/// every round: on a bus that drops copies, every envelope each party
+/// posted is its signature over the voucher, and signing afresh gives
+/// those bytes again (RFC 6979).
+#[test]
+fn re_posted_voucher_signatures_are_byte_identical() {
+    // Seed 120's whisper schedule drops three copies and delays two but
+    // corrupts none; the exchange runs four rounds.
+    let (r, sched) = run_single(settle_later(|s| s.fault_seed = Some(120)));
+    assert_eq!(r.outcome, Some("settled"), "{:?}", r.error);
+    let injected = sched.faults(0).1.injected_faults();
+    assert!(injected.iter().any(|f| f.starts_with("drop")));
+    assert!(!injected.iter().any(|f| f.starts_with("corrupt")));
+    assert_eq!(r.messages_posted, 8);
+
+    let session: &SettleLaterSession = sched.session(0).expect("a settle-later session");
+    let signed = session.signed_voucher().expect("the exchange ran");
+    let [a, b] = ["alice", "bob"].map(|p| Wallet::from_seed(&format!("s0-{p}")));
+    assert_eq!(signed, signed.voucher.co_sign(&a.key, &b.key));
+    let topic = Topic::node_session(0, 0, "signed-copy");
+    let history = sched.network().bus().history(&topic);
+    for (who, sig) in [(a.address, signed.sig_a), (b.address, signed.sig_b)] {
+        let posted: Vec<_> = history.iter().filter(|env| env.from == who).collect();
+        assert!(posted.len() > 1, "several copies reached the bus");
+        assert!(posted.iter().all(|env| env.payload == sig.to_bytes()));
+    }
+    assert!(history
+        .iter()
+        .all(|env| env.from == a.address || env.from == b.address));
 }
 
 /// Settle-later over the 4-node gossiping network, mixed with the other
