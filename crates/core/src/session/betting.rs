@@ -169,27 +169,24 @@ impl BettingSession {
     }
 
     /// Starts the signature exchange: each side signs once, per its
-    /// strategy, and the exchange re-posts those bytes every round.
+    /// strategy, and the exchange re-posts that signature every round.
     fn start_exchange(&self) -> SignExchange {
         let digest = bytecode_hash(&self.offchain_bytecode);
-        let payload = |p: &Participant| {
-            let sig = match p.strategy {
-                Strategy::RefusesToSign => return None, // posts nothing, every round
-                Strategy::SignsTampered => {
-                    let mut tampered = self.offchain_bytecode.clone();
-                    // Flip the last byte of the baked-in secret.
-                    let last = tampered.len() - 1;
-                    tampered[last] ^= 0xff;
-                    sign_bytecode(&p.wallet.key, &tampered)
-                }
-                _ => p.wallet.key.sign(digest),
-            };
-            Some(sig.to_bytes().to_vec())
+        let signature = |p: &Participant| match p.strategy {
+            Strategy::RefusesToSign => None, // posts nothing, every round
+            Strategy::SignsTampered => {
+                let mut tampered = self.offchain_bytecode.clone();
+                // Flip the last byte of the baked-in secret.
+                let last = tampered.len() - 1;
+                tampered[last] ^= 0xff;
+                Some(sign_bytecode(&p.wallet.key, &tampered))
+            }
+            _ => Some(p.wallet.key.sign(digest)),
         };
         SignExchange::new(
             digest,
             [self.alice.wallet.address, self.bob.wallet.address],
-            [payload(&self.alice), payload(&self.bob)],
+            [signature(&self.alice), signature(&self.bob)],
         )
     }
 }

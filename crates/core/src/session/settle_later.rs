@@ -287,7 +287,7 @@ impl SettleLaterSession {
         SignExchange::new(
             digest,
             [self.alice.address, self.bob.address],
-            [signed.sig_a, signed.sig_b].map(|sig| Some(sig.to_bytes().to_vec())),
+            [Some(signed.sig_a), Some(signed.sig_b)],
         )
     }
 

@@ -7,8 +7,8 @@
 //! absorbed the same way: by waiting for a later round to deliver a good
 //! copy.
 //!
-//! Each seat signs once: the session hands the exchange the payload each
-//! side posts (strategy-dependent, so built by the session when the
+//! Each seat signs once: the session hands the exchange the signature
+//! each side posts (strategy-dependent, so made by the session when the
 //! exchange starts), and every round re-posts those same bytes. Each
 //! distinct payload is recovered once: the verdict is kept for the life
 //! of the exchange, so both readers and every later round reuse it.
@@ -33,7 +33,7 @@ pub const MAX_SIGN_ROUNDS: u32 = 16;
 pub struct SignExchange {
     digest: H256,
     expected: [Address; 2],
-    payloads: [Option<Vec<u8>>; 2],
+    posted: [Option<Signature>; 2],
     /// The recovered signer of every distinct signature a reader had to
     /// check (`None`: recovery failed). Keyed by the parsed signature,
     /// which is the payload byte for byte: `Signature::from_bytes`
@@ -46,12 +46,12 @@ pub struct SignExchange {
 impl SignExchange {
     /// Starts an exchange over `digest` between the two `expected`
     /// signers (who are also the two readers). Every round, seat `i`
-    /// posts `payloads[i]` as `expected[i]`, or nothing if it is `None`.
-    pub fn new(digest: H256, expected: [Address; 2], payloads: [Option<Vec<u8>>; 2]) -> Self {
+    /// posts `posted[i]` as `expected[i]`, or nothing if it is `None`.
+    pub fn new(digest: H256, expected: [Address; 2], posted: [Option<Signature>; 2]) -> Self {
         SignExchange {
             digest,
             expected,
-            payloads,
+            posted,
             verdicts: Vec::new(),
             seen: [[None, None], [None, None]],
             rounds_run: 0,
@@ -64,9 +64,9 @@ impl SignExchange {
     }
 
     /// Messages posted so far (before bus faults): every round posts
-    /// each seat's payload once.
+    /// each seat's signature once.
     pub fn posts(&self) -> usize {
-        self.rounds_run as usize * self.payloads.iter().flatten().count()
+        self.rounds_run as usize * self.posted.iter().flatten().count()
     }
 
     /// Signature recoveries run so far: one per distinct payload that
@@ -76,14 +76,14 @@ impl SignExchange {
         self.verdicts.len()
     }
 
-    /// Completes one post+poll round: both seats post their payloads,
+    /// Completes one post+poll round: both seats post their signatures,
     /// then both readers poll the topic and absorb every candidate that
     /// verifies. Corruption and tampering both fail the recovery check
     /// and are simply ignored.
     pub fn round(&mut self, bus: &mut BusPort<'_>, topic: &str) {
-        for (&from, payload) in self.expected.iter().zip(&self.payloads) {
-            if let Some(payload) = payload {
-                bus.post(from, topic, payload.clone());
+        for (&from, sig) in self.expected.iter().zip(&self.posted) {
+            if let Some(sig) = sig {
+                bus.post(from, topic, sig.to_bytes().to_vec());
             }
         }
         let expected = self.expected;
@@ -148,16 +148,15 @@ mod tests {
         [PrivateKey::from_seed("alice"), PrivateKey::from_seed("bob")]
     }
 
-    fn honest_payloads(keys: &[PrivateKey; 2]) -> [Option<Vec<u8>>; 2] {
-        keys.each_ref()
-            .map(|k| Some(sign_bytecode(k, &BYTECODE).to_bytes().to_vec()))
+    fn honest(keys: &[PrivateKey; 2]) -> [Option<Signature>; 2] {
+        keys.each_ref().map(|k| Some(sign_bytecode(k, &BYTECODE)))
     }
 
     /// Runs `rounds` rounds of an exchange over [`BYTECODE`] on a bus
     /// under `plan`, after `pre` posted whatever it likes.
     fn run(
         plan: &FaultPlan,
-        payloads: [Option<Vec<u8>>; 2],
+        posted: [Option<Signature>; 2],
         rounds: u32,
         pre: impl FnOnce(&mut BusPort<'_>),
     ) -> SignExchange {
@@ -170,7 +169,7 @@ mod tests {
         };
         pre(&mut port);
         let expected = [keys[0].address(), keys[1].address()];
-        let mut ex = SignExchange::new(bytecode_hash(&BYTECODE), expected, payloads);
+        let mut ex = SignExchange::new(bytecode_hash(&BYTECODE), expected, posted);
         for _ in 0..rounds {
             ex.round(&mut port, "t");
         }
@@ -182,7 +181,7 @@ mod tests {
         let keys = keys();
         let expected = [keys[0].address(), keys[1].address()];
         // A foreign signature and garbage are absorbed without counting.
-        let ex = run(&FaultPlan::none(), honest_payloads(&keys), 1, |port| {
+        let ex = run(&FaultPlan::none(), honest(&keys), 1, |port| {
             let outsider = PrivateKey::from_seed("mallory");
             let foreign = sign_bytecode(&outsider, &BYTECODE).to_bytes().to_vec();
             port.post(expected[1], "t", foreign);
@@ -208,7 +207,7 @@ mod tests {
         let keys = keys();
         // Lossless: two payloads, two recoveries, though each reader
         // checks both.
-        let ex = run(&FaultPlan::none(), honest_payloads(&keys), 1, |_| {});
+        let ex = run(&FaultPlan::none(), honest(&keys), 1, |_| {});
         assert!(ex.complete());
         assert_eq!(ex.recoveries(), 2);
 
@@ -219,7 +218,7 @@ mod tests {
             whisper_fault_budget: u32::MAX,
             ..FaultPlan::none()
         };
-        let ex = run(&duplicating, honest_payloads(&keys), 1, |_| {});
+        let ex = run(&duplicating, honest(&keys), 1, |_| {});
         assert!(ex.complete());
         assert_eq!(ex.recoveries(), 2);
     }
@@ -227,7 +226,7 @@ mod tests {
     #[test]
     fn re_posts_against_a_refusing_signer_recover_once() {
         let keys = keys();
-        let [alice, _] = honest_payloads(&keys);
+        let [alice, _] = honest(&keys);
         let ex = run(&FaultPlan::none(), [alice, None], MAX_SIGN_ROUNDS, |_| {});
         assert!(!ex.complete());
         assert_eq!(ex.rounds_run(), MAX_SIGN_ROUNDS);
@@ -239,7 +238,7 @@ mod tests {
     fn each_distinct_corrupted_payload_costs_one_recovery() {
         let keys = keys();
         let expected = [keys[0].address(), keys[1].address()];
-        let [_, bob] = honest_payloads(&keys);
+        let [_, bob] = honest(&keys);
         let good = sign_bytecode(&keys[0], &BYTECODE).to_bytes();
         // Alice never posts her real signature, so her slot stays open
         // and every corrupted copy claiming her reaches a recovery.
@@ -249,7 +248,7 @@ mod tests {
             bytes.to_vec()
         };
         for distinct in 0..4 {
-            let ex = run(&FaultPlan::none(), [None, bob.clone()], 2, |port| {
+            let ex = run(&FaultPlan::none(), [None, bob], 2, |port| {
                 for k in 0..distinct {
                     // Each twice: the repeat is free.
                     port.post(expected[0], "t", corrupted(k));
