@@ -3,6 +3,7 @@
 //! plus end-to-end proof checks: inclusion, exclusion, and tamper
 //! rejection.
 
+use sc_crypto::Keccak256;
 use sc_primitives::H256;
 use sc_trie::{empty_root, verify_proof, verify_secure_proof, SecureTrie, Trie};
 
@@ -201,3 +202,160 @@ fn incremental_root_matches_fresh_rebuild_under_churn() {
     }
     assert_eq!(t.root(), fresh.root());
 }
+
+/// SplitMix64: a seeded, dependency-free stream for the churn pins.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    /// `len` bytes, each from a four-letter alphabet when `narrow`, so
+    /// keys and values share prefixes and nodes stay short enough to
+    /// inline.
+    fn bytes(&mut self, len: usize, narrow: bool) -> Vec<u8> {
+        const ALPHABET: [u8; 4] = [0x00, 0x01, 0x10, 0xab];
+        (0..len)
+            .map(|_| {
+                let b = self.next() as u8;
+                if narrow {
+                    ALPHABET[(b & 3) as usize]
+                } else {
+                    b
+                }
+            })
+            .collect()
+    }
+}
+
+/// Feeds one proof into the digest, node count and node lengths
+/// included, so a moved node boundary moves the digest.
+fn absorb_proof(digest: &mut Keccak256, proof: &[Vec<u8>]) {
+    digest.update(&(proof.len() as u64).to_be_bytes());
+    for node in proof {
+        digest.update(&(node.len() as u64).to_be_bytes());
+        digest.update(node);
+    }
+}
+
+/// A churn script over raw keys of 0–40 bytes with values of 1–40
+/// bytes, so nodes straddle the 32-byte inline limit; deletes collapse
+/// branches and merge extensions, and a final drain empties the trie.
+/// Returns one keccak over every intermediate root and every proof.
+fn raw_churn_digest() -> H256 {
+    let mut rng = Mix(0x7269_6521);
+    let pool: Vec<Vec<u8>> = (0..240)
+        .map(|_| {
+            let len = rng.below(41) as usize;
+            let narrow = len <= 6 || rng.below(2) == 0;
+            let mut key = rng.bytes(len.min(4), true);
+            key.extend(rng.bytes(len.saturating_sub(4), narrow));
+            key
+        })
+        .collect();
+    let mut trie = Trie::new();
+    let mut digest = Keccak256::new();
+    let check = |trie: &mut Trie, digest: &mut Keccak256, rng: &mut Mix| {
+        let root = trie.root();
+        digest.update(root.as_bytes());
+        for _ in 0..3 {
+            let key = if rng.below(4) == 0 {
+                let len = rng.below(41) as usize;
+                rng.bytes(len, true)
+            } else {
+                pool[rng.below(pool.len() as u64) as usize].clone()
+            };
+            let proof = trie.prove(&key);
+            let expected = trie.get(&key).map(<[u8]>::to_vec);
+            assert_eq!(verify_proof(root, &key, &proof).unwrap(), expected);
+            absorb_proof(digest, &proof);
+        }
+    };
+    for step in 0..3_000u32 {
+        let key = &pool[rng.below(pool.len() as u64) as usize];
+        if rng.below(3) == 0 {
+            trie.remove(key);
+        } else {
+            let len = 1 + rng.below(40) as usize;
+            let narrow = rng.below(2) == 0;
+            trie.insert(key, rng.bytes(len, narrow));
+        }
+        if step % 17 == 0 {
+            check(&mut trie, &mut digest, &mut rng);
+        }
+    }
+    let mut order: Vec<usize> = (0..pool.len()).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    for (i, &k) in order.iter().enumerate() {
+        trie.remove(&pool[k]);
+        if i % 7 == 0 {
+            check(&mut trie, &mut digest, &mut rng);
+        }
+    }
+    assert_eq!(trie.root(), empty_root());
+    digest.finalize()
+}
+
+/// The secure-trie half of the churn pins: 5,000 keys, then rounds of
+/// updates and deletes with a root and a batch of proofs after each.
+fn secure_churn_digest() -> H256 {
+    let mut rng = Mix(0x7365_6375_7265);
+    let mut trie = SecureTrie::new();
+    let mut digest = Keccak256::new();
+    let value = |rng: &mut Mix| {
+        let len = 1 + rng.below(33) as usize;
+        rng.bytes(len, false)
+    };
+    for i in 0u64..5_000 {
+        trie.insert(&i.to_be_bytes(), value(&mut rng));
+    }
+    for round in 0..12 {
+        if round > 0 {
+            for _ in 0..400 {
+                let key = rng.below(5_500).to_be_bytes();
+                if rng.below(4) == 0 {
+                    trie.remove(&key);
+                } else {
+                    trie.insert(&key, value(&mut rng));
+                }
+            }
+        }
+        let root = trie.root();
+        digest.update(root.as_bytes());
+        for _ in 0..16 {
+            let key = rng.below(5_500).to_be_bytes();
+            let proof = trie.prove(&key);
+            let expected = trie.get(&key).map(<[u8]>::to_vec);
+            assert_eq!(verify_secure_proof(root, &key, &proof).unwrap(), expected);
+            absorb_proof(&mut digest, &proof);
+        }
+    }
+    digest.finalize()
+}
+
+#[test]
+fn raw_trie_churn_roots_and_proofs_are_pinned() {
+    assert_eq!(raw_churn_digest(), h(RAW_CHURN_DIGEST));
+}
+
+#[test]
+fn secure_trie_churn_roots_and_proofs_are_pinned() {
+    assert_eq!(secure_churn_digest(), h(SECURE_CHURN_DIGEST));
+}
+
+/// keccak over every root and proof of [`raw_churn_digest`]'s script.
+const RAW_CHURN_DIGEST: &str = "0xcdf287896ccc66d5374599314e46e2f2136581adeea805d490f95627396296ca";
+/// keccak over every root and proof of [`secure_churn_digest`]'s script.
+const SECURE_CHURN_DIGEST: &str =
+    "0x952f30b9ff09eb7d5e36cbd8d9fced0ab28933ecb8e8496cbf0f26fa93afe0bc";
