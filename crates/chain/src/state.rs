@@ -22,20 +22,35 @@ use std::sync::Arc;
 pub use crate::overlay::{empty_code_hash, Account, DiffLayer};
 
 /// Canonical RLP account encoding committed into the account trie:
-/// `[nonce, balance, storage_root, code_hash]`.
+/// `[nonce, balance, storage_root, code_hash]`, written straight into
+/// one exactly-sized buffer.
 pub fn encode_account(nonce: u64, balance: U256, storage_root: H256, code_hash: H256) -> Vec<u8> {
-    rlp::encode_list(&[
-        Item::u64(nonce),
-        Item::uint(balance),
-        Item::bytes(storage_root.as_bytes().to_vec()),
-        Item::bytes(code_hash.as_bytes().to_vec()),
-    ])
+    let nonce = U256::from_u64(nonce).to_be_bytes();
+    let nonce = rlp::trim_uint(&nonce);
+    let balance = balance.to_be_bytes();
+    let balance = rlp::trim_uint(&balance);
+    let payload = rlp::bytes_len(nonce) + rlp::bytes_len(balance) + 2 * 33;
+    let mut out = Vec::with_capacity(rlp::header_len(payload) + payload);
+    rlp::put_list_header(payload, &mut out);
+    for field in [
+        nonce,
+        balance,
+        storage_root.as_bytes(),
+        code_hash.as_bytes(),
+    ] {
+        rlp::put_bytes(field, &mut out);
+    }
+    out
 }
 
 /// Canonical RLP storage-value encoding committed into storage tries:
 /// the big-endian integer with leading zeros trimmed.
 pub fn encode_storage_value(value: U256) -> Vec<u8> {
-    rlp::encode(&Item::uint(value))
+    let value = value.to_be_bytes();
+    let value = rlp::trim_uint(&value);
+    let mut out = Vec::with_capacity(rlp::bytes_len(value));
+    rlp::put_bytes(value, &mut out);
+    out
 }
 
 /// Reversible operations recorded while executing a transaction.

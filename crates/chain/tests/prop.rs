@@ -6,8 +6,8 @@ mod common;
 use common::assert_follower_replays;
 use proptest::prelude::*;
 use sc_chain::{
-    Block, ChainConfig, Header, HeaderClient, ImportOutcome, SignedTransaction, Testnet,
-    Transaction, Wallet, WireError, WorldState,
+    AccountProof, Block, ChainConfig, Header, HeaderClient, ImportOutcome, ReceiptProof,
+    SignedTransaction, StorageProof, Testnet, Transaction, Wallet, WireError, WorldState,
 };
 use sc_crypto::keccak256;
 use sc_evm::Host;
@@ -620,5 +620,221 @@ proptest! {
         dups in proptest::collection::vec(0usize..64, 0..6),
     ) {
         arrival_case(&specs, &keys, &dups)?;
+    }
+}
+
+/// Honest witnesses the proof-bytes property mutates: storage proofs of
+/// a present and an absent slot, account proofs of a present and an
+/// absent account, and receipt proofs out of a receipts trie whose
+/// short entries inline into their parents.
+struct Witnesses {
+    state_root: sc_primitives::H256,
+    storage: Vec<StorageProof>,
+    accounts: Vec<AccountProof>,
+    receipts_root: sc_primitives::H256,
+    receipts: Vec<ReceiptProof>,
+}
+
+fn witnesses() -> &'static Witnesses {
+    static WITNESSES: OnceLock<Witnesses> = OnceLock::new();
+    WITNESSES.get_or_init(|| {
+        let mut state = WorldState::new();
+        for i in 0..300u64 {
+            let mut a = [0u8; 20];
+            a[..8].copy_from_slice(&i.to_be_bytes());
+            state.mint(Address(a), U256::from_u64(1 + i * 7919));
+        }
+        let contract = Address([0xcc; 20]);
+        state.install_code(contract, vec![0x5b, 0x00]);
+        for slot in 0..64u64 {
+            state.set_storage(contract, U256::from_u64(slot), U256::from_u64(slot + 1));
+        }
+        state.clear_tx_scratch();
+        let state_root = state.state_root();
+        let storage = vec![
+            state.prove_storage(contract, U256::from_u64(5)),
+            state.prove_storage(contract, U256::from_u64(1_000)),
+        ];
+        let accounts = vec![
+            state.prove_account(Address([0; 20])),
+            state.prove_account(Address([0xab; 20])),
+        ];
+
+        let receipt = |i: u64| vec![0xc0 + (i % 40) as u8; 1 + (i as usize * 5) % 48];
+        let key = |i: u64| rlp::encode(&Item::u64(i));
+        let mut trie = sc_trie::Trie::new();
+        for i in 0..40 {
+            trie.insert(&key(i), receipt(i));
+        }
+        let receipts_root = trie.root();
+        let receipts = [0, 3, 17, 39]
+            .into_iter()
+            .map(|i| ReceiptProof {
+                tx_hash: keccak256(&key(i)),
+                block_number: 1,
+                tx_index: i,
+                receipt_rlp: receipt(i),
+                proof: trie.prove(&key(i)),
+            })
+            .collect();
+        Witnesses {
+            state_root,
+            storage,
+            accounts,
+            receipts_root,
+            receipts,
+        }
+    })
+}
+
+/// One change to a Merkle path: a byte overwritten (kind 0), inserted
+/// (1) or deleted (2), the node truncated (3), replaced by `noise` (4),
+/// dropped (5) or `noise` appended (6), at node `node` and byte `at`
+/// (both taken modulo the sizes).
+fn mutate_path(
+    path: &mut Vec<Vec<u8>>,
+    (kind, node, at, byte): (u8, usize, usize, u8),
+    noise: &[u8],
+) {
+    if path.is_empty() || kind == 6 {
+        path.push(noise.to_vec());
+        return;
+    }
+    let i = node % path.len();
+    let n = &mut path[i];
+    let at = at % (n.len() + 1);
+    match kind {
+        0 if at < n.len() => n[at] = byte,
+        1 => n.insert(at, byte),
+        2 if at < n.len() => drop(n.remove(at)),
+        3 => n.truncate(at),
+        4 => *n = noise.to_vec(),
+        5 => drop(path.remove(i)),
+        _ => {}
+    }
+}
+
+fn arb_path_mutation() -> impl Strategy<Value = (u8, usize, usize, u8)> {
+    (0u8..7, 0usize..64, 0usize..1024, any::<u8>())
+}
+
+/// One case of the proof-bytes property. Every verifier runs on the
+/// mutated witness and on an arbitrary node list whose first entry is
+/// taken as the root (so the walk decodes it). None may panic, and a
+/// mutated honest witness either fails or proves exactly what the
+/// honest one proves.
+fn proof_bytes_case(
+    pick: usize,
+    mutation: (u8, usize, usize, u8),
+    noise: &[Vec<u8>],
+) -> Result<(), TestCaseError> {
+    let w = witnesses();
+    let first = noise.first().map_or(&[][..], Vec::as_slice);
+    let garbage_root = keccak256(first);
+    let garbage: Vec<Vec<u8>> = noise.to_vec();
+    let one = noise.last().map_or(&[][..], Vec::as_slice);
+
+    let honest = &w.storage[pick % w.storage.len()];
+    let mut forged = honest.clone();
+    if pick.is_multiple_of(2) {
+        mutate_path(&mut forged.account_proof, mutation, one);
+    } else {
+        mutate_path(&mut forged.storage_proof, mutation, one);
+    }
+    let proven = honest.proven_value(w.state_root).unwrap();
+    if let Ok(v) = forged.proven_value(w.state_root) {
+        prop_assert_eq!(v, proven);
+    }
+    prop_assert_eq!(
+        forged.verify(w.state_root).is_ok(),
+        forged.proven_value(w.state_root).is_ok()
+    );
+    forged.account_proof = garbage.clone();
+    forged.storage_proof = garbage.clone();
+    let _ = forged.verify(garbage_root);
+    let _ = forged.proven_value(garbage_root);
+
+    let honest = &w.accounts[pick % w.accounts.len()];
+    let mut forged = honest.clone();
+    mutate_path(&mut forged.account_proof, mutation, one);
+    let proven = honest.proven_parts(w.state_root).unwrap();
+    if let Ok(parts) = forged.proven_parts(w.state_root) {
+        prop_assert_eq!(parts, proven);
+    }
+    forged.account_proof = garbage.clone();
+    let _ = forged.proven_parts(garbage_root);
+
+    let honest = &w.receipts[pick % w.receipts.len()];
+    let mut forged = honest.clone();
+    mutate_path(&mut forged.proof, mutation, one);
+    let key = rlp::encode(&Item::u64(honest.tx_index));
+    if let Ok(leaf) = sc_trie::verify_proof(w.receipts_root, &key, &forged.proof) {
+        prop_assert_eq!(leaf, Some(honest.receipt_rlp.clone()));
+    }
+    let _ = forged.verify(w.receipts_root);
+    let mut receipt = vec![forged.receipt_rlp.clone()];
+    mutate_path(&mut receipt, mutation, one);
+    forged.receipt_rlp = receipt.pop().unwrap_or_default();
+    if forged.verify(w.receipts_root).is_ok() {
+        prop_assert_eq!(&forged.receipt_rlp, &honest.receipt_rlp);
+    }
+    forged.proof = garbage.clone();
+    let _ = forged.verify(garbage_root);
+    let _ = sc_trie::verify_proof(garbage_root, &key, &garbage);
+    let _ = sc_trie::verify_proof(garbage_root, first, &garbage);
+    Ok(())
+}
+
+/// Arbitrary node lists: random bytes, half of them behind a list
+/// header (some announcing more than follows), so the walk gets past
+/// the first RLP byte.
+fn arb_nodes() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    proptest::collection::vec(
+        (any::<u8>(), proptest::collection::vec(any::<u8>(), 0..80)).prop_map(
+            |(head, mut body)| {
+                if head % 2 == 0 {
+                    let len = if head % 4 == 0 {
+                        body.len()
+                    } else {
+                        head as usize / 4
+                    };
+                    body.insert(0, 0xc0 + len.min(55) as u8);
+                }
+                body
+            },
+        ),
+        0..4,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The proof decode boundary: no node list panics `verify_proof`,
+    /// `StorageProof::{verify, proven_value}`,
+    /// `AccountProof::proven_parts` or `ReceiptProof::verify`, and a
+    /// mutated honest proof never verifies to a different value.
+    #[test]
+    fn proof_verifiers_survive_arbitrary_and_mutated_bytes(
+        pick in 0usize..16,
+        mutation in arb_path_mutation(),
+        noise in arb_nodes(),
+    ) {
+        proof_bytes_case(pick, mutation, &noise)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// The release sweep of the proof-bytes property.
+    #[test]
+    #[ignore = "10,000 cases; run in release"]
+    fn proof_bytes_sweep_10000_cases(
+        pick in 0usize..16,
+        mutation in arb_path_mutation(),
+        noise in arb_nodes(),
+    ) {
+        proof_bytes_case(pick, mutation, &noise)?;
     }
 }

@@ -91,35 +91,91 @@ impl Item {
 
 /// Encodes an item to its RLP byte representation.
 pub fn encode(item: &Item) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(encoded_len(item));
     encode_into(item, &mut out);
     out
 }
 
 /// Encodes a list of items (the most common top-level shape).
 pub fn encode_list(items: &[Item]) -> Vec<u8> {
-    encode(&Item::List(items.to_vec()))
+    let payload = payload_len(items);
+    let mut out = Vec::with_capacity(header_len(payload) + payload);
+    put_list_header(payload, &mut out);
+    for it in items {
+        encode_into(it, &mut out);
+    }
+    out
 }
 
-fn encode_into(item: &Item, out: &mut Vec<u8>) {
+/// Length of `item`'s encoding, header included.
+fn encoded_len(item: &Item) -> usize {
     match item {
-        Item::Bytes(b) => {
-            if b.len() == 1 && b[0] < 0x80 {
-                out.push(b[0]);
-            } else {
-                encode_length(b.len(), 0x80, out);
-                out.extend_from_slice(b);
-            }
-        }
+        Item::Bytes(b) => bytes_len(b),
         Item::List(items) => {
-            let mut payload = Vec::new();
-            for it in items {
-                encode_into(it, &mut payload);
-            }
-            encode_length(payload.len(), 0xc0, out);
-            out.extend_from_slice(&payload);
+            let payload = payload_len(items);
+            header_len(payload) + payload
         }
     }
+}
+
+fn payload_len(items: &[Item]) -> usize {
+    items.iter().map(encoded_len).sum()
+}
+
+/// Writes each list once: the header from the payload length worked
+/// out up front, then the items straight after it.
+fn encode_into(item: &Item, out: &mut Vec<u8>) {
+    match item {
+        Item::Bytes(b) => put_bytes(b, out),
+        Item::List(items) => {
+            put_list_header(payload_len(items), out);
+            for it in items {
+                encode_into(it, out);
+            }
+        }
+    }
+}
+
+/// Length of the encoding of the byte string `b`, header included.
+pub fn bytes_len(b: &[u8]) -> usize {
+    if b.len() == 1 && b[0] < 0x80 {
+        1
+    } else {
+        header_len(b.len()) + b.len()
+    }
+}
+
+/// Length of the header in front of a string or list payload of `len`
+/// bytes.
+pub fn header_len(len: usize) -> usize {
+    if len < 56 {
+        1
+    } else {
+        1 + 8 - (len as u64).leading_zeros() as usize / 8
+    }
+}
+
+/// Appends the encoding of the byte string `b`.
+pub fn put_bytes(b: &[u8], out: &mut Vec<u8>) {
+    if b.len() == 1 && b[0] < 0x80 {
+        out.push(b[0]);
+    } else {
+        encode_length(b.len(), 0x80, out);
+        out.extend_from_slice(b);
+    }
+}
+
+/// Appends the header of a list whose items encode to `payload` bytes;
+/// the caller appends the items.
+pub fn put_list_header(payload: usize, out: &mut Vec<u8>) {
+    encode_length(payload, 0xc0, out);
+}
+
+/// A big-endian integer without its leading zeros: RLP's canonical
+/// integer form, as a slice of `buf`.
+pub fn trim_uint(buf: &[u8; 32]) -> &[u8] {
+    let skip = buf.iter().take_while(|&&b| b == 0).count();
+    &buf[skip..]
 }
 
 fn encode_length(len: usize, offset: u8, out: &mut Vec<u8>) {

@@ -27,7 +27,7 @@ mod proof;
 pub use nibbles::{hp_decode, hp_encode, to_nibbles};
 pub use proof::{verify_proof, ProofError};
 
-use node::Child;
+use node::{Child, Entry};
 use sc_crypto::keccak256;
 use sc_primitives::H256;
 use std::sync::OnceLock;
@@ -67,22 +67,32 @@ impl Trie {
             self.remove(key);
             return;
         }
-        let n = nibbles::to_nibbles(key);
-        self.root = Some(node::insert(self.root.take(), &n, value));
+        nibbles::with_nibbles(key, |n| match self.root.as_mut() {
+            Some(root) => root.insert(n, value),
+            None => self.root = Some(Entry::leaf(n, value)),
+        });
     }
 
     /// Deletes `key`, returning whether it was present.
     pub fn remove(&mut self, key: &[u8]) -> bool {
-        let n = nibbles::to_nibbles(key);
-        let (root, removed) = node::remove(self.root.take(), &n);
-        self.root = root;
-        removed.is_some()
+        let Some(root) = self.root.as_mut() else {
+            return false;
+        };
+        match nibbles::with_nibbles(key, |n| root.remove(n)) {
+            None => false,
+            Some(gone) => {
+                if gone {
+                    self.root = None;
+                }
+                true
+            }
+        }
     }
 
     /// Looks up `key` in the in-memory tree (no hashing involved).
     pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        let n = nibbles::to_nibbles(key);
-        self.root.as_ref()?.get(&n)
+        let root = self.root.as_ref()?;
+        nibbles::with_nibbles(key, |n| root.get(n))
     }
 
     /// The Merkle root. Incremental: only nodes dirtied since the last
@@ -90,7 +100,7 @@ impl Trie {
     pub fn root(&mut self) -> H256 {
         match self.root.as_mut() {
             None => empty_root(),
-            Some(e) => keccak256(&e.encode()),
+            Some(root) => root.hash(&mut node::encode_buffer()),
         }
     }
 }

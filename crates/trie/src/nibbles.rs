@@ -18,6 +18,21 @@ pub fn to_nibbles(key: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Runs `f` on the nibble path of `key`. Keys of up to 32 bytes (every
+/// secure-trie key) expand into a stack array; longer ones into a
+/// [`to_nibbles`] vector.
+pub(crate) fn with_nibbles<R>(key: &[u8], f: impl FnOnce(&[u8]) -> R) -> R {
+    if key.len() > 32 {
+        return f(&to_nibbles(key));
+    }
+    let mut n = [0u8; 64];
+    for (pair, &b) in n.chunks_exact_mut(2).zip(key) {
+        pair[0] = b >> 4;
+        pair[1] = b & 0x0f;
+    }
+    f(&n[..2 * key.len()])
+}
+
 /// Packs a nibble path into the hex-prefix form stored in leaf
 /// (`is_leaf = true`) and extension nodes.
 pub fn hp_encode(nibbles: &[u8], is_leaf: bool) -> Vec<u8> {

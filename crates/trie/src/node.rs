@@ -2,23 +2,93 @@
 //!
 //! Nodes follow the Yellow Paper's three shapes — leaf, extension and
 //! 17-slot branch — and every node carries a cached RLP *reference*:
-//! the inline item when its encoding is shorter than 32 bytes, else the
-//! keccak-256 of the encoding. Mutations clear the caches along the
-//! touched path only, so recomputing the root after a batch of writes
+//! its encoding when that is shorter than 32 bytes, else the keccak-256
+//! of the encoding. A node encodes straight into one reused byte buffer:
+//! its list header comes from lengths known up front (33 bytes for a
+//! hash reference, the inline length, 1 for an empty slot), its path is
+//! already stored in hex-prefix form, and a clean child's reference is
+//! copied from its cache. Mutations walk down by `&mut`, clear the
+//! caches along the touched path only, and rebuild a node only where
+//! the shape changes, so recomputing the root after a batch of writes
 //! re-hashes just the dirty spine (the "dirty-node cache" the block
 //! sealer relies on).
 
 use crate::nibbles::hp_encode;
 use sc_crypto::keccak256;
-use sc_primitives::rlp::{self, Item};
+use sc_primitives::rlp;
 use sc_primitives::H256;
+use std::mem;
+
+/// A leaf's or extension's partial path, stored as the hex-prefix bytes
+/// its encoding carries (Yellow Paper Appendix C): one byte per two
+/// nibbles behind a flag byte, instead of one byte per nibble.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Path(Box<[u8]>);
+
+impl Path {
+    fn new(nibbles: &[u8], is_leaf: bool) -> Path {
+        Path(hp_encode(nibbles, is_leaf).into_boxed_slice())
+    }
+
+    /// `prefix` followed by `rest`, flagged as a leaf or extension path.
+    fn joined(prefix: &[u8], rest: &Path, is_leaf: bool) -> Path {
+        let mut nibbles = prefix.to_vec();
+        nibbles.extend(rest.nibbles());
+        Path::new(&nibbles, is_leaf)
+    }
+
+    /// Index of the first path nibble in the packed bytes: an odd path
+    /// keeps it in the flag byte's low half.
+    fn offset(&self) -> usize {
+        if self.0.first().is_some_and(|f| f & 0x10 != 0) {
+            1
+        } else {
+            2
+        }
+    }
+
+    /// Number of nibbles.
+    pub(crate) fn len(&self) -> usize {
+        (2 * self.0.len()).saturating_sub(self.offset())
+    }
+
+    fn nibbles(&self) -> impl Iterator<Item = u8> + '_ {
+        let off = self.offset();
+        (off..off + self.len()).map(|j| nibble(&self.0, j))
+    }
+
+    /// Length of the prefix this path shares with the nibble path `n`.
+    pub(crate) fn common_prefix(&self, n: &[u8]) -> usize {
+        self.nibbles().zip(n).take_while(|(a, b)| a == *b).count()
+    }
+
+    /// True when `n` starts with this path.
+    pub(crate) fn is_prefix_of(&self, n: &[u8]) -> bool {
+        self.len() <= n.len() && self.common_prefix(n) == self.len()
+    }
+
+    /// True when `n` is exactly this path.
+    fn matches(&self, n: &[u8]) -> bool {
+        self.len() == n.len() && self.is_prefix_of(n)
+    }
+}
+
+/// The `j`-th nibble of `bytes`, high half first.
+fn nibble(bytes: &[u8], j: usize) -> u8 {
+    let b = bytes[j / 2];
+    if j.is_multiple_of(2) {
+        b >> 4
+    } else {
+        b & 0x0f
+    }
+}
 
 #[derive(Debug, Clone)]
 pub(crate) enum Node {
     /// Terminates a path with a value.
-    Leaf { path: Vec<u8>, value: Vec<u8> },
+    Leaf { path: Path, value: Vec<u8> },
     /// Shares a run of nibbles common to every key below it.
-    Extension { path: Vec<u8>, child: Box<Entry> },
+    Extension { path: Path, child: Box<Entry> },
     /// One slot per nibble plus a value for keys ending here.
     Branch {
         children: Box<[Child; 16]>,
@@ -30,31 +100,48 @@ pub(crate) enum Node {
 #[derive(Debug, Clone)]
 pub(crate) struct Entry {
     pub(crate) node: Node,
-    /// `None` while dirty; recomputed lazily by [`Entry::node_ref`].
+    /// `None` while dirty; recomputed lazily by [`Entry::cached`].
     cached_ref: Option<NodeRef>,
 }
 
-/// A memoised reference. The hash is held inline, not as the 32-byte
-/// heap buffer of an [`Item::Bytes`]: nearly every node of a large trie
-/// is hash-referenced, and the entry is no bigger for it.
-#[derive(Debug, Clone)]
+/// A memoised reference, held inline: nearly every node of a large trie
+/// is hash-referenced, and the rest encode to under 32 bytes.
+#[derive(Debug, Clone, Copy)]
 enum NodeRef {
     /// keccak-256 of an encoding of 32 bytes or more.
     Hash(H256),
-    /// An encoding shorter than 32 bytes: the node itself.
-    Inline(Item),
+    /// An encoding shorter than 32 bytes (its length, then its bytes):
+    /// the node itself.
+    Inline(u8, [u8; 31]),
 }
 
 impl NodeRef {
-    fn item(&self) -> Item {
+    /// Bytes the reference takes inside its parent's encoding.
+    fn len(&self) -> usize {
         match self {
-            NodeRef::Hash(h) => Item::Bytes(h.as_bytes().to_vec()),
-            NodeRef::Inline(item) => item.clone(),
+            NodeRef::Hash(_) => 33,
+            NodeRef::Inline(len, _) => *len as usize,
+        }
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            NodeRef::Hash(h) => {
+                out.push(0x80 + 32);
+                out.extend_from_slice(h.as_bytes());
+            }
+            NodeRef::Inline(len, bytes) => out.extend_from_slice(&bytes[..*len as usize]),
         }
     }
 }
 
 pub(crate) type Child = Option<Box<Entry>>;
+
+/// A buffer for one walk's encodings. Children are folded before their
+/// parent writes a byte, so it never holds more than one node.
+pub(crate) fn encode_buffer() -> Vec<u8> {
+    Vec::with_capacity(1024)
+}
 
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
@@ -68,289 +155,319 @@ impl Entry {
         })
     }
 
-    fn restore(node: Node, cached_ref: Option<NodeRef>) -> Box<Entry> {
-        Box::new(Entry { node, cached_ref })
-    }
-
-    fn leaf(path: &[u8], value: Vec<u8>) -> Box<Entry> {
+    pub(crate) fn leaf(n: &[u8], value: Vec<u8>) -> Box<Entry> {
         Entry::new(Node::Leaf {
-            path: path.to_vec(),
+            path: Path::new(n, true),
             value,
         })
     }
 
-    /// This node as an RLP item (children folded to their references).
-    fn item(&mut self) -> Item {
+    /// Moves the node out, leaving an empty leaf (which allocates
+    /// nothing) until the caller stores the rebuilt node back.
+    fn take_node(&mut self) -> Node {
+        mem::replace(
+            &mut self.node,
+            Node::Leaf {
+                path: Path::default(),
+                value: Vec::new(),
+            },
+        )
+    }
+
+    /// Appends this node's RLP encoding to `out`, first folding every
+    /// dirty child to its reference (each child encodes at the end of
+    /// `out` and truncates back before this node writes its header).
+    fn encode_into(&mut self, out: &mut Vec<u8>) {
         match &mut self.node {
-            Node::Leaf { path, value } => Item::List(vec![
-                Item::Bytes(hp_encode(path, true)),
-                Item::Bytes(value.clone()),
-            ]),
+            Node::Leaf { path, value } => {
+                rlp::put_list_header(rlp::bytes_len(&path.0) + rlp::bytes_len(value), out);
+                rlp::put_bytes(&path.0, out);
+                rlp::put_bytes(value, out);
+            }
             Node::Extension { path, child } => {
-                Item::List(vec![Item::Bytes(hp_encode(path, false)), child.node_ref()])
+                let child = child.cached(out);
+                rlp::put_list_header(rlp::bytes_len(&path.0) + child.len(), out);
+                rlp::put_bytes(&path.0, out);
+                child.put(out);
             }
             Node::Branch { children, value } => {
-                let mut items = Vec::with_capacity(17);
-                for slot in children.iter_mut() {
-                    items.push(match slot {
-                        Some(c) => c.node_ref(),
-                        None => Item::Bytes(Vec::new()),
-                    });
+                let value = value.as_deref().unwrap_or_default();
+                let mut refs = [None; 16];
+                let mut payload = rlp::bytes_len(value);
+                for (r, slot) in refs.iter_mut().zip(children.iter_mut()) {
+                    *r = slot.as_mut().map(|c| c.cached(out));
+                    payload += r.map_or(1, |r| r.len());
                 }
-                items.push(Item::Bytes(value.clone().unwrap_or_default()));
-                Item::List(items)
+                rlp::put_list_header(payload, out);
+                for r in refs {
+                    match r {
+                        Some(r) => r.put(out),
+                        None => out.push(0x80),
+                    }
+                }
+                rlp::put_bytes(value, out);
             }
         }
     }
 
-    /// Full RLP encoding of this node.
-    pub(crate) fn encode(&mut self) -> Vec<u8> {
-        let item = self.item();
-        rlp::encode(&item)
+    /// Full RLP encoding of this node, as a proof carries it.
+    pub(crate) fn encode(&mut self, buf: &mut Vec<u8>) -> Vec<u8> {
+        let start = buf.len();
+        self.encode_into(buf);
+        let enc = buf[start..].to_vec();
+        buf.truncate(start);
+        enc
     }
 
-    /// The reference a parent embeds: the node itself when the encoding
-    /// is shorter than 32 bytes, otherwise its keccak-256 hash.
-    pub(crate) fn node_ref(&mut self) -> Item {
-        self.cached().item()
+    /// keccak-256 of this node's encoding: the root hash when this node
+    /// is the root.
+    pub(crate) fn hash(&mut self, buf: &mut Vec<u8>) -> H256 {
+        match self.cached(buf) {
+            NodeRef::Hash(h) => h,
+            NodeRef::Inline(len, bytes) => keccak256(&bytes[..len as usize]),
+        }
     }
 
     /// True when a parent refers to this node by hash — i.e. when the
     /// node contributes its own entry to a Merkle proof.
-    pub(crate) fn is_hash_referenced(&mut self) -> bool {
-        matches!(self.cached(), NodeRef::Hash(_))
+    pub(crate) fn is_hash_referenced(&mut self, buf: &mut Vec<u8>) -> bool {
+        matches!(self.cached(buf), NodeRef::Hash(_))
     }
 
-    /// The memoised reference, computed first when dirty.
-    fn cached(&mut self) -> &NodeRef {
-        let r = match self.cached_ref.take() {
-            Some(r) => r,
-            None => {
-                let item = self.item();
-                let enc = rlp::encode(&item);
-                if enc.len() < 32 {
-                    NodeRef::Inline(item)
-                } else {
-                    NodeRef::Hash(keccak256(&enc))
-                }
-            }
+    /// The reference a parent embeds, computed first when dirty: the
+    /// encoding itself when shorter than 32 bytes, else its keccak-256.
+    /// `buf` is scratch space, left as it was found.
+    fn cached(&mut self, buf: &mut Vec<u8>) -> NodeRef {
+        if let Some(r) = self.cached_ref {
+            return r;
+        }
+        let start = buf.len();
+        self.encode_into(buf);
+        let enc = &buf[start..];
+        let r = if enc.len() < 32 {
+            let mut bytes = [0u8; 31];
+            bytes[..enc.len()].copy_from_slice(enc);
+            NodeRef::Inline(enc.len() as u8, bytes)
+        } else {
+            NodeRef::Hash(keccak256(enc))
         };
-        self.cached_ref.insert(r)
+        buf.truncate(start);
+        self.cached_ref = Some(r);
+        r
     }
 
     pub(crate) fn get<'a>(&'a self, n: &[u8]) -> Option<&'a [u8]> {
         match &self.node {
-            Node::Leaf { path, value } => (path.as_slice() == n).then_some(value.as_slice()),
-            Node::Extension { path, child } => n
-                .strip_prefix(path.as_slice())
-                .and_then(|rest| child.get(rest)),
+            Node::Leaf { path, value } => path.matches(n).then_some(value.as_slice()),
+            Node::Extension { path, child } => {
+                if path.is_prefix_of(n) {
+                    child.get(&n[path.len()..])
+                } else {
+                    None
+                }
+            }
             Node::Branch { children, value } => match n.split_first() {
                 None => value.as_deref(),
                 Some((&i, rest)) => children[i as usize].as_ref()?.get(rest),
             },
         }
     }
-}
 
-/// Inserts `value` at nibble path `n`, returning the new subtree root.
-/// Nodes along the insertion path are rebuilt with cleared ref caches;
-/// untouched siblings keep theirs.
-pub(crate) fn insert(entry: Child, n: &[u8], value: Vec<u8>) -> Box<Entry> {
-    let Some(e) = entry else {
-        return Entry::leaf(n, value);
-    };
-    match e.node {
-        Node::Leaf { path, value: old } => {
-            if path.as_slice() == n {
-                return Entry::new(Node::Leaf { path, value });
+    /// Binds the nibble path `n` below this node to `value`. Caches are
+    /// cleared along the walk; a node is rebuilt only where the shape
+    /// changes (a leaf split or an extension divergence), and untouched
+    /// siblings keep their caches.
+    pub(crate) fn insert(&mut self, n: &[u8], value: Vec<u8>) {
+        self.cached_ref = None;
+        self.node = match self.take_node() {
+            Node::Leaf { path, .. } if path.matches(n) => Node::Leaf { path, value },
+            Node::Leaf { path, value: old } => split_leaf(&path, old, n, value),
+            Node::Extension { path, mut child } if path.is_prefix_of(n) => {
+                child.insert(&n[path.len()..], value);
+                Node::Extension { path, child }
             }
-            let cp = common_prefix(&path, n);
-            split_into_branch(cp, (&path, old), n, value)
-        }
-        Node::Extension { path, child } => {
-            let cp = common_prefix(&path, n);
-            if cp == path.len() {
-                let child = insert(Some(child), &n[cp..], value);
-                return Entry::new(Node::Extension { path, child });
-            }
-            // Diverge: push the extension's remainder under a branch.
-            let mut children: Box<[Child; 16]> = Default::default();
-            children[path[cp] as usize] = Some(if path.len() == cp + 1 {
-                child
-            } else {
-                Entry::new(Node::Extension {
-                    path: path[cp + 1..].to_vec(),
-                    child,
-                })
-            });
-            let mut bvalue = None;
-            if n.len() == cp {
-                bvalue = Some(value);
-            } else {
-                children[n[cp] as usize] = Some(Entry::leaf(&n[cp + 1..], value));
-            }
-            wrap_prefix(
-                &path[..cp],
-                Entry::new(Node::Branch {
+            Node::Extension { path, child } => split_extension(&path, child, n, value),
+            Node::Branch {
+                mut children,
+                value: here,
+            } => match n.split_first() {
+                None => Node::Branch {
                     children,
-                    value: bvalue,
-                }),
-            )
-        }
-        Node::Branch {
-            mut children,
-            value: v,
-        } => match n.split_first() {
-            None => Entry::new(Node::Branch {
-                children,
-                value: Some(value),
-            }),
-            Some((&i, rest)) => {
-                let slot = children[i as usize].take();
-                children[i as usize] = Some(insert(slot, rest, value));
-                Entry::new(Node::Branch { children, value: v })
+                    value: Some(value),
+                },
+                Some((&i, rest)) => {
+                    match &mut children[i as usize] {
+                        Some(c) => c.insert(rest, value),
+                        slot => *slot = Some(Entry::leaf(rest, value)),
+                    }
+                    Node::Branch {
+                        children,
+                        value: here,
+                    }
+                }
+            },
+        };
+    }
+
+    /// Removes the value at nibble path `n` below this node. `None` when
+    /// the key is absent: the tree, caches included, is untouched.
+    /// `Some(true)` when this node is gone with it; `Some(false)` when
+    /// it survives, its cache cleared and its shape restored (a branch
+    /// left with one reference collapses, an extension over a leaf or
+    /// extension absorbs its path).
+    pub(crate) fn remove(&mut self, n: &[u8]) -> Option<bool> {
+        match &mut self.node {
+            Node::Leaf { path, .. } => return path.matches(n).then_some(true),
+            Node::Extension { path, child } => {
+                if !path.is_prefix_of(n) {
+                    return None;
+                }
+                if child.remove(&n[path.len()..])? {
+                    // A canonical extension's child is a branch, which
+                    // one removal never empties; were it gone, the
+                    // extension would go with it.
+                    return Some(true);
+                }
             }
-        },
+            Node::Branch { children, value } => match n.split_first() {
+                None => {
+                    value.take()?;
+                }
+                Some((&i, rest)) => {
+                    let slot = &mut children[i as usize];
+                    if slot.as_mut()?.remove(rest)? {
+                        *slot = None;
+                    }
+                }
+            },
+        }
+        self.cached_ref = None;
+        match restore_shape(self.take_node()) {
+            Some(node) => {
+                self.node = node;
+                Some(false)
+            }
+            None => Some(true),
+        }
     }
 }
 
-/// Builds the branch that separates an old leaf from a new key after
-/// their shared prefix of length `cp`.
-fn split_into_branch(cp: usize, old: (&[u8], Vec<u8>), n: &[u8], value: Vec<u8>) -> Box<Entry> {
+/// The node that separates a leaf from a new key `n` after their shared
+/// prefix: a branch holding both, under an extension when the prefix
+/// is not empty.
+fn split_leaf(path: &Path, old: Vec<u8>, n: &[u8], value: Vec<u8>) -> Node {
+    let old_path: Vec<u8> = path.nibbles().collect();
+    let cp = common_prefix(&old_path, n);
     let mut children: Box<[Child; 16]> = Default::default();
-    let mut bvalue = None;
-    for (path, val) in [(old.0, old.1), (n, value)] {
+    let mut here = None;
+    for (path, value) in [(&old_path[..], old), (n, value)] {
         if path.len() == cp {
-            bvalue = Some(val);
+            here = Some(value);
         } else {
-            children[path[cp] as usize] = Some(Entry::leaf(&path[cp + 1..], val));
+            children[path[cp] as usize] = Some(Entry::leaf(&path[cp + 1..], value));
         }
     }
     wrap_prefix(
         &n[..cp],
-        Entry::new(Node::Branch {
+        Node::Branch {
             children,
-            value: bvalue,
-        }),
+            value: here,
+        },
     )
 }
 
-/// Prefixes `entry` with an extension when the shared path is non-empty.
-fn wrap_prefix(prefix: &[u8], entry: Box<Entry>) -> Box<Entry> {
-    if prefix.is_empty() {
-        entry
+/// The node that replaces an extension whose path `n` leaves part-way:
+/// a branch at the first differing nibble, with the extension's
+/// remainder pushed under it.
+fn split_extension(path: &Path, child: Box<Entry>, n: &[u8], value: Vec<u8>) -> Node {
+    let ext: Vec<u8> = path.nibbles().collect();
+    let cp = common_prefix(&ext, n);
+    let mut children: Box<[Child; 16]> = Default::default();
+    children[ext[cp] as usize] = Some(if ext.len() == cp + 1 {
+        child
     } else {
         Entry::new(Node::Extension {
-            path: prefix.to_vec(),
-            child: entry,
-        })
-    }
-}
-
-/// Folds `prefix` onto a subtree that lost its parent branch slot: leaf
-/// and extension children absorb the prefix into their own path, branch
-/// children get a fresh extension above them.
-fn merge_prefix(mut prefix: Vec<u8>, child: Box<Entry>) -> Box<Entry> {
-    match child.node {
-        Node::Leaf { path, value } => {
-            prefix.extend_from_slice(&path);
-            Entry::new(Node::Leaf {
-                path: prefix,
-                value,
-            })
-        }
-        Node::Extension { path, child } => {
-            prefix.extend_from_slice(&path);
-            Entry::new(Node::Extension {
-                path: prefix,
-                child,
-            })
-        }
-        Node::Branch { .. } => Entry::new(Node::Extension {
-            path: prefix,
+            path: Path::new(&ext[cp + 1..], false),
             child,
-        }),
+        })
+    });
+    let mut here = None;
+    if n.len() == cp {
+        here = Some(value);
+    } else {
+        children[n[cp] as usize] = Some(Entry::leaf(&n[cp + 1..], value));
+    }
+    wrap_prefix(
+        &n[..cp],
+        Node::Branch {
+            children,
+            value: here,
+        },
+    )
+}
+
+/// Prefixes `node` with an extension when the shared path is non-empty.
+fn wrap_prefix(prefix: &[u8], node: Node) -> Node {
+    if prefix.is_empty() {
+        node
+    } else {
+        Node::Extension {
+            path: Path::new(prefix, false),
+            child: Entry::new(node),
+        }
     }
 }
 
-/// Removes the value at `n`; returns the surviving subtree and the
-/// removed value. When the key was absent the tree — including its ref
-/// caches — is returned untouched.
-pub(crate) fn remove(entry: Child, n: &[u8]) -> (Child, Option<Vec<u8>>) {
-    let Some(e) = entry else {
-        return (None, None);
-    };
-    let Entry { node, cached_ref } = *e;
-    match node {
-        Node::Leaf { path, value } => {
-            if path.as_slice() == n {
-                (None, Some(value))
-            } else {
-                (
-                    Some(Entry::restore(Node::Leaf { path, value }, cached_ref)),
-                    None,
-                )
+/// Folds `prefix` onto a subtree that lost its parent branch slot or
+/// extension: leaf and extension children absorb the prefix into their
+/// own path, a branch child gets an extension above it and keeps its
+/// cache.
+fn merge_prefix(prefix: &[u8], mut child: Box<Entry>) -> Node {
+    match child.take_node() {
+        Node::Leaf { path, value } => Node::Leaf {
+            path: Path::joined(prefix, &path, true),
+            value,
+        },
+        Node::Extension { path, child } => Node::Extension {
+            path: Path::joined(prefix, &path, false),
+            child,
+        },
+        branch => {
+            child.node = branch;
+            Node::Extension {
+                path: Path::new(prefix, false),
+                child,
             }
         }
-        Node::Extension { path, child } => {
-            let Some(rest) = n.strip_prefix(path.as_slice()).map(<[u8]>::to_vec) else {
-                return (
-                    Some(Entry::restore(Node::Extension { path, child }, cached_ref)),
-                    None,
-                );
-            };
-            let (sub, removed) = remove(Some(child), &rest);
-            match (sub, removed) {
-                (Some(sub), None) => (
-                    Some(Entry::restore(
-                        Node::Extension { path, child: sub },
-                        cached_ref,
-                    )),
-                    None,
-                ),
-                (None, removed) => (None, removed),
-                (Some(sub), removed) => (Some(merge_prefix(path, sub)), removed),
-            }
+    }
+}
+
+/// Restores the canonical shape of a node after a removal below it;
+/// `None` when nothing is left.
+fn restore_shape(node: Node) -> Option<Node> {
+    match node {
+        Node::Extension { path, child } if !matches!(child.node, Node::Branch { .. }) => {
+            let prefix: Vec<u8> = path.nibbles().collect();
+            Some(merge_prefix(&prefix, child))
         }
         Node::Branch {
             mut children,
             value,
-        } => match n.split_first() {
-            None => match value {
-                None => (
-                    Some(Entry::restore(Node::Branch { children, value }, cached_ref)),
-                    None,
-                ),
-                Some(v) => (collapse_branch(children, None), Some(v)),
-            },
-            Some((&i, rest)) => {
-                let slot = children[i as usize].take();
-                let (sub, removed) = remove(slot, rest);
-                children[i as usize] = sub;
-                if removed.is_none() {
-                    (
-                        Some(Entry::restore(Node::Branch { children, value }, cached_ref)),
-                        None,
-                    )
-                } else {
-                    (collapse_branch(children, value), removed)
-                }
+        } => {
+            let live = children.iter().filter(|c| c.is_some()).count();
+            match (live, value) {
+                (0, None) => None,
+                (0, Some(value)) => Some(Node::Leaf {
+                    path: Path::new(&[], true),
+                    value,
+                }),
+                (1, None) => children
+                    .iter_mut()
+                    .enumerate()
+                    .find_map(|(i, c)| Some(merge_prefix(&[i as u8], c.take()?))),
+                (_, value) => Some(Node::Branch { children, value }),
             }
-        },
-    }
-}
-
-/// Restores the branch invariant (≥ 2 references) after a removal by
-/// demoting a branch left with a single reference.
-fn collapse_branch(mut children: Box<[Child; 16]>, value: Option<Vec<u8>>) -> Child {
-    let live: Vec<usize> = (0..16).filter(|&i| children[i].is_some()).collect();
-    match (live.len(), value) {
-        (0, None) => None,
-        (0, Some(v)) => Some(Entry::leaf(&[], v)),
-        (1, None) => {
-            let child = children[live[0]].take().expect("slot checked live");
-            Some(merge_prefix(vec![live[0] as u8], child))
         }
-        (_, value) => Some(Entry::new(Node::Branch { children, value })),
+        node => Some(node),
     }
 }

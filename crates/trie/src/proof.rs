@@ -9,7 +9,8 @@
 //! when the path ends in an empty slot or diverges from the stored
 //! partial path, the proof demonstrates the key is absent.
 
-use crate::nibbles::{hp_decode, to_nibbles};
+use crate::nibbles::{hp_decode, to_nibbles, with_nibbles};
+use crate::node::{encode_buffer, Node};
 use crate::{empty_root, Trie};
 use sc_crypto::keccak256;
 use sc_primitives::rlp::{self, Item};
@@ -47,38 +48,39 @@ impl Trie {
         let Some(root) = self.root.as_mut() else {
             return proof;
         };
-        proof.push(root.encode());
-        let mut cur = root;
-        let n = to_nibbles(key);
-        let mut at = 0usize;
-        loop {
-            let next = match &mut cur.node {
-                crate::node::Node::Leaf { .. } => return proof,
-                crate::node::Node::Extension { path, child } => {
-                    if n[at..].starts_with(path) {
+        let mut buf = encode_buffer();
+        proof.push(root.encode(&mut buf));
+        with_nibbles(key, |n| {
+            let mut cur = root;
+            let mut at = 0usize;
+            loop {
+                let next = match &mut cur.node {
+                    Node::Leaf { .. } => return,
+                    Node::Extension { path, child } => {
+                        if !path.is_prefix_of(&n[at..]) {
+                            return;
+                        }
                         at += path.len();
                         child
-                    } else {
-                        return proof;
                     }
+                    Node::Branch { children, .. } => {
+                        let Some(&idx) = n.get(at) else {
+                            return;
+                        };
+                        at += 1;
+                        match children[idx as usize].as_mut() {
+                            Some(child) => child,
+                            None => return,
+                        }
+                    }
+                };
+                if next.is_hash_referenced(&mut buf) {
+                    proof.push(next.encode(&mut buf));
                 }
-                crate::node::Node::Branch { children, .. } => {
-                    if at == n.len() {
-                        return proof;
-                    }
-                    let idx = n[at] as usize;
-                    at += 1;
-                    match children[idx].as_mut() {
-                        Some(child) => child,
-                        None => return proof,
-                    }
-                }
-            };
-            if next.is_hash_referenced() {
-                proof.push(next.encode());
+                cur = next;
             }
-            cur = next;
-        }
+        });
+        proof
     }
 }
 
