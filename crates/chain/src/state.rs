@@ -634,6 +634,33 @@ mod tests {
     }
 
     #[test]
+    fn direct_encoders_match_the_item_encoding() {
+        let (root, code) = (H256([0x11; 32]), H256([0x22; 32]));
+        for (nonce, balance) in [
+            (0u64, U256::ZERO),
+            (1, U256::ONE),
+            (127, U256::from_u64(128)),
+            (128, U256::MAX),
+            (u64::MAX, U256::from_u64(1 << 40)),
+        ] {
+            let items = [
+                Item::u64(nonce),
+                Item::uint(balance),
+                Item::bytes(root.as_bytes().to_vec()),
+                Item::bytes(code.as_bytes().to_vec()),
+            ];
+            assert_eq!(
+                encode_account(nonce, balance, root, code),
+                rlp::encode_list(&items)
+            );
+            assert_eq!(
+                encode_storage_value(balance),
+                rlp::encode(&Item::uint(balance))
+            );
+        }
+    }
+
+    #[test]
     fn mint_and_balance() {
         let mut s = WorldState::new();
         s.mint(addr(1), U256::from_u64(100));

@@ -354,6 +354,27 @@ mod tests {
     }
 
     #[test]
+    fn length_helpers_match_the_encoder() {
+        for len in [0usize, 1, 2, 55, 56, 255, 256, 1024, 70_000] {
+            let b = vec![0x80u8; len];
+            let enc = encode(&Item::bytes(b.clone()));
+            assert_eq!(bytes_len(&b), enc.len());
+            let mut out = Vec::new();
+            put_bytes(&b, &mut out);
+            assert_eq!(out, enc);
+            let mut header = Vec::new();
+            put_list_header(len, &mut header);
+            assert_eq!(header.len(), header_len(len));
+        }
+        assert_eq!(bytes_len(&[0x7f]), 1);
+        assert_eq!(
+            trim_uint(&U256::from_u64(0x1234).to_be_bytes()),
+            &[0x12, 0x34]
+        );
+        assert!(trim_uint(&[0; 32]).is_empty());
+    }
+
+    #[test]
     fn uint_decoding_rejects_leading_zero() {
         let item = Item::Bytes(vec![0x00, 0x01]);
         assert_eq!(item.as_uint(), None);

@@ -100,7 +100,7 @@ impl Trie {
     pub fn root(&mut self) -> H256 {
         match self.root.as_mut() {
             None => empty_root(),
-            Some(root) => root.hash(&mut node::encode_buffer()),
+            Some(root) => root.hash(),
         }
     }
 }

@@ -58,7 +58,7 @@ impl Path {
     }
 
     /// Length of the prefix this path shares with the nibble path `n`.
-    pub(crate) fn common_prefix(&self, n: &[u8]) -> usize {
+    fn common_prefix(&self, n: &[u8]) -> usize {
         self.nibbles().zip(n).take_while(|(a, b)| a == *b).count()
     }
 
@@ -220,9 +220,13 @@ impl Entry {
     }
 
     /// keccak-256 of this node's encoding: the root hash when this node
-    /// is the root.
-    pub(crate) fn hash(&mut self, buf: &mut Vec<u8>) -> H256 {
-        match self.cached(buf) {
+    /// is the root. A clean node answers from its cache, no buffer made.
+    pub(crate) fn hash(&mut self) -> H256 {
+        let r = match self.cached_ref {
+            Some(r) => r,
+            None => self.cached(&mut encode_buffer()),
+        };
+        match r {
             NodeRef::Hash(h) => h,
             NodeRef::Inline(len, bytes) => keccak256(&bytes[..len as usize]),
         }
@@ -311,10 +315,10 @@ impl Entry {
 
     /// Removes the value at nibble path `n` below this node. `None` when
     /// the key is absent: the tree, caches included, is untouched.
-    /// `Some(true)` when this node is gone with it; `Some(false)` when
-    /// it survives, its cache cleared and its shape restored (a branch
-    /// left with one reference collapses, an extension over a leaf or
-    /// extension absorbs its path).
+    /// `Some(true)` when this node goes with it (its parent drops it);
+    /// `Some(false)` when it survives, its cache cleared and its shape
+    /// restored (a branch left with one reference collapses, an
+    /// extension over a leaf or extension absorbs its path).
     pub(crate) fn remove(&mut self, n: &[u8]) -> Option<bool> {
         match &mut self.node {
             Node::Leaf { path, .. } => return path.matches(n).then_some(true),
@@ -353,27 +357,18 @@ impl Entry {
 }
 
 /// The node that separates a leaf from a new key `n` after their shared
-/// prefix: a branch holding both, under an extension when the prefix
-/// is not empty.
+/// prefix: a branch holding both.
 fn split_leaf(path: &Path, old: Vec<u8>, n: &[u8], value: Vec<u8>) -> Node {
     let old_path: Vec<u8> = path.nibbles().collect();
     let cp = common_prefix(&old_path, n);
     let mut children: Box<[Child; 16]> = Default::default();
     let mut here = None;
-    for (path, value) in [(&old_path[..], old), (n, value)] {
-        if path.len() == cp {
-            here = Some(value);
-        } else {
-            children[path[cp] as usize] = Some(Entry::leaf(&path[cp + 1..], value));
-        }
+    if old_path.len() == cp {
+        here = Some(old);
+    } else {
+        children[old_path[cp] as usize] = Some(Entry::leaf(&old_path[cp + 1..], old));
     }
-    wrap_prefix(
-        &n[..cp],
-        Node::Branch {
-            children,
-            value: here,
-        },
-    )
+    branch_at(cp, children, here, n, value)
 }
 
 /// The node that replaces an extension whose path `n` leaves part-way:
@@ -391,30 +386,34 @@ fn split_extension(path: &Path, child: Box<Entry>, n: &[u8], value: Vec<u8>) -> 
             child,
         })
     });
-    let mut here = None;
+    branch_at(cp, children, None, n, value)
+}
+
+/// A branch at nibble `cp` of `n` that adds `n`'s leaf (or, when `n`
+/// ends there, its value) to `children` and `here`, under an extension
+/// over `n[..cp]` when that is non-empty.
+fn branch_at(
+    cp: usize,
+    mut children: Box<[Child; 16]>,
+    mut here: Option<Vec<u8>>,
+    n: &[u8],
+    value: Vec<u8>,
+) -> Node {
     if n.len() == cp {
         here = Some(value);
     } else {
         children[n[cp] as usize] = Some(Entry::leaf(&n[cp + 1..], value));
     }
-    wrap_prefix(
-        &n[..cp],
-        Node::Branch {
-            children,
-            value: here,
-        },
-    )
-}
-
-/// Prefixes `node` with an extension when the shared path is non-empty.
-fn wrap_prefix(prefix: &[u8], node: Node) -> Node {
-    if prefix.is_empty() {
-        node
-    } else {
-        Node::Extension {
-            path: Path::new(prefix, false),
-            child: Entry::new(node),
-        }
+    let branch = Node::Branch {
+        children,
+        value: here,
+    };
+    if cp == 0 {
+        return branch;
+    }
+    Node::Extension {
+        path: Path::new(&n[..cp], false),
+        child: Entry::new(branch),
     }
 }
 

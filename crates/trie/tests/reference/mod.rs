@@ -1,7 +1,6 @@
-//! An independent reference for the trie's commitments: the `Item`-tree
-//! encoder the node tree used before it wrote RLP straight into one
-//! buffer, rebuilt as a pure function of a sorted key/value map. Every
-//! node is built from scratch on each call (no caches, no mutation), so
+//! An independent reference for the trie's commitments: an `Item`-tree
+//! encoder that builds every node from scratch out of a sorted
+//! key/value map on each call (no caches, no mutation, no buffer), so
 //! the incremental trie's roots and proofs are held to it byte for
 //! byte.
 
