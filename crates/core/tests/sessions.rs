@@ -376,14 +376,12 @@ fn clock_jump_never_overshoots_a_nearer_deadline() {
     );
 }
 
-/// Cross-commit pin: the full `Debug` rendering of every report of one
-/// fixed mixed run, hashed. The two same-build determinism tests above
-/// cannot see a refactor that changes what a session sends, records or
-/// reports; this one can. The constants were produced at commit 6032182
-/// (before the session machines shared one send path) and change only
-/// when a session's observable behaviour is meant to.
-#[test]
-fn mixed_run_reports_are_pinned() {
+/// The fixed mixed run the cross-commit pins replay: the ten random-mix
+/// cells, every challenge submit × watch pair, two crashed
+/// representatives and four settle-later channels. Every odd slot runs
+/// under its own fault schedule, and starts are staggered so sessions
+/// meet the chain in different phases.
+fn pinned_mix() -> Vec<SessionSpec> {
     let secrets = secrets_bob_wins();
     let mut cells: Vec<SessionSpec> = (0..10u8).map(|c| spec_cell(c, None, 0)).collect();
     for submit in [SubmitStrategy::Truthful, SubmitStrategy::False] {
@@ -425,9 +423,7 @@ fn mixed_run_reports_are_pinned() {
             ..SettleLaterSpec::default()
         }));
     }
-    // Every odd slot runs under its own fault schedule, and starts are
-    // staggered so sessions meet the chain in different phases.
-    let specs: Vec<SessionSpec> = cells
+    cells
         .into_iter()
         .enumerate()
         .map(|(i, mut spec)| {
@@ -440,25 +436,59 @@ fn mixed_run_reports_are_pinned() {
             }
             spec
         })
-        .collect();
-    assert_eq!(specs.len(), 22);
+        .collect()
+}
 
+/// Runs `specs` once on one quiet node and once on four nodes whose
+/// first two are cut off for six rounds; keccak of each run's reports,
+/// in that order.
+fn pinned_digests(specs: Vec<SessionSpec>) -> [String; 2] {
     let digest =
         |reports: &[SessionReport]| keccak256(format!("{reports:?}").as_bytes()).to_string();
-
     let quiet = one_node(specs.clone()).run();
-    assert_eq!(
-        digest(&quiet),
-        "0x7d7f1f1dcc9d577e5095025d0cffdefd1cd050bafddaccf7bbdd30d4981700fe",
-        "one quiet node"
-    );
-
     let mut cut = NetworkScheduler::new(specs, 4, PoolConfig::default(), None);
     cut.network_mut().force_partition(vec![0, 1], 6);
-    let partitioned = cut.run();
+    [digest(&quiet), digest(&cut.run())]
+}
+
+/// Cross-commit pin: the full `Debug` rendering of every report of
+/// [`pinned_mix`], hashed. The two same-build determinism tests above
+/// cannot see a refactor that changes what a session sends, records or
+/// reports; this one can. The constants change only when a session's
+/// observable behaviour is meant to.
+#[test]
+fn mixed_run_reports_are_pinned() {
+    let specs = pinned_mix();
+    assert_eq!(specs.len(), 22);
+    let [quiet, partitioned] = pinned_digests(specs);
     assert_eq!(
-        digest(&partitioned),
-        "0xdffe9bccf93d392137eab4b152256d644a2b1689199e6902bf7a1b4bdba4dc5e",
+        quiet, "0x7d7f1f1dcc9d577e5095025d0cffdefd1cd050bafddaccf7bbdd30d4981700fe",
+        "one quiet node"
+    );
+    assert_eq!(
+        partitioned, "0xdffe9bccf93d392137eab4b152256d644a2b1689199e6902bf7a1b4bdba4dc5e",
+        "four nodes, forced partition"
+    );
+}
+
+/// [`pinned_mix`] without its challenge cells: the betting and
+/// settle-later reports alone, each cell keeping its fault seed and
+/// start delay. A change to the challenge variant must leave these
+/// digests where they are.
+#[test]
+fn betting_and_settle_later_reports_are_pinned() {
+    let specs: Vec<SessionSpec> = pinned_mix()
+        .into_iter()
+        .filter(|s| !matches!(s, SessionSpec::Challenge(_)))
+        .collect();
+    assert_eq!(specs.len(), 10);
+    let [quiet, partitioned] = pinned_digests(specs);
+    assert_eq!(
+        quiet, "0xa114942415644d6bb5d9a4008761fb8edf88b88a491a8c6b4d0a13564f99ad04",
+        "one quiet node"
+    );
+    assert_eq!(
+        partitioned, "0x5c87c97211f5eef9ba854004008af089366d98e531f36ffcc7b4bb13b87fc049",
         "four nodes, forced partition"
     );
 }
