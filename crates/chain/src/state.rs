@@ -325,10 +325,18 @@ impl WorldState {
             .get_mut(&a)
             .map(|t| t.prove(&key.to_be_bytes()))
             .unwrap_or_default();
+        // Claim what the root commits, as `prove_account` does: an
+        // emptied account's flat slots outlive its trie (a resurrection
+        // restores them), but until then every slot of it proves 0.
+        let value = if self.account_exists(a) {
+            self.storage(a, key)
+        } else {
+            U256::ZERO
+        };
         crate::proof::StorageProof {
             address: a,
             slot: key,
-            value: self.storage(a, key),
+            value,
             root,
             account_proof,
             storage_proof,
@@ -973,6 +981,29 @@ mod tests {
             "resurrection rebuilds the trie"
         );
         assert_eq!(s.storage(addr(1), U256::ONE), U256::from_u64(42));
+    }
+
+    #[test]
+    fn an_emptied_accounts_slots_prove_zero_until_it_resurrects() {
+        let mut s = WorldState::new();
+        s.mint(addr(1), U256::from_u64(5));
+        s.set_storage(addr(1), U256::ONE, U256::from_u64(42));
+        s.clear_tx_scratch();
+        s.state_root();
+
+        s.transfer(addr(1), addr(2), U256::from_u64(5));
+        s.clear_tx_scratch();
+        let root = s.state_root();
+        let proof = s.prove_storage(addr(1), U256::ONE);
+        assert_eq!(proof.value, U256::ZERO);
+        assert_eq!(proof.verify(root), Ok(()));
+
+        s.transfer(addr(2), addr(1), U256::from_u64(5));
+        s.clear_tx_scratch();
+        let root = s.state_root();
+        let proof = s.prove_storage(addr(1), U256::ONE);
+        assert_eq!(proof.value, U256::from_u64(42));
+        assert_eq!(proof.verify(root), Ok(()));
     }
 
     #[test]

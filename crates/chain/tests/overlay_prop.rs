@@ -103,15 +103,12 @@ proptest! {
                 // A non-existent account is absent from the account
                 // trie, so the root commits all its slots to zero even
                 // though the overlay retains them for resurrection —
-                // the same semantics the account-map engine had.
+                // the same semantics the account-map engine had — and
+                // the proof claims what the root commits.
                 let committed = if exists { flat } else { U256::ZERO };
                 let proof = s.prove_storage(addr(who), key);
-                prop_assert_eq!(proof.value, flat, "proof claims the flat value");
-                prop_assert_eq!(
-                    proof.proven_value(root).expect("proof verifies"),
-                    committed,
-                    "root commits the existing account's flat value"
-                );
+                prop_assert_eq!(proof.value, committed, "proof claims the committed value");
+                prop_assert_eq!(proof.verify(root), Ok(()), "honest proof verifies");
             }
         }
 
