@@ -66,6 +66,9 @@ pub enum ChallengeOutcome {
     /// No result was ever submitted; past the stale deadline the
     /// participants took their own stakes back.
     ReclaimedStale,
+    /// The deploy/sign exchange did not complete before T1 closed in:
+    /// the game ended before any deposit.
+    AbortedAtSigning,
 }
 
 #[cfg(test)]
@@ -133,7 +136,7 @@ mod tests {
             Some(ChallengeOutcome::FinalizedUnchallenged)
         );
         assert_eq!(game.offchain_bytes_revealed, 0, "privacy preserved");
-        assert!(chain(&sched).balance_of(game.bob.wallet.address) > ether(1000));
+        assert!(chain(&sched).balance_of(game.seats[1].address()) > ether(1000));
     }
 
     #[test]
@@ -150,8 +153,8 @@ mod tests {
             "dispute published the code"
         );
         // Bob got pot + both security deposits; the liar lost both.
-        assert!(chain.balance_of(game.bob.wallet.address) > ether(1001));
-        assert!(chain.balance_of(game.alice.wallet.address) < ether(999));
+        assert!(chain.balance_of(game.seats[1].address()) > ether(1001));
+        assert!(chain.balance_of(game.seats[0].address()) < ether(999));
     }
 
     #[test]
@@ -165,7 +168,7 @@ mod tests {
         let game = game(&sched);
         assert_eq!(game.outcome(), Some(ChallengeOutcome::LieStood));
         assert!(
-            chain(&sched).balance_of(game.alice.wallet.address) > ether(1000),
+            chain(&sched).balance_of(game.seats[0].address()) > ether(1000),
             "the unwatched lie profits — participants must stay online"
         );
     }
@@ -181,7 +184,7 @@ mod tests {
         assert_eq!(game.outcome(), Some(ChallengeOutcome::ResolvedByChallenge));
         // Truth still wins: Bob is the true winner even though his
         // challenge was pointless (he burned gas for nothing).
-        assert!(chain(&sched).balance_of(game.bob.wallet.address) > ether(1000));
+        assert!(chain(&sched).balance_of(game.seats[1].address()) > ether(1000));
     }
 
     #[test]
@@ -214,7 +217,7 @@ mod tests {
         let game = game(&sched);
         assert_eq!(game.outcome(), Some(ChallengeOutcome::ResolvedByChallenge));
         // The true winner collected the pot despite the crash.
-        assert!(chain(&sched).balance_of(game.bob.wallet.address) > ether(1000));
+        assert!(chain(&sched).balance_of(game.seats[1].address()) > ether(1000));
     }
 
     #[test]
@@ -228,7 +231,7 @@ mod tests {
         assert_eq!(game.outcome(), Some(ChallengeOutcome::ReclaimedStale));
         // Both took back exactly their stake + security deposit (gas
         // aside): nobody won, nobody is stuck.
-        for a in [game.alice.wallet.address, game.bob.wallet.address] {
+        for a in [game.seats[0].address(), game.seats[1].address()] {
             let bal = chain.balance_of(a);
             assert!(bal > ether(1000).wrapping_sub(ether(1) / U256::from_u64(100)));
             assert!(bal <= ether(1000));
@@ -244,7 +247,7 @@ mod tests {
             CrashPoint::AfterSubmit,
         );
         let game = game(&sched);
-        let bob_addr = game.bob.wallet.address;
+        let bob_addr = game.seats[1].address();
         assert_eq!(
             game.outcome(),
             Some(ChallengeOutcome::FinalizedUnchallenged)

@@ -8,7 +8,8 @@
 //!   `(bytecode, {(v,r,s)})` construction and verification (Algorithm 4
 //!   and the off-chain mirror of Algorithm 5's checks).
 //! * [`whisper`] — the off-chain message bus used in deploy/sign.
-//! * [`participant`] — participants with honest and Byzantine strategies.
+//! * [`seat`] — one seat per party: its own wallet and an honest or
+//!   Byzantine strategy; the only code that signs with the seat's key.
 //! * [`protocol`] — the four-stage betting game's vocabulary: stages,
 //!   outcomes, errors and the per-transaction record (sender, gas) every
 //!   session keeps.
@@ -39,8 +40,8 @@ pub mod faults;
 pub mod generate;
 pub mod invariants;
 pub mod net;
-pub mod participant;
 pub mod protocol;
+pub mod seat;
 pub mod session;
 pub mod signedcopy;
 pub mod splitter;
@@ -57,8 +58,8 @@ pub use invariants::{
     InvariantViolation,
 };
 pub use net::{NetStats, Network, NetworkScheduler};
-pub use participant::{Participant, Strategy};
 pub use protocol::{gas_of, stage_gas, Outcome, ProtocolError, Stage, TxRecord};
+pub use seat::{Seat, Strategy};
 pub use session::{
     stage_bucket, BettingSession, BettingSpec, BusPort, ChainAccess, ChainReader, ChallengeSession,
     ChallengeSpec, LightPort, LightStats, NodePort, Session, SessionCtx, SessionReport,

@@ -9,11 +9,11 @@
 //! escalates to the dispute stage, and the dispute stage always lands
 //! because its window is unbounded.
 
-use super::sign::{SignExchange, MAX_SIGN_ROUNDS, SIGN_ROUND_SECS};
+use super::sign::{Cutoff, SignExchange};
 use super::{hold_for_start, BettingSpec, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
-use crate::participant::{Participant, Strategy};
 use crate::protocol::{Outcome, ProtocolError, TxRecord};
-use crate::signedcopy::{bytecode_hash, sign_bytecode, SignedCopy};
+use crate::seat::{Seat, Strategy};
+use crate::signedcopy::bytecode_hash;
 use sc_chain::Wallet;
 use sc_contracts::{BetSecrets, OffChainContract, OnChainContract, Timeline, DEPLOYED_ADDR_SLOT};
 use sc_primitives::{ether, Address, U256};
@@ -55,10 +55,8 @@ pub struct BettingSession {
     pub onchain_abi: OnChainContract,
     /// Compiled off-chain contract + ABI.
     pub offchain_abi: OffChainContract,
-    /// Participant 0.
-    pub alice: Participant,
-    /// Participant 1.
-    pub bob: Participant,
+    /// Participants 0 and 1.
+    pub seats: [Seat; 2],
     /// The game's windows (placeholder until the session starts).
     pub timeline: Timeline,
     /// Deployed on-chain contract (zero until the deploy lands).
@@ -96,14 +94,7 @@ impl BettingSession {
         BettingSession {
             onchain_abi,
             offchain_abi,
-            alice: Participant {
-                wallet: alice,
-                strategy: spec.alice,
-            },
-            bob: Participant {
-                wallet: bob,
-                strategy: spec.bob,
-            },
+            seats: [Seat::new(alice, spec.alice), Seat::new(bob, spec.bob)],
             timeline: Timeline::starting_at(0, spec.phase_seconds),
             onchain: Address::ZERO,
             offchain_bytecode,
@@ -121,14 +112,6 @@ impl BettingSession {
         }
     }
 
-    /// The fully-signed copy (valid only when deploy/sign succeeded).
-    pub fn signed_copy(&self) -> SignedCopy {
-        SignedCopy::create(
-            self.offchain_bytecode.clone(),
-            &[&self.alice.wallet.key, &self.bob.wallet.key],
-        )
-    }
-
     /// The terminal outcome, once the session is done.
     pub fn outcome(&self) -> Option<Outcome> {
         self.outcome
@@ -140,54 +123,13 @@ impl BettingSession {
         StepOutcome::Done
     }
 
-    fn winner_is_bob(&self) -> bool {
-        self.secrets.winner_is_bob()
+    /// The winner's seat index.
+    fn winner(&self) -> usize {
+        usize::from(self.secrets.winner_is_bob())
     }
 
-    fn loser(&self) -> Participant {
-        if self.winner_is_bob() {
-            self.alice.clone()
-        } else {
-            self.bob.clone()
-        }
-    }
-
-    fn winner(&self) -> Participant {
-        if self.winner_is_bob() {
-            self.bob.clone()
-        } else {
-            self.alice.clone()
-        }
-    }
-
-    fn participant(&self, idx: usize) -> Participant {
-        if idx == 0 {
-            self.alice.clone()
-        } else {
-            self.bob.clone()
-        }
-    }
-
-    /// Starts the signature exchange: each side signs once, per its
-    /// strategy, and the exchange re-posts that signature every round.
-    fn start_exchange(&self) -> SignExchange {
-        let digest = bytecode_hash(&self.offchain_bytecode);
-        let signature = |p: &Participant| match p.strategy {
-            Strategy::RefusesToSign => None, // posts nothing, every round
-            Strategy::SignsTampered => {
-                let mut tampered = self.offchain_bytecode.clone();
-                // Flip the last byte of the baked-in secret.
-                let last = tampered.len() - 1;
-                tampered[last] ^= 0xff;
-                Some(sign_bytecode(&p.wallet.key, &tampered))
-            }
-            _ => Some(p.wallet.key.sign(digest)),
-        };
-        SignExchange::new(
-            digest,
-            [self.alice.wallet.address, self.bob.wallet.address],
-            [signature(&self.alice), signature(&self.bob)],
-        )
+    fn loser(&self) -> &Seat {
+        &self.seats[1 - self.winner()]
     }
 }
 
@@ -208,13 +150,13 @@ impl Session for BettingSession {
             Phase::Deploy => {
                 if self.log.idle() {
                     let initcode = self.onchain_abi.initcode(
-                        self.alice.wallet.address,
-                        self.bob.wallet.address,
+                        self.seats[0].address(),
+                        self.seats[1].address(),
                         self.timeline,
                     );
                     self.log.start(TxTask::new(
                         "deploy onChain",
-                        self.alice.wallet.clone(),
+                        self.seats[0].wallet.clone(),
                         None,
                         U256::ZERO,
                         initcode,
@@ -240,25 +182,20 @@ impl Session for BettingSession {
             }
 
             Phase::Signing => {
-                let now = ctx.chain.now();
-                let rounds_run = self.sign.as_ref().map_or(0, SignExchange::rounds_run);
-                if now + SIGN_ROUND_SECS >= self.timeline.t1 || rounds_run >= MAX_SIGN_ROUNDS {
-                    // Out of time or rounds with the exchange incomplete:
-                    // abort before any funds are at risk.
-                    return Ok(self.finish(Outcome::AbortedAtSigning));
-                }
-                if self.sign.is_none() {
-                    self.sign = Some(self.start_exchange());
-                }
-                let ex = self.sign.as_mut().expect("exchange started");
-                ex.round(&mut ctx.bus, &self.topic);
-                if ex.complete() {
-                    self.phase = Phase::Deposit(0);
-                    Ok(StepOutcome::Progress)
-                } else if ex.rounds_run() >= MAX_SIGN_ROUNDS {
-                    Ok(self.finish(Outcome::AbortedAtSigning))
-                } else {
-                    Ok(StepOutcome::WaitUntil(now + SIGN_ROUND_SECS))
+                // No round starts that could not finish before T1: out
+                // of time or rounds, the game aborts before any funds
+                // are at risk.
+                let ex = self.sign.get_or_insert_with(|| {
+                    SignExchange::over_copy(&self.seats, &self.offchain_bytecode)
+                });
+                let (now, t1) = (ctx.chain.now(), self.timeline.t1);
+                match ex.step(&mut ctx.bus, &self.topic, now, t1, Cutoff::BeforeRound) {
+                    Some(t) => Ok(StepOutcome::WaitUntil(t)),
+                    None if ex.complete() => {
+                        self.phase = Phase::Deposit(0);
+                        Ok(StepOutcome::Progress)
+                    }
+                    None => Ok(self.finish(Outcome::AbortedAtSigning)),
                 }
             }
 
@@ -271,15 +208,15 @@ impl Session for BettingSession {
                     };
                     return Ok(StepOutcome::Progress);
                 }
-                let p = self.participant(idx);
-                if matches!(p.strategy, Strategy::NoShow) {
+                let seat = &self.seats[idx];
+                if matches!(seat.strategy, Strategy::NoShow) {
                     self.phase = Phase::Deposit(idx + 1);
                     return Ok(StepOutcome::Progress);
                 }
                 if self.log.idle() {
                     self.log.start(TxTask::new(
                         "deposit",
-                        p.wallet,
+                        seat.wallet.clone(),
                         Some(self.onchain),
                         ether(1),
                         self.onchain_abi.deposit(),
@@ -317,11 +254,9 @@ impl Session for BettingSession {
                     return Ok(StepOutcome::Progress);
                 }
                 if self.log.idle() {
-                    self.log.start(TxTask::new(
+                    self.log.start(self.seats[idx].call(
                         "refundRoundTwo",
-                        self.participant(idx).wallet,
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         self.onchain_abi.refund_round_two(),
                         300_000,
                         Some(self.timeline.t2),
@@ -355,11 +290,9 @@ impl Session for BettingSession {
 
             Phase::Reassign => {
                 if self.log.idle() {
-                    self.log.start(TxTask::new(
+                    self.log.start(self.loser().call(
                         "reassign",
-                        self.loser().wallet,
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         self.onchain_abi.reassign(),
                         300_000,
                         Some(self.timeline.t3),
@@ -401,15 +334,13 @@ impl Session for BettingSession {
                     let mut forged = self.offchain_bytecode.clone();
                     let last = forged.len() - 1;
                     forged[last] ^= 0x01;
-                    let own_sig = sign_bytecode(&loser.wallet.key, &forged);
+                    let own_sig = loser.sign(bytecode_hash(&forged));
                     let data = self
                         .onchain_abi
                         .deploy_verified_instance(&forged, &own_sig, &own_sig);
-                    self.log.start(TxTask::new(
+                    self.log.start(loser.call(
                         "deployVerifiedInstance (forged)",
-                        loser.wallet,
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         data,
                         600_000,
                         None,
@@ -434,7 +365,7 @@ impl Session for BettingSession {
                 // exchange verified. The window is unbounded, so with a
                 // finite fault budget this always lands eventually.
                 if self.log.idle() {
-                    let winner = usize::from(self.winner_is_bob());
+                    let winner = self.winner();
                     let [sig_a, sig_b] = self
                         .sign
                         .as_ref()
@@ -446,11 +377,9 @@ impl Session for BettingSession {
                         &sig_a,
                         &sig_b,
                     );
-                    self.log.start(TxTask::new(
+                    self.log.start(self.seats[winner].call(
                         "deployVerifiedInstance",
-                        self.winner().wallet,
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         data,
                         600_000,
                         None,
@@ -476,11 +405,9 @@ impl Session for BettingSession {
                     if instance.is_zero() {
                         return Err(ProtocolError::NoVerifiedInstance);
                     }
-                    self.log.start(TxTask::new(
+                    self.log.start(self.seats[self.winner()].call(
                         "returnDisputeResolution",
-                        self.winner().wallet,
-                        Some(instance),
-                        U256::ZERO,
+                        instance,
                         self.offchain_abi.return_dispute_resolution(self.onchain),
                         super::dispute_gas_limit(self.secrets.weight),
                         None,

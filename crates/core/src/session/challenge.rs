@@ -1,15 +1,16 @@
 //! The submit/challenge protocol variant as a resumable state machine.
 //!
-//! Setup (deploy, stake + security deposits, wait out T2), then the
-//! representative's submission, the challenge window, and the
-//! escalation paths for a crashed representative (forced resolution for
-//! a watching counterparty, stake reclamation for a sleeping one).
+//! Setup (deploy, the betting game's signature exchange, stake +
+//! security deposits, wait out T2), then the representative's
+//! submission, the challenge window, and the escalation paths for a
+//! crashed representative (forced resolution for a watching
+//! counterparty, stake reclamation for a sleeping one).
 
+use super::sign::{Cutoff, SignExchange};
 use super::{hold_for_start, ChallengeSpec, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
 use crate::challenge_protocol::{ChallengeOutcome, CrashPoint, SubmitStrategy, WatchStrategy};
-use crate::participant::{Participant, Strategy};
 use crate::protocol::{ProtocolError, TxRecord};
-use crate::signedcopy::SignedCopy;
+use crate::seat::{Seat, Strategy};
 use sc_chain::Wallet;
 use sc_contracts::challenge::{
     security_deposit, stake, ChallengeContracts, CHALLENGE_DEPLOYED_ADDR_SLOT,
@@ -24,6 +25,8 @@ enum Phase {
     Start,
     /// Alice deploys the on-chain challenge contract.
     Deploy,
+    /// Signature exchange rounds until complete or T1 closes in.
+    Signing,
     /// Deposit (stake + security deposit) of participant `0`/`1`.
     Deposit(usize),
     /// Wait out T2 so results can be submitted, then route on the
@@ -55,10 +58,8 @@ enum Phase {
 pub struct ChallengeSession {
     /// Compiled contract pair.
     pub contracts: ChallengeContracts,
-    /// Participant 0 (also the representative who submits).
-    pub alice: Participant,
-    /// Participant 1 (the watcher).
-    pub bob: Participant,
+    /// The representative who submits (0) and the watcher (1).
+    pub seats: [Seat; 2],
     /// Deployed on-chain contract.
     pub onchain: Address,
     /// The signed off-chain initcode.
@@ -69,6 +70,7 @@ pub struct ChallengeSession {
     /// challenge).
     pub offchain_bytes_revealed: usize,
     secrets: BetSecrets,
+    topic: String,
     window: u64,
     submit: SubmitStrategy,
     watch: WatchStrategy,
@@ -77,6 +79,7 @@ pub struct ChallengeSession {
     start_at: Option<u64>,
     phase: Phase,
     log: TxLog,
+    sign: Option<SignExchange>,
     proposed_at: u64,
     outcome: Option<ChallengeOutcome>,
 }
@@ -85,27 +88,26 @@ impl ChallengeSession {
     /// Builds the machine at its start state (nothing touched the chain
     /// yet; the off-chain initcode is derived immediately). `wallets`
     /// are the representative's and the watcher's, both funded at
-    /// genesis; the timeline is fixed from the chain clock at the first
-    /// step after `start_delay`.
+    /// genesis; `topic` scopes the signature exchange on a shared bus,
+    /// and the timeline is fixed from the chain clock at the first step
+    /// after `start_delay`.
     pub fn new(
         spec: ChallengeSpec,
-        [alice, bob]: [Wallet; 2],
+        wallets: [Wallet; 2],
+        topic: String,
         contracts: ChallengeContracts,
     ) -> ChallengeSession {
+        let [alice, bob] = &wallets;
         let bytecode = contracts.offchain_initcode(alice.address, bob.address, spec.secrets);
-        let honest = |wallet| Participant {
-            wallet,
-            strategy: Strategy::Honest,
-        };
         ChallengeSession {
             contracts,
-            alice: honest(alice),
-            bob: honest(bob),
+            seats: wallets.map(|wallet| Seat::new(wallet, Strategy::Honest)),
             onchain: Address::ZERO,
             bytecode,
             timeline: Timeline::starting_at(0, 3600),
             offchain_bytes_revealed: 0,
             secrets: spec.secrets,
+            topic,
             window: spec.window,
             submit: spec.submit,
             watch: spec.watch,
@@ -114,17 +116,10 @@ impl ChallengeSession {
             start_at: None,
             phase: Phase::Start,
             log: TxLog::default(),
+            sign: None,
             proposed_at: 0,
             outcome: None,
         }
-    }
-
-    /// The fully signed copy of the off-chain contract.
-    pub fn signed_copy(&self) -> SignedCopy {
-        SignedCopy::create(
-            self.bytecode.clone(),
-            &[&self.alice.wallet.key, &self.bob.wallet.key],
-        )
     }
 
     /// The terminal outcome, once the session is done.
@@ -145,6 +140,23 @@ impl ChallengeSession {
             SubmitStrategy::False => !truth,
         }
     }
+
+    /// The watcher's challenge with the bytecode and the signature pair
+    /// its side of the exchange verified.
+    fn challenge_task(&self, deadline: Option<u64>) -> TxTask {
+        let [sig_a, sig_b] = self
+            .sign
+            .as_ref()
+            .and_then(|ex| ex.signatures(1))
+            .expect("deposits follow a completed exchange");
+        self.seats[1].call(
+            "challenge",
+            self.onchain,
+            self.contracts.challenge(&self.bytecode, &sig_a, &sig_b),
+            600_000,
+            deadline,
+        )
+    }
 }
 
 impl Session for ChallengeSession {
@@ -164,14 +176,14 @@ impl Session for ChallengeSession {
             Phase::Deploy => {
                 if self.log.idle() {
                     let initcode = self.contracts.onchain_initcode(
-                        self.alice.wallet.address,
-                        self.bob.wallet.address,
+                        self.seats[0].address(),
+                        self.seats[1].address(),
                         self.timeline,
                         self.window,
                     );
                     self.log.start(TxTask::new(
                         "deploy onChainChallenge",
-                        self.alice.wallet.clone(),
+                        self.seats[0].wallet.clone(),
                         None,
                         U256::ZERO,
                         initcode,
@@ -182,10 +194,25 @@ impl Session for ChallengeSession {
                 match self.log.poll_must(ctx.chain)? {
                     Ok(r) => {
                         self.onchain = r.contract_address.expect("created");
-                        self.phase = Phase::Deposit(0);
+                        self.phase = Phase::Signing;
                         Ok(StepOutcome::Progress)
                     }
                     Err(hold) => Ok(hold),
+                }
+            }
+
+            Phase::Signing => {
+                let ex = self
+                    .sign
+                    .get_or_insert_with(|| SignExchange::over_copy(&self.seats, &self.bytecode));
+                let (now, t1) = (ctx.chain.now(), self.timeline.t1);
+                match ex.step(&mut ctx.bus, &self.topic, now, t1, Cutoff::BeforeRound) {
+                    Some(t) => Ok(StepOutcome::WaitUntil(t)),
+                    None if ex.complete() => {
+                        self.phase = Phase::Deposit(0);
+                        Ok(StepOutcome::Progress)
+                    }
+                    None => Ok(self.finish(ChallengeOutcome::AbortedAtSigning)),
                 }
             }
 
@@ -195,10 +222,9 @@ impl Session for ChallengeSession {
                     return Ok(StepOutcome::Progress);
                 }
                 if self.log.idle() {
-                    let depositor = if idx == 0 { &self.alice } else { &self.bob };
                     self.log.start(TxTask::new(
                         "deposit",
-                        depositor.wallet.clone(),
+                        self.seats[idx].wallet.clone(),
                         Some(self.onchain),
                         stake().wrapping_add(security_deposit()),
                         self.contracts.deposit(),
@@ -206,13 +232,8 @@ impl Session for ChallengeSession {
                         Some(self.timeline.t1),
                     ));
                 }
-                match self.log.poll_must(ctx.chain)? {
-                    Ok(_) => {
-                        self.phase = Phase::Deposit(idx + 1);
-                        Ok(StepOutcome::Progress)
-                    }
-                    Err(hold) => Ok(hold),
-                }
+                self.log
+                    .land_then(ctx.chain, &mut self.phase, Phase::Deposit(idx + 1))
             }
 
             Phase::AwaitT2 => {
@@ -250,21 +271,7 @@ impl Session for ChallengeSession {
                 // Force the miner-enforced resolution with the signed
                 // copy — the crashed side's stake is not a hostage.
                 if self.log.idle() {
-                    let copy = self.signed_copy();
-                    let data = self.contracts.challenge(
-                        &copy.bytecode,
-                        &copy.signatures[0],
-                        &copy.signatures[1],
-                    );
-                    self.log.start(TxTask::new(
-                        "challenge",
-                        self.bob.wallet.clone(),
-                        Some(self.onchain),
-                        U256::ZERO,
-                        data,
-                        600_000,
-                        None,
-                    ));
+                    self.log.start(self.challenge_task(None));
                 }
                 match self.log.poll_must(ctx.chain)? {
                     Ok(_) => {
@@ -283,11 +290,9 @@ impl Session for ChallengeSession {
                         self.onchain,
                         CHALLENGE_DEPLOYED_ADDR_SLOT,
                     )?;
-                    self.log.start(TxTask::new(
+                    self.log.start(self.seats[1].call(
                         "returnDisputeResolution",
-                        self.bob.wallet.clone(),
-                        Some(instance),
-                        U256::ZERO,
+                        instance,
                         self.contracts.return_dispute_resolution(self.onchain),
                         super::dispute_gas_limit(self.secrets.weight),
                         None,
@@ -305,33 +310,23 @@ impl Session for ChallengeSession {
                 }
                 if self.log.idle() {
                     // The watcher first, then the (restarted) representative.
-                    let claimant = if idx == 0 { &self.bob } else { &self.alice };
-                    self.log.start(TxTask::new(
+                    self.log.start(self.seats[1 - idx].call(
                         "reclaimNoSubmission",
-                        claimant.wallet.clone(),
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         self.contracts.reclaim_no_submission(),
                         400_000,
                         None,
                     ));
                 }
-                match self.log.poll_must(ctx.chain)? {
-                    Ok(_) => {
-                        self.phase = Phase::Reclaim(idx + 1);
-                        Ok(StepOutcome::Progress)
-                    }
-                    Err(hold) => Ok(hold),
-                }
+                self.log
+                    .land_then(ctx.chain, &mut self.phase, Phase::Reclaim(idx + 1))
             }
 
             Phase::Submit => {
                 if self.log.idle() {
-                    self.log.start(TxTask::new(
+                    self.log.start(self.seats[0].call(
                         "submitResult",
-                        self.alice.wallet.clone(),
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         self.contracts.submit_result(self.claimed()),
                         400_000,
                         None,
@@ -367,21 +362,8 @@ impl Session for ChallengeSession {
                 // rejected outright, or lands reverted degrades to the
                 // finalize path.
                 if self.log.idle() {
-                    let copy = self.signed_copy();
-                    let data = self.contracts.challenge(
-                        &copy.bytecode,
-                        &copy.signatures[0],
-                        &copy.signatures[1],
-                    );
-                    self.log.start(TxTask::new(
-                        "challenge",
-                        self.bob.wallet.clone(),
-                        Some(self.onchain),
-                        U256::ZERO,
-                        data,
-                        600_000,
-                        Some(self.proposed_at + self.window),
-                    ));
+                    self.log
+                        .start(self.challenge_task(Some(self.proposed_at + self.window)));
                 }
                 self.phase = match self.log.poll(ctx.chain) {
                     Sent::Hold(hold) => return Ok(hold),
@@ -409,16 +391,10 @@ impl Session for ChallengeSession {
                 if self.log.idle() {
                     // Whoever is still up finalizes — the crashed
                     // representative cannot, the watcher can.
-                    let finalizer = if self.crash == CrashPoint::AfterSubmit {
-                        &self.bob
-                    } else {
-                        &self.alice
-                    };
-                    self.log.start(TxTask::new(
+                    let finalizer = usize::from(self.crash == CrashPoint::AfterSubmit);
+                    self.log.start(self.seats[finalizer].call(
                         "finalize",
-                        finalizer.wallet.clone(),
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         self.contracts.finalize(),
                         300_000,
                         None,
@@ -447,6 +423,7 @@ impl Session for ChallengeSession {
             ChallengeOutcome::ResolvedByChallenge => "resolved-by-challenge",
             ChallengeOutcome::LieStood => "lie-stood",
             ChallengeOutcome::ReclaimedStale => "reclaimed-stale",
+            ChallengeOutcome::AbortedAtSigning => "aborted-at-signing",
         })
     }
 
@@ -455,6 +432,6 @@ impl Session for ChallengeSession {
     }
 
     fn messages_posted(&self) -> usize {
-        0 // this variant exchanges no off-chain messages in-protocol
+        self.sign.as_ref().map_or(0, SignExchange::posts)
     }
 }

@@ -273,6 +273,23 @@ impl TxLog {
             Sent::Rejected(e) => Err(ProtocolError::TxFailed(format!("{label}: {e}"))),
         }
     }
+
+    /// [`TxLog::poll_must`] for a phase with nothing to read off the
+    /// receipt: once the send landed, moves `phase` to `next`.
+    pub(crate) fn land_then<P>(
+        &mut self,
+        chain: &mut (dyn ChainAccess + '_),
+        phase: &mut P,
+        next: P,
+    ) -> Result<StepOutcome, ProtocolError> {
+        Ok(match self.poll_must(chain)? {
+            Ok(_) => {
+                *phase = next;
+                StepOutcome::Progress
+            }
+            Err(hold) => hold,
+        })
+    }
 }
 
 /// A strictly-higher bid: +25% and one wei, so repeated bumps grow

@@ -13,15 +13,16 @@
 //! submission — same voucher from both parties, possibly racing across
 //! nodes — settles exactly once and every replay reverts.
 //!
-//! The machine drives both wallets, mirroring the other session
-//! variants: crash and double-submit behaviour are spec knobs routed at
-//! the settle phase, whisper faults stress the voucher exchange, and an
-//! exchange that never completes degrades to the post-deadline reclaim
-//! path.
+//! The machine seats both parties, mirroring the other session
+//! variants: each seat signs the voucher with its own key, crash and
+//! double-submit behaviour are spec knobs routed at the settle phase,
+//! whisper faults stress the voucher exchange, and an exchange that
+//! never completes degrades to the post-deadline reclaim path.
 
-use super::sign::{SignExchange, MAX_SIGN_ROUNDS, SIGN_ROUND_SECS};
+use super::sign::{Cutoff, SignExchange};
 use super::{hold_for_start, Sent, Session, SessionCtx, StepOutcome, TxLog, TxTask};
 use crate::protocol::{ProtocolError, TxRecord};
+use crate::seat::{Seat, Strategy};
 use sc_chain::Wallet;
 use sc_confidential::range::MAX_BITS;
 use sc_confidential::{CommitmentBackend, PedersenBackend, SettlementVoucher, SignedVoucher};
@@ -139,8 +140,7 @@ enum Phase {
 /// One confidential settle-later channel as a pollable state machine.
 pub struct SettleLaterSession {
     contracts: ConfidentialContracts,
-    alice: Wallet,
-    bob: Wallet,
+    seats: [Seat; 2],
     spec: SettleLaterSpec,
     topic: String,
     /// Deployed contract address.
@@ -149,10 +149,8 @@ pub struct SettleLaterSession {
     phase: Phase,
     log: TxLog,
     exchange: Option<SignExchange>,
-    /// The voucher and both signatures, made once when the exchange
-    /// starts: the exchange posts the signatures, the settle phase
-    /// submits the whole.
-    signed: Option<SignedVoucher>,
+    /// The voucher both seats sign, fixed when the exchange starts.
+    voucher: Option<SettlementVoucher>,
     start_at: Option<u64>,
     settle_at: u64,
     outcome: Option<SettleLaterOutcome>,
@@ -174,14 +172,13 @@ impl SettleLaterSession {
     /// funded at genesis; `topic` scopes the voucher exchange.
     pub fn new(
         spec: SettleLaterSpec,
-        [alice, bob]: [Wallet; 2],
+        wallets: [Wallet; 2],
         topic: String,
         contracts: ConfidentialContracts,
     ) -> SettleLaterSession {
         SettleLaterSession {
             contracts,
-            alice,
-            bob,
+            seats: wallets.map(|wallet| Seat::new(wallet, Strategy::Honest)),
             spec,
             topic,
             onchain: Address::ZERO,
@@ -189,7 +186,7 @@ impl SettleLaterSession {
             phase: Phase::Start,
             log: TxLog::default(),
             exchange: None,
-            signed: None,
+            voucher: None,
             start_at: None,
             settle_at: 0,
             outcome: None,
@@ -201,10 +198,16 @@ impl SettleLaterSession {
         self.outcome
     }
 
-    /// The co-signed voucher, once the exchange has started (both
-    /// signatures are made then, whether or not the bus delivers them).
-    pub fn signed_voucher(&self) -> Option<SignedVoucher> {
-        self.signed
+    /// The co-signed voucher as seat `reader` holds it: the voucher
+    /// with the signature pair its side of the exchange verified, once
+    /// it holds both.
+    pub fn signed_voucher(&self, reader: usize) -> Option<SignedVoucher> {
+        let [sig_a, sig_b] = self.exchange.as_ref()?.signatures(reader)?;
+        Some(SignedVoucher {
+            voucher: self.voucher?,
+            sig_a,
+            sig_b,
+        })
     }
 
     /// The channel parameters, fixed at deploy time.
@@ -271,32 +274,26 @@ impl SettleLaterSession {
         }
     }
 
-    /// Starts the voucher exchange: the voucher is built, hashed and
-    /// signed by each party once (kept as [`Self::signed_voucher`] for
-    /// the settle phase), and the exchange re-posts both signatures
-    /// every round.
+    /// Starts the voucher exchange: the voucher is built and hashed
+    /// once, each seat signs it with its own key, and the exchange
+    /// re-posts both signatures every round.
     fn start_exchange(&mut self) -> SignExchange {
         let voucher = self.voucher();
         let digest = voucher.digest();
-        let signed = SignedVoucher {
-            voucher,
-            sig_a: self.alice.key.sign(digest),
-            sig_b: self.bob.key.sign(digest),
-        };
-        self.signed = Some(signed);
+        self.voucher = Some(voucher);
         SignExchange::new(
             digest,
-            [self.alice.address, self.bob.address],
-            [Some(signed.sig_a), Some(signed.sig_b)],
+            self.seats.each_ref().map(Seat::address),
+            self.seats.each_ref().map(|s| Some(s.sign(digest))),
         )
     }
 
-    /// The submitter order at the settle phase.
-    fn submitters(&self) -> Vec<Wallet> {
+    /// The seats that submit the voucher at the settle phase, in order.
+    fn submitters(&self) -> &'static [usize] {
         match (self.spec.crash, self.spec.double_submit) {
-            (SettleLaterCrash::AAfterCosign, _) => vec![self.bob.clone()],
-            (SettleLaterCrash::None, true) => vec![self.alice.clone(), self.bob.clone()],
-            (SettleLaterCrash::None, false) => vec![self.alice.clone()],
+            (SettleLaterCrash::AAfterCosign, _) => &[1],
+            (SettleLaterCrash::None, true) => &[0, 1],
+            (SettleLaterCrash::None, false) => &[0],
         }
     }
 
@@ -304,22 +301,6 @@ impl SettleLaterSession {
         self.outcome = Some(outcome);
         self.phase = Phase::Done;
         StepOutcome::Done
-    }
-
-    /// Polls a send the channel cannot proceed without; once it landed,
-    /// moves to `next`.
-    fn land_then(
-        &mut self,
-        ctx: &mut SessionCtx<'_>,
-        next: Phase,
-    ) -> Result<StepOutcome, ProtocolError> {
-        Ok(match self.log.poll_must(ctx.chain)? {
-            Ok(_) => {
-                self.phase = next;
-                StepOutcome::Progress
-            }
-            Err(hold) => hold,
-        })
     }
 }
 
@@ -346,12 +327,14 @@ impl Session for SettleLaterSession {
                         range_bits: self.spec.range_bits,
                         deadline: ctx.chain.now() + self.spec.deadline_secs,
                     });
-                    let initcode = self
-                        .contracts
-                        .initcode(self.alice.address, self.bob.address, p);
+                    let initcode = self.contracts.initcode(
+                        self.seats[0].address(),
+                        self.seats[1].address(),
+                        p,
+                    );
                     self.log.start(TxTask::new(
                         "deploy onConfidentialDeposit",
-                        self.alice.clone(),
+                        self.seats[0].wallet.clone(),
                         None,
                         U256::ZERO,
                         initcode,
@@ -376,14 +359,10 @@ impl Session for SettleLaterSession {
                 }
                 if self.log.idle() {
                     let p = self.channel();
-                    let (wallet, units) = if idx == 0 {
-                        (self.alice.clone(), p.units_a)
-                    } else {
-                        (self.bob.clone(), p.units_b)
-                    };
+                    let units = [p.units_a, p.units_b][idx];
                     self.log.start(TxTask::new(
                         "deposit stake",
-                        wallet,
+                        self.seats[idx].wallet.clone(),
                         Some(self.onchain),
                         p.stake_wei(units),
                         self.contracts.fund(),
@@ -391,7 +370,8 @@ impl Session for SettleLaterSession {
                         Some(p.deadline),
                     ));
                 }
-                self.land_then(ctx, Phase::Fund(idx + 1))
+                self.log
+                    .land_then(ctx.chain, &mut self.phase, Phase::Fund(idx + 1))
             }
 
             Phase::Deposit(idx) => {
@@ -403,27 +383,24 @@ impl Session for SettleLaterSession {
                     let p = self.channel();
                     let backend = PedersenBackend;
                     let (r_a, r_b) = self.input_blindings();
-                    let (wallet, units, r) = if idx == 0 {
-                        (self.alice.clone(), p.units_a, r_a)
-                    } else {
-                        (self.bob.clone(), p.units_b, r_b)
-                    };
+                    let (units, r) = [(p.units_a, r_a), (p.units_b, r_b)][idx];
                     let c = backend.commit(U256::from_u64(units), r);
                     let proof = backend
                         .prove_range(U256::from_u64(units), r, p.range_bits)
                         .expect("check_spec: the stake fits the range width");
-                    self.log.start(TxTask::new(
+                    let data = self
+                        .contracts
+                        .deposit_committed(&c, p.range_bits, proof.as_bytes());
+                    self.log.start(self.seats[idx].call(
                         "depositCommitted",
-                        wallet,
-                        Some(self.onchain),
-                        U256::ZERO,
-                        self.contracts
-                            .deposit_committed(&c, p.range_bits, proof.as_bytes()),
+                        self.onchain,
+                        data,
                         2_500_000,
                         Some(p.deadline),
                     ));
                 }
-                self.land_then(ctx, Phase::Deposit(idx + 1))
+                self.log
+                    .land_then(ctx.chain, &mut self.phase, Phase::Deposit(idx + 1))
             }
 
             Phase::Activate => {
@@ -434,17 +411,16 @@ impl Session for SettleLaterSession {
                     let c_a = backend.commit(U256::from_u64(p.units_a), r_a);
                     let c_b = backend.commit(U256::from_u64(p.units_b), r_b);
                     let sum = backend.add(&c_a, &c_b);
-                    self.log.start(TxTask::new(
+                    self.log.start(self.seats[0].call(
                         "activate",
-                        self.alice.clone(),
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         self.contracts.activate(&sum),
                         600_000,
                         Some(p.deadline),
                     ));
                 }
-                self.land_then(ctx, Phase::Exchange)
+                self.log
+                    .land_then(ctx.chain, &mut self.phase, Phase::Exchange)
             }
 
             Phase::Exchange => {
@@ -457,23 +433,23 @@ impl Session for SettleLaterSession {
                 }
                 // One exchange round: both parties re-post their voucher
                 // signature, then absorb whatever the faulty bus
-                // delivered.
-                let deadline = self.channel().deadline;
+                // delivered. A round late in the channel still runs.
+                let (now, deadline) = (ctx.chain.now(), self.channel().deadline);
                 let ex = self.exchange.as_mut().expect("exchange started");
-                ex.round(&mut ctx.bus, &self.topic);
-                if ex.complete() {
-                    self.settle_at = ctx.chain.now() + self.spec.settle_delay;
-                    self.phase = Phase::SettleHold;
-                    return Ok(StepOutcome::Progress);
+                if let Some(t) =
+                    ex.step(&mut ctx.bus, &self.topic, now, deadline, Cutoff::AfterRound)
+                {
+                    return Ok(StepOutcome::WaitUntil(t));
                 }
-                let now = ctx.chain.now();
-                if ex.rounds_run() >= MAX_SIGN_ROUNDS || now + SIGN_ROUND_SECS >= deadline {
-                    // The bus ate every copy: no co-signed voucher exists,
-                    // fall back to the timeout path.
-                    self.phase = Phase::AwaitDeadline;
-                    return Ok(StepOutcome::Progress);
-                }
-                Ok(StepOutcome::WaitUntil(now + SIGN_ROUND_SECS))
+                // Without a complete exchange the bus ate every copy: no
+                // co-signed voucher exists, fall back to the timeout path.
+                self.phase = if ex.complete() {
+                    self.settle_at = now + self.spec.settle_delay;
+                    Phase::SettleHold
+                } else {
+                    Phase::AwaitDeadline
+                };
+                Ok(StepOutcome::Progress)
             }
 
             Phase::SettleHold => {
@@ -495,12 +471,13 @@ impl Session for SettleLaterSession {
                     return Ok(StepOutcome::Progress);
                 }
                 if self.log.idle() {
-                    let signed = self.signed.expect("settling follows a completed exchange");
-                    self.log.start(TxTask::new(
+                    let seat = submitters[idx];
+                    let signed = self
+                        .signed_voucher(seat)
+                        .expect("settling follows a completed exchange");
+                    self.log.start(self.seats[seat].call(
                         "settle",
-                        submitters[idx].clone(),
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         self.contracts.settle(&signed),
                         1_500_000,
                         None,
@@ -508,7 +485,9 @@ impl Session for SettleLaterSession {
                 }
                 if idx == 0 {
                     // The first submission must land and succeed.
-                    return self.land_then(ctx, Phase::Settle(1));
+                    return self
+                        .log
+                        .land_then(ctx.chain, &mut self.phase, Phase::Settle(1));
                 }
                 // The replay must land and *revert*: the nullifier is
                 // burned. A second success would be a double settlement —
@@ -541,22 +520,17 @@ impl Session for SettleLaterSession {
                 if self.log.idle() {
                     let (va, vb) = self.final_units();
                     let (ra, rb) = self.output_blindings();
-                    let (wallet, v, r) = if idx == 0 {
-                        (self.alice.clone(), va, ra)
-                    } else {
-                        (self.bob.clone(), vb, rb)
-                    };
-                    self.log.start(TxTask::new(
+                    let (v, r) = [(va, ra), (vb, rb)][idx];
+                    self.log.start(self.seats[idx].call(
                         "withdraw",
-                        wallet,
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         self.contracts.withdraw(U256::from_u64(v), r),
                         600_000,
                         None,
                     ));
                 }
-                self.land_then(ctx, Phase::Withdraw(idx + 1))
+                self.log
+                    .land_then(ctx.chain, &mut self.phase, Phase::Withdraw(idx + 1))
             }
 
             Phase::AwaitDeadline => {
@@ -574,18 +548,16 @@ impl Session for SettleLaterSession {
                     return Ok(self.finish(SettleLaterOutcome::ReclaimedUnsettled));
                 }
                 if self.log.idle() {
-                    let wallet = if idx == 0 { &self.alice } else { &self.bob };
-                    self.log.start(TxTask::new(
+                    self.log.start(self.seats[idx].call(
                         "reclaim",
-                        wallet.clone(),
-                        Some(self.onchain),
-                        U256::ZERO,
+                        self.onchain,
                         self.contracts.reclaim(),
                         300_000,
                         None,
                     ));
                 }
-                self.land_then(ctx, Phase::Reclaim(idx + 1))
+                self.log
+                    .land_then(ctx.chain, &mut self.phase, Phase::Reclaim(idx + 1))
             }
 
             Phase::Done => Ok(StepOutcome::Done),

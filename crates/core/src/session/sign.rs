@@ -7,15 +7,19 @@
 //! absorbed the same way: by waiting for a later round to deliver a good
 //! copy.
 //!
-//! Each seat signs once: the session hands the exchange the signature
-//! each side posts (strategy-dependent, so made by the session when the
-//! exchange starts), and every round re-posts those same bytes. Each
-//! distinct payload is recovered once: the verdict is kept for the life
-//! of the exchange, so both readers and every later round reuse it.
-//! Signing is RFC 6979, so a re-signed copy would have been the same
-//! bytes; neither saving changes what the bus carries.
+//! Each seat signs once, with its own key, when the exchange starts,
+//! and every round re-posts those same bytes: the exchange holds
+//! signatures and the bus view, never a key. Each distinct payload is
+//! recovered once: the verdict is kept for the life of the exchange, so
+//! both readers and every later round reuse it. Signing is RFC 6979, so
+//! a re-signed copy would have been the same bytes; neither saving
+//! changes what the bus carries. One exchange serves both seats: whisper
+//! delay faults release held messages per `poll` call, so one exchange
+//! per seat would replay a fault schedule differently.
 
 use super::BusPort;
+use crate::seat::Seat;
+use crate::signedcopy::bytecode_hash;
 use sc_crypto::ecdsa::{recover_address, Signature};
 use sc_primitives::{Address, H256};
 
@@ -26,6 +30,16 @@ pub const SIGN_ROUND_SECS: u64 = 30;
 /// Exceeds any whisper fault budget's ability to suppress a re-posted
 /// signature, and `16 × 30s` stays well inside the pre-T1 phase.
 pub const MAX_SIGN_ROUNDS: u32 = 16;
+
+/// When a signing phase's deadline stops it.
+pub(crate) enum Cutoff {
+    /// No round starts within one round of the deadline (deploy/sign:
+    /// deposits must still land before T1).
+    BeforeRound,
+    /// A late step still runs its round, but no wait follows it (the
+    /// settle-later voucher: the deadline only opens the reclaim path).
+    AfterRound,
+}
 
 /// State of one two-party signature exchange: what each seat posts,
 /// and `seen[reader][signer]`, the valid signature `reader` holds from
@@ -56,6 +70,17 @@ impl SignExchange {
             seen: [[None, None], [None, None]],
             rounds_run: 0,
         }
+    }
+
+    /// Starts a deploy/sign exchange over `bytecode` between `seats`:
+    /// each seat signs it once, for itself, per its strategy.
+    pub(crate) fn over_copy(seats: &[Seat; 2], bytecode: &[u8]) -> Self {
+        let digest = bytecode_hash(bytecode);
+        SignExchange::new(
+            digest,
+            seats.each_ref().map(Seat::address),
+            seats.each_ref().map(|s| s.copy_signature(bytecode, digest)),
+        )
     }
 
     /// Rounds completed so far.
@@ -103,6 +128,28 @@ impl SignExchange {
             }
         }
         self.rounds_run += 1;
+    }
+
+    /// One step of a signing phase at chain time `now`: the time to
+    /// step again, or `None` once the exchange is [complete](Self::complete)
+    /// or given up. It gives up within one round of `deadline`, before
+    /// or after that step's round per `cutoff`, and after the
+    /// [`MAX_SIGN_ROUNDS`]th round.
+    pub(crate) fn step(
+        &mut self,
+        bus: &mut BusPort<'_>,
+        topic: &str,
+        now: u64,
+        deadline: u64,
+        cutoff: Cutoff,
+    ) -> Option<u64> {
+        let late = now + SIGN_ROUND_SECS >= deadline;
+        if late && matches!(cutoff, Cutoff::BeforeRound) {
+            return None;
+        }
+        self.round(bus, topic);
+        let over = late || self.complete() || self.rounds_run >= MAX_SIGN_ROUNDS;
+        (!over).then_some(now + SIGN_ROUND_SECS)
     }
 
     /// Who `sig` recovers to over the digest, recovered on first sight

@@ -10,7 +10,7 @@
 
 use super::{BettingSession, ChallengeSession, Session, SettleLaterSession, SettleLaterSpec};
 use crate::challenge_protocol::{CrashPoint, SubmitStrategy, WatchStrategy};
-use crate::participant::Strategy;
+use crate::seat::Strategy;
 use sc_chain::Wallet;
 use sc_contracts::challenge::ChallengeContracts;
 use sc_contracts::confidential::ConfidentialContracts;
@@ -183,7 +183,7 @@ pub(crate) fn build_session(
                 .challenge
                 .get_or_insert_with(ChallengeContracts::new);
             let seed = s.fault_seed;
-            let session = ChallengeSession::new(s, wallets, pair.clone());
+            let session = ChallengeSession::new(s, wallets, topic, pair.clone());
             (Box::new(session), "challenge", seed)
         }
         SessionSpec::SettleLater(s) => {

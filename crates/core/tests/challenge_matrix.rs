@@ -72,7 +72,7 @@ fn run_cell(submit: SubmitStrategy, watch: WatchStrategy, crash: CrashPoint) -> 
     // Every recorded tx has a sender who is one of the two participants.
     for tx in game.txs() {
         assert!(
-            tx.sender == game.alice.wallet.address || tx.sender == game.bob.wallet.address,
+            tx.sender == game.seats[0].address() || tx.sender == game.seats[1].address(),
             "unknown sender in {:?}",
             tx.label
         );
@@ -195,12 +195,12 @@ fn lie_stood_cell_conserves_ether_and_pays_the_liar() {
     assert_eq!(game.outcome(), Some(ChallengeOutcome::LieStood));
     check_conservation(chain).unwrap();
     // The liar pocketed Bob's stake…
-    assert!(chain.balance_of(game.alice.wallet.address) > ether(1000));
+    assert!(chain.balance_of(game.seats[0].address()) > ether(1000));
     // …and Bob lost at most stake + security deposit (he spent gas only
     // on his own deposit).
     let floor = ether(1000)
         .wrapping_sub(sc_contracts::challenge::stake())
         .wrapping_sub(sc_contracts::challenge::security_deposit());
-    let bob_final = chain.balance_of(game.bob.wallet.address);
+    let bob_final = chain.balance_of(game.seats[1].address());
     assert!(bob_final >= floor.wrapping_sub(ether(1) / U256::from_u64(100)));
 }

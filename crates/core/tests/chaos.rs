@@ -187,10 +187,11 @@ const QUICK_CHALLENGE_CELLS: [(SubmitStrategy, WatchStrategy, CrashPoint); 9] = 
 fn betting_cell(seed: u64, alice_strategy: Strategy, bob_strategy: Strategy) {
     let (sched, _report) = run_one(betting_spec(seed, alice_strategy, bob_strategy));
     let game: &BettingSession = sched.session(0).expect("a betting game");
-    let honest: Vec<_> = [("alice", &game.alice), ("bob", &game.bob)]
+    let honest: Vec<_> = ["alice", "bob"]
         .into_iter()
-        .filter(|(_, p)| p.strategy == Strategy::Honest)
-        .map(|(who, p)| (who, p.wallet.address))
+        .zip(&game.seats)
+        .filter(|(_, seat)| seat.strategy == Strategy::Honest)
+        .map(|(who, seat)| (who, seat.address()))
         .collect();
     check_invariants(sched.network().node(0), game.txs(), &honest, ether(1));
 }
@@ -203,9 +204,9 @@ fn challenge_cell(seed: u64, submit: SubmitStrategy, watch: WatchStrategy, crash
     // The watcher is honest under every watch behaviour; the
     // representative is honest when submitting truthfully (crashing is
     // a fault, not a deviation).
-    let mut honest = vec![("bob", game.bob.wallet.address)];
+    let mut honest = vec![("bob", game.seats[1].address())];
     if submit == SubmitStrategy::Truthful {
-        honest.push(("alice", game.alice.wallet.address));
+        honest.push(("alice", game.seats[0].address()));
     }
     let deposit = stake().wrapping_add(security_deposit());
     check_invariants(sched.network().node(0), game.txs(), &honest, deposit);
@@ -259,8 +260,8 @@ fn chaos_runs_are_deterministic_per_seed() {
                 .iter()
                 .map(|t| (t.label.clone(), t.gas_used, t.success))
                 .collect::<Vec<_>>(),
-            chain.balance_of(game.alice.wallet.address),
-            chain.balance_of(game.bob.wallet.address),
+            chain.balance_of(game.seats[0].address()),
+            chain.balance_of(game.seats[1].address()),
             chain_faults.injected_faults().to_vec(),
             whisper_faults.injected_faults().to_vec(),
         )
@@ -287,8 +288,8 @@ fn chaos_runs_are_deterministic_per_seed() {
                 .iter()
                 .map(|t| (t.label.clone(), t.sender, t.gas_used, t.success))
                 .collect::<Vec<_>>(),
-            chain.balance_of(game.alice.wallet.address),
-            chain.balance_of(game.bob.wallet.address),
+            chain.balance_of(game.seats[0].address()),
+            chain.balance_of(game.seats[1].address()),
             sched.faults(0).0.injected_faults().to_vec(),
         )
     };

@@ -1,11 +1,11 @@
 //! End-to-end protocol tests: the full four-stage game on the chain
 //! simulator, honest and Byzantine.
 
-use sc_chain::{PoolConfig, Testnet};
+use sc_chain::{PoolConfig, Testnet, Wallet};
 use sc_contracts::BetSecrets;
 use sc_core::{
     gas_of, sign_bytecode, stage_gas, BettingSession, BettingSpec, NetworkScheduler, Outcome,
-    Session, SessionReport, SessionSpec, Stage, Strategy, Topic,
+    Session, SessionReport, SessionSpec, SignedCopy, Stage, Strategy, Topic,
 };
 use sc_primitives::{ether, U256};
 
@@ -79,7 +79,7 @@ fn honest_game_settles_without_revealing_anything() {
     // The dispute machinery never ran.
     assert_eq!(stage_gas(game.txs(), Stage::DisputeResolve), 0);
     // Bob ended up richer by ~1 ether (minus his own gas).
-    let bob_balance = chain(&sched).balance_of(game.bob.wallet.address);
+    let bob_balance = chain(&sched).balance_of(game.seats[1].address());
     assert!(bob_balance > ether(1000));
     // The on-chain contract is drained.
     assert_eq!(chain(&sched).balance_of(game.onchain), U256::ZERO);
@@ -93,8 +93,8 @@ fn dispute_path_enforces_true_result() {
     let secrets = bob_wins_secrets();
     let (sched, _report) = play(Strategy::SilentLoser, Strategy::Honest, secrets);
     let game = game(&sched);
-    let alice_addr = game.alice.wallet.address;
-    let bob_addr = game.bob.wallet.address;
+    let alice_addr = game.seats[0].address();
+    let bob_addr = game.seats[1].address();
 
     assert_eq!(game.outcome(), Some(Outcome::SettledByDispute));
     // The true result (Bob wins) was enforced by the miners.
@@ -121,7 +121,7 @@ fn dispute_resolves_for_alice_as_winner_too() {
     let game = game(&sched);
     assert_eq!(game.outcome(), Some(Outcome::SettledByDispute));
     assert!(!secrets.winner_is_bob());
-    assert!(chain(&sched).balance_of(game.alice.wallet.address) > ether(1000));
+    assert!(chain(&sched).balance_of(game.seats[0].address()) > ether(1000));
 }
 
 #[test]
@@ -143,7 +143,7 @@ fn forged_bytecode_is_rejected_on_chain() {
         "the forger pays for the failed attempt"
     );
     // Justice still prevails.
-    assert!(chain(&sched).balance_of(game.bob.wallet.address) > ether(1000));
+    assert!(chain(&sched).balance_of(game.seats[1].address()) > ether(1000));
 }
 
 #[test]
@@ -156,9 +156,9 @@ fn tampered_signature_aborts_before_any_deposit() {
     // No deposits ever reached the contract.
     assert_eq!(chain.balance_of(game.onchain), U256::ZERO);
     // Nobody lost more than deploy gas.
-    assert!(chain.balance_of(game.bob.wallet.address) == ether(1000));
+    assert!(chain.balance_of(game.seats[1].address()) == ether(1000));
     assert!(
-        chain.balance_of(game.alice.wallet.address) < ether(1000),
+        chain.balance_of(game.seats[0].address()) < ether(1000),
         "deployer paid gas"
     );
 }
@@ -168,7 +168,7 @@ fn refusing_to_sign_aborts() {
     let secrets = bob_wins_secrets();
     let (sched, report) = play(Strategy::Honest, Strategy::RefusesToSign, secrets);
     let game = game(&sched);
-    let alice_addr = game.alice.wallet.address;
+    let alice_addr = game.seats[0].address();
     assert_eq!(game.outcome(), Some(Outcome::AbortedAtSigning));
     // Alice re-posts every signing round until the deadline; Bob never
     // posts anything.
@@ -196,7 +196,8 @@ fn re_posted_signatures_are_byte_identical() {
     let game = game(&sched);
     let topic = Topic::node_session(0, 0, "signed-copy");
     let history = sched.network().bus().history(&topic);
-    let signature = sign_bytecode(&game.alice.wallet.key, &game.offchain_bytecode).to_bytes();
+    let alice = Wallet::from_seed("alice");
+    let signature = sign_bytecode(&alice.key, &game.offchain_bytecode).to_bytes();
     assert!(history.len() > 1, "the exchange ran several rounds");
     assert_eq!(history.len(), report.messages_posted);
     assert!(history.iter().all(|env| env.payload == signature));
@@ -209,7 +210,7 @@ fn no_show_leads_to_refund() {
     let (game, chain) = (game(&sched), chain(&sched));
     assert_eq!(game.outcome(), Some(Outcome::Refunded));
     // Alice got her ether back (minus gas).
-    let spent = ether(1000).wrapping_sub(chain.balance_of(game.alice.wallet.address));
+    let spent = ether(1000).wrapping_sub(chain.balance_of(game.seats[0].address()));
     assert!(
         spent < ether(1) / U256::from_u64(100),
         "alice only lost gas, not the deposit: spent {spent}"
@@ -386,7 +387,8 @@ fn gas_profile_of_deploy_verified_instance() {
     }
     net.advance_time(4 * 3600);
 
-    let copy = game(&sched).signed_copy();
+    let bytecode = game(&sched).offchain_bytecode.clone();
+    let copy = SignedCopy::create(bytecode, &[&alice.key, &bob.key]);
     let data =
         on.deploy_verified_instance(&copy.bytecode, &copy.signatures[0], &copy.signatures[1]);
     let (profile, exec_gas) = net.profile_call(bob.address, onchain, U256::ZERO, data, 7_000_000);

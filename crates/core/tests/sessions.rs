@@ -462,11 +462,11 @@ fn mixed_run_reports_are_pinned() {
     assert_eq!(specs.len(), 22);
     let [quiet, partitioned] = pinned_digests(specs);
     assert_eq!(
-        quiet, "0x7d7f1f1dcc9d577e5095025d0cffdefd1cd050bafddaccf7bbdd30d4981700fe",
+        quiet, "0xf98a4b737ad9ed0f3e5874ba403d350bc54b9587da199ed786185a6264c2828b",
         "one quiet node"
     );
     assert_eq!(
-        partitioned, "0xdffe9bccf93d392137eab4b152256d644a2b1689199e6902bf7a1b4bdba4dc5e",
+        partitioned, "0xab53630523db420de4191893723f631c8b15fbca24ecb33120e2dc446ebc27dd",
         "four nodes, forced partition"
     );
 }

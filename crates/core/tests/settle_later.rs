@@ -236,7 +236,12 @@ fn re_posted_voucher_signatures_are_byte_identical() {
     assert_eq!(r.messages_posted, 8);
 
     let session: &SettleLaterSession = sched.session(0).expect("a settle-later session");
-    let signed = session.signed_voucher().expect("the exchange ran");
+    let signed = session.signed_voucher(0).expect("the exchange completed");
+    assert_eq!(
+        session.signed_voucher(1),
+        Some(signed),
+        "both seats hold one pair"
+    );
     let [a, b] = ["alice", "bob"].map(|p| Wallet::from_seed(&format!("s0-{p}")));
     assert_eq!(signed, signed.voucher.co_sign(&a.key, &b.key));
     let topic = Topic::node_session(0, 0, "signed-copy");

@@ -6,10 +6,11 @@
 //!
 //! Run with: `cargo run --example betting_dispute`
 
-use onoffchain::chain::PoolConfig;
+use onoffchain::chain::{PoolConfig, Wallet};
 use onoffchain::contracts::{BetSecrets, DEPLOYED_ADDR_SLOT};
 use onoffchain::core::{
-    BettingSession, BettingSpec, NetworkScheduler, Outcome, Session, SessionSpec, Strategy,
+    BettingSession, BettingSpec, NetworkScheduler, Outcome, Session, SessionSpec, SignedCopy,
+    Strategy,
 };
 use onoffchain::evm::contract_address;
 use onoffchain::primitives::{Address, U256};
@@ -44,7 +45,9 @@ fn main() {
         "signed copy: {} bytes of bytecode + 2 signatures over keccak256(bytecode)",
         game.offchain_bytecode.len()
     );
-    let copy = game.signed_copy();
+    // Each side signs with its own key; the example holds both seeds.
+    let [alice, bob] = ["alice", "bob"].map(Wallet::from_seed);
+    let copy = SignedCopy::create(game.offchain_bytecode.clone(), &[&alice.key, &bob.key]);
     println!(
         "  keccak256(bytecode) = {}",
         onoffchain::core::bytecode_hash(&copy.bytecode)
@@ -91,10 +94,10 @@ fn main() {
     );
     println!(
         "\nBob (the honest winner) holds {} wei — both deposits, enforced by miners",
-        chain.balance_of(game.bob.wallet.address)
+        chain.balance_of(game.seats[1].address())
     );
     println!(
         "Alice (the dishonest loser) holds {} wei",
-        chain.balance_of(game.alice.wallet.address)
+        chain.balance_of(game.seats[0].address())
     );
 }

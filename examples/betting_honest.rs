@@ -39,8 +39,8 @@ fn main() {
         "off-chain contract initcode: {} bytes (signed, never published on the honest path)",
         game.offchain_bytecode.len()
     );
-    let alice = game.alice.wallet.address;
-    let bob = game.bob.wallet.address;
+    let alice = game.seats[0].address();
+    let bob = game.seats[1].address();
 
     let report = sched.run().remove(0);
     assert_eq!(report.error, None, "protocol");

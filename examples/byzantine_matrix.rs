@@ -66,8 +66,8 @@ fn main() {
         let game: &BettingSession = sched.session(0).expect("a betting game");
         let chain = sched.network().node(0);
         let outcome = game.outcome().expect("terminal outcome");
-        let alice_addr = game.alice.wallet.address;
-        let bob_addr = game.bob.wallet.address;
+        let alice_addr = game.seats[0].address();
+        let bob_addr = game.seats[1].address();
         let delta = |addr| {
             let now = chain.balance_of(addr);
             let start = ether(1000);

@@ -45,8 +45,8 @@ fn show(title: &str, submit: SubmitStrategy, watch: WatchStrategy) -> ChallengeO
     let game: &ChallengeSession = sched.session(0).expect("a challenge game");
     let chain = sched.network().node(0);
     let outcome = game.outcome().expect("terminal outcome");
-    let alice = game.alice.wallet.address;
-    let bob = game.bob.wallet.address;
+    let alice = game.seats[0].address();
+    let bob = game.seats[1].address();
     for tx in game.txs() {
         println!(
             "  {:<26} {:>9} gas  {}",

@@ -62,6 +62,12 @@ fn betting(sched: &NetworkScheduler) -> &BettingSession {
     sched.session(0).expect("a betting game")
 }
 
+/// The signed copy of a [`run_game`] game, from the seated wallets' keys.
+fn signed_copy(game: &BettingSession) -> SignedCopy {
+    let [alice, bob] = ["alice", "bob"].map(Wallet::from_seed);
+    SignedCopy::create(game.offchain_bytecode.clone(), &[&alice.key, &bob.key])
+}
+
 /// Total miner-executed gas of the all-on-chain game: deployment, both
 /// deposits and `settle()` (which runs `reveal()` on-chain).
 fn run_monolithic(weight: u64) -> u64 {
@@ -193,7 +199,7 @@ fn table2() {
         .node(0)
         .code_at(onoffchain::evm::contract_address(game.onchain, 1))
         .len() as u64;
-    let copy = game.signed_copy();
+    let copy = signed_copy(game);
     let data = game.onchain_abi.deploy_verified_instance(
         &game.offchain_bytecode,
         &copy.signatures[0],
@@ -272,7 +278,7 @@ fn opcode_profile() {
     println!("\n# Per-opcode breakdown of deployVerifiedInstance (EVM profiler)\n");
     let (mut net, _, bob, on, onchain) = onchain_after_t3();
     let (_, honest) = run_game(Strategy::Honest, 64);
-    let copy = betting(&honest).signed_copy();
+    let copy = signed_copy(betting(&honest));
     let data =
         on.deploy_verified_instance(&copy.bytecode, &copy.signatures[0], &copy.signatures[1]);
     let (profile, exec_gas) = net.profile_call(bob.address, onchain, U256::ZERO, data, 7_000_000);

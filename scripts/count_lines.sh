@@ -2,7 +2,8 @@
 # Non-test source lines per crate: every line of each crates/*/src/**/*.rs
 # above that file's first `#[cfg(test)]`, with `tests.rs` files excluded.
 # Prints one `crate lines` row per crate, then the `sc-chain + sc-evm +
-# sc-core` sum that ROADMAP.md item 2 tracks. Takes no arguments.
+# sc-core` sum behind the north star's least-code bullet in ROADMAP.md.
+# Takes no arguments.
 set -eu
 cd "$(dirname "$0")/.."
 
