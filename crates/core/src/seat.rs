@@ -67,8 +67,15 @@ impl Seat {
         gas: u64,
         deadline: Option<u64>,
     ) -> TxTask {
-        let (to, value) = (Some(to), U256::ZERO);
-        TxTask::new(label, self.wallet.clone(), to, value, data, gas, deadline)
+        TxTask::new(
+            label,
+            self.wallet.clone(),
+            Some(to),
+            U256::ZERO,
+            data,
+            gas,
+            deadline,
+        )
     }
 
     /// Signs `digest` with this seat's own key.

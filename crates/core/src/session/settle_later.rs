@@ -215,17 +215,12 @@ impl SettleLaterSession {
         self.params.expect("channel deployed")
     }
 
-    /// Input blindings: A's derives from the topic, B's cancels it so
-    /// the deposit commitments sum to `potUnits·G`.
-    fn input_blindings(&self) -> (U256, U256) {
-        let ra = derive_blinding(&self.topic, "in-a");
-        (ra, curve_order().wrapping_sub(ra))
-    }
-
-    /// Output blindings, same cancellation.
-    fn output_blindings(&self) -> (U256, U256) {
-        let ra = derive_blinding(&self.topic, "out-a");
-        (ra, curve_order().wrapping_sub(ra))
+    /// Each seat's blinding for `tag` (`"in-a"`: the deposits,
+    /// `"out-a"`: the voucher's outputs): A's derives from the topic,
+    /// B's cancels it, so each pair of commitments sums to its units·G.
+    fn blindings(&self, tag: &str) -> [U256; 2] {
+        let ra = derive_blinding(&self.topic, tag);
+        [ra, curve_order().wrapping_sub(ra)]
     }
 
     /// Refuses a spec that could never settle, naming the field at
@@ -255,18 +250,18 @@ impl SettleLaterSession {
 
     /// The final split the voucher encodes ([`Self::check_spec`] ruled
     /// out under- and overflow).
-    fn final_units(&self) -> (u64, u64) {
-        (
+    fn final_units(&self) -> [u64; 2] {
+        [
             self.spec.units_a - self.spec.delta_units,
             self.spec.units_b + self.spec.delta_units,
-        )
+        ]
     }
 
     /// The settlement voucher both parties sign.
     fn voucher(&self) -> SettlementVoucher {
         let backend = PedersenBackend;
-        let (va, vb) = self.final_units();
-        let (ra, rb) = self.output_blindings();
+        let [va, vb] = self.final_units();
+        let [ra, rb] = self.blindings("out-a");
         SettlementVoucher {
             contract: self.onchain,
             out_a: backend.commit(U256::from_u64(va), ra),
@@ -382,8 +377,8 @@ impl Session for SettleLaterSession {
                 if self.log.idle() {
                     let p = self.channel();
                     let backend = PedersenBackend;
-                    let (r_a, r_b) = self.input_blindings();
-                    let (units, r) = [(p.units_a, r_a), (p.units_b, r_b)][idx];
+                    let units = [p.units_a, p.units_b][idx];
+                    let r = self.blindings("in-a")[idx];
                     let c = backend.commit(U256::from_u64(units), r);
                     let proof = backend
                         .prove_range(U256::from_u64(units), r, p.range_bits)
@@ -407,7 +402,7 @@ impl Session for SettleLaterSession {
                 if self.log.idle() {
                     let p = self.channel();
                     let backend = PedersenBackend;
-                    let (r_a, r_b) = self.input_blindings();
+                    let [r_a, r_b] = self.blindings("in-a");
                     let c_a = backend.commit(U256::from_u64(p.units_a), r_a);
                     let c_b = backend.commit(U256::from_u64(p.units_b), r_b);
                     let sum = backend.add(&c_a, &c_b);
@@ -518,9 +513,8 @@ impl Session for SettleLaterSession {
                     return Ok(StepOutcome::Progress);
                 }
                 if self.log.idle() {
-                    let (va, vb) = self.final_units();
-                    let (ra, rb) = self.output_blindings();
-                    let (v, r) = [(va, ra), (vb, rb)][idx];
+                    let v = self.final_units()[idx];
+                    let r = self.blindings("out-a")[idx];
                     self.log.start(self.seats[idx].call(
                         "withdraw",
                         self.onchain,
