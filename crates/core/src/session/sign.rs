@@ -26,9 +26,10 @@ use sc_primitives::{Address, H256};
 /// Simulated seconds between signature-exchange rounds.
 pub const SIGN_ROUND_SECS: u64 = 30;
 
-/// Signature-exchange rounds before an honest participant gives up.
-/// Exceeds any whisper fault budget's ability to suppress a re-posted
-/// signature, and `16 × 30s` stays well inside the pre-T1 phase.
+/// Signature-exchange rounds before an honest participant gives up. A
+/// plan's budget of up to 24 whisper faults stops an honest exchange
+/// only by losing all 16 of one signer's posts, which no plan in the
+/// 10,000-case `prop` sweep did; `16 × 30s` stays inside the pre-T1 phase.
 pub const MAX_SIGN_ROUNDS: u32 = 16;
 
 /// When a signing phase's deadline stops it.
