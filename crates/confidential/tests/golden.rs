@@ -12,8 +12,8 @@ use proptest::prelude::*;
 use sc_confidential::pedersen::generator_h;
 use sc_confidential::{nullifier, CommitmentBackend, PedersenBackend, SettlementVoucher};
 use sc_crypto::ecdsa::PrivateKey;
-use sc_crypto::keccak256;
 use sc_crypto::secp256k1::{n, scalar};
+use sc_crypto::{keccak256, Keccak256};
 use sc_primitives::{Address, H256, U256};
 
 fn u(hex: &str) -> U256 {
@@ -186,4 +186,64 @@ fn golden_range_proof_bytes() {
             "v = {v:x}, r = {r:x}, bits = {bits}"
         );
     }
+}
+
+/// `2^(32t) − 1`, `2^(32t)`, `2^(32t) + 1` and `127·2^(32t)` for
+/// t = 1..7; every 32-bit piece `0xffffffff` (2^256 − 1) and n − 1;
+/// pieces alternating between `0xffffffff` and 1, in both phases; and
+/// ten seeded draws below n: the scalars where a fixed-base recoding
+/// splits.
+fn tooth_boundary_scalars() -> Vec<U256> {
+    let mut ks = Vec::new();
+    for t in 1..8 {
+        let tooth = U256::ONE.shl_bits(32 * t);
+        ks.extend([
+            tooth.wrapping_sub(U256::ONE),
+            tooth,
+            tooth.wrapping_add(U256::ONE),
+            U256::from_u64(127).shl_bits(32 * t),
+        ]);
+    }
+    ks.extend([
+        U256::MAX,
+        n().wrapping_sub(U256::ONE),
+        U256([0x0000_0001_ffff_ffff; 4]),
+        U256([0xffff_ffff_0000_0001; 4]),
+    ]);
+    // splitmix64, seeded.
+    let mut state = 0x7007_4b0d_u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    for _ in 0..10 {
+        ks.push(scalar::reduce(U256([next(), next(), next(), next()])));
+    }
+    ks
+}
+
+/// One keccak over the encodings of `commit(v, k)` with each
+/// tooth-boundary scalar `k` as the blinding (under a fixed 64-bit
+/// `v`) and as both value and blinding, then over one 64-bit range
+/// proof under such a blinding.
+#[test]
+fn golden_commitments_and_range_proof_at_tooth_boundaries() {
+    let b = PedersenBackend;
+    let v = U256::from_u64(0xfedc_ba98_7654_3210);
+    let mut hasher = Keccak256::new();
+    for k in tooth_boundary_scalars() {
+        hasher.update(&b.commit(v, k).to_bytes());
+        hasher.update(&b.commit(k, k).to_bytes());
+    }
+    let r = U256([0x0000_0001_ffff_ffff; 4]);
+    let proof = b.prove_range(v, r, 64).expect("value fits");
+    assert!(b.verify_range(&b.commit(v, r), 64, proof.as_bytes()));
+    hasher.update(proof.as_bytes());
+    assert_eq!(
+        hasher.finalize(),
+        H256::from_hex("75e266a529945c6009ad43f1bdff19d31aaa3e0634dbc6f0abf799bf0d78aa10").unwrap()
+    );
 }
