@@ -21,9 +21,9 @@ pub fn generator_h() -> Point {
     Point::from_affine(h_table().base())
 }
 
-/// `H`'s fixed-base table (64 odd multiples each of `H` and `2^128·H`,
-/// 8 KiB), derived and built once: every `·H` in commitments and range
-/// proofs runs over it.
+/// `H`'s fixed-base table (64 odd multiples of each of the eight teeth
+/// `2^(32t)·H`, 32 KiB), derived and built once: every `·H` in
+/// commitments and range proofs runs over it.
 pub fn h_table() -> &'static BaseTable {
     static H: OnceLock<BaseTable> = OnceLock::new();
     H.get_or_init(|| {

@@ -25,7 +25,7 @@
 use crate::pedersen::{
     decode_point, encode_affine, h_table, scalar_sub, Commitment, PedersenBackend,
 };
-use sc_crypto::keccak::{keccak256, Keccak256};
+use sc_crypto::keccak::Keccak256;
 use sc_crypto::secp256k1::{lincomb, n, scalar, BaseTable, Point};
 use sc_primitives::U256;
 
@@ -69,11 +69,7 @@ impl RangeProof {
 /// branch values. These only need to be unpredictable to outsiders, and
 /// determinism keeps every fixture and golden vector reproducible.
 fn h2s(tag: &[u8], r: U256, i: u64) -> U256 {
-    let mut buf = Vec::with_capacity(tag.len() + 40);
-    buf.extend_from_slice(tag);
-    buf.extend_from_slice(&r.to_be_bytes());
-    buf.extend_from_slice(&i.to_be_bytes());
-    scalar::reduce(keccak256(&buf).to_u256())
+    hash_to_scalar(&[tag, &r.to_be_bytes(), &i.to_be_bytes()])
 }
 
 /// The per-bit Fiat-Shamir challenge, bound to the *full* per-bit
@@ -84,13 +80,22 @@ fn h2s(tag: &[u8], r: U256, i: u64) -> U256 {
 /// a `C_i` of its choosing (e.g. `e_0 = 0`, `A_0 = z_0·H` makes branch
 /// 0 hold for *any* `C_i`), forging per-bit proofs for non-bit values.
 fn challenge(c: &[u8; 64], bits: u32, i: u64, points: &[u8]) -> U256 {
-    let mut buf = Vec::with_capacity(16 + 64 + 4 + 8 + POINT_BYTES);
-    buf.extend_from_slice(b"sc-range-chal-v2");
-    buf.extend_from_slice(c);
-    buf.extend_from_slice(&bits.to_be_bytes());
-    buf.extend_from_slice(&i.to_be_bytes());
-    buf.extend_from_slice(points);
-    scalar::reduce(keccak256(&buf).to_u256())
+    hash_to_scalar(&[
+        b"sc-range-chal-v2",
+        c,
+        &bits.to_be_bytes(),
+        &i.to_be_bytes(),
+        points,
+    ])
+}
+
+/// `keccak(parts[0] ‖ parts[1] ‖ …)` reduced mod n, streamed.
+fn hash_to_scalar(parts: &[&[u8]]) -> U256 {
+    let mut hasher = Keccak256::new();
+    for part in parts {
+        hasher.update(part);
+    }
+    scalar::reduce(hasher.finalize().to_u256())
 }
 
 /// Produces a proof that `commit(value, blinding)` hides a value in

@@ -9,13 +9,14 @@
 //!   `deployVerifiedInstance` verification.
 //!
 //! Signing and key derivation multiply over the generator's fixed-base
-//! table ([`Point::mul_g`]). Recovery computes `Q = (−z·r⁻¹)·G +
-//! (s·r⁻¹)·R` and verification `u₁·G + u₂·Q`, each as one Strauss–Shamir
-//! pass ([`Point::mul_add_g`]) after a single scalar inversion; the pass
-//! splits the variable point's scalar with the curve's endomorphism, so
-//! it runs ≤ 129 doublings like a fixed-base one. That split needs `R`
-//! and `Q` on the curve: `R` comes from [`Affine::lift_x`], and
-//! [`PublicKey::verify`] refuses a key that is not. Like the curve
+//! table ([`Point::mul_g`]), a pass of eight 32-bit pieces and ≤ 33
+//! doublings. Recovery computes `Q = (−z·r⁻¹)·G + (s·r⁻¹)·R` and
+//! verification `u₁·G + u₂·Q`, each as one Strauss–Shamir pass
+//! ([`Point::mul_add_g`]) after a single scalar inversion; the pass
+//! splits the variable point's scalar with the curve's endomorphism and
+//! G's into two 128-bit halves, so it runs ≤ 129 doublings. The λ split
+//! needs `R` and `Q` on the curve: `R` comes from [`Affine::lift_x`],
+//! and [`PublicKey::verify`] refuses a key that is not. Like the curve
 //! arithmetic under it, none of this is constant-time.
 
 use crate::keccak::keccak256;

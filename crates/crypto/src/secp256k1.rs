@@ -14,19 +14,20 @@
 //!   fixed addition chain for `(p + 1)/4`.
 //! * **Scalar multiplication.** Every product — `k·P`, `k·G`,
 //!   `a·G + b·P`, a Pedersen `v·G + r·H` — is one call of [`lincomb`], a
-//!   Strauss–Shamir pass: each scalar is recoded in width-w NAF as one
-//!   or two halves below 2^128, then a single run of ≤ 129 doublings
-//!   adds each nonzero digit's table point to one accumulator. A fixed
-//!   base ([`BaseTable`]: G through [`Point::mul_g`], `sc-confidential`'s
-//!   H) gets w = 8 over 64 affine odd multiples of `B` and 64 of
-//!   `2^128·B` (8 KiB) built once, added with the cheaper mixed
-//!   Jacobian + affine formula, and its scalar splits as
-//!   `lo + hi·2^128`. A variable point gets w = 5 over a Jacobian table
-//!   of its 8 odd multiples, built per call; a scalar of 129 bits or
-//!   more splits with the curve's endomorphism as `k1 + k2·λ`, the
-//!   second half over the same table with every `X` times β. So ECDSA
-//!   recovery and verification ([`Point::mul_add_g`]) are half length
-//!   too.
+//!   Strauss–Shamir pass: each scalar is recoded in width-w NAF as
+//!   pieces, then a single run of doublings adds each nonzero digit's
+//!   table point to one accumulator. A fixed base ([`BaseTable`]: G
+//!   through [`Point::mul_g`], `sc-confidential`'s H) gets w = 8 over 64
+//!   affine odd multiples of each of eight teeth `2^(32t)·B` (32 KiB)
+//!   built once, added with the cheaper mixed Jacobian + affine formula.
+//!   With no variable point its scalar is cut into eight 32-bit pieces,
+//!   one per tooth, and the pass runs ≤ 33 doublings; beside one it is
+//!   cut as `lo + hi·2^128` over teeth 0 and 4. A variable point gets
+//!   w = 5 over a Jacobian table of its 8 odd multiples, built per
+//!   call; a scalar of 129 bits or more splits with the curve's
+//!   endomorphism as `k1 + k2·λ`, the second half over the same table
+//!   with every `X` times β. So ECDSA recovery and verification
+//!   ([`Point::mul_add_g`]) run ≤ 129 doublings, not 257.
 //!
 //! The implementation favours clarity and determinism over constant-time
 //! hardening — wNAF recoding, table lookups and both inversions branch on
@@ -505,18 +506,23 @@ impl Affine {
 /// wNAF width for a fixed base: digits up to ±127, one table entry per
 /// odd magnitude.
 const FIXED_WINDOW: u32 = 8;
-/// Entries of each half of a fixed-base table: the odd multiples
+/// Entries of each tooth of a fixed-base table: the odd multiples
 /// `1·B … 127·B`.
 const FIXED_TABLE_LEN: usize = 1 << (FIXED_WINDOW - 2);
+/// Bits between a fixed-base table's teeth: tooth `t` is `2^(32t)·B`.
+const TOOTH_BITS: u32 = 32;
+/// Teeth of a fixed-base table, one per 32-bit piece of a scalar.
+const TEETH: usize = 256 / TOOTH_BITS as usize;
 /// wNAF width for a variable point: its table is rebuilt on every call,
 /// so it stays small (8 entries, digits up to ±15).
 const VAR_WINDOW: u32 = 5;
 /// Entries of a variable point's table: `1·P … 15·P`.
 const VAR_TABLE_LEN: usize = 1 << (VAR_WINDOW - 2);
-/// Every scalar is recoded in halves below `2^128`: a fixed-base one
-/// as `lo + hi·2^128`, a variable one as `k1 + k2·λ`.
+/// Beside a variable point every scalar is recoded in halves below
+/// `2^128`: a fixed-base one as `lo + hi·2^128`, a variable one as
+/// `k1 + k2·λ`.
 const HALF_BITS: u32 = 128;
-/// Digits of a 128-bit half's wNAF: one past the top bit for the final
+/// Digits of a recoded piece: room for a 128-bit half and its final
 /// carry.
 const HALF_NAF_LEN: usize = HALF_BITS as usize + 1;
 
@@ -560,43 +566,45 @@ const MINUS_B2: U256 = U256([
     0xffff_ffff_ffff_ffff,
 ]);
 
-/// The odd multiples `B, 3B, …, 127B` of a fixed base `B` and
-/// `B', 3B', …, 127B'` of `B' = 2^128·B`, in affine form (2 × 64
-/// points, 8 KiB). Built once per base, it lets [`lincomb`] recode that
-/// base's scalar as two 128-bit halves at width 8: ~28 mixed additions
-/// per 256-bit scalar, against ~43 full ones at the variable width of
-/// 5, and a pass over fixed bases alone needs only ≤ 129 doublings.
+/// The odd multiples `1·B_t, 3·B_t, …, 127·B_t` of the eight teeth
+/// `B_t = 2^(32t)·B` of a fixed base `B`, in affine form (8 × 64
+/// points, 32 KiB). Built once per base, it lets [`lincomb`] recode
+/// that base's scalar at width 8: ~28–32 mixed additions per 256-bit
+/// scalar, against ~43 full ones at the variable width of 5. A pass
+/// over fixed bases alone cuts the scalar into eight 32-bit pieces, one
+/// per tooth, and runs ≤ 33 doublings; beside a variable point it cuts
+/// two 128-bit halves over teeth 0 and 4.
 pub struct BaseTable {
-    odd: [Affine; FIXED_TABLE_LEN],
-    odd_hi: [Affine; FIXED_TABLE_LEN],
+    teeth: [[Affine; FIXED_TABLE_LEN]; TEETH],
 }
 
 impl BaseTable {
     /// Tabulates `base`, which must be a curve point (a validated
     /// encoding or [`Affine::lift_x`]'s output): the group has prime
-    /// order, so no odd multiple below 128 of it or of `2^128·base` is
-    /// infinity.
+    /// order, so no odd multiple below 128 of any tooth `2^(32t)·base`
+    /// is infinity.
     pub fn new(base: Affine) -> BaseTable {
-        let b = Point::from_affine(base);
-        let b_hi = (0..HALF_BITS).fold(b, |acc, _| acc.double());
-        let mut points = Vec::with_capacity(2 * FIXED_TABLE_LEN);
-        for start in [b, b_hi] {
-            let twice = start.double();
-            let mut acc = start;
+        let mut tooth = Point::from_affine(base);
+        let mut points = Vec::with_capacity(TEETH * FIXED_TABLE_LEN);
+        for _ in 0..TEETH {
+            let twice = tooth.double();
+            let mut acc = tooth;
             for _ in 0..FIXED_TABLE_LEN {
                 points.push(acc);
                 acc = acc.add(&twice);
             }
+            tooth = (1..TOOTH_BITS).fold(twice, |acc, _| acc.double());
         }
         let affine: Vec<Affine> = Point::batch_to_affine(&points)
             .into_iter()
             .map(|a| a.expect("odd multiples of a curve point below the prime order are finite"))
             .collect();
         BaseTable {
-            odd: affine[..FIXED_TABLE_LEN].try_into().expect("one half"),
-            odd_hi: affine[FIXED_TABLE_LEN..]
-                .try_into()
-                .expect("the other half"),
+            teeth: std::array::from_fn(|t| {
+                affine[t * FIXED_TABLE_LEN..][..FIXED_TABLE_LEN]
+                    .try_into()
+                    .expect("one tooth")
+            }),
         }
     }
 
@@ -608,7 +616,7 @@ impl BaseTable {
 
     /// The tabulated base `B`.
     pub fn base(&self) -> Affine {
-        self.odd[0]
+        self.teeth[0][0]
     }
 
     /// `k·B`.
@@ -632,10 +640,13 @@ fn lookup(odd: &[Affine; FIXED_TABLE_LEN], d: i8) -> Affine {
 
 /// `Σ kᵢ·Bᵢ + Σ kⱼ·Pⱼ` over fixed-base tables `Bᵢ` and variable points
 /// `Pⱼ`, in one Strauss–Shamir pass: every scalar is recoded in wNAF
-/// (width 8 for a table, 5 for a point) as halves below 2^128, and one
-/// run of ≤ 129 doublings from the highest nonzero digit down adds each
-/// half's digit from its table. A fixed scalar splits as
-/// `lo + hi·2^128`, the high half over the table of `2^128·B`. A
+/// (width 8 for a table, 5 for a point) as pieces, and one run of
+/// doublings from the highest nonzero digit down adds each piece's
+/// digit from its table. With no variable point, a fixed scalar is cut
+/// into eight 32-bit pieces, piece `t` over tooth `2^(32t)·B`, so the
+/// pass runs ≤ 33 doublings. Beside a variable point it is cut as
+/// `lo + hi·2^128` over teeth 0 and 4: the variable halves need ≤ 129
+/// doublings anyway, and two pieces carry fewer digits than eight. A
 /// variable scalar is reduced mod n; below 2^128 it is recoded as it
 /// is, and otherwise it splits as `k1 + k2·λ` (`split_lambda`), the
 /// second half over `λ·Pⱼ`'s table. Scalars are any 256-bit values, not
@@ -647,14 +658,20 @@ fn lookup(odd: &[Affine; FIXED_TABLE_LEN], d: i8) -> Affine {
 /// Every product source is one already — [`Affine::lift_x`],
 /// `sc-confidential`'s `decode_point`, and every multiple of G.
 pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
-    let fixed_nafs: Vec<[[i8; HALF_NAF_LEN]; 2]> = fixed
-        .iter()
-        .map(|&(_, k)| {
-            let lo = U256([k.0[0], k.0[1], 0, 0]);
-            let hi = U256([k.0[2], k.0[3], 0, 0]);
-            [wnaf(lo, FIXED_WINDOW), wnaf(hi, FIXED_WINDOW)]
-        })
-        .collect();
+    let piece_bits = if var.is_empty() {
+        TOOTH_BITS
+    } else {
+        HALF_BITS
+    };
+    let mut fixed_terms: Vec<(&[Affine; FIXED_TABLE_LEN], [i8; HALF_NAF_LEN])> =
+        Vec::with_capacity(fixed.len() * TEETH);
+    for &(table, k) in fixed {
+        for at in (0..256).step_by(piece_bits as usize) {
+            let piece = k.shl_bits(256 - at - piece_bits).shr_bits(256 - piece_bits);
+            let tooth = &table.teeth[(at / TOOTH_BITS) as usize];
+            fixed_terms.push((tooth, wnaf(piece, FIXED_WINDOW, piece_bits)));
+        }
+    }
     let mut var_terms: Vec<([Point; VAR_TABLE_LEN], [i8; HALF_NAF_LEN])> =
         Vec::with_capacity(2 * var.len());
     for &(p, k) in var {
@@ -664,7 +681,7 @@ pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
         // A scalar that is already half width is recoded as it is:
         // splitting it would double its additions.
         if k.bits() <= HALF_BITS {
-            var_terms.push((table, wnaf(k, VAR_WINDOW)));
+            var_terms.push((table, wnaf(k, VAR_WINDOW, HALF_BITS)));
             continue;
         }
         let [k1, k2] = split_lambda(k);
@@ -675,10 +692,10 @@ pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
         var_terms.push((table, signed_wnaf(k1)));
         var_terms.push((lambda_table, signed_wnaf(k2)));
     }
-    let top = fixed_nafs
+    let top = fixed_terms
         .iter()
-        .flat_map(|halves| halves.iter().map(|naf| naf.as_slice()))
-        .chain(var_terms.iter().map(|(_, naf)| naf.as_slice()))
+        .map(|(_, naf)| naf)
+        .chain(var_terms.iter().map(|(_, naf)| naf))
         .filter_map(|naf| naf.iter().rposition(|&d| d != 0))
         .max();
     let Some(top) = top else {
@@ -687,12 +704,9 @@ pub fn lincomb(fixed: &[(&BaseTable, U256)], var: &[(Point, U256)]) -> Point {
     let mut acc = Point::INFINITY;
     for i in (0..=top).rev() {
         acc = acc.double();
-        for (&(table, _), [lo, hi]) in fixed.iter().zip(&fixed_nafs) {
-            if lo[i] != 0 {
-                acc = acc.add_affine(&lookup(&table.odd, lo[i]));
-            }
-            if hi[i] != 0 {
-                acc = acc.add_affine(&lookup(&table.odd_hi, hi[i]));
+        for (tooth, naf) in &fixed_terms {
+            if naf[i] != 0 {
+                acc = acc.add_affine(&lookup(tooth, naf[i]));
             }
         }
         for (table, naf) in &var_terms {
@@ -735,9 +749,9 @@ fn mul_shift_384(k: U256, g: U256) -> U256 {
 fn signed_wnaf(r: U256) -> [i8; HALF_NAF_LEN] {
     let neg = scalar::neg(r);
     if neg < r {
-        wnaf(neg, VAR_WINDOW).map(|d| -d)
+        wnaf(neg, VAR_WINDOW, HALF_BITS).map(|d| -d)
     } else {
-        wnaf(r, VAR_WINDOW)
+        wnaf(r, VAR_WINDOW, HALF_BITS)
     }
 }
 
@@ -763,15 +777,14 @@ fn odd_multiples(p: Point) -> [Point; VAR_TABLE_LEN] {
     out
 }
 
-/// Width-`w` NAF of `k < 2^(L−1)`, least significant digit first: every
-/// nonzero digit is odd, below `2^(w−1)` in magnitude, and followed by
-/// at least `w − 1` zeros, and `Σ dᵢ·2ⁱ = k`. (libsecp256k1's
-/// recoding, with the final carry kept as digit `L − 1` instead of
-/// negating the scalar.)
-fn wnaf<const L: usize>(k: U256, w: u32) -> [i8; L] {
-    let bits = L as u32 - 1;
+/// Width-`w` NAF of `k < 2^bits` (`bits ≤ 128`), least significant
+/// digit first: every nonzero digit is odd, below `2^(w−1)` in
+/// magnitude, and followed by at least `w − 1` zeros, and
+/// `Σ dᵢ·2ⁱ = k`. (libsecp256k1's recoding, with the final carry kept
+/// as digit `bits` instead of negating the scalar.)
+fn wnaf(k: U256, w: u32, bits: u32) -> [i8; HALF_NAF_LEN] {
     debug_assert!(k.bits() <= bits, "{k:x} has more than {bits} bits");
-    let mut naf = [0i8; L];
+    let mut naf = [0i8; HALF_NAF_LEN];
     let mut carry = 0u64;
     let mut bit = 0u32;
     while bit < bits {
@@ -923,12 +936,20 @@ mod tests {
                 1 << 63,
             ]),
         ];
-        // Every recoding is of a half below 2^128: digits 0..=128, the
-        // final carry at 128.
+        // Every recoding is of a half below 2^128 (digits 0..=128, the
+        // final carry at 128) or of a 32-bit piece (digits 0..=32, the
+        // final carry at 32).
+        let halves = |k: U256| [U256([k.0[0], k.0[1], 0, 0]), U256([k.0[2], k.0[3], 0, 0])];
+        let pieces = |k: U256| (0..8).map(move |t| U256::from_u64(window(k, 32 * t, 32)));
         for k in ks {
-            for half in [U256([k.0[0], k.0[1], 0, 0]), U256([k.0[2], k.0[3], 0, 0])] {
+            let recodings = halves(k)
+                .map(|half| (half, HALF_BITS))
+                .into_iter()
+                .chain(pieces(k).map(|piece| (piece, TOOTH_BITS)));
+            for (piece, bits) in recodings {
                 for w in [VAR_WINDOW, FIXED_WINDOW] {
-                    let naf: [i8; HALF_NAF_LEN] = wnaf(half, w);
+                    let naf = wnaf(piece, w, bits);
+                    assert!(naf[bits as usize + 1..].iter().all(|&d| d == 0));
                     // Σ dᵢ·2ⁱ, split into a positive and a negative part.
                     let (mut pos, mut neg) = (U256::ZERO, U256::ZERO);
                     let mut last: Option<usize> = None;
@@ -945,7 +966,7 @@ mod tests {
                             neg = neg.wrapping_add(term);
                         }
                     }
-                    assert_eq!(pos.wrapping_sub(neg), half, "w = {w}, half of {k:x}");
+                    assert_eq!(pos.wrapping_sub(neg), piece, "w = {w}, piece of {k:x}");
                 }
             }
         }
@@ -1097,12 +1118,16 @@ mod tests {
     #[test]
     fn fixed_base_tables_hold_the_odd_multiples() {
         let t = BaseTable::generator();
-        assert_eq!(std::mem::size_of::<BaseTable>(), 2 * 64 * 64, "8 KiB");
-        for (i, (a, a_hi)) in t.odd.iter().zip(&t.odd_hi).enumerate() {
-            let k = U256::from_u64(2 * i as u64 + 1);
-            assert_eq!(Some(*a), Point::generator().mul_scalar(k).to_affine());
-            let k_hi = k.shl_bits(HALF_BITS);
-            assert_eq!(Some(*a_hi), Point::generator().mul_scalar(k_hi).to_affine());
+        assert_eq!(std::mem::size_of::<BaseTable>(), 8 * 64 * 64, "32 KiB");
+        for (tooth, odd) in t.teeth.iter().enumerate() {
+            for (i, a) in odd.iter().enumerate() {
+                let k = U256::from_u64(2 * i as u64 + 1).shl_bits(TOOTH_BITS * tooth as u32);
+                assert_eq!(
+                    Some(*a),
+                    Point::generator().mul_scalar(k).to_affine(),
+                    "{k:x}"
+                );
+            }
         }
     }
 

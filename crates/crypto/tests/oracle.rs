@@ -298,9 +298,13 @@ fn field_edges() -> Vec<U256> {
 }
 
 /// Scalars every multiplication property is checked at: 0, 1, 2,
-/// n − 1, n, n + 1 and 2^256 − 1 (the engine takes any 256-bit scalar).
+/// n − 1, n, n + 1 and 2^256 − 1 (the engine takes any 256-bit scalar),
+/// and the edges of a fixed-only pass's 32-bit pieces: `2^(32t) − 1`,
+/// `2^(32t)`, `2^(32t) + 1` and `127·2^(32t)` for t = 1..7, and pieces
+/// alternating between `0xffffffff` and 1 (every piece `0xffffffff` is
+/// 2^256 − 1).
 fn scalar_edges() -> Vec<U256> {
-    vec![
+    let mut edges = vec![
         U256::ZERO,
         U256::ONE,
         U256::from_u64(2),
@@ -310,7 +314,19 @@ fn scalar_edges() -> Vec<U256> {
         n(),
         n().wrapping_add(U256::ONE),
         U256::MAX,
-    ]
+        U256([0x0000_0001_ffff_ffff; 4]),
+        U256([0xffff_ffff_0000_0001; 4]),
+    ];
+    for t in 1..8 {
+        let tooth = U256::ONE.shl_bits(32 * t);
+        edges.extend([
+            tooth.wrapping_sub(U256::ONE),
+            tooth,
+            tooth.wrapping_add(U256::ONE),
+            U256::from_u64(127).shl_bits(32 * t),
+        ]);
+    }
+    edges
 }
 
 /// Products whose first fold leaves a fifth word `c` with the low 256
@@ -360,9 +376,9 @@ fn check_inverses(rng: &mut Rng) {
     assert_eq!(scalar::inv(k), reference::inv(k, n()));
 }
 
-/// Scalars at the split of a fixed-base pass, which recodes `k` as
-/// `lo + hi·2^128` over two tables: each half alone, the last value
-/// below the split and the first at it, and n − 1.
+/// Scalars at the split of a fixed-base scalar beside a variable point,
+/// recoded as `lo + hi·2^128` over teeth 0 and 4: each half alone, the
+/// last value below the split and the first at it, and n − 1.
 fn split_edges(rng: &mut Rng) -> Vec<U256> {
     let split = U256::ONE.shl_bits(128);
     vec![
@@ -454,36 +470,60 @@ fn check_scalar_mul(rng: &mut Rng) {
     scalars.push(rng.below(n()));
     scalars.push(rng.u256());
     let b = rng.below(n());
+    let (gb, pb) = (Pt::generator().mul(b), ref_p.mul(b));
+    let g = BaseTable::generator();
     for &a in &scalars {
+        let (ga, pa) = (Pt::generator().mul(a), ref_p.mul(a));
         // Commit-shaped: two fixed bases, no variable point, so both
-        // scalars run as halves over ≤ 129 doublings.
-        let expected = Pt::generator().mul(a).add(ref_p.mul(b)).to_affine();
+        // scalars run as eight 32-bit pieces over ≤ 33 doublings.
         assert_eq!(
-            affine_of(&lincomb(&[(BaseTable::generator(), a), (&p_table, b)], &[])),
-            expected,
+            affine_of(&lincomb(&[(g, a), (&p_table, b)], &[])),
+            ga.add(pb).to_affine(),
             "a·G + b·P over two tables, a = {a:x}"
         );
-        let expected = Pt::generator().mul(b).add(ref_p.mul(a)).to_affine();
         assert_eq!(
-            affine_of(&lincomb(&[(BaseTable::generator(), b), (&p_table, a)], &[])),
-            expected,
+            affine_of(&lincomb(&[(g, b), (&p_table, a)], &[])),
+            gb.add(pa).to_affine(),
             "b·G + a·P over two tables, a = {a:x}"
         );
         assert_eq!(
             affine_of(&pt.mul_scalar(a)),
-            ref_p.mul(a).to_affine(),
+            pa.to_affine(),
             "k·P, k = {a:x}"
         );
         assert_eq!(
             affine_of(&Point::mul_g(a)),
-            Pt::generator().mul(a).to_affine(),
+            ga.to_affine(),
             "k·G, k = {a:x}"
         );
-        let expected = Pt::generator().mul(a).add(ref_p.mul(b)).to_affine();
         assert_eq!(
             affine_of(&Point::mul_add_g(a, b, &pt)),
-            expected,
+            ga.add(pb).to_affine(),
             "a·G + b·P, a = {a:x}"
+        );
+        // An infinite variable term adds nothing, but it turns the pass
+        // mixed: `a` is recoded as two halves instead of eight pieces.
+        assert_eq!(
+            affine_of(&lincomb(&[(g, a)], &[(Point::INFINITY, rng.u256())])),
+            affine_of(&lincomb(&[(g, a)], &[])),
+            "halves against pieces, a = {a:x}"
+        );
+    }
+    // Two tables of G in a fixed-only pass. `c = 2^(32(t+1)) − 2^(32t)`
+    // is piece t = 0xffffffff, recoded as −1 at bit 0 and a carry digit
+    // 1 at bit 32 over tooth t; 32 doublings later, in the last
+    // iteration, that carry has grown to `2^32·2^(32t)·G`, exactly the
+    // point the first digit of `d = 2^(32(t+1))` adds over tooth t + 1,
+    // so the mixed addition meets its own operand and must double.
+    let g2 = BaseTable::new(Point::generator().to_affine().expect("finite"));
+    for t in 0..7 {
+        let d = U256::ONE.shl_bits(32 * (t + 1));
+        let c = d.wrapping_sub(U256::ONE.shl_bits(32 * t));
+        assert_eq!(
+            affine_of(&lincomb(&[(&g2, d), (g, c)], &[])),
+            Pt::generator().mul(c.wrapping_add(d)).to_affine(),
+            "carry out of tooth {t} meets tooth {}",
+            t + 1
         );
     }
     // a = n − b: the two halves cancel, the pass must end at infinity.
