@@ -14,11 +14,15 @@
 //! block back is "apply the top layer" — the whole-account snapshot
 //! machinery the previous engine stacked next to its storage maps is
 //! gone.
+//!
+//! The maps hash with `FoldState`, a folded multiply keyed once per
+//! process, instead of std's SipHash: every SLOAD is a probe here.
 
 use sc_crypto::keccak256;
 use sc_primitives::{Address, H256, U256};
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasher, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// `keccak256("")` — the code hash of every codeless account.
@@ -102,8 +106,8 @@ impl DiffLayer {
 /// kept. [`StateOverlay::take_layer`] drains it into a [`DiffLayer`].
 #[derive(Default)]
 struct OpenLayer {
-    accounts: HashMap<Address, Option<Account>>,
-    storage: HashMap<(Address, U256), U256>,
+    accounts: HashMap<Address, Option<Account>, FoldState>,
+    storage: HashMap<(Address, U256), U256, FoldState>,
 }
 
 /// The flat state overlay: account metadata plus a single
@@ -115,9 +119,9 @@ struct OpenLayer {
 /// export) are deterministic without ever sorting the hot map.
 #[derive(Default)]
 pub struct StateOverlay {
-    accounts: HashMap<Address, Account>,
-    storage: HashMap<(Address, U256), U256>,
-    slots: HashMap<Address, BTreeSet<U256>>,
+    accounts: HashMap<Address, Account, FoldState>,
+    storage: HashMap<(Address, U256), U256, FoldState>,
+    slots: HashMap<Address, BTreeSet<U256>, FoldState>,
     recording: bool,
     open: OpenLayer,
 }
@@ -277,6 +281,92 @@ impl StateOverlay {
     /// Number of live storage words across all accounts (diagnostics).
     pub fn storage_len(&self) -> usize {
         self.storage.len()
+    }
+}
+
+/// The overlay maps' hasher state: one secret key per process, drawn
+/// from std's `RandomState`, so which slot keys collide cannot be worked
+/// out ahead of a run and iteration order still differs between
+/// processes, as it does under SipHash. It has no setter.
+#[derive(Clone, Copy)]
+struct FoldState {
+    key: u64,
+}
+
+impl Default for FoldState {
+    fn default() -> Self {
+        static KEY: OnceLock<u64> = OnceLock::new();
+        FoldState {
+            key: *KEY.get_or_init(|| RandomState::new().hash_one(0u64)),
+        }
+    }
+}
+
+impl BuildHasher for FoldState {
+    type Hasher = FoldHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            acc: self.key,
+            key: self.key,
+        }
+    }
+}
+
+/// Folds 16 key bytes per 64×64→128-bit multiply, the product's two
+/// halves xored: an `(Address, U256)` key is six multiplies, against
+/// SipHash-1-3's rounds over 52 bytes.
+struct FoldHasher {
+    acc: u64,
+    key: u64,
+}
+
+/// π's first fraction bits: the multiplier for lone words (length
+/// prefixes), which have no partner word.
+const LONE: u64 = 0x243f_6a88_85a3_08d3;
+
+#[inline]
+fn folded_multiply(x: u64, y: u64) -> u64 {
+    let product = u128::from(x) * u128::from(y);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+impl FoldHasher {
+    #[inline]
+    fn fold(&mut self, chunk: [u8; 16]) {
+        let v = u128::from_le_bytes(chunk);
+        self.acc = folded_multiply(self.acc ^ v as u64, self.key ^ (v >> 64) as u64);
+    }
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let (chunks, rest) = bytes.as_chunks::<16>();
+        for chunk in chunks {
+            self.fold(*chunk);
+        }
+        if !rest.is_empty() {
+            let mut buf = [0u8; 16];
+            buf[..rest.len()].copy_from_slice(rest);
+            self.fold(buf);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.acc = folded_multiply(self.acc ^ x, self.key ^ LONE);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.acc
     }
 }
 

@@ -8,6 +8,7 @@
 use crate::analysis::{AnalysisCache, CodeAnalysis};
 use crate::gas::{self, g};
 use crate::host::{Env, Host, LogEntry};
+use crate::inspect::{Inspector, NoInspector};
 use crate::memory::Memory;
 use crate::opcode::Op;
 use crate::precompile;
@@ -63,7 +64,7 @@ impl fmt::Display for VmError {
 impl std::error::Error for VmError {}
 
 /// Outcome of a message call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CallOutcome {
     /// True iff execution completed without revert or error.
     pub success: bool,
@@ -149,14 +150,17 @@ pub fn contract_address(sender: Address, nonce: u64) -> Address {
     Address::from_h256(keccak256(&enc))
 }
 
-/// The EVM executor, generic over the state backend.
-pub struct Evm<'a, H: Host> {
+/// The EVM executor, generic over the state backend and the inspector
+/// its loop calls: one source loop, compiled once for [`NoInspector`]
+/// (every node's execution, no per-step hook) and once for a borrowed
+/// `dyn` [`Inspector`] (profiling and tracing).
+pub struct Evm<'a, H: Host, I: Inspector = NoInspector> {
     /// State backend.
     pub host: &'a mut H,
     /// Block/tx environment.
     pub env: Env,
     depth: usize,
-    inspector: Option<&'a mut dyn crate::inspect::Inspector>,
+    inspector: I,
     cache: Rc<AnalysisCache>,
 }
 
@@ -165,6 +169,18 @@ enum FrameResult {
     Returned(Vec<u8>),
     Reverted(Vec<u8>),
     Failed(VmError),
+}
+
+/// A pop or peek below the bottom of the stack. Zero-sized, so a stack
+/// read returns its word without an error payload beside it; `try_vm!`
+/// and `?` turn it into [`VmError::StackUnderflow`].
+struct Underflow;
+
+impl From<Underflow> for VmError {
+    #[inline]
+    fn from(_: Underflow) -> VmError {
+        VmError::StackUnderflow
+    }
 }
 
 /// A frame's mutable state. Its code and jumpdest map are borrowed by
@@ -183,7 +199,7 @@ struct Frame {
 }
 
 impl Frame {
-    fn new(params: &CallParams) -> Frame {
+    fn new(params: CallParams) -> Frame {
         Frame {
             pc: 0,
             stack: Vec::with_capacity(64),
@@ -192,7 +208,7 @@ impl Frame {
             address: params.address,
             caller: params.caller,
             value: params.apparent_value,
-            data: params.data.clone(),
+            data: params.data,
             is_static: params.is_static,
             return_data: Vec::new(),
         }
@@ -209,8 +225,8 @@ impl Frame {
     }
 
     #[inline]
-    fn pop(&mut self) -> Result<U256, VmError> {
-        self.stack.pop().ok_or(VmError::StackUnderflow)
+    fn pop(&mut self) -> Result<U256, Underflow> {
+        self.stack.pop().ok_or(Underflow)
     }
 
     #[inline]
@@ -223,10 +239,10 @@ impl Frame {
     }
 
     #[inline]
-    fn peek(&self, depth_from_top: usize) -> Result<U256, VmError> {
+    fn peek(&self, depth_from_top: usize) -> Result<U256, Underflow> {
         let len = self.stack.len();
         if depth_from_top >= len {
-            return Err(VmError::StackUnderflow);
+            return Err(Underflow);
         }
         Ok(self.stack[len - 1 - depth_from_top])
     }
@@ -260,27 +276,27 @@ impl<'a, H: Host> Evm<'a, H> {
             host,
             env,
             depth: 0,
-            inspector: None,
+            inspector: NoInspector,
             cache: Rc::new(AnalysisCache::new()),
         }
     }
+}
 
-    /// Creates an executor with an [`crate::inspect::Inspector`] attached
-    /// (step tracing / gas profiling).
-    pub fn with_inspector(
-        host: &'a mut H,
-        env: Env,
-        inspector: &'a mut dyn crate::inspect::Inspector,
-    ) -> Self {
+impl<'a, H: Host> Evm<'a, H, &'a mut dyn Inspector> {
+    /// Creates an executor with an [`Inspector`] attached (step tracing /
+    /// gas profiling).
+    pub fn with_inspector(host: &'a mut H, env: Env, inspector: &'a mut dyn Inspector) -> Self {
         Evm {
             host,
             env,
             depth: 0,
-            inspector: Some(inspector),
+            inspector,
             cache: Rc::new(AnalysisCache::new()),
         }
     }
+}
 
+impl<'a, H: Host, I: Inspector> Evm<'a, H, I> {
     /// Replaces the (per-executor, private) analysis cache with a shared
     /// one, so jumpdest bitmaps persist across transactions and blocks.
     /// Chainable: `Evm::new(..).with_analysis_cache(cache)`.
@@ -350,7 +366,7 @@ impl<'a, H: Host> Evm<'a, H> {
         let analysis = self
             .cache
             .get_or_analyze(self.host.code_hash(params.code_address), &code);
-        let mut frame = Box::new(Frame::new(&params));
+        let mut frame = Box::new(Frame::new(params));
         self.depth += 1;
         let result = self.run(&mut frame, &code, &analysis);
         self.depth -= 1;
@@ -455,7 +471,7 @@ impl<'a, H: Host> Evm<'a, H> {
         // so repeated deployments of the same initcode (dispute-path
         // re-deployments in particular) still share one analysis.
         let analysis = self.cache.get_or_analyze(keccak256(&init_code), &init_code);
-        let mut frame = Box::new(Frame::new(&params));
+        let mut frame = Box::new(Frame::new(params));
         self.depth += 1;
         let result = self.run(&mut frame, &init_code, &analysis);
         self.depth -= 1;
@@ -523,9 +539,7 @@ impl<'a, H: Host> Evm<'a, H> {
 
     fn run(&mut self, f: &mut Frame, code: &[u8], analysis: &CodeAnalysis) -> FrameResult {
         let result = self.run_inner(f, code, analysis);
-        if let Some(ins) = self.inspector.as_mut() {
-            ins.exit_frame(self.depth, f.gas);
-        }
+        self.inspector.exit_frame(self.depth, f.gas);
         result
     }
 
@@ -535,7 +549,7 @@ impl<'a, H: Host> Evm<'a, H> {
             ($e:expr) => {
                 match $e {
                     Ok(v) => v,
-                    Err(err) => return FrameResult::Failed(err),
+                    Err(err) => return FrameResult::Failed(err.into()),
                 }
             };
         }
@@ -548,9 +562,7 @@ impl<'a, H: Host> Evm<'a, H> {
             let Some(op) = Op::from_byte(byte) else {
                 return FrameResult::Failed(VmError::InvalidOpcode(byte));
             };
-            if let Some(ins) = self.inspector.as_mut() {
-                ins.step(self.depth, f.pc, byte, f.gas);
-            }
+            self.inspector.step(self.depth, f.pc, byte, f.gas);
             f.pc += 1;
 
             match op {
@@ -830,9 +842,15 @@ impl<'a, H: Host> Evm<'a, H> {
                 }
 
                 // ---- push/dup/swap ----
-                _ if op.push_bytes() > 0 => {
+                #[rustfmt::skip]
+                Op::Push1 | Op::Push2 | Op::Push3 | Op::Push4 | Op::Push5 | Op::Push6
+                | Op::Push7 | Op::Push8 | Op::Push9 | Op::Push10 | Op::Push11 | Op::Push12
+                | Op::Push13 | Op::Push14 | Op::Push15 | Op::Push16 | Op::Push17 | Op::Push18
+                | Op::Push19 | Op::Push20 | Op::Push21 | Op::Push22 | Op::Push23 | Op::Push24
+                | Op::Push25 | Op::Push26 | Op::Push27 | Op::Push28 | Op::Push29 | Op::Push30
+                | Op::Push31 | Op::Push32 => {
                     try_vm!(f.use_gas(g::VERYLOW));
-                    let n = op.push_bytes();
+                    let n = (byte - 0x5f) as usize;
                     let v = match code.get(f.pc..f.pc + n) {
                         // PUSH1–PUSH8: the immediate fits one limb.
                         Some(imm) if n <= 8 => {
@@ -850,13 +868,19 @@ impl<'a, H: Host> Evm<'a, H> {
                     f.pc += n;
                     try_vm!(f.push(v));
                 }
-                _ if (0x80..=0x8f).contains(&byte) => {
+                #[rustfmt::skip]
+                Op::Dup1 | Op::Dup2 | Op::Dup3 | Op::Dup4 | Op::Dup5 | Op::Dup6 | Op::Dup7
+                | Op::Dup8 | Op::Dup9 | Op::Dup10 | Op::Dup11 | Op::Dup12 | Op::Dup13
+                | Op::Dup14 | Op::Dup15 | Op::Dup16 => {
                     try_vm!(f.use_gas(g::VERYLOW));
                     let depth = (byte - 0x80) as usize;
                     let v = try_vm!(f.peek(depth));
                     try_vm!(f.push(v));
                 }
-                _ if (0x90..=0x9f).contains(&byte) => {
+                #[rustfmt::skip]
+                Op::Swap1 | Op::Swap2 | Op::Swap3 | Op::Swap4 | Op::Swap5 | Op::Swap6
+                | Op::Swap7 | Op::Swap8 | Op::Swap9 | Op::Swap10 | Op::Swap11 | Op::Swap12
+                | Op::Swap13 | Op::Swap14 | Op::Swap15 | Op::Swap16 => {
                     try_vm!(f.use_gas(g::VERYLOW));
                     let depth = (byte - 0x90 + 1) as usize;
                     let len = f.stack.len();
@@ -952,11 +976,6 @@ impl<'a, H: Host> Evm<'a, H> {
                     self.host.add_refund(24_000);
                     return FrameResult::Stopped;
                 }
-
-                // All enum variants are covered above; this arm is
-                // unreachable but satisfies the match checker for the
-                // push/dup/swap guard patterns.
-                _ => return FrameResult::Failed(VmError::InvalidOpcode(byte)),
             }
         }
     }

@@ -15,13 +15,34 @@ pub trait Inspector {
     /// `depth` is the call depth (1 = the outermost frame), `pc` the
     /// instruction offset, `gas_before` the frame's remaining gas before
     /// the instruction is charged.
+    #[inline]
     fn step(&mut self, depth: usize, pc: usize, op: u8, gas_before: u64) {
         let _ = (depth, pc, op, gas_before);
     }
 
     /// Called when a frame finishes, with its remaining gas.
+    #[inline]
     fn exit_frame(&mut self, depth: usize, gas_left: u64) {
         let _ = (depth, gas_left);
+    }
+}
+
+/// The inspector of [`crate::Evm::new`]: zero-sized, its hooks empty, so
+/// the loop compiled for it carries no per-step hook at all.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoInspector;
+
+impl Inspector for NoInspector {}
+
+impl<T: Inspector + ?Sized> Inspector for &mut T {
+    #[inline]
+    fn step(&mut self, depth: usize, pc: usize, op: u8, gas_before: u64) {
+        (**self).step(depth, pc, op, gas_before);
+    }
+
+    #[inline]
+    fn exit_frame(&mut self, depth: usize, gas_left: u64) {
+        (**self).exit_frame(depth, gas_left);
     }
 }
 

@@ -31,5 +31,5 @@ pub use analysis::{AnalysisCache, CacheStats, CodeAnalysis, DEFAULT_ANALYSIS_CAP
 pub use asm::{disassemble, wrap_initcode, Asm};
 pub use exec::{contract_address, CallOutcome, CallParams, CreateOutcome, Evm, VmError};
 pub use host::{BlockEnv, Env, Host, LogEntry, MockHost, TxEnv};
-pub use inspect::{GasProfiler, Inspector};
+pub use inspect::{GasProfiler, Inspector, NoInspector};
 pub use opcode::Op;

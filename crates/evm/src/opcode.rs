@@ -157,10 +157,27 @@ pub enum Op {
     SelfDestruct = 0xff,
 }
 
+/// [`Op::from_byte`]'s answer for every byte, filled at compile time
+/// from [`Op::decode`], so decoding a step is one load.
+const DECODE: [Option<Op>; 256] = {
+    let mut table = [None; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = Op::decode(b as u8);
+        b += 1;
+    }
+    table
+};
+
 impl Op {
     /// Decodes a byte; `None` for unassigned opcodes.
     #[inline]
     pub fn from_byte(b: u8) -> Option<Op> {
+        DECODE[b as usize]
+    }
+
+    /// The byte-to-opcode map [`DECODE`] is built from.
+    const fn decode(b: u8) -> Option<Op> {
         use Op::*;
         Some(match b {
             0x00 => Stop,
@@ -387,6 +404,42 @@ mod tests {
                 assert_eq!(op as u8, b as u8, "{op:?}");
             }
         }
+    }
+
+    /// Every byte decodes to nothing or to the op it names, exactly the
+    /// `Op` variants decode, PUSH widths sit on 0x60–0x7f alone, and the
+    /// interpreter rejects each unassigned byte with its own value.
+    #[test]
+    fn decode_is_exhaustive() {
+        use crate::exec::{CallParams, Evm, VmError};
+        use crate::host::{Env, MockHost};
+        use sc_primitives::{Address, U256};
+
+        // 12 arithmetic, 14 compare/bitwise, KECCAK256, 15 environment,
+        // 6 block, 12 stack/memory/flow, 32 PUSH, 16 DUP, 16 SWAP, 5 LOG
+        // and 9 system ops.
+        const VARIANTS: usize = 138;
+        let mut assigned = 0;
+        for b in 0..=u8::MAX {
+            let Some(op) = Op::from_byte(b) else {
+                let mut host = MockHost::new();
+                host.install(Address([0xcc; 20]), vec![b]);
+                let out = Evm::new(&mut host, Env::default()).call(CallParams::transact(
+                    Address([1; 20]),
+                    Address([0xcc; 20]),
+                    U256::ZERO,
+                    vec![],
+                    1_000,
+                ));
+                assert_eq!(out.error, Some(VmError::InvalidOpcode(b)));
+                continue;
+            };
+            assert_eq!(op as u8, b, "{op:?}");
+            let push = (1..=32).contains(&op.push_bytes());
+            assert_eq!(push, (0x60..=0x7f).contains(&b), "{op:?}");
+            assigned += 1;
+        }
+        assert_eq!(assigned, VARIANTS);
     }
 
     #[test]

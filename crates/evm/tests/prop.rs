@@ -362,8 +362,10 @@ impl Inspector for LastStep {
     }
 }
 
-/// Runs `code` once and feeds its `(success, gas_left, output, error,
-/// reverted, refund, touched storage)` to `hasher`.
+/// Runs `code` under `Evm::with_inspector` and feeds its `(success,
+/// gas_left, output, error, reverted, refund, touched storage)` to
+/// `hasher`. It runs again under `Evm::new`, the loop compiled without
+/// an inspector, which must end the same way; that run is not hashed.
 fn absorb(
     hasher: &mut Keccak256,
     code: &[u8],
@@ -372,18 +374,32 @@ fn absorb(
     inspector: &mut LastStep,
 ) -> CallOutcome {
     let contract = Address([0xcc; 20]);
-    let mut host = MockHost::new();
-    host.install(contract, code.to_vec());
-    host.fund(Address([0x01; 20]), ether(10));
-    host.storages
-        .insert((contract, U256::ONE), U256::from_u64(5));
-    let out = Evm::with_inspector(&mut host, Env::default(), inspector).call(CallParams::transact(
+    let fresh_host = || {
+        let mut host = MockHost::new();
+        host.install(contract, code.to_vec());
+        host.fund(Address([0x01; 20]), ether(10));
+        host.storages
+            .insert((contract, U256::ONE), U256::from_u64(5));
+        host
+    };
+    let params = CallParams::transact(
         Address([0x01; 20]),
         contract,
         U256::ZERO,
         data.to_vec(),
         gas,
-    ));
+    );
+    let mut host = fresh_host();
+    let out = Evm::with_inspector(&mut host, Env::default(), inspector).call(params.clone());
+    let mut plain_host = fresh_host();
+    let plain = Evm::new(&mut plain_host, Env::default()).call(params);
+    assert_eq!(plain, out, "uninspected run ends differently");
+    assert_eq!(plain_host.refund, host.refund, "uninspected refund differs");
+    assert_eq!(
+        plain_host.storages, host.storages,
+        "uninspected storage differs"
+    );
+
     hasher.update(&[out.success as u8, out.reverted as u8]);
     hasher.update(&out.gas_left.to_be_bytes());
     hasher.update(&(out.output.len() as u64).to_be_bytes());
