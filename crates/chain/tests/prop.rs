@@ -5,14 +5,16 @@ mod common;
 
 use common::assert_follower_replays;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 use sc_chain::{
-    AccountProof, Block, ChainConfig, Header, HeaderClient, ImportOutcome, ReceiptProof,
-    SignedTransaction, StorageProof, Testnet, Transaction, Wallet, WireError, WorldState,
+    encode_account, AccountProof, Block, ChainConfig, Header, HeaderClient, ImportOutcome,
+    ReceiptProof, SignedTransaction, StorageProof, Testnet, Transaction, Wallet, WireError,
+    WorldState,
 };
-use sc_crypto::keccak256;
+use sc_crypto::{keccak256, Keccak256};
 use sc_evm::Host;
 use sc_primitives::rlp::{self, Item};
-use sc_primitives::{ether, Address, U256};
+use sc_primitives::{ether, Address, H256, U256};
 use std::sync::OnceLock;
 
 #[derive(Debug, Clone)]
@@ -347,6 +349,162 @@ fn deeply_nested_frames_are_refused_not_overflowed() {
     assert_eq!(Block::decode(&frame).unwrap_err(), too_deep);
     assert_eq!(Header::decode(&frame).unwrap_err(), too_deep);
     assert_eq!(SignedTransaction::decode(&frame).unwrap_err(), too_deep);
+}
+
+/// One byte of `base` overwritten, inserted or deleted, or `base`
+/// truncated, at a seeded position. Half the written bytes are zero.
+fn mutate_bytes(base: &[u8], rng: &mut TestRng) -> Vec<u8> {
+    let mut b = base.to_vec();
+    let at = rng.below(b.len() as u64 + 1) as usize;
+    let byte = if rng.below(2) == 0 {
+        0
+    } else {
+        rng.next_u32() as u8
+    };
+    match rng.below(4) {
+        0 if at < b.len() => b[at] = byte,
+        1 => b.insert(at, byte),
+        2 if at < b.len() => drop(b.remove(at)),
+        _ => b.truncate(at),
+    }
+    b
+}
+
+/// The other side of `wire_encodings_are_pinned`: *which* verdict every
+/// decoder returns on a seeded corpus of rejected and accepted inputs —
+/// the gossip samples, a snapshot blob, account leaves and slot values
+/// behind Merkle paths, and the witnesses' nodes, each after single-byte
+/// overwrites, inserts, deletes and truncations, plus nested-list frames.
+/// The `Debug` of every result (field names in `WireError::Malformed`
+/// included) goes into one keccak, so a decoder that changes an error
+/// for the same bytes moves the pin.
+#[test]
+fn decoder_verdicts_are_pinned() {
+    let mut rng = TestRng::new(46);
+    let mut digest = Keccak256::new();
+    let mut verdicts = 0usize;
+    let mut verdict = |v: String| {
+        digest.update(v.as_bytes());
+        digest.update(&[0]);
+        verdicts += 1;
+    };
+
+    let mut state = WorldState::new();
+    for i in 1..6u8 {
+        let a = Address([i; 20]);
+        state.mint(a, U256::from_u64(u64::from(i) << 40));
+        state.install_code(a, vec![0x5b; usize::from(i) * 11]);
+        for k in 0..u64::from(i) {
+            state.set_storage(a, U256::from_u64(k * 300), U256::from_u64(k + 1));
+        }
+    }
+    let snapshot = state.export_snapshot();
+    let mut frames: Vec<Vec<u8>> = Vec::new();
+    for base in wire_samples().iter().chain([&snapshot]) {
+        frames.push(base.clone());
+        for _ in 0..400 {
+            frames.push(mutate_bytes(base, &mut rng));
+        }
+    }
+    for len in (0..120).chain([1 << 10, 1 << 16]) {
+        let frame = nested_lists(len);
+        frames.push(mutate_bytes(&frame, &mut rng));
+        frames.push(frame);
+    }
+    for f in &frames {
+        verdict(format!("{:?}", Block::decode(f)));
+        verdict(format!("{:?}", Header::decode(f)));
+        verdict(format!("{:?}", SignedTransaction::decode(f)));
+        let imported = WorldState::import_snapshot(f).map(|s| keccak256(&s.export_snapshot()));
+        verdict(format!("{imported:?}"));
+        let key = &f[..f.len().min(3)];
+        let walked = sc_trie::verify_proof(keccak256(f), key, std::slice::from_ref(f));
+        verdict(format!("{walked:?}"));
+    }
+
+    // Account leaves and slot values behind honest Merkle paths, so the
+    // leaf decoders see the mutated bytes.
+    let (address, slot) = (Address([0x5a; 20]), U256::from_u64(9));
+    let leaf = encode_account(
+        3,
+        U256::from_u64(1 << 50),
+        H256([0x11; 32]),
+        H256([0x22; 32]),
+    );
+    let slot_value = vec![0x83, 1, 2, 3];
+    for _ in 0..300 {
+        let mut accounts = sc_trie::SecureTrie::new();
+        accounts.insert(address.as_bytes(), mutate_bytes(&leaf, &mut rng));
+        let root = accounts.root();
+        let witness = AccountProof {
+            address,
+            nonce: 3,
+            balance: U256::from_u64(1 << 50),
+            root,
+            account_proof: accounts.prove(address.as_bytes()),
+        };
+        verdict(format!("{:?}", witness.proven_parts(root)));
+        verdict(format!("{:?}", witness.verify(root)));
+
+        let mut slots = sc_trie::SecureTrie::new();
+        slots.insert(&slot.to_be_bytes(), mutate_bytes(&slot_value, &mut rng));
+        let storage_root = slots.root();
+        let mut accounts = sc_trie::SecureTrie::new();
+        accounts.insert(
+            address.as_bytes(),
+            encode_account(1, U256::ONE, storage_root, H256([0x22; 32])),
+        );
+        let root = accounts.root();
+        let witness = StorageProof {
+            address,
+            slot,
+            value: U256::from_u64(0x010203),
+            root,
+            account_proof: accounts.prove(address.as_bytes()),
+            storage_proof: slots.prove(&slot.to_be_bytes()),
+        };
+        verdict(format!("{:?}", witness.proven_value(root)));
+        verdict(format!("{:?}", witness.verify(root)));
+    }
+
+    // The witnesses' own nodes, mutated in place.
+    let w = witnesses();
+    for round in 0..600usize {
+        let mutation = (
+            rng.below(7) as u8,
+            rng.below(64) as usize,
+            rng.below(1024) as usize,
+            rng.next_u32() as u8,
+        );
+        let noise = mutate_bytes(&frames[round % frames.len()], &mut rng);
+        let mut storage = w.storage[round % w.storage.len()].clone();
+        if round % 2 == 0 {
+            mutate_path(&mut storage.account_proof, mutation, &noise);
+        } else {
+            mutate_path(&mut storage.storage_proof, mutation, &noise);
+        }
+        verdict(format!("{:?}", storage.proven_value(w.state_root)));
+        verdict(format!("{:?}", storage.verify(w.state_root)));
+        let mut account = w.accounts[round % w.accounts.len()].clone();
+        mutate_path(&mut account.account_proof, mutation, &noise);
+        verdict(format!("{:?}", account.verify(w.state_root)));
+        let mut receipt = w.receipts[round % w.receipts.len()].clone();
+        mutate_path(&mut receipt.proof, mutation, &noise);
+        verdict(format!("{:?}", receipt.verify(w.receipts_root)));
+        let key = receipt
+            .proof
+            .first()
+            .map_or(&[][..], |n| &n[..n.len().min(2)]);
+        let walked = sc_trie::verify_proof(w.receipts_root, key, &receipt.proof);
+        verdict(format!("{walked:?}"));
+    }
+
+    assert!(verdicts >= 2_000 * 5, "{verdicts} verdicts");
+    assert_eq!(
+        format!("{}", digest.finalize()),
+        "0xb0f12a9623b44ce3c8404b31ddfd66b25169ad1e2e190399b9f151be5b2569b9",
+        "a decoder's verdict moved"
+    );
 }
 
 proptest! {
