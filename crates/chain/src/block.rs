@@ -5,7 +5,7 @@ use crate::wire::{self, WireError};
 use sc_crypto::keccak256;
 use sc_evm::host::LogEntry;
 use sc_evm::VmError;
-use sc_primitives::rlp::{self, Item};
+use sc_primitives::rlp::{self, Rlp};
 use sc_primitives::{Address, H256};
 use std::ops::Deref;
 
@@ -139,21 +139,27 @@ impl Header {
     /// Canonical wire bytes of the seven hashed fields — the bytes the
     /// hash is the keccak of. The hash itself is never serialized.
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_with(self.tx_hashes.iter().map(|h| Item::bytes(h.0.to_vec())))
+        self.encode_with(|out| {
+            for h in &self.tx_hashes {
+                rlp::put_bytes(h.as_bytes(), out);
+            }
+        })
     }
 
     /// The list a header and a block share: the six scalar fields, then
-    /// `txs` (hashes for a header, bodies for a block).
-    fn encode_with(&self, txs: impl Iterator<Item = Item>) -> Vec<u8> {
-        rlp::encode_list(&[
-            Item::u64(self.number),
-            Item::u64(self.timestamp),
-            Item::bytes(self.parent_hash.0.to_vec()),
-            Item::bytes(self.state_root.0.to_vec()),
-            Item::bytes(self.receipts_root.0.to_vec()),
-            Item::u64(self.gas_used),
-            Item::List(txs.collect()),
-        ])
+    /// the list `txs` appends (hashes for a header, bodies for a block).
+    fn encode_with(&self, txs: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        rlp::put_list(&mut out, |out| {
+            wire::put_uint(self.number, out);
+            wire::put_uint(self.timestamp, out);
+            rlp::put_bytes(self.parent_hash.as_bytes(), out);
+            rlp::put_bytes(self.state_root.as_bytes(), out);
+            rlp::put_bytes(self.receipts_root.as_bytes(), out);
+            wire::put_uint(self.gas_used, out);
+            rlp::put_list(out, txs);
+        });
+        out
     }
 
     /// Decodes wire bytes produced by [`Header::encode`], recomputing
@@ -169,25 +175,22 @@ impl Header {
     /// header built once from the result.
     fn decode_with<T>(
         bytes: &[u8],
-        tx: impl Fn(&Item) -> Result<T, WireError>,
+        tx: impl Fn(Rlp<'_>) -> Result<T, WireError>,
         tx_hash: impl Fn(&T) -> H256,
     ) -> Result<(Header, Vec<T>), WireError> {
-        let item = rlp::decode(bytes)?;
-        let items = wire::as_list(&item, "header: expected list")?;
-        if items.len() != 7 {
-            return Err(WireError::Malformed("header: expected 7 fields"));
-        }
-        let txs = wire::as_list(&items[6], "header: transactions")?
-            .iter()
+        let items: [Rlp; 7] =
+            wire::fields(wire::as_list(Rlp::new(bytes)?, "header: expected list")?)
+                .ok_or(WireError::Malformed("header: expected 7 fields"))?;
+        let txs = wire::as_list(items[6], "header: transactions")?
             .map(tx)
             .collect::<Result<Vec<T>, WireError>>()?;
         let header = Header::new(
-            wire::as_u64(&items[0], "header: number")?,
-            wire::as_u64(&items[1], "header: timestamp")?,
-            wire::as_h256(&items[2], "header: parent_hash")?,
-            wire::as_h256(&items[3], "header: state_root")?,
-            wire::as_h256(&items[4], "header: receipts_root")?,
-            wire::as_u64(&items[5], "header: gas_used")?,
+            wire::as_u64(items[0], "header: number")?,
+            wire::as_u64(items[1], "header: timestamp")?,
+            wire::as_h256(items[2], "header: parent_hash")?,
+            wire::as_h256(items[3], "header: state_root")?,
+            wire::as_h256(items[4], "header: receipts_root")?,
+            wire::as_u64(items[5], "header: gas_used")?,
             txs.iter().map(tx_hash).collect(),
         );
         Ok((header, txs))
@@ -198,8 +201,11 @@ impl Block {
     /// Canonical wire bytes: the six scalar header fields followed by
     /// the full transaction bodies (each as its signed nine-item RLP).
     pub fn encode(&self) -> Vec<u8> {
-        self.header
-            .encode_with(self.transactions.iter().map(SignedTransaction::rlp_item))
+        self.header.encode_with(|out| {
+            for tx in &self.transactions {
+                tx.put(out);
+            }
+        })
     }
 
     /// Decodes wire bytes produced by [`Block::encode`], building the
@@ -208,7 +214,7 @@ impl Block {
     /// trusted.
     pub fn decode(bytes: &[u8]) -> Result<Block, WireError> {
         let (header, transactions) =
-            Header::decode_with(bytes, SignedTransaction::from_item, SignedTransaction::hash)?;
+            Header::decode_with(bytes, SignedTransaction::from_rlp, SignedTransaction::hash)?;
         Ok(Block {
             header,
             transactions,
@@ -223,28 +229,33 @@ impl Receipt {
     /// fields like `tx_hash` stay out: the trie key `rlp(index)`
     /// already fixes the position.)
     pub fn rlp_encode(&self) -> Vec<u8> {
-        let logs: Vec<Item> = self
-            .logs
-            .iter()
-            .map(|log| {
-                Item::List(vec![
-                    Item::address(log.address),
-                    Item::List(
-                        log.topics
-                            .iter()
-                            .map(|t| Item::bytes(t.0.to_vec()))
-                            .collect(),
-                    ),
-                    Item::bytes(log.data.clone()),
-                ])
-            })
-            .collect();
-        rlp::encode_list(&[
-            Item::u64(self.success as u64),
-            Item::u64(self.gas_used),
-            Item::List(logs),
-        ])
+        let mut out = Vec::new();
+        rlp::put_list(&mut out, |out| {
+            wire::put_uint(u64::from(self.success), out);
+            wire::put_uint(self.gas_used, out);
+            rlp::put_list(out, |out| {
+                for log in &self.logs {
+                    rlp::put_list(out, |out| {
+                        rlp::put_bytes(log.address.as_bytes(), out);
+                        rlp::put_list(out, |out| {
+                            for topic in &log.topics {
+                                rlp::put_bytes(topic.as_bytes(), out);
+                            }
+                        });
+                        rlp::put_bytes(&log.data, out);
+                    });
+                }
+            });
+        });
+        out
     }
+}
+
+/// The receipts trie's key for the receipt at `index`: `rlp(index)`.
+pub(crate) fn receipt_key(index: u64) -> Vec<u8> {
+    let mut key = Vec::new();
+    wire::put_uint(index, &mut key);
+    key
 }
 
 /// Root of the trie over a block's receipts, keyed by `rlp(index)` —
@@ -253,7 +264,7 @@ impl Receipt {
 pub fn receipts_root<'a>(receipts: impl IntoIterator<Item = &'a Receipt>) -> H256 {
     let mut trie = sc_trie::Trie::new();
     for r in receipts {
-        trie.insert(&rlp::encode(&Item::u64(r.tx_index as u64)), r.rlp_encode());
+        trie.insert(&receipt_key(r.tx_index as u64), r.rlp_encode());
     }
     trie.root()
 }

@@ -52,3 +52,9 @@ pub use wire::WireError;
 // The pool types travel with the chain so downstream crates (the
 // session engine, benches) need no direct sc-mempool dependency.
 pub use sc_mempool::{Admitted, PoolConfig, PoolError, TxMeta};
+
+// The test tree's reference RLP codec, for the unit tests that hold the
+// direct encoders to it.
+#[cfg(test)]
+#[path = "../../primitives/tests/reference/rlp.rs"]
+mod rlp_reference;

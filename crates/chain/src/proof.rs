@@ -9,7 +9,9 @@
 //! participant can check what the chain committed to without trusting
 //! the representative's node.
 
-use sc_primitives::rlp::{self, Item};
+use crate::block::receipt_key;
+use crate::wire;
+use sc_primitives::rlp::Rlp;
 use sc_primitives::{Address, H256, U256};
 use sc_trie::{verify_proof, verify_secure_proof, ProofError};
 use std::fmt;
@@ -132,9 +134,9 @@ impl StorageProof {
             verify_secure_proof(storage_root, &self.slot.to_be_bytes(), &self.storage_proof)?;
         match value {
             None => Ok(U256::ZERO),
-            Some(enc) => rlp::decode(&enc)
+            Some(enc) => Rlp::new(&enc)
                 .ok()
-                .and_then(|item| item.as_uint())
+                .and_then(|value| value.as_uint())
                 .ok_or(ProofVerifyError::BadAccount),
         }
     }
@@ -238,8 +240,7 @@ impl ReceiptProof {
     /// Verifies that `receipts_root` commits exactly `self.receipt_rlp`
     /// at `self.tx_index`.
     pub fn verify(&self, receipts_root: H256) -> Result<(), ProofVerifyError> {
-        let key = rlp::encode(&Item::u64(self.tx_index));
-        match verify_proof(receipts_root, &key, &self.proof)? {
+        match verify_proof(receipts_root, &receipt_key(self.tx_index), &self.proof)? {
             Some(leaf) if leaf == self.receipt_rlp => Ok(()),
             _ => Err(ProofVerifyError::ReceiptMismatch),
         }
@@ -260,35 +261,15 @@ fn path_bytes(path: &[Vec<u8>]) -> usize {
 /// Pulls `(nonce, balance)` out of an RLP `[nonce, balance,
 /// storage_root, code_hash]` account leaf.
 pub(crate) fn decode_account_parts(account_rlp: &[u8]) -> Option<(u64, U256)> {
-    let Ok(Item::List(fields)) = rlp::decode(account_rlp) else {
-        return None;
-    };
-    if fields.len() != 4 {
-        return None;
-    }
-    let nonce = fields[0].as_uint()?.to_u64()?;
-    let balance = fields[1].as_uint()?;
-    Some((nonce, balance))
+    let [nonce, balance, _, _] = wire::fields(Rlp::new(account_rlp).ok()?.iter())?;
+    Some((nonce.as_uint()?.to_u64()?, balance.as_uint()?))
 }
 
 /// Pulls `storage_root` out of an RLP `[nonce, balance, storage_root,
 /// code_hash]` account leaf.
 pub(crate) fn decode_storage_root(account_rlp: &[u8]) -> Option<H256> {
-    let Ok(Item::List(fields)) = rlp::decode(account_rlp) else {
-        return None;
-    };
-    if fields.len() != 4 {
-        return None;
-    }
-    let Item::Bytes(root) = &fields[2] else {
-        return None;
-    };
-    if root.len() != 32 {
-        return None;
-    }
-    let mut h = H256::ZERO;
-    h.0.copy_from_slice(root);
-    Some(h)
+    let [_, _, root, _] = wire::fields(Rlp::new(account_rlp).ok()?.iter())?;
+    wire::as_h256(root, "account: storage_root").ok()
 }
 
 #[cfg(test)]

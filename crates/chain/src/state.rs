@@ -9,9 +9,10 @@
 //! the chain's per-block [`DiffLayer`] undo stack.
 
 use crate::overlay::{empty_code, StateOverlay};
+use crate::wire;
 use sc_crypto::keccak256;
 use sc_evm::host::{Host, LogEntry};
-use sc_primitives::rlp::{self, Item};
+use sc_primitives::rlp::{self, Rlp};
 use sc_primitives::{Address, H256, U256};
 use sc_trie::SecureTrie;
 use std::collections::hash_map::Entry;
@@ -377,30 +378,34 @@ impl WorldState {
     pub fn export_snapshot(&self) -> Vec<u8> {
         let mut addrs = self.overlay.addresses();
         addrs.sort_unstable();
-        let mut items = Vec::new();
-        for a in addrs {
-            let meta = self.overlay.account(a);
-            let entries = self.overlay.entries(a);
-            if !meta.is_some_and(Account::exists) && entries.is_empty() {
-                continue;
+        let mut out = Vec::new();
+        rlp::put_list(&mut out, |out| {
+            for a in addrs {
+                let meta = self.overlay.account(a);
+                let entries = self.overlay.entries(a);
+                if !meta.is_some_and(Account::exists) && entries.is_empty() {
+                    continue;
+                }
+                let (nonce, balance, code) = meta.map_or((0, U256::ZERO, &[][..]), |m| {
+                    (m.nonce, m.balance, m.code.as_slice())
+                });
+                rlp::put_list(out, |out| {
+                    rlp::put_bytes(a.as_bytes(), out);
+                    wire::put_uint(nonce, out);
+                    wire::put_uint(balance, out);
+                    rlp::put_bytes(code, out);
+                    rlp::put_list(out, |out| {
+                        for (k, v) in entries {
+                            rlp::put_list(out, |out| {
+                                wire::put_uint(k, out);
+                                wire::put_uint(v, out);
+                            });
+                        }
+                    });
+                });
             }
-            let (nonce, balance, code) = meta.map_or_else(
-                || (0, U256::ZERO, empty_code()),
-                |m| (m.nonce, m.balance, m.code.clone()),
-            );
-            let slots = entries
-                .into_iter()
-                .map(|(k, v)| Item::List(vec![Item::uint(k), Item::uint(v)]))
-                .collect();
-            items.push(Item::List(vec![
-                Item::address(a),
-                Item::u64(nonce),
-                Item::uint(balance),
-                Item::bytes(code.as_slice().to_vec()),
-                Item::List(slots),
-            ]));
-        }
-        rlp::encode_list(&items)
+        });
+        out
     }
 
     /// Rebuilds a state from a snapshot blob. Everything is marked
@@ -411,26 +416,19 @@ impl WorldState {
     /// strictly ascending, no entry without account or slot), so an
     /// accepted blob re-exports to the same bytes.
     pub fn import_snapshot(data: &[u8]) -> Result<WorldState, SnapshotError> {
-        let Ok(Item::List(entries)) = rlp::decode(data) else {
-            return Err(SnapshotError::Malformed);
+        let entries = match Rlp::new(data) {
+            Ok(entries) if entries.is_list() => entries,
+            _ => return Err(SnapshotError::Malformed),
         };
         let mut state = WorldState::new();
         let mut last: Option<Address> = None;
-        for entry in entries {
-            let Item::List(fields) = entry else {
+        for entry in entries.iter() {
+            let Some([addr, nonce, balance, code, slots]) = wire::fields(entry.iter()) else {
                 return Err(SnapshotError::Malformed);
             };
-            let [addr, nonce, balance, code, slots] = fields.as_slice() else {
+            let Ok(Some(a)) = wire::as_opt_address(addr, "snapshot: address") else {
                 return Err(SnapshotError::Malformed);
             };
-            let Item::Bytes(addr) = addr else {
-                return Err(SnapshotError::Malformed);
-            };
-            if addr.len() != 20 {
-                return Err(SnapshotError::Malformed);
-            }
-            let mut a = Address([0; 20]);
-            a.0.copy_from_slice(addr);
             if last.is_some_and(|prev| prev >= a) {
                 return Err(SnapshotError::Unordered);
             }
@@ -440,7 +438,7 @@ impl WorldState {
                 .and_then(|v| v.to_u64())
                 .ok_or(SnapshotError::Malformed)?;
             let balance = balance.as_uint().ok_or(SnapshotError::Malformed)?;
-            let Item::Bytes(code) = code else {
+            let Ok(code) = wire::as_bytes(code, "snapshot: code") else {
                 return Err(SnapshotError::Malformed);
             };
             let exists = nonce != 0 || !balance.is_zero() || !code.is_empty();
@@ -450,22 +448,16 @@ impl WorldState {
                 acct.balance = balance;
                 if !code.is_empty() {
                     acct.code_hash = keccak256(code);
-                    acct.code = Arc::new(code.clone());
+                    acct.code = Arc::new(code.to_vec());
                 }
             }
             state.dirty_accounts.insert(a);
-            let Item::List(slots) = slots else {
-                return Err(SnapshotError::Malformed);
-            };
-            if !exists && slots.is_empty() {
+            if !slots.is_list() || (!exists && slots.iter().next().is_none()) {
                 return Err(SnapshotError::Malformed);
             }
             let mut last_key = None;
-            for slot in slots {
-                let Item::List(kv) = slot else {
-                    return Err(SnapshotError::Malformed);
-                };
-                let [k, v] = kv.as_slice() else {
+            for slot in slots.iter() {
+                let Some([k, v]) = wire::fields(slot.iter()) else {
                     return Err(SnapshotError::Malformed);
                 };
                 let k = k.as_uint().ok_or(SnapshotError::Malformed)?;
@@ -636,9 +628,46 @@ impl Host for WorldState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::{receipt_key, Block, Header, Receipt};
+    use crate::rlp_reference::{self as reference, Item};
+    use crate::tx::{SignedTransaction, Transaction, Wallet};
 
     fn addr(b: u8) -> Address {
         Address([b; 20])
+    }
+
+    /// The reference items of a transaction's six signing fields.
+    fn tx_fields(tx: &Transaction) -> Vec<Item> {
+        vec![
+            Item::u64(tx.nonce),
+            Item::uint(tx.gas_price),
+            Item::u64(tx.gas_limit),
+            Item::bytes(tx.to.map_or(Vec::new(), |a| a.0.to_vec())),
+            Item::uint(tx.value),
+            Item::bytes(tx.data.clone()),
+        ]
+    }
+
+    /// The reference item of a signed transaction: its nine fields.
+    fn tx_item(signed: &SignedTransaction) -> Item {
+        let mut items = tx_fields(&signed.tx);
+        items.push(Item::u64(signed.signature.v as u64));
+        items.push(Item::uint(signed.signature.r.to_u256()));
+        items.push(Item::uint(signed.signature.s.to_u256()));
+        Item::List(items)
+    }
+
+    /// The reference encoding of a header's fields around `txs`.
+    fn header_items(h: &Header, txs: Vec<Item>) -> Vec<Item> {
+        vec![
+            Item::u64(h.number),
+            Item::u64(h.timestamp),
+            Item::bytes(h.parent_hash.0.to_vec()),
+            Item::bytes(h.state_root.0.to_vec()),
+            Item::bytes(h.receipts_root.0.to_vec()),
+            Item::u64(h.gas_used),
+            Item::List(txs),
+        ]
     }
 
     #[test]
@@ -659,13 +688,154 @@ mod tests {
             ];
             assert_eq!(
                 encode_account(nonce, balance, root, code),
-                rlp::encode_list(&items)
+                reference::encode_list(&items)
             );
             assert_eq!(
                 encode_storage_value(balance),
-                rlp::encode(&Item::uint(balance))
+                reference::encode(&Item::uint(balance))
             );
+            let sender = Address([nonce as u8; 20]);
+            let created = reference::encode_list(&[Item::address(sender), Item::u64(nonce)]);
+            assert_eq!(
+                sc_evm::contract_address(sender, nonce),
+                Address::from_h256(keccak256(&created))
+            );
+            assert_eq!(receipt_key(nonce), reference::encode(&Item::u64(nonce)));
         }
+
+        // A call with long calldata, a create and an empty call, sealed
+        // into a header and a block.
+        let alice = Wallet::from_seed("alice");
+        let txs: Vec<SignedTransaction> = [
+            (Some(addr(7)), vec![0xab; 300], U256::MAX),
+            (None, vec![0x60, 0x00, 0xf3], U256::ZERO),
+            (Some(addr(8)), vec![], U256::ONE),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (to, data, value))| {
+            let tx = Transaction {
+                nonce: i as u64 * 200,
+                gas_price: sc_primitives::gwei(3),
+                gas_limit: 1_000_000,
+                to,
+                value,
+                data,
+            };
+            assert_eq!(
+                tx.signing_hash(),
+                keccak256(&reference::encode_list(&tx_fields(&tx)))
+            );
+            tx.sign(&alice.key)
+        })
+        .collect();
+        for tx in &txs {
+            assert_eq!(tx.encode(), reference::encode(&tx_item(tx)));
+            assert_eq!(tx.hash(), keccak256(&reference::encode(&tx_item(tx))));
+        }
+        let header = Header::new(
+            9,
+            1_700_000_000,
+            H256([3; 32]),
+            root,
+            code,
+            21_000 * 3,
+            txs.iter().map(SignedTransaction::hash).collect(),
+        );
+        let hashes = txs.iter().map(|tx| Item::bytes(tx.hash().0.to_vec()));
+        let header_rlp = reference::encode_list(&header_items(&header, hashes.collect()));
+        assert_eq!(header.encode(), header_rlp);
+        assert_eq!(header.hash, keccak256(&header_rlp));
+        let block = Block {
+            header: header.clone(),
+            transactions: txs.clone(),
+        };
+        let bodies = txs.iter().map(tx_item).collect();
+        assert_eq!(
+            block.encode(),
+            reference::encode_list(&header_items(&header, bodies))
+        );
+
+        // A receipt with several multi-topic logs, one with a long payload.
+        let receipt = Receipt {
+            tx_hash: H256::ZERO,
+            block_number: 9,
+            tx_index: 2,
+            success: true,
+            gas_used: 70_000,
+            contract_address: None,
+            logs: (0..3u8)
+                .map(|i| LogEntry {
+                    address: addr(i),
+                    topics: (0..=i).map(|t| H256([t; 32])).collect(),
+                    data: vec![i; 40 * i as usize],
+                })
+                .collect(),
+            output: vec![],
+            failure: None,
+        };
+        let logs = receipt
+            .logs
+            .iter()
+            .map(|log| {
+                Item::List(vec![
+                    Item::address(log.address),
+                    Item::List(
+                        log.topics
+                            .iter()
+                            .map(|t| Item::bytes(t.0.to_vec()))
+                            .collect(),
+                    ),
+                    Item::bytes(log.data.clone()),
+                ])
+            })
+            .collect();
+        assert_eq!(
+            receipt.rlp_encode(),
+            reference::encode_list(&[Item::u64(1), Item::u64(70_000), Item::List(logs)])
+        );
+
+        // A snapshot: an account with code and slots, a plain account and
+        // a storage-only one.
+        let mut s = WorldState::new();
+        s.mint(addr(1), U256::MAX);
+        s.install_code(addr(1), vec![0x5b; 70]);
+        s.set_storage(addr(1), U256::ONE, U256::from_u64(5));
+        s.set_storage(addr(1), U256::MAX, U256::MAX);
+        s.bump_nonce(addr(2));
+        s.set_storage(addr(3), U256::from_u64(300), U256::ONE);
+        let entry = |a: u8, nonce: u64, balance: U256, code: Vec<u8>, slots: &[(U256, U256)]| {
+            Item::List(vec![
+                Item::address(addr(a)),
+                Item::u64(nonce),
+                Item::uint(balance),
+                Item::bytes(code),
+                Item::List(
+                    slots
+                        .iter()
+                        .map(|&(k, v)| Item::List(vec![Item::uint(k), Item::uint(v)]))
+                        .collect(),
+                ),
+            ])
+        };
+        let entries = [
+            entry(
+                1,
+                s.nonce(addr(1)),
+                U256::MAX,
+                vec![0x5b; 70],
+                &[(U256::ONE, U256::from_u64(5)), (U256::MAX, U256::MAX)],
+            ),
+            entry(2, 1, U256::ZERO, vec![], &[]),
+            entry(
+                3,
+                0,
+                U256::ZERO,
+                vec![],
+                &[(U256::from_u64(300), U256::ONE)],
+            ),
+        ];
+        assert_eq!(s.export_snapshot(), reference::encode_list(&entries));
     }
 
     #[test]
@@ -1072,11 +1242,11 @@ mod tests {
         let blob = s.export_snapshot();
         // Reverse the two account entries: decode must refuse the
         // non-canonical order.
-        let Ok(Item::List(mut entries)) = rlp::decode(&blob) else {
+        let Ok(Item::List(mut entries)) = reference::decode(&blob) else {
             panic!("snapshot decodes");
         };
         entries.swap(0, 1);
-        let swapped = rlp::encode_list(&entries);
+        let swapped = reference::encode_list(&entries);
         assert!(matches!(
             WorldState::import_snapshot(&swapped),
             Err(SnapshotError::Unordered)
@@ -1087,7 +1257,7 @@ mod tests {
         // exists nor holds a slot, would re-export to different bytes.
         let slot = |k: u64, v: u64| Item::List(vec![Item::u64(k), Item::u64(v)]);
         let entry = |balance: u64, slots: Vec<Item>| {
-            rlp::encode_list(&[Item::List(vec![
+            reference::encode_list(&[Item::List(vec![
                 Item::address(addr(1)),
                 Item::u64(0),
                 Item::u64(balance),

@@ -23,7 +23,7 @@ pub use admit::TxError;
 pub use import::{ImportError, ImportOutcome};
 pub use seal::SealReport;
 
-use crate::block::{Block, Header, Receipt};
+use crate::block::{receipt_key, Block, Header, Receipt};
 use crate::fork_choice::ChainStore;
 use crate::proof::{AccountProof, ReceiptProof, StorageProof};
 use crate::state::WorldState;
@@ -227,14 +227,9 @@ impl Testnet {
         let receipt_rlp = receipt.rlp_encode();
         let mut trie = sc_trie::Trie::new();
         for r in self.receipts_in_block(block_number) {
-            trie.insert(
-                &sc_primitives::rlp::encode(&sc_primitives::rlp::Item::u64(r.tx_index as u64)),
-                r.rlp_encode(),
-            );
+            trie.insert(&receipt_key(r.tx_index as u64), r.rlp_encode());
         }
-        let proof = trie.prove(&sc_primitives::rlp::encode(&sc_primitives::rlp::Item::u64(
-            tx_index,
-        )));
+        let proof = trie.prove(&receipt_key(tx_index));
         Some(ReceiptProof {
             tx_hash,
             block_number,

@@ -3,7 +3,7 @@
 use crate::wire::{self, WireError};
 use sc_crypto::ecdsa::{recover_address, EcdsaError, PrivateKey, Signature};
 use sc_crypto::keccak256;
-use sc_primitives::rlp::{self, Item};
+use sc_primitives::rlp::{self, Rlp};
 use sc_primitives::{Address, H256, U256};
 
 /// An unsigned transaction (pre-EIP-155 payload shape, matching the era of
@@ -30,25 +30,22 @@ impl Transaction {
         self.to.is_none()
     }
 
-    /// RLP list of the six signing fields.
-    fn rlp_items(&self) -> Vec<Item> {
-        vec![
-            Item::u64(self.nonce),
-            Item::uint(self.gas_price),
-            Item::u64(self.gas_limit),
-            match self.to {
-                Some(a) => Item::address(a),
-                None => Item::bytes(Vec::new()),
-            },
-            Item::uint(self.value),
-            Item::bytes(self.data.clone()),
-        ]
+    /// Appends the six signing fields as list items.
+    fn put_fields(&self, out: &mut Vec<u8>) {
+        wire::put_uint(self.nonce, out);
+        wire::put_uint(self.gas_price, out);
+        wire::put_uint(self.gas_limit, out);
+        rlp::put_bytes(self.to.as_ref().map_or(&[], Address::as_bytes), out);
+        wire::put_uint(self.value, out);
+        rlp::put_bytes(&self.data, out);
     }
 
     /// The digest that gets signed: `keccak(rlp([nonce, gasPrice,
     /// gasLimit, to, value, data]))`.
     pub fn signing_hash(&self) -> H256 {
-        keccak256(&rlp::encode_list(&self.rlp_items()))
+        let mut out = Vec::new();
+        rlp::put_list(&mut out, |out| self.put_fields(out));
+        keccak256(&out)
     }
 
     /// Signs with a private key, producing a [`SignedTransaction`].
@@ -85,22 +82,25 @@ impl SignedTransaction {
         keccak256(&self.encode())
     }
 
-    /// The nine-item signed RLP — the six signing fields followed by
-    /// `v, r, s` — as a nestable [`Item`] (so a block can embed whole
-    /// transactions in its own wire encoding).
-    pub fn rlp_item(&self) -> Item {
-        let mut items = self.tx.rlp_items();
-        items.push(Item::u64(self.signature.v as u64));
-        items.push(Item::uint(self.signature.r.to_u256()));
-        items.push(Item::uint(self.signature.s.to_u256()));
-        Item::List(items)
+    /// Appends the nine-item signed RLP — the six signing fields
+    /// followed by `v, r, s` — so a block can embed whole transactions
+    /// in its own wire encoding.
+    pub(crate) fn put(&self, out: &mut Vec<u8>) {
+        rlp::put_list(out, |out| {
+            self.tx.put_fields(out);
+            wire::put_uint(u64::from(self.signature.v), out);
+            wire::put_uint(self.signature.r.to_u256(), out);
+            wire::put_uint(self.signature.s.to_u256(), out);
+        });
     }
 
     /// Canonical wire bytes: the same RLP the transaction hash commits
     /// to, so `keccak(encode())` is the transaction identity on every
     /// node that decodes it.
     pub fn encode(&self) -> Vec<u8> {
-        rlp::encode(&self.rlp_item())
+        let mut out = Vec::new();
+        self.put(&mut out);
+        out
     }
 
     /// Decodes wire bytes produced by [`SignedTransaction::encode`].
@@ -110,32 +110,30 @@ impl SignedTransaction {
     /// forged signature surfaces as an invalid-sender error, never as a
     /// trusted address).
     pub fn decode(bytes: &[u8]) -> Result<SignedTransaction, WireError> {
-        SignedTransaction::from_item(&rlp::decode(bytes)?)
+        SignedTransaction::from_rlp(Rlp::new(bytes)?)
     }
 
-    /// Decodes one transaction from an already-parsed RLP item.
-    pub(crate) fn from_item(item: &Item) -> Result<SignedTransaction, WireError> {
-        let items = wire::as_list(item, "tx: expected list")?;
-        if items.len() != 9 {
-            return Err(WireError::Malformed("tx: expected 9 fields"));
-        }
-        let v = wire::as_u64(&items[6], "tx: v")?;
+    /// Decodes one transaction from a validated RLP view.
+    pub(crate) fn from_rlp(item: Rlp<'_>) -> Result<SignedTransaction, WireError> {
+        let items: [Rlp; 9] = wire::fields(wire::as_list(item, "tx: expected list")?)
+            .ok_or(WireError::Malformed("tx: expected 9 fields"))?;
+        let v = wire::as_u64(items[6], "tx: v")?;
         if v > u8::MAX as u64 {
             return Err(WireError::Malformed("tx: v out of range"));
         }
         Ok(SignedTransaction {
             tx: Transaction {
-                nonce: wire::as_u64(&items[0], "tx: nonce")?,
-                gas_price: wire::as_uint(&items[1], "tx: gas_price")?,
-                gas_limit: wire::as_u64(&items[2], "tx: gas_limit")?,
-                to: wire::as_opt_address(&items[3], "tx: to")?,
-                value: wire::as_uint(&items[4], "tx: value")?,
-                data: wire::as_bytes(&items[5], "tx: data")?.to_vec(),
+                nonce: wire::as_u64(items[0], "tx: nonce")?,
+                gas_price: wire::as_uint(items[1], "tx: gas_price")?,
+                gas_limit: wire::as_u64(items[2], "tx: gas_limit")?,
+                to: wire::as_opt_address(items[3], "tx: to")?,
+                value: wire::as_uint(items[4], "tx: value")?,
+                data: wire::as_bytes(items[5], "tx: data")?.to_vec(),
             },
             signature: Signature {
                 v: v as u8,
-                r: H256::from_u256(wire::as_uint(&items[7], "tx: r")?),
-                s: H256::from_u256(wire::as_uint(&items[8], "tx: s")?),
+                r: H256::from_u256(wire::as_uint(items[7], "tx: r")?),
+                s: H256::from_u256(wire::as_uint(items[8], "tx: s")?),
             },
         })
     }
@@ -174,6 +172,7 @@ impl Wallet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rlp_reference::{self as reference, Item};
 
     fn sample_tx() -> Transaction {
         Transaction {
@@ -211,13 +210,11 @@ mod tests {
         };
         assert!(tx.is_create());
         // The RLP `to` field must be the empty string, not 20 zero bytes.
-        let enc = rlp::encode_list(&tx.rlp_items());
-        let dec = rlp::decode(&enc).unwrap();
-        if let rlp::Item::List(items) = dec {
-            assert_eq!(items[3], Item::bytes(Vec::new()));
-        } else {
+        let enc = tx.sign(&Wallet::from_seed("alice").key).encode();
+        let Ok(Item::List(items)) = reference::decode(&enc) else {
             panic!("expected list");
-        }
+        };
+        assert_eq!(items[3], Item::bytes(Vec::new()));
     }
 
     #[test]
@@ -265,11 +262,12 @@ mod tests {
             Err(WireError::Rlp(_))
         ));
         // An 8-item list (missing s) decodes as RLP but fails the schema.
-        let mut items = signed.tx.rlp_items();
-        items.push(Item::u64(signed.signature.v as u64));
-        items.push(Item::uint(signed.signature.r.to_u256()));
+        let Ok(Item::List(mut items)) = reference::decode(&signed.encode()) else {
+            panic!("expected list");
+        };
+        items.pop();
         assert!(matches!(
-            SignedTransaction::decode(&rlp::encode_list(&items)),
+            SignedTransaction::decode(&reference::encode_list(&items)),
             Err(WireError::Malformed(_))
         ));
     }

@@ -6,7 +6,7 @@
 //! transaction senders are recovered from the signature, never trusted
 //! from the wire.
 
-use sc_primitives::rlp::{self, Item};
+use sc_primitives::rlp::{self, Rlp};
 use sc_primitives::{Address, H256, U256};
 use std::fmt;
 
@@ -37,54 +37,66 @@ impl From<rlp::DecodeError> for WireError {
     }
 }
 
-pub(crate) fn as_list<'a>(item: &'a Item, what: &'static str) -> Result<&'a [Item], WireError> {
-    match item {
-        Item::List(items) => Ok(items),
-        Item::Bytes(_) => Err(WireError::Malformed(what)),
+/// The items of a list, or `Malformed(what)` for a byte string.
+pub(crate) fn as_list<'a>(
+    item: Rlp<'a>,
+    what: &'static str,
+) -> Result<impl Iterator<Item = Rlp<'a>>, WireError> {
+    if item.is_list() {
+        Ok(item.iter())
+    } else {
+        Err(WireError::Malformed(what))
     }
 }
 
-pub(crate) fn as_uint(item: &Item, what: &'static str) -> Result<U256, WireError> {
+/// `items` if there are exactly `N` of them.
+pub(crate) fn fields<'a, const N: usize>(
+    items: impl Iterator<Item = Rlp<'a>>,
+) -> Option<[Rlp<'a>; N]> {
+    items.collect::<Vec<_>>().try_into().ok()
+}
+
+pub(crate) fn as_uint(item: Rlp<'_>, what: &'static str) -> Result<U256, WireError> {
     item.as_uint().ok_or(WireError::Malformed(what))
 }
 
-pub(crate) fn as_u64(item: &Item, what: &'static str) -> Result<u64, WireError> {
+pub(crate) fn as_u64(item: Rlp<'_>, what: &'static str) -> Result<u64, WireError> {
     as_uint(item, what)?
         .to_u64()
         .ok_or(WireError::Malformed(what))
 }
 
-pub(crate) fn as_h256(item: &Item, what: &'static str) -> Result<H256, WireError> {
-    match item {
-        Item::Bytes(b) if b.len() == 32 => {
-            let mut h = [0u8; 32];
-            h.copy_from_slice(b);
-            Ok(H256(h))
-        }
-        _ => Err(WireError::Malformed(what)),
+pub(crate) fn as_bytes<'a>(item: Rlp<'a>, what: &'static str) -> Result<&'a [u8], WireError> {
+    if item.is_list() {
+        Err(WireError::Malformed(what))
+    } else {
+        Ok(item.as_bytes())
     }
 }
 
-pub(crate) fn as_bytes<'a>(item: &'a Item, what: &'static str) -> Result<&'a [u8], WireError> {
-    match item {
-        Item::Bytes(b) => Ok(b),
-        Item::List(_) => Err(WireError::Malformed(what)),
-    }
+pub(crate) fn as_h256(item: Rlp<'_>, what: &'static str) -> Result<H256, WireError> {
+    let b = as_bytes(item, what)?;
+    b.try_into()
+        .map(H256)
+        .map_err(|_| WireError::Malformed(what))
 }
 
 /// Decodes the `to` field: the empty string means contract creation,
 /// 20 raw bytes mean a call target; anything else is malformed.
 pub(crate) fn as_opt_address(
-    item: &Item,
+    item: Rlp<'_>,
     what: &'static str,
 ) -> Result<Option<Address>, WireError> {
-    match item {
-        Item::Bytes(b) if b.is_empty() => Ok(None),
-        Item::Bytes(b) if b.len() == 20 => {
-            let mut a = [0u8; 20];
-            a.copy_from_slice(b);
-            Ok(Some(Address(a)))
-        }
-        _ => Err(WireError::Malformed(what)),
+    match as_bytes(item, what)? {
+        [] => Ok(None),
+        b => b
+            .try_into()
+            .map(|a| Some(Address(a)))
+            .map_err(|_| WireError::Malformed(what)),
     }
+}
+
+/// Appends `v` in RLP's canonical integer form.
+pub(crate) fn put_uint(v: impl Into<U256>, out: &mut Vec<u8>) {
+    rlp::put_bytes(rlp::trim_uint(&v.into().to_be_bytes()), out);
 }

@@ -2,10 +2,13 @@
 //! and determinism under random transaction workloads.
 
 mod common;
+#[path = "../../primitives/tests/reference/rlp.rs"]
+mod rlp_reference;
 
 use common::assert_follower_replays;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use rlp_reference::{self as reference, Item};
 use sc_chain::{
     encode_account, AccountProof, Block, ChainConfig, Header, HeaderClient, ImportOutcome,
     ReceiptProof, SignedTransaction, StorageProof, Testnet, Transaction, Wallet, WireError,
@@ -13,7 +16,7 @@ use sc_chain::{
 };
 use sc_crypto::{keccak256, Keccak256};
 use sc_evm::Host;
-use sc_primitives::rlp::{self, Item};
+use sc_primitives::rlp::{DecodeError, Rlp};
 use sc_primitives::{ether, Address, H256, U256};
 use std::sync::OnceLock;
 
@@ -111,7 +114,7 @@ fn mutate_snapshot(blob: &mut Vec<u8>, (kind, i, j): (u8, usize, usize)) {
         return;
     }
     // An earlier flip or truncation may have left nothing to restructure.
-    let Ok(Item::List(mut entries)) = rlp::decode(blob) else {
+    let Ok(Item::List(mut entries)) = reference::decode(blob) else {
         return;
     };
     let pick = i % (entries.len() + 1);
@@ -135,7 +138,7 @@ fn mutate_snapshot(blob: &mut Vec<u8>, (kind, i, j): (u8, usize, usize)) {
         1 => list.insert(y, list[x].clone()),
         _ => drop(list.remove(x)),
     }
-    *blob = rlp::encode_list(&entries);
+    *blob = reference::encode_list(&entries);
 }
 
 proptest! {
@@ -344,8 +347,8 @@ fn nested_lists(min_len: usize) -> Vec<u8> {
 fn deeply_nested_frames_are_refused_not_overflowed() {
     let frame = nested_lists(1 << 20);
     assert!(frame.len() >= 1 << 20);
-    assert_eq!(rlp::decode(&frame), Err(rlp::DecodeError::TooDeep));
-    let too_deep = WireError::Rlp(rlp::DecodeError::TooDeep);
+    assert_eq!(Rlp::new(&frame), Err(DecodeError::TooDeep));
+    let too_deep = WireError::Rlp(DecodeError::TooDeep);
     assert_eq!(Block::decode(&frame).unwrap_err(), too_deep);
     assert_eq!(Header::decode(&frame).unwrap_err(), too_deep);
     assert_eq!(SignedTransaction::decode(&frame).unwrap_err(), too_deep);
@@ -819,7 +822,7 @@ fn witnesses() -> &'static Witnesses {
         ];
 
         let receipt = |i: u64| vec![0xc0 + (i % 40) as u8; 1 + (i as usize * 5) % 48];
-        let key = |i: u64| rlp::encode(&Item::u64(i));
+        let key = |i: u64| reference::encode(&Item::u64(i));
         let mut trie = sc_trie::Trie::new();
         for i in 0..40 {
             trie.insert(&key(i), receipt(i));
@@ -925,7 +928,7 @@ fn proof_bytes_case(
     let honest = &w.receipts[pick % w.receipts.len()];
     let mut forged = honest.clone();
     mutate_path(&mut forged.proof, mutation, one);
-    let key = rlp::encode(&Item::u64(honest.tx_index));
+    let key = reference::encode(&Item::u64(honest.tx_index));
     if let Ok(leaf) = sc_trie::verify_proof(w.receipts_root, &key, &forged.proof) {
         prop_assert_eq!(leaf, Some(honest.receipt_rlp.clone()));
     }

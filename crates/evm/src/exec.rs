@@ -13,7 +13,7 @@ use crate::memory::Memory;
 use crate::opcode::Op;
 use crate::precompile;
 use sc_crypto::keccak256;
-use sc_primitives::rlp::{self, Item};
+use sc_primitives::rlp;
 use sc_primitives::{Address, H256, U256};
 use std::fmt;
 use std::rc::Rc;
@@ -146,7 +146,11 @@ impl CallParams {
 
 /// Derives a contract address: `keccak(rlp([sender, nonce]))[12..]`.
 pub fn contract_address(sender: Address, nonce: u64) -> Address {
-    let enc = rlp::encode_list(&[Item::address(sender), Item::u64(nonce)]);
+    let mut enc = Vec::new();
+    rlp::put_list(&mut enc, |out| {
+        rlp::put_bytes(sender.as_bytes(), out);
+        rlp::put_bytes(rlp::trim_uint(&U256::from_u64(nonce).to_be_bytes()), out);
+    });
     Address::from_h256(keccak256(&enc))
 }
 

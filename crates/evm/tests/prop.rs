@@ -3,6 +3,7 @@
 //! the outcomes of seeded boundary-heavy programs.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use sc_crypto::Keccak256;
 use sc_evm::host::{Env, Host, MockHost};
 use sc_evm::{disassemble, CallOutcome, CallParams, Evm, Inspector};
@@ -465,4 +466,161 @@ fn interpreter_sweep_20000_programs() {
         outcome_digest(2, 20_000),
         "0x8f3d827791051a843fc1ea70cbc291c66c8abfa6357bb73534b810508b4daacb"
     );
+}
+
+/// A precompile address, an input, and the output it must return.
+type HonestInput = (u64, Vec<u8>, Vec<u8>);
+
+/// Honest inputs for the precompiles the confidential and dispute paths
+/// call, each with the word it must return: a signature for 0x01, an
+/// opening for 0x09, a homomorphic sum for 0x0A, a nullifier preimage for
+/// 0x0B and a 16-bit range proof for 0x0C. Built once: proving is slow.
+fn honest_precompile_inputs() -> &'static [HonestInput; 5] {
+    use sc_confidential::{nullifier, CommitmentBackend, PedersenBackend};
+    static INPUTS: std::sync::OnceLock<[HonestInput; 5]> = std::sync::OnceLock::new();
+    INPUTS.get_or_init(|| {
+        let word = |b: bool| U256::from_u64(b as u64).to_be_bytes().to_vec();
+        let key = sc_crypto::ecdsa::PrivateKey::from_seed("alice");
+        let digest = sc_crypto::keccak256(b"the off-chain bytecode");
+        let sig = key.sign(digest);
+        let signed = [
+            digest.as_bytes(),
+            &U256::from_u64(sig.v as u64).to_be_bytes(),
+            sig.r.as_bytes(),
+            sig.s.as_bytes(),
+        ]
+        .concat();
+        let recovered = [&[0u8; 12][..], key.address().as_bytes()].concat();
+
+        let pedersen = PedersenBackend;
+        let (v, r) = (U256::from_u64(40_000), U256::from_u64(0x5eed));
+        let c = pedersen.commit(v, r);
+        let opening = [&c.to_bytes()[..], &v.to_be_bytes(), &r.to_be_bytes()].concat();
+        let c2 = pedersen.commit(U256::from_u64(2), U256::from_u64(3));
+        let total = pedersen.add(&c, &c2);
+        let sum = [c.to_bytes(), c2.to_bytes(), total.to_bytes()].concat();
+        let proof = pedersen.prove_range(v, r, 16).expect("in range");
+        let range = [
+            &c.to_bytes()[..],
+            &U256::from_u64(16).to_be_bytes(),
+            proof.as_bytes(),
+        ]
+        .concat();
+        let preimage = b"voucher digest".to_vec();
+        let hashed = nullifier(&preimage).as_bytes().to_vec();
+        [
+            (1, signed, recovered),
+            (9, opening, word(true)),
+            (10, sum, word(true)),
+            (11, preimage, hashed),
+            (12, range, word(true)),
+        ]
+    })
+}
+
+/// Input lengths on each side of a field boundary of the precompile at
+/// `address`: the 32-byte words of 0x01's padded input, 0x09's and 0x0A's
+/// fixed sizes, 0x0B's words, and 0x0C's point, width word and per-bit
+/// proof entries.
+fn field_boundaries(address: u64) -> Vec<usize> {
+    let per_bit = sc_confidential::range::BYTES_PER_BIT;
+    match address {
+        1 => vec![0, 32, 64, 96, 128],
+        9 => vec![64, 96, 128],
+        10 => vec![64, 128, 192],
+        11 => vec![0, 32, 64],
+        _ => vec![64, 96, 96 + per_bit, 96 + 2 * per_bit],
+    }
+}
+
+/// One case of the precompile property: either arbitrary bytes of a
+/// length beside a field boundary (for 0x0C, half the time under a
+/// width word that matches the length), or an honest input after one
+/// byte overwritten, inserted or deleted. Nothing may panic, and a second
+/// run with exactly the gas the first charged returns the same output.
+fn precompile_case(
+    pick: usize,
+    (arbitrary, boundary, offset): (bool, usize, usize),
+    (kind, at, byte): (u8, usize, u8),
+    noise: &[u8],
+) -> Result<(), TestCaseError> {
+    let (address, honest, _) = &honest_precompile_inputs()[pick % 5];
+    let input = if arbitrary {
+        let bounds = field_boundaries(*address);
+        let len = (bounds[boundary % bounds.len()] + offset % 3).saturating_sub(1);
+        let mut input: Vec<u8> = noise.iter().copied().cycle().take(len).collect();
+        if *address == 12 && kind % 2 == 0 && len >= 96 {
+            let bits = (len - 96) / sc_confidential::range::BYTES_PER_BIT;
+            input[64..96].copy_from_slice(&U256::from_u64(bits as u64).to_be_bytes());
+        }
+        input
+    } else {
+        let mut input = honest.clone();
+        let at = at % (input.len() + 1);
+        match kind % 3 {
+            0 if at < input.len() => input[at] ^= byte | 1,
+            1 => input.insert(at, byte),
+            _ if at < input.len() => drop(input.remove(at)),
+            _ => {}
+        }
+        input
+    };
+    let precompile = Address::from_u256(U256::from_u64(*address));
+    let first = sc_evm::precompile::run(precompile, &input, 100_000_000).expect("gas suffices");
+    let again = sc_evm::precompile::run(precompile, &input, first.gas_cost)
+        .expect("the charged gas suffices");
+    prop_assert_eq!(again.gas_cost, first.gas_cost);
+    prop_assert_eq!(again.output, first.output);
+    Ok(())
+}
+
+fn arb_precompile_input() -> impl Strategy<Value = (bool, usize, usize)> {
+    (any::<bool>(), 0usize..8, 0usize..3)
+}
+
+fn arb_precompile_mutation() -> impl Strategy<Value = (u8, usize, u8)> {
+    (any::<u8>(), 0usize..8192, any::<u8>())
+}
+
+/// Each honest input returns its true word.
+#[test]
+fn honest_precompile_inputs_return_the_true_word() {
+    for (address, input, word) in honest_precompile_inputs() {
+        let precompile = Address::from_u256(U256::from_u64(*address));
+        let out = sc_evm::precompile::run(precompile, input, 100_000_000).unwrap();
+        assert_eq!(&out.output, word, "precompile {address:#x}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The precompile input boundary (0x01 and 0x09–0x0C): no byte string
+    /// panics a precompile, and the gas and output are a function of the
+    /// input alone.
+    #[test]
+    fn precompiles_survive_arbitrary_and_mutated_inputs(
+        pick in 0usize..5,
+        shape in arb_precompile_input(),
+        mutation in arb_precompile_mutation(),
+        noise in proptest::collection::vec(any::<u8>(), 1..64),
+    ) {
+        precompile_case(pick, shape, mutation, &noise)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// The release sweep of the precompile property.
+    #[test]
+    #[ignore = "10,000 cases; run in release"]
+    fn precompile_sweep_10000_cases(
+        pick in 0usize..5,
+        shape in arb_precompile_input(),
+        mutation in arb_precompile_mutation(),
+        noise in proptest::collection::vec(any::<u8>(), 1..64),
+    ) {
+        precompile_case(pick, shape, mutation, &noise)?;
+    }
 }

@@ -38,15 +38,31 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// The most nesting one statement may hold. Sema and codegen recurse
+/// once per AST level, so without a bound a deep expression overflows
+/// the stack. The parser counts every sub-expression, binary-chain
+/// link, unary and postfix operator, and nested statement, and releases
+/// the count only when the statement ends; the count bounds the depth
+/// of every path through the statement's tree. At this bound the
+/// deepest program still compiles on a 2 MiB thread in a debug build.
+pub const MAX_DEPTH: usize = 144;
+
 /// Parses MiniSol source into a [`Program`].
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let tokens = lex(src)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting counted so far ([`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -73,6 +89,15 @@ impl Parser {
             line: t.line,
             col: t.col,
         })
+    }
+
+    /// Counts one more level of nesting in the current statement.
+    fn nest(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(())
     }
 
     fn expect_punct(&mut self, p: &str) -> Result<(), ParseError> {
@@ -437,7 +462,16 @@ impl Parser {
     }
 
     /// Parses one statement; may expand to several (for-desugaring).
+    /// The nesting it counts is released when it ends.
     fn statement(&mut self) -> Result<Vec<Stmt>, ParseError> {
+        let outer = self.depth;
+        self.nest()?;
+        let stmts = self.statement_body()?;
+        self.depth = outer;
+        Ok(stmts)
+    }
+
+    fn statement_body(&mut self) -> Result<Vec<Stmt>, ParseError> {
         // `_;` placeholder
         if self.peek().is_kw("_") {
             self.advance();
@@ -649,85 +683,59 @@ impl Parser {
     // ---- expressions (precedence climbing) ----
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        self.nest()?;
+        self.binary(0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat_punct("||") {
-            let rhs = self.and_expr()?;
-            lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat_punct("&&") {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
-        let lhs = self.add_expr()?;
-        for (p, op) in [
-            ("==", BinOp::Eq),
-            ("!=", BinOp::Ne),
-            ("<=", BinOp::Le),
-            (">=", BinOp::Ge),
-            ("<", BinOp::Lt),
-            (">", BinOp::Gt),
-        ] {
-            if self.eat_punct(p) {
-                let rhs = self.add_expr()?;
-                return Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)));
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn add_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            if self.eat_punct("+") {
-                let rhs = self.mul_expr()?;
-                lhs = Expr::Bin(BinOp::Add, Box::new(lhs), Box::new(rhs));
-            } else if self.eat_punct("-") {
-                let rhs = self.mul_expr()?;
-                lhs = Expr::Bin(BinOp::Sub, Box::new(lhs), Box::new(rhs));
-            } else {
-                break;
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<Expr, ParseError> {
+    /// Binary operators binding at least as tightly as `min`, by
+    /// precedence climbing: one frame per level of nesting, each link of
+    /// a left-associative chain nesting one level deeper.
+    fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
         let mut lhs = self.unary_expr()?;
-        loop {
-            if self.eat_punct("*") {
-                let rhs = self.unary_expr()?;
-                lhs = Expr::Bin(BinOp::Mul, Box::new(lhs), Box::new(rhs));
-            } else if self.eat_punct("/") {
-                let rhs = self.unary_expr()?;
-                lhs = Expr::Bin(BinOp::Div, Box::new(lhs), Box::new(rhs));
-            } else if self.eat_punct("%") {
-                let rhs = self.unary_expr()?;
-                lhs = Expr::Bin(BinOp::Mod, Box::new(lhs), Box::new(rhs));
-            } else {
-                break;
-            }
+        let mut loosest = u8::MAX;
+        while let Some((prec, op)) = self.binary_op(min, loosest) {
+            self.nest()?;
+            let rhs = self.binary(prec + 1)?;
+            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
+            loosest = prec;
         }
         Ok(lhs)
+    }
+
+    /// Consumes the next binary operator if it binds at least as tightly
+    /// as `min`. Comparisons do not chain: one applies only to an operand
+    /// no comparison, `&&` or `||` has joined (`loosest` > 3).
+    fn binary_op(&mut self, min: u8, loosest: u8) -> Option<(u8, BinOp)> {
+        const OPS: [(&str, u8, BinOp); 13] = [
+            ("||", 1, BinOp::Or),
+            ("&&", 2, BinOp::And),
+            ("==", 3, BinOp::Eq),
+            ("!=", 3, BinOp::Ne),
+            ("<=", 3, BinOp::Le),
+            (">=", 3, BinOp::Ge),
+            ("<", 3, BinOp::Lt),
+            (">", 3, BinOp::Gt),
+            ("+", 4, BinOp::Add),
+            ("-", 4, BinOp::Sub),
+            ("*", 5, BinOp::Mul),
+            ("/", 5, BinOp::Div),
+            ("%", 5, BinOp::Mod),
+        ];
+        let &(_, prec, op) = OPS.iter().find(|(p, ..)| self.peek().is_punct(p))?;
+        if prec < min || (prec == 3 && loosest <= 3) {
+            return None;
+        }
+        self.advance();
+        Some((prec, op))
     }
 
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if self.eat_punct("!") {
+            self.nest()?;
             return Ok(Expr::Not(Box::new(self.unary_expr()?)));
         }
         if self.eat_punct("-") {
+            self.nest()?;
             return Ok(Expr::Neg(Box::new(self.unary_expr()?)));
         }
         self.postfix_expr()
@@ -737,57 +745,13 @@ impl Parser {
         let mut e = self.primary_expr()?;
         loop {
             if self.eat_punct("[") {
+                self.nest()?;
                 let idx = self.expr()?;
                 self.expect_punct("]")?;
                 e = Expr::Index(Box::new(e), Box::new(idx));
-            } else if self.peek().is_punct(".") {
-                self.advance();
-                let member = self.expect_ident()?;
-                match member.as_str() {
-                    "balance" => e = Expr::Balance(Box::new(e)),
-                    "length" => e = Expr::ArrayLength(Box::new(e)),
-                    "transfer" => {
-                        self.expect_punct("(")?;
-                        let amount = self.expr()?;
-                        self.expect_punct(")")?;
-                        // Encoded as a sentinel external call; the
-                        // statement layer turns it into Stmt::Transfer.
-                        e = Expr::ExternalCall {
-                            iface: String::new(),
-                            addr: Box::new(e),
-                            method: "transfer".into(),
-                            args: vec![amount],
-                        };
-                    }
-                    m => {
-                        // Interface method call: Iface(addr).m(args)
-                        self.expect_punct("(")?;
-                        let mut args = Vec::new();
-                        if !self.peek().is_punct(")") {
-                            loop {
-                                args.push(self.expr()?);
-                                if !self.eat_punct(",") {
-                                    break;
-                                }
-                            }
-                        }
-                        self.expect_punct(")")?;
-                        let (iface, addr) = match e {
-                            Expr::Cast(Type::Interface(name), inner) => (name, inner),
-                            _ => {
-                                return self.err(format!(
-                                    "method `{m}` requires an interface cast like Iface(addr)"
-                                ))
-                            }
-                        };
-                        e = Expr::ExternalCall {
-                            iface,
-                            addr,
-                            method: m.to_string(),
-                            args,
-                        };
-                    }
-                }
+            } else if self.eat_punct(".") {
+                self.nest()?;
+                e = self.member(e)?;
             } else {
                 break;
             }
@@ -795,7 +759,70 @@ impl Parser {
         Ok(e)
     }
 
+    /// The member access or call after `e.`: out of line from
+    /// `postfix_expr` to keep the recursive frame small.
+    fn member(&mut self, e: Expr) -> Result<Expr, ParseError> {
+        let member = self.expect_ident()?;
+        match member.as_str() {
+            "balance" => Ok(Expr::Balance(Box::new(e))),
+            "length" => Ok(Expr::ArrayLength(Box::new(e))),
+            "transfer" => {
+                self.expect_punct("(")?;
+                let amount = self.expr()?;
+                self.expect_punct(")")?;
+                // Encoded as a sentinel external call; the
+                // statement layer turns it into Stmt::Transfer.
+                Ok(Expr::ExternalCall {
+                    iface: String::new(),
+                    addr: Box::new(e),
+                    method: "transfer".into(),
+                    args: vec![amount],
+                })
+            }
+            m => {
+                // Interface method call: Iface(addr).m(args)
+                self.expect_punct("(")?;
+                let mut args = Vec::new();
+                if !self.peek().is_punct(")") {
+                    loop {
+                        args.push(self.expr()?);
+                        if !self.eat_punct(",") {
+                            break;
+                        }
+                    }
+                }
+                self.expect_punct(")")?;
+                let (iface, addr) = match e {
+                    Expr::Cast(Type::Interface(name), inner) => (name, inner),
+                    _ => {
+                        return self.err(format!(
+                            "method `{m}` requires an interface cast like Iface(addr)"
+                        ))
+                    }
+                };
+                Ok(Expr::ExternalCall {
+                    iface,
+                    addr,
+                    method: m.to_string(),
+                    args,
+                })
+            }
+        }
+    }
+
     fn primary_expr(&mut self) -> Result<Expr, ParseError> {
+        if self.eat_punct("(") {
+            let e = self.expr()?;
+            self.expect_punct(")")?;
+            return Ok(e);
+        }
+        self.atom()
+    }
+
+    /// Every primary expression but a parenthesised one: out of line
+    /// from `primary_expr`, like `confidential_builtin`, so the frames
+    /// nested parentheses recurse through stay small.
+    fn atom(&mut self) -> Result<Expr, ParseError> {
         let t = self.peek().clone();
         match &t.tok {
             Tok::Number(s) => {
@@ -951,12 +978,6 @@ impl Parser {
                     Ok(Expr::Ident(name))
                 }
             },
-            Tok::Punct("(") => {
-                self.advance();
-                let e = self.expr()?;
-                self.expect_punct(")")?;
-                Ok(e)
-            }
             other => self.err(format!("unexpected token `{other}` in expression")),
         }
     }

@@ -338,3 +338,73 @@ fn unary_negation_wraps() {
     assert_eq!(h.call_word("f", &[Value::Uint(U256::ONE)]), U256::MAX);
     assert_eq!(h.call_word("f", &[Value::Uint(U256::ZERO)]), U256::ZERO);
 }
+
+/// The four shapes that nest one level per step: `n` parentheses, `n`
+/// negations, a flat sum of `n + 1` terms, and `n` `else if` arms.
+fn deep_sources(n: usize) -> [String; 4] {
+    let function = |returns: &str, body: String| {
+        format!("contract c {{ function f() public returns ({returns}) {{ {body} }} }}")
+    };
+    let else_ifs: String = (0..n)
+        .map(|i| format!(" else if (true) {{ return {i}; }}"))
+        .collect();
+    [
+        function(
+            "uint256",
+            format!("return {}1{};", "(".repeat(n), ")".repeat(n)),
+        ),
+        function("bool", format!("return {}true;", "!".repeat(n))),
+        function("uint256", format!("return 1{};", " + 1".repeat(n))),
+        function(
+            "uint256",
+            format!("if (true) {{ return 0; }}{else_ifs} return 0;"),
+        ),
+    ]
+}
+
+/// Each deep shape is refused with a parse error that names the limit,
+/// however deep it goes: the compiler never overflows its stack.
+#[test]
+fn deep_nesting_is_refused_not_overflowed() {
+    for n in [10_000, 100_000] {
+        for src in deep_sources(n) {
+            match compile(&src, "c") {
+                Err(CompileError::Parse(e)) => assert!(
+                    e.message.contains(&sc_lang::parser::MAX_DEPTH.to_string()),
+                    "{e}"
+                ),
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+    }
+}
+
+/// Both sides of the limit: for each shape, the deepest program the
+/// parser accepts compiles on a 2 MiB thread (the test harness's
+/// default) in a debug build, and one level deeper is refused.
+#[test]
+fn the_deepest_accepted_programs_compile() {
+    let deepest = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            (0..4)
+                .map(|shape| {
+                    let src = |n: usize| deep_sources(n)[shape].clone();
+                    let n = (1..).find(|&n| sc_lang::parse(&src(n)).is_err()).unwrap() - 1;
+                    compile(&src(n), "c").expect("deepest accepted program compiles");
+                    assert!(matches!(
+                        compile(&src(n + 1), "c"),
+                        Err(CompileError::Parse(_))
+                    ));
+                    n
+                })
+                .collect::<Vec<_>>()
+        })
+        .unwrap()
+        .join()
+        .expect("no stack overflow");
+    assert!(
+        deepest.iter().all(|&n| n >= sc_lang::parser::MAX_DEPTH / 4),
+        "{deepest:?}"
+    );
+}

@@ -36,6 +36,11 @@ pub fn gwei(n: u64) -> U256 {
     U256::from_u64(1_000_000_000).wrapping_mul(U256::from_u64(n))
 }
 
+// Lets the test tree's reference codec, included into the unit tests,
+// name this crate as every other includer does.
+#[cfg(test)]
+extern crate self as sc_primitives;
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,21 +4,15 @@
 //! for transaction signing payloads and — critically for the paper's
 //! mechanism — for the contract-address derivation
 //! `CA = keccak(rlp([sender, nonce]))[12..]`.
+//!
+//! One reader and one writer: decoders read a borrowed [`Rlp`] view,
+//! validated once by [`Rlp::new`]; encoders append straight into one
+//! output buffer with [`put_bytes`], [`put_list_header`] and [`put_list`].
 
-use crate::hash::Address;
 use crate::u256::U256;
 use std::fmt;
 
-/// An RLP item: either a byte string or a list of items.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Item {
-    /// A byte string (possibly empty).
-    Bytes(Vec<u8>),
-    /// A (possibly empty) list of nested items.
-    List(Vec<Item>),
-}
-
-/// Error returned by [`decode`].
+/// Error returned by [`Rlp::new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DecodeError {
     /// Input ended before the announced payload.
@@ -32,12 +26,12 @@ pub enum DecodeError {
     TooDeep,
 }
 
-/// The deepest list nesting [`decode`] accepts. Decoding recurses once
-/// per nested list, so without a bound a frame of nested list prefixes
-/// overflows the stack. The deepest structure the workspace encodes is
-/// a trie node: one list whose inline children each encode to under 32
-/// bytes, so at most 31 further one-byte list prefixes. (The deepest
-/// fixed schema is a receipt: receipt, logs, log, topics.)
+/// The deepest list nesting [`Rlp::new`] accepts. Validation recurses
+/// once per nested list, so without a bound a frame of nested list
+/// prefixes overflows the stack. The deepest structure the workspace
+/// encodes is a trie node: one list whose inline children each encode
+/// to under 32 bytes, so at most 31 further one-byte list prefixes.
+/// (The deepest fixed schema is a receipt: receipt, logs, log, topics.)
 pub const MAX_DEPTH: usize = 32;
 
 impl fmt::Display for DecodeError {
@@ -53,87 +47,95 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-impl Item {
-    /// Convenience constructor for a byte-string item.
-    pub fn bytes(b: impl Into<Vec<u8>>) -> Item {
-        Item::Bytes(b.into())
+/// A borrowed view of one canonical RLP item: a byte string or a list.
+/// [`Rlp::new`] validates the whole item once, without allocating, so
+/// reading the view and its sub-views afterwards cannot fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rlp<'a> {
+    list: bool,
+    payload: &'a [u8],
+}
+
+impl<'a> Rlp<'a> {
+    /// Validates `input` as exactly one canonical item, nesting at most
+    /// [`MAX_DEPTH`] lists, with nothing after it.
+    pub fn new(input: &'a [u8]) -> Result<Rlp<'a>, DecodeError> {
+        let (item, rest) = split(input)?;
+        item.check(0)?;
+        if !rest.is_empty() {
+            return Err(DecodeError::TrailingBytes);
+        }
+        Ok(item)
     }
 
-    /// Encodes a `U256` in RLP's canonical integer form: big-endian with no
-    /// leading zeros, the empty string for zero.
-    pub fn uint(v: U256) -> Item {
-        Item::Bytes(v.to_be_bytes_trimmed())
+    /// Validates the items of a list inside `depth` enclosing lists,
+    /// depth first, in order.
+    fn check(self, depth: usize) -> Result<(), DecodeError> {
+        if !self.list {
+            return Ok(());
+        }
+        if depth == MAX_DEPTH {
+            return Err(DecodeError::TooDeep);
+        }
+        let mut payload = self.payload;
+        while !payload.is_empty() {
+            let (item, rest) = split(payload)?;
+            item.check(depth + 1)?;
+            payload = rest;
+        }
+        Ok(())
     }
 
-    /// Encodes a `u64` like [`Item::uint`].
-    pub fn u64(v: u64) -> Item {
-        Item::uint(U256::from_u64(v))
+    /// True for a list, false for a byte string.
+    pub fn is_list(&self) -> bool {
+        self.list
     }
 
-    /// Encodes an address as its 20 raw bytes.
-    pub fn address(a: Address) -> Item {
-        Item::Bytes(a.0.to_vec())
+    /// The items of a list, in order, as sub-views; a byte string has
+    /// none.
+    pub fn iter(&self) -> impl Iterator<Item = Rlp<'a>> {
+        let mut rest = if self.list { self.payload } else { &[] };
+        std::iter::from_fn(move || {
+            let (item, next) = split(rest).ok()?;
+            rest = next;
+            Some(item)
+        })
     }
 
-    /// Interprets a byte-string item as a canonical unsigned integer.
+    /// A byte string's bytes (a list's payload: its items' encodings).
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.payload
+    }
+
+    /// A byte string read as a canonical unsigned integer: at most 32
+    /// bytes and no leading zero. `None` for a list.
     pub fn as_uint(&self) -> Option<U256> {
-        match self {
-            Item::Bytes(b) if b.len() <= 32 => {
-                if b.first() == Some(&0) {
-                    return None; // leading zero: non-canonical integer
-                }
-                Some(U256::from_be_slice(b))
-            }
+        match self.payload {
+            _ if self.list => None,
+            [0, ..] => None, // leading zero: non-canonical integer
+            b if b.len() <= 32 => Some(U256::from_be_slice(b)),
             _ => None,
         }
     }
 }
 
-/// Encodes an item to its RLP byte representation.
-pub fn encode(item: &Item) -> Vec<u8> {
-    let mut out = Vec::with_capacity(encoded_len(item));
-    encode_into(item, &mut out);
-    out
-}
-
-/// Encodes a list of items (the most common top-level shape).
-pub fn encode_list(items: &[Item]) -> Vec<u8> {
-    let payload = payload_len(items);
-    let mut out = Vec::with_capacity(header_len(payload) + payload);
-    put_list_header(payload, &mut out);
-    for it in items {
-        encode_into(it, &mut out);
+/// Splits the first item off `input` by its header — the one parser
+/// validation and iteration share. A list's items are not looked at.
+fn split(input: &[u8]) -> Result<(Rlp<'_>, &[u8]), DecodeError> {
+    let (&prefix, rest) = input.split_first().ok_or(DecodeError::UnexpectedEof)?;
+    let (len, rest) = match prefix {
+        0x00..=0x7f => (1, input), // a low byte is its own payload
+        0x80..=0xb7 => ((prefix - 0x80) as usize, rest),
+        0xb8..=0xbf => read_length(rest, (prefix - 0xb7) as usize)?,
+        0xc0..=0xf7 => ((prefix - 0xc0) as usize, rest),
+        0xf8..=0xff => read_length(rest, (prefix - 0xf7) as usize)?,
+    };
+    let (payload, rest) = split_checked(rest, len)?;
+    if prefix == 0x81 && payload[0] < 0x80 {
+        return Err(DecodeError::NonCanonical); // a low byte encodes as itself
     }
-    out
-}
-
-/// Length of `item`'s encoding, header included.
-fn encoded_len(item: &Item) -> usize {
-    match item {
-        Item::Bytes(b) => bytes_len(b),
-        Item::List(items) => {
-            let payload = payload_len(items);
-            header_len(payload) + payload
-        }
-    }
-}
-
-fn payload_len(items: &[Item]) -> usize {
-    items.iter().map(encoded_len).sum()
-}
-
-/// Writes each list once: the header from the payload length worked
-/// out up front, then the items straight after it.
-fn encode_into(item: &Item, out: &mut Vec<u8>) {
-    match item {
-        Item::Bytes(b) => put_bytes(b, out),
-        Item::List(items) => {
-            put_list_header(payload_len(items), out);
-            for it in items {
-                encode_into(it, out);
-            }
-        }
-    }
+    let list = prefix >= 0xc0;
+    Ok((Rlp { list, payload }, rest))
 }
 
 /// Length of the encoding of the byte string `b`, header included.
@@ -171,6 +173,16 @@ pub fn put_list_header(payload: usize, out: &mut Vec<u8>) {
     encode_length(payload, 0xc0, out);
 }
 
+/// Appends a list whose items `items` appends: for lists whose payload
+/// length is not known up front, the header goes in front once it is.
+pub fn put_list(out: &mut Vec<u8>, items: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    items(out);
+    let payload = out.len() - start;
+    put_list_header(payload, out);
+    out[start..].rotate_right(header_len(payload));
+}
+
 /// A big-endian integer without its leading zeros: RLP's canonical
 /// integer form, as a slice of `buf`.
 pub fn trim_uint(buf: &[u8; 32]) -> &[u8] {
@@ -188,58 +200,6 @@ fn encode_length(len: usize, offset: u8, out: &mut Vec<u8>) {
         out.push(offset + 55 + len_bytes.len() as u8);
         out.extend_from_slice(len_bytes);
     }
-}
-
-/// Decodes a complete RLP item; rejects trailing bytes.
-pub fn decode(input: &[u8]) -> Result<Item, DecodeError> {
-    let (item, rest) = decode_partial(input)?;
-    if !rest.is_empty() {
-        return Err(DecodeError::TrailingBytes);
-    }
-    Ok(item)
-}
-
-/// Decodes one item, returning the remaining bytes.
-pub fn decode_partial(input: &[u8]) -> Result<(Item, &[u8]), DecodeError> {
-    decode_nested(input, 0)
-}
-
-/// [`decode_partial`] inside `depth` enclosing lists.
-fn decode_nested(input: &[u8], depth: usize) -> Result<(Item, &[u8]), DecodeError> {
-    let (&prefix, rest) = input.split_first().ok_or(DecodeError::UnexpectedEof)?;
-    let (mut payload, rest) = match prefix {
-        0x00..=0x7f => return Ok((Item::Bytes(vec![prefix]), rest)),
-        0x80..=0xb7 => {
-            let len = (prefix - 0x80) as usize;
-            let (payload, rest) = split_checked(rest, len)?;
-            if len == 1 && payload[0] < 0x80 {
-                return Err(DecodeError::NonCanonical);
-            }
-            return Ok((Item::Bytes(payload.to_vec()), rest));
-        }
-        0xb8..=0xbf => {
-            let len_len = (prefix - 0xb7) as usize;
-            let (len, rest) = read_length(rest, len_len)?;
-            let (payload, rest) = split_checked(rest, len)?;
-            return Ok((Item::Bytes(payload.to_vec()), rest));
-        }
-        0xc0..=0xf7 => split_checked(rest, (prefix - 0xc0) as usize)?,
-        0xf8..=0xff => {
-            let len_len = (prefix - 0xf7) as usize;
-            let (len, rest) = read_length(rest, len_len)?;
-            split_checked(rest, len)?
-        }
-    };
-    if depth == MAX_DEPTH {
-        return Err(DecodeError::TooDeep);
-    }
-    let mut items = Vec::new();
-    while !payload.is_empty() {
-        let (item, next) = decode_nested(payload, depth + 1)?;
-        items.push(item);
-        payload = next;
-    }
-    Ok((Item::List(items), rest))
 }
 
 fn read_length(input: &[u8], len_len: usize) -> Result<(usize, &[u8]), DecodeError> {
@@ -268,72 +228,91 @@ fn split_checked(input: &[u8], len: usize) -> Result<(&[u8], &[u8]), DecodeError
 }
 
 #[cfg(test)]
+#[path = "../tests/reference/rlp.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{self, Item};
     use super::*;
+    use crate::hash::Address;
+
+    fn uint(v: u64, out: &mut Vec<u8>) {
+        put_bytes(trim_uint(&U256::from_u64(v).to_be_bytes()), out);
+    }
+
+    fn written(write: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::new();
+        write(&mut out);
+        out
+    }
 
     #[test]
     fn canonical_vectors() {
         // Classic test vectors from the Ethereum wiki.
         assert_eq!(
-            encode(&Item::bytes(b"dog".to_vec())),
+            written(|out| put_bytes(b"dog", out)),
             vec![0x83, b'd', b'o', b'g']
         );
         assert_eq!(
-            encode(&Item::List(vec![
-                Item::bytes(b"cat".to_vec()),
-                Item::bytes(b"dog".to_vec())
-            ])),
+            written(|out| put_list(out, |out| {
+                put_bytes(b"cat", out);
+                put_bytes(b"dog", out);
+            })),
             vec![0xc8, 0x83, b'c', b'a', b't', 0x83, b'd', b'o', b'g']
         );
-        assert_eq!(encode(&Item::bytes(Vec::new())), vec![0x80]);
-        assert_eq!(encode(&Item::List(vec![])), vec![0xc0]);
-        assert_eq!(encode(&Item::uint(U256::ZERO)), vec![0x80]);
-        assert_eq!(encode(&Item::uint(U256::from_u64(15))), vec![0x0f]);
-        assert_eq!(
-            encode(&Item::uint(U256::from_u64(1024))),
-            vec![0x82, 0x04, 0x00]
-        );
+        assert_eq!(written(|out| put_bytes(&[], out)), vec![0x80]);
+        assert_eq!(written(|out| put_list(out, |_| {})), vec![0xc0]);
+        assert_eq!(written(|out| uint(0, out)), vec![0x80]);
+        assert_eq!(written(|out| uint(15, out)), vec![0x0f]);
+        assert_eq!(written(|out| uint(1024, out)), vec![0x82, 0x04, 0x00]);
         // "Lorem ipsum..." long-string prefix: 0xb8 + len
-        let lorem = b"Lorem ipsum dolor sit amet, consectetur adipisicing elit".to_vec();
-        let enc = encode(&Item::bytes(lorem.clone()));
+        let lorem = b"Lorem ipsum dolor sit amet, consectetur adipisicing elit";
+        let enc = written(|out| put_bytes(lorem, out));
         assert_eq!(enc[0], 0xb8);
         assert_eq!(enc[1], lorem.len() as u8);
+        assert_eq!(Rlp::new(&enc).unwrap().as_bytes(), lorem);
     }
 
     #[test]
     fn nested_list_vector() {
         // [ [], [[]], [ [], [[]] ] ]
-        let item = Item::List(vec![
-            Item::List(vec![]),
-            Item::List(vec![Item::List(vec![])]),
-            Item::List(vec![
-                Item::List(vec![]),
-                Item::List(vec![Item::List(vec![])]),
-            ]),
-        ]);
-        assert_eq!(
-            encode(&item),
-            vec![0xc7, 0xc0, 0xc1, 0xc0, 0xc3, 0xc0, 0xc1, 0xc0]
-        );
-        assert_eq!(decode(&encode(&item)).unwrap(), item);
+        let enc = written(|out| {
+            put_list(out, |out| {
+                put_list(out, |_| {});
+                put_list(out, |out| put_list(out, |_| {}));
+                put_list(out, |out| {
+                    put_list(out, |_| {});
+                    put_list(out, |out| put_list(out, |_| {}));
+                });
+            })
+        });
+        assert_eq!(enc, vec![0xc7, 0xc0, 0xc1, 0xc0, 0xc3, 0xc0, 0xc1, 0xc0]);
+        let view = Rlp::new(&enc).unwrap();
+        let shape: Vec<usize> = view.iter().map(|l| l.iter().count()).collect();
+        assert_eq!(shape, [0, 1, 2]);
+        assert!(view.iter().all(|l| l.is_list()));
     }
 
     #[test]
     fn decode_rejects_trailing_garbage() {
-        let mut enc = encode(&Item::bytes(b"dog".to_vec()));
+        let mut enc = written(|out| put_bytes(b"dog", out));
         enc.push(0x00);
-        assert_eq!(decode(&enc), Err(DecodeError::TrailingBytes));
+        assert_eq!(Rlp::new(&enc), Err(DecodeError::TrailingBytes));
     }
 
     #[test]
     fn decode_rejects_non_canonical_single_byte() {
         // 0x81 0x05 encodes 0x05 long-form; canonical is plain 0x05.
-        assert_eq!(decode(&[0x81, 0x05]), Err(DecodeError::NonCanonical));
+        assert_eq!(Rlp::new(&[0x81, 0x05]), Err(DecodeError::NonCanonical));
     }
 
     #[test]
     fn decode_rejects_truncated_payload() {
-        assert_eq!(decode(&[0x83, b'd', b'o']), Err(DecodeError::UnexpectedEof));
+        assert_eq!(
+            Rlp::new(&[0x83, b'd', b'o']),
+            Err(DecodeError::UnexpectedEof)
+        );
     }
 
     #[test]
@@ -341,30 +320,44 @@ mod tests {
         let nest =
             |depth: usize| (0..depth).fold(Item::List(vec![]), |in_, _| Item::List(vec![in_]));
         // `nest(d)` holds d + 1 lists, one inside the next.
-        let deepest = nest(MAX_DEPTH - 1);
-        assert_eq!(decode(&encode(&deepest)).unwrap(), deepest);
-        assert_eq!(decode(&encode(&nest(MAX_DEPTH))), Err(DecodeError::TooDeep));
+        let deepest = reference::encode(&nest(MAX_DEPTH - 1));
+        let mut view = Rlp::new(&deepest).unwrap();
+        for _ in 0..MAX_DEPTH - 1 {
+            view = view.iter().next().unwrap();
+        }
+        assert!(view.is_list() && view.iter().next().is_none());
+        let too_deep = reference::encode(&nest(MAX_DEPTH));
+        assert_eq!(Rlp::new(&too_deep), Err(DecodeError::TooDeep));
     }
 
     #[test]
     fn long_list_roundtrip() {
-        let items: Vec<Item> = (0..100).map(|i| Item::u64(i * 7919)).collect();
-        let enc = encode_list(&items);
-        assert_eq!(decode(&enc).unwrap(), Item::List(items));
+        let values: Vec<u64> = (0..100).map(|i| i * 7919).collect();
+        let enc = written(|out| {
+            put_list(out, |out| values.iter().for_each(|&v| uint(v, out)));
+        });
+        let items = Item::List(values.iter().map(|&v| Item::u64(v)).collect());
+        assert_eq!(enc, reference::encode(&items));
+        let decoded: Vec<u64> = Rlp::new(&enc)
+            .unwrap()
+            .iter()
+            .map(|v| v.as_uint().unwrap().to_u64().unwrap())
+            .collect();
+        assert_eq!(decoded, values);
     }
 
     #[test]
     fn length_helpers_match_the_encoder() {
         for len in [0usize, 1, 2, 55, 56, 255, 256, 1024, 70_000] {
             let b = vec![0x80u8; len];
-            let enc = encode(&Item::bytes(b.clone()));
+            let enc = reference::encode(&Item::bytes(b.clone()));
             assert_eq!(bytes_len(&b), enc.len());
-            let mut out = Vec::new();
-            put_bytes(&b, &mut out);
-            assert_eq!(out, enc);
+            assert_eq!(written(|out| put_bytes(&b, out)), enc);
             let mut header = Vec::new();
             put_list_header(len, &mut header);
             assert_eq!(header.len(), header_len(len));
+            let list = written(|out| put_list(out, |out| out.extend_from_slice(&b)));
+            assert_eq!(list, [header, b].concat());
         }
         assert_eq!(bytes_len(&[0x7f]), 1);
         assert_eq!(
@@ -376,17 +369,19 @@ mod tests {
 
     #[test]
     fn uint_decoding_rejects_leading_zero() {
-        let item = Item::Bytes(vec![0x00, 0x01]);
-        assert_eq!(item.as_uint(), None);
-        assert_eq!(Item::Bytes(vec![0x01]).as_uint(), Some(U256::ONE));
-        assert_eq!(Item::Bytes(vec![]).as_uint(), Some(U256::ZERO));
+        let uint = |enc: &[u8]| Rlp::new(enc).unwrap().as_uint();
+        assert_eq!(uint(&[0x82, 0x00, 0x01]), None);
+        assert_eq!(uint(&[0x01]), Some(U256::ONE));
+        assert_eq!(uint(&[0x80]), Some(U256::ZERO));
+        assert_eq!(uint(&[0xc0]), None, "a list is no integer");
     }
 
     #[test]
     fn address_item_is_20_raw_bytes() {
         let a = Address([0xab; 20]);
-        let enc = encode(&Item::address(a));
+        let enc = written(|out| put_bytes(a.as_bytes(), out));
         assert_eq!(enc.len(), 21);
         assert_eq!(enc[0], 0x80 + 20);
+        assert_eq!(enc, reference::encode(&Item::address(a)));
     }
 }

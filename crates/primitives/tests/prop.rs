@@ -1,9 +1,15 @@
 //! Property-based tests for the primitive types against reference models.
 
 use proptest::prelude::*;
+use proptest::test_runner::{TestCaseError, TestRng};
 use sc_primitives::abi::{self, Type, Value};
-use sc_primitives::rlp::{self, Item};
+use sc_primitives::rlp::{self, Rlp, MAX_DEPTH};
 use sc_primitives::{hex, Address, H256, U256};
+
+#[path = "reference/rlp.rs"]
+mod reference;
+
+use reference::Item;
 
 fn arb_u256() -> impl Strategy<Value = U256> {
     // Mix of full-range words and small/structured values so limb
@@ -167,21 +173,36 @@ proptest! {
 
     #[test]
     fn rlp_bytes_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let item = Item::Bytes(data);
-        prop_assert_eq!(rlp::decode(&rlp::encode(&item)).unwrap(), item);
+        let mut enc = Vec::new();
+        rlp::put_bytes(&data, &mut enc);
+        prop_assert_eq!(&enc, &reference::encode(&Item::Bytes(data.clone())));
+        prop_assert_eq!(Rlp::new(&enc).unwrap().as_bytes(), &data[..]);
     }
 
     #[test]
     fn rlp_uint_roundtrip(a in arb_u256()) {
-        let item = Item::uint(a);
-        let dec = rlp::decode(&rlp::encode(&item)).unwrap();
-        prop_assert_eq!(dec.as_uint(), Some(a));
+        let mut enc = Vec::new();
+        rlp::put_bytes(rlp::trim_uint(&a.to_be_bytes()), &mut enc);
+        prop_assert_eq!(&enc, &reference::encode(&Item::uint(a)));
+        prop_assert_eq!(Rlp::new(&enc).unwrap().as_uint(), Some(a));
     }
 
     #[test]
     fn rlp_list_roundtrip(vals in proptest::collection::vec(any::<u64>(), 0..40)) {
+        let mut enc = Vec::new();
+        rlp::put_list(&mut enc, |out| {
+            for &v in &vals {
+                rlp::put_bytes(rlp::trim_uint(&U256::from_u64(v).to_be_bytes()), out);
+            }
+        });
         let item = Item::List(vals.into_iter().map(Item::u64).collect());
-        prop_assert_eq!(rlp::decode(&rlp::encode(&item)).unwrap(), item);
+        prop_assert_eq!(&enc, &reference::encode(&item));
+        same(Rlp::new(&enc).unwrap(), &item)?;
+    }
+
+    #[test]
+    fn rlp_view_matches_the_reference(input in arb_rlp_input()) {
+        view_case(&input)?;
     }
 
     // ----- ABI -----
@@ -219,4 +240,119 @@ proptest! {
         let dec = abi::decode(&[Type::Bytes, Type::Uint, Type::Bytes], &enc).unwrap();
         prop_assert_eq!(dec, vals);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    /// The release sweep of the view property.
+    #[test]
+    #[ignore = "10,000 cases; run in release"]
+    fn rlp_view_sweep_10000_cases(input in arb_rlp_input()) {
+        view_case(&input)?;
+    }
+}
+
+/// A byte-string leaf: empty, one byte either side of 0x80, short, or
+/// long enough for a long-form header.
+fn leaf(rng: &mut TestRng) -> Item {
+    let len = match rng.below(5) {
+        0 => 0,
+        1 | 2 => 1,
+        3 => 2 + rng.below(54) as usize,
+        _ => 56 + rng.below(200) as usize,
+    };
+    let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+    if len == 1 && rng.below(2) == 0 {
+        bytes[0] &= 0x7f;
+    }
+    Item::Bytes(bytes)
+}
+
+/// A tree of exactly `depth` nested lists around a leaf, each list with
+/// up to three shallow siblings beside the deep one.
+fn tree(rng: &mut TestRng, depth: usize) -> Item {
+    if depth == 0 {
+        return leaf(rng);
+    }
+    let mut items = vec![tree(rng, depth - 1)];
+    for _ in 0..rng.below(4) {
+        let shallow = rng.below(depth.min(3) as u64) as usize;
+        items.insert(
+            rng.below(items.len() as u64 + 1) as usize,
+            tree(rng, shallow),
+        );
+    }
+    Item::List(items)
+}
+
+/// A byte for a mutation to write: mostly one that makes a header
+/// long-form or a length non-canonical.
+fn arb_header_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![Just(0u8), Just(0x81), Just(0xb8), Just(0xf8), any::<u8>()]
+}
+
+/// The view property's inputs: arbitrary bytes (kind 0), the encoding
+/// of a random tree nesting up to `MAX_DEPTH + 1` lists (1), or a frame
+/// of lists each holding only the next around one leaf (2) — the last
+/// two after one byte overwritten, inserted or deleted, or a truncation,
+/// unless the mutation kind is 4. Half the depths sit at the bound.
+fn arb_rlp_input() -> impl Strategy<Value = Vec<u8>> {
+    (
+        0u8..3,
+        any::<u64>(),
+        prop_oneof![0usize..=MAX_DEPTH + 1, MAX_DEPTH - 1..=MAX_DEPTH + 1],
+        proptest::collection::vec(any::<u8>(), 0..64),
+        (0u8..5, 0usize..4096, arb_header_byte()),
+    )
+        .prop_map(|(kind, seed, depth, noise, (mutation, at, byte))| {
+            let mut rng = TestRng::new(seed);
+            let mut enc = match kind {
+                0 => return noise,
+                1 => reference::encode(&tree(&mut rng, depth)),
+                _ => {
+                    let inner = leaf(&mut rng);
+                    let frame = (0..depth).fold(inner, |inner, _| Item::List(vec![inner]));
+                    reference::encode(&frame)
+                }
+            };
+            let at = at % (enc.len() + 1);
+            match mutation {
+                0 if at < enc.len() => enc[at] = byte,
+                1 => enc.insert(at, byte),
+                2 if at < enc.len() => drop(enc.remove(at)),
+                3 => enc.truncate(at),
+                _ => {}
+            }
+            enc
+        })
+}
+
+/// `Rlp::new` fails exactly when the reference decoder does, with the
+/// same error, and a view it returns stands for the reference tree.
+fn view_case(input: &[u8]) -> Result<(), TestCaseError> {
+    match (Rlp::new(input), reference::decode(input)) {
+        (Ok(view), Ok(item)) => same(view, &item),
+        (view, item) => {
+            prop_assert_eq!(view.err(), item.err());
+            Ok(())
+        }
+    }
+}
+
+/// Walking `view` rebuilds `item`: the same shape and bytes all the way
+/// down, and every node reads as the same integer.
+fn same(view: Rlp, item: &Item) -> Result<(), TestCaseError> {
+    prop_assert_eq!(view.as_uint(), item.as_uint());
+    match item {
+        Item::Bytes(b) => prop_assert!(!view.is_list() && view.as_bytes() == &b[..]),
+        Item::List(items) => {
+            prop_assert!(view.is_list());
+            prop_assert_eq!(view.iter().count(), items.len());
+            for (v, i) in view.iter().zip(items) {
+                same(v, i)?;
+            }
+        }
+    }
+    Ok(())
 }

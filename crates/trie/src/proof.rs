@@ -13,9 +13,8 @@ use crate::nibbles::{hp_decode, to_nibbles, with_nibbles};
 use crate::node::{encode_buffer, Node};
 use crate::{empty_root, Trie};
 use sc_crypto::keccak256;
-use sc_primitives::rlp::{self, Item};
+use sc_primitives::rlp::Rlp;
 use sc_primitives::H256;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why a proof failed to verify.
@@ -99,33 +98,29 @@ pub fn verify_proof(
     if root == empty_root() {
         return Ok(None);
     }
-    let by_hash: HashMap<H256, &[u8]> = proof
+    let by_hash: Vec<(H256, &[u8])> = proof
         .iter()
         .map(|enc| (keccak256(enc), enc.as_slice()))
         .collect();
-    let mut reference = Item::Bytes(root.as_bytes().to_vec());
     let n = to_nibbles(key);
     let mut at = 0usize;
+    let mut node = find(root, &by_hash)?;
     loop {
-        let node = match resolve(&reference, &by_hash)? {
-            Some(node) => node,
-            None => return Ok(None), // empty slot: proven absent
-        };
-        let Item::List(items) = node else {
-            return Err(ProofError::BadNode);
-        };
-        match items.len() {
+        let mut items = node.iter();
+        let reference = match node.iter().count() {
             2 => {
-                let [hp, target]: [Item; 2] = items.try_into().expect("len checked");
-                let Item::Bytes(hp) = hp else {
+                let (Some(hp), Some(target)) = (items.next(), items.next()) else {
                     return Err(ProofError::BadNode);
                 };
-                let (path, is_leaf) = hp_decode(&hp)?;
+                if hp.is_list() {
+                    return Err(ProofError::BadNode);
+                }
+                let (path, is_leaf) = hp_decode(hp.as_bytes())?;
                 if is_leaf {
-                    let Item::Bytes(value) = target else {
+                    if target.is_list() {
                         return Err(ProofError::BadNode);
-                    };
-                    return Ok((n[at..] == path[..]).then_some(value));
+                    }
+                    return Ok((n[at..] == path[..]).then(|| target.as_bytes().to_vec()));
                 }
                 if path.is_empty() {
                     return Err(ProofError::BadNode); // canonical extensions never have empty paths
@@ -134,37 +129,56 @@ pub fn verify_proof(
                     return Ok(None); // path diverges: proven absent
                 }
                 at += path.len();
-                reference = target;
+                target
             }
             17 => {
+                // Slot 16 holds the value of a key that ends here.
+                let slot = n.get(at).map_or(16, |&nibble| nibble as usize);
+                let Some(child) = items.nth(slot) else {
+                    return Err(ProofError::BadNode);
+                };
                 if at == n.len() {
-                    let Some(Item::Bytes(value)) = items.into_iter().nth(16) else {
+                    if child.is_list() {
                         return Err(ProofError::BadNode);
-                    };
-                    return Ok((!value.is_empty()).then_some(value));
+                    }
+                    let value = child.as_bytes();
+                    return Ok((!value.is_empty()).then(|| value.to_vec()));
                 }
-                let idx = n[at] as usize;
                 at += 1;
-                reference = items.into_iter().nth(idx).expect("len checked");
+                child
             }
             _ => return Err(ProofError::BadNode),
-        }
+        };
+        node = match resolve(reference, &by_hash)? {
+            Some(node) => node,
+            None => return Ok(None), // empty slot: proven absent
+        };
     }
 }
 
-/// Resolves a node reference: inline lists stand for themselves, 32-byte
-/// strings index the proof by hash, the empty string is an empty slot.
-fn resolve(reference: &Item, by_hash: &HashMap<H256, &[u8]>) -> Result<Option<Item>, ProofError> {
-    match reference {
-        Item::List(_) => Ok(Some(reference.clone())),
-        Item::Bytes(b) if b.is_empty() => Ok(None),
-        Item::Bytes(b) if b.len() == 32 => {
-            let mut h = H256::ZERO;
-            h.0.copy_from_slice(b);
-            let enc = by_hash.get(&h).ok_or(ProofError::MissingNode(h))?;
-            let item = rlp::decode(enc).map_err(|_| ProofError::BadNode)?;
-            Ok(Some(item))
-        }
-        Item::Bytes(_) => Err(ProofError::BadNode),
+/// Resolves a child reference: an inline list stands for itself, a
+/// 32-byte string names a proof node by hash, the empty string is an
+/// empty slot.
+fn resolve<'a>(
+    reference: Rlp<'a>,
+    by_hash: &[(H256, &'a [u8])],
+) -> Result<Option<Rlp<'a>>, ProofError> {
+    match reference.as_bytes() {
+        _ if reference.is_list() => Ok(Some(reference)),
+        [] => Ok(None),
+        b => find(
+            b.try_into().map(H256).map_err(|_| ProofError::BadNode)?,
+            by_hash,
+        )
+        .map(Some),
     }
+}
+
+/// The proof node whose keccak-256 is `hash`, validated.
+fn find<'a>(hash: H256, by_hash: &[(H256, &'a [u8])]) -> Result<Rlp<'a>, ProofError> {
+    let (_, enc) = by_hash
+        .iter()
+        .find(|(h, _)| *h == hash)
+        .ok_or(ProofError::MissingNode(hash))?;
+    Rlp::new(enc).map_err(|_| ProofError::BadNode)
 }

@@ -4,8 +4,11 @@
 //! the incremental trie's roots and proofs are held to it byte for
 //! byte.
 
+#[path = "../../../primitives/tests/reference/rlp.rs"]
+mod rlp;
+
+use rlp::Item;
 use sc_crypto::keccak256;
-use sc_primitives::rlp::{self, Item};
 use sc_primitives::H256;
 use sc_trie::{empty_root, hp_encode, to_nibbles};
 use std::collections::BTreeMap;
