@@ -146,7 +146,7 @@ impl CallParams {
 
 /// Derives a contract address: `keccak(rlp([sender, nonce]))[12..]`.
 pub fn contract_address(sender: Address, nonce: u64) -> Address {
-    let mut enc = Vec::new();
+    let mut enc = Vec::with_capacity(32); // at most 1 + 21 + 9 bytes
     rlp::put_list(&mut enc, |out| {
         rlp::put_bytes(sender.as_bytes(), out);
         rlp::put_bytes(rlp::trim_uint(&U256::from_u64(nonce).to_be_bytes()), out);

@@ -41,10 +41,11 @@ impl From<LexError> for ParseError {
 /// The most nesting one statement may hold. Sema and codegen recurse
 /// once per AST level, so without a bound a deep expression overflows
 /// the stack. The parser counts every sub-expression, binary-chain
-/// link, unary and postfix operator, and nested statement, and releases
-/// the count only when the statement ends; the count bounds the depth
-/// of every path through the statement's tree. At this bound the
-/// deepest program still compiles on a 2 MiB thread in a debug build.
+/// link, unary and postfix operator, nested statement, mapping and
+/// array dimension, and releases the count only when the statement (or
+/// the type) ends; the count bounds the depth of every path through the
+/// statement's tree. At this bound the deepest program still compiles
+/// on a 2 MiB thread in a debug build.
 pub const MAX_DEPTH: usize = 144;
 
 /// Parses MiniSol source into a [`Program`].
@@ -415,7 +416,9 @@ impl Parser {
         Ok(out)
     }
 
+    /// Parses a type; the nesting it counts is released when it ends.
     fn parse_type(&mut self) -> Result<Type, ParseError> {
+        let outer = self.depth;
         let base = self.expect_ident()?;
         let mut ty = match base.as_str() {
             "uint256" | "uint" => Type::Uint256,
@@ -425,6 +428,7 @@ impl Parser {
             "bytes32" => Type::Bytes32,
             "bytes" => Type::Bytes,
             "mapping" => {
+                self.nest()?;
                 self.expect_punct("(")?;
                 let k = self.parse_type()?;
                 self.expect_punct("=>")?;
@@ -434,8 +438,8 @@ impl Parser {
             }
             other => Type::Interface(other.to_string()),
         };
-        while self.peek().is_punct("[") {
-            self.advance();
+        while self.eat_punct("[") {
+            self.nest()?;
             let n = match &self.peek().tok {
                 Tok::Number(s) => {
                     let s = s.clone();
@@ -449,6 +453,7 @@ impl Parser {
             self.expect_punct("]")?;
             ty = Type::FixedArray(Box::new(ty), n);
         }
+        self.depth = outer;
         Ok(ty)
     }
 

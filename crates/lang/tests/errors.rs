@@ -339,9 +339,10 @@ fn unary_negation_wraps() {
     assert_eq!(h.call_word("f", &[Value::Uint(U256::ZERO)]), U256::ZERO);
 }
 
-/// The four shapes that nest one level per step: `n` parentheses, `n`
-/// negations, a flat sum of `n + 1` terms, and `n` `else if` arms.
-fn deep_sources(n: usize) -> [String; 4] {
+/// The shapes that nest one level per step: `n` parentheses, `n`
+/// negations, a flat sum of `n + 1` terms, `n` `else if` arms, and a
+/// state variable of `n` nested mappings or `n` array dimensions.
+fn deep_sources(n: usize) -> [String; 6] {
     let function = |returns: &str, body: String| {
         format!("contract c {{ function f() public returns ({returns}) {{ {body} }} }}")
     };
@@ -359,6 +360,12 @@ fn deep_sources(n: usize) -> [String; 4] {
             "uint256",
             format!("if (true) {{ return 0; }}{else_ifs} return 0;"),
         ),
+        format!(
+            "contract c {{ {}uint256{} x; }}",
+            "mapping(uint256 => ".repeat(n),
+            ")".repeat(n)
+        ),
+        format!("contract c {{ uint256{} x; }}", "[1]".repeat(n)),
     ]
 }
 
@@ -387,7 +394,7 @@ fn the_deepest_accepted_programs_compile() {
     let deepest = std::thread::Builder::new()
         .stack_size(2 << 20)
         .spawn(|| {
-            (0..4)
+            (0..6)
                 .map(|shape| {
                     let src = |n: usize| deep_sources(n)[shape].clone();
                     let n = (1..).find(|&n| sc_lang::parse(&src(n)).is_err()).unwrap() - 1;

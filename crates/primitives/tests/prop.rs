@@ -292,7 +292,8 @@ fn arb_header_byte() -> impl Strategy<Value = u8> {
     prop_oneof![Just(0u8), Just(0x81), Just(0xb8), Just(0xf8), any::<u8>()]
 }
 
-/// The view property's inputs: arbitrary bytes (kind 0), the encoding
+/// The view property's inputs: arbitrary bytes behind a header-like
+/// first byte (kind 0), the encoding
 /// of a random tree nesting up to `MAX_DEPTH + 1` lists (1), or a frame
 /// of lists each holding only the next around one leaf (2) — the last
 /// two after one byte overwritten, inserted or deleted, or a truncation,
@@ -308,7 +309,7 @@ fn arb_rlp_input() -> impl Strategy<Value = Vec<u8>> {
         .prop_map(|(kind, seed, depth, noise, (mutation, at, byte))| {
             let mut rng = TestRng::new(seed);
             let mut enc = match kind {
-                0 => return noise,
+                0 => return [vec![byte], noise].concat(),
                 1 => reference::encode(&tree(&mut rng, depth)),
                 _ => {
                     let inner = leaf(&mut rng);
