@@ -49,11 +49,15 @@ pub(crate) fn as_list<'a>(
     }
 }
 
-/// `items` if there are exactly `N` of them.
+/// `items` if there are exactly `N` (at least one) of them.
 pub(crate) fn fields<'a, const N: usize>(
-    items: impl Iterator<Item = Rlp<'a>>,
+    mut items: impl Iterator<Item = Rlp<'a>>,
 ) -> Option<[Rlp<'a>; N]> {
-    items.collect::<Vec<_>>().try_into().ok()
+    let mut fields = [items.next()?; N];
+    for field in &mut fields[1..] {
+        *field = items.next()?;
+    }
+    items.next().is_none().then_some(fields)
 }
 
 pub(crate) fn as_uint(item: Rlp<'_>, what: &'static str) -> Result<U256, WireError> {
