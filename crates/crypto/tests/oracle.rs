@@ -360,14 +360,53 @@ fn check_field(rng: &mut Rng) {
     }
 }
 
+/// Inputs where an inverter's carries and limb splits turn over:
+/// `2^k` and `m − 2^k` for every `step`-th k in 0..256, the signed-62
+/// limb boundaries `2^(62j) − 1`, `2^(62j)` and `2^(62j) + 1` for
+/// j = 1..4, and the unreduced `m`, `m + 1` and `2^256 − 1`.
+fn inverse_edges(m: U256, step: usize) -> Vec<U256> {
+    let mut edges: Vec<U256> = (0..256u32)
+        .step_by(step)
+        .flat_map(|k| {
+            let bit = U256::ONE.shl_bits(k);
+            [bit, m.wrapping_sub(bit)]
+        })
+        .collect();
+    for j in 1..5 {
+        let limb = U256::ONE.shl_bits(62 * j);
+        edges.extend([
+            limb.wrapping_sub(U256::ONE),
+            limb,
+            limb.wrapping_add(U256::ONE),
+        ]);
+    }
+    edges.extend([m, m.wrapping_add(U256::ONE), U256::MAX]);
+    edges
+}
+
+/// `inv_mod(a, m)` equals Fermat on `a` reduced once, and multiplies
+/// back to 1 unless `a ≡ 0`.
+fn check_inverse(a: U256, m: U256) {
+    let reduced = if a >= m { a.wrapping_sub(m) } else { a };
+    let inv = inv_mod(a, m);
+    assert_eq!(inv, reference::inv(reduced, m), "inv {a:x} mod {m:x}");
+    if !reduced.is_zero() {
+        assert_eq!(
+            reference::mul_mod(reduced, inv, m),
+            U256::ONE,
+            "{a:x} · inv mod {m:x}"
+        );
+    }
+}
+
 fn check_inverses(rng: &mut Rng) {
     for m in [p(), n()] {
         let mut values = field_edges();
         values.push(m.wrapping_sub(U256::ONE));
         values.push(rng.below(m));
         values.push(rng.below(m));
-        for a in values.into_iter().filter(|a| *a < m) {
-            assert_eq!(inv_mod(a, m), reference::inv(a, m), "inv {a:x} mod {m:x}");
+        for a in values {
+            check_inverse(a, m);
         }
     }
     let a = rng.below(p());
@@ -633,6 +672,15 @@ fn inv_mod_matches_fermat_in_both_fields() {
 }
 
 #[test]
+fn inv_mod_matches_fermat_at_power_and_limb_edges() {
+    for m in [p(), n()] {
+        for a in inverse_edges(m, 8) {
+            check_inverse(a, m);
+        }
+    }
+}
+
+#[test]
 fn scalar_muls_match_double_and_add() {
     let mut rng = Rng(3);
     check_scalar_mul(&mut rng);
@@ -749,10 +797,16 @@ fn pow_edge_cases() {
     );
 }
 
-/// The release sweep: every property above, 2,000 cases each.
+/// The release sweep: every inverse edge, then every property above,
+/// 2,000 cases each.
 #[test]
 #[ignore = "2,000 cases per property; run in release"]
 fn sweep_2000_cases() {
+    for m in [p(), n()] {
+        for a in inverse_edges(m, 1) {
+            check_inverse(a, m);
+        }
+    }
     let mut rng = Rng(0x5ec0_0001);
     for _ in 0..2_000 {
         check_field(&mut rng);
