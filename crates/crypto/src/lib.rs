@@ -7,7 +7,7 @@
 //!   one scalar-multiplication engine (wNAF, fixed-base tables,
 //!   Strauss–Shamir) every signature and commitment runs on.
 //! * [`modmath`] — modular add/sub, the generic 512-bit fold and the
-//!   binary extended-Euclid inverse shared by both fields.
+//!   Bernstein–Yang divstep inverse shared by both fields.
 //! * [`ecdsa`] — Ethereum-convention ECDSA: deterministic signing, low-s
 //!   normalization, and the `ecrecover` operation that powers both
 //!   transaction sender recovery and the paper's signed-copy verification.

@@ -5,6 +5,10 @@
 //! `2^256 ≡ (2^256 - m) (mod m)` with `2^256 - m` small (≤ 129 bits),
 //! letting a 512-bit product fold down in a couple of iterations. (The
 //! base field has its own one-word fold in [`crate::secp256k1::fe`].)
+//! Both fields invert with [`inv_mod`], Bernstein–Yang divsteps ("Fast
+//! constant-time gcd computation and modular inversion", TCHES 2019)
+//! in the variable-time, signed 62-bit limb form of libsecp256k1's
+//! `modinv64`.
 
 use sc_primitives::U256;
 
@@ -54,10 +58,19 @@ pub fn mul_mod(a: U256, b: U256, m: U256, r: U256) -> U256 {
     }
 }
 
-/// Modular inverse of `a` for an odd prime `m > 2^255`, by the binary
-/// extended Euclidean algorithm. Any 256-bit `a` is accepted (it is
-/// reduced once first); returns zero when `a ≡ 0` (callers must treat
-/// that as "no inverse").
+/// Modular inverse of `a` for an odd prime `m > 2^255` (only ever
+/// `p` or `n`), by Bernstein–Yang divsteps. Any 256-bit `a` is
+/// accepted (it is reduced once first); returns zero when `a ≡ 0`
+/// (callers must treat that as "no inverse").
+///
+/// The layout is libsecp256k1's `secp256k1_modinv64_var`: `f = m`,
+/// `g = a`, `d = 0`, `e = 1` in five signed 62-bit limbs, with
+/// `d·a ≡ f` and `e·a ≡ g (mod m)` throughout. Each round works out 62
+/// divsteps on the low limbs of `f` and `g` alone (`divsteps_62_var`),
+/// then applies them to all four numbers as one matrix (`update_de`,
+/// `update_fg`). Once `g = 0`, `f = ±gcd = ±1` and `±d` is the
+/// inverse. `m⁻¹ mod 2^62`, which keeps `d` and `e` exact under the
+/// matrix's division by 2^62, is derived per call.
 ///
 /// Variable-time: the number and kind of steps depend on `a`.
 pub fn inv_mod(a: U256, m: U256) -> U256 {
@@ -65,55 +78,230 @@ pub fn inv_mod(a: U256, m: U256) -> U256 {
     if a.is_zero() {
         return U256::ZERO;
     }
-    // Invariants: x1·a ≡ u and x2·a ≡ v (mod m); gcd(u, v) = 1.
-    let (mut u, mut v) = (a, m);
-    let (mut x1, mut x2) = (U256::ONE, U256::ZERO);
-    while u != U256::ONE && v != U256::ONE {
-        while !u.bit(0) {
-            u = shr1(u, false);
-            x1 = half_mod(x1, m);
-        }
-        while !v.bit(0) {
-            v = shr1(v, false);
-            x2 = half_mod(x2, m);
-        }
-        if u >= v {
-            u = u.wrapping_sub(v);
-            x1 = sub_mod(x1, x2, m);
-        } else {
-            v = v.wrapping_sub(u);
-            x2 = sub_mod(x2, x1, m);
-        }
+    let modulus = to_signed62(m);
+    let m_inv62 = inv_2_62(m.low_u64());
+    let (mut d, mut e): (Signed62, Signed62) = ([0; 5], [1, 0, 0, 0, 0]);
+    let (mut f, mut g) = (modulus, to_signed62(a));
+    // η = −δ of the divstep; δ starts at 1.
+    let mut eta = -1;
+    while g != [0; 5] {
+        let t;
+        (eta, t) = divsteps_62_var(eta, f[0] as u64, g[0] as u64);
+        update_de(&mut d, &mut e, &t, &modulus, m_inv62);
+        update_fg(&mut f, &mut g, &t);
     }
-    if u == U256::ONE {
-        x1
-    } else {
-        x2
-    }
+    normalize_62(&mut d, f[4], &modulus);
+    let inv = from_signed62(d);
+    debug_assert!(inv < m, "the inverse is reduced");
+    inv
 }
 
-/// `x / 2 mod m` for odd `m` and `x < m`: an odd `x` becomes the even
-/// `x + m` first, whose 257th bit comes back in at the top.
-#[inline]
-fn half_mod(x: U256, m: U256) -> U256 {
-    if x.bit(0) {
-        let (sum, carry) = x.overflowing_add(m);
-        shr1(sum, carry)
-    } else {
-        shr1(x, false)
-    }
+/// `Σ v[i]·2^(62i)`, least significant limb first. Between steps a
+/// limb may be negative; the top one carries the sign.
+type Signed62 = [i64; 5];
+
+/// The low 62 bits.
+const M62: u64 = u64::MAX >> 2;
+
+/// 62 divsteps as one matrix scaled by 2^62: they take `(f, g)` to
+/// `(u·f + v·g, q·f + r·g) / 2^62`.
+struct Trans {
+    u: i64,
+    v: i64,
+    q: i64,
+    r: i64,
 }
 
-/// `x >> 1` with `top` shifted in as bit 255.
-#[inline]
-fn shr1(x: U256, top: bool) -> U256 {
-    let l = x.0;
+fn to_signed62(a: U256) -> Signed62 {
+    let l = a.0;
+    [
+        (l[0] & M62) as i64,
+        ((l[0] >> 62 | l[1] << 2) & M62) as i64,
+        ((l[1] >> 60 | l[2] << 4) & M62) as i64,
+        ((l[2] >> 58 | l[3] << 6) & M62) as i64,
+        (l[3] >> 56) as i64,
+    ]
+}
+
+/// The inverse of [`to_signed62`] for limbs already normalized: the
+/// low four in `[0, 2^62)`, the top one below 2^8.
+fn from_signed62(v: Signed62) -> U256 {
+    debug_assert!(v[..4].iter().all(|&x| x as u64 <= M62) && (0..256).contains(&v[4]));
+    let l = v.map(|x| x as u64);
     U256([
-        (l[0] >> 1) | (l[1] << 63),
-        (l[1] >> 1) | (l[2] << 63),
-        (l[2] >> 1) | (l[3] << 63),
-        (l[3] >> 1) | ((top as u64) << 63),
+        l[0] | l[1] << 62,
+        l[1] >> 2 | l[2] << 60,
+        l[2] >> 4 | l[3] << 58,
+        l[3] >> 6 | l[4] << 56,
     ])
+}
+
+/// `m⁻¹ mod 2^62` for odd `m` (only its low word matters). `3m ⊕ 2` is
+/// right in the low 5 bits, and each Newton step `x·(2 − m·x)` doubles
+/// that, so four reach 80.
+fn inv_2_62(m: u64) -> u64 {
+    let mut x = m.wrapping_mul(3) ^ 2;
+    for _ in 0..4 {
+        x = x.wrapping_mul(2u64.wrapping_sub(m.wrapping_mul(x)));
+    }
+    x & M62
+}
+
+/// 62 divsteps on the low 64 bits of `f` (odd) and `g`, from `eta`;
+/// returns the new `eta` and the steps' matrix. A run of zero bits in
+/// `g` is a run of halvings done at once; otherwise, after a swap when
+/// `eta < 0`, the multiple of `f` that clears up to 6 (or 4) low bits
+/// of `g` is added in one go. Everything here is arithmetic mod 2^64,
+/// so every operation wraps.
+fn divsteps_62_var(mut eta: i64, f0: u64, g0: u64) -> (i64, Trans) {
+    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+    let (mut f, mut g) = (f0, g0);
+    let mut i = 62;
+    loop {
+        // A sentinel bit at i counts the zeros only up to the steps left.
+        let zeros = (g | u64::MAX << i).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        eta -= i64::from(zeros);
+        i -= zeros;
+        if i == 0 {
+            break;
+        }
+        debug_assert!(f & 1 == 1 && g & 1 == 1);
+        let (w, mask);
+        if eta < 0 {
+            // Swap: (f, g) becomes (g, −f).
+            eta = -eta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, q) = (q, u.wrapping_neg());
+            (v, r) = (r, v.wrapping_neg());
+            // No more than i bits are left, and no more than eta + 1
+            // before eta's sign flips again. f·(f² − 2) ≡ −f⁻¹ (mod 64).
+            let limit = (eta + 1).min(i64::from(i)) as u32;
+            mask = (u64::MAX >> (64 - limit)) & 63;
+            w = f
+                .wrapping_mul(g)
+                .wrapping_mul(f.wrapping_mul(f).wrapping_sub(2))
+                & mask;
+        } else {
+            // f + (((f + 1) & 4) << 1) ≡ f⁻¹ (mod 16).
+            let limit = (eta + 1).min(i64::from(i)) as u32;
+            mask = (u64::MAX >> (64 - limit)) & 15;
+            let f_inv = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
+            w = f_inv.wrapping_neg().wrapping_mul(g) & mask;
+        }
+        g = g.wrapping_add(f.wrapping_mul(w));
+        q = q.wrapping_add(u.wrapping_mul(w));
+        r = r.wrapping_add(v.wrapping_mul(w));
+        debug_assert_eq!(g & mask, 0, "the multiple of f clears g's low bits");
+    }
+    let t = Trans {
+        u: u as i64,
+        v: v as i64,
+        q: q as i64,
+        r: r as i64,
+    };
+    debug_assert_eq!(
+        (i128::from(t.u) * i128::from(t.r) - i128::from(t.v) * i128::from(t.q)).abs(),
+        1 << 62,
+        "62 divsteps scale the determinant by 2^62"
+    );
+    (eta, t)
+}
+
+/// `(d, e) ← (t·(d, e) + m·(md, me)) / 2^62`, with `md` and `me` chosen
+/// so the low 62 bits vanish: the matrix applied mod m. `d` and `e` stay
+/// in `(−2m, m)`.
+fn update_de(d: &mut Signed62, e: &mut Signed62, t: &Trans, m: &Signed62, m_inv62: u64) {
+    let (u, v, q, r) = (
+        i128::from(t.u),
+        i128::from(t.v),
+        i128::from(t.q),
+        i128::from(t.r),
+    );
+    // Start md, me at [u, q] if d is negative plus [v, r] if e is, which
+    // keeps the results above −2m.
+    let (sd, se) = (d[4] >> 63, e[4] >> 63);
+    let mut md = (t.u & sd) + (t.v & se);
+    let mut me = (t.q & sd) + (t.r & se);
+    let mut cd = u * i128::from(d[0]) + v * i128::from(e[0]);
+    let mut ce = q * i128::from(d[0]) + r * i128::from(e[0]);
+    md -= (m_inv62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62) as i64;
+    me -= (m_inv62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62) as i64;
+    cd += i128::from(m[0]) * i128::from(md);
+    ce += i128::from(m[0]) * i128::from(me);
+    debug_assert!(
+        cd as u64 & M62 == 0 && ce as u64 & M62 == 0,
+        "the 62 bits dropped are zero"
+    );
+    cd >>= 62;
+    ce >>= 62;
+    for k in 1..5 {
+        cd += u * i128::from(d[k]) + v * i128::from(e[k]) + i128::from(m[k]) * i128::from(md);
+        ce += q * i128::from(d[k]) + r * i128::from(e[k]) + i128::from(m[k]) * i128::from(me);
+        d[k - 1] = (cd as u64 & M62) as i64;
+        e[k - 1] = (ce as u64 & M62) as i64;
+        cd >>= 62;
+        ce >>= 62;
+    }
+    d[4] = cd as i64;
+    e[4] = ce as i64;
+}
+
+/// `(f, g) ← t·(f, g) / 2^62`, exact since the divsteps cleared the
+/// low 62 bits.
+fn update_fg(f: &mut Signed62, g: &mut Signed62, t: &Trans) {
+    let (u, v, q, r) = (
+        i128::from(t.u),
+        i128::from(t.v),
+        i128::from(t.q),
+        i128::from(t.r),
+    );
+    let mut cf = u * i128::from(f[0]) + v * i128::from(g[0]);
+    let mut cg = q * i128::from(f[0]) + r * i128::from(g[0]);
+    debug_assert!(
+        cf as u64 & M62 == 0 && cg as u64 & M62 == 0,
+        "the 62 bits dropped are zero"
+    );
+    cf >>= 62;
+    cg >>= 62;
+    for k in 1..5 {
+        cf += u * i128::from(f[k]) + v * i128::from(g[k]);
+        cg += q * i128::from(f[k]) + r * i128::from(g[k]);
+        f[k - 1] = (cf as u64 & M62) as i64;
+        g[k - 1] = (cg as u64 & M62) as i64;
+        cf >>= 62;
+        cg >>= 62;
+    }
+    f[4] = cf as i64;
+    g[4] = cg as i64;
+}
+
+/// Takes `x` in `(−2m, m)` to `x·sign(s) mod m` in `[0, m)` with every
+/// limb in `[0, 2^62)`.
+fn normalize_62(x: &mut Signed62, s: i64, m: &Signed62) {
+    // Add m if x is negative, then negate if s is: now in (−m, m).
+    let add = x[4] >> 63;
+    let neg = s >> 63;
+    for k in 0..5 {
+        x[k] = ((x[k] + (m[k] & add)) ^ neg) - neg;
+    }
+    propagate_62(x);
+    // Add m once more if still negative: now in [0, m).
+    let add = x[4] >> 63;
+    for k in 0..5 {
+        x[k] += m[k] & add;
+    }
+    propagate_62(x);
+}
+
+/// Carries every limb's bits above 62 into the next.
+fn propagate_62(x: &mut Signed62) {
+    for k in 0..4 {
+        x[k + 1] += x[k] >> 62;
+        x[k] &= M62 as i64;
+    }
 }
 
 #[cfg(test)]
@@ -129,6 +317,12 @@ mod tests {
     fn r() -> U256 {
         // 2^256 - p = 2^32 + 977
         U256::from_u64((1 << 32) + 977)
+    }
+
+    // secp256k1 group order.
+    fn n() -> U256 {
+        U256::from_hex_str("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")
+            .unwrap()
     }
 
     #[test]
@@ -162,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn fermat_inverse() {
+    fn inverse_of_small_values_multiplies_back_to_one() {
         for v in [2u64, 3, 977, 0xdeadbeef] {
             let a = U256::from_u64(v);
             let inv = inv_mod(a, p());
@@ -184,5 +378,52 @@ mod tests {
             mul_mod(U256::from_u64((1 << 32) + 976), inv, m, r()),
             U256::ONE
         );
+    }
+
+    #[test]
+    fn signed62_round_trips_at_every_limb_boundary() {
+        let mut values = vec![U256::ZERO, U256::ONE, U256::MAX, p(), n()];
+        for j in 1..5 {
+            let limb = U256::ONE.shl_bits(62 * j);
+            values.extend([
+                limb.wrapping_sub(U256::ONE),
+                limb,
+                limb.wrapping_add(U256::ONE),
+            ]);
+            let mut alone = [0; 5];
+            alone[j as usize] = 1;
+            assert_eq!(to_signed62(limb), alone, "2^(62·{j}) is limb {j} alone");
+        }
+        for x in values {
+            let v = to_signed62(x);
+            assert!(v.iter().all(|&l| (0..=M62 as i64).contains(&l)), "{x:x}");
+            assert_eq!(from_signed62(v), x, "{x:x}");
+        }
+    }
+
+    #[test]
+    fn modulus_times_its_inverse_is_one_mod_2_62() {
+        for m in [p().low_u64(), n().low_u64(), 1, 3, u64::MAX, 1 << 63 | 1] {
+            assert_eq!(m.wrapping_mul(inv_2_62(m)) & M62, 1, "{m:x}");
+        }
+    }
+
+    #[test]
+    fn inverse_multiplies_back_to_one_on_seeded_inputs() {
+        let mut state = 0u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for m in [p(), n()] {
+            let fold = U256::ZERO.wrapping_sub(m);
+            for _ in 0..500 {
+                let a = U256([next(), next(), next(), next()]);
+                let a = if a >= m { a.wrapping_sub(m) } else { a };
+                assert_eq!(mul_mod(a, inv_mod(a, m), m, fold), U256::ONE, "{a:x}");
+            }
+        }
     }
 }

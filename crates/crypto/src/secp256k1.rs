@@ -9,9 +9,9 @@
 //!   back with that one-word constant, fold the ≤ 34-bit carry once
 //!   more and finish with one conditional subtract. The scalar field
 //!   keeps the generic fold of [`crate::modmath::mul_mod`] (a handful of
-//!   scalar products per signature). Both fields invert with the binary
-//!   extended Euclid of [`crate::modmath::inv_mod`]; square roots run a
-//!   fixed addition chain for `(p + 1)/4`.
+//!   scalar products per signature). Both fields invert with the
+//!   Bernstein–Yang divsteps of [`crate::modmath::inv_mod`]; square
+//!   roots run a fixed addition chain for `(p + 1)/4`.
 //! * **Scalar multiplication.** Every product — `k·P`, `k·G`,
 //!   `a·G + b·P`, a Pedersen `v·G + r·H` — is one call of [`lincomb`], a
 //!   Strauss–Shamir pass: each scalar is recoded in width-w NAF as
@@ -30,9 +30,9 @@
 //!   ([`Point::mul_add_g`]) run ≤ 129 doublings, not 257.
 //!
 //! The implementation favours clarity and determinism over constant-time
-//! hardening — wNAF recoding, table lookups and both inversions branch on
-//! secret data: this stack signs simulated testnet transactions, not
-//! production keys.
+//! hardening — wNAF recoding, table lookups and the divstep inversion
+//! of both fields branch on secret data: this stack signs simulated
+//! testnet transactions, not production keys.
 
 use crate::modmath::{add_mod, inv_mod, mul_mod, sub_mod};
 use sc_primitives::U256;
