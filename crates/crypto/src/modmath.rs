@@ -68,7 +68,7 @@ pub fn mul_mod(a: U256, b: U256, m: U256, r: U256) -> U256 {
 /// `d·a ≡ f` and `e·a ≡ g (mod m)` throughout. Each round works out 62
 /// divsteps on the low limbs of `f` and `g` alone (`divsteps_62_var`),
 /// then applies them to all four numbers as one matrix (`update_de`,
-/// `update_fg`). Once `g = 0`, `f = ±gcd = ±1` and `±d` is the
+/// `apply_matrix`). Once `g = 0`, `f = ±gcd = ±1` and `±d` is the
 /// inverse. `m⁻¹ mod 2^62`, which keeps `d` and `e` exact under the
 /// matrix's division by 2^62, is derived per call.
 ///
@@ -88,7 +88,7 @@ pub fn inv_mod(a: U256, m: U256) -> U256 {
         let t;
         (eta, t) = divsteps_62_var(eta, f[0] as u64, g[0] as u64);
         update_de(&mut d, &mut e, &t, &modulus, m_inv62);
-        update_fg(&mut f, &mut g, &t);
+        apply_matrix(&mut f, &mut g, &t, &modulus, 0, 0);
     }
     normalize_62(&mut d, f[4], &modulus);
     let inv = from_signed62(d);
@@ -211,71 +211,53 @@ fn divsteps_62_var(mut eta: i64, f0: u64, g0: u64) -> (i64, Trans) {
 }
 
 /// `(d, e) ← (t·(d, e) + m·(md, me)) / 2^62`, with `md` and `me` chosen
-/// so the low 62 bits vanish: the matrix applied mod m. `d` and `e` stay
+/// so the division is exact: the matrix applied mod m. `d` and `e` stay
 /// in `(−2m, m)`.
 fn update_de(d: &mut Signed62, e: &mut Signed62, t: &Trans, m: &Signed62, m_inv62: u64) {
-    let (u, v, q, r) = (
-        i128::from(t.u),
-        i128::from(t.v),
-        i128::from(t.q),
-        i128::from(t.r),
-    );
     // Start md, me at [u, q] if d is negative plus [v, r] if e is, which
-    // keeps the results above −2m.
+    // keeps the results above −2m, then cancel the low 62 bits.
     let (sd, se) = (d[4] >> 63, e[4] >> 63);
     let mut md = (t.u & sd) + (t.v & se);
     let mut me = (t.q & sd) + (t.r & se);
-    let mut cd = u * i128::from(d[0]) + v * i128::from(e[0]);
-    let mut ce = q * i128::from(d[0]) + r * i128::from(e[0]);
-    md -= (m_inv62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62) as i64;
-    me -= (m_inv62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62) as i64;
-    cd += i128::from(m[0]) * i128::from(md);
-    ce += i128::from(m[0]) * i128::from(me);
-    debug_assert!(
-        cd as u64 & M62 == 0 && ce as u64 & M62 == 0,
-        "the 62 bits dropped are zero"
-    );
-    cd >>= 62;
-    ce >>= 62;
-    for k in 1..5 {
-        cd += u * i128::from(d[k]) + v * i128::from(e[k]) + i128::from(m[k]) * i128::from(md);
-        ce += q * i128::from(d[k]) + r * i128::from(e[k]) + i128::from(m[k]) * i128::from(me);
-        d[k - 1] = (cd as u64 & M62) as i64;
-        e[k - 1] = (ce as u64 & M62) as i64;
-        cd >>= 62;
-        ce >>= 62;
-    }
-    d[4] = cd as i64;
-    e[4] = ce as i64;
+    let low = |a: i64, b: i64| {
+        (a as u64)
+            .wrapping_mul(d[0] as u64)
+            .wrapping_add((b as u64).wrapping_mul(e[0] as u64))
+    };
+    md -= (m_inv62.wrapping_mul(low(t.u, t.v)).wrapping_add(md as u64) & M62) as i64;
+    me -= (m_inv62.wrapping_mul(low(t.q, t.r)).wrapping_add(me as u64) & M62) as i64;
+    apply_matrix(d, e, t, m, md, me);
 }
 
-/// `(f, g) ← t·(f, g) / 2^62`, exact since the divsteps cleared the
-/// low 62 bits.
-fn update_fg(f: &mut Signed62, g: &mut Signed62, t: &Trans) {
+/// `(x, y) ← (t·(x, y) + m·(mx, my)) / 2^62`, whose low 62 bits must be
+/// zero. With `mx = my = 0` this is the update of `f` and `g`, exact
+/// because the divsteps cleared those bits.
+fn apply_matrix(x: &mut Signed62, y: &mut Signed62, t: &Trans, m: &Signed62, mx: i64, my: i64) {
     let (u, v, q, r) = (
         i128::from(t.u),
         i128::from(t.v),
         i128::from(t.q),
         i128::from(t.r),
     );
-    let mut cf = u * i128::from(f[0]) + v * i128::from(g[0]);
-    let mut cg = q * i128::from(f[0]) + r * i128::from(g[0]);
+    let (mx, my) = (i128::from(mx), i128::from(my));
+    let mut cx = u * i128::from(x[0]) + v * i128::from(y[0]) + i128::from(m[0]) * mx;
+    let mut cy = q * i128::from(x[0]) + r * i128::from(y[0]) + i128::from(m[0]) * my;
     debug_assert!(
-        cf as u64 & M62 == 0 && cg as u64 & M62 == 0,
+        cx as u64 & M62 == 0 && cy as u64 & M62 == 0,
         "the 62 bits dropped are zero"
     );
-    cf >>= 62;
-    cg >>= 62;
+    cx >>= 62;
+    cy >>= 62;
     for k in 1..5 {
-        cf += u * i128::from(f[k]) + v * i128::from(g[k]);
-        cg += q * i128::from(f[k]) + r * i128::from(g[k]);
-        f[k - 1] = (cf as u64 & M62) as i64;
-        g[k - 1] = (cg as u64 & M62) as i64;
-        cf >>= 62;
-        cg >>= 62;
+        cx += u * i128::from(x[k]) + v * i128::from(y[k]) + i128::from(m[k]) * mx;
+        cy += q * i128::from(x[k]) + r * i128::from(y[k]) + i128::from(m[k]) * my;
+        x[k - 1] = (cx as u64 & M62) as i64;
+        y[k - 1] = (cy as u64 & M62) as i64;
+        cx >>= 62;
+        cy >>= 62;
     }
-    f[4] = cf as i64;
-    g[4] = cg as i64;
+    x[4] = cx as i64;
+    y[4] = cy as i64;
 }
 
 /// Takes `x` in `(−2m, m)` to `x·sign(s) mod m` in `[0, m)` with every
